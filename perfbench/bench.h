@@ -37,6 +37,8 @@ struct Args {
 // --- Samples ---
 
 double Median(std::vector<double> xs);
+/// Nearest-rank p-th percentile (0 < p <= 100); 0 for no samples.
+double Percentile(std::vector<double> xs, double p);
 
 /// The highest of p99.9, p99, p90 and p50 with at least ten samples
 /// beyond it; with fewer than 20 samples none qualifies and the maximum
@@ -70,7 +72,8 @@ class Run {
 
   void Metric(const std::string& name, double value, const std::string& unit,
               const std::string& detail = "");
-  /// Median plus tail of `samples_ms` as `<base>.p50` and `<base>.tail`.
+  /// The 10th percentile, median and tail of `samples_ms` as
+  /// `<base>.p10`, `<base>.p50` and `<base>.tail`.
   void Latency(const std::string& base, const std::vector<double>& samples_ms);
 
   /// Prints the error rate and the final JSON line. Returns the exit

@@ -71,6 +71,17 @@ dbwipes::LabeledDataset Generate(const Args& args) {
   return *dbwipes::GenerateFecDataset(gen);
 }
 
+/// The Service's default options, except that ingest_fec never
+/// checkpoints the WAL automatically. Its 200,000 appends would pass the
+/// 8 MB threshold two or three times, and the snapshot buffers, overlapping
+/// a dashboard scan or not, moved peak memory by up to 10% between runs.
+/// The fsync policy stays the default.
+dbwipes::ServiceOptions ServiceOptionsFor(const Args& args) {
+  dbwipes::ServiceOptions options;
+  if (args.workload == "ingest_fec") options.wal.checkpoint_bytes = 0;
+  return options;
+}
+
 /// Generates the data, registers it, and brings the Service to the
 /// point where the timed loop starts.
 World SetUp(const Args& args, Run& run) {
@@ -78,7 +89,7 @@ World SetUp(const Args& args, Run& run) {
   w.data = Generate(args);
   w.db = std::make_shared<Database>();
   w.db->RegisterTable(w.data.table);
-  w.service = std::make_unique<Service>(w.db, dbwipes::ServiceOptions{});
+  w.service = std::make_unique<Service>(w.db, ServiceOptionsFor(args));
   Service& s = *w.service;
   if (args.workload == "debug_intel") {
     Exec(s, run, std::string("sql ") + kIntelQuery);
@@ -285,10 +296,11 @@ size_t ShardedRows(Service& s, Run& run) {
 constexpr double kDashboardThinkMs = 100.0;
 
 /// The appenders stop after this many appends (or when the run's time
-/// is up), so every run adds the same rows and holds the same memory. At
-/// about 100 log bytes per append the log stays under the Service's 8 MB
-/// auto-checkpoint threshold, so no run checkpoints in its timed part.
-constexpr int64_t kIngestAppends = 60000;
+/// is up), so every run adds about the same rows and holds about the same
+/// memory. At about 7,500 appends a second they take about 27 seconds:
+/// the host's slow phases last seconds to minutes, and over a shorter span
+/// one of them could cover most of a run and move its 10th percentile.
+constexpr int64_t kIngestAppends = 200000;
 constexpr int64_t kSmokeIngestAppends = 2000;
 
 /// Returns the row count the table must have afterwards.
@@ -386,7 +398,7 @@ size_t RunIngest(World& w, Run& run, double budget_ms) {
 /// query identically.
 void CheckDurability(World& w, Run& run, size_t expected_rows) {
   w.service.reset();
-  dbwipes::ServiceOptions options;
+  dbwipes::ServiceOptions options = ServiceOptionsFor(run.args());
   options.wal.dir = w.wal_dir;
   Service fresh(std::make_shared<Database>(), options);
   run.Check(FindValue(Exec(fresh, run, "wal status"), "enabled") == "true",
@@ -482,23 +494,21 @@ int Main(int argc, char** argv) {
   std::filesystem::create_directories(args.scratch);
   Run run(args);
 
-  // Set up several times (at least kMinSetups, then until kSetupBudgetMs
-  // is spent) and report the median; the last world is the one
-  // measured. Each earlier world is torn down first, so peak memory is
-  // that of one world.
-  constexpr size_t kMinSetups = 5, kMaxSetups = 25;
-  constexpr double kSetupBudgetMs = 1500.0;
+  // Set up kSetups times and report the median; the last world is the
+  // one measured. Each earlier world is torn down first, so peak memory
+  // is that of one world. The count is fixed rather than timed, so every
+  // run leaves the allocator with the same history and peak memory does
+  // not follow the machine's speed.
+  constexpr size_t kSetups = 9;
+  const size_t setups = args.smoke || args.trace ? 1 : kSetups;
   std::vector<double> setup_s;
   World world;
-  const auto setup_start = Clock::now();
-  do {
+  while (setup_s.size() < setups) {
     world = World();
     const auto t0 = Clock::now();
     world = SetUp(args, run);
     setup_s.push_back(MsSince(t0) / 1000.0);
-  } while (!args.smoke && !args.trace && setup_s.size() < kMaxSetups &&
-           (setup_s.size() < kMinSetups ||
-            MsSince(setup_start) < kSetupBudgetMs));
+  }
   PrintEnvironment(args, world);
   run.Metric("setup_s", Median(setup_s), "s",
              "median of " + std::to_string(setup_s.size()));

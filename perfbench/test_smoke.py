@@ -72,7 +72,8 @@ class SmokeTest(unittest.TestCase):
             self.assertEqual(result["metrics"][name]["unit"], m["unit"], name)
         self.assertEqual(printed["error_rate"], [(0.0, "ratio")])
         if not trace:
-            for name in WORKLOAD_METRICS[workload]:
+            for name in WORKLOAD_METRICS[workload] + ["op_ms.p50",
+                                                      "op_ms.tail"]:
                 self.assertEqual(len(printed.get(name, [])), 1, name)
         else:
             self.assertTrue(any(l.startswith("oracle: ") for l in lines))

@@ -2,7 +2,8 @@
 # Pre-merge gate: tier-1 tests, the asan smoke subset, the anytime
 # fault matrix, the tsan smoke subset (tracer/metrics buffers must be
 # race-free), the stress-labelled concurrent service suites under
-# tsan, and the tracing-overhead benchmark. Run from the repo root:
+# tsan, the tracing-overhead benchmark and the end-to-end benchmark's
+# smoke test. Run from the repo root:
 #
 #   scripts/check.sh            # every stage
 #   scripts/check.sh tier1      # just the default-preset test suite
@@ -22,6 +23,8 @@
 #   scripts/check.sh repl       # replication suite + failover kill
 #                               # matrix under asan AND tsan, then
 #                               # bench_repl (BENCH_repl.json)
+#   scripts/check.sh perf       # perfbench smoke test: every workload
+#                               # on tiny inputs, untraced and traced
 #
 # Each stage configures/builds its preset only when needed, so repeat
 # runs are incremental.
@@ -161,6 +164,14 @@ repl() {
   echo "wrote build/bench/BENCH_repl.json"
 }
 
+perf_smoke() {
+  echo "=== perf: end-to-end benchmark smoke test (perfbench) ==="
+  # Every workload on tiny inputs, untraced and then traced with the
+  # layer-replay oracle; each run must be correct with no failed op.
+  # Builds perfbench (Release) into .bench_build/ on first use.
+  python3 perfbench/test_smoke.py
+}
+
 case "${1:-all}" in
   tier1)  tier1 ;;
   asan)   asan_smoke ;;
@@ -174,7 +185,8 @@ case "${1:-all}" in
   wal)    wal_bench ;;
   obs)    obs ;;
   repl)   repl ;;
-  all)    tier1; asan_smoke; faults; tsan_smoke; stress; trace_bench; shard_bench; fused_bench; crash; wal_bench; obs; repl ;;
-  *) echo "usage: $0 [tier1|asan|faults|tsan|stress|trace|shard|fused|crash|wal|obs|repl|all]" >&2; exit 2 ;;
+  perf)   perf_smoke ;;
+  all)    tier1; asan_smoke; faults; tsan_smoke; stress; trace_bench; shard_bench; fused_bench; crash; wal_bench; obs; repl; perf_smoke ;;
+  *) echo "usage: $0 [tier1|asan|faults|tsan|stress|trace|shard|fused|crash|wal|obs|repl|perf|all]" >&2; exit 2 ;;
 esac
 echo "=== check.sh: all requested stages passed ==="

@@ -129,7 +129,8 @@ Result<std::vector<CandidateDataset>> DatasetEnumerator::Enumerate(
     const std::vector<size_t>& selected_groups,
     const PreprocessResult& preprocess, const std::vector<RowId>& dprime,
     const FeatureView& view, const ErrorMetric& metric,
-    size_t agg_index, const ExecContext& ctx) const {
+    size_t agg_index, const ExecContext& ctx,
+    std::vector<RowId>* cleaned_dprime) const {
   DBW_FAULT(ctx, "enumerate/datasets");
   DBW_TRACE_SPAN("enumerate/datasets");
   const std::vector<RowId>& suspects = preprocess.suspect_inputs;
@@ -142,6 +143,7 @@ Result<std::vector<CandidateDataset>> DatasetEnumerator::Enumerate(
   DBW_ASSIGN_OR_RETURN(
       std::vector<RowId> cleaned,
       CleanDPrime(table, dprime, suspects, preprocess.influences, view, ctx));
+  if (cleaned_dprime != nullptr) *cleaned_dprime = cleaned;
 
   // 2. Positive labels for the extension step: cleaned D' plus the
   //    top-influence quantile of F.
@@ -196,6 +198,7 @@ Result<std::vector<CandidateDataset>> DatasetEnumerator::Enumerate(
       labels.push_back(y);
     }
     if (num_pos > 0 && num_pos < suspects.size()) {
+      DBW_TRACE_SPAN("enumerate/subgroups");
       auto subgroups = DiscoverSubgroups(view, suspects, labels,
                                          /*init_weights=*/{},
                                          options_.subgroup_options);

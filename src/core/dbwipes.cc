@@ -193,23 +193,10 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
   DatasetEnumerator enumerator(options_.enumerator);
   {
     DBW_TRACE_SPAN("pipeline/enumerate");
-    auto cleaned =
-        enumerator.CleanDPrime(*table, request.suspicious_inputs,
-                               out.preprocess.suspect_inputs,
-                               out.preprocess.influences, view, ctx);
-    if (!cleaned.ok()) {
-      if (cleaned.status().IsInterrupt()) {
-        degrade(cleaned.status());
-        finish();
-        return out;
-      }
-      return cleaned.status();
-    }
-    out.cleaned_dprime = *std::move(cleaned);
-    auto candidates =
-        enumerator.Enumerate(*table, result, request.selected_groups,
-                             out.preprocess, request.suspicious_inputs, view,
-                             *request.metric, request.agg_index, ctx);
+    auto candidates = enumerator.Enumerate(
+        *table, result, request.selected_groups, out.preprocess,
+        request.suspicious_inputs, view, *request.metric, request.agg_index,
+        ctx, &out.cleaned_dprime);
     if (!candidates.ok()) {
       if (candidates.status().IsInterrupt()) {
         degrade(candidates.status());

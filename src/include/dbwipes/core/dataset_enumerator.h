@@ -61,14 +61,16 @@ class DatasetEnumerator {
   /// error; `metric`/`agg_index` evaluate candidates. `ctx` is checked
   /// between candidates, so an expired deadline or tripped token stops
   /// the enumeration with an interrupt Status (fault site
-  /// "enumerate/datasets").
+  /// "enumerate/datasets"). When `cleaned_dprime` is non-null it
+  /// receives the CleanDPrime output the candidates are built from, as
+  /// soon as cleaning finishes (so also on a later interrupt).
   Result<std::vector<CandidateDataset>> Enumerate(
       const Table& table, const QueryResult& result,
       const std::vector<size_t>& selected_groups,
       const PreprocessResult& preprocess, const std::vector<RowId>& dprime,
       const FeatureView& view, const ErrorMetric& metric,
-      size_t agg_index = 0,
-      const ExecContext& ctx = ExecContext::None()) const;
+      size_t agg_index = 0, const ExecContext& ctx = ExecContext::None(),
+      std::vector<RowId>* cleaned_dprime = nullptr) const;
 
   /// The D'-cleaning step alone (exposed for tests and ablations):
   /// returns the subset of `dprime` judged self-consistent. Fault

@@ -2,35 +2,44 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <unordered_map>
 
-#include "dbwipes/common/stats.h"
+#include "dbwipes/common/bitmap.h"
 
 namespace dbwipes {
 
 namespace {
 
-/// One atomic condition with its precomputed coverage bitmap over the
-/// training rows.
+/// One atomic condition with its coverage over the training rows (bit
+/// i set = rows[i] satisfies the clause).
 struct Condition {
   Clause clause;
-  std::vector<char> covered;  // covered[i] over row indices
+  Bitmap covered;
 };
 
-/// A conjunction under construction during beam search.
+/// A conjunction in the beam.
 struct Rule {
   std::vector<size_t> condition_ids;  // sorted
-  std::vector<char> covered;
+  Bitmap covered;
   double wracc = -std::numeric_limits<double>::infinity();
-
-  std::string Key() const {
-    std::string k;
-    for (size_t id : condition_ids) k += std::to_string(id) + ",";
-    return k;
-  }
 };
 
+/// A scored extension of beam[parent] by one condition. Only the
+/// candidates that survive into the next beam get a coverage bitmap.
+struct Candidate {
+  std::vector<size_t> condition_ids;  // sorted
+  size_t parent = 0;
+  size_t condition = 0;
+  double wracc = 0.0;
+};
+
+/// Conditions in a fixed order (feature by feature; categories by
+/// descending frequency; numeric thresholds ascending, `<=` before
+/// `>`). That order is the candidate order of the beam search, so it
+/// decides ties between rules of equal WRAcc. Each feature's bitmaps
+/// are filled in one pass over its values.
 std::vector<Condition> BuildConditions(const FeatureView& view,
                                        const std::vector<RowId>& rows,
                                        const SubgroupOptions& options) {
@@ -39,12 +48,13 @@ std::vector<Condition> BuildConditions(const FeatureView& view,
   for (size_t f = 0; f < view.num_features(); ++f) {
     const FeatureSpec& spec = view.features()[f];
     if (spec.categorical) {
-      // Most frequent categories.
+      // Most frequent categories. codes[i] = -1 marks a NULL.
+      std::vector<int32_t> codes(n, -1);
       std::unordered_map<int32_t, size_t> freq;
-      for (RowId r : rows) {
-        if (!view.IsNull(r, f)) {
-          ++freq[static_cast<int32_t>(view.Get(r, f))];
-        }
+      for (size_t i = 0; i < n; ++i) {
+        if (view.IsNull(rows[i], f)) continue;
+        codes[i] = static_cast<int32_t>(view.Get(rows[i], f));
+        ++freq[codes[i]];
       }
       std::vector<std::pair<int32_t, size_t>> cats(freq.begin(), freq.end());
       std::sort(cats.begin(), cats.end(), [](const auto& a, const auto& b) {
@@ -53,26 +63,27 @@ std::vector<Condition> BuildConditions(const FeatureView& view,
       if (cats.size() > options.max_categories_per_feature) {
         cats.resize(options.max_categories_per_feature);
       }
+      std::unordered_map<int32_t, size_t> condition_of;
       for (const auto& [code, count] : cats) {
-        Condition cond;
-        cond.clause = Clause::Make(spec.name, CompareOp::kEq,
-                                   Value(view.CategoryName(f, code)));
-        cond.covered.assign(n, 0);
-        for (size_t i = 0; i < n; ++i) {
-          if (!view.IsNull(rows[i], f) &&
-              static_cast<int32_t>(view.Get(rows[i], f)) == code) {
-            cond.covered[i] = 1;
-          }
-        }
-        conditions.push_back(std::move(cond));
+        condition_of.emplace(code, conditions.size());
+        conditions.push_back(
+            {Clause::Make(spec.name, CompareOp::kEq,
+                          Value(view.CategoryName(f, code))),
+             Bitmap(n)});
+      }
+      for (size_t i = 0; i < n; ++i) {
+        if (codes[i] < 0) continue;
+        auto it = condition_of.find(codes[i]);
+        if (it != condition_of.end()) conditions[it->second].covered.Set(i);
       }
     } else {
       // Quantile thresholds over the distinct values.
+      std::vector<double> column(n);
       std::vector<double> values;
       values.reserve(n);
-      for (RowId r : rows) {
-        const double v = view.Get(r, f);
-        if (!std::isnan(v)) values.push_back(v);
+      for (size_t i = 0; i < n; ++i) {
+        column[i] = view.Get(rows[i], f);  // NaN for NULL
+        if (!std::isnan(column[i])) values.push_back(column[i]);
       }
       if (values.size() < 2) continue;
       std::sort(values.begin(), values.end());
@@ -90,18 +101,23 @@ std::vector<Condition> BuildConditions(const FeatureView& view,
             static_cast<size_t>(q * static_cast<double>(values.size() - 1)));
         thresholds.insert(values[idx] + (values[idx + 1] - values[idx]) / 2.0);
       }
-      for (double t : thresholds) {
+      const std::vector<double> cuts(thresholds.begin(), thresholds.end());
+      const size_t first = conditions.size();
+      for (double t : cuts) {
         for (CompareOp op : {CompareOp::kLe, CompareOp::kGt}) {
-          Condition cond;
-          cond.clause = Clause::Make(spec.name, op, Value(t));
-          cond.covered.assign(n, 0);
-          for (size_t i = 0; i < n; ++i) {
-            if (view.IsNull(rows[i], f)) continue;
-            const double v = view.Get(rows[i], f);
-            const bool match = op == CompareOp::kLe ? v <= t : v > t;
-            if (match) cond.covered[i] = 1;
+          conditions.push_back(
+              {Clause::Make(spec.name, op, Value(t)), Bitmap(n)});
+        }
+      }
+      // NaN (and NULL) values match neither side of a cut.
+      for (size_t i = 0; i < n; ++i) {
+        const double v = column[i];
+        for (size_t k = 0; k < cuts.size(); ++k) {
+          if (v <= cuts[k]) {
+            conditions[first + 2 * k].covered.Set(i);
+          } else if (v > cuts[k]) {
+            conditions[first + 2 * k + 1].covered.Set(i);
           }
-          conditions.push_back(std::move(cond));
         }
       }
     }
@@ -109,18 +125,19 @@ std::vector<Condition> BuildConditions(const FeatureView& view,
   return conditions;
 }
 
-/// Weighted relative accuracy of a coverage bitmap.
-double WRAcc(const std::vector<char>& covered,
-             const std::vector<double>& weights,
-             const std::vector<int>& labels, double total_w,
+/// Weighted relative accuracy of a coverage bitmap. Both sums run over
+/// the covered rows in ascending order. `pos_weights` holds the weight
+/// on positives and +0.0 elsewhere; a sum that starts at +0.0 never
+/// becomes -0.0, so adding +0.0 leaves it unchanged and the positive
+/// sum equals one that skips the negatives.
+double WRAcc(const Bitmap& covered, const std::vector<double>& weights,
+             const std::vector<double>& pos_weights, double total_w,
              double total_pos_w) {
   double cov_w = 0.0, cov_pos_w = 0.0;
-  for (size_t i = 0; i < covered.size(); ++i) {
-    if (covered[i]) {
-      cov_w += weights[i];
-      if (labels[i] == 1) cov_pos_w += weights[i];
-    }
-  }
+  covered.ForEachSet([&](size_t i) {
+    cov_w += weights[i];
+    cov_pos_w += pos_weights[i];
+  });
   if (cov_w <= 0.0 || total_w <= 0.0) {
     return -std::numeric_limits<double>::infinity();
   }
@@ -139,6 +156,9 @@ Result<std::vector<Subgroup>> DiscoverSubgroups(
   if (rows.empty()) return Status::InvalidArgument("empty training set");
   if (!init_weights.empty() && init_weights.size() != rows.size()) {
     return Status::InvalidArgument("rows/init_weights size mismatch");
+  }
+  if (options.beam_width == 0) {
+    return Status::InvalidArgument("beam_width must be at least 1");
   }
   bool has_positive = false;
   for (int y : labels) {
@@ -160,6 +180,13 @@ Result<std::vector<Subgroup>> DiscoverSubgroups(
 
   std::vector<double> weights = init_weights;
   if (weights.empty()) weights.assign(n, 1.0);
+  std::vector<double> pos_weights(n, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    if (labels[i] == 1) pos_weights[i] = weights[i];
+  }
+  Bitmap all_rows(n);
+  all_rows.SetAll();
+  Bitmap scratch(n);
 
   std::vector<Subgroup> subgroups;
   for (size_t round = 0; round < options.num_rules; ++round) {
@@ -171,53 +198,53 @@ Result<std::vector<Subgroup>> DiscoverSubgroups(
     if (total_pos_w <= 1e-12) break;
 
     // Beam search over conjunctions.
-    std::vector<Rule> beam;
+    std::vector<Rule> beam(1);
+    beam[0].covered = all_rows;
     Rule best;
-    {
-      Rule empty;
-      empty.covered.assign(n, 1);
-      beam.push_back(std::move(empty));
-    }
     for (size_t level = 0; level < options.max_clauses; ++level) {
-      std::vector<Rule> candidates;
-      std::set<std::string> seen;
-      for (const Rule& rule : beam) {
+      std::vector<Candidate> candidates;
+      std::set<std::vector<size_t>> seen;
+      for (size_t b = 0; b < beam.size(); ++b) {
+        const Rule& rule = beam[b];
         for (size_t ci = 0; ci < conditions.size(); ++ci) {
           if (std::binary_search(rule.condition_ids.begin(),
                                  rule.condition_ids.end(), ci)) {
             continue;
           }
-          Rule next;
-          next.condition_ids = rule.condition_ids;
-          next.condition_ids.insert(
-              std::upper_bound(next.condition_ids.begin(),
-                               next.condition_ids.end(), ci),
-              ci);
-          const std::string key = next.Key();
-          if (!seen.insert(key).second) continue;
+          std::vector<size_t> ids = rule.condition_ids;
+          ids.insert(std::upper_bound(ids.begin(), ids.end(), ci), ci);
+          if (!seen.insert(ids).second) continue;
 
-          next.covered.assign(n, 0);
-          size_t cov_count = 0;
-          for (size_t i = 0; i < n; ++i) {
-            if (rule.covered[i] && conditions[ci].covered[i]) {
-              next.covered[i] = 1;
-              ++cov_count;
-            }
-          }
-          if (cov_count < options.min_coverage) continue;
-          next.wracc = WRAcc(next.covered, weights, labels, total_w,
-                             total_pos_w);
-          candidates.push_back(std::move(next));
+          const Bitmap& cond = conditions[ci].covered;
+          if (rule.covered.CountAnd(cond) < options.min_coverage) continue;
+          scratch = rule.covered;
+          scratch.AndWith(cond);
+          candidates.push_back(
+              {std::move(ids), b, ci,
+               WRAcc(scratch, weights, pos_weights, total_w, total_pos_w)});
         }
       }
       if (candidates.empty()) break;
+      // std::sort is not stable: where it leaves rules of equal WRAcc
+      // (which decides the beam and the winner) depends on the order
+      // the candidates were generated in, so that order is fixed.
       std::sort(candidates.begin(), candidates.end(),
-                [](const Rule& a, const Rule& b) { return a.wracc > b.wracc; });
+                [](const Candidate& a, const Candidate& b) {
+                  return a.wracc > b.wracc;
+                });
       if (candidates.size() > options.beam_width) {
         candidates.resize(options.beam_width);
       }
-      if (candidates.front().wracc > best.wracc) best = candidates.front();
-      beam = std::move(candidates);
+      std::vector<Rule> next(candidates.size());
+      for (size_t k = 0; k < candidates.size(); ++k) {
+        Candidate& c = candidates[k];
+        next[k].condition_ids = std::move(c.condition_ids);
+        next[k].covered = beam[c.parent].covered;
+        next[k].covered.AndWith(conditions[c.condition].covered);
+        next[k].wracc = c.wracc;
+      }
+      if (next.front().wracc > best.wracc) best = next.front();
+      beam = std::move(next);
     }
 
     if (best.condition_ids.empty() || best.wracc <= 0.0) break;
@@ -229,27 +256,24 @@ Result<std::vector<Subgroup>> DiscoverSubgroups(
     }
     sg.predicate = Predicate(std::move(clauses)).Simplify();
     sg.wracc = best.wracc;
-    for (size_t i = 0; i < n; ++i) {
-      if (best.covered[i]) {
-        ++sg.coverage;
-        if (labels[i] == 1) ++sg.positives;
-        sg.covered.push_back(i);
+    // Weighted covering: decay covered positives so later rounds look
+    // elsewhere. (Applied even when the rule is a duplicate, to force
+    // progress.)
+    best.covered.ForEachSet([&](size_t i) {
+      ++sg.coverage;
+      sg.covered.push_back(i);
+      if (labels[i] == 1) {
+        ++sg.positives;
+        weights[i] *= options.gamma;
+        pos_weights[i] = weights[i];
       }
-    }
+    });
     // Skip semantic duplicates discovered in later rounds.
     bool duplicate = false;
     for (const Subgroup& prev : subgroups) {
       if (prev.predicate == sg.predicate) {
         duplicate = true;
         break;
-      }
-    }
-    // Weighted covering: decay covered positives so later rounds look
-    // elsewhere. (Apply even when the rule was a duplicate, to force
-    // progress.)
-    for (size_t i = 0; i < n; ++i) {
-      if (best.covered[i] && labels[i] == 1) {
-        weights[i] *= options.gamma;
       }
     }
     if (!duplicate) subgroups.push_back(std::move(sg));

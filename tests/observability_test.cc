@@ -328,7 +328,7 @@ TEST(ObservabilityTest, TraceCoversEveryPipelineStage) {
            "service/debug", "session/debug", "pipeline/explain",
            "pipeline/preprocess", "pipeline/enumerate",
            "pipeline/predicates", "pipeline/rank", "pipeline/merge",
-           "merge/rerank", "enumerate/clean",
+           "merge/rerank", "enumerate/clean", "enumerate/subgroups",
            "enumerate/datasets", "enumerate/predicates", "scorer/create",
            "ranker/rank", "match/materialize", "sql/parse", "sql/execute",
        }) {

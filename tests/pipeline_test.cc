@@ -11,9 +11,11 @@
 #include "dbwipes/common/random.h"
 #include "dbwipes/core/dataset_enumerator.h"
 #include "dbwipes/core/dbwipes.h"
+#include "dbwipes/core/export.h"
 #include "dbwipes/core/predicate_enumerator.h"
 #include "dbwipes/core/predicate_ranker.h"
 #include "dbwipes/core/removal.h"
+#include "dbwipes/core/session.h"
 #include "dbwipes/expr/parser.h"
 
 namespace dbwipes {
@@ -455,6 +457,46 @@ TEST(DBWipesTest, ExplainValidation) {
   request.metric = w.metric;
   request.selected_groups = {};
   EXPECT_FALSE(engine.Explain(w.result, request).ok());
+}
+
+/// One debug runs the k-means D' cleaning once (inside the Dataset
+/// Enumerator), and the explanation exports exactly its output.
+TEST(DBWipesTest, DebugCleansDPrimeOnce) {
+  World w = MakeWorld();
+  auto db = std::make_shared<Database>();
+  db->RegisterTable(w.table);
+  Session session(db);
+  ASSERT_TRUE(
+      session.ExecuteSql("SELECT g, avg(v) AS a FROM w GROUP BY g").ok());
+  ASSERT_TRUE(session.SelectResults(w.suspicious_groups).ok());
+  // The bad rows plus a few ordinary rows swept in by mistake.
+  ASSERT_TRUE(session.SelectInputsWhere("v > 50 OR knob > 1.5").ok());
+  ASSERT_TRUE(session.SetMetric(w.metric).ok());
+
+  FaultInjector faults;
+  FaultInjector::Fault count_only;
+  count_only.skip = 1000;  // never fires; hits are still counted
+  faults.Arm("enumerate/clean", count_only);
+  ExecContext ctx;
+  ctx.faults = &faults;
+  auto exp = session.Debug(ctx);
+  ASSERT_TRUE(exp.ok()) << exp.status().ToString();
+  EXPECT_FALSE(exp->partial);
+  EXPECT_EQ(faults.hits("enumerate/clean"), 1u);
+
+  FeatureView view = *FeatureView::Create(
+      *w.table, DefaultExplainColumns(*w.table, session.result().query, 0));
+  DatasetEnumerator enumerator(ExplainOptions{}.enumerator);
+  const std::vector<RowId> cleaned = *enumerator.CleanDPrime(
+      *w.table, session.selected_inputs(), exp->preprocess.suspect_inputs,
+      exp->preprocess.influences, view);
+  ASSERT_FALSE(cleaned.empty());
+  EXPECT_EQ(exp->cleaned_dprime, cleaned);
+  const std::string json = ExplanationToJson(*exp, /*pretty=*/false);
+  EXPECT_NE(json.find("\"num_cleaned_dprime\":" +
+                      std::to_string(cleaned.size()) + ","),
+            std::string::npos)
+      << json.substr(0, 300);
 }
 
 TEST(DBWipesTest, DefaultExplainColumnsExcludeMeasure) {

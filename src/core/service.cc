@@ -5,12 +5,16 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
+#include <cmath>
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "dbwipes/common/metrics.h"
@@ -25,101 +29,217 @@
 
 namespace dbwipes {
 
+/// One command's answer before it is rendered, once, as
+/// `{"ok": <ok>, "rid": N<fields>}`.
+struct ServiceReply {
+  ServiceReply() = default;
+  /// Implicit, so handlers can DBW_RETURN_NOT_OK: a failed status is an
+  /// error reply, retryable when the failure may clear on its own.
+  ServiceReply(const Status& status) : ok(status.ok()) {  // NOLINT
+    if (ok) return;
+    AddString("error", status.ToString());
+    if (IsTransient(status)) Add("retryable", "true");
+  }
+
+  ServiceReply& Add(const std::string& key, const std::string& json) {
+    fields.append(", \"").append(key).append("\": ").append(json);
+    return *this;
+  }
+  template <std::unsigned_integral N>
+    requires(!std::same_as<N, bool>)  // a flag is "true"/"false", not 1/0
+  ServiceReply& Add(const std::string& key, N count) {
+    return Add(key, std::to_string(count));
+  }
+  ServiceReply& AddString(const std::string& key, const std::string& text) {
+    return Add(key, "\"" + JsonEscape(text) + "\"");
+  }
+  ServiceReply& Reason(const std::string& why) {
+    reason = why;
+    return AddString("reason", why);
+  }
+  std::string Render(uint64_t rid) const {
+    std::string out = ok ? "{\"ok\": true" : "{\"ok\": false";
+    if (rid != 0) out.append(", \"rid\": ").append(std::to_string(rid));
+    out.append(fields).append("}");
+    return out;
+  }
+
+  bool ok = true;
+  std::string fields;    // `, "key": value` pairs, already JSON
+  std::string reason;    // also among `fields`; the slow log repeats it
+  std::string wal_line;  // logged instead of the request line, if set
+  std::string stages;    // a debug's stage timings, for the slow log
+};
+
 namespace {
 
-std::string Error(const std::string& message) {
-  return "{\"ok\": false, \"error\": \"" + JsonEscape(message) + "\"}";
-}
+using Reply = ServiceReply;
 
-std::string Error(const Status& status) {
-  if (IsTransient(status)) {
-    return "{\"ok\": false, \"error\": \"" + JsonEscape(status.ToString()) +
-           "\", \"retryable\": true}";
+/// Parses a whole token as a finite decimal number.
+template <typename T>
+bool ParseNumber(std::string_view token, T* out) {
+  // from_chars takes no leading '+'; a command line may carry one.
+  if (token.size() > 1 && token[0] == '+' && token[1] != '-') {
+    token.remove_prefix(1);
   }
-  return Error(status.ToString());
-}
-
-std::string Ok() { return "{\"ok\": true}"; }
-
-std::string OkWith(const std::string& key, const std::string& json_value) {
-  return "{\"ok\": true, \"" + key + "\": " + json_value + "}";
-}
-
-bool IsOkResponse(const std::string& response) {
-  return response.compare(0, 11, "{\"ok\": true") == 0;
-}
-
-/// Inserts `, "rid": N` right after the `{"ok": true` / `{"ok": false`
-/// prefix, so every response carries its request id while the prefix
-/// checks clients rely on (IsOkResponse, bench MustOk) keep matching.
-void StampRid(std::string* response, uint64_t rid) {
-  if (rid == 0) return;
-  size_t offset = 0;
-  if (response->compare(0, 11, "{\"ok\": true") == 0) {
-    offset = 11;
-  } else if (response->compare(0, 12, "{\"ok\": false") == 0) {
-    offset = 12;
-  } else {
-    return;  // not a JSON response envelope; leave it alone
+  T value{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return false;
   }
-  response->insert(offset, ", \"rid\": " + std::to_string(rid));
+  *out = value;
+  return true;
+}
+
+}  // namespace
+
+/// One command line being executed: its tokens, read left to right,
+/// and the session it is routed to. Numbers parse strictly, so a
+/// malformed one is a usage error rather than a silent default.
+class ServiceCall {
+ public:
+  explicit ServiceCall(std::string_view line) : rest_(line) {}
+
+  /// The next token without consuming it; "" at the end of the line.
+  std::string_view Peek() {
+    rest_ = Trim(rest_);
+    return rest_.substr(0, rest_.find_first_of(" \t\n\v\f\r"));
+  }
+  /// Required values, in order: false when one is missing or malformed.
+  template <typename... T>
+  bool Read(T*... out) {
+    return (ReadOne(out) && ...);
+  }
+  /// An optional value: false only when it is present but malformed.
+  template <typename T>
+  bool Maybe(T* out) {
+    return Peek().empty() || ReadOne(out);
+  }
+  /// The rest of the line, trimmed.
+  std::string Rest() { return std::string(Trim(std::exchange(rest_, {}))); }
+
+  std::string route = "main";         // the `@name` route
+  ManagedSession* ms = nullptr;       // null for process commands
+
+ private:
+  bool ReadOne(std::string* out) {
+    *out = Peek();
+    rest_.remove_prefix(out->size());
+    return !out->empty();
+  }
+  template <typename T>
+  bool ReadOne(T* out) {
+    const std::string_view token = Peek();
+    if (!ParseNumber(token, out)) return false;
+    rest_.remove_prefix(token.size());
+    return true;
+  }
+
+  std::string_view rest_;
+};
+
+/// One row of the command table: what the dispatcher must know about a
+/// command before its handler runs (DESIGN.md §5g).
+struct ServiceCommand {
+  enum Scope {
+    kProcess,
+    kSession,          // under the session's mutex
+    kSessionUnlocked,  // `cancel`, which must reach a debug holding it
+  };
+  enum Effect {
+    kRead,
+    kLogged,    // applied under the shared gate, then written to the WAL
+    kUnlogged,  // refused on a follower, takes the exclusive gate itself
+  };
+
+  const char* name;
+  Scope scope;
+  Effect effect;
+  /// The subcommands `effect` is limited to (others are reads); none
+  /// listed means the whole command.
+  const char* effect_subcommands[2];
+  ServiceReply (*handler)(Service&, ServiceCall&);
+
+  Effect EffectOf(std::string_view subcommand) const {
+    if (effect_subcommands[0] == nullptr) return effect;
+    for (const char* sub : effect_subcommands) {
+      if (sub != nullptr && subcommand == sub) return effect;
+    }
+    return kRead;
+  }
+};
+
+namespace {
+
+using Call = ServiceCall;
+
+Reply Error(const std::string& message) {
+  Reply reply;
+  reply.ok = false;
+  reply.AddString("error", message);
+  return reply;
+}
+
+/// A refusal the client should retry after `retry_after_ms`.
+Reply RetryLater(const std::string& message, const std::string& reason,
+                 double retry_after_ms) {
+  Reply reply = Error(message);
+  reply.Add("retryable", "true").Reason(reason);
+  reply.Add("retry_after_ms", FormatDouble(retry_after_ms));
+  return reply;
+}
+
+/// `[fn(item), ...]`
+template <typename Range, typename Fn>
+std::string JsonList(const Range& items, Fn fn) {
+  std::string out = "[";
+  bool first = true;
+  for (const auto& item : items) {
+    if (!first) out += ", ";
+    first = false;
+    out += fn(item);
+  }
+  return out + "]";
+}
+
+std::string JsonCounts(const std::vector<size_t>& counts) {
+  return JsonList(counts, [](size_t n) { return std::to_string(n); });
+}
+
+/// A member handler as a command-table entry.
+template <ServiceReply (Service::*handler)(ServiceCall&)>
+ServiceReply Member(Service& service, ServiceCall& call) {
+  return (service.*handler)(call);
 }
 
 /// The command name a human would grep for: the first token, plus the
 /// routed command when the first token is an `@session` route.
 std::string CommandLabel(const std::string& line) {
-  std::istringstream in(line);
-  std::string cmd;
-  in >> cmd;
-  if (!cmd.empty() && cmd[0] == '@') {
-    std::string routed;
-    if (in >> routed) cmd += " " + routed;
-  }
-  return cmd;
+  Call call(line);
+  std::string label, routed;
+  call.Read(&label);
+  if (label.starts_with('@') && call.Read(&routed)) label += " " + routed;
+  return label;
 }
 
-/// Per-thread summary of the last RunDebug, consumed by the slow-log
-/// writer so a slow `debug` logs its stage breakdown and cache hits
-/// without re-threading the profile through every return path.
-struct LastDebugSummary {
-  uint64_t rid = 0;
-  std::string stages_json;
-  uint64_t cache_hits = 0;
-};
-thread_local LastDebugSummary tl_last_debug;
-
-/// Session-scope commands the WAL records: everything that mutates the
-/// session's durable state (query, selections, metric, cleaning,
-/// settings). Reads (result/state/metrics), `debug` (recomputable),
-/// and `cancel` are not logged.
-bool IsLoggedSessionCommand(const std::string& cmd) {
-  return cmd == "sql" || cmd == "select_range" || cmd == "select_groups" ||
-         cmd == "inputs_where" || cmd == "metric" || cmd == "clean" ||
-         cmd == "clean_where" || cmd == "undo" || cmd == "reset" ||
-         cmd == "set_deadline" || cmd == "profile";
+/// Mirrors the session's selection/cleaning state into the replay
+/// record, so a snapshot taken at any point restores to exactly here.
+void SyncReplay(ManagedSession& ms) {
+  ms.replay.applied_predicates = ms.session.applied_predicates();
+  ms.replay.selected_groups = ms.session.selected_groups();
+  ms.replay.selected_inputs = ms.session.selected_inputs();
 }
 
-/// Reads the next token without consuming it (for commands whose
-/// subcommand decides gating/logging before the handler parses it).
-std::string PeekToken(std::istream& in) {
-  const std::streampos pos = in.tellg();
-  std::string token;
-  in >> token;
-  in.clear();
-  in.seekg(pos);
-  return token;
+Reply Synced(ManagedSession& ms, const std::string& key, size_t count) {
+  SyncReplay(ms);
+  return Reply().Add(key, count);
 }
 
-std::string ShedResponse(double retry_after_ms) {
-  return "{\"ok\": false, \"error\": \"overloaded: request queue is full\", "
-         "\"retryable\": true, \"reason\": \"overloaded\", "
-         "\"retry_after_ms\": " +
-         FormatDouble(retry_after_ms) + "}";
-}
-
-std::string NotRunningResponse() {
-  return "{\"ok\": false, \"error\": \"service is not running\", "
-         "\"reason\": \"not_running\"}";
+Reply CleanedSql(ManagedSession& ms) {
+  SyncReplay(ms);
+  return Reply().AddString("sql", ms.session.CurrentSql());
 }
 
 ServiceOptions WithExplain(ExplainOptions explain) {
@@ -229,6 +349,11 @@ Session& Service::session() {
   return default_session_->session;
 }
 
+std::shared_ptr<Database> Service::CurrentDatabase() {
+  std::shared_lock<std::shared_mutex> lock(state_mu_);
+  return db_;
+}
+
 std::string Service::Execute(const std::string& line) {
   return ExecuteWithRid(line, NextRequestId());
 }
@@ -244,371 +369,285 @@ std::string Service::ExecuteWithRid(const std::string& line, uint64_t rid) {
   RequestScope scope(rid);
   const double start_ms = MonotonicMillis();
   TrackInflightBegin(rid, line, start_ms);
-  std::string response = ExecuteCommand(line);
+  const ServiceReply reply = ExecuteCommand(line);
   TrackInflightEnd(rid);
-  // Every failure path funnels through Error(), whose responses start
-  // with this exact prefix.
-  if (response.compare(0, 12, "{\"ok\": false") == 0) errors->Increment();
-  StampRid(&response, rid);
-  MaybeSlowLog(rid, line, MonotonicMillis() - start_ms, response);
+  if (!reply.ok) errors->Increment();
+  MaybeSlowLog(rid, line, MonotonicMillis() - start_ms, reply);
   MaybeAutoCheckpoint();
-  return response;
+  return reply.Render(rid);
 }
 
-std::string Service::ExecuteCommand(const std::string& line) {
-  std::istringstream in(line);
-  std::string cmd;
-  in >> cmd;
-  if (cmd.empty()) return Error("empty command");
-
+ServiceReply Service::ExecuteCommand(const std::string& line) {
+  using Command = ServiceCommand;
+  Call call(line);
+  std::string name;
+  if (!call.Read(&name)) return Error("empty command");
   // `@name` routes the command to a named session; bare commands run
   // on the implicit session "main".
-  std::string session_name = "main";
-  if (cmd[0] == '@') {
-    session_name = cmd.substr(1);
-    Status st = SessionManager::ValidateName(session_name);
-    if (!st.ok()) return Error(st);
-    cmd.clear();
-    if (!(in >> cmd)) return Error("usage: @<session> <command ...>");
+  if (name[0] == '@') {
+    call.route = name.substr(1);
+    DBW_RETURN_NOT_OK(SessionManager::ValidateName(call.route));
+    if (!call.Read(&name)) return Error("usage: @<session> <command ...>");
   }
+  // Looked up before the session is resolved, so a typo creates none.
+  const Command* command = FindCommand(name);
+  if (command == nullptr) return Error("unknown command '" + name + "'");
+  const Command::Effect effect = command->EffectOf(call.Peek());
 
-  // --- Replication role & commands (DESIGN.md §5l) ---
-
-  if (cmd == "replicate") return HandleReplicate(in);
-  if (cmd == "promote") return HandlePromote();
-  if (cmd == "replication") {
-    if (PeekToken(in) == "status") return HandleReplicationStatus();
-    return Error("usage: replication status");
-  }
-  // A follower (or a fenced stale primary) refuses mutations up front,
-  // before they can touch any state. Replay bypasses: replicated
-  // frames and recovery records ARE the follower's mutations.
-  if (!ReplayingOnThisThread()) {
-    std::string rejection = MaybeRejectForRole(cmd, in);
-    if (!rejection.empty()) return rejection;
-  }
-
-  // --- Process-wide commands (no session involved) ---
-
-  if (cmd == "ping") {
-    double ms = 0.0;
-    if (in >> ms && ms > 0.0) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(ms));
-    }
-    return OkWith("pong", "true");
-  }
-
-  if (cmd == "stats") return HandleStats();
-
-  if (cmd == "history") return HandleHistory(in);
-
-  if (cmd == "slowlog") return HandleSlowlog();
-
-  if (cmd == "wal") return HandleWal(in);
-
-  if (cmd == "trace") {
-    std::string sub;
-    if (!(in >> sub)) return Error("usage: trace on|off|<path>");
-    if (sub == "on") {
-      Tracer::Global().SetEnabled(true);
-      return OkWith("trace", "true");
-    }
-    if (sub == "off") {
-      Tracer::Global().SetEnabled(false);
-      return OkWith("trace", "false");
-    }
-    // Anything else is a dump path.
-    Status st = Tracer::Global().WriteJson(sub);
-    if (!st.ok()) return Error(st);
-    return OkWith("trace_events",
-                  std::to_string(Tracer::Global().num_events()));
-  }
-
-  if (cmd == "snapshot") {
-    // `snapshot load` swaps the world, which must not interleave with
-    // logged mutations or a checkpoint — exclusive gate; with the WAL
-    // on the load is followed by a checkpoint so the log base matches
-    // the new world. `snapshot save` stays gate-free: its per-session
-    // locks + shard leases already give a prefix-consistent capture,
-    // and serializing it behind the gate would stall live traffic.
-    if (PeekToken(in) != "load" || ReplayingOnThisThread()) {
-      return HandleSnapshot(in);
-    }
-    std::unique_lock<std::shared_mutex> gate(wal_gate_);
-    std::string response = HandleSnapshot(in);
-    if (IsOkResponse(response) && wal_ != nullptr) {
-      Status st = CheckpointLocked();
-      if (!st.ok()) wal_last_error_ = st.ToString();
-    }
-    return response;
-  }
-
+  // A follower (or a fenced stale primary) refuses mutations before
+  // they can touch any state. Replay bypasses: replicated frames and
+  // recovery records ARE the follower's mutations.
   const bool replaying = ReplayingOnThisThread();
-  std::shared_lock<std::shared_mutex> gate;
-
-  // --- Process-wide mutating commands ---
-  // Gate (shared) so a checkpoint never observes a half-applied
-  // mutation, then append_wal_mu_ so WAL order == apply order even
-  // across concurrent clients.
-
-  if (cmd == "retry" || cmd == "session" || cmd == "shards" ||
-      cmd == "append") {
-    const bool logged = cmd == "session" ? PeekToken(in) == "drop" : true;
-    if (!replaying) gate = std::shared_lock<std::shared_mutex>(wal_gate_);
-    std::unique_lock<std::mutex> order(append_wal_mu_);
-    std::string response;
-    if (cmd == "retry") {
-      response = HandleRetry(in);
-    } else if (cmd == "session") {
-      response = HandleSession(in);
-    } else if (cmd == "shards") {
-      response = HandleShards(in);
-    } else {
-      response = HandleAppend(in);
+  if (effect != Command::kRead && !replaying) {
+    if (follower_.load(std::memory_order_acquire)) {
+      return RetryLater(
+          "not primary: this node is a read-only replica; retry against "
+          "the primary",
+          "not_primary", options_.replication.not_primary_retry_after_ms);
     }
-    if (logged && !replaying && IsOkResponse(response)) {
-      ApplyWalLog(line, &response, &order);
+    if (repl_fenced_.load(std::memory_order_acquire)) {
+      Reply reply = Error(
+          "epoch fenced: this primary (epoch " +
+          std::to_string(repl_epoch_.load(std::memory_order_acquire)) +
+          ") observed epoch " +
+          std::to_string(repl_seen_epoch_.load(std::memory_order_acquire)) +
+          " from a newer primary and can no longer accept writes");
+      return reply.Reason("fenced");
     }
-    return response;
   }
-
-  // --- Session commands ---
 
   std::shared_ptr<ManagedSession> ms;
-  {
+  if (command->scope != Command::kProcess) {
     // Hold the state lock only long enough to resolve the session:
     // command execution must not block a snapshot load's world swap
     // (in-flight commands finish against the old world, which the
     // shared_ptr keeps alive).
     std::shared_lock<std::shared_mutex> lock(state_mu_);
-    auto resolved = manager_->GetOrCreate(session_name);
-    if (!resolved.ok()) return Error(resolved.status());
-    ms = std::move(*resolved);
+    DBW_ASSIGN_OR_RETURN(ms, manager_->GetOrCreate(call.route));
+    call.ms = ms.get();
   }
 
-  if (cmd == "cancel") {
-    // Deliberately does NOT take the session mutex: the whole point is
-    // to reach a debug currently holding it. (Nor the gate: a cancel
-    // must land even while a checkpoint drains.)
-    std::lock_guard<std::mutex> lock(ms->cancel_mu);
-    if (ms->active_cancel != nullptr) {
-      ms->active_cancel->Cancel("cancelled by client");
-      return OkWith("cancelled", "\"in-flight\"");
-    }
-    ms->pending_cancel = true;
-    return OkWith("cancelled", "\"pending\"");
+  // A logged mutation holds the gate shared, so a checkpoint never sees
+  // it half-applied, then its ordering lock, so WAL order == apply
+  // order: the session mutex, or append_wal_mu_ for the process.
+  const bool logged = effect == Command::kLogged && !replaying;
+  std::shared_lock<std::shared_mutex> gate;
+  if (logged) gate = std::shared_lock<std::shared_mutex>(wal_gate_);
+  std::unique_lock<std::mutex> order;
+  if (command->scope == Command::kSession) {
+    order = std::unique_lock<std::mutex>(ms->mu);
+  } else if (effect == Command::kLogged) {
+    order = std::unique_lock<std::mutex>(append_wal_mu_);
   }
-
-  const bool logged = IsLoggedSessionCommand(cmd);
-  if (logged && !replaying) {
-    gate = std::shared_lock<std::shared_mutex>(wal_gate_);
+  ServiceReply reply = command->handler(*this, call);
+  if (logged && reply.ok) {
+    // append_wal_mu_ is released once the record is staged, so process
+    // mutations share group-commit fsyncs; a session mutex is held until
+    // the record is durable, so the session's next command never sees
+    // unacknowledged state.
+    ApplyWalLog(reply.wal_line.empty() ? line : reply.wal_line, &reply,
+                command->scope == Command::kProcess ? &order : nullptr);
   }
-  std::lock_guard<std::mutex> session_lock(ms->mu);
-  std::string response = ExecuteSessionCommand(*ms, cmd, in);
-  if (logged && !replaying && IsOkResponse(response)) {
-    std::string logged_line = line;
-    if (cmd == "clean" && !ms->session.applied_predicates().empty()) {
-      // `clean <i>` names a rank in the last debug's explanation, which
-      // recovery does not replay — log the RESOLVED predicate instead
-      // so the record applies without re-explaining.
-      logged_line = "@" + session_name + " clean_where " +
-                    ms->session.applied_predicates().back().ToString();
-    }
-    ApplyWalLog(logged_line, &response);
-  }
-  return response;
+  return reply;
 }
 
-std::string Service::ExecuteSessionCommand(ManagedSession& ms,
-                                           const std::string& cmd,
-                                           std::istream& in) {
-  Session& session = ms.session;
+const ServiceCommand* Service::FindCommand(const std::string& name) {
+  using enum ServiceCommand::Scope;
+  using enum ServiceCommand::Effect;
+  static const ServiceCommand kCommands[] = {
+      {"sql", kSession, kLogged, {}, [](Service&, Call& c) -> Reply {
+         const std::string sql = c.Rest();
+         if (sql.empty()) return Error("usage: sql <query>");
+         DBW_RETURN_NOT_OK(c.ms->session.ExecuteSql(sql));
+         c.ms->replay.original_sql = sql;
+         return Synced(*c.ms, "num_groups",
+                       c.ms->session.result().num_groups());
+       }},
+      {"result", kSession, kRead, {}, [](Service&, Call& c) {
+         if (!c.ms->session.has_result()) return Error("no query executed");
+         return Reply().Add("result", QueryResultToJson(c.ms->session.result(),
+                                                        /*pretty=*/false));
+       }},
+      {"select_range", kSession, kLogged, {}, [](Service&, Call& c) -> Reply {
+         std::string agg;
+         double lo = 0.0, hi = 0.0;
+         if (!c.Read(&agg, &lo, &hi)) {
+           return Error("usage: select_range <agg> <lo> <hi>");
+         }
+         DBW_RETURN_NOT_OK(c.ms->session.SelectResultsInRange(agg, lo, hi));
+         return Synced(*c.ms, "num_selected",
+                       c.ms->session.selected_groups().size());
+       }},
+      {"select_groups", kSession, kLogged, {}, [](Service&, Call& c) -> Reply {
+         std::vector<size_t> groups;
+         size_t group = 0;
+         while (c.Read(&group)) groups.push_back(group);
+         if (groups.empty() || !c.Peek().empty()) {
+           return Error("usage: select_groups <i> [j ...]");
+         }
+         DBW_RETURN_NOT_OK(c.ms->session.SelectResults(groups));
+         return Synced(*c.ms, "num_selected",
+                       c.ms->session.selected_groups().size());
+       }},
+      {"inputs_where", kSession, kLogged, {}, [](Service&, Call& c) -> Reply {
+         const std::string filter = c.Rest();
+         if (filter.empty()) return Error("usage: inputs_where <filter>");
+         DBW_RETURN_NOT_OK(c.ms->session.SelectInputsWhere(filter));
+         return Synced(*c.ms, "num_inputs",
+                       c.ms->session.selected_inputs().size());
+       }},
+      {"metrics", kSession, kRead, {}, [](Service&, Call& c) -> Reply {
+         size_t agg_index = 0;
+         if (!c.Maybe(&agg_index)) return Error("usage: metrics [agg_index]");
+         DBW_ASSIGN_OR_RETURN(auto suggestions,
+                              c.ms->session.SuggestErrorMetrics(agg_index));
+         return Reply().Add("metrics", JsonList(suggestions, [](const auto& m) {
+           return "{\"label\": \"" + JsonEscape(m.label) +
+                  "\", \"default_expected\": " +
+                  FormatDouble(m.default_expected, 17) + "}";
+         }));
+       }},
+      {"metric", kSession, kLogged, {}, [](Service&, Call& c) -> Reply {
+         std::string kind;
+         double expected = 0.0;
+         size_t agg_index = 0;
+         if (!c.Read(&kind, &expected) || !c.Maybe(&agg_index)) {
+           return Error("usage: metric <kind> <expected> [agg_index]");
+         }
+         DBW_ASSIGN_OR_RETURN(auto metric, MetricFromKind(kind, expected));
+         DBW_RETURN_NOT_OK(c.ms->session.SetMetric(metric, agg_index));
+         c.ms->replay.has_metric = true;
+         c.ms->replay.metric_kind = kind;
+         c.ms->replay.metric_expected = expected;
+         c.ms->replay.agg_index = agg_index;
+         return Reply();
+       }},
+      {"debug", kSession, kRead, {},
+       [](Service& s, Call& c) { return s.RunDebug(*c.ms); }},
+      {"set_deadline", kSession, kLogged, {}, [](Service&, Call& c) {
+         double deadline_ms = 0.0;
+         if (!c.Read(&deadline_ms)) return Error("usage: set_deadline <ms>");
+         c.ms->settings.deadline_ms = deadline_ms;
+         const bool none = deadline_ms <= 0.0;
+         return Reply().Add("deadline_ms",
+                            none ? "null" : FormatDouble(deadline_ms, 17));
+       }},
+      {"profile", kSession, kLogged, {}, [](Service&, Call& c) {
+         std::string sub;
+         if (!c.Read(&sub)) return Error("usage: profile on|off");
+         if (sub != "on" && sub != "off") {
+           return Error("unknown profile subcommand '" + sub + "'");
+         }
+         c.ms->settings.profile_enabled = sub == "on";
+         return Reply().Add("profile", sub == "on" ? "true" : "false");
+       }},
+      {"clean", kSession, kLogged, {}, [](Service&, Call& c) -> Reply {
+         size_t index = 0;
+         if (!c.Read(&index)) return Error("usage: clean <i>");
+         DBW_RETURN_NOT_OK(c.ms->session.ApplyPredicate(index));
+         // `clean <i>` names a rank in the last debug's explanation,
+         // which recovery does not replay — log the RESOLVED predicate
+         // instead so the record applies without re-explaining.
+         Reply reply = CleanedSql(*c.ms);
+         reply.wal_line =
+             "@" + c.route + " clean_where " +
+             c.ms->session.applied_predicates().back().ToString();
+         return reply;
+       }},
+      {"clean_where", kSession, kLogged, {}, [](Service&, Call& c) -> Reply {
+         const std::string text = c.Rest();
+         if (text.empty()) return Error("usage: clean_where <predicate>");
+         DBW_ASSIGN_OR_RETURN(auto pred, ParsePredicate(text));
+         DBW_RETURN_NOT_OK(c.ms->session.ApplyPredicateDirect(pred));
+         return CleanedSql(*c.ms);
+       }},
+      {"undo", kSession, kLogged, {}, [](Service&, Call& c) -> Reply {
+         DBW_RETURN_NOT_OK(c.ms->session.UndoLastPredicate());
+         return CleanedSql(*c.ms);
+       }},
+      {"reset", kSession, kLogged, {}, [](Service&, Call& c) -> Reply {
+         DBW_RETURN_NOT_OK(c.ms->session.ResetCleaning());
+         SyncReplay(*c.ms);
+         return Reply();
+       }},
+      {"state", kSession, kRead, {}, [](Service&, Call& c) {
+         const Session& session = c.ms->session;
+         Reply reply;
+         reply.Add("has_result", session.has_result() ? "true" : "false");
+         if (session.has_result()) {
+           reply.AddString("sql", session.CurrentSql());
+           reply.Add("num_groups", session.result().num_groups());
+         }
+         reply.Add("num_selected_groups", session.selected_groups().size());
+         reply.Add("num_selected_inputs", session.selected_inputs().size());
+         reply.Add("num_applied_predicates",
+                   session.applied_predicates().size());
+         reply.Add("has_explanation",
+                   session.has_explanation() ? "true" : "false");
+         return reply;
+       }},
+      {"cancel", kSessionUnlocked, kRead, {}, [](Service&, Call& c) {
+         std::lock_guard<std::mutex> lock(c.ms->cancel_mu);
+         if (c.ms->active_cancel != nullptr) {
+           c.ms->active_cancel->Cancel("cancelled by client");
+           return Reply().AddString("cancelled", "in-flight");
+         }
+         c.ms->pending_cancel = true;
+         return Reply().AddString("cancelled", "pending");
+       }},
 
-  auto rest = [&in]() {
-    std::string tail;
-    std::getline(in, tail);
-    return std::string(Trim(tail));
+      {"ping", kProcess, kRead, {}, [](Service&, Call& c) {
+         double ms = 0.0;
+         if (!c.Maybe(&ms)) return Error("usage: ping [ms]");
+         if (ms > 0.0) {
+           std::this_thread::sleep_for(
+               std::chrono::duration<double, std::milli>(ms));
+         }
+         return Reply().Add("pong", "true");
+       }},
+      {"stats", kProcess, kRead, {}, Member<&Service::HandleStats>},
+      {"history", kProcess, kRead, {}, Member<&Service::HandleHistory>},
+      {"slowlog", kProcess, kRead, {}, [](Service& s, Call&) {
+         Reply reply;
+         reply.Add("threshold_ms", FormatDouble(s.slow_threshold_ms_));
+         std::lock_guard<std::mutex> lock(s.slowlog_mu_);
+         reply.Add("entries", JsonList(s.slowlog_, [](const auto& entry) {
+           return entry;  // already a JSON object
+         }));
+         return reply;
+       }},
+      {"trace", kProcess, kRead, {}, [](Service&, Call& c) -> Reply {
+         std::string sub;
+         if (!c.Read(&sub)) return Error("usage: trace on|off|<path>");
+         if (sub == "on" || sub == "off") {
+           Tracer::Global().SetEnabled(sub == "on");
+           return Reply().Add("trace", sub == "on" ? "true" : "false");
+         }
+         // Anything else is a dump path.
+         DBW_RETURN_NOT_OK(Tracer::Global().WriteJson(sub));
+         return Reply().Add("trace_events", Tracer::Global().num_events());
+       }},
+      {"retry", kProcess, kLogged, {}, Member<&Service::HandleRetry>},
+      {"session", kProcess, kLogged, {"drop"}, Member<&Service::HandleSession>},
+      {"shards", kProcess, kLogged, {}, Member<&Service::HandleShards>},
+      {"append", kProcess, kLogged, {}, Member<&Service::HandleAppend>},
+      {"snapshot", kProcess, kUnlogged, {"load"},
+       Member<&Service::HandleSnapshot>},
+      {"wal", kProcess, kUnlogged, {"on", "off"}, Member<&Service::HandleWal>},
+      {"replicate", kProcess, kRead, {}, Member<&Service::HandleReplicate>},
+      {"replication", kProcess, kRead, {}, [](Service& s, Call& c) {
+         std::string sub;
+         if (c.Read(&sub) && sub == "status") {
+           return s.HandleReplicationStatus();
+         }
+         return Error("usage: replication status");
+       }},
+      {"promote", kProcess, kRead, {}, Member<&Service::HandlePromote>},
   };
-
-  // Mirrors the session's selection/cleaning state into the replay
-  // record so a snapshot taken at any point restores to exactly here.
-  auto sync_replay = [&ms, &session]() {
-    ms.replay.applied_predicates = session.applied_predicates();
-    ms.replay.selected_groups = session.selected_groups();
-    ms.replay.selected_inputs = session.selected_inputs();
-  };
-
-  if (cmd == "sql") {
-    const std::string sql = rest();
-    if (sql.empty()) return Error("usage: sql <query>");
-    Status st = session.ExecuteSql(sql);
-    if (!st.ok()) return Error(st);
-    ms.replay.original_sql = sql;
-    sync_replay();
-    return OkWith("num_groups", std::to_string(session.result().num_groups()));
+  for (const ServiceCommand& command : kCommands) {
+    if (name == command.name) return &command;
   }
-
-  if (cmd == "result") {
-    if (!session.has_result()) return Error("no query executed");
-    return OkWith("result",
-                  QueryResultToJson(session.result(), /*pretty=*/false));
-  }
-
-  if (cmd == "select_range") {
-    std::string agg;
-    double lo = 0.0, hi = 0.0;
-    if (!(in >> agg >> lo >> hi)) {
-      return Error("usage: select_range <agg> <lo> <hi>");
-    }
-    Status st = session.SelectResultsInRange(agg, lo, hi);
-    if (!st.ok()) return Error(st);
-    sync_replay();
-    return OkWith("num_selected",
-                  std::to_string(session.selected_groups().size()));
-  }
-
-  if (cmd == "select_groups") {
-    std::vector<size_t> groups;
-    size_t g;
-    while (in >> g) groups.push_back(g);
-    if (groups.empty()) return Error("usage: select_groups <i> [j ...]");
-    Status st = session.SelectResults(groups);
-    if (!st.ok()) return Error(st);
-    sync_replay();
-    return OkWith("num_selected",
-                  std::to_string(session.selected_groups().size()));
-  }
-
-  if (cmd == "inputs_where") {
-    const std::string filter = rest();
-    if (filter.empty()) return Error("usage: inputs_where <filter>");
-    Status st = session.SelectInputsWhere(filter);
-    if (!st.ok()) return Error(st);
-    sync_replay();
-    return OkWith("num_inputs",
-                  std::to_string(session.selected_inputs().size()));
-  }
-
-  if (cmd == "metrics") {
-    size_t agg_index = 0;
-    in >> agg_index;
-    auto suggestions = session.SuggestErrorMetrics(agg_index);
-    if (!suggestions.ok()) return Error(suggestions.status());
-    std::string arr = "[";
-    for (size_t i = 0; i < suggestions->size(); ++i) {
-      if (i > 0) arr += ", ";
-      arr += "{\"label\": \"" + JsonEscape((*suggestions)[i].label) +
-             "\", \"default_expected\": " +
-             FormatDouble((*suggestions)[i].default_expected, 17) + "}";
-    }
-    arr += "]";
-    return OkWith("metrics", arr);
-  }
-
-  if (cmd == "metric") {
-    std::string kind;
-    double expected = 0.0;
-    if (!(in >> kind >> expected)) {
-      return Error("usage: metric <kind> <expected> [agg_index]");
-    }
-    size_t agg_index = 0;
-    in >> agg_index;
-    auto metric = MetricFromKind(kind, expected);
-    if (!metric.ok()) return Error(metric.status());
-    Status st = session.SetMetric(*metric, agg_index);
-    if (!st.ok()) return Error(st);
-    ms.replay.has_metric = true;
-    ms.replay.metric_kind = kind;
-    ms.replay.metric_expected = expected;
-    ms.replay.agg_index = agg_index;
-    return Ok();
-  }
-
-  if (cmd == "debug") {
-    return RunDebug(ms);
-  }
-
-  if (cmd == "set_deadline") {
-    double ms_value = 0.0;
-    if (!(in >> ms_value)) return Error("usage: set_deadline <ms>");
-    ms.settings.deadline_ms = ms_value;
-    if (ms_value <= 0.0) {
-      return OkWith("deadline_ms", "null");
-    }
-    return OkWith("deadline_ms", FormatDouble(ms_value, 17));
-  }
-
-  if (cmd == "profile") {
-    std::string sub;
-    if (!(in >> sub)) return Error("usage: profile on|off");
-    if (sub == "on") {
-      ms.settings.profile_enabled = true;
-      return OkWith("profile", "true");
-    }
-    if (sub == "off") {
-      ms.settings.profile_enabled = false;
-      return OkWith("profile", "false");
-    }
-    return Error("unknown profile subcommand '" + sub + "'");
-  }
-
-  if (cmd == "clean") {
-    size_t index = 0;
-    if (!(in >> index)) return Error("usage: clean <i>");
-    Status st = session.ApplyPredicate(index);
-    if (!st.ok()) return Error(st);
-    sync_replay();
-    return OkWith("sql", "\"" + JsonEscape(session.CurrentSql()) + "\"");
-  }
-
-  if (cmd == "clean_where") {
-    const std::string text = rest();
-    if (text.empty()) return Error("usage: clean_where <predicate>");
-    auto pred = ParsePredicate(text);
-    if (!pred.ok()) return Error(pred.status());
-    Status st = session.ApplyPredicateDirect(*pred);
-    if (!st.ok()) return Error(st);
-    sync_replay();
-    return OkWith("sql", "\"" + JsonEscape(session.CurrentSql()) + "\"");
-  }
-
-  if (cmd == "undo") {
-    Status st = session.UndoLastPredicate();
-    if (!st.ok()) return Error(st);
-    sync_replay();
-    return OkWith("sql", "\"" + JsonEscape(session.CurrentSql()) + "\"");
-  }
-
-  if (cmd == "reset") {
-    Status st = session.ResetCleaning();
-    if (!st.ok()) return Error(st);
-    sync_replay();
-    return Ok();
-  }
-
-  if (cmd == "state") {
-    std::string out = "{\"ok\": true";
-    out += ", \"has_result\": ";
-    out += session.has_result() ? "true" : "false";
-    if (session.has_result()) {
-      out += ", \"sql\": \"" + JsonEscape(session.CurrentSql()) + "\"";
-      out +=
-          ", \"num_groups\": " + std::to_string(session.result().num_groups());
-    }
-    out += ", \"num_selected_groups\": " +
-           std::to_string(session.selected_groups().size());
-    out += ", \"num_selected_inputs\": " +
-           std::to_string(session.selected_inputs().size());
-    out += ", \"num_applied_predicates\": " +
-           std::to_string(session.applied_predicates().size());
-    out += ", \"has_explanation\": ";
-    out += session.has_explanation() ? "true" : "false";
-    out += "}";
-    return out;
-  }
-
-  return Error("unknown command '" + cmd + "'");
+  return nullptr;
 }
 
 RetryPolicy Service::CurrentRetryPolicy() const {
@@ -619,65 +658,55 @@ RetryPolicy Service::CurrentRetryPolicy() const {
   return policy;
 }
 
-std::string Service::HandleRetry(std::istream& in) {
+ServiceReply Service::HandleRetry(ServiceCall& call) {
+  const std::string usage =
+      "usage: retry <max_attempts> [initial_backoff_ms] | retry off";
   std::string first;
-  if (!(in >> first)) {
-    return Error("usage: retry <max_attempts> [initial_backoff_ms] | retry off");
-  }
+  if (!call.Read(&first)) return Error(usage);
   if (first == "off") {
     retry_max_attempts_.store(1, std::memory_order_relaxed);
-    return OkWith("retry", "{\"max_attempts\": 1}");
+    return Reply().Add("retry", "{\"max_attempts\": 1}");
   }
-  std::istringstream num(first);
-  long long max_attempts = 0;
-  if (!(num >> max_attempts) || max_attempts < 1) {
+  size_t max_attempts = 0;
+  if (!ParseNumber(first, &max_attempts) || max_attempts < 1) {
     return Error("retry: max_attempts must be a positive integer, got '" +
                  first + "'");
   }
   double backoff_ms = retry_backoff_ms_.load(std::memory_order_relaxed);
-  if (in >> backoff_ms && backoff_ms < 0.0) {
-    return Error("retry: initial_backoff_ms must be >= 0");
-  }
-  retry_max_attempts_.store(static_cast<size_t>(max_attempts),
-                            std::memory_order_relaxed);
+  if (!call.Maybe(&backoff_ms)) return Error(usage);
+  if (backoff_ms < 0.0) return Error("retry: initial_backoff_ms must be >= 0");
+  retry_max_attempts_.store(max_attempts, std::memory_order_relaxed);
   retry_backoff_ms_.store(backoff_ms, std::memory_order_relaxed);
-  return OkWith("retry",
-                "{\"max_attempts\": " + std::to_string(max_attempts) +
-                    ", \"initial_backoff_ms\": " + FormatDouble(backoff_ms) +
-                    "}");
+  return Reply().Add("retry", "{\"max_attempts\": " +
+                                  std::to_string(max_attempts) +
+                                  ", \"initial_backoff_ms\": " +
+                                  FormatDouble(backoff_ms) + "}");
 }
 
-std::string Service::HandleSession(std::istream& in) {
+ServiceReply Service::HandleSession(ServiceCall& call) {
   std::string sub;
-  if (!(in >> sub)) return Error("usage: session list|drop|evict");
+  if (!call.Read(&sub)) return Error("usage: session list|drop|evict");
 
   std::shared_lock<std::shared_mutex> lock(state_mu_);
 
   if (sub == "list") {
-    std::string arr = "[";
-    bool first = true;
-    for (const std::string& name : manager_->Names()) {
-      if (!first) arr += ", ";
-      first = false;
-      arr += "{\"name\": \"" + JsonEscape(name) +
-             "\", \"idle_ms\": " + FormatDouble(manager_->IdleMs(name)) + "}";
-    }
-    arr += "]";
-    return OkWith("sessions", arr);
+    return Reply().Add("sessions", JsonList(manager_->Names(), [&](auto& n) {
+      return "{\"name\": \"" + JsonEscape(n) + "\", \"idle_ms\": " +
+             FormatDouble(manager_->IdleMs(n)) + "}";
+    }));
   }
 
   if (sub == "drop") {
     std::string name;
-    if (!(in >> name)) return Error("usage: session drop <name>");
+    if (!call.Read(&name)) return Error("usage: session drop <name>");
     if (name == "main") return Error("cannot drop the default session 'main'");
-    Status st = manager_->Drop(name);
-    if (!st.ok()) return Error(st);
-    return OkWith("dropped", "\"" + JsonEscape(name) + "\"");
+    DBW_RETURN_NOT_OK(manager_->Drop(name));
+    return Reply().AddString("dropped", name);
   }
 
   if (sub == "evict") {
     double idle_ms = manager_->options().idle_timeout_ms;
-    in >> idle_ms;
+    if (!call.Maybe(&idle_ms)) return Error("usage: session evict [idle_ms]");
     if (idle_ms <= 0.0) {
       return Error("session evict: idle_ms must be > 0 (or configure "
                    "an idle timeout)");
@@ -686,123 +715,78 @@ std::string Service::HandleSession(std::istream& in) {
     // default session handle can never dangle.
     std::lock_guard<std::mutex> keep_main(default_session_->mu);
     const size_t evicted = manager_->EvictIdleOlderThan(idle_ms);
-    return OkWith("evicted", std::to_string(evicted));
+    return Reply().Add("evicted", evicted);
   }
 
   return Error("unknown session subcommand '" + sub + "'");
 }
 
-std::string Service::HandleStats() {
-  std::shared_ptr<Database> db;
-  {
-    std::shared_lock<std::shared_mutex> lock(state_mu_);
-    db = db_;
-  }
+ServiceReply Service::HandleStats(ServiceCall&) {
+  const std::shared_ptr<Database> db = CurrentDatabase();
   // Per-table shard telemetry rides along with the metrics snapshot so
   // a dashboard sees layout, occupancy, and cache warmth in one call.
   std::string shards = "{";
-  bool first_table = true;
   for (const std::string& name : db->ShardedNames()) {
     auto set = db->GetShardSet(name);
     if (set == nullptr) continue;
     auto lease = set->ReadLease();
-    if (!first_table) shards += ", ";
-    first_table = false;
+    const auto cache = ShardEngineCache::For(*set);
+    if (shards.size() > 1) shards += ", ";
     shards += "\"" + JsonEscape(name) +
               "\": {\"count\": " + std::to_string(set->num_shards()) +
-              ", \"rows\": [";
-    bool first = true;
-    for (size_t rows : set->ShardRowCounts()) {
-      if (!first) shards += ", ";
-      first = false;
-      shards += std::to_string(rows);
-    }
-    shards += "], \"cached_clauses\": [";
-    first = true;
-    for (size_t clauses : ShardEngineCache::For(*set)->CachedClausesPerShard()) {
-      if (!first) shards += ", ";
-      first = false;
-      shards += std::to_string(clauses);
-    }
-    shards += "], \"cached_programs\": [";
-    first = true;
-    for (size_t programs :
-         ShardEngineCache::For(*set)->CachedProgramsPerShard()) {
-      if (!first) shards += ", ";
-      first = false;
-      shards += std::to_string(programs);
-    }
-    shards += "], \"appends\": " + std::to_string(set->appends()) + "}";
+              ", \"rows\": " + JsonCounts(set->ShardRowCounts()) +
+              ", \"cached_clauses\": " +
+              JsonCounts(cache->CachedClausesPerShard()) +
+              ", \"cached_programs\": " +
+              JsonCounts(cache->CachedProgramsPerShard()) +
+              ", \"appends\": " + std::to_string(set->appends()) + "}";
   }
   shards += "}";
-  return "{\"ok\": true, \"stats\": " +
-         MetricsRegistry::Global().SnapshotJson(/*pretty=*/false) +
-         ", \"shards\": " + shards + "}";
+  Reply reply;
+  reply.Add("stats", MetricsRegistry::Global().SnapshotJson(/*pretty=*/false));
+  reply.Add("shards", shards);
+  return reply;
 }
 
-std::string Service::HandleShards(std::istream& in) {
+ServiceReply Service::HandleShards(ServiceCall& call) {
   static MetricCounter* const reshards =
       MetricsRegistry::Global().GetCounter("service.reshards");
 
   std::string table_name;
   std::string count_text;
-  if (!(in >> table_name >> count_text)) {
+  if (!call.Read(&table_name, &count_text)) {
     return Error("usage: shards <table> <count>");
   }
-  // A malformed count must come back as a well-formed JSON error, not
-  // a zero-shard layout: parse strictly (no trailing junk, no signs
-  // smuggled through istream's size_t wraparound).
-  std::istringstream num(count_text);
-  long long count = 0;
-  char trailing = '\0';
-  if (!(num >> count) || num >> trailing || count < 1 ||
-      static_cast<unsigned long long>(count) > ShardSet::kMaxShards) {
+  size_t count = 0;
+  if (!ParseNumber(count_text, &count) || count < 1 ||
+      count > ShardSet::kMaxShards) {
     return Error("shards: count must be an integer in [1, " +
                  std::to_string(ShardSet::kMaxShards) + "], got '" +
                  count_text + "'");
   }
 
-  std::shared_ptr<Database> db;
-  {
-    std::shared_lock<std::shared_mutex> lock(state_mu_);
-    db = db_;
-  }
-  auto table = db->GetTable(table_name);
-  if (!table.ok()) return Error(table.status());
-  auto set = ShardSet::Create(**table, static_cast<size_t>(count));
-  if (!set.ok()) return Error(set.status());
-  db->RegisterShardSet(table_name, *set);
+  const std::shared_ptr<Database> db = CurrentDatabase();
+  DBW_ASSIGN_OR_RETURN(auto table, db->GetTable(table_name));
+  DBW_ASSIGN_OR_RETURN(auto set, ShardSet::Create(*table, count));
+  db->RegisterShardSet(table_name, set);
   reshards->Increment();
-
-  std::string rows = "[";
-  bool first = true;
-  for (size_t r : (*set)->ShardRowCounts()) {
-    if (!first) rows += ", ";
-    first = false;
-    rows += std::to_string(r);
-  }
-  rows += "]";
-  return "{\"ok\": true, \"table\": \"" + JsonEscape(table_name) +
-         "\", \"shards\": " + std::to_string(count) + ", \"rows\": " + rows +
-         "}";
+  Reply reply;
+  reply.AddString("table", table_name).Add("shards", count);
+  reply.Add("rows", JsonCounts(set->ShardRowCounts()));
+  return reply;
 }
 
-std::string Service::HandleAppend(std::istream& in) {
+ServiceReply Service::HandleAppend(ServiceCall& call) {
   std::string table_name;
-  if (!(in >> table_name)) {
+  if (!call.Read(&table_name)) {
     return Error("usage: append <table> <v1> [v2 ...] (`null` for NULL)");
   }
-  std::shared_ptr<Database> db;
-  {
-    std::shared_lock<std::shared_mutex> lock(state_mu_);
-    db = db_;
-  }
+  const std::shared_ptr<Database> db = CurrentDatabase();
   auto set = db->GetShardSet(table_name);
   if (set == nullptr) {
     // Plain tables are immutable by design; only a ShardSet has a tail
     // shard to route the row to.
-    auto table = db->GetTable(table_name);
-    if (!table.ok()) return Error(table.status());
+    DBW_RETURN_NOT_OK(db->GetTable(table_name).status());
     return Error("append: table '" + table_name +
                  "' is not sharded; run `shards " + table_name +
                  " <count>` first");
@@ -813,7 +797,7 @@ std::string Service::HandleAppend(std::istream& in) {
   values.reserve(schema.num_fields());
   for (const Field& field : schema.fields()) {
     std::string token;
-    if (!(in >> token)) {
+    if (!call.Read(&token)) {
       return Error("append: expected " + std::to_string(schema.num_fields()) +
                    " values (" + schema.ToString() + "), got " +
                    std::to_string(values.size()));
@@ -826,38 +810,29 @@ std::string Service::HandleAppend(std::istream& in) {
       values.emplace_back(std::move(token));
       continue;
     }
-    std::istringstream num(token);
-    char trailing = '\0';
-    if (field.type == DataType::kInt64) {
-      int64_t v = 0;
-      if (!(num >> v) || num >> trailing) {
-        return Error("append: column '" + field.name + "' expects int64, got '" +
-                     token + "'");
-      }
-      values.emplace_back(v);
-    } else {
-      double v = 0.0;
-      if (!(num >> v) || num >> trailing) {
-        return Error("append: column '" + field.name +
-                     "' expects double, got '" + token + "'");
-      }
-      values.emplace_back(v);
+    const bool is_int = field.type == DataType::kInt64;
+    int64_t i = 0;
+    double d = 0.0;
+    if (is_int ? !ParseNumber(token, &i) : !ParseNumber(token, &d)) {
+      return Error("append: column '" + field.name + "' expects " +
+                   (is_int ? "int64" : "double") + ", got '" + token + "'");
     }
+    values.emplace_back(is_int ? Value(i) : Value(d));
   }
-  std::string extra;
-  if (in >> extra) {
+  if (!call.Peek().empty()) {
     return Error("append: too many values (schema is " + schema.ToString() +
                  ")");
   }
 
-  Status st = set->Append(values);
-  if (!st.ok()) return Error(st);
+  DBW_RETURN_NOT_OK(set->Append(values));
   auto lease = set->ReadLease();  // concurrent appenders may still be running
-  return "{\"ok\": true, \"rows\": " + std::to_string(set->num_rows()) +
-         ", \"shard\": " + std::to_string(set->num_shards() - 1) + "}";
+  Reply reply;
+  reply.Add("rows", set->num_rows());
+  reply.Add("shard", set->num_shards() - 1);
+  return reply;
 }
 
-std::string Service::HandleSnapshot(std::istream& in) {
+ServiceReply Service::HandleSnapshot(ServiceCall& call) {
   static MetricCounter* const saves =
       MetricsRegistry::Global().GetCounter("service.snapshot_saves");
   static MetricCounter* const loads =
@@ -865,78 +840,39 @@ std::string Service::HandleSnapshot(std::istream& in) {
 
   std::string sub;
   std::string path;
-  if (!(in >> sub >> path)) return Error("usage: snapshot save|load <path>");
+  if (!call.Read(&sub, &path)) return Error("usage: snapshot save|load <path>");
 
+  ServiceSnapshot snapshot;
+  Reply reply;
   if (sub == "save") {
-    ServiceSnapshot snapshot;
-    std::shared_ptr<Database> db;
-    std::vector<std::pair<std::string, std::shared_ptr<ManagedSession>>> live;
-    {
-      std::shared_lock<std::shared_mutex> lock(state_mu_);
-      db = db_;
-      for (const std::string& name : manager_->Names()) {
-        auto ms = manager_->Find(name);
-        if (ms != nullptr) live.emplace_back(name, std::move(ms));
-      }
-    }
-    for (auto& [name, ms] : live) {
-      // Per-session lock: each session is serialized mid-command-free
-      // into the snapshot (sessions are independent, so cross-session
-      // interleaving cannot produce a torn state). Sessions come
-      // BEFORE the shard leases below: a session command holds its
-      // mutex while taking a shard read lease, so acquiring in the
-      // opposite order here would be a lock-order inversion.
-      std::lock_guard<std::mutex> lock(ms->mu);
-      snapshot.sessions.push_back({name, ms->settings, ms->replay});
-    }
-    // Read-lease every sharded table BEFORE serializing so an append
-    // cannot tear a fused table mid-save; the leases stay held through
-    // WriteSnapshot. Only the boundaries are persisted — the restore
-    // rebuilds shard contents (and dictionaries) from the fused rows.
-    std::vector<std::shared_ptr<ShardSet>> sets;
-    std::vector<std::shared_lock<std::shared_mutex>> leases;
-    for (const std::string& name : db->ShardedNames()) {
-      auto set = db->GetShardSet(name);
-      if (set == nullptr) continue;
-      leases.push_back(set->ReadLease());
-      ServiceSnapshot::ShardLayout layout;
-      layout.table = name;
-      for (size_t rows : set->ShardRowCounts()) {
-        layout.shard_rows.push_back(rows);
-      }
-      snapshot.shard_layouts.push_back(std::move(layout));
-      sets.push_back(std::move(set));
-    }
-    for (const std::string& name : db->TableNames()) {
-      auto table = db->GetTable(name);
-      if (table.ok()) snapshot.tables.emplace_back(name, *table);
-    }
-    snapshot.retry_max_attempts = static_cast<uint32_t>(
-        retry_max_attempts_.load(std::memory_order_relaxed));
-    snapshot.retry_backoff_ms =
-        retry_backoff_ms_.load(std::memory_order_relaxed);
-    Status st = WriteSnapshot(path, snapshot);
-    if (!st.ok()) return Error(st);
+    // Gate-free: CollectSnapshot's per-session locks and shard leases
+    // already give a prefix-consistent capture, and serializing behind
+    // the gate would stall live traffic. The leases stay held through
+    // the write, so an append cannot tear a fused table mid-save.
+    const ShardLeases leases = CollectSnapshot(&snapshot);
+    DBW_RETURN_NOT_OK(WriteSnapshot(path, snapshot));
     saves->Increment();
-    return "{\"ok\": true, \"path\": \"" + JsonEscape(path) +
-           "\", \"tables\": " + std::to_string(snapshot.tables.size()) +
-           ", \"sharded\": " + std::to_string(snapshot.shard_layouts.size()) +
-           ", \"sessions\": " + std::to_string(snapshot.sessions.size()) + "}";
-  }
-
-  if (sub == "load") {
-    auto snapshot = ReadSnapshot(path);
-    if (!snapshot.ok()) return Error(snapshot.status());
-    Status st = LoadWorld(*snapshot);
-    if (!st.ok()) return Error(st);
+    reply.AddString("path", path);
+  } else if (sub == "load") {
+    // The world swap must not interleave with logged mutations or a
+    // checkpoint: exclusive gate. With the WAL on, the load is followed
+    // by a checkpoint so the log base matches the new world.
+    std::unique_lock<std::shared_mutex> gate(wal_gate_, std::defer_lock);
+    if (!ReplayingOnThisThread()) gate.lock();
+    DBW_ASSIGN_OR_RETURN(snapshot, ReadSnapshot(path));
+    DBW_RETURN_NOT_OK(LoadWorld(snapshot));
     loads->Increment();
-    return "{\"ok\": true, \"tables\": " +
-           std::to_string(snapshot->tables.size()) +
-           ", \"sharded\": " + std::to_string(snapshot->shard_layouts.size()) +
-           ", \"sessions\": " + std::to_string(snapshot->sessions.size()) + "}";
+    if (gate.owns_lock() && wal_ != nullptr) {
+      Status st = CheckpointLocked();
+      if (!st.ok()) wal_last_error_ = st.ToString();
+    }
+  } else {
+    return Error("unknown snapshot subcommand '" + sub + "'");
   }
-
-  return Error("unknown snapshot subcommand '" + sub + "'");
+  reply.Add("tables", snapshot.tables.size());
+  reply.Add("sharded", snapshot.shard_layouts.size());
+  reply.Add("sessions", snapshot.sessions.size());
+  return reply;
 }
 
 Status Service::LoadWorld(const ServiceSnapshot& snapshot) {
@@ -1003,11 +939,7 @@ Status Service::LoadWorld(const ServiceSnapshot& snapshot) {
   return Status::OK();
 }
 
-void Service::CollectSnapshot(ServiceSnapshot* snapshot) {
-  // Only ever called with wal_gate_ held exclusively, which excludes
-  // every logged mutation — so unlike the gate-free `snapshot save`
-  // path, the shard leases here do not need to outlive this function:
-  // nothing can append to a fused table until the gate drops.
+Service::ShardLeases Service::CollectSnapshot(ServiceSnapshot* snapshot) {
   std::shared_ptr<Database> db;
   std::vector<std::pair<std::string, std::shared_ptr<ManagedSession>>> live;
   {
@@ -1019,21 +951,29 @@ void Service::CollectSnapshot(ServiceSnapshot* snapshot) {
     }
   }
   for (auto& [name, ms] : live) {
-    // Unlogged commands (debug, reads) may still hold a session mutex;
-    // wait them out so each session lands mid-command-free.
+    // Per-session lock: each session is serialized mid-command-free
+    // into the snapshot (sessions are independent, so cross-session
+    // interleaving cannot produce a torn state). Sessions come BEFORE
+    // the shard leases below: a session command holds its mutex while
+    // taking a shard read lease, so acquiring in the opposite order here
+    // would be a lock-order inversion.
     std::lock_guard<std::mutex> lock(ms->mu);
     snapshot->sessions.push_back({name, ms->settings, ms->replay});
   }
+  // Only the boundaries are persisted — the restore rebuilds shard
+  // contents (and dictionaries) from the fused rows.
+  ShardLeases leases;
   for (const std::string& name : db->ShardedNames()) {
     auto set = db->GetShardSet(name);
     if (set == nullptr) continue;
-    auto lease = set->ReadLease();
+    leases.leases.push_back(set->ReadLease());
     ServiceSnapshot::ShardLayout layout;
     layout.table = name;
     for (size_t rows : set->ShardRowCounts()) {
       layout.shard_rows.push_back(rows);
     }
     snapshot->shard_layouts.push_back(std::move(layout));
+    leases.sets.push_back(std::move(set));
   }
   for (const std::string& name : db->TableNames()) {
     auto table = db->GetTable(name);
@@ -1043,6 +983,7 @@ void Service::CollectSnapshot(ServiceSnapshot* snapshot) {
       retry_max_attempts_.load(std::memory_order_relaxed));
   snapshot->retry_backoff_ms =
       retry_backoff_ms_.load(std::memory_order_relaxed);
+  return leases;
 }
 
 Status Service::CheckpointLocked() {
@@ -1051,6 +992,8 @@ Status Service::CheckpointLocked() {
     DBW_RETURN_NOT_OK(wal_faults_->Hit("checkpoint/begin"));
   }
   ServiceSnapshot snapshot;
+  // The exclusive gate already keeps appends off the shard sets, so the
+  // leases need not outlive the collection.
   CollectSnapshot(&snapshot);
   snapshot.wal_lsn = wal_->durable_lsn();
   // The write is tmp + fsync + atomic rename + dir fsync, so a crash
@@ -1094,8 +1037,7 @@ void Service::MaybeAutoCheckpoint() {
   if (!st.ok()) wal_last_error_ = st.ToString();
 }
 
-void Service::ApplyWalLog(const std::string& logged_line,
-                          std::string* response,
+void Service::ApplyWalLog(const std::string& logged_line, ServiceReply* reply,
                           std::unique_lock<std::mutex>* order) {
   WriteAheadLog* wal = wal_.get();  // stable: caller holds the shared gate
   if (wal == nullptr) return;
@@ -1113,9 +1055,8 @@ void Service::ApplyWalLog(const std::string& logged_line,
     // The gray zone: the command IS applied in memory but is NOT
     // durable — a crash now silently loses it. Deliberately not
     // "retryable": re-running the command would double-apply it.
-    *response = "{\"ok\": false, \"error\": \"" +
-                JsonEscape("wal append failed: " + st.ToString()) +
-                "\", \"durability\": \"lost\", \"applied\": true}";
+    *reply = Error("wal append failed: " + st.ToString());
+    reply->AddString("durability", "lost").Add("applied", "true");
   }
 }
 
@@ -1183,7 +1124,7 @@ Status Service::EnableWalLocked(const std::string& dir) {
         // Only ok responses were logged, so a failure here means the
         // record no longer applies; count it rather than abort, since
         // later records may be independent of it.
-        if (!IsOkResponse(ExecuteCommand(body))) ++errors;
+        if (!ExecuteCommand(body).ok) ++errors;
         return Status::OK();
       }));
   wal_replayed_ = replayed;
@@ -1209,22 +1150,26 @@ Status Service::EnableWalLocked(const std::string& dir) {
   return Status::OK();
 }
 
-std::string Service::HandleWal(std::istream& in) {
+ServiceReply Service::HandleWal(ServiceCall& call) {
   std::string sub;
-  if (!(in >> sub)) return Error("usage: wal on <dir>|off|status|checkpoint");
+  if (!call.Read(&sub)) {
+    return Error("usage: wal on <dir>|off|status|checkpoint");
+  }
 
   if (sub == "on") {
     std::string dir;
-    if (!(in >> dir)) return Error("usage: wal on <dir>");
+    if (!call.Read(&dir)) return Error("usage: wal on <dir>");
     std::unique_lock<std::shared_mutex> gate(wal_gate_);
     gate_owner_.store(std::this_thread::get_id(), std::memory_order_release);
     Status st = EnableWalLocked(dir);
     gate_owner_.store(std::thread::id(), std::memory_order_release);
-    if (!st.ok()) return Error(st);
-    return "{\"ok\": true, \"wal\": \"on\", \"dir\": \"" + JsonEscape(dir) +
-           "\", \"replayed\": " + std::to_string(wal_replayed_) +
-           ", \"replay_errors\": " + std::to_string(wal_replay_errors_) +
-           ", \"recovery_ms\": " + FormatDouble(wal_recovery_ms_) + "}";
+    DBW_RETURN_NOT_OK(st);
+    Reply reply;
+    reply.AddString("wal", "on").AddString("dir", dir);
+    reply.Add("replayed", wal_replayed_);
+    reply.Add("replay_errors", wal_replay_errors_);
+    reply.Add("recovery_ms", FormatDouble(wal_recovery_ms_));
+    return reply;
   }
 
   if (sub == "off") {
@@ -1240,45 +1185,45 @@ std::string Service::HandleWal(std::istream& in) {
     if (wal_ == nullptr) return Error("wal is off");
     // Seal the current state into the snapshot before dropping the
     // log; if that fails, stay on — turning off would lose the tail.
-    Status st = CheckpointLocked();
-    if (!st.ok()) return Error(st);
+    DBW_RETURN_NOT_OK(CheckpointLocked());
     wal_enabled_.store(false, std::memory_order_release);
     wal_.reset();
-    return OkWith("wal", "\"off\"");
+    return Reply().AddString("wal", "off");
   }
 
   if (sub == "checkpoint") {
     std::unique_lock<std::shared_mutex> gate(wal_gate_);
     if (wal_ == nullptr) return Error("wal is off");
-    Status st = CheckpointLocked();
-    if (!st.ok()) return Error(st);
-    return "{\"ok\": true, \"checkpoint_lsn\": " +
-           std::to_string(wal_snapshot_lsn_) +
-           ", \"segments\": " + std::to_string(wal_->num_segments()) + "}";
+    DBW_RETURN_NOT_OK(CheckpointLocked());
+    Reply reply;
+    reply.Add("checkpoint_lsn", wal_snapshot_lsn_);
+    reply.Add("segments", wal_->num_segments());
+    return reply;
   }
 
   if (sub == "status") {
     std::shared_lock<std::shared_mutex> gate(wal_gate_);
+    Reply reply;
     if (wal_ == nullptr) {
-      return "{\"ok\": true, \"enabled\": false, \"last_error\": \"" +
-             JsonEscape(wal_last_error_) + "\"}";
+      reply.Add("enabled", "false").AddString("last_error", wal_last_error_);
+      return reply;
     }
     const WalStats s = wal_->stats();
-    return "{\"ok\": true, \"enabled\": true, \"dir\": \"" +
-           JsonEscape(wal_->dir()) +
-           "\", \"next_lsn\": " + std::to_string(s.next_lsn) +
-           ", \"durable_lsn\": " + std::to_string(s.durable_lsn) +
-           ", \"segments\": " + std::to_string(s.segments) +
-           ", \"wal_bytes\": " + std::to_string(s.total_bytes) +
-           ", \"appends\": " + std::to_string(s.appends) +
-           ", \"fsyncs\": " + std::to_string(s.fsyncs) +
-           ", \"poisoned\": " + (s.poisoned ? "true" : "false") +
-           ", \"snapshot_lsn\": " + std::to_string(wal_snapshot_lsn_) +
-           ", \"checkpoints\": " + std::to_string(wal_checkpoints_) +
-           ", \"replayed\": " + std::to_string(wal_replayed_) +
-           ", \"replay_errors\": " + std::to_string(wal_replay_errors_) +
-           ", \"recovery_ms\": " + FormatDouble(wal_recovery_ms_) +
-           ", \"last_error\": \"" + JsonEscape(wal_last_error_) + "\"}";
+    reply.Add("enabled", "true").AddString("dir", wal_->dir());
+    reply.Add("next_lsn", s.next_lsn);
+    reply.Add("durable_lsn", s.durable_lsn);
+    reply.Add("segments", s.segments);
+    reply.Add("wal_bytes", s.total_bytes);
+    reply.Add("appends", s.appends);
+    reply.Add("fsyncs", s.fsyncs);
+    reply.Add("poisoned", s.poisoned ? "true" : "false");
+    reply.Add("snapshot_lsn", wal_snapshot_lsn_);
+    reply.Add("checkpoints", wal_checkpoints_);
+    reply.Add("replayed", wal_replayed_);
+    reply.Add("replay_errors", wal_replay_errors_);
+    reply.Add("recovery_ms", FormatDouble(wal_recovery_ms_));
+    reply.AddString("last_error", wal_last_error_);
+    return reply;
   }
 
   return Error("unknown wal subcommand '" + sub + "'");
@@ -1328,40 +1273,6 @@ Status RemoveWalSegments(const std::string& dir) {
 }
 
 }  // namespace
-
-std::string Service::MaybeRejectForRole(const std::string& cmd,
-                                        std::istream& in) {
-  const bool follower = follower_.load(std::memory_order_acquire);
-  const bool fenced = repl_fenced_.load(std::memory_order_acquire);
-  if (!follower && !fenced) return std::string();
-
-  // Exactly the commands the WAL would log (state mutations), plus the
-  // durability-config commands that would fork the node's history.
-  bool mutating = IsLoggedSessionCommand(cmd) || cmd == "retry" ||
-                  cmd == "shards" || cmd == "append";
-  if (cmd == "session") mutating = PeekToken(in) == "drop";
-  if (cmd == "snapshot") mutating = PeekToken(in) == "load";
-  if (cmd == "wal") {
-    const std::string sub = PeekToken(in);
-    mutating = sub == "on" || sub == "off";
-  }
-  if (!mutating) return std::string();
-
-  if (follower) {
-    return "{\"ok\": false, \"error\": \"not primary: this node is a "
-           "read-only replica; retry against the primary\", "
-           "\"retryable\": true, \"reason\": \"not_primary\", "
-           "\"retry_after_ms\": " +
-           FormatDouble(options_.replication.not_primary_retry_after_ms) +
-           "}";
-  }
-  return "{\"ok\": false, \"error\": \"epoch fenced: this primary (epoch " +
-         std::to_string(repl_epoch_.load(std::memory_order_acquire)) +
-         ") observed epoch " +
-         std::to_string(repl_seen_epoch_.load(std::memory_order_acquire)) +
-         " from a newer primary and can no longer accept writes\", "
-         "\"reason\": \"fenced\"}";
-}
 
 Status Service::StartReplicationListenLocked(int port) {
   if (repl_server_ != nullptr) {
@@ -1467,9 +1378,9 @@ Status Service::StartReplicationFollowLocked(const std::string& target) {
   return Status::OK();
 }
 
-std::string Service::HandleReplicate(std::istream& in) {
+ServiceReply Service::HandleReplicate(ServiceCall& call) {
   std::string sub;
-  if (!(in >> sub)) {
+  if (!call.Read(&sub)) {
     return Error("usage: replicate listen <port>|from <host>:<port>|stop|status");
   }
   if (sub == "status") return HandleReplicationStatus();
@@ -1478,96 +1389,89 @@ std::string Service::HandleReplicate(std::istream& in) {
     // into the service). The follower ROLE survives a stop: `promote`
     // is the explicit exit from it, so a paused follower still refuses
     // writes it could never have replicated.
-    bool was_listening = false;
-    bool was_following = false;
+    Reply reply;
     {
       std::lock_guard<std::mutex> repl(repl_mu_);
-      was_listening = repl_server_ != nullptr;
-      was_following = repl_client_ != nullptr;
+      reply.Add("stopped_listener", repl_server_ != nullptr ? "true" : "false");
+      reply.Add("stopped_follower", repl_client_ != nullptr ? "true" : "false");
     }
     StopReplication();
-    return std::string("{\"ok\": true, \"stopped_listener\": ") +
-           (was_listening ? "true" : "false") + ", \"stopped_follower\": " +
-           (was_following ? "true" : "false") + "}";
+    return reply;
   }
 
   std::lock_guard<std::mutex> repl(repl_mu_);
   if (sub == "listen") {
     int port = -1;
-    if (!(in >> port) || port < 0 || port > 65535) {
+    if (!call.Read(&port) || port < 0 || port > 65535) {
       return Error("usage: replicate listen <port> (0 picks an ephemeral port)");
     }
-    Status st = StartReplicationListenLocked(port);
-    if (!st.ok()) return Error(st);
-    return "{\"ok\": true, \"listening\": true, \"port\": " +
-           std::to_string(repl_server_->port()) + ", \"epoch\": " +
-           std::to_string(repl_epoch_.load(std::memory_order_acquire)) + "}";
+    DBW_RETURN_NOT_OK(StartReplicationListenLocked(port));
+    Reply reply;
+    reply.Add("listening", "true");
+    reply.Add("port", repl_server_->port());
+    reply.Add("epoch", repl_epoch_.load(std::memory_order_acquire));
+    return reply;
   }
   if (sub == "from") {
     std::string target;
-    if (!(in >> target)) return Error("usage: replicate from <host>:<port>");
-    Status st = StartReplicationFollowLocked(target);
-    if (!st.ok()) return Error(st);
-    return "{\"ok\": true, \"following\": \"" + JsonEscape(target) +
-           "\", \"epoch\": " +
-           std::to_string(repl_epoch_.load(std::memory_order_acquire)) +
-           ", \"last_applied_lsn\": " +
-           std::to_string(repl_last_applied_.load(std::memory_order_acquire)) +
-           "}";
+    if (!call.Read(&target)) {
+      return Error("usage: replicate from <host>:<port>");
+    }
+    DBW_RETURN_NOT_OK(StartReplicationFollowLocked(target));
+    Reply reply;
+    reply.AddString("following", target);
+    reply.Add("epoch", repl_epoch_.load(std::memory_order_acquire));
+    reply.Add("last_applied_lsn",
+              repl_last_applied_.load(std::memory_order_acquire));
+    return reply;
   }
   return Error("unknown replicate subcommand '" + sub + "'");
 }
 
-std::string Service::HandleReplicationStatus() {
-  const bool follower = follower_.load(std::memory_order_acquire);
-  std::string out = std::string("{\"ok\": true, \"role\": \"") +
-                    (follower ? "follower" : "primary") + "\"";
-  out += ", \"epoch\": " +
-         std::to_string(repl_epoch_.load(std::memory_order_acquire));
-  out += ", \"seen_epoch\": " +
-         std::to_string(repl_seen_epoch_.load(std::memory_order_acquire));
-  out += std::string(", \"fenced\": ") +
-         (repl_fenced_.load(std::memory_order_acquire) ? "true" : "false");
-  out += ", \"last_applied_lsn\": " +
-         std::to_string(repl_last_applied_.load(std::memory_order_acquire));
-  {
-    std::lock_guard<std::mutex> repl(repl_mu_);
-    out += ", \"promotions\": " + std::to_string(repl_promotions_);
-    if (repl_server_ != nullptr) {
-      const ReplicationServer::Stats s = repl_server_->stats();
-      out += ", \"listening\": true, \"port\": " + std::to_string(s.port) +
-             ", \"followers\": " + std::to_string(s.followers) +
-             ", \"min_acked_lsn\": " + std::to_string(s.min_acked_lsn) +
-             ", \"frames_sent\": " + std::to_string(s.frames_sent) +
-             ", \"snapshots_sent\": " + std::to_string(s.snapshots_sent) +
-             ", \"epoch_refusals\": " + std::to_string(s.epoch_refusals);
-    } else {
-      out += ", \"listening\": false";
-    }
-    if (repl_client_ != nullptr) {
-      const ReplicationClient::Stats s = repl_client_->stats();
-      out += std::string(", \"following\": true, \"connected\": ") +
-             (s.connected ? "true" : "false") +
-             ", \"source_epoch\": " + std::to_string(s.source_epoch) +
-             ", \"source_durable_lsn\": " +
-             std::to_string(s.source_durable_lsn) +
-             ", \"reconnects\": " + std::to_string(s.reconnects) +
-             ", \"frames_applied\": " + std::to_string(s.frames_applied) +
-             ", \"snapshot_installs\": " + std::to_string(s.snapshot_installs) +
-             ", \"corrupt_frames\": " + std::to_string(s.corrupt_frames) +
-             std::string(", \"fenced_source\": ") +
-             (s.fenced ? "true" : "false") + ", \"stream_error\": \"" +
-             JsonEscape(s.last_error) + "\"";
-    } else {
-      out += ", \"following\": false";
-    }
-    out += ", \"last_error\": \"" + JsonEscape(repl_last_error_) + "\"";
+ServiceReply Service::HandleReplicationStatus() {
+  Reply reply;
+  reply.AddString("role", follower_.load(std::memory_order_acquire)
+                              ? "follower"
+                              : "primary");
+  reply.Add("epoch", repl_epoch_.load(std::memory_order_acquire));
+  reply.Add("seen_epoch", repl_seen_epoch_.load(std::memory_order_acquire));
+  reply.Add("fenced",
+            repl_fenced_.load(std::memory_order_acquire) ? "true" : "false");
+  reply.Add("last_applied_lsn",
+            repl_last_applied_.load(std::memory_order_acquire));
+  std::lock_guard<std::mutex> repl(repl_mu_);
+  reply.Add("promotions", repl_promotions_);
+  if (repl_server_ != nullptr) {
+    const ReplicationServer::Stats s = repl_server_->stats();
+    reply.Add("listening", "true").Add("port", s.port);
+    reply.Add("followers", s.followers);
+    reply.Add("min_acked_lsn", s.min_acked_lsn);
+    reply.Add("frames_sent", s.frames_sent);
+    reply.Add("snapshots_sent", s.snapshots_sent);
+    reply.Add("epoch_refusals", s.epoch_refusals);
+  } else {
+    reply.Add("listening", "false");
   }
-  out += "}";
-  return out;
+  if (repl_client_ != nullptr) {
+    const ReplicationClient::Stats s = repl_client_->stats();
+    reply.Add("following", "true");
+    reply.Add("connected", s.connected ? "true" : "false");
+    reply.Add("source_epoch", s.source_epoch);
+    reply.Add("source_durable_lsn", s.source_durable_lsn);
+    reply.Add("reconnects", s.reconnects);
+    reply.Add("frames_applied", s.frames_applied);
+    reply.Add("snapshot_installs", s.snapshot_installs);
+    reply.Add("corrupt_frames", s.corrupt_frames);
+    reply.Add("fenced_source", s.fenced ? "true" : "false");
+    reply.AddString("stream_error", s.last_error);
+  } else {
+    reply.Add("following", "false");
+  }
+  reply.AddString("last_error", repl_last_error_);
+  return reply;
 }
 
-std::string Service::HandlePromote() {
+ServiceReply Service::HandlePromote(ServiceCall&) {
   // A fenced stale primary stays fenced: its acknowledged history may
   // already have diverged from the new primary's, so promotion would
   // institutionalize a split brain. Explicit epoch error per the
@@ -1632,10 +1536,11 @@ std::string Service::HandlePromote() {
     std::lock_guard<std::mutex> repl(repl_mu_);
     ++repl_promotions_;
   }
-  return "{\"ok\": true, \"promoted\": true, \"epoch\": " +
-         std::to_string(new_epoch) + ", \"last_applied_lsn\": " +
-         std::to_string(repl_last_applied_.load(std::memory_order_acquire)) +
-         "}";
+  Reply reply;
+  reply.Add("promoted", "true").Add("epoch", new_epoch);
+  reply.Add("last_applied_lsn",
+            repl_last_applied_.load(std::memory_order_acquire));
+  return reply;
 }
 
 Status Service::ApplyReplicatedFrame(uint64_t lsn, uint64_t rid,
@@ -1645,10 +1550,10 @@ Status Service::ApplyReplicatedFrame(uint64_t lsn, uint64_t rid,
   // and internal logging, and cannot interleave with a checkpoint.
   std::unique_lock<std::shared_mutex> gate(wal_gate_);
   gate_owner_.store(std::this_thread::get_id(), std::memory_order_release);
-  std::string response;
+  bool applied = false;
   {
     RequestScope scope(rid);
-    response = ExecuteCommand(body);
+    applied = ExecuteCommand(body).ok;
   }
   // Mirror the frame into the local log at exactly the primary's LSN,
   // and make it durable before acking — the primary then knows acked
@@ -1673,7 +1578,7 @@ Status Service::ApplyReplicatedFrame(uint64_t lsn, uint64_t rid,
   repl_last_applied_.store(lsn, std::memory_order_release);
   MetricsRegistry::Global().GetGauge("repl.last_applied_lsn")->Set(
       static_cast<int64_t>(lsn));
-  if (!IsOkResponse(response)) {
+  if (!applied) {
     // Only ok responses were logged on the primary, so a not-ok here
     // means the replica drifted semantically; count it loudly but keep
     // the stream alive — the frame is recorded either way.
@@ -1807,65 +1712,40 @@ void Service::StopReplication() {
 
 // --- Request telemetry (DESIGN.md §5k) ---
 
-std::string Service::HandleHistory(std::istream& in) {
+ServiceReply Service::HandleHistory(ServiceCall& call) {
   std::string metric;
-  in >> metric;
+  double window_ms = 0.0;  // <= 0: the whole ring
+  if (!call.Maybe(&metric) || !call.Maybe(&window_ms)) {
+    return Error("usage: history [metric] [window_ms]");
+  }
 
   if (metric.empty()) {
     // No metric: describe the store (series names + configuration).
-    std::string names = "[";
-    bool first = true;
-    for (const std::string& name : history_.Names()) {
-      if (!first) names += ", ";
-      first = false;
-      names += "\"" + JsonEscape(name) + "\"";
-    }
-    names += "]";
-    return std::string("{\"ok\": true, \"sampling\": ") +
-           (options_.telemetry.history_enabled ? "true" : "false") +
-           ", \"interval_ms\": " +
-           FormatDouble(options_.telemetry.sample_interval_ms) +
-           ", \"points_per_series\": " +
-           std::to_string(history_.points_per_series()) +
-           ", \"memory_bytes\": " + std::to_string(history_.MemoryBytes()) +
-           ", \"series\": " + names + "}";
+    Reply reply;
+    reply.Add("sampling",
+              options_.telemetry.history_enabled ? "true" : "false");
+    reply.Add("interval_ms",
+              FormatDouble(options_.telemetry.sample_interval_ms));
+    reply.Add("points_per_series", history_.points_per_series());
+    reply.Add("memory_bytes", history_.MemoryBytes());
+    reply.Add("series", JsonList(history_.Names(), [](const auto& name) {
+      return "\"" + JsonEscape(name) + "\"";
+    }));
+    return reply;
   }
 
-  double window_ms = 0.0;  // <= 0: the whole ring
-  in >> window_ms;
-  const std::vector<TelemetryHistory::Point> points =
-      history_.Query(metric, window_ms, MonotonicMillis());
-  std::string out = "[";
-  bool first = true;
-  for (const TelemetryHistory::Point& p : points) {
-    if (!first) out += ", ";
-    first = false;
-    out += "{\"t_ms\": " + FormatDouble(p.t_ms) +
+  const auto points = history_.Query(metric, window_ms, MonotonicMillis());
+  Reply reply;
+  reply.AddString("metric", metric);
+  reply.Add("points", JsonList(points, [](const auto& p) {
+    return "{\"t_ms\": " + FormatDouble(p.t_ms) +
            ", \"value\": " + FormatDouble(p.value) + "}";
-  }
-  out += "]";
-  return "{\"ok\": true, \"metric\": \"" + JsonEscape(metric) +
-         "\", \"points\": " + out + "}";
-}
-
-std::string Service::HandleSlowlog() {
-  std::string entries = "[";
-  {
-    std::lock_guard<std::mutex> lock(slowlog_mu_);
-    bool first = true;
-    for (const std::string& entry : slowlog_) {
-      if (!first) entries += ", ";
-      first = false;
-      entries += entry;  // already a JSON object
-    }
-  }
-  entries += "]";
-  return "{\"ok\": true, \"threshold_ms\": " + FormatDouble(slow_threshold_ms_) +
-         ", \"entries\": " + entries + "}";
+  }));
+  return reply;
 }
 
 void Service::MaybeSlowLog(uint64_t rid, const std::string& line,
-                           double elapsed_ms, const std::string& response) {
+                           double elapsed_ms, const ServiceReply& reply) {
   if (slow_threshold_ms_ < 0.0 || elapsed_ms < slow_threshold_ms_) return;
   static MetricCounter* const slow =
       MetricsRegistry::Global().GetCounter("service.slow_requests");
@@ -1874,31 +1754,12 @@ void Service::MaybeSlowLog(uint64_t rid, const std::string& line,
   std::string entry = "{\"rid\": " + std::to_string(rid) + ", \"cmd\": \"" +
                       JsonEscape(CommandLabel(line)) +
                       "\", \"elapsed_ms\": " + FormatDouble(elapsed_ms) +
-                      ", \"ok\": " + (IsOkResponse(response) ? "true" : "false");
-  // Shed/degrade responses carry a machine-readable "reason"; surface
-  // it so the slow log says WHY without a second lookup.
-  const std::string reason_key = "\"reason\": \"";
-  const size_t reason_pos = response.find(reason_key);
-  if (reason_pos != std::string::npos) {
-    const size_t start = reason_pos + reason_key.size();
-    // The value is JSON-escaped in the response, so the closing quote is
-    // the first UNescaped '"' — skip backslash escapes (\" and \\) so an
-    // escaped quote inside the reason doesn't truncate it.
-    size_t end = start;
-    while (end < response.size() && response[end] != '"') {
-      end += (response[end] == '\\') ? 2 : 1;
-    }
-    if (end < response.size()) {
-      entry += ", \"reason\": \"" + response.substr(start, end - start) + "\"";
-    }
+                      ", \"ok\": " + (reply.ok ? "true" : "false");
+  // A refused or degraded request says WHY without a second lookup.
+  if (!reply.reason.empty()) {
+    entry += ", \"reason\": \"" + JsonEscape(reply.reason) + "\"";
   }
-  // A slow debug gets its stage breakdown and cache hits from the
-  // profile the same thread just produced.
-  if (tl_last_debug.rid == rid && rid != 0) {
-    entry += ", \"stages\": " + tl_last_debug.stages_json +
-             ", \"cache_hits\": " + std::to_string(tl_last_debug.cache_hits);
-  }
-  entry += "}";
+  entry += reply.stages + "}";
 
   // One structured line per slow request on stderr (grep "SLOWREQ "),
   // plus the in-memory ring behind the `slowlog` command.
@@ -2040,7 +1901,7 @@ void Service::WatchdogScan() {
   }
 }
 
-std::string Service::RunDebug(ManagedSession& ms) {
+ServiceReply Service::RunDebug(ManagedSession& ms) {
   DBW_TRACE_SPAN("service/debug");
   static MetricCounter* const retries =
       MetricsRegistry::Global().GetCounter("service.retries");
@@ -2098,7 +1959,7 @@ std::string Service::RunDebug(ManagedSession& ms) {
   }
 
   if (attempts > 1) retries->Increment(attempts - 1);
-  if (!exp.ok()) return Error(exp.status());
+  if (!exp.ok()) return exp.status();
   exp->profile.attempts = attempts;
   exp->profile.rid = CurrentRequestId();
 
@@ -2108,27 +1969,22 @@ std::string Service::RunDebug(ManagedSession& ms) {
   rank_h->Observe(exp->profile.rank_ms);
   total_h->Observe(exp->profile.total_ms);
 
-  tl_last_debug.rid = exp->profile.rid;
-  tl_last_debug.cache_hits = exp->profile.cache_hits;
-  tl_last_debug.stages_json =
-      "{\"preprocess_ms\": " + FormatDouble(exp->profile.preprocess_ms) +
+  Reply reply;
+  if (exp->partial) reply.Add("partial", "true").Reason(exp->partial_reason);
+  reply.Add("explanation", ExplanationToJson(*exp, /*pretty=*/false));
+  if (ms.settings.profile_enabled) {
+    reply.Add("profile", ExplainProfileToJson(exp->profile, /*pretty=*/false));
+  }
+  // A slow debug logs its stage breakdown and cache hits.
+  reply.stages =
+      ", \"stages\": {\"preprocess_ms\": " +
+      FormatDouble(exp->profile.preprocess_ms) +
       ", \"enumerate_ms\": " + FormatDouble(exp->profile.enumerate_ms) +
       ", \"predicates_ms\": " + FormatDouble(exp->profile.predicates_ms) +
       ", \"rank_ms\": " + FormatDouble(exp->profile.rank_ms) +
-      ", \"total_ms\": " + FormatDouble(exp->profile.total_ms) + "}";
-
-  std::string profile_field;
-  if (ms.settings.profile_enabled) {
-    profile_field = ", \"profile\": " +
-                    ExplainProfileToJson(exp->profile, /*pretty=*/false);
-  }
-  if (exp->partial) {
-    return "{\"ok\": true, \"partial\": true, \"reason\": \"" +
-           JsonEscape(exp->partial_reason) + "\", \"explanation\": " +
-           ExplanationToJson(*exp, /*pretty=*/false) + profile_field + "}";
-  }
-  return "{\"ok\": true, \"explanation\": " +
-         ExplanationToJson(*exp, /*pretty=*/false) + profile_field + "}";
+      ", \"total_ms\": " + FormatDouble(exp->profile.total_ms) +
+      "}, \"cache_hits\": " + std::to_string(exp->profile.cache_hits);
+  return reply;
 }
 
 // --- Admission queue ---
@@ -2184,9 +2040,8 @@ std::future<std::string> Service::Submit(std::string line) {
 
   std::lock_guard<std::mutex> lock(queue_mu_);
   if (!running_.load(std::memory_order_acquire) || stopping_) {
-    std::string response = NotRunningResponse();
-    StampRid(&response, rid);
-    promise.set_value(std::move(response));
+    promise.set_value(
+        Error("service is not running").Reason("not_running").Render(rid));
     return future;
   }
   if (queue_.size() >= options_.queue_capacity ||
@@ -2195,9 +2050,9 @@ std::future<std::string> Service::Submit(std::string line) {
     // unboundedly — the client gets a well-formed retryable error in
     // microseconds, not a timeout in seconds.
     shed->Increment();
-    std::string response = ShedResponse(options_.shed_retry_after_ms);
-    StampRid(&response, rid);
-    promise.set_value(std::move(response));
+    promise.set_value(RetryLater("overloaded: request queue is full",
+                                 "overloaded", options_.shed_retry_after_ms)
+                          .Render(rid));
     return future;
   }
   queued_bytes_ += line.size();

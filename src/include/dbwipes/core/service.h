@@ -25,6 +25,11 @@ namespace dbwipes {
 struct ServiceSnapshot;  // core/snapshot.h
 class ReplicationServer;  // replication/replication.h
 class ReplicationClient;
+class ShardSet;  // storage/shard.h
+// The command table's types, defined in service.cc (DESIGN.md §5g).
+struct ServiceCommand;
+class ServiceCall;
+struct ServiceReply;
 
 /// \brief Configuration for the resilient service layer.
 struct ServiceOptions {
@@ -205,16 +210,19 @@ struct ServiceOptions {
 /// process-unique id, which the same request stamps into its trace
 /// spans, log lines, ExplainProfile, and WAL frames (end-to-end
 /// correlation; DESIGN.md §5k). An unknown subcommand of a multi-word
-/// command (e.g. `profile bogus`)
-/// fails with the offending token in the error. Failures that may
+/// command (e.g. `profile bogus`) fails with the offending token in
+/// the error; a missing or malformed argument (e.g. `retry 3 abc`)
+/// fails with the command's usage text. Failures that may
 /// clear on their own (overload, session-limit, I/O) additionally
 /// carry "retryable": true. A debug run wound down early by a
 /// deadline, cancel, or budget responds {"ok": true, "partial": true,
 /// "reason": "...", ...}.
 ///
 /// Durability: with the WAL on, every acknowledged state-mutating
-/// command (sql/selection/metric/clean/undo/reset/settings, append,
-/// shards, retry, session drop) is logged — and group-commit fsynced —
+/// command (sql, select_range, select_groups, inputs_where, metric,
+/// clean — logged as the clean_where it resolved to — clean_where,
+/// undo, reset, set_deadline, profile, retry, session drop, shards,
+/// append) is logged — and group-commit fsynced —
 /// BEFORE its ok response returns, so a crash after the ack never
 /// loses it: recovery = latest valid snapshot + replay of newer log
 /// records. Should the log append itself fail after the in-memory
@@ -222,7 +230,8 @@ struct ServiceOptions {
 /// "applied": true} — the operation took effect but is not crash-safe
 /// (deliberately NOT marked retryable: re-running it would double-
 /// apply). Reads (debug/result/state/stats) and `cancel` are never
-/// logged and never wait on the checkpoint gate.
+/// logged and never wait on the checkpoint gate. A follower refuses
+/// the logged commands plus `snapshot load` and `wal on|off`.
 ///
 /// Threading: Execute() is fully thread-safe — commands on the same
 /// session serialize on that session's mutex while commands on
@@ -291,25 +300,27 @@ class Service {
   };
 
   /// Execute body with an externally-assigned request id (Submit
-  /// assigns at admission; Execute assigns fresh).
+  /// assigns at admission; Execute assigns fresh): dispatches the line,
+  /// counts an error, writes the slow log, and renders the reply.
   std::string ExecuteWithRid(const std::string& line, uint64_t rid);
-  /// Execute minus the command/error accounting.
-  std::string ExecuteCommand(const std::string& line);
-  /// The per-session command dispatch (caller holds the session mutex).
-  std::string ExecuteSessionCommand(ManagedSession& ms,
-                                    const std::string& cmd,
-                                    std::istream& in);
-  std::string RunDebug(ManagedSession& ms);
-  std::string HandleSession(std::istream& in);
-  std::string HandleSnapshot(std::istream& in);
-  std::string HandleRetry(std::istream& in);
-  std::string HandleStats();
-  std::string HandleShards(std::istream& in);
-  std::string HandleAppend(std::istream& in);
-  std::string HandleWal(std::istream& in);
-  std::string HandleHistory(std::istream& in);
-  std::string HandleSlowlog();
+  /// Looks the command up in the table and runs it with what its row
+  /// implies: role rejection, session resolution, the gate, the
+  /// ordering lock and WAL logging.
+  ServiceReply ExecuteCommand(const std::string& line);
+  /// The command table's row for `name`; null when there is none.
+  static const ServiceCommand* FindCommand(const std::string& name);
+  ServiceReply RunDebug(ManagedSession& ms);
+  ServiceReply HandleSession(ServiceCall& call);
+  ServiceReply HandleSnapshot(ServiceCall& call);
+  ServiceReply HandleRetry(ServiceCall& call);
+  ServiceReply HandleStats(ServiceCall& call);
+  ServiceReply HandleShards(ServiceCall& call);
+  ServiceReply HandleAppend(ServiceCall& call);
+  ServiceReply HandleWal(ServiceCall& call);
+  ServiceReply HandleHistory(ServiceCall& call);
   RetryPolicy CurrentRetryPolicy() const;
+  /// The live database (snapshot load may swap it at any time).
+  std::shared_ptr<Database> CurrentDatabase();
   void WorkerLoop();
 
   // --- Request telemetry (DESIGN.md §5k) ---
@@ -323,7 +334,7 @@ class Service {
   /// Appends a slow-request entry (and mirrors it to stderr) when the
   /// request's wall time crosses the threshold.
   void MaybeSlowLog(uint64_t rid, const std::string& line, double elapsed_ms,
-                    const std::string& response);
+                    const ServiceReply& reply);
   void StartTelemetryThreads();
   void StopTelemetryThreads();
   void SamplerLoop();
@@ -333,11 +344,17 @@ class Service {
 
   // --- Durability (see the class comment) ---
 
+  /// Read leases on every sharded table, with the sets they lock.
+  struct ShardLeases {
+    std::vector<std::shared_ptr<ShardSet>> sets;
+    std::vector<std::shared_lock<std::shared_mutex>> leases;
+  };
   /// Serializes the whole live world — every session (under its mutex)
   /// then every shard layout (under its read lease) then the tables —
-  /// into `snapshot`. The same collection the `snapshot save` command
-  /// performs; prefix-consistent against concurrent appends.
-  void CollectSnapshot(ServiceSnapshot* snapshot);
+  /// into `snapshot`, prefix-consistent against concurrent appends.
+  /// Returns the leases: a gate-free `snapshot save` holds them until
+  /// the file is written, so no append can tear a table mid-save.
+  ShardLeases CollectSnapshot(ServiceSnapshot* snapshot);
   /// Validates and rebuilds a world from `snapshot` off to the side,
   /// then swaps it in under a brief exclusive state_mu_ hold (the
   /// `snapshot load` body). Any failure leaves the live state intact.
@@ -351,17 +368,14 @@ class Service {
   Status CheckpointLocked();
   /// Auto-checkpoint probe run after every command (outside all locks).
   void MaybeAutoCheckpoint();
-  /// Appends `logged_line` to the WAL (no-op when off); on failure
-  /// rewrites *response into the durability-lost error. Caller holds
-  /// the gate shared (or is the gate owner) plus the order-defining
-  /// lock (session mutex / append_wal_mu_).
-  /// Stages `logged_line` into the WAL, releases `order` (when given),
-  /// then blocks for durability — staging under the caller's ordering
-  /// lock keeps log order == apply order, while waiting outside it
-  /// lets concurrent clients share one group-commit fsync. On failure
-  /// rewrites `*response` to the durability-lost form.
-  void ApplyWalLog(const std::string& logged_line, std::string* response,
-                   std::unique_lock<std::mutex>* order = nullptr);
+  /// Stages `logged_line` into the WAL (no-op when off), releases
+  /// `order` (when given), then blocks for durability — staging under
+  /// the caller's ordering lock keeps log order == apply order, while
+  /// waiting outside it lets concurrent clients share one group-commit
+  /// fsync. Caller holds the gate shared. On failure rewrites `*reply`
+  /// to the durability-lost form.
+  void ApplyWalLog(const std::string& logged_line, ServiceReply* reply,
+                   std::unique_lock<std::mutex>* order);
   bool ReplayingOnThisThread() const {
     return gate_owner_.load(std::memory_order_acquire) ==
            std::this_thread::get_id();
@@ -369,14 +383,9 @@ class Service {
 
   // --- Replication (DESIGN.md §5l) ---
 
-  /// Rejects state-mutating commands on a follower (retryable
-  /// not_primary) or on a fenced stale primary (terminal). Returns the
-  /// rejection response, or "" when the command may proceed. `in` is
-  /// only peeked, never consumed.
-  std::string MaybeRejectForRole(const std::string& cmd, std::istream& in);
-  std::string HandleReplicate(std::istream& in);
-  std::string HandleReplicationStatus();
-  std::string HandlePromote();
+  ServiceReply HandleReplicate(ServiceCall& call);
+  ServiceReply HandleReplicationStatus();
+  ServiceReply HandlePromote(ServiceCall& call);
   /// Caller holds repl_mu_. Lock order: repl_mu_, then wal_gate_.
   Status StartReplicationListenLocked(int port);
   Status StartReplicationFollowLocked(const std::string& target);

@@ -174,12 +174,13 @@ void Record(Transcript& t) {
     t.Section("session commands on main");
     t.Run(s, {"result", "sql", "sql SELECT FROM nothing", kQuery, "result",
               "select_range", "select_range a 1", "select_range a x 2",
-              "select_range nope 1 2", "select_groups", "select_groups 99", "select_groups x",
-              "select_groups 1 abc", "select_groups 2 3",
+              "select_range nope 1 2", "select_groups", "select_groups 99",
+              "select_groups x", "select_groups 1 abc", "select_groups 2 3",
               "select_range a 20 1e9", "inputs_where",
               "inputs_where nope > 1", "inputs_where v > 50", "metrics",
-              "metrics 0", "metrics 7", "metrics abc", "metric", "metric nope 1",
-              "metric too_high", "metric too_high x", "metric too_high 12 7",
+              "metrics 0", "metrics 7", "metrics abc", "metric",
+              "metric nope 1", "metric too_high", "metric too_high x",
+              "metric too_high 12 7",
               "metric too_high 1 junk", "metric too_high 12", "debug", "state",
               "set_deadline", "set_deadline abc", "set_deadline 50",
               "set_deadline 0", "profile", "profile bogus", "profile on",
@@ -207,8 +208,9 @@ void Record(Transcript& t) {
               "shards w 300", "shards nosuch 2", "append", "append nosuch 1",
               "append w 1 fine 2.5", "shards w 2", "append w 1 fine",
               "append w 1 fine 2.5 extra", "append w x fine 1",
-              "append w 1.5 fine 1", "append w 1 fine x", "append w 1 fine 1e999",
-              "append w null null null", "@side append w 3 fine 10.5", "stats"});
+              "append w 1.5 fine 1", "append w 1 fine x",
+              "append w 1 fine 1e999", "append w null null null",
+              "@side append w 3 fine 10.5", "stats"});
 
     t.Section("snapshots");
     t.Run(s, {"snapshot", "snapshot save", "snapshot bogus $TMP/x.dbw",

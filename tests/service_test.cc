@@ -35,6 +35,9 @@ TEST(ServiceTest, FullProtocolFlow) {
   Service service(MakeDb());
   EXPECT_TRUE(IsOk(
       service.Execute("sql SELECT g, avg(v) AS a FROM w GROUP BY g")));
+  // A malformed number is a usage error, not a silent default.
+  EXPECT_FALSE(IsOk(service.Execute("select_groups 1 abc")));
+  EXPECT_FALSE(IsOk(service.Execute("metric too_high 1 junk")));
   const std::string result = service.Execute("result");
   EXPECT_TRUE(IsOk(result));
   EXPECT_NE(result.find("\"columns\""), std::string::npos);
@@ -75,11 +78,28 @@ TEST(ServiceTest, ErrorsAreJsonNotCrashes) {
         "select_range", "select_range a 1", "select_groups",
         "inputs_where v > 0", "metric", "metric nope 1", "debug",
         "clean", "clean 0", "clean_where", "clean_where a = 1 OR b = 2",
-        "undo", "metrics"}) {
+        "undo", "metrics", "retry 3 abc", "retry 3 1e999"}) {
     const std::string out = service.Execute(bad);
     EXPECT_NE(out.find("\"ok\": false"), std::string::npos) << bad;
     EXPECT_NE(out.find("\"error\""), std::string::npos) << bad;
   }
+}
+
+TEST(ServiceTest, MistypedRoutedCommandCreatesNoSession) {
+  ServiceOptions options;
+  options.sessions.max_sessions = 3;
+  Service service(MakeDb(), options);
+  for (const char* typo : {"@a bogus", "@b selec_range x 1 2", "@c bogus"}) {
+    const std::string out = service.Execute(typo);
+    EXPECT_NE(out.find("unknown command"), std::string::npos) << out;
+  }
+  const std::string sessions = service.Execute("session list");
+  EXPECT_NE(sessions.find("\"main\""), std::string::npos) << sessions;
+  for (const char* name : {"\"a\"", "\"b\"", "\"c\""}) {
+    EXPECT_EQ(sessions.find(name), std::string::npos) << sessions;
+  }
+  EXPECT_TRUE(IsOk(
+      service.Execute("@d sql SELECT g, avg(v) AS a FROM w GROUP BY g")));
 }
 
 TEST(ServiceTest, SelectGroupsByIndex) {

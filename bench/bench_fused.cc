@@ -1,6 +1,6 @@
 // Fused-conjunction throughput: the one-pass SIMD-dispatched predicate
-// programs (MatchEngine with fusion on) vs the per-clause
-// materialize+word-AND path (DBWIPES_FUSED=off), on a multi-clause
+// programs (MatchEngine::Materialize + MatchPrepared) vs the per-clause
+// materialize+word-AND path (each clause's ClauseBitmap), on a multi-clause
 // workload over the 100k-row acceptance scenario — each candidate is a
 // K ∈ {3, 4} conjunction whose numeric thresholds are unique to the
 // predicate (so the clause cache cannot amortize them) plus one shared
@@ -10,8 +10,8 @@
 // Besides the report table, emits machine-readable BENCH_fused.json
 // with per-tier timings (dispatched SIMD tier and the forced-scalar
 // tier via DBWIPES_SIMD=off), cross-path bitmap identity, and an
-// end-to-end check that full rankings are identical with fusion on,
-// off, and at the scalar tier.
+// end-to-end check that full rankings are identical at both tiers and
+// on the serial reference engine.
 
 #include <benchmark/benchmark.h>
 
@@ -118,44 +118,60 @@ FusedProblem BuildProblem(size_t rows = 100000, size_t num_preds = 600) {
 
 enum class Path { kWordAnd, kFused, kFusedScalar };
 
-/// Cold end-to-end matching: fresh engine, Materialize, then one
-/// bitmap per predicate — the work one Explain pass performs. Fusion
-/// and the SIMD tier are selected via the environment, read once at
-/// engine construction.
+/// Cold end-to-end matching: fresh engine, then one bitmap per
+/// predicate — the work one Explain pass performs. The word-AND path
+/// materializes every distinct clause once (one batch of one-clause
+/// predicates, chunked on the pool like any batch) and ANDs each
+/// conjunction's ClauseBitmaps; the fused paths Materialize the
+/// conjunctions and call MatchPrepared. The SIMD tier is selected via
+/// the environment, read once at engine construction.
 std::vector<Bitmap> MatchAll(const FusedProblem& p, Path path,
                              MatchEngine* engine_out = nullptr) {
-  if (path == Path::kWordAnd) setenv("DBWIPES_FUSED", "off", 1);
   if (path == Path::kFusedScalar) setenv("DBWIPES_SIMD", "off", 1);
   MatchEngine engine(*p.data.table, p.suspects);
-  unsetenv("DBWIPES_FUSED");
   unsetenv("DBWIPES_SIMD");
+  std::vector<Predicate> clauses;
   std::vector<const Predicate*> preds;
-  preds.reserve(p.predicates.size());
   for (const EnumeratedPredicate& ep : p.predicates) {
-    preds.push_back(&ep.predicate);
+    if (path != Path::kWordAnd) {
+      preds.push_back(&ep.predicate);
+      continue;
+    }
+    for (const Clause& c : ep.predicate.clauses()) {
+      clauses.push_back(Predicate({c}));
+    }
   }
+  for (const Predicate& c : clauses) preds.push_back(&c);
   DBW_CHECK_OK(engine.Materialize(preds));
   std::vector<Bitmap> out;
-  out.reserve(preds.size());
-  for (const Predicate* pred : preds) {
-    out.push_back(*engine.MatchPrepared(*pred));
+  out.reserve(p.predicates.size());
+  for (const EnumeratedPredicate& ep : p.predicates) {
+    if (path != Path::kWordAnd) {
+      out.push_back(*engine.MatchPrepared(ep.predicate));
+      continue;
+    }
+    const std::vector<Clause>& cs = ep.predicate.clauses();
+    Bitmap bits = **engine.ClauseBitmap(cs[0]);
+    for (size_t j = 1; j < cs.size(); ++j) {
+      bits.AndWith(**engine.ClauseBitmap(cs[j]));
+    }
+    out.push_back(std::move(bits));
   }
   if (engine_out != nullptr) *engine_out = std::move(engine);
   return out;
 }
 
-std::vector<RankedPredicate> RunRanker(const FusedProblem& p, Path path) {
-  if (path == Path::kWordAnd) setenv("DBWIPES_FUSED", "off", 1);
-  if (path == Path::kFusedScalar) setenv("DBWIPES_SIMD", "off", 1);
+std::vector<RankedPredicate> RunRanker(const FusedProblem& p,
+                                       RankerOptions::Engine engine,
+                                       bool scalar_tier) {
+  if (scalar_tier) setenv("DBWIPES_SIMD", "off", 1);
   RankerOptions opts;
-  opts.engine = RankerOptions::Engine::kDeltaParallel;
-  opts.use_match_kernels = true;
+  opts.engine = engine;
   PredicateRanker ranker(opts);
   auto ranked =
       ranker.Rank(*p.data.table, p.result, p.selected_groups, *p.metric,
                   /*agg_index=*/0, p.suspects, p.reference,
                   p.per_group_baseline, p.predicates);
-  unsetenv("DBWIPES_FUSED");
   unsetenv("DBWIPES_SIMD");
   DBW_CHECK_OK(ranked.status());
   return *std::move(ranked);
@@ -212,11 +228,12 @@ void PrintReportAndJson() {
     bitmaps_equal = word_and[i] == fused[i] && word_and[i] == scalar[i];
   }
 
-  const auto ranked_word = RunRanker(p, Path::kWordAnd);
-  const auto ranked_fused = RunRanker(p, Path::kFused);
-  const auto ranked_scalar = RunRanker(p, Path::kFusedScalar);
-  const bool orders_match = SameOrder(ranked_word, ranked_fused) &&
-                            SameOrder(ranked_word, ranked_scalar);
+  using Engine = RankerOptions::Engine;
+  const auto ranked_reference = RunRanker(p, Engine::kReferenceSerial, false);
+  const auto ranked_fused = RunRanker(p, Engine::kDeltaParallel, false);
+  const auto ranked_scalar = RunRanker(p, Engine::kDeltaParallel, true);
+  const bool orders_match = SameOrder(ranked_reference, ranked_fused) &&
+                            SameOrder(ranked_reference, ranked_scalar);
 
   const double preds = static_cast<double>(p.predicates.size());
   TablePrinter table({"path", "median_ms", "preds_per_sec", "speedup"});
@@ -237,7 +254,7 @@ void PrintReportAndJson() {
       fused_probe.fused_fallbacks(), fused_probe.fused_compile_ms());
   std::printf("bitmaps identical across paths: %s\n",
               bitmaps_equal ? "yes" : "NO — BUG");
-  std::printf("identical rank orderings (word-AND / fused / scalar): %s\n\n",
+  std::printf("identical rank orderings (reference / fused / scalar): %s\n\n",
               orders_match ? "yes" : "NO — BUG");
 
   FILE* f = std::fopen("BENCH_fused.json", "w");

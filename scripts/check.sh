@@ -14,7 +14,8 @@
 #   scripts/check.sh trace      # just bench_trace (BENCH_trace.json)
 #   scripts/check.sh shard      # bench_shard (BENCH_shard.json)
 #   scripts/check.sh fused      # bench_fused (BENCH_fused.json) +
-#                               # forced-scalar fused tests under asan
+#                               # forced-scalar fused and match kernel
+#                               # tests under asan
 #   scripts/check.sh crash      # kill-point crash-recovery matrix under
 #                               # asan AND tsan (DBWIPES_CRASH_RUNS=200+)
 #   scripts/check.sh wal        # bench_wal (BENCH_wal.json)
@@ -90,12 +91,15 @@ fused_bench() {
   cmake --build --preset default -j "$jobs" --target bench_fused
   (cd build/bench && ./bench_fused --benchmark_min_time=0.05)
   echo "wrote build/bench/BENCH_fused.json"
-  # The equivalence suite again, with the SIMD dispatcher pinned to the
+  # The equivalence suites again, with the SIMD dispatcher pinned to the
   # portable tier, under asan: scalar and vector bodies must be
-  # bit-identical and memory-clean.
+  # bit-identical and memory-clean, for conjunctions and for the clause
+  # bitmaps (one-op programs) checked against the boxed oracles.
   cmake --preset asan >/dev/null
-  cmake --build --preset asan -j "$jobs" --target fused_kernels_test
+  cmake --build --preset asan -j "$jobs" --target fused_kernels_test \
+      match_kernels_test
   DBWIPES_SIMD=off ./build-asan/tests/fused_kernels_test
+  DBWIPES_SIMD=off ./build-asan/tests/match_kernels_test
 }
 
 crash() {

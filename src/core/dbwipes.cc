@@ -281,7 +281,6 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
     p.cache_hits = rs.cache_hits;
     p.cache_misses = rs.cache_misses;
     p.bitmaps_materialized = rs.bitmaps_materialized;
-    p.boxed_fallbacks = rs.boxed_fallbacks;
     p.fused_lookups = rs.fused_lookups;
     p.fused_hits = rs.fused_hits;
     p.fused_compiles = rs.fused_compiles;
@@ -314,8 +313,8 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
         if (ss.engine_reused) ++p.shard_engines_reused;
         p.shards.push_back(lane);
       }
-      // Skew from the plan (valid even when ranking degraded to the
-      // boxed path): max shard suspect share over the even share.
+      // Skew from the plan: max shard suspect share over the even
+      // share.
       const size_t total = out.preprocess.suspect_inputs.size();
       if (total > 0 && !shard_plan.slices.empty()) {
         size_t biggest = 0;

@@ -168,8 +168,6 @@ void WriteProfile(JsonWriter* w, const ExplainProfile& p) {
   w->Number(p.cache_misses);
   w->Key("bitmaps_materialized");
   w->Number(p.bitmaps_materialized);
-  w->Key("boxed_fallbacks");
-  w->Number(p.boxed_fallbacks);
   w->Key("fused");
   w->BeginObject();
   w->Key("lookups");

@@ -72,7 +72,7 @@ void FinishScore(const RankerOptions& options, bool have_reference,
               options.w_complexity * complexity;
 }
 
-/// FNV-1a fold of per-shard bitmap part hashes: with a fixed shard
+/// FNV-1a fold of per-slice bitmap part hashes: with a fixed slice
 /// plan every predicate's parts have identical shapes, so part-vector
 /// equality is global-bitmap equality.
 uint64_t HashParts(const std::vector<Bitmap>& parts) {
@@ -183,62 +183,71 @@ Result<RankOutcome> PredicateRanker::RankDelta(
   }
   const RemovalScorer& scorer = scorer_r.ValueUnsafe();
 
-  // The reference set as a positional bitmap over F: tp of a predicate
-  // is then a popcount of the AND.
-  Bitmap reference_bitmap(suspects.size());
-  if (have_reference) {
-    for (size_t i = 0; i < suspects.size(); ++i) {
-      if (std::binary_search(reference_positive.begin(),
-                             reference_positive.end(), suspects[i])) {
-        reference_bitmap.Set(i);
-      }
-    }
-  }
-
   std::vector<RankedPredicate> scored(n);
-  std::vector<Bitmap> matched(n);
   ParallelOptions popts;
   popts.num_threads = options_.num_threads;
   popts.ctx = &ctx;
 
-  // Vectorized matching: enumerators emit conjunctions that share
-  // single-attribute clauses (threshold families, repeated categorical
-  // equalities), so each distinct clause is scanned ONCE by a typed
-  // kernel — chunked over the same pool — and a predicate's bitmap is
-  // an AND of cached words. MatchPrepared is const, so the scoring
-  // loop below reads the cache concurrently without synchronization.
-  MatchEngine engine(table, suspects);
-  bool use_kernels = options_.use_match_kernels;
-  RankStats stats;
-
-  // Sharded kernel path: one cached engine per shard, each matching
-  // over that shard's slice of the suspect universe in shard-local
-  // coordinates. The per-set cache is what survives between explains —
-  // an append grows only the tail shard's table, so every other
-  // shard's engine passes the freshness check and returns warm.
-  bool shard_scoring = use_kernels && shards != nullptr &&
-                       shards->set != nullptr && !shards->slices.empty();
-  const size_t num_slices = shard_scoring ? shards->slices.size() : 0;
+  // Matching runs per slice: one shard's share of the suspect rows, in
+  // that shard's row numbering. A sharded run takes the plan's slices on
+  // the set's cached per-shard engines, which is what survives between
+  // explains (an append grows only the tail shard's table, so every
+  // other shard's engine passes the freshness check and returns warm);
+  // an unsharded run is one slice on a fresh engine. Each engine scans
+  // every distinct clause ONCE, chunked over the pool, and matches a
+  // predicate by a fused one-pass scan or an AND of cached words.
+  // MatchPrepared is const, so the scoring loop below reads the caches
+  // concurrently without synchronization.
   std::shared_ptr<ShardEngineCache> cache;
-  std::vector<std::unique_ptr<MatchEngine>> shard_engines(num_slices);
+  std::vector<ShardSlice> whole;
+  if (shards != nullptr && shards->set != nullptr && !shards->slices.empty()) {
+    cache = ShardEngineCache::For(*shards->set);
+  } else {
+    whole.push_back({0, &table, suspects, 0});
+  }
+  const std::vector<ShardSlice>& slices =
+      cache != nullptr ? shards->slices : whole;
+  const size_t num_slices = slices.size();
+  std::vector<std::unique_ptr<MatchEngine>> engines(num_slices);
   std::vector<Bitmap> ref_parts(num_slices);
   std::vector<size_t> offsets(num_slices, 0);
+  std::vector<ShardRankStats> lanes(num_slices);
+  RankStats stats;
+  for (size_t s = 0; s < num_slices; ++s) {
+    const ShardSlice& slice = slices[s];
+    offsets[s] = slice.offset;
+    lanes[s].shard_index = slice.shard_index;
+    lanes[s].rows = slice.table->num_rows();
+    lanes[s].suspects = slice.local_rows.size();
+    // The reference set as a positional bitmap over the slice: tp of a
+    // predicate is then a popcount of the AND.
+    ref_parts[s] = Bitmap(slice.local_rows.size());
+    for (size_t i = 0; have_reference && i < slice.local_rows.size(); ++i) {
+      if (std::binary_search(reference_positive.begin(),
+                             reference_positive.end(),
+                             suspects[slice.offset + i])) {
+        ref_parts[s].Set(i);
+      }
+    }
+  }
+
   // Reused engines carry cumulative counters across explains; per-run
   // stats are deltas from these checkout-time snapshots.
   struct CounterBase {
-    size_t lookups = 0, hits = 0, misses = 0, mats = 0, boxed = 0;
+    size_t lookups = 0, hits = 0, misses = 0, mats = 0;
     size_t f_lookups = 0, f_hits = 0, f_compiles = 0, f_fallbacks = 0;
     size_t f_evals = 0;
     double f_compile_ms = 0.0;
   };
   std::vector<CounterBase> bases(num_slices);
-  // Fills per-shard stat lanes from the counter deltas and returns
-  // every engine to the cache warm; safe to call at most once.
-  auto finish_shards = [&]() {
-    for (size_t s = 0; s < shard_engines.size(); ++s) {
-      if (shard_engines[s] == nullptr) continue;
-      ShardRankStats& ss = stats.shard_stats[s];
-      const MatchEngine& se = *shard_engines[s];
+  // Fills the stat lanes from the counter deltas, folds them into the
+  // totals and returns shard engines to the cache warm; safe to call at
+  // most once.
+  auto finish = [&]() {
+    for (size_t s = 0; s < num_slices; ++s) {
+      if (engines[s] == nullptr) continue;
+      ShardRankStats& ss = lanes[s];
+      const MatchEngine& se = *engines[s];
       ss.clause_lookups = se.clause_lookups() - bases[s].lookups;
       ss.cache_hits = se.cache_hits() - bases[s].hits;
       ss.cache_misses = se.cache_misses() - bases[s].misses;
@@ -254,7 +263,6 @@ Result<RankOutcome> PredicateRanker::RankDelta(
       stats.cache_hits += ss.cache_hits;
       stats.cache_misses += ss.cache_misses;
       stats.bitmaps_materialized += ss.bitmaps_materialized;
-      stats.boxed_fallbacks += se.boxed_fallbacks() - bases[s].boxed;
       stats.fused_lookups += ss.fused_lookups;
       stats.fused_hits += ss.fused_hits;
       stats.fused_compiles += ss.fused_compiles;
@@ -264,97 +272,59 @@ Result<RankOutcome> PredicateRanker::RankDelta(
       stats.fused_compile_ms +=
           se.fused_compile_ms() - bases[s].f_compile_ms;
       if (stats.simd_tier.empty()) stats.simd_tier = SimdTierName(se.simd_tier());
-      cache->Checkin(ss.shard_index, std::move(shard_engines[s]));
+      if (cache != nullptr) {
+        cache->Checkin(ss.shard_index, std::move(engines[s]));
+      }
     }
+    if (cache != nullptr) stats.shard_stats = std::move(lanes);
   };
 
   std::vector<const Predicate*> preds;
-  if (use_kernels) {
-    preds.reserve(n);
-    for (const EnumeratedPredicate& ep : predicates) {
-      preds.push_back(&ep.predicate);
-    }
+  preds.reserve(n);
+  for (const EnumeratedPredicate& ep : predicates) {
+    preds.push_back(&ep.predicate);
   }
-  if (shard_scoring) {
-    cache = ShardEngineCache::For(*shards->set);
-    stats.shard_stats.resize(num_slices);
-    const auto t_mat = std::chrono::steady_clock::now();
-    Status materialized = Status::OK();
-    // Shards materialize serially (each internally chunked over the
-    // pool), so per-shard wall times are honest and the budget charge
-    // order is deterministic.
-    for (size_t s = 0; s < num_slices && materialized.ok(); ++s) {
-      const ShardSlice& slice = shards->slices[s];
-      offsets[s] = slice.offset;
-      ShardRankStats& ss = stats.shard_stats[s];
-      ss.shard_index = slice.shard_index;
-      ss.rows = slice.table->num_rows();
-      ss.suspects = slice.local_rows.size();
-      materialized = [&]() -> Status {
-        DBW_FAULT(ctx, "ranker/shard");
-        return Status::OK();
-      }();
+  const auto t_mat = std::chrono::steady_clock::now();
+  Status materialized = Status::OK();
+  // Slices materialize serially (each internally chunked over the
+  // pool), so per-slice wall times are honest and the budget charge
+  // order is deterministic.
+  for (size_t s = 0; s < num_slices && materialized.ok(); ++s) {
+    const ShardSlice& slice = slices[s];
+    if (cache != nullptr) {
+      if (ctx.faults != nullptr) materialized = ctx.faults->Hit("ranker/shard");
       if (!materialized.ok()) break;
       ShardEngineCache::Checkout co = cache->CheckoutEngine(
           slice.shard_index, *slice.table, slice.local_rows);
-      ss.engine_reused = co.reused;
-      bases[s] = {co.engine->clause_lookups(),
-                  co.engine->cache_hits(),
-                  co.engine->cache_misses(),
-                  co.engine->bitmaps_materialized(),
-                  co.engine->boxed_fallbacks(),
-                  co.engine->fused_lookups(),
-                  co.engine->fused_hits(),
-                  co.engine->fused_compiles(),
-                  co.engine->fused_fallbacks(),
-                  co.engine->fused_evals(),
-                  co.engine->fused_compile_ms()};
-      shard_engines[s] = std::move(co.engine);
-      const auto t_shard = std::chrono::steady_clock::now();
-      materialized = shard_engines[s]->Materialize(preds, popts);
-      ss.materialize_ms =
-          MillisBetween(t_shard, std::chrono::steady_clock::now());
-      ref_parts[s] = Bitmap(slice.local_rows.size());
-      if (have_reference) {
-        for (size_t i = 0; i < slice.local_rows.size(); ++i) {
-          if (reference_bitmap.Test(slice.offset + i)) ref_parts[s].Set(i);
-        }
-      }
+      lanes[s].engine_reused = co.reused;
+      engines[s] = std::move(co.engine);
+    } else {
+      engines[s] =
+          std::make_unique<MatchEngine>(*slice.table, slice.local_rows);
     }
-    stats.materialize_ms =
-        MillisBetween(t_mat, std::chrono::steady_clock::now());
-    if (!materialized.ok()) {
-      // An interrupted shard rolled its fresh entries back; completed
-      // shards stay warm for the next run either way.
-      finish_shards();
-      stats.shard_stats.clear();
-      if (materialized.IsResourceExhausted()) {
-        use_kernels = false;  // degrade to the fused boxed path below
-        shard_scoring = false;
-      } else if (materialized.IsInterrupt()) {
-        return MakeOutcome({}, 0, n, ctx, false);
-      } else {
-        return materialized;
-      }
-    }
-  } else if (use_kernels) {
-    const auto t_mat = std::chrono::steady_clock::now();
-    Status materialized = engine.Materialize(preds, popts);
-    stats.materialize_ms =
-        MillisBetween(t_mat, std::chrono::steady_clock::now());
-    if (!materialized.ok()) {
-      if (materialized.IsResourceExhausted()) {
-        // Bitmap budget cannot hold the clause cache: degrade to boxed
-        // per-predicate matching, which allocates one bitmap at a time.
-        use_kernels = false;
-      } else if (materialized.IsInterrupt()) {
-        return MakeOutcome({}, 0, n, ctx, false);
-      } else {
-        return materialized;
-      }
-    }
+    const MatchEngine& e = *engines[s];
+    bases[s] = {e.clause_lookups(),   e.cache_hits(),
+                e.cache_misses(),     e.bitmaps_materialized(),
+                e.fused_lookups(),    e.fused_hits(),
+                e.fused_compiles(),   e.fused_fallbacks(),
+                e.fused_evals(),      e.fused_compile_ms()};
+    const auto t_slice = std::chrono::steady_clock::now();
+    materialized = engines[s]->Materialize(preds, popts);
+    lanes[s].materialize_ms =
+        MillisBetween(t_slice, std::chrono::steady_clock::now());
   }
-  std::vector<std::vector<Bitmap>> matched_parts(shard_scoring ? n : 0);
+  stats.materialize_ms = MillisBetween(t_mat, std::chrono::steady_clock::now());
+  // A failed slice rolled its fresh entries back; the other engines stay
+  // warm for the next run either way. When the bitmap budget cannot hold
+  // the clause caches, matching degrades to Bind per predicate and
+  // slice, which allocates one bitmap at a time.
+  const bool use_kernels = materialized.ok();
+  if (!use_kernels && !materialized.IsResourceExhausted()) {
+    finish();
+    if (materialized.IsInterrupt()) return MakeOutcome({}, 0, n, ctx, false);
+    return materialized;
+  }
+  std::vector<std::vector<Bitmap>> matched_parts(n);
 
   // Anytime scoring: predicates are processed in fixed-size blocks and
   // a block marks itself done only after scoring every member. On an
@@ -393,39 +363,25 @@ Result<RankOutcome> PredicateRanker::RankDelta(
           RankedPredicate& rp = scored[i];
           rp.predicate = ep.predicate;
           rp.strategy = ep.strategy;
-          RemovalScorer::Errors errors;
+          std::vector<Bitmap>& parts = matched_parts[i];
+          parts.resize(num_slices);
           size_t tp = 0;
-          if (shard_scoring) {
-            // Per-shard bitmaps, folded in slice order: offsets ascend,
-            // so removals apply in ascending global suspect order and
-            // every sum visits the same operands as the fused path.
-            std::vector<Bitmap> parts(num_slices);
-            size_t count = 0;
-            for (size_t s = 0; s < num_slices; ++s) {
-              DBW_ASSIGN_OR_RETURN(
-                  parts[s],
-                  shard_engines[s]->MatchPrepared(ep.predicate, ctx));
-              count += parts[s].CountOnes();
-              if (have_reference) tp += parts[s].CountAnd(ref_parts[s]);
-            }
-            rp.matched_in_suspects = count;
-            errors = scorer.ErrorsAfterParts(metric, parts, offsets);
-            matched_parts[i] = std::move(parts);
-          } else {
-            Bitmap bm;
+          for (size_t s = 0; s < num_slices; ++s) {
             if (use_kernels) {
-              DBW_ASSIGN_OR_RETURN(bm,
-                                   engine.MatchPrepared(ep.predicate, ctx));
+              DBW_ASSIGN_OR_RETURN(
+                  parts[s], engines[s]->MatchPrepared(ep.predicate, ctx));
             } else {
               DBW_ASSIGN_OR_RETURN(BoundPredicate bound,
-                                   ep.predicate.Bind(table));
-              bm = bound.MatchBitmap(suspects);
+                                   ep.predicate.Bind(*slices[s].table));
+              parts[s] = bound.MatchBitmap(slices[s].local_rows);
             }
-            rp.matched_in_suspects = bm.CountOnes();
-            errors = scorer.ErrorsAfter(metric, bm);
-            if (have_reference) tp = bm.CountAnd(reference_bitmap);
-            matched[i] = std::move(bm);
+            rp.matched_in_suspects += parts[s].CountOnes();
+            if (have_reference) tp += parts[s].CountAnd(ref_parts[s]);
           }
+          // Parts fold in slice order: offsets ascend, so removals apply
+          // in ascending suspect order at every shard count.
+          const RemovalScorer::Errors errors =
+              scorer.ErrorsAfterParts(metric, parts, offsets);
           rp.error_after = errors.raw;
           FinishScore(options_, have_reference, w_error, w_acc,
                       per_group_baseline, errors.per_group, tp,
@@ -438,7 +394,7 @@ Result<RankOutcome> PredicateRanker::RankDelta(
       popts);
   stats.score_ms = MillisBetween(t_score, std::chrono::steady_clock::now());
   if (!scan.ok() && !scan.IsInterrupt()) {
-    if (shard_scoring) finish_shards();  // hand engines back warm
+    finish();  // hand engines back warm
     return scan;
   }
 
@@ -447,42 +403,17 @@ Result<RankOutcome> PredicateRanker::RankDelta(
   while (done_blocks < num_blocks && block_done[done_blocks]) ++done_blocks;
   const size_t prefix = std::min(n, done_blocks * kScoreBlock);
   scored.resize(prefix);
-  matched.resize(prefix);
-  if (shard_scoring) matched_parts.resize(prefix);
-  std::vector<RankedPredicate> ranked =
-      shard_scoring
-          ? CombinePartialRankings(
-                &scored, [&](size_t i) { return HashParts(matched_parts[i]); },
-                [&](size_t a, size_t b) {
-                  return matched_parts[a] == matched_parts[b];
-                },
-                options_.top_k)
-          : CombinePartialRankings(
-                &scored, [&](size_t i) { return matched[i].Hash(); },
-                [&](size_t a, size_t b) { return matched[a] == matched[b]; },
-                options_.top_k);
+  matched_parts.resize(prefix);
+  std::vector<RankedPredicate> ranked = CombinePartialRankings(
+      &scored, [&](size_t i) { return HashParts(matched_parts[i]); },
+      [&](size_t a, size_t b) { return matched_parts[a] == matched_parts[b]; },
+      options_.top_k);
 
   stats.blocks_total = num_blocks;
   stats.blocks_done = done_blocks;
   stats.block_ms = std::move(block_ms);
   stats.used_kernels = use_kernels;
-  if (shard_scoring) {
-    finish_shards();  // top-level counters become the lane sums
-  } else {
-    stats.clause_lookups = engine.clause_lookups();
-    stats.cache_hits = engine.cache_hits();
-    stats.cache_misses = engine.cache_misses();
-    stats.bitmaps_materialized = engine.bitmaps_materialized();
-    stats.boxed_fallbacks = engine.boxed_fallbacks();
-    stats.fused_lookups = engine.fused_lookups();
-    stats.fused_hits = engine.fused_hits();
-    stats.fused_compiles = engine.fused_compiles();
-    stats.fused_fallbacks = engine.fused_fallbacks();
-    stats.fused_evals = engine.fused_evals();
-    stats.fused_programs = engine.num_fused_programs();
-    stats.fused_compile_ms = engine.fused_compile_ms();
-    if (use_kernels) stats.simd_tier = SimdTierName(engine.simd_tier());
-  }
+  finish();  // top-level counters become the lane sums
   Metrics().blocks_scored->Increment(done_blocks);
   Metrics().predicates_scored->Increment(prefix);
 

@@ -90,15 +90,6 @@ std::vector<double> RemovalScorer::ValuesAfterRemoval(
   return ValuesImpl([&](const auto& apply) { matched.ForEachSet(apply); });
 }
 
-std::vector<double> RemovalScorer::ValuesAfterRemovalMask(
-    const std::vector<char>& matched) const {
-  return ValuesImpl([&](const auto& apply) {
-    for (size_t i = 0; i < matched.size(); ++i) {
-      if (matched[i]) apply(i);
-    }
-  });
-}
-
 std::vector<double> RemovalScorer::ValuesAfterRemovalRows(
     const std::vector<RowId>& rows) const {
   return ValuesImpl([&](const auto& apply) {
@@ -107,17 +98,6 @@ std::vector<double> RemovalScorer::ValuesAfterRemovalRows(
       if (it != suspect_index_.end()) apply(it->second);
     }
   });
-}
-
-double RemovalScorer::ErrorAfter(const ErrorMetric& metric,
-                                 const Bitmap& matched) const {
-  return metric.Error(ValuesAfterRemoval(matched));
-}
-
-RemovalScorer::Errors RemovalScorer::ErrorsAfter(const ErrorMetric& metric,
-                                                 const Bitmap& matched) const {
-  const std::vector<double> values = ValuesAfterRemoval(matched);
-  return {metric.Error(values), PerGroupError(metric, values)};
 }
 
 RemovalScorer::Errors RemovalScorer::ErrorsAfterParts(

@@ -41,9 +41,9 @@ inline uint64_t TailMask(size_t limit) {
 }
 
 // ---------------------------------------------------------------------
-// Scalar tier: 64 rows per word through the same comparison expressions
-// as the per-clause kernels (match_kernels.cc), so the fused result is
-// bit-identical to materialize+AND by construction.
+// Scalar tier: 64 rows per word. Cached clause bitmaps are one-op
+// programs run through this same evaluator (match_kernels.cc), so a
+// fused result is bit-identical to materialize+AND by construction.
 // ---------------------------------------------------------------------
 
 template <typename Fn>
@@ -385,10 +385,6 @@ void AppendBitmapRef(uint32_t ref_slot, FusedProgram* prog) {
   op.body = FusedOp::Body::kBitmapRef;
   op.ref_slot = ref_slot;
   prog->ops.push_back(op);
-}
-
-bool ClauseOpHasSimdBody(const CompiledClause& cc) {
-  return !(!cc.is_string && cc.op == CompareOp::kIn);
 }
 
 void EvalFusedWords(const FusedProgram& prog, SimdTier tier,

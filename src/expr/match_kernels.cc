@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <unordered_set>
 
@@ -27,7 +26,6 @@ struct MatchMetrics {
   MetricCounter* cache_hits;
   MetricCounter* cache_misses;
   MetricCounter* bitmaps_materialized;
-  MetricCounter* boxed_fallbacks;
   MetricCounter* fused_lookups;
   MetricCounter* fused_hits;
   MetricCounter* fused_compiles;
@@ -42,7 +40,6 @@ const MatchMetrics& Metrics() {
       MetricsRegistry::Global().GetCounter("match.cache_hits"),
       MetricsRegistry::Global().GetCounter("match.cache_misses"),
       MetricsRegistry::Global().GetCounter("match.bitmaps_materialized"),
-      MetricsRegistry::Global().GetCounter("match.boxed_fallbacks"),
       MetricsRegistry::Global().GetCounter("match.fused_lookups"),
       MetricsRegistry::Global().GetCounter("match.fused_hits"),
       MetricsRegistry::Global().GetCounter("match.fused_compiles"),
@@ -50,12 +47,6 @@ const MatchMetrics& Metrics() {
       MetricsRegistry::Global().GetCounter("match.fused_evals"),
   };
   return m;
-}
-
-bool FusedEnabledFromEnv() {
-  const char* env = std::getenv("DBWIPES_FUSED");
-  if (env == nullptr) return true;
-  return !(std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0);
 }
 
 double MsSince(std::chrono::steady_clock::time_point t0) {
@@ -113,115 +104,6 @@ std::string PredicateKey(std::vector<std::string> clause_keys) {
     out += k;
   }
   return out;
-}
-
-/// Emits whole bitmap words: bit b of word wi answers pred(rows[wi*64+b]).
-template <typename Pred>
-void ScanWords(const std::vector<RowId>& rows, size_t word_begin,
-               size_t word_end, const Pred& pred, Bitmap* out) {
-  const size_t n = rows.size();
-  for (size_t wi = word_begin; wi < word_end; ++wi) {
-    const size_t base = wi * 64;
-    const size_t limit = std::min<size_t>(64, n - base);
-    uint64_t w = 0;
-    for (size_t b = 0; b < limit; ++b) {
-      w |= static_cast<uint64_t>(pred(rows[base + b])) << b;
-    }
-    out->set_word(wi, w);
-  }
-}
-
-/// Numeric clause kernels, generic over the raw-storage loader (int64
-/// widens to double, matching Column::AsDouble). Nulls are folded in
-/// with bitwise & — the null slot holds a harmless default, so both
-/// sides evaluate unconditionally and the row loop stays branch-free.
-template <typename Loader>
-void ScanNumeric(const CompiledClause& c, const std::vector<RowId>& rows,
-                 size_t word_begin, size_t word_end, const Loader& load,
-                 Bitmap* out) {
-  const Column& col = *c.column;
-  const double t = c.threshold;
-  auto scan = [&](auto cmp) {
-    if (col.has_nulls()) {
-      ScanWords(
-          rows, word_begin, word_end,
-          [&](RowId r) { return static_cast<bool>(!col.IsNull(r) & cmp(load(r))); },
-          out);
-    } else {
-      ScanWords(rows, word_begin, word_end,
-                [&](RowId r) { return cmp(load(r)); }, out);
-    }
-  };
-  switch (c.op) {
-    case CompareOp::kEq:
-      scan([t](double v) { return v == t; });
-      break;
-    case CompareOp::kNe:
-      scan([t](double v) { return v != t; });
-      break;
-    case CompareOp::kLt:
-      scan([t](double v) { return v < t; });
-      break;
-    case CompareOp::kLe:
-      // Negated strict comparisons, same as Clause::Matches: NaN
-      // satisfies kLe/kGe (neither side of < holds).
-      scan([t](double v) { return !(t < v); });
-      break;
-    case CompareOp::kGt:
-      scan([t](double v) { return t < v; });
-      break;
-    case CompareOp::kGe:
-      scan([t](double v) { return !(v < t); });
-      break;
-    case CompareOp::kIn:
-      scan([&c](double v) {
-        return !std::isnan(v) && std::binary_search(c.in_numbers.begin(),
-                                                    c.in_numbers.end(), v);
-      });
-      break;
-    case CompareOp::kContains:
-      DBW_CHECK(false) << "CONTAINS kernel on numeric column";
-  }
-}
-
-/// String clause kernels over dictionary codes. The null sentinel code
-/// -1 needs no validity lookup: kEq compares against a code >= -2 (or
-/// -2 for absent literals), kNe requires code >= 0, and the kIn /
-/// kContains truth table is shifted by one so index 0 (code -1) is
-/// always false.
-void ScanString(const CompiledClause& c, const std::vector<RowId>& rows,
-                size_t word_begin, size_t word_end, Bitmap* out) {
-  const int32_t* codes = c.column->code_data().data();
-  switch (c.op) {
-    case CompareOp::kEq: {
-      const int32_t key = c.code;
-      ScanWords(rows, word_begin, word_end,
-                [codes, key](RowId r) { return codes[r] == key; }, out);
-      break;
-    }
-    case CompareOp::kNe: {
-      const int32_t key = c.code;
-      ScanWords(
-          rows, word_begin, word_end,
-          [codes, key](RowId r) {
-            return static_cast<bool>((codes[r] >= 0) & (codes[r] != key));
-          },
-          out);
-      break;
-    }
-    case CompareOp::kIn:
-    case CompareOp::kContains: {
-      const uint8_t* table = c.code_table.data();
-      ScanWords(rows, word_begin, word_end,
-                [codes, table](RowId r) {
-                  return table[codes[r] + 1] != 0;
-                },
-                out);
-      break;
-    }
-    default:
-      DBW_CHECK(false) << "ordered kernel on string column";
-  }
 }
 
 }  // namespace
@@ -312,29 +194,11 @@ Result<CompiledClause> CompileClause(const Clause& clause,
   return out;
 }
 
-void MatchClauseWords(const CompiledClause& clause,
-                      const std::vector<RowId>& rows, size_t word_begin,
-                      size_t word_end, Bitmap* out) {
-  if (clause.is_string) {
-    ScanString(clause, rows, word_begin, word_end, out);
-  } else if (clause.column->type() == DataType::kInt64) {
-    const int64_t* data = clause.column->int64_data().data();
-    ScanNumeric(clause, rows, word_begin, word_end,
-                [data](RowId r) { return static_cast<double>(data[r]); },
-                out);
-  } else {
-    const double* data = clause.column->double_data().data();
-    ScanNumeric(clause, rows, word_begin, word_end,
-                [data](RowId r) { return data[r]; }, out);
-  }
-}
-
 MatchEngine::MatchEngine(const Table& table, std::vector<RowId> rows)
     : table_(&table),
       rows_(std::move(rows)),
       built_num_rows_(table.num_rows()),
-      tier_(ResolveSimdTier()),
-      fused_enabled_(FusedEnabledFromEnv()) {
+      tier_(ResolveSimdTier()) {
   // A contiguous universe (the common full-table / dense-suspect case)
   // lets the SIMD tier use plain loads instead of gathers.
   rows_contiguous_ = true;
@@ -372,16 +236,16 @@ MatchEngine::ClauseEntry* MatchEngine::EnsureClause(const Clause& clause,
   ClauseEntry entry;
   Result<CompiledClause> compiled = CompileClause(clause, *table_);
   if (compiled.ok()) {
-    entry.supported = true;
+    FusedProgram prog;
+    AppendClauseOp(*compiled, EnsureValidity(*compiled, nullptr), &prog);
     entry.bits = Bitmap(rows_.size());
-    MatchClauseWords(*compiled, rows_, 0, entry.bits.num_words(),
-                     &entry.bits);
+    EvalWords(prog, nullptr, 0, entry.bits.num_words(), &entry.bits);
     ++bitmaps_materialized_;
     Metrics().bitmaps_materialized->Increment();
+  } else {
+    // Cached with its error, which is Bind's error for the clause.
+    entry.status = compiled.status();
   }
-  // Clauses the kernels cannot translate stay cached as unsupported;
-  // predicates touching them fall back to the boxed path, where Bind
-  // reports the same failure (or handles the shape).
   const size_t slot = entries_.size();
   index_.emplace(key, slot);
   entries_.push_back(std::move(entry));
@@ -395,12 +259,9 @@ Status MatchEngine::Materialize(
   const ExecContext& ctx =
       options.ctx != nullptr ? *options.ctx : ExecContext::None();
   DBW_FAULT(ctx, "match/materialize");
-  if (fused_enabled_) {
-    // Fused-conjunction planning is part of every materialize batch, so
-    // the site trips whenever fused compilation is on (nothing has been
-    // mutated yet; an injected error needs no rollback).
-    DBW_FAULT(ctx, "match/fused");
-  }
+  // Fused-conjunction planning is part of every materialize batch
+  // (nothing has been mutated yet; an injected error needs no rollback).
+  DBW_FAULT(ctx, "match/fused");
   DBW_TRACE_SPAN("match/materialize");
   Metrics().materialize_calls->Increment();
 
@@ -450,19 +311,14 @@ Status MatchEngine::Materialize(
   // Batch-local compile cache shared by the fused planner and the
   // clause materializer, so no clause compiles twice per batch.
   // unordered_map values are pointer-stable across inserts.
-  std::unordered_map<std::string, CompiledClause> compiled_ok;
-  std::unordered_set<std::string> compile_failed;
-  auto compile_key = [&](const Clause& c,
-                         const std::string& key) -> const CompiledClause* {
-    auto it = compiled_ok.find(key);
-    if (it != compiled_ok.end()) return &it->second;
-    if (compile_failed.count(key) != 0) return nullptr;
-    Result<CompiledClause> r = CompileClause(c, *table_);
-    if (!r.ok()) {
-      compile_failed.insert(key);
-      return nullptr;
+  std::unordered_map<std::string, Result<CompiledClause>> compiled;
+  auto compile_key = [&](const Clause& c, const std::string& key)
+      -> const Result<CompiledClause>& {
+    auto it = compiled.find(key);
+    if (it == compiled.end()) {
+      it = compiled.emplace(key, CompileClause(c, *table_)).first;
     }
-    return &compiled_ok.emplace(key, *std::move(r)).first->second;
+    return it->second;
   };
 
   // Pass 1 (serial): plan fused programs for multi-clause predicates.
@@ -485,66 +341,63 @@ Status MatchEngine::Materialize(
   std::unordered_set<std::string> planned_keys;  // batch-local dedupe
   // handled[i]: 0 = word-AND path, 1 = program planned or cached.
   std::vector<uint8_t> handled(predicates.size(), 0);
-  if (fused_enabled_) {
-    const auto plan_t0 = std::chrono::steady_clock::now();
-    for (size_t i = 0; i < predicates.size(); ++i) {
-      if (pred_keys[i].size() < 2) continue;  // nothing to fuse
-      ++fused_lookups_;
-      Metrics().fused_lookups->Increment();
-      std::string pred_key = PredicateKey(pred_keys[i]);
-      if (fused_index_.count(pred_key) != 0 ||
-          planned_keys.count(pred_key) != 0) {
-        ++fused_hits_;
-        Metrics().fused_hits->Increment();
-        handled[i] = 1;
-        continue;
-      }
-      PlannedProgram plan;
-      plan.pred_key = std::move(pred_key);
-      const auto& clauses = predicates[i]->clauses();
-      bool fusible = true;
-      size_t inline_count = 0;
-      for (size_t j = 0; j < clauses.size(); ++j) {
-        PlannedOp op{&pred_keys[i][j], &clauses[j], false};
-        auto cached = index_.find(*op.key);
-        if (cached != index_.end()) {
-          // An unsupported cached clause has no bitmap to reference;
-          // the predicate must keep boxing via the word-AND path.
-          if (!entries_[cached->second].supported) {
-            fusible = false;
-            break;
-          }
-        } else {
-          const CompiledClause* cc = compile_key(clauses[j], *op.key);
-          if (cc == nullptr) {
-            fusible = false;
-            break;
-          }
-          op.inline_op = key_freq[*op.key] == 1;
-          inline_count += op.inline_op ? 1 : 0;
-        }
-        plan.ops.push_back(op);
-      }
-      if (!fusible || inline_count == 0) {
-        ++fused_fallbacks_;
-        Metrics().fused_fallbacks->Increment();
-        continue;
-      }
-      ++fused_compiles_;
-      Metrics().fused_compiles->Increment();
+  const auto plan_t0 = std::chrono::steady_clock::now();
+  for (size_t i = 0; i < predicates.size(); ++i) {
+    if (pred_keys[i].size() < 2) continue;  // nothing to fuse
+    ++fused_lookups_;
+    Metrics().fused_lookups->Increment();
+    std::string pred_key = PredicateKey(pred_keys[i]);
+    if (fused_index_.count(pred_key) != 0 ||
+        planned_keys.count(pred_key) != 0) {
+      ++fused_hits_;
+      Metrics().fused_hits->Increment();
       handled[i] = 1;
-      planned_keys.insert(plan.pred_key);
-      planned.push_back(std::move(plan));
+      continue;
     }
-    fused_compile_ms_ += MsSince(plan_t0);
+    PlannedProgram plan;
+    plan.pred_key = std::move(pred_key);
+    const auto& clauses = predicates[i]->clauses();
+    bool fusible = true;
+    size_t inline_count = 0;
+    for (size_t j = 0; j < clauses.size(); ++j) {
+      PlannedOp op{&pred_keys[i][j], &clauses[j], false};
+      auto cached = index_.find(*op.key);
+      // A clause that does not compile has no bitmap to reference or
+      // op to inline; the word-AND path returns its cached error.
+      if (cached != index_.end()) {
+        if (!entries_[cached->second].status.ok()) {
+          fusible = false;
+          break;
+        }
+      } else {
+        if (!compile_key(clauses[j], *op.key).ok()) {
+          fusible = false;
+          break;
+        }
+        op.inline_op = key_freq[*op.key] == 1;
+        inline_count += op.inline_op ? 1 : 0;
+      }
+      plan.ops.push_back(op);
+    }
+    if (!fusible || inline_count == 0) {
+      ++fused_fallbacks_;
+      Metrics().fused_fallbacks->Increment();
+      continue;
+    }
+    ++fused_compiles_;
+    Metrics().fused_compiles->Increment();
+    handled[i] = 1;
+    planned_keys.insert(plan.pred_key);
+    planned.push_back(std::move(plan));
   }
+  fused_compile_ms_ += MsSince(plan_t0);
 
   // Pass 2 (serial): dedupe and compile the distinct new clauses that
   // still need cached bitmaps — every clause of word-AND predicates,
   // but only the bitmap-reference clauses of planned programs (inline
   // clauses are the fusion win: no intermediate bitmap exists).
   std::vector<size_t> fresh;  // entry slots awaiting a scan
-  std::vector<const CompiledClause*> programs;  // index-aligned w/ fresh
+  std::vector<FusedProgram> programs;  // index-aligned with fresh
   const size_t bitmap_bytes = ((rows_.size() + 63) / 64) * sizeof(uint64_t);
   auto ensure_entry = [&](const Clause& c, const std::string& key) -> Status {
     auto it = index_.find(key);
@@ -558,15 +411,18 @@ Status MatchEngine::Materialize(
     Metrics().clause_lookups->Increment();
     Metrics().cache_misses->Increment();
     ClauseEntry entry;
-    const CompiledClause* compiled = compile_key(c, key);
-    if (compiled != nullptr) {
+    const Result<CompiledClause>& cc = compile_key(c, key);
+    if (cc.ok()) {
       if (ctx.budget != nullptr) {
         DBW_RETURN_NOT_OK(ctx.budget->ChargeBitmapBytes(bitmap_bytes));
       }
-      entry.supported = true;
       entry.bits = Bitmap(rows_.size());
       fresh.push_back(entries_.size());
-      programs.push_back(compiled);
+      programs.emplace_back();
+      AppendClauseOp(*cc, EnsureValidity(*cc, &validity_added),
+                     &programs.back());
+    } else {
+      entry.status = cc.status();
     }
     index_.emplace(key, entries_.size());
     entries_.push_back(std::move(entry));
@@ -609,12 +465,9 @@ Status MatchEngine::Materialize(
       FusedEntry fe;
       for (const PlannedOp& op : plan.ops) {
         if (op.inline_op) {
-          const CompiledClause& cc = compiled_ok.at(*op.key);
-          const Bitmap* valid = nullptr;
-          if (!cc.is_string && cc.column->has_nulls()) {
-            valid = EnsureValidity(*cc.column, &validity_added);
-          }
-          AppendClauseOp(cc, valid, &fe.program);
+          const CompiledClause& cc = *compiled.at(*op.key);
+          AppendClauseOp(cc, EnsureValidity(cc, &validity_added),
+                         &fe.program);
         } else {
           AppendBitmapRef(static_cast<uint32_t>(fe.ref_entries.size()),
                           &fe.program);
@@ -627,7 +480,7 @@ Status MatchEngine::Materialize(
     fused_compile_ms_ += MsSince(lower_t0);
   }
 
-  // Pass 4: scan the fresh clause bitmaps.
+  // Pass 4: scan the fresh clause bitmaps (one-op programs).
   const size_t num_words = (rows_.size() + 63) / 64;
   constexpr size_t kWordsPerChunk = 256;  // 16k rows per kernel call
   if (!fresh.empty() &&
@@ -635,8 +488,7 @@ Status MatchEngine::Materialize(
     // Small batch: chunking + pool dispatch overhead beats any
     // parallel win; scan serially with a stop check per clause.
     for (size_t j = 0; j < fresh.size() && !ctx.StopRequested(); ++j) {
-      MatchClauseWords(*programs[j], rows_, 0, num_words,
-                       &entries_[fresh[j]].bits);
+      EvalWords(programs[j], nullptr, 0, num_words, &entries_[fresh[j]].bits);
     }
   } else if (!fresh.empty()) {
     // One flat work list of (clause, word-chunk) items; every item owns
@@ -654,8 +506,8 @@ Status MatchEngine::Materialize(
             const size_t word_end =
                 std::min(num_words, word_begin + kWordsPerChunk);
             if (word_begin < word_end) {
-              MatchClauseWords(*programs[j], rows_, word_begin, word_end,
-                               &entries_[fresh[j]].bits);
+              EvalWords(programs[j], nullptr, word_begin, word_end,
+                        &entries_[fresh[j]].bits);
             }
           },
           options);
@@ -680,8 +532,12 @@ Status MatchEngine::Materialize(
   return cont;
 }
 
-const Bitmap* MatchEngine::EnsureValidity(const Column& col,
+const Bitmap* MatchEngine::EnsureValidity(const CompiledClause& cc,
                                           std::vector<const Column*>* added) {
+  // String kernels read the null sentinel code; a column without nulls
+  // needs no mask.
+  if (cc.is_string || !cc.column->has_nulls()) return nullptr;
+  const Column& col = *cc.column;
   auto it = validity_.find(&col);
   if (it != validity_.end()) return it->second.get();
   // Universe-positional: bit i answers !IsNull(rows_[i]). Heap-owned so
@@ -703,6 +559,13 @@ const Bitmap* MatchEngine::EnsureValidity(const Column& col,
   return raw;
 }
 
+void MatchEngine::EvalWords(const FusedProgram& prog,
+                            const Bitmap* const* refs, size_t word_begin,
+                            size_t word_end, Bitmap* out) const {
+  EvalFusedWords(prog, tier_, rows_.data(), rows_.size(), rows_contiguous_,
+                 refs, word_begin, word_end, out);
+}
+
 Result<Bitmap> MatchEngine::EvalFused(const FusedEntry& fe,
                                       const ExecContext& ctx) const {
   // Resolve reference slots to bitmap pointers now — entries_ may have
@@ -718,8 +581,7 @@ Result<Bitmap> MatchEngine::EvalFused(const FusedEntry& fe,
   for (size_t wb = 0; wb < num_words; wb += kCheckWords) {
     DBW_RETURN_NOT_OK(ctx.CheckContinue());
     const size_t we = std::min(num_words, wb + kCheckWords);
-    EvalFusedWords(fe.program, tier_, rows_.data(), rows_.size(),
-                   rows_contiguous_, refs.data(), wb, we, &out);
+    EvalWords(fe.program, refs.data(), wb, we, &out);
   }
   return out;
 }
@@ -731,7 +593,7 @@ Result<Bitmap> MatchEngine::MatchPrepared(const Predicate& predicate) const {
 Result<Bitmap> MatchEngine::MatchPrepared(const Predicate& predicate,
                                           const ExecContext& ctx) const {
   DBW_RETURN_NOT_OK(CheckFresh());
-  if (fused_enabled_ && predicate.num_clauses() >= 2) {
+  if (predicate.num_clauses() >= 2) {
     std::vector<std::string> keys;
     keys.reserve(predicate.num_clauses());
     for (const Clause& c : predicate.clauses()) keys.push_back(KeyOf(c));
@@ -751,7 +613,7 @@ Result<Bitmap> MatchEngine::MatchPrepared(const Predicate& predicate,
           "MatchPrepared: clause was not materialized: " + c.ToString());
     }
     const ClauseEntry& entry = entries_[it->second];
-    if (!entry.supported) return MatchBoxed(predicate);
+    DBW_RETURN_NOT_OK(entry.status);
     if (first) {
       out = entry.bits;
       first = false;
@@ -777,18 +639,8 @@ Result<Bitmap> MatchEngine::Match(const Predicate& predicate) {
 Result<const Bitmap*> MatchEngine::ClauseBitmap(const Clause& clause) {
   DBW_RETURN_NOT_OK(CheckFresh());
   ClauseEntry* entry = EnsureClause(clause, KeyOf(clause));
-  if (!entry->supported) {
-    return Status::NotImplemented("no match kernel for clause: " +
-                                  clause.ToString());
-  }
+  DBW_RETURN_NOT_OK(entry->status);
   return &entry->bits;
-}
-
-Result<Bitmap> MatchEngine::MatchBoxed(const Predicate& predicate) const {
-  boxed_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  Metrics().boxed_fallbacks->Increment();
-  DBW_ASSIGN_OR_RETURN(BoundPredicate bound, predicate.Bind(*table_));
-  return bound.MatchBitmap(rows_);
 }
 
 }  // namespace dbwipes

@@ -61,13 +61,6 @@ struct RankerOptions {
   /// 1 = single-threaded delta scoring. Output is identical at every
   /// thread count.
   size_t num_threads = 0;
-  /// Delta engine only: match predicates through the vectorized
-  /// MatchEngine (typed clause kernels + shared clause-bitmap cache,
-  /// see dbwipes/expr/match_kernels.h) instead of per-row
-  /// BoundPredicate evaluation. Bitmaps — and therefore orderings —
-  /// are identical either way; off is the differential-testing /
-  /// ablation path.
-  bool use_match_kernels = true;
 };
 
 /// \brief Result of an anytime ranking run.
@@ -119,7 +112,7 @@ struct ShardRankStats {
 /// \brief Telemetry one ranking run produces for the ExplainProfile:
 /// phase wall times, per-block timings, and MatchEngine cache totals.
 struct RankStats {
-  /// MatchEngine::Materialize wall time (0 when kernels are off).
+  /// MatchEngine::Materialize wall time, all slices.
   double materialize_ms = 0.0;
   /// Wall time of the scoring phase (all blocks).
   double score_ms = 0.0;
@@ -129,12 +122,13 @@ struct RankStats {
   /// Wall ms per block, slot-per-block; blocks that never completed
   /// keep 0, so a partial run shows where the deadline cut.
   std::vector<double> block_ms;
+  /// False when the bitmap budget degraded matching to Bind per
+  /// predicate.
   bool used_kernels = false;
   size_t clause_lookups = 0;
   size_t cache_hits = 0;
   size_t cache_misses = 0;
   size_t bitmaps_materialized = 0;
-  size_t boxed_fallbacks = 0;
   // Fused-conjunction counters (DESIGN.md §5i); lookups == hits +
   // compiles + fallbacks, a law the observability test checks.
   size_t fused_lookups = 0;
@@ -147,7 +141,7 @@ struct RankStats {
   /// Wall ms spent planning + lowering fused programs this run.
   double fused_compile_ms = 0.0;
   /// SIMD tier the engines dispatched to ("avx2" / "scalar"; "" when
-  /// kernels were off).
+  /// no engine was built).
   std::string simd_tier;
   /// Sharded runs only: one lane per shard, in shard order (empty for
   /// single-engine runs). The top-level counters above are the lane
@@ -193,7 +187,7 @@ class PredicateRanker {
   /// survive appends to other shards), per-shard partial scores are
   /// folded in ascending-offset order, and the final ranking is
   /// combined by the merger's CombinePartialRankings. Results are
-  /// bit-identical to the fused path at every shard count — a law the
+  /// bit-identical to the unsharded run at every shard count — a law the
   /// equivalence suite checks. The caller must hold the set's
   /// ReadLease() across the call.
   Result<std::vector<RankedPredicate>> Rank(

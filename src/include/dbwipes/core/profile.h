@@ -63,7 +63,6 @@ struct ExplainProfile {
   size_t cache_hits = 0;
   size_t cache_misses = 0;
   size_t bitmaps_materialized = 0;
-  size_t boxed_fallbacks = 0;
 
   // --- Fused conjunctions (one-pass SIMD matching, DESIGN.md §5i) ---
   /// fused_lookups == fused_hits + fused_compiles + fused_fallbacks:
@@ -82,7 +81,7 @@ struct ExplainProfile {
   /// pipeline's per-stage timing lane, alongside materialize_ms).
   double fused_compile_ms = 0.0;
   /// SIMD tier the run dispatched to: "avx2", "scalar", or "" when
-  /// match kernels were off.
+  /// no match engine was built.
   std::string simd_tier;
 
   // --- Shards (sharded tables only; num_shards == 0 otherwise) ---

@@ -61,19 +61,11 @@ class RemovalScorer {
   /// conventions as ValuesAfterRemoval (NaN = group lost its value).
   std::vector<double> ValuesAfterRemoval(const Bitmap& matched) const;
 
-  /// Same, from a byte mask over suspect indices (the exhaustive
-  /// baseline's native coverage representation).
-  std::vector<double> ValuesAfterRemovalMask(
-      const std::vector<char>& matched) const;
-
   /// Same, from an arbitrary RowId set (any order, duplicates not
   /// allowed); rows outside the suspect set are ignored — by
   /// definition they feed no selected group.
   std::vector<double> ValuesAfterRemovalRows(
       const std::vector<RowId>& rows) const;
-
-  /// metric.Error over ValuesAfterRemoval(matched).
-  double ErrorAfter(const ErrorMetric& metric, const Bitmap& matched) const;
 
   /// Per-group mean error (see PerGroupError) plus the raw metric in
   /// one pass, sharing the values vector.
@@ -81,17 +73,16 @@ class RemovalScorer {
     double raw = 0.0;        // eps over the group values
     double per_group = 0.0;  // mean of eps({v_g})
   };
-  Errors ErrorsAfter(const ErrorMetric& metric, const Bitmap& matched) const;
   Errors ErrorsAfterRows(const ErrorMetric& metric,
                          const std::vector<RowId>& rows) const;
 
-  /// ErrorsAfter over a partitioned coverage: parts[p] bit i marks
-  /// suspect index offsets[p] + i. Parts must be disjoint slices of
-  /// the suspect universe with ascending offsets (the sharded ranker's
-  /// per-shard bitmaps), so walking them in order applies removals in
-  /// exactly the ascending-suspect-index order ErrorsAfter uses —
-  /// keeping the fold, and hence every last-ulp of the result,
-  /// identical to the fused path.
+  /// Errors over a partitioned coverage: parts[p] bit i marks suspect
+  /// index offsets[p] + i. Parts must be disjoint slices of the suspect
+  /// universe with ascending offsets (the ranker's per-slice bitmaps),
+  /// so walking them in order applies removals in ascending suspect
+  /// index order, as ValuesAfterRemoval does for one bitmap — keeping
+  /// the fold, and hence every last ulp of the result, identical at
+  /// every shard count.
   Errors ErrorsAfterParts(const ErrorMetric& metric,
                           const std::vector<Bitmap>& parts,
                           const std::vector<size_t>& offsets) const;

@@ -99,10 +99,6 @@ void AppendClauseOp(const CompiledClause& cc, const Bitmap* valid,
 /// Appends a cached-bitmap reference op reading refs[ref_slot].
 void AppendBitmapRef(uint32_t ref_slot, FusedProgram* prog);
 
-/// True when the AVX2 tier has a vector body for the clause (numeric
-/// IN stays scalar in every tier).
-bool ClauseOpHasSimdBody(const CompiledClause& cc);
-
 /// Evaluates `prog` over positions [64*word_begin, 64*word_end) of
 /// `rows` (clamped to num_rows), writing one finished bitmap word per
 /// 64 positions into `out`. `contiguous` asserts rows[i] == rows[0]+i,

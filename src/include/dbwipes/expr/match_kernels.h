@@ -17,7 +17,8 @@
 
 namespace dbwipes {
 
-/// \brief A clause translated once into a typed batch-kernel program.
+/// \brief A clause translated once into a typed form that AppendClauseOp
+/// lowers into a fused-program op (fused_kernels.h).
 ///
 /// Numeric clauses become a double comparison against the column's
 /// flat int64/double storage (int64 widens to double exactly like
@@ -55,14 +56,6 @@ struct CompiledClause {
 /// unchanged failure behavior.
 Result<CompiledClause> CompileClause(const Clause& clause, const Table& table);
 
-/// Evaluates `clause` over positions [64*word_begin, 64*word_end) of
-/// `rows` (clamped to rows.size()), writing one whole bitmap word per
-/// 64 positions: bit i of `out` = clause matches rows[i]. Chunks that
-/// own disjoint word ranges may run concurrently on the same bitmap.
-void MatchClauseWords(const CompiledClause& clause,
-                      const std::vector<RowId>& rows, size_t word_begin,
-                      size_t word_end, Bitmap* out);
-
 /// \brief Vectorized conjunction matching with a shared clause-bitmap
 /// cache.
 ///
@@ -71,10 +64,11 @@ void MatchClauseWords(const CompiledClause& clause,
 /// emit many conjunctions sharing single-attribute clauses — threshold
 /// families on one column, repeated categorical equalities — so the
 /// engine canonicalizes each clause to a key, materializes its bitmap
-/// ONCE via the typed kernels, and matches a conjunction by ANDing
-/// cached words. Clauses the kernels cannot translate (in ways Bind
-/// also rejects) fall back to the boxed BoundPredicate path per
-/// predicate, preserving error behavior exactly.
+/// ONCE as a one-op FusedProgram run by the fused evaluator (so clause
+/// scans take the same SIMD tier as conjunctions), and matches a
+/// conjunction by ANDing cached words. A clause CompileClause rejects
+/// is cached with its error, which is the error Bind gives for that
+/// clause; every match that needs the clause returns it.
 ///
 /// The engine is a snapshot: it caches bitmaps against the table size
 /// at construction, and every Match checks that the table has not
@@ -91,8 +85,7 @@ void MatchClauseWords(const CompiledClause& clause,
 /// materialize-once + word-AND path and enter fused programs as cached
 /// bitmap references. Programs are cached keyed by the sorted canonical
 /// clause-key set, so shard engines reuse compilations across
-/// re-explains. Disable wholesale with DBWIPES_FUSED=off (read at
-/// engine construction).
+/// re-explains.
 ///
 /// Thread safety: Materialize() mutates the cache (its own scans run
 /// chunked on the PR-1 ParallelFor; output is deterministic at any
@@ -113,7 +106,6 @@ class MatchEngine {
         built_num_rows_(other.built_num_rows_),
         rows_contiguous_(other.rows_contiguous_),
         tier_(other.tier_),
-        fused_enabled_(other.fused_enabled_),
         index_(std::move(other.index_)),
         entries_(std::move(other.entries_)),
         fused_index_(std::move(other.fused_index_)),
@@ -127,8 +119,6 @@ class MatchEngine {
         fused_compiles_(other.fused_compiles_),
         fused_fallbacks_(other.fused_fallbacks_),
         fused_compile_ms_(other.fused_compile_ms_),
-        boxed_fallbacks_(
-            other.boxed_fallbacks_.load(std::memory_order_relaxed)),
         fused_evals_(other.fused_evals_.load(std::memory_order_relaxed)) {}
   MatchEngine& operator=(MatchEngine&& other) noexcept {
     table_ = other.table_;
@@ -136,7 +126,6 @@ class MatchEngine {
     built_num_rows_ = other.built_num_rows_;
     rows_contiguous_ = other.rows_contiguous_;
     tier_ = other.tier_;
-    fused_enabled_ = other.fused_enabled_;
     index_ = std::move(other.index_);
     entries_ = std::move(other.entries_);
     fused_index_ = std::move(other.fused_index_);
@@ -150,9 +139,6 @@ class MatchEngine {
     fused_compiles_ = other.fused_compiles_;
     fused_fallbacks_ = other.fused_fallbacks_;
     fused_compile_ms_ = other.fused_compile_ms_;
-    boxed_fallbacks_.store(
-        other.boxed_fallbacks_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
     fused_evals_.store(other.fused_evals_.load(std::memory_order_relaxed),
                        std::memory_order_relaxed);
     return *this;
@@ -162,8 +148,8 @@ class MatchEngine {
 
   /// Compiles and materializes every distinct clause of `predicates`
   /// that is not cached yet, scanning in word-aligned chunks on the
-  /// shared pool. Compile *errors* are returned only when the boxed
-  /// fallback would fail too — i.e. exactly when Bind fails.
+  /// shared pool. A clause that does not compile is cached with its
+  /// error instead of failing the batch; MatchPrepared returns it.
   Status Materialize(const std::vector<const Predicate*>& predicates,
                      const ParallelOptions& options = {});
 
@@ -172,8 +158,9 @@ class MatchEngine {
   /// have been seen by Materialize(); const, safe for concurrent use.
   /// Predicates Materialize compiled into a fused program evaluate in
   /// one pass over the columns; everything else takes the word-AND of
-  /// cached clause bitmaps (or the boxed fallback). All three paths
-  /// produce bit-identical bitmaps.
+  /// cached clause bitmaps. Both paths produce bit-identical bitmaps.
+  /// A clause that does not compile fails the match with Bind's error
+  /// for it.
   Result<Bitmap> MatchPrepared(const Predicate& predicate) const;
 
   /// Anytime variant: fused evaluation checks `ctx` every few hundred
@@ -186,7 +173,8 @@ class MatchEngine {
   /// Serial convenience: Materialize({&predicate}) + MatchPrepared.
   Result<Bitmap> Match(const Predicate& predicate);
 
-  /// Bitmap of a single materialized-on-demand clause (serial).
+  /// Bitmap of a single materialized-on-demand clause (serial), or
+  /// Bind's error for a clause that does not compile.
   Result<const Bitmap*> ClauseBitmap(const Clause& clause);
 
   // Cache introspection (for tests/benches/profiles). Hits + misses
@@ -200,17 +188,13 @@ class MatchEngine {
   size_t cache_hits() const { return cache_hits_; }
   size_t cache_misses() const { return cache_misses_; }
   size_t clause_lookups() const { return cache_hits_ + cache_misses_; }
-  /// Clause bitmaps actually scanned (supported cache misses).
+  /// Clause bitmaps actually scanned (cache misses that compiled).
   size_t bitmaps_materialized() const { return bitmaps_materialized_; }
-  /// Predicates routed through the boxed row-at-a-time fallback.
-  size_t boxed_fallbacks() const {
-    return boxed_fallbacks_.load(std::memory_order_relaxed);
-  }
 
   // Fused-conjunction introspection. Every multi-clause predicate a
   // Materialize batch examines counts exactly one of hit (program
   // already cached), compile (newly lowered), or fallback (unfusible
-  // or all clauses shared ⇒ word-AND/boxed) — so fused_lookups ==
+  // or all clauses shared ⇒ word-AND) — so fused_lookups ==
   // fused_hits + fused_compiles + fused_fallbacks, the law the
   // observability test checks against the global metrics.
   size_t fused_lookups() const { return fused_lookups_; }
@@ -226,12 +210,12 @@ class MatchEngine {
   /// Wall time spent planning + lowering fused programs (cumulative).
   double fused_compile_ms() const { return fused_compile_ms_; }
   SimdTier simd_tier() const { return tier_; }
-  bool fused_enabled() const { return fused_enabled_; }
 
  private:
   struct ClauseEntry {
-    /// Kernels cover the clause; `bits` is valid once materialized.
-    bool supported = false;
+    /// OK, or the error CompileClause (and so Bind) gives the clause.
+    Status status;
+    /// Valid once materialized, when `status` is OK.
     Bitmap bits;
   };
 
@@ -243,37 +227,39 @@ class MatchEngine {
     std::vector<size_t> ref_entries;  // ref_slot -> entries_ index
   };
 
-  /// Cache entry for `key`, creating (and, for supported clauses,
+  /// Cache entry for `key`, creating (and, for clauses that compile,
   /// materializing serially) on miss. Valid until the next insertion.
   ClauseEntry* EnsureClause(const Clause& clause, const std::string& key);
   Status CheckFresh() const;
 
-  /// Universe-positional validity bitmap for a numeric column with
-  /// nulls, built once per column (heap-allocated: op pointers stay
-  /// valid across rehashes and engine moves). Newly built columns are
-  /// recorded in `added` for rollback.
-  const Bitmap* EnsureValidity(const Column& col,
+  /// The `valid` argument AppendClauseOp needs for `cc`: the
+  /// universe-positional validity bitmap of its column when the clause
+  /// is numeric over a column with nulls, else null. Built once per
+  /// column (heap-allocated: op pointers stay valid across rehashes and
+  /// engine moves). Newly built columns are recorded in `added` for
+  /// rollback.
+  const Bitmap* EnsureValidity(const CompiledClause& cc,
                                std::vector<const Column*>* added);
+
+  /// EvalFusedWords over this engine's universe and SIMD tier.
+  void EvalWords(const FusedProgram& prog, const Bitmap* const* refs,
+                 size_t word_begin, size_t word_end, Bitmap* out) const;
 
   /// One-pass evaluation of a cached fused program.
   Result<Bitmap> EvalFused(const FusedEntry& fe, const ExecContext& ctx) const;
-
-  /// Boxed fallback for predicates with unsupported clauses.
-  Result<Bitmap> MatchBoxed(const Predicate& predicate) const;
 
   const Table* table_;
   std::vector<RowId> rows_;
   size_t built_num_rows_;  // table size the cache snapshot is valid for
   bool rows_contiguous_ = false;  // rows_[i] == rows_[0] + i
   SimdTier tier_ = SimdTier::kScalar;
-  bool fused_enabled_ = true;
   std::unordered_map<std::string, size_t> index_;  // canonical key -> entry
   std::vector<ClauseEntry> entries_;
   /// Sorted clause-key set -> fused_entries_ slot.
   std::unordered_map<std::string, size_t> fused_index_;
   std::vector<FusedEntry> fused_entries_;
-  /// Column -> universe validity bitmap (shared by every fused op and
-  /// SIMD clause scan over that column).
+  /// Column -> universe validity bitmap (shared by every program op
+  /// over that column).
   std::unordered_map<const Column*, std::unique_ptr<Bitmap>> validity_;
   size_t cache_hits_ = 0;
   size_t cache_misses_ = 0;
@@ -284,8 +270,7 @@ class MatchEngine {
   size_t fused_fallbacks_ = 0;
   double fused_compile_ms_ = 0.0;
   /// Atomic: MatchPrepared is const and called concurrently by the
-  /// scoring threads; these are the only counters it touches.
-  mutable std::atomic<size_t> boxed_fallbacks_{0};
+  /// scoring threads; this is the only counter it touches.
   mutable std::atomic<size_t> fused_evals_{0};
 };
 

@@ -22,10 +22,10 @@ namespace dbwipes {
 /// deterministic function of the fused content and the boundaries —
 /// re-partitioning the same rows at the same boundaries reproduces
 /// every code byte for byte). The fused view keeps every global-RowId
-/// consumer (executor lineage, preprocessing, the boxed matching
-/// fallback) working unchanged; shard-local consumers (per-shard
-/// MatchEngines) translate global ids to local ones by subtracting the
-/// shard's begin offset.
+/// consumer (executor lineage, preprocessing) working unchanged;
+/// shard-local consumers (per-shard MatchEngines, the ranker's
+/// per-slice Bind fallback) translate global ids to local ones by
+/// subtracting the shard's begin offset.
 ///
 /// Appends route to the tail shard and the fused view together, under
 /// the writer side of the lock. Because only the tail shard's Table

@@ -84,9 +84,8 @@ Result<QueryResult> IncrementalClean(const Table& table,
   // Kernel-match the cleaning predicate once over the concatenation of
   // every group's lineage: each clause is scanned by a typed batch
   // kernel (chunked over the shared pool for large results), and a
-  // group's matches are then bit tests against its slice. Predicates
-  // the kernels cannot translate fall back to the boxed path inside
-  // the engine with identical errors.
+  // group's matches are then bit tests against its slice. A clause
+  // that does not compile fails the match with Bind's error for it.
   std::vector<RowId> universe;
   std::vector<size_t> group_offset(result.num_groups(), 0);
   for (size_t g = 0; g < result.num_groups(); ++g) {

@@ -67,8 +67,13 @@ TEST(CacheStalenessTest, ConcurrentAppendThenMaterializeSeesOneEpoch) {
   std::mutex mu;
   std::atomic<bool> stop{false};
   std::atomic<size_t> stale_hits{0}, epoch_hits{0}, failures{0};
+  // Start handshake: appends begin only once the prober has built its
+  // engine and each of the 3 matchers has finished one iteration, so
+  // every thread sees the first epoch whatever the thread start order.
+  std::atomic<int> ready{0};
 
   std::thread appender([&] {
+    while (ready.load() < 4) std::this_thread::yield();
     for (int i = 0; i < 200 && !stop.load(); ++i) {
       {
         std::lock_guard<std::mutex> lock(mu);
@@ -84,7 +89,7 @@ TEST(CacheStalenessTest, ConcurrentAppendThenMaterializeSeesOneEpoch) {
     matchers.emplace_back([&] {
       const Predicate pred(
           {Clause::Make("v", CompareOp::kLt, Value(100.0))});
-      while (!stop.load()) {
+      for (bool first = true; !stop.load(); first = false) {
         std::lock_guard<std::mutex> lock(mu);
         // Build a snapshot engine, then match; an append slips in
         // between only across iterations, so the count must equal the
@@ -94,14 +99,13 @@ TEST(CacheStalenessTest, ConcurrentAppendThenMaterializeSeesOneEpoch) {
         auto bm = engine.Match(pred);
         if (!bm.ok()) {
           failures.fetch_add(1);
-          continue;
-        }
-        if (bm->num_bits() != built ||
-            bm->CountOnes() != std::min<size_t>(built, 100)) {
+        } else if (bm->num_bits() != built ||
+                   bm->CountOnes() != std::min<size_t>(built, 100)) {
           failures.fetch_add(1);
         } else {
           epoch_hits.fetch_add(1);
         }
+        if (first) ready.fetch_add(1);
       }
     });
   }
@@ -116,8 +120,9 @@ TEST(CacheStalenessTest, ConcurrentAppendThenMaterializeSeesOneEpoch) {
         {Clause::Make("v", CompareOp::kLt, Value(100.0))});
     DBW_CHECK_OK(engine.Materialize({&pred}));
     lock.unlock();
-    while (!stop.load()) {
-      lock.lock();
+    ready.fetch_add(1);
+    auto probe = [&] {
+      std::lock_guard<std::mutex> guard(mu);
       const size_t now = table.num_rows();
       auto bm = engine.Match(pred);
       if (now != built) {
@@ -129,9 +134,14 @@ TEST(CacheStalenessTest, ConcurrentAppendThenMaterializeSeesOneEpoch) {
       } else if (!bm.ok() || bm->num_bits() != built) {
         failures.fetch_add(1);
       }
-      lock.unlock();
+    };
+    while (!stop.load()) {
+      probe();
       std::this_thread::yield();
     }
+    // The appender has finished, so the table has grown: this probe
+    // must return the stale error.
+    probe();
   });
 
   appender.join();

@@ -333,7 +333,7 @@ TEST(RemovalSortednessTest, UnsortedRemovedSetRejected) {
 
 // RemovalScorer must agree with the from-scratch recomputation for
 // every aggregate kind and arbitrary removal subsets — whichever of
-// its three entry points (bitmap, byte mask, row ids) is used.
+// its entry points (bitmap, row ids) is used.
 class RemovalScorerEquivalence : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RemovalScorerEquivalence, MatchesFromScratchRecomputation) {
@@ -366,35 +366,29 @@ TEST_P(RemovalScorerEquivalence, MatchesFromScratchRecomputation) {
 
     for (int trial = 0; trial < 15; ++trial) {
       Bitmap bm(suspects.size());
-      std::vector<char> mask(suspects.size(), 0);
       std::vector<RowId> removed;
       const double p = trial < 5 ? 0.1 : (trial < 10 ? 0.5 : 0.95);
       for (size_t i = 0; i < suspects.size(); ++i) {
         if (rng.Bernoulli(p)) {
           bm.Set(i);
-          mask[i] = 1;
           removed.push_back(suspects[i]);
         }
       }
       const std::vector<double> want =
           *ValuesAfterRemoval(t, result, selected, 0, removed);
       const std::vector<double> via_bitmap = scorer.ValuesAfterRemoval(bm);
-      const std::vector<double> via_mask =
-          scorer.ValuesAfterRemovalMask(mask);
       const std::vector<double> via_rows =
           scorer.ValuesAfterRemovalRows(removed);
       ASSERT_EQ(want.size(), via_bitmap.size());
       for (size_t g = 0; g < want.size(); ++g) {
         if (std::isnan(want[g])) {
           ASSERT_TRUE(std::isnan(via_bitmap[g])) << sql << " group " << g;
-          ASSERT_TRUE(std::isnan(via_mask[g])) << sql << " group " << g;
           ASSERT_TRUE(std::isnan(via_rows[g])) << sql << " group " << g;
           continue;
         }
         const double tol =
             1e-9 * std::max(1.0, std::abs(want[g]));
         ASSERT_NEAR(via_bitmap[g], want[g], tol) << sql << " group " << g;
-        ASSERT_NEAR(via_mask[g], want[g], tol) << sql << " group " << g;
         ASSERT_NEAR(via_rows[g], want[g], tol) << sql << " group " << g;
       }
       // Rows outside the suspect set cannot affect selected groups and

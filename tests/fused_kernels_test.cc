@@ -1,7 +1,7 @@
 // Property tests for the fused-conjunction engine: on randomized
 // tables (nulls, NaN doubles, absent string literals) a fused one-pass
-// program must agree bit-for-bit with the per-clause word-AND path
-// (DBWIPES_FUSED=off) and the boxed oracle, across shard slicings
+// program must agree bit-for-bit with the per-clause word-AND of
+// ClauseBitmap and the boxed oracle, across shard slicings
 // S ∈ {1, 2, 3, 7} and at both SIMD tiers (DBWIPES_SIMD=off must be
 // bit-identical to the dispatched tier). Fault-matrix cases cover the
 // "match/fused" injection site, budget-exhaustion rollback, and
@@ -94,13 +94,16 @@ std::vector<RowId> FullUniverse(const Table& t) {
   return rows;
 }
 
-/// Engine with fused compilation disabled regardless of environment.
-std::unique_ptr<MatchEngine> PlainEngine(const Table& t,
-                                         std::vector<RowId> rows) {
-  setenv("DBWIPES_FUSED", "off", 1);
-  auto e = std::make_unique<MatchEngine>(t, std::move(rows));
-  unsetenv("DBWIPES_FUSED");
-  return e;
+/// The word-AND oracle: the AND of each clause's cached bitmap.
+Bitmap WordAnd(MatchEngine* engine, const Predicate& pred) {
+  Bitmap out(engine->rows().size());
+  out.SetAll();
+  for (const Clause& c : pred.clauses()) {
+    auto bits = engine->ClauseBitmap(c);
+    DBW_CHECK(bits.ok()) << c.ToString() << ": " << bits.status().ToString();
+    out.AndWith(**bits);
+  }
+  return out;
 }
 
 /// Engine forced to the portable scalar tier regardless of the CPU.
@@ -126,16 +129,12 @@ TEST_P(FusedEquivalence, AgreesWithWordAndAndBoxedPaths) {
     Predicate pred(clauses);
 
     MatchEngine fused(t, rows);
-    ASSERT_TRUE(fused.fused_enabled());
     DBW_CHECK_OK(fused.Materialize({&pred}));
     auto fb = fused.MatchPrepared(pred);
     ASSERT_TRUE(fb.ok()) << pred.ToString() << ": " << fb.status().ToString();
 
-    auto plain = PlainEngine(t, rows);
-    DBW_CHECK_OK(plain->Materialize({&pred}));
-    auto wb = plain->MatchPrepared(pred);
-    ASSERT_TRUE(wb.ok()) << pred.ToString();
-    ASSERT_TRUE(*fb == *wb) << pred.ToString();
+    MatchEngine plain(t, rows);
+    ASSERT_TRUE(*fb == WordAnd(&plain, pred)) << pred.ToString();
 
     BoundPredicate bound = *pred.Bind(t);
     ASSERT_TRUE(*fb == bound.MatchBitmap(rows)) << pred.ToString();
@@ -170,9 +169,8 @@ TEST_P(FusedEquivalence, SharedClauseBatchesAgreeAndObeyCounterLaw) {
   }
 
   MatchEngine fused(t, rows);
-  auto plain = PlainEngine(t, rows);
+  MatchEngine plain(t, rows);
   DBW_CHECK_OK(fused.Materialize(preds));
-  DBW_CHECK_OK(plain->Materialize(preds));
 
   // One fused-cache decision per multi-clause predicate, each resolved
   // exactly one way. Single-clause predicates never consult the cache.
@@ -181,16 +179,17 @@ TEST_P(FusedEquivalence, SharedClauseBatchesAgreeAndObeyCounterLaw) {
                 fused.fused_fallbacks(),
             fused.fused_lookups());
   EXPECT_GT(fused.fused_compiles(), 0u);
-  EXPECT_EQ(plain.get()->fused_lookups(), 0u);
 
   for (const Predicate* p : preds) {
     auto fb = fused.MatchPrepared(*p);
-    auto wb = plain->MatchPrepared(*p);
-    ASSERT_TRUE(fb.ok() && wb.ok()) << p->ToString();
-    ASSERT_TRUE(*fb == *wb) << p->ToString();
+    ASSERT_TRUE(fb.ok()) << p->ToString();
+    ASSERT_TRUE(*fb == WordAnd(&plain, *p)) << p->ToString();
     BoundPredicate bound = *p->Bind(t);
     ASSERT_TRUE(*fb == bound.MatchBitmap(rows)) << p->ToString();
   }
+
+  // ClauseBitmap never consults the program cache.
+  EXPECT_EQ(plain.fused_lookups(), 0u);
 
   // Re-materializing the same batch is pure hits: no new programs.
   const size_t programs = fused.num_fused_programs();
@@ -230,7 +229,6 @@ TEST_P(FusedEquivalence, ShardSlicesConcatenateToGlobalBitmap) {
       offsets.push_back(lo);
       slices.push_back(std::make_unique<MatchEngine>(
           t, std::vector<RowId>(rows.begin() + lo, rows.begin() + hi)));
-      ASSERT_TRUE(slices.back()->fused_enabled());
       DBW_CHECK_OK(slices.back()->Materialize(preds));
     }
     for (const Predicate* p : preds) {
@@ -295,7 +293,6 @@ TEST(FusedFaults, FusedSiteFailsMaterializeWithoutMutatingCaches) {
                   Clause::Make("d", CompareOp::kLt, Value(1.0))});
 
   MatchEngine engine(t, rows);
-  ASSERT_TRUE(engine.fused_enabled());
   FaultInjector faults;
   faults.ArmError("match/fused", Status::IoError("injected at match/fused"));
   ExecContext ctx;
@@ -317,24 +314,6 @@ TEST(FusedFaults, FusedSiteFailsMaterializeWithoutMutatingCaches) {
   DBW_CHECK_OK(engine.Materialize({&pred}, popts));
   EXPECT_EQ(engine.num_fused_programs(), 1u);
   ASSERT_TRUE(engine.MatchPrepared(pred).ok());
-}
-
-TEST(FusedFaults, FusedSiteIsUnreachableWhenFusionIsDisabled) {
-  Rng rng(22);
-  Table t = RandomTable(&rng, 100);
-  std::vector<RowId> rows = FullUniverse(t);
-  Predicate pred({Clause::Make("i", CompareOp::kGe, Value(int64_t{0})),
-                  Clause::Make("d", CompareOp::kLt, Value(1.0))});
-
-  auto plain = PlainEngine(t, rows);
-  FaultInjector faults;
-  faults.ArmError("match/fused", Status::IoError("injected at match/fused"));
-  ExecContext ctx;
-  ctx.faults = &faults;
-  ParallelOptions popts;
-  popts.ctx = &ctx;
-  DBW_CHECK_OK(plain->Materialize({&pred}, popts));
-  EXPECT_EQ(faults.hits("match/fused"), 0u);
 }
 
 // ---------- budgets and interrupts ----------

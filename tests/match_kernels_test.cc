@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <vector>
 
@@ -204,14 +203,16 @@ TEST(MatchEngine, SharedClausesAreCachedOnce) {
   EXPECT_EQ(engine.fused_hits(), 2u);
   EXPECT_EQ(engine.num_fused_programs(), 2u);
 
-  // With fused compilation off, the original per-clause law holds:
-  // three distinct clause bitmaps, the shared one counted once.
-  setenv("DBWIPES_FUSED", "off", 1);
+  // Clause by clause, the per-clause law holds: three distinct clause
+  // bitmaps, the shared one counted once.
   MatchEngine plain(t, rows);
-  unsetenv("DBWIPES_FUSED");
-  ASSERT_FALSE(plain.fused_enabled());
-  DBW_CHECK_OK(plain.Materialize({&p1, &p2}));
+  for (const Predicate* p : {&p1, &p2}) {
+    for (const Clause& c : p->clauses()) {
+      ASSERT_TRUE(plain.ClauseBitmap(c).ok()) << c.ToString();
+    }
+  }
   EXPECT_EQ(plain.num_cached_clauses(), 3u);  // shared counted once
+  EXPECT_EQ(plain.cache_hits(), 1u);
   EXPECT_EQ(plain.num_fused_programs(), 0u);
   EXPECT_EQ(plain.fused_lookups(), 0u);
 }
@@ -229,6 +230,23 @@ TEST(MatchEngine, UnsupportedClauseFailsExactlyLikeBind) {
   auto bm = engine.Match(bad);
   ASSERT_FALSE(bm.ok());
   EXPECT_EQ(bm.status().ToString(), bound.status().ToString());
+
+  // The error is cached with the clause: every entry point returns it,
+  // also inside a conjunction with a clause that compiles, and a batch
+  // containing the clause still materializes the rest.
+  auto clause = engine.ClauseBitmap(bad.clauses()[0]);
+  ASSERT_FALSE(clause.ok());
+  EXPECT_EQ(clause.status().ToString(), bound.status().ToString());
+  Predicate mixed({Clause::Make("i", CompareOp::kGe, Value(int64_t{0})),
+                   bad.clauses()[0]});
+  Predicate good({Clause::Make("d", CompareOp::kLt, Value(1.0))});
+  MatchEngine batch(t, {0, 1, 2});
+  ASSERT_TRUE(batch.Materialize({&mixed, &good}).ok());
+  auto mixed_bm = batch.MatchPrepared(mixed);
+  ASSERT_FALSE(mixed_bm.ok());
+  EXPECT_EQ(mixed_bm.status().ToString(),
+            mixed.Bind(t).status().ToString());
+  EXPECT_TRUE(batch.MatchPrepared(good).ok());
 }
 
 TEST(MatchEngine, RejectsMatchAfterTableAppend) {

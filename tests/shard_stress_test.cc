@@ -54,8 +54,13 @@ TEST(ShardStressTest, ConcurrentAppendsAndExplains) {
 
   std::atomic<bool> done{false};
   std::atomic<size_t> appended{0}, explained{0};
+  // Start handshake: appends begin only once both explainers are inside
+  // their loop, so every explainer runs at least one Explain whatever
+  // the thread start order.
+  std::atomic<int> explainers_in_loop{0};
 
   std::thread appender([&] {
+    while (explainers_in_loop.load() < 2) std::this_thread::yield();
     Rng rng(99);
     for (int i = 0; i < 120; ++i) {
       const int64_t g = static_cast<int64_t>(i % 4);
@@ -71,7 +76,8 @@ TEST(ShardStressTest, ConcurrentAppendsAndExplains) {
   std::vector<std::thread> explainers;
   for (int t = 0; t < 2; ++t) {
     explainers.emplace_back([&] {
-      while (!done.load()) {
+      for (bool first = true; !done.load(); first = false) {
+        if (first) explainers_in_loop.fetch_add(1);
         auto exp = engine.Explain(result, request);
         ASSERT_TRUE(exp.ok()) << exp.status().ToString();
         ASSERT_FALSE(exp->predicates.empty());

@@ -13,9 +13,8 @@
 #   scripts/check.sh stress     # concurrent service suites under tsan
 #   scripts/check.sh trace      # just bench_trace (BENCH_trace.json)
 #   scripts/check.sh shard      # bench_shard (BENCH_shard.json)
-#   scripts/check.sh fused      # bench_fused (BENCH_fused.json) +
-#                               # forced-scalar fused and match kernel
-#                               # tests under asan
+#   scripts/check.sh simd       # clause-kernel and conjunction tests
+#                               # at the forced scalar tier under asan
 #   scripts/check.sh crash      # kill-point crash-recovery matrix under
 #                               # asan AND tsan (DBWIPES_CRASH_RUNS=200+)
 #   scripts/check.sh wal        # bench_wal (BENCH_wal.json)
@@ -85,16 +84,12 @@ shard_bench() {
   echo "wrote build/bench/BENCH_shard.json"
 }
 
-fused_bench() {
-  echo "=== fused: one-pass conjunction benchmark + scalar-tier asan pass ==="
-  cmake --preset default >/dev/null
-  cmake --build --preset default -j "$jobs" --target bench_fused
-  (cd build/bench && ./bench_fused --benchmark_min_time=0.05)
-  echo "wrote build/bench/BENCH_fused.json"
+simd() {
+  echo "=== simd: scalar-tier kernel suites (asan) ==="
   # The equivalence suites again, with the SIMD dispatcher pinned to the
   # portable tier, under asan: scalar and vector bodies must be
-  # bit-identical and memory-clean, for conjunctions and for the clause
-  # bitmaps (one-op programs) checked against the boxed oracles.
+  # bit-identical and memory-clean, for the clause bitmaps checked
+  # against the boxed oracles and for the conjunctions ANDed from them.
   cmake --preset asan >/dev/null
   cmake --build --preset asan -j "$jobs" --target fused_kernels_test \
       match_kernels_test
@@ -184,13 +179,13 @@ case "${1:-all}" in
   stress) stress ;;
   trace)  trace_bench ;;
   shard)  shard_bench ;;
-  fused)  fused_bench ;;
+  simd)   simd ;;
   crash)  crash ;;
   wal)    wal_bench ;;
   obs)    obs ;;
   repl)   repl ;;
   perf)   perf_smoke ;;
-  all)    tier1; asan_smoke; faults; tsan_smoke; stress; trace_bench; shard_bench; fused_bench; crash; wal_bench; obs; repl; perf_smoke ;;
-  *) echo "usage: $0 [tier1|asan|faults|tsan|stress|trace|shard|fused|crash|wal|obs|repl|perf|all]" >&2; exit 2 ;;
+  all)    tier1; asan_smoke; faults; tsan_smoke; stress; trace_bench; shard_bench; simd; crash; wal_bench; obs; repl; perf_smoke ;;
+  *) echo "usage: $0 [tier1|asan|faults|tsan|stress|trace|shard|simd|crash|wal|obs|repl|perf|all]" >&2; exit 2 ;;
 esac
 echo "=== check.sh: all requested stages passed ==="

@@ -118,7 +118,6 @@ const std::vector<std::string>& AllFaultSites() {
   static const std::vector<std::string> sites = {
       "scorer/create",        // RemovalScorer::Create entry
       "match/materialize",    // MatchEngine::Materialize entry
-      "match/fused",          // fused-conjunction planning in Materialize
       "enumerate/datasets",   // DatasetEnumerator::Enumerate entry
       "enumerate/clean",      // DatasetEnumerator::CleanDPrime entry
       "enumerate/predicates", // PredicateEnumerator::Enumerate entry

@@ -281,13 +281,6 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
     p.cache_hits = rs.cache_hits;
     p.cache_misses = rs.cache_misses;
     p.bitmaps_materialized = rs.bitmaps_materialized;
-    p.fused_lookups = rs.fused_lookups;
-    p.fused_hits = rs.fused_hits;
-    p.fused_compiles = rs.fused_compiles;
-    p.fused_fallbacks = rs.fused_fallbacks;
-    p.fused_evals = rs.fused_evals;
-    p.fused_programs = rs.fused_programs;
-    p.fused_compile_ms = rs.fused_compile_ms;
     p.simd_tier = rs.simd_tier;
     if (shard_set != nullptr) {
       p.num_shards = shard_set->num_shards();
@@ -304,12 +297,6 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
         lane.cache_misses = ss.cache_misses;
         lane.bitmaps_materialized = ss.bitmaps_materialized;
         lane.cached_clauses = ss.cached_clauses;
-        lane.fused_lookups = ss.fused_lookups;
-        lane.fused_hits = ss.fused_hits;
-        lane.fused_compiles = ss.fused_compiles;
-        lane.fused_fallbacks = ss.fused_fallbacks;
-        lane.fused_evals = ss.fused_evals;
-        lane.cached_programs = ss.cached_programs;
         if (ss.engine_reused) ++p.shard_engines_reused;
         p.shards.push_back(lane);
       }

@@ -168,25 +168,8 @@ void WriteProfile(JsonWriter* w, const ExplainProfile& p) {
   w->Number(p.cache_misses);
   w->Key("bitmaps_materialized");
   w->Number(p.bitmaps_materialized);
-  w->Key("fused");
-  w->BeginObject();
-  w->Key("lookups");
-  w->Number(p.fused_lookups);
-  w->Key("hits");
-  w->Number(p.fused_hits);
-  w->Key("compiles");
-  w->Number(p.fused_compiles);
-  w->Key("fallbacks");
-  w->Number(p.fused_fallbacks);
-  w->Key("evals");
-  w->Number(p.fused_evals);
-  w->Key("programs");
-  w->Number(p.fused_programs);
-  w->Key("compile_ms");
-  w->Number(p.fused_compile_ms);
   w->Key("simd_tier");
   w->String(p.simd_tier);
-  w->EndObject();
   w->EndObject();
 
   if (p.num_shards > 0) {
@@ -222,18 +205,6 @@ void WriteProfile(JsonWriter* w, const ExplainProfile& p) {
       w->Number(lane.bitmaps_materialized);
       w->Key("cached_clauses");
       w->Number(lane.cached_clauses);
-      w->Key("fused_lookups");
-      w->Number(lane.fused_lookups);
-      w->Key("fused_hits");
-      w->Number(lane.fused_hits);
-      w->Key("fused_compiles");
-      w->Number(lane.fused_compiles);
-      w->Key("fused_fallbacks");
-      w->Number(lane.fused_fallbacks);
-      w->Key("fused_evals");
-      w->Number(lane.fused_evals);
-      w->Key("cached_programs");
-      w->Number(lane.cached_programs);
       w->EndObject();
     }
     w->EndArray();

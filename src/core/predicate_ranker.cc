@@ -195,7 +195,7 @@ Result<RankOutcome> PredicateRanker::RankDelta(
   // other shard's engine passes the freshness check and returns warm);
   // an unsharded run is one slice on a fresh engine. Each engine scans
   // every distinct clause ONCE, chunked over the pool, and matches a
-  // predicate by a fused one-pass scan or an AND of cached words.
+  // predicate by an AND of cached words.
   // MatchPrepared is const, so the scoring loop below reads the caches
   // concurrently without synchronization.
   std::shared_ptr<ShardEngineCache> cache;
@@ -235,9 +235,6 @@ Result<RankOutcome> PredicateRanker::RankDelta(
   // stats are deltas from these checkout-time snapshots.
   struct CounterBase {
     size_t lookups = 0, hits = 0, misses = 0, mats = 0;
-    size_t f_lookups = 0, f_hits = 0, f_compiles = 0, f_fallbacks = 0;
-    size_t f_evals = 0;
-    double f_compile_ms = 0.0;
   };
   std::vector<CounterBase> bases(num_slices);
   // Fills the stat lanes from the counter deltas, folds them into the
@@ -253,24 +250,10 @@ Result<RankOutcome> PredicateRanker::RankDelta(
       ss.cache_misses = se.cache_misses() - bases[s].misses;
       ss.bitmaps_materialized = se.bitmaps_materialized() - bases[s].mats;
       ss.cached_clauses = se.num_cached_clauses();
-      ss.fused_lookups = se.fused_lookups() - bases[s].f_lookups;
-      ss.fused_hits = se.fused_hits() - bases[s].f_hits;
-      ss.fused_compiles = se.fused_compiles() - bases[s].f_compiles;
-      ss.fused_fallbacks = se.fused_fallbacks() - bases[s].f_fallbacks;
-      ss.fused_evals = se.fused_evals() - bases[s].f_evals;
-      ss.cached_programs = se.num_fused_programs();
       stats.clause_lookups += ss.clause_lookups;
       stats.cache_hits += ss.cache_hits;
       stats.cache_misses += ss.cache_misses;
       stats.bitmaps_materialized += ss.bitmaps_materialized;
-      stats.fused_lookups += ss.fused_lookups;
-      stats.fused_hits += ss.fused_hits;
-      stats.fused_compiles += ss.fused_compiles;
-      stats.fused_fallbacks += ss.fused_fallbacks;
-      stats.fused_evals += ss.fused_evals;
-      stats.fused_programs += ss.cached_programs;
-      stats.fused_compile_ms +=
-          se.fused_compile_ms() - bases[s].f_compile_ms;
       if (stats.simd_tier.empty()) stats.simd_tier = SimdTierName(se.simd_tier());
       if (cache != nullptr) {
         cache->Checkin(ss.shard_index, std::move(engines[s]));
@@ -303,11 +286,8 @@ Result<RankOutcome> PredicateRanker::RankDelta(
           std::make_unique<MatchEngine>(*slice.table, slice.local_rows);
     }
     const MatchEngine& e = *engines[s];
-    bases[s] = {e.clause_lookups(),   e.cache_hits(),
-                e.cache_misses(),     e.bitmaps_materialized(),
-                e.fused_lookups(),    e.fused_hits(),
-                e.fused_compiles(),   e.fused_fallbacks(),
-                e.fused_evals(),      e.fused_compile_ms()};
+    bases[s] = {e.clause_lookups(), e.cache_hits(), e.cache_misses(),
+                e.bitmaps_materialized()};
     const auto t_slice = std::chrono::steady_clock::now();
     materialized = engines[s]->Materialize(preds, popts);
     lanes[s].materialize_ms =
@@ -368,8 +348,8 @@ Result<RankOutcome> PredicateRanker::RankDelta(
           size_t tp = 0;
           for (size_t s = 0; s < num_slices; ++s) {
             if (use_kernels) {
-              DBW_ASSIGN_OR_RETURN(
-                  parts[s], engines[s]->MatchPrepared(ep.predicate, ctx));
+              DBW_ASSIGN_OR_RETURN(parts[s],
+                                   engines[s]->MatchPrepared(ep.predicate));
             } else {
               DBW_ASSIGN_OR_RETURN(BoundPredicate bound,
                                    ep.predicate.Bind(*slices[s].table));

@@ -737,8 +737,6 @@ ServiceReply Service::HandleStats(ServiceCall&) {
               ", \"rows\": " + JsonCounts(set->ShardRowCounts()) +
               ", \"cached_clauses\": " +
               JsonCounts(cache->CachedClausesPerShard()) +
-              ", \"cached_programs\": " +
-              JsonCounts(cache->CachedProgramsPerShard()) +
               ", \"appends\": " + std::to_string(set->appends()) + "}";
   }
   shards += "}";

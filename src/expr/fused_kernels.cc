@@ -36,14 +36,8 @@ bool CpuHasAvx2() {
 #endif
 }
 
-inline uint64_t TailMask(size_t limit) {
-  return limit >= 64 ? ~uint64_t{0} : ((uint64_t{1} << limit) - 1);
-}
-
 // ---------------------------------------------------------------------
-// Scalar tier: 64 rows per word. Cached clause bitmaps are one-op
-// programs run through this same evaluator (match_kernels.cc), so a
-// fused result is bit-identical to materialize+AND by construction.
+// Scalar tier: 64 rows per word, only bits below `limit` set.
 // ---------------------------------------------------------------------
 
 template <typename Fn>
@@ -90,15 +84,14 @@ uint64_t ScalarNumericWord(const FusedOp& op, const RowId* rows, size_t base,
     case CompareOp::kContains:
       break;
   }
-  DBW_CHECK(false) << "CONTAINS body on numeric fused op";
+  DBW_CHECK(false) << "CONTAINS body on numeric clause op";
   return 0;
 }
 
 uint64_t ScalarOpWord(const FusedOp& op, const RowId* rows, size_t base,
                       size_t limit) {
   switch (op.body) {
-    case FusedOp::Body::kDoubleCmp:
-    case FusedOp::Body::kNumericIn: {
+    case FusedOp::Body::kDoubleCmp: {
       const double* data = op.dbl;
       return ScalarNumericWord(op, rows, base, limit,
                                [data](RowId r) { return data[r]; });
@@ -129,10 +122,7 @@ uint64_t ScalarOpWord(const FusedOp& op, const RowId* rows, size_t base,
         return table[codes[r] + 1] != 0;
       });
     }
-    case FusedOp::Body::kBitmapRef:
-      break;
   }
-  DBW_CHECK(false) << "kBitmapRef resolved outside the op dispatch";
   return 0;
 }
 
@@ -186,7 +176,7 @@ DBW_AVX2 inline __m128i LoadIdx4(const RowId* rows) {
     case CompareOp::kLe: DBW_CMP_LOOP(LOADV, _CMP_NGT_UQ) break; \
     case CompareOp::kGt: DBW_CMP_LOOP(LOADV, _CMP_GT_OQ) break;  \
     case CompareOp::kGe: DBW_CMP_LOOP(LOADV, _CMP_NLT_UQ) break; \
-    default: DBW_CHECK(false) << "bad fused cmp op";           \
+    default: DBW_CHECK(false) << "bad clause cmp op";          \
   }
 
 DBW_AVX2 uint64_t Avx2DoubleCmpLoad(const double* p, double t, CompareOp op) {
@@ -304,8 +294,6 @@ DBW_AVX2 uint64_t Avx2OpWord(const FusedOp& op, const RowId* rows,
     case FusedOp::Body::kCodeTable:
       return Avx2CodeWord(op, rows + base,
                           contiguous ? op.codes + rows[0] + base : nullptr);
-    default:
-      DBW_CHECK(false) << "scalar-only body in Avx2OpWord";
   }
   return 0;
 }
@@ -332,7 +320,7 @@ const char* SimdTierName(SimdTier tier) {
 
 void AppendClauseOp(const CompiledClause& cc, const Bitmap* valid,
                     FusedProgram* prog) {
-  FusedOp op;
+  FusedOp& op = prog->op;
   op.op = cc.op;
   op.valid = valid;
   if (cc.is_string) {
@@ -349,77 +337,55 @@ void AppendClauseOp(const CompiledClause& cc, const Bitmap* valid,
       case CompareOp::kIn:
       case CompareOp::kContains: {
         op.body = FusedOp::Body::kCodeTable;
-        prog->table_pool.emplace_back(cc.code_table.begin(),
-                                      cc.code_table.end());
-        op.table = prog->table_pool.back().data();
+        prog->table.assign(cc.code_table.begin(), cc.code_table.end());
+        op.table = prog->table.data();
         break;
       }
       default:
-        DBW_CHECK(false) << "ordered fused op on string column";
+        DBW_CHECK(false) << "ordered clause op on string column";
     }
   } else {
-    const bool is_int64 = cc.column->type() == DataType::kInt64;
-    if (is_int64) {
+    // The body picks the storage loader; op.op picks the comparison
+    // (kIn: a binary search of the sorted set).
+    if (cc.column->type() == DataType::kInt64) {
+      op.body = FusedOp::Body::kInt64Cmp;
       op.i64 = cc.column->int64_data().data();
     } else {
+      op.body = FusedOp::Body::kDoubleCmp;
       op.dbl = cc.column->double_data().data();
     }
-    if (cc.op == CompareOp::kIn) {
-      // Numeric IN stays scalar at every tier (a binary search per
-      // row); the body picks the storage loader, op.op == kIn picks
-      // the comparison.
-      op.body = is_int64 ? FusedOp::Body::kInt64Cmp : FusedOp::Body::kNumericIn;
-      prog->in_pool.push_back(cc.in_numbers);
-      op.in_data = prog->in_pool.back().data();
-      op.in_size = prog->in_pool.back().size();
-    } else {
-      op.body = is_int64 ? FusedOp::Body::kInt64Cmp : FusedOp::Body::kDoubleCmp;
-      op.threshold = cc.threshold;
-    }
+    op.threshold = cc.threshold;
+    prog->in_set = cc.in_numbers;
+    op.in_data = prog->in_set.data();
+    op.in_size = prog->in_set.size();
   }
-  prog->ops.push_back(op);
-}
-
-void AppendBitmapRef(uint32_t ref_slot, FusedProgram* prog) {
-  FusedOp op;
-  op.body = FusedOp::Body::kBitmapRef;
-  op.ref_slot = ref_slot;
-  prog->ops.push_back(op);
 }
 
 void EvalFusedWords(const FusedProgram& prog, SimdTier tier,
                     const RowId* rows, size_t num_rows, bool contiguous,
-                    const Bitmap* const* refs, size_t word_begin,
-                    size_t word_end, Bitmap* out) {
+                    size_t word_begin, size_t word_end, Bitmap* out) {
 #if !DBWIPES_HAVE_AVX2_TIER
   tier = SimdTier::kScalar;
 #endif
+  const FusedOp& op = prog.op;
+  // Numeric IN has no vector body: it is scalar at every tier. Decided
+  // from the op, not from in_data, which is null for an empty set.
+  const bool scalar_only =
+      op.op == CompareOp::kIn && op.body != FusedOp::Body::kCodeTable;
   for (size_t wi = word_begin; wi < word_end; ++wi) {
     const size_t base = wi * 64;
     const size_t limit = std::min<size_t>(64, num_rows - base);
-    uint64_t acc = TailMask(limit);
-    for (const FusedOp& op : prog.ops) {
-      uint64_t w;
-      if (op.body == FusedOp::Body::kBitmapRef) {
-        // Cached clause bitmaps already fold validity in.
-        w = refs[op.ref_slot]->word(wi);
-      } else {
+    uint64_t w;
 #if DBWIPES_HAVE_AVX2_TIER
-        const bool in_body = op.body == FusedOp::Body::kNumericIn ||
-                             (op.in_data != nullptr);
-        if (tier == SimdTier::kAvx2 && limit == 64 && !in_body) {
-          w = Avx2OpWord(op, rows, contiguous, base);
-        } else
+    if (tier == SimdTier::kAvx2 && limit == 64 && !scalar_only) {
+      w = Avx2OpWord(op, rows, contiguous, base);
+    } else
 #endif
-        {
-          w = ScalarOpWord(op, rows, base, limit);
-        }
-        if (op.valid != nullptr) w &= op.valid->word(wi);
-      }
-      acc &= w;
-      if (acc == 0) break;  // early exit; the stored word is final
+    {
+      w = ScalarOpWord(op, rows, base, limit);
     }
-    out->set_word(wi, acc);
+    if (op.valid != nullptr) w &= op.valid->word(wi);
+    out->set_word(wi, w);
   }
 }
 

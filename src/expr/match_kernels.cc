@@ -1,10 +1,8 @@
 #include "dbwipes/expr/match_kernels.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
-#include <unordered_set>
 
 #include "dbwipes/common/exec_context.h"
 #include "dbwipes/common/logging.h"
@@ -26,11 +24,6 @@ struct MatchMetrics {
   MetricCounter* cache_hits;
   MetricCounter* cache_misses;
   MetricCounter* bitmaps_materialized;
-  MetricCounter* fused_lookups;
-  MetricCounter* fused_hits;
-  MetricCounter* fused_compiles;
-  MetricCounter* fused_fallbacks;
-  MetricCounter* fused_evals;
 };
 
 const MatchMetrics& Metrics() {
@@ -40,19 +33,8 @@ const MatchMetrics& Metrics() {
       MetricsRegistry::Global().GetCounter("match.cache_hits"),
       MetricsRegistry::Global().GetCounter("match.cache_misses"),
       MetricsRegistry::Global().GetCounter("match.bitmaps_materialized"),
-      MetricsRegistry::Global().GetCounter("match.fused_lookups"),
-      MetricsRegistry::Global().GetCounter("match.fused_hits"),
-      MetricsRegistry::Global().GetCounter("match.fused_compiles"),
-      MetricsRegistry::Global().GetCounter("match.fused_fallbacks"),
-      MetricsRegistry::Global().GetCounter("match.fused_evals"),
   };
   return m;
-}
-
-double MsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
 }
 
 /// Exact cache key for a clause. Clause::CanonicalString renders
@@ -90,20 +72,6 @@ std::string KeyOf(const Clause& c) {
     key += EncodeValue(c.literal);
   }
   return key;
-}
-
-/// Canonical fused-program key: the predicate's clause keys, sorted
-/// (conjunctions are order-independent) and joined on a separator one
-/// level above KeyOf's field separator. Two predicates with the same
-/// clause set share one compiled program.
-std::string PredicateKey(std::vector<std::string> clause_keys) {
-  std::sort(clause_keys.begin(), clause_keys.end());
-  std::string out;
-  for (const std::string& k : clause_keys) {
-    if (!out.empty()) out += '\x1e';
-    out += k;
-  }
-  return out;
 }
 
 }  // namespace
@@ -221,35 +189,51 @@ Status MatchEngine::CheckFresh() const {
   return Status::OK();
 }
 
-MatchEngine::ClauseEntry* MatchEngine::EnsureClause(const Clause& clause,
-                                                    const std::string& key) {
+Result<size_t> MatchEngine::LookupClause(const Clause& clause,
+                                         ResourceBudget* budget,
+                                         std::vector<PendingScan>* scans) {
+  std::string key = KeyOf(clause);
+  Metrics().clause_lookups->Increment();
   auto it = index_.find(key);
   if (it != index_.end()) {
     ++cache_hits_;
-    Metrics().clause_lookups->Increment();
     Metrics().cache_hits->Increment();
-    return &entries_[it->second];
+    return it->second;
   }
   ++cache_misses_;
-  Metrics().clause_lookups->Increment();
   Metrics().cache_misses->Increment();
   ClauseEntry entry;
   Result<CompiledClause> compiled = CompileClause(clause, *table_);
   if (compiled.ok()) {
-    FusedProgram prog;
-    AppendClauseOp(*compiled, EnsureValidity(*compiled, nullptr), &prog);
+    if (budget != nullptr) {
+      DBW_RETURN_NOT_OK(budget->ChargeBitmapBytes((rows_.size() + 63) / 64 *
+                                                  sizeof(uint64_t)));
+    }
     entry.bits = Bitmap(rows_.size());
-    EvalWords(prog, nullptr, 0, entry.bits.num_words(), &entry.bits);
-    ++bitmaps_materialized_;
-    Metrics().bitmaps_materialized->Increment();
+    scans->push_back({entries_.size(), {}});
+    AppendClauseOp(*compiled, EnsureValidity(*compiled),
+                   &scans->back().program);
   } else {
     // Cached with its error, which is Bind's error for the clause.
     entry.status = compiled.status();
   }
   const size_t slot = entries_.size();
-  index_.emplace(key, slot);
+  index_.emplace(std::move(key), slot);
   entries_.push_back(std::move(entry));
-  return &entries_[slot];
+  return slot;
+}
+
+const MatchEngine::ClauseEntry& MatchEngine::EnsureClause(
+    const Clause& clause) {
+  std::vector<PendingScan> scans;
+  const size_t slot = *LookupClause(clause, /*budget=*/nullptr, &scans);
+  for (const PendingScan& scan : scans) {
+    Bitmap& bits = entries_[scan.slot].bits;
+    EvalWords(scan.program, 0, bits.num_words(), &bits);
+  }
+  bitmaps_materialized_ += scans.size();
+  Metrics().bitmaps_materialized->Increment(scans.size());
+  return entries_[slot];
 }
 
 Status MatchEngine::Materialize(
@@ -259,19 +243,13 @@ Status MatchEngine::Materialize(
   const ExecContext& ctx =
       options.ctx != nullptr ? *options.ctx : ExecContext::None();
   DBW_FAULT(ctx, "match/materialize");
-  // Fused-conjunction planning is part of every materialize batch
-  // (nothing has been mutated yet; an injected error needs no rollback).
-  DBW_FAULT(ctx, "match/fused");
   DBW_TRACE_SPAN("match/materialize");
   Metrics().materialize_calls->Increment();
 
-  // State added by this call lives at the tail of entries_ /
-  // fused_entries_; on an interrupt or failure it is rolled back
-  // wholesale so the cache never holds a partially scanned (i.e.
-  // wrong) bitmap or a program referencing one.
+  // Entries added by this call live at the tail of entries_; on an
+  // interrupt or failure they are rolled back wholesale so the cache
+  // never holds a partially scanned (i.e. wrong) bitmap.
   const size_t entries_base = entries_.size();
-  const size_t fused_base = fused_entries_.size();
-  std::vector<const Column*> validity_added;
   auto rollback = [&] {
     for (auto it = index_.begin(); it != index_.end();) {
       if (it->second >= entries_base) {
@@ -281,216 +259,30 @@ Status MatchEngine::Materialize(
       }
     }
     entries_.resize(entries_base);
-    for (auto it = fused_index_.begin(); it != fused_index_.end();) {
-      if (it->second >= fused_base) {
-        it = fused_index_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    fused_entries_.resize(fused_base);
-    for (const Column* col : validity_added) validity_.erase(col);
   };
 
-  // Pass 0 (serial): canonicalize every clause once and count each
-  // key's frequency within the batch. Frequency drives the fusion
-  // policy: a clause shared by several predicates (threshold families,
-  // repeated equalities) is cheaper materialized once and word-ANDed —
-  // fusing it would re-scan its column per predicate.
-  std::vector<std::vector<std::string>> pred_keys(predicates.size());
-  std::unordered_map<std::string, size_t> key_freq;
-  for (size_t i = 0; i < predicates.size(); ++i) {
-    const auto& clauses = predicates[i]->clauses();
-    pred_keys[i].reserve(clauses.size());
-    for (const Clause& c : clauses) {
-      pred_keys[i].push_back(KeyOf(c));
-      ++key_freq[pred_keys[i].back()];
-    }
-  }
-
-  // Batch-local compile cache shared by the fused planner and the
-  // clause materializer, so no clause compiles twice per batch.
-  // unordered_map values are pointer-stable across inserts.
-  std::unordered_map<std::string, Result<CompiledClause>> compiled;
-  auto compile_key = [&](const Clause& c, const std::string& key)
-      -> const Result<CompiledClause>& {
-    auto it = compiled.find(key);
-    if (it == compiled.end()) {
-      it = compiled.emplace(key, CompileClause(c, *table_)).first;
-    }
-    return it->second;
-  };
-
-  // Pass 1 (serial): plan fused programs for multi-clause predicates.
-  // A clause goes inline iff it is unique within the batch AND not
-  // already cached (a cached bitmap is pure word-AND traffic); shared
-  // or cached clauses enter the program as bitmap references. When no
-  // clause would go inline, fusion buys nothing over word-AND and the
-  // predicate falls back. Every eligible predicate counts exactly one
-  // of hit / compile / fallback (the fused counter law).
-  struct PlannedOp {
-    const std::string* key;          // owned by pred_keys
-    const Clause* clause;
-    bool inline_op;
-  };
-  struct PlannedProgram {
-    std::string pred_key;
-    std::vector<PlannedOp> ops;
-  };
-  std::vector<PlannedProgram> planned;
-  std::unordered_set<std::string> planned_keys;  // batch-local dedupe
-  // handled[i]: 0 = word-AND path, 1 = program planned or cached.
-  std::vector<uint8_t> handled(predicates.size(), 0);
-  const auto plan_t0 = std::chrono::steady_clock::now();
-  for (size_t i = 0; i < predicates.size(); ++i) {
-    if (pred_keys[i].size() < 2) continue;  // nothing to fuse
-    ++fused_lookups_;
-    Metrics().fused_lookups->Increment();
-    std::string pred_key = PredicateKey(pred_keys[i]);
-    if (fused_index_.count(pred_key) != 0 ||
-        planned_keys.count(pred_key) != 0) {
-      ++fused_hits_;
-      Metrics().fused_hits->Increment();
-      handled[i] = 1;
-      continue;
-    }
-    PlannedProgram plan;
-    plan.pred_key = std::move(pred_key);
-    const auto& clauses = predicates[i]->clauses();
-    bool fusible = true;
-    size_t inline_count = 0;
-    for (size_t j = 0; j < clauses.size(); ++j) {
-      PlannedOp op{&pred_keys[i][j], &clauses[j], false};
-      auto cached = index_.find(*op.key);
-      // A clause that does not compile has no bitmap to reference or
-      // op to inline; the word-AND path returns its cached error.
-      if (cached != index_.end()) {
-        if (!entries_[cached->second].status.ok()) {
-          fusible = false;
-          break;
-        }
-      } else {
-        if (!compile_key(clauses[j], *op.key).ok()) {
-          fusible = false;
-          break;
-        }
-        op.inline_op = key_freq[*op.key] == 1;
-        inline_count += op.inline_op ? 1 : 0;
-      }
-      plan.ops.push_back(op);
-    }
-    if (!fusible || inline_count == 0) {
-      ++fused_fallbacks_;
-      Metrics().fused_fallbacks->Increment();
-      continue;
-    }
-    ++fused_compiles_;
-    Metrics().fused_compiles->Increment();
-    handled[i] = 1;
-    planned_keys.insert(plan.pred_key);
-    planned.push_back(std::move(plan));
-  }
-  fused_compile_ms_ += MsSince(plan_t0);
-
-  // Pass 2 (serial): dedupe and compile the distinct new clauses that
-  // still need cached bitmaps — every clause of word-AND predicates,
-  // but only the bitmap-reference clauses of planned programs (inline
-  // clauses are the fusion win: no intermediate bitmap exists).
-  std::vector<size_t> fresh;  // entry slots awaiting a scan
-  std::vector<FusedProgram> programs;  // index-aligned with fresh
-  const size_t bitmap_bytes = ((rows_.size() + 63) / 64) * sizeof(uint64_t);
-  auto ensure_entry = [&](const Clause& c, const std::string& key) -> Status {
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      ++cache_hits_;
-      Metrics().clause_lookups->Increment();
-      Metrics().cache_hits->Increment();
-      return Status::OK();
-    }
-    ++cache_misses_;
-    Metrics().clause_lookups->Increment();
-    Metrics().cache_misses->Increment();
-    ClauseEntry entry;
-    const Result<CompiledClause>& cc = compile_key(c, key);
-    if (cc.ok()) {
-      if (ctx.budget != nullptr) {
-        DBW_RETURN_NOT_OK(ctx.budget->ChargeBitmapBytes(bitmap_bytes));
-      }
-      entry.bits = Bitmap(rows_.size());
-      fresh.push_back(entries_.size());
-      programs.emplace_back();
-      AppendClauseOp(*cc, EnsureValidity(*cc, &validity_added),
-                     &programs.back());
-    } else {
-      entry.status = cc.status();
-    }
-    index_.emplace(key, entries_.size());
-    entries_.push_back(std::move(entry));
-    return Status::OK();
-  };
-  for (size_t i = 0; i < predicates.size(); ++i) {
-    Status st = Status::OK();
-    if (handled[i] != 0) {
-      // Planned programs need entries only for their references; fused
-      // cache hits are fully covered by the existing program.
-      continue;
-    }
-    const auto& clauses = predicates[i]->clauses();
-    for (size_t j = 0; j < clauses.size() && st.ok(); ++j) {
-      st = ensure_entry(clauses[j], pred_keys[i][j]);
-    }
-    if (!st.ok()) {
-      rollback();
-      return st;
-    }
-  }
-  for (const PlannedProgram& plan : planned) {
-    for (const PlannedOp& op : plan.ops) {
-      if (op.inline_op) continue;
-      Status st = ensure_entry(*op.clause, *op.key);
-      if (!st.ok()) {
+  // Serial: one lookup per clause occurrence; each distinct new clause
+  // compiles once and queues its scan.
+  std::vector<PendingScan> scans;
+  for (const Predicate* predicate : predicates) {
+    for (const Clause& c : predicate->clauses()) {
+      Result<size_t> slot = LookupClause(c, ctx.budget, &scans);
+      if (!slot.ok()) {
         rollback();
-        return st;
+        return slot.status();
       }
     }
   }
 
-  // Pass 3 (serial): lower the planned programs. Reference slots store
-  // entries_ indices (resolved to bitmap pointers per eval, so the
-  // vector may relocate); inline numeric ops over nullable columns get
-  // the shared universe validity bitmap.
-  if (!planned.empty()) {
-    const auto lower_t0 = std::chrono::steady_clock::now();
-    for (PlannedProgram& plan : planned) {
-      FusedEntry fe;
-      for (const PlannedOp& op : plan.ops) {
-        if (op.inline_op) {
-          const CompiledClause& cc = *compiled.at(*op.key);
-          AppendClauseOp(cc, EnsureValidity(cc, &validity_added),
-                         &fe.program);
-        } else {
-          AppendBitmapRef(static_cast<uint32_t>(fe.ref_entries.size()),
-                          &fe.program);
-          fe.ref_entries.push_back(index_.at(*op.key));
-        }
-      }
-      fused_index_.emplace(std::move(plan.pred_key), fused_entries_.size());
-      fused_entries_.push_back(std::move(fe));
-    }
-    fused_compile_ms_ += MsSince(lower_t0);
-  }
-
-  // Pass 4: scan the fresh clause bitmaps (one-op programs).
   const size_t num_words = (rows_.size() + 63) / 64;
   constexpr size_t kWordsPerChunk = 256;  // 16k rows per kernel call
-  if (!fresh.empty() &&
-      fresh.size() * rows_.size() < (size_t{1} << 16)) {
+  if (!scans.empty() && scans.size() * rows_.size() < (size_t{1} << 16)) {
     // Small batch: chunking + pool dispatch overhead beats any
     // parallel win; scan serially with a stop check per clause.
-    for (size_t j = 0; j < fresh.size() && !ctx.StopRequested(); ++j) {
-      EvalWords(programs[j], nullptr, 0, num_words, &entries_[fresh[j]].bits);
+    for (size_t j = 0; j < scans.size() && !ctx.StopRequested(); ++j) {
+      EvalWords(scans[j].program, 0, num_words, &entries_[scans[j].slot].bits);
     }
-  } else if (!fresh.empty()) {
+  } else if (!scans.empty()) {
     // One flat work list of (clause, word-chunk) items; every item owns
     // whole words of one bitmap, so chunk boundaries (and therefore the
     // output) are deterministic at any thread count.
@@ -498,16 +290,16 @@ Status MatchEngine::Materialize(
         std::max<size_t>(1, (num_words + kWordsPerChunk - 1) / kWordsPerChunk);
     try {
       ParallelForEach(
-          0, fresh.size() * chunks_per_clause,
+          0, scans.size() * chunks_per_clause,
           [&](size_t item) {
-            const size_t j = item / chunks_per_clause;
-            const size_t k = item % chunks_per_clause;
-            const size_t word_begin = k * kWordsPerChunk;
+            const PendingScan& scan = scans[item / chunks_per_clause];
+            const size_t word_begin =
+                (item % chunks_per_clause) * kWordsPerChunk;
             const size_t word_end =
                 std::min(num_words, word_begin + kWordsPerChunk);
             if (word_begin < word_end) {
-              EvalWords(programs[j], nullptr, word_begin, word_end,
-                        &entries_[fresh[j]].bits);
+              EvalWords(scan.program, word_begin, word_end,
+                        &entries_[scan.slot].bits);
             }
           },
           options);
@@ -518,8 +310,7 @@ Status MatchEngine::Materialize(
     }
   }
   // A cooperative stop skips scan chunks, leaving fresh bitmaps
-  // incomplete; drop them — and the programs referencing them — so a
-  // later retry rebuilds from scratch.
+  // incomplete; drop them so a later retry rebuilds from scratch.
   Status cont = ctx.CheckContinue();
   if (!cont.ok()) {
     rollback();
@@ -527,83 +318,40 @@ Status MatchEngine::Materialize(
   }
   // Only fully scanned bitmaps count as materialized (rolled-back
   // partial scans never reach here).
-  bitmaps_materialized_ += fresh.size();
-  Metrics().bitmaps_materialized->Increment(fresh.size());
+  bitmaps_materialized_ += scans.size();
+  Metrics().bitmaps_materialized->Increment(scans.size());
   return cont;
 }
 
-const Bitmap* MatchEngine::EnsureValidity(const CompiledClause& cc,
-                                          std::vector<const Column*>* added) {
+const Bitmap* MatchEngine::EnsureValidity(const CompiledClause& cc) {
   // String kernels read the null sentinel code; a column without nulls
   // needs no mask.
   if (cc.is_string || !cc.column->has_nulls()) return nullptr;
   const Column& col = *cc.column;
-  auto it = validity_.find(&col);
-  if (it != validity_.end()) return it->second.get();
-  // Universe-positional: bit i answers !IsNull(rows_[i]). Heap-owned so
-  // op pointers survive map rehashes and engine moves.
-  auto bits = std::make_unique<Bitmap>(rows_.size());
-  Bitmap* raw = bits.get();
-  const size_t num_words = raw->num_words();
-  for (size_t wi = 0; wi < num_words; ++wi) {
+  auto [it, inserted] = validity_.try_emplace(&col, rows_.size());
+  Bitmap& bits = it->second;
+  if (!inserted) return &bits;
+  // Universe-positional: bit i answers !IsNull(rows_[i]).
+  for (size_t wi = 0; wi < bits.num_words(); ++wi) {
     const size_t base = wi * 64;
     const size_t limit = std::min<size_t>(64, rows_.size() - base);
     uint64_t w = 0;
     for (size_t b = 0; b < limit; ++b) {
       w |= static_cast<uint64_t>(!col.IsNull(rows_[base + b])) << b;
     }
-    raw->set_word(wi, w);
+    bits.set_word(wi, w);
   }
-  validity_.emplace(&col, std::move(bits));
-  if (added != nullptr) added->push_back(&col);
-  return raw;
+  return &bits;
 }
 
-void MatchEngine::EvalWords(const FusedProgram& prog,
-                            const Bitmap* const* refs, size_t word_begin,
+void MatchEngine::EvalWords(const FusedProgram& prog, size_t word_begin,
                             size_t word_end, Bitmap* out) const {
   EvalFusedWords(prog, tier_, rows_.data(), rows_.size(), rows_contiguous_,
-                 refs, word_begin, word_end, out);
-}
-
-Result<Bitmap> MatchEngine::EvalFused(const FusedEntry& fe,
-                                      const ExecContext& ctx) const {
-  // Resolve reference slots to bitmap pointers now — entries_ may have
-  // relocated since the program was installed.
-  std::vector<const Bitmap*> refs;
-  refs.reserve(fe.ref_entries.size());
-  for (size_t slot : fe.ref_entries) refs.push_back(&entries_[slot].bits);
-  Bitmap out(rows_.size());
-  const size_t num_words = out.num_words();
-  // Anytime at block granularity: check the context between word
-  // blocks, never per row; an interrupt discards the partial bitmap.
-  constexpr size_t kCheckWords = 512;  // 32k rows per check
-  for (size_t wb = 0; wb < num_words; wb += kCheckWords) {
-    DBW_RETURN_NOT_OK(ctx.CheckContinue());
-    const size_t we = std::min(num_words, wb + kCheckWords);
-    EvalWords(fe.program, refs.data(), wb, we, &out);
-  }
-  return out;
+                 word_begin, word_end, out);
 }
 
 Result<Bitmap> MatchEngine::MatchPrepared(const Predicate& predicate) const {
-  return MatchPrepared(predicate, ExecContext::None());
-}
-
-Result<Bitmap> MatchEngine::MatchPrepared(const Predicate& predicate,
-                                          const ExecContext& ctx) const {
   DBW_RETURN_NOT_OK(CheckFresh());
-  if (predicate.num_clauses() >= 2) {
-    std::vector<std::string> keys;
-    keys.reserve(predicate.num_clauses());
-    for (const Clause& c : predicate.clauses()) keys.push_back(KeyOf(c));
-    auto it = fused_index_.find(PredicateKey(std::move(keys)));
-    if (it != fused_index_.end()) {
-      fused_evals_.fetch_add(1, std::memory_order_relaxed);
-      Metrics().fused_evals->Increment();
-      return EvalFused(fused_entries_[it->second], ctx);
-    }
-  }
   Bitmap out;
   bool first = true;
   for (const Clause& c : predicate.clauses()) {
@@ -630,17 +378,15 @@ Result<Bitmap> MatchEngine::MatchPrepared(const Predicate& predicate,
 
 Result<Bitmap> MatchEngine::Match(const Predicate& predicate) {
   DBW_RETURN_NOT_OK(CheckFresh());
-  for (const Clause& c : predicate.clauses()) {
-    EnsureClause(c, KeyOf(c));
-  }
+  for (const Clause& c : predicate.clauses()) EnsureClause(c);
   return MatchPrepared(predicate);
 }
 
 Result<const Bitmap*> MatchEngine::ClauseBitmap(const Clause& clause) {
   DBW_RETURN_NOT_OK(CheckFresh());
-  ClauseEntry* entry = EnsureClause(clause, KeyOf(clause));
-  DBW_RETURN_NOT_OK(entry->status);
-  return &entry->bits;
+  const ClauseEntry& entry = EnsureClause(clause);
+  DBW_RETURN_NOT_OK(entry.status);
+  return &entry.bits;
 }
 
 }  // namespace dbwipes

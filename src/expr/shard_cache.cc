@@ -62,15 +62,6 @@ std::vector<size_t> ShardEngineCache::CachedClausesPerShard() const {
   return out;
 }
 
-std::vector<size_t> ShardEngineCache::CachedProgramsPerShard() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<size_t> out(num_shards_, 0);
-  for (size_t s = 0; s < num_shards_; ++s) {
-    if (slots_[s] != nullptr) out[s] = slots_[s]->num_fused_programs();
-  }
-  return out;
-}
-
 size_t ShardEngineCache::engines_built() const {
   std::lock_guard<std::mutex> lock(mu_);
   return built_;

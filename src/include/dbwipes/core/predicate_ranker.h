@@ -95,18 +95,6 @@ struct ShardRankStats {
   size_t bitmaps_materialized = 0;
   /// Clause bitmaps cached in the shard's engine after the run.
   size_t cached_clauses = 0;
-  // Fused-conjunction lane counters (per-run deltas, like the clause
-  // counters above): lookups == hits + compiles + fallbacks. A warm
-  // lane re-ranks with fused_compiles == 0 and fused_hits ==
-  // fused_lookups — the fused face of the warm-cache law.
-  size_t fused_lookups = 0;
-  size_t fused_hits = 0;
-  size_t fused_compiles = 0;
-  size_t fused_fallbacks = 0;
-  /// MatchPrepared calls this run answered by a one-pass fused scan.
-  size_t fused_evals = 0;
-  /// Compiled predicate programs retained in the engine after the run.
-  size_t cached_programs = 0;
 };
 
 /// \brief Telemetry one ranking run produces for the ExplainProfile:
@@ -129,17 +117,6 @@ struct RankStats {
   size_t cache_hits = 0;
   size_t cache_misses = 0;
   size_t bitmaps_materialized = 0;
-  // Fused-conjunction counters (DESIGN.md §5i); lookups == hits +
-  // compiles + fallbacks, a law the observability test checks.
-  size_t fused_lookups = 0;
-  size_t fused_hits = 0;
-  size_t fused_compiles = 0;
-  size_t fused_fallbacks = 0;
-  size_t fused_evals = 0;
-  /// Compiled predicate programs retained across the run's engines.
-  size_t fused_programs = 0;
-  /// Wall ms spent planning + lowering fused programs this run.
-  double fused_compile_ms = 0.0;
   /// SIMD tier the engines dispatched to ("avx2" / "scalar"; "" when
   /// no engine was built).
   std::string simd_tier;

@@ -64,22 +64,6 @@ struct ExplainProfile {
   size_t cache_misses = 0;
   size_t bitmaps_materialized = 0;
 
-  // --- Fused conjunctions (one-pass SIMD matching, DESIGN.md §5i) ---
-  /// fused_lookups == fused_hits + fused_compiles + fused_fallbacks:
-  /// every multi-clause predicate a materialize batch examines counts
-  /// exactly one of program-cache hit, new compilation, or fallback to
-  /// the word-AND path.
-  size_t fused_lookups = 0;
-  size_t fused_hits = 0;
-  size_t fused_compiles = 0;
-  size_t fused_fallbacks = 0;
-  /// MatchPrepared calls answered by a one-pass fused evaluation.
-  size_t fused_evals = 0;
-  /// Compiled predicate programs retained across this run's engines.
-  size_t fused_programs = 0;
-  /// Wall ms spent planning + lowering fused programs (the fused
-  /// pipeline's per-stage timing lane, alongside materialize_ms).
-  double fused_compile_ms = 0.0;
   /// SIMD tier the run dispatched to: "avx2", "scalar", or "" when
   /// no match engine was built.
   std::string simd_tier;
@@ -100,14 +84,6 @@ struct ExplainProfile {
     size_t cache_misses = 0;
     size_t bitmaps_materialized = 0;
     size_t cached_clauses = 0;  // clause bitmaps retained after the run
-    // Fused lane counters (per-run deltas; lookups == hits + compiles
-    // + fallbacks per lane, and the profile totals are the lane sums).
-    size_t fused_lookups = 0;
-    size_t fused_hits = 0;
-    size_t fused_compiles = 0;
-    size_t fused_fallbacks = 0;
-    size_t fused_evals = 0;
-    size_t cached_programs = 0;  // programs retained after the run
   };
   size_t num_shards = 0;
   std::vector<ShardLane> shards;

@@ -54,11 +54,6 @@ class ShardEngineCache {
   /// never built). Sums to the retained-cache size the bench reports.
   std::vector<size_t> CachedClausesPerShard() const;
 
-  /// Compiled fused predicate programs per shard slot (0 while checked
-  /// out or never built). Retained programs are what a warm lane
-  /// answers fused lookups from across re-explains.
-  std::vector<size_t> CachedProgramsPerShard() const;
-
   size_t num_shards() const { return num_shards_; }
   size_t engines_built() const;
   size_t engines_reused() const;

@@ -1,11 +1,11 @@
-// Property tests for the fused-conjunction engine: on randomized
-// tables (nulls, NaN doubles, absent string literals) a fused one-pass
-// program must agree bit-for-bit with the per-clause word-AND of
-// ClauseBitmap and the boxed oracle, across shard slicings
-// S ∈ {1, 2, 3, 7} and at both SIMD tiers (DBWIPES_SIMD=off must be
-// bit-identical to the dispatched tier). Fault-matrix cases cover the
-// "match/fused" injection site, budget-exhaustion rollback, and
-// interrupt during fused evaluation.
+// Property tests for conjunctions over the clause-scan kernels: on
+// randomized tables (nulls, NaN doubles, absent string literals) a
+// batch-materialized MatchPrepared bitmap must agree bit-for-bit with
+// the per-clause word-AND of ClauseBitmap and the boxed oracle, across
+// shard slicings S ∈ {1, 2, 3, 7} and at both SIMD tiers
+// (DBWIPES_SIMD=off must be bit-identical to the dispatched tier).
+// Budget and staleness cases cover the engine's rollback and snapshot
+// checks.
 
 #include <gtest/gtest.h>
 
@@ -52,7 +52,7 @@ Table RandomTable(Rng* rng, size_t rows) {
   return t;
 }
 
-/// Clause mix that exercises every fused body: int64/double compares
+/// Clause mix that exercises every scan body: int64/double compares
 /// (including NaN-literal probes, where kLe/kGe/kNe accept NaN),
 /// dictionary eq/ne with literals present in and absent from the
 /// dictionary, IN over codes and numerics, and CONTAINS.
@@ -117,7 +117,7 @@ std::unique_ptr<MatchEngine> ScalarEngine(const Table& t,
 
 class FusedEquivalence : public ::testing::TestWithParam<uint64_t> {};
 
-// Random conjunctions, one at a time: fused == word-AND == boxed.
+// Random conjunctions, one at a time: batch == word-AND == boxed.
 TEST_P(FusedEquivalence, AgreesWithWordAndAndBoxedPaths) {
   Rng rng(GetParam());
   Table t = RandomTable(&rng, 500);
@@ -128,22 +128,22 @@ TEST_P(FusedEquivalence, AgreesWithWordAndAndBoxedPaths) {
     for (size_t i = 0; i < n; ++i) clauses.push_back(RandomClause(&rng));
     Predicate pred(clauses);
 
-    MatchEngine fused(t, rows);
-    DBW_CHECK_OK(fused.Materialize({&pred}));
-    auto fb = fused.MatchPrepared(pred);
-    ASSERT_TRUE(fb.ok()) << pred.ToString() << ": " << fb.status().ToString();
+    MatchEngine batch(t, rows);
+    DBW_CHECK_OK(batch.Materialize({&pred}));
+    auto bm = batch.MatchPrepared(pred);
+    ASSERT_TRUE(bm.ok()) << pred.ToString() << ": " << bm.status().ToString();
 
     MatchEngine plain(t, rows);
-    ASSERT_TRUE(*fb == WordAnd(&plain, pred)) << pred.ToString();
+    ASSERT_TRUE(*bm == WordAnd(&plain, pred)) << pred.ToString();
 
     BoundPredicate bound = *pred.Bind(t);
-    ASSERT_TRUE(*fb == bound.MatchBitmap(rows)) << pred.ToString();
+    ASSERT_TRUE(*bm == bound.MatchBitmap(rows)) << pred.ToString();
   }
 }
 
-// A batch sharing clauses across predicates: exercises the bitmap-ref
-// lowering (shared clauses stay in the clause cache, unique clauses go
-// inline) and verifies the counter law over a mixed workload.
+// A batch sharing clauses across predicates: every predicate agrees
+// with both oracles, and the clause counters obey their law over a
+// mixed workload.
 TEST_P(FusedEquivalence, SharedClauseBatchesAgreeAndObeyCounterLaw) {
   Rng rng(GetParam() ^ 0x5EEDu);
   Table t = RandomTable(&rng, 700);
@@ -162,46 +162,40 @@ TEST_P(FusedEquivalence, SharedClauseBatchesAgreeAndObeyCounterLaw) {
     storage.push_back(Predicate(cs));
   }
   std::vector<const Predicate*> preds;
-  size_t multi = 0;
+  size_t occurrences = 0;
   for (const Predicate& p : storage) {
     preds.push_back(&p);
-    if (p.num_clauses() >= 2) ++multi;
+    occurrences += p.num_clauses();
   }
 
-  MatchEngine fused(t, rows);
+  MatchEngine batch(t, rows);
   MatchEngine plain(t, rows);
-  DBW_CHECK_OK(fused.Materialize(preds));
+  DBW_CHECK_OK(batch.Materialize(preds));
 
-  // One fused-cache decision per multi-clause predicate, each resolved
-  // exactly one way. Single-clause predicates never consult the cache.
-  EXPECT_EQ(fused.fused_lookups(), multi);
-  EXPECT_EQ(fused.fused_hits() + fused.fused_compiles() +
-                fused.fused_fallbacks(),
-            fused.fused_lookups());
-  EXPECT_GT(fused.fused_compiles(), 0u);
+  // One lookup per clause occurrence; each miss caches one distinct
+  // clause, and the shared pool guarantees hits.
+  EXPECT_EQ(batch.clause_lookups(), occurrences);
+  EXPECT_EQ(batch.cache_misses(), batch.num_cached_clauses());
+  EXPECT_GT(batch.cache_hits(), 0u);
 
   for (const Predicate* p : preds) {
-    auto fb = fused.MatchPrepared(*p);
-    ASSERT_TRUE(fb.ok()) << p->ToString();
-    ASSERT_TRUE(*fb == WordAnd(&plain, *p)) << p->ToString();
+    auto bm = batch.MatchPrepared(*p);
+    ASSERT_TRUE(bm.ok()) << p->ToString();
+    ASSERT_TRUE(*bm == WordAnd(&plain, *p)) << p->ToString();
     BoundPredicate bound = *p->Bind(t);
-    ASSERT_TRUE(*fb == bound.MatchBitmap(rows)) << p->ToString();
+    ASSERT_TRUE(*bm == bound.MatchBitmap(rows)) << p->ToString();
   }
 
-  // ClauseBitmap never consults the program cache.
-  EXPECT_EQ(plain.fused_lookups(), 0u);
-
-  // Re-materializing the same batch is pure hits: no new programs.
-  const size_t programs = fused.num_fused_programs();
-  const size_t compiles = fused.fused_compiles();
-  DBW_CHECK_OK(fused.Materialize(preds));
-  EXPECT_EQ(fused.num_fused_programs(), programs);
-  EXPECT_EQ(fused.fused_compiles(), compiles);
-  EXPECT_GT(fused.fused_hits(), 0u);
+  // Re-materializing the same batch is pure hits: no new bitmaps.
+  const size_t misses = batch.cache_misses();
+  const size_t hits = batch.cache_hits();
+  DBW_CHECK_OK(batch.Materialize(preds));
+  EXPECT_EQ(batch.cache_misses(), misses);
+  EXPECT_EQ(batch.cache_hits(), hits + occurrences);
 }
 
 // Slicing the universe into S contiguous shard slices and evaluating
-// each slice with its own fused engine must reproduce the global
+// each slice with its own engine must reproduce the global
 // bitmap bit-for-bit, at every shard count.
 TEST_P(FusedEquivalence, ShardSlicesConcatenateToGlobalBitmap) {
   Rng rng(GetParam() ^ 0x51A6u);
@@ -283,47 +277,14 @@ TEST_P(FusedEquivalence, ForcedScalarTierIsBitIdenticalToDispatchedTier) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FusedEquivalence,
                          ::testing::Values(11u, 47u, 4242u));
 
-// ---------- fault matrix: the "match/fused" injection site ----------
-
-TEST(FusedFaults, FusedSiteFailsMaterializeWithoutMutatingCaches) {
-  Rng rng(21);
-  Table t = RandomTable(&rng, 300);
-  std::vector<RowId> rows = FullUniverse(t);
-  Predicate pred({Clause::Make("i", CompareOp::kGe, Value(int64_t{0})),
-                  Clause::Make("d", CompareOp::kLt, Value(1.0))});
-
-  MatchEngine engine(t, rows);
-  FaultInjector faults;
-  faults.ArmError("match/fused", Status::IoError("injected at match/fused"));
-  ExecContext ctx;
-  ctx.faults = &faults;
-  ParallelOptions popts;
-  popts.ctx = &ctx;
-
-  Status st = engine.Materialize({&pred}, popts);
-  ASSERT_TRUE(st.IsIoError()) << st.ToString();
-  EXPECT_GE(faults.hits("match/fused"), 1u);
-  // The site fires before any planning: no clause bitmaps, no fused
-  // programs, no counters consumed.
-  EXPECT_EQ(engine.num_cached_clauses(), 0u);
-  EXPECT_EQ(engine.num_fused_programs(), 0u);
-  EXPECT_EQ(engine.fused_lookups(), 0u);
-
-  // Disarmed, the same engine recovers cleanly.
-  faults.Disarm("match/fused");
-  DBW_CHECK_OK(engine.Materialize({&pred}, popts));
-  EXPECT_EQ(engine.num_fused_programs(), 1u);
-  ASSERT_TRUE(engine.MatchPrepared(pred).ok());
-}
-
-// ---------- budgets and interrupts ----------
+// ---------- budgets and staleness ----------
 
 TEST(FusedAnytime, BitmapBudgetExhaustionRollsBackFusedPrograms) {
   Rng rng(23);
   Table t = RandomTable(&rng, 400);
   std::vector<RowId> rows = FullUniverse(t);
-  // A shared clause forces a materialized bitmap (the fused programs
-  // reference it), which is what the budget meters.
+  // Every distinct clause is a materialized bitmap, which is what the
+  // budget meters.
   const Clause shared = Clause::Make("i", CompareOp::kLe, Value(int64_t{2}));
   Predicate p1({shared, Clause::Make("d", CompareOp::kGt, Value(0.0))});
   Predicate p2({shared, Clause::Make("s", CompareOp::kEq, Value("red"))});
@@ -338,37 +299,15 @@ TEST(FusedAnytime, BitmapBudgetExhaustionRollsBackFusedPrograms) {
   Status st = engine.Materialize({&p1, &p2}, popts);
   ASSERT_TRUE(st.IsResourceExhausted()) << st.ToString();
   EXPECT_EQ(engine.num_cached_clauses(), 0u);
-  EXPECT_EQ(engine.num_fused_programs(), 0u);
 
   // Without the budget the identical batch succeeds on the same
   // engine: the rollback left no poisoned state behind.
   DBW_CHECK_OK(engine.Materialize({&p1, &p2}));
-  EXPECT_EQ(engine.num_fused_programs(), 2u);
-}
-
-TEST(FusedAnytime, CancelledContextInterruptsFusedEvaluation) {
-  Rng rng(24);
-  Table t = RandomTable(&rng, 300);
-  std::vector<RowId> rows = FullUniverse(t);
-  Predicate pred({Clause::Make("i", CompareOp::kGe, Value(int64_t{-1})),
-                  Clause::Make("d", CompareOp::kLe, Value(0.5))});
-
-  MatchEngine engine(t, rows);
-  DBW_CHECK_OK(engine.Materialize({&pred}));
-  ASSERT_EQ(engine.num_fused_programs(), 1u);
-
-  CancellationSource source;
-  source.Cancel("query interrupted");
-  ExecContext ctx;
-  ctx.token = source.token();
-  auto bm = engine.MatchPrepared(pred, ctx);
-  ASSERT_FALSE(bm.ok());
-  EXPECT_TRUE(bm.status().IsCancelled()) << bm.status().ToString();
-  EXPECT_TRUE(bm.status().IsInterrupt());
-
-  // The cached program is untouched: a fresh context evaluates fine.
-  auto ok = engine.MatchPrepared(pred, ExecContext::None());
-  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(engine.num_cached_clauses(), 3u);
+  for (const Predicate* p : {&p1, &p2}) {
+    ASSERT_TRUE(*engine.MatchPrepared(*p) == p->Bind(t)->MatchBitmap(rows))
+        << p->ToString();
+  }
 }
 
 TEST(FusedAnytime, StalenessIsDetectedBeforeFusedEvaluation) {
@@ -383,7 +322,7 @@ TEST(FusedAnytime, StalenessIsDetectedBeforeFusedEvaluation) {
 
   DBW_CHECK_OK(t.AppendRow({Value(int64_t{3}), Value(2.5)}));
   auto stale = engine.MatchPrepared(pred);
-  ASSERT_FALSE(stale.ok());  // snapshot invalidated, program not run
+  ASSERT_FALSE(stale.ok());  // snapshot invalidated, no bitmap read
 }
 
 }  // namespace

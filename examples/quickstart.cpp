@@ -4,8 +4,8 @@
 // 2. Run an aggregate query and look at the groups.
 // 3. Select the suspicious groups and an error metric.
 // 4. Debug: get ranked predicates explaining the anomaly.
-// 5. Clean: re-run the query without tuples matching the best
-//    predicate.
+// 5. Clean: the query without tuples matching the best predicate,
+//    deleted from the result's lineage.
 
 #include <cstdio>
 

@@ -8,6 +8,7 @@
 #include "dbwipes/common/parallel.h"
 #include "dbwipes/common/stats.h"
 #include "dbwipes/common/trace.h"
+#include "dbwipes/query/incremental.h"
 
 namespace dbwipes {
 
@@ -45,6 +46,29 @@ const ExplainMetrics& Metrics() {
   return m;
 }
 
+/// The catalog's table for `name`, pinned for reading: when the name
+/// is sharded the set's read lease is held for the object's lifetime,
+/// so the fused view cannot grow under the reader.
+struct LeasedTable {
+  std::shared_ptr<const Table> table;
+  std::shared_ptr<ShardSet> shard_set;  // nullptr when unsharded
+  std::shared_lock<std::shared_mutex> lease;
+};
+
+Result<LeasedTable> LeaseTable(const Database& db, const std::string& name) {
+  LeasedTable out;
+  DBW_ASSIGN_OR_RETURN(out.table, db.GetTable(name));
+  out.shard_set = db.GetShardSet(name);
+  if (out.shard_set != nullptr) out.lease = out.shard_set->ReadLease();
+  return out;
+}
+
+/// Whether `result`'s version stamp names `table` as it is now.
+bool Describes(const QueryResult& result, const Table& table) {
+  return result.source.lock().get() == &table &&
+         result.source_rows == table.num_rows();
+}
+
 }  // namespace
 
 std::vector<std::string> DefaultExplainColumns(const Table& table,
@@ -76,17 +100,14 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
   const auto t_start = std::chrono::steady_clock::now();
   const ThreadPool::StatsSnapshot pool_before = ThreadPool::Global().stats();
 
-  DBW_ASSIGN_OR_RETURN(std::shared_ptr<const Table> table,
-                       db_->GetTable(result.query.table_name));
-
   // Sharded target: the whole pipeline (feature view, preprocess,
   // enumeration, ranking, merge) runs under ONE read lease, so a
   // concurrent Append cannot grow any shard — or the fused view —
   // mid-run. The lease is shared: concurrent explains proceed freely.
-  std::shared_ptr<ShardSet> shard_set =
-      db_->GetShardSet(result.query.table_name);
-  std::shared_lock<std::shared_mutex> lease;
-  if (shard_set != nullptr) lease = shard_set->ReadLease();
+  DBW_ASSIGN_OR_RETURN(LeasedTable leased,
+                       LeaseTable(*db_, result.query.table_name));
+  const std::shared_ptr<const Table>& table = leased.table;
+  const std::shared_ptr<ShardSet>& shard_set = leased.shard_set;
 
   std::vector<std::string> columns = request.explain_columns;
   if (columns.empty()) {
@@ -344,8 +365,24 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
 
 Result<QueryResult> DBWipes::Clean(const QueryResult& result,
                                    const Predicate& predicate) const {
-  const AggregateQuery cleaned = result.query.WithCleaningPredicate(predicate);
-  return db_->Execute(cleaned);
+  {
+    Result<LeasedTable> leased = LeaseTable(*db_, result.query.table_name);
+    if (leased.ok() && Describes(result, *leased->table) &&
+        !predicate.empty() && predicate.Bind(*leased->table).ok()) {
+      DBW_TRACE_SPAN("sql/clean");
+      return IncrementalClean(*leased->table, result, predicate);
+    }
+  }
+  // The result is stale, or the predicate is empty or does not compile
+  // to clause kernels (the row-at-a-time WHERE accepts e.g.
+  // `tag > 'c'`): re-execute the rewrite, outside the lease (Execute
+  // takes its own).
+  return db_->Execute(result.query.WithCleaningPredicate(predicate));
+}
+
+bool DBWipes::IsCurrent(const QueryResult& result) const {
+  Result<LeasedTable> leased = LeaseTable(*db_, result.query.table_name);
+  return leased.ok() && Describes(result, *leased->table);
 }
 
 }  // namespace dbwipes

@@ -16,37 +16,45 @@ Status Session::ExecuteSql(const std::string& sql) {
     return ParseQuery(sql);
   }();
   DBW_ASSIGN_OR_RETURN(AggregateQuery query, std::move(parsed));
-  original_query_ = query;
-  applied_predicates_.clear();
-  return Reexecute();
-}
-
-Status Session::Reexecute() {
-  DBW_CHECK(original_query_.has_value());
-  AggregateQuery query = *original_query_;
-  for (const Predicate& p : applied_predicates_) {
-    query = query.WithCleaningPredicate(p);
-  }
   DBW_ASSIGN_OR_RETURN(QueryResult res, engine_.database().Execute(query));
-  result_ = std::move(res);
-  selected_groups_.clear();
-  selected_inputs_.clear();
-  explanation_.reset();
+  uncleaned_ = std::make_shared<const QueryResult>(std::move(res));
+  applied_predicates_.clear();
+  Show(uncleaned_);
   return Status::OK();
 }
 
+Status Session::Rebuild(std::vector<Predicate> predicates) {
+  std::shared_ptr<const QueryResult> uncleaned = uncleaned_;
+  if (!engine_.IsCurrent(*uncleaned)) {
+    DBW_ASSIGN_OR_RETURN(QueryResult res,
+                         engine_.database().Execute(uncleaned->query));
+    uncleaned = std::make_shared<const QueryResult>(std::move(res));
+  }
+  std::shared_ptr<const QueryResult> result = uncleaned;
+  for (const Predicate& p : predicates) {
+    DBW_ASSIGN_OR_RETURN(QueryResult cleaned, engine_.Clean(*result, p));
+    result = std::make_shared<const QueryResult>(std::move(cleaned));
+  }
+  uncleaned_ = std::move(uncleaned);
+  applied_predicates_ = std::move(predicates);
+  Show(std::move(result));
+  return Status::OK();
+}
+
+void Session::Show(std::shared_ptr<const QueryResult> result) {
+  result_ = std::move(result);
+  selected_groups_.clear();
+  selected_inputs_.clear();
+  explanation_.reset();
+}
+
 const QueryResult& Session::result() const {
-  DBW_CHECK(result_.has_value()) << "no query executed";
+  DBW_CHECK(result_ != nullptr) << "no query executed";
   return *result_;
 }
 
 std::string Session::CurrentSql() const {
-  if (!original_query_) return "";
-  AggregateQuery query = *original_query_;
-  for (const Predicate& p : applied_predicates_) {
-    query = query.WithCleaningPredicate(p);
-  }
-  return query.ToSql();
+  return result_ ? result_->query.ToSql() : "";
 }
 
 Status Session::SelectResults(const std::vector<size_t>& groups) {
@@ -224,23 +232,24 @@ Status Session::ApplyPredicateDirect(const Predicate& predicate) {
   if (predicate.empty()) {
     return Status::InvalidArgument("cannot clean with an empty predicate");
   }
+  DBW_ASSIGN_OR_RETURN(QueryResult cleaned, engine_.Clean(*result_, predicate));
   applied_predicates_.push_back(predicate);
-  return Reexecute();
+  Show(std::make_shared<const QueryResult>(std::move(cleaned)));
+  return Status::OK();
 }
 
 Status Session::UndoLastPredicate() {
-  if (!original_query_) return Status::InvalidArgument("no query to undo");
+  if (!result_) return Status::InvalidArgument("no query to undo");
   if (applied_predicates_.empty()) {
     return Status::InvalidArgument("no cleaning predicate to undo");
   }
-  applied_predicates_.pop_back();
-  return Reexecute();
+  return Rebuild(std::vector<Predicate>(applied_predicates_.begin(),
+                                        applied_predicates_.end() - 1));
 }
 
 Status Session::ResetCleaning() {
-  if (!original_query_) return Status::InvalidArgument("no query to reset");
-  applied_predicates_.clear();
-  return Reexecute();
+  if (!result_) return Status::InvalidArgument("no query to reset");
+  return Rebuild({});
 }
 
 Result<std::string> Session::DescribePlan() const {

@@ -82,8 +82,8 @@ struct Explanation {
 };
 
 /// \brief The DBWipes backend facade: run aggregate queries, explain
-/// suspicious results as ranked predicates, clean by re-querying with
-/// a predicate's complement.
+/// suspicious results as ranked predicates, clean by deleting a
+/// predicate's matches from a result's captured lineage.
 class DBWipes {
  public:
   explicit DBWipes(std::shared_ptr<Database> db, ExplainOptions options = {})
@@ -108,10 +108,20 @@ class DBWipes {
       const QueryResult& result, const ExplanationRequest& request,
       const ExecContext& ctx = ExecContext::None()) const;
 
-  /// The cleaning interaction: re-executes `result.query` with
-  /// `AND NOT predicate` appended to its filter.
+  /// The cleaning interaction: `result.query` with `AND NOT predicate`
+  /// appended to its filter. When `result` is current and `predicate`
+  /// binds to its table, the matches are deleted from the captured
+  /// lineage (IncrementalClean, traced as `sql/clean`); otherwise the
+  /// rewritten query is re-executed (`sql/execute`). Both give the same
+  /// bytes. The check and the deletion share one shard read lease.
   Result<QueryResult> Clean(const QueryResult& result,
                             const Predicate& predicate) const;
+
+  /// True when `result`'s version stamp matches the catalog: the table
+  /// now registered under its query's name is the object it read, and
+  /// no row has been appended since. A current result's lineage
+  /// describes the table exactly; a stale one needs re-execution.
+  bool IsCurrent(const QueryResult& result) const;
 
  private:
   std::shared_ptr<Database> db_;

@@ -18,6 +18,13 @@ namespace dbwipes {
 /// The Session enforces the loop's ordering (e.g. Debug() before any
 /// selection is an error), which is what the demo's UI guarantees by
 /// construction.
+///
+/// Cleaning never re-runs a combined `... AND NOT p1 AND NOT p2` query
+/// here: each step goes through DBWipes::Clean, which deletes from the
+/// current result's lineage (or re-executes when that result is
+/// stale). The session holds two results — the uncleaned one and the
+/// current one — however many predicates are applied, and a command
+/// that fails leaves it unchanged.
 class Session {
  public:
   explicit Session(std::shared_ptr<Database> db, ExplainOptions options = {})
@@ -27,10 +34,10 @@ class Session {
 
   /// Parses, validates, and executes `sql`; resets all selections and
   /// cleaning state. This is the "original" query the cleaning
-  /// predicates accumulate onto.
+  /// predicates accumulate onto. The only query the session executes.
   Status ExecuteSql(const std::string& sql);
 
-  bool has_result() const { return result_.has_value(); }
+  bool has_result() const { return result_ != nullptr; }
   const QueryResult& result() const;
 
   /// The query text as the dashboard's query form shows it: the
@@ -94,8 +101,9 @@ class Session {
   // --- Step 7: clean ---
 
   /// Applies ranked predicate `index` from the last explanation:
-  /// appends AND NOT pred to the query, re-executes, clears the
-  /// selections (the visualization "automatically updates").
+  /// appends AND NOT pred to the query, deletes its matches from the
+  /// current result (DBWipes::Clean), clears the selections (the
+  /// visualization "automatically updates").
   Status ApplyPredicate(size_t index);
 
   /// Applies an arbitrary predicate (e.g. hand-written).
@@ -105,11 +113,14 @@ class Session {
     return applied_predicates_;
   }
 
-  /// Removes the most recently applied cleaning predicate and
-  /// re-executes — the dashboard's undo.
+  /// Removes the most recently applied cleaning predicate — the
+  /// dashboard's undo. Rebuilds from the uncleaned result by cleaning
+  /// with the remaining predicates; the original query runs again only
+  /// when that result is stale (rows appended since).
   Status UndoLastPredicate();
 
-  /// Drops all cleaning predicates and re-runs the original query.
+  /// Drops all cleaning predicates: back to the uncleaned result,
+  /// re-running the original query only when that result is stale.
   Status ResetCleaning();
 
   /// The coarse-grained provenance view (for contrast, per the
@@ -117,11 +128,17 @@ class Session {
   Result<std::string> DescribePlan() const;
 
  private:
-  Status Reexecute();
+  /// Rebuilds the current result as the uncleaned one cleaned by
+  /// `predicates`, and commits only if every step succeeds.
+  Status Rebuild(std::vector<Predicate> predicates);
+  /// Shows `result` as the current one; clears the selections.
+  void Show(std::shared_ptr<const QueryResult> result);
 
   DBWipes engine_;
-  std::optional<AggregateQuery> original_query_;
-  std::optional<QueryResult> result_;
+  /// The original query's result; its `query` is the original query.
+  std::shared_ptr<const QueryResult> uncleaned_;
+  /// `uncleaned_` cleaned by `applied_predicates_`, in order.
+  std::shared_ptr<const QueryResult> result_;
   std::vector<size_t> selected_groups_;
   std::vector<RowId> selected_inputs_;
   ErrorMetricPtr metric_;

@@ -51,7 +51,8 @@ class Database {
 
   /// Runs an already-parsed query. When the target is sharded, the
   /// whole execution runs under the set's read lease so a concurrent
-  /// Append cannot grow the fused view mid-scan.
+  /// Append cannot grow the fused view mid-scan. A result with lineage
+  /// carries the version stamp of the table it read.
   Result<QueryResult> Execute(const AggregateQuery& query,
                               const ExecOptions& options = {}) const;
 

@@ -26,6 +26,13 @@ struct QueryResult {
   std::shared_ptr<Table> rows;
   /// lineage[i] = sorted base-table RowIds feeding result row i.
   std::vector<std::vector<RowId>> lineage;
+  /// Version stamp, set when Database::Execute captures lineage: the
+  /// table object the query read and that table's row count. Tables
+  /// only grow, so while the catalog still holds `source` under the
+  /// query's table name at `source_rows` rows, `lineage` describes it
+  /// exactly (DBWipes::IsCurrent).
+  std::weak_ptr<const Table> source;
+  size_t source_rows = 0;
 
   size_t num_groups() const { return rows ? rows->num_rows() : 0; }
 

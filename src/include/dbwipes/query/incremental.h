@@ -1,81 +1,30 @@
 #ifndef DBWIPES_QUERY_INCREMENTAL_H_
 #define DBWIPES_QUERY_INCREMENTAL_H_
 
-#include <cstdint>
-#include <vector>
-
 #include "dbwipes/expr/predicate.h"
-#include "dbwipes/query/aggregate.h"
 #include "dbwipes/query/executor.h"
 
 namespace dbwipes {
 
-/// \brief Per-(group, aggregate) delta state for repeated
-/// IncrementalClean calls against the same result.
-///
-/// Built once (one lineage walk per aggregate), it snapshots every
-/// group's Aggregator state plus each lineage tuple's evaluated
-/// argument value. A subsequent IncrementalClean then updates an
-/// affected group by cloning its snapshot and calling Remove(v) per
-/// matched tuple — no expression evaluation at all — which is what
-/// makes a "click through the ranked predicates" loop O(|matched|)
-/// per click instead of O(|lineage|).
-class CleanSnapshot {
- public:
-  /// Walks every group's lineage once per aggregate. `result` must
-  /// have been executed with lineage capture against `table`.
-  static Result<CleanSnapshot> Build(const Table& table,
-                                     const QueryResult& result);
-
-  size_t num_groups() const { return groups_.size(); }
-
- private:
-  friend Result<QueryResult> IncrementalClean(const Table&,
-                                              const QueryResult&,
-                                              const Predicate&,
-                                              const CleanSnapshot*);
-
-  struct GroupState {
-    /// One snapshot per aggregate of the query.
-    std::vector<AggregatorPtr> aggs;
-    /// values[a][p] = evaluated argument of aggregate a at lineage
-    /// position p; meaningful only where contributes[a][p] != 0 (NULL
-    /// arguments contribute nothing, so their removal is a no-op).
-    std::vector<std::vector<double>> values;
-    std::vector<std::vector<uint8_t>> contributes;
-  };
-  std::vector<GroupState> groups_;
-};
-
 /// Applies a cleaning predicate to an existing result *incrementally*:
 /// tuples matching `predicate` are deleted from the groups they fed,
 /// untouched groups are copied verbatim, and groups that lose every
-/// tuple disappear — exactly what re-executing
+/// tuple disappear — byte for byte what re-executing
 /// `query AND NOT predicate` would produce (a law checked by tests),
 /// but without re-evaluating the WHERE clause, re-hashing group keys,
-/// or re-sorting.
+/// or re-sorting. An affected group is re-aggregated over its
+/// survivors in lineage order, which is the executor's scan order.
 ///
-/// This is the engine behind a responsive "click a predicate" loop:
-/// the demo re-ran the query against PostgreSQL on every click; with
-/// captured lineage the update is proportional to the affected groups.
-/// Requires `result` to have been executed with lineage capture.
+/// This is the engine behind the "click a predicate" loop: the demo
+/// re-ran the query against PostgreSQL on every click; with captured
+/// lineage the update is proportional to the affected groups.
+/// DBWipes::Clean calls it when `result` is current and `predicate`
+/// binds to `table`. Requires `result` to have been executed with
+/// lineage capture against `table`.
 ///
 /// The returned result's `query` carries the rewrite
-/// (`WithCleaningPredicate`), so downstream display and further
-/// cleaning compose as usual.
-///
-/// When `snapshot` (built from the same table/result pair) is
-/// supplied, affected groups are updated by aggregator-state deltas —
-/// cached values and Aggregator::Remove — instead of re-evaluating
-/// aggregate arguments over the survivors; results are identical up to
-/// floating-point removal error (count/min/max/median are exact,
-/// sum/avg/stddev within ulps). Passing nullptr keeps the
-/// rebuild-from-survivors path.
-Result<QueryResult> IncrementalClean(const Table& table,
-                                     const QueryResult& result,
-                                     const Predicate& predicate,
-                                     const CleanSnapshot* snapshot);
-
+/// (`WithCleaningPredicate`) and its version stamp is `result`'s, so
+/// downstream display and further cleaning compose as usual.
 Result<QueryResult> IncrementalClean(const Table& table,
                                      const QueryResult& result,
                                      const Predicate& predicate);

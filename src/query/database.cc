@@ -112,6 +112,10 @@ Result<QueryResult> Database::Execute(const AggregateQuery& query,
   std::shared_lock<std::shared_mutex> lease;
   if (set != nullptr) lease = set->ReadLease();
   Result<QueryResult> r = ExecuteQuery(query, *table, options);
+  if (r.ok() && options.capture_lineage) {
+    r->source = table;
+    r->source_rows = table->num_rows();
+  }
   Metrics().execute_ms->Observe(
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - t0)

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "dbwipes/common/metrics.h"
 #include "dbwipes/common/random.h"
 #include "dbwipes/core/dataset_enumerator.h"
 #include "dbwipes/core/dbwipes.h"
@@ -17,6 +18,7 @@
 #include "dbwipes/core/removal.h"
 #include "dbwipes/core/session.h"
 #include "dbwipes/expr/parser.h"
+#include "dbwipes/storage/shard.h"
 
 namespace dbwipes {
 namespace {
@@ -444,6 +446,62 @@ TEST(DBWipesTest, CleanRemovesTheAnomaly) {
     EXPECT_LT(cleaned.AggValue(g, 0), 15.0);
   }
   EXPECT_NE(cleaned.query.ToSql().find("NOT"), std::string::npos);
+}
+
+// DBWipes::Clean deletes from the lineage of a current result, and
+// re-executes a stale one (rows appended, or a new table object under
+// the name) or one whose predicate the clause kernels cannot compile.
+// Either way the bytes equal re-execution's, and the output is
+// current; `sql.queries` counts only the re-executions.
+TEST(DBWipesTest, CleanDeletesFromCurrentLineageOrReexecutes) {
+  World w = MakeWorld();
+  auto db = std::make_shared<Database>();
+  db->RegisterShardSet("w", *ShardSet::Create(*w.table, 2));
+  DBWipes engine(db);
+  const MetricCounter* queries =
+      MetricsRegistry::Global().GetCounter("sql.queries");
+  auto check = [&](const QueryResult& result, const Predicate& p,
+                   uint64_t executions) {
+    const uint64_t before = queries->value();
+    Result<QueryResult> cleaned = engine.Clean(result, p);
+    EXPECT_EQ(queries->value() - before, executions) << p.ToString();
+    if (!cleaned.ok()) {
+      ADD_FAILURE() << p.ToString() << ": " << cleaned.status().ToString();
+      return QueryResult{};
+    }
+    QueryResult slow = *db->Execute(result.query.WithCleaningPredicate(p));
+    EXPECT_EQ(QueryResultToJson(*cleaned, false),
+              QueryResultToJson(slow, false));
+    EXPECT_EQ(cleaned->lineage, slow.lineage);
+    EXPECT_TRUE(engine.IsCurrent(*cleaned));
+    return *std::move(cleaned);
+  };
+  const Predicate bad({Clause::Make("tag", CompareOp::kEq, Value("bad"))});
+
+  QueryResult result =
+      *engine.Query("SELECT g, avg(v) AS a FROM w GROUP BY g");
+  EXPECT_TRUE(engine.IsCurrent(result));
+  check(check(result, bad, 0),
+        Predicate({Clause::Make("v", CompareOp::kGt, Value(11.0))}), 0);
+  check(result, Predicate({Clause::Make("tag", CompareOp::kGt, Value("c"))}),
+        1);
+
+  std::shared_ptr<ShardSet> set = db->GetShardSet("w");
+  ASSERT_TRUE(set->Append({Value(int64_t{2}), Value("bad"), Value(0.5),
+                           Value(99.0)})
+                  .ok());
+  EXPECT_FALSE(engine.IsCurrent(result));
+  QueryResult fresh = check(result, bad, 1);
+
+  // Same rows, new table object: stale all the same.
+  db->RegisterShardSet("w", *ShardSet::Create(*set->fused(), 3));
+  EXPECT_FALSE(engine.IsCurrent(fresh));
+  check(fresh, bad, 1);
+
+  // Without lineage there is nothing to delete from.
+  ExecOptions no_lineage;
+  no_lineage.capture_lineage = false;
+  check(*db->Execute(result.query, no_lineage), bad, 1);
 }
 
 TEST(DBWipesTest, ExplainValidation) {

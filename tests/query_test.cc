@@ -359,9 +359,9 @@ TEST(DatabaseTest, RegisterUnderExplicitName) {
 
 // Long interleaved Add/Remove sequences must stay close to a
 // from-scratch recomputation over the surviving multiset. This is the
-// contract RemovalScorer and CleanSnapshot rely on: min/max/median and
-// count are exact; sum/avg/stddev/var accumulate only benign
-// floating-point error.
+// contract RemovalScorer relies on: min/max/median and count are
+// exact; sum/avg/stddev/var accumulate only benign floating-point
+// error.
 class AggregatorInterleaveProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(AggregatorInterleaveProperty, InterleavedAddRemoveMatchesRecompute) {

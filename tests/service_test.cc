@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "dbwipes/common/metrics.h"
 #include "dbwipes/common/random.h"
 #include "dbwipes/core/service.h"
 #include "dbwipes/query/derived.h"
@@ -69,6 +70,40 @@ TEST(ServiceTest, FullProtocolFlow) {
   EXPECT_TRUE(IsOk(service.Execute("undo")));
   EXPECT_TRUE(IsOk(service.Execute("clean_where tag = 'bad'")));
   EXPECT_TRUE(IsOk(service.Execute("reset")));
+}
+
+// The Figure 7 loop executes its query once: `clean` and `undo` work
+// from the lineage the current result holds. A clean on a result that
+// an append made stale re-executes.
+TEST(ServiceTest, Figure7LoopExecutesTheQueryOnce) {
+  Service service(MakeDb());
+  ASSERT_TRUE(IsOk(service.Execute("shards w 2")));
+  const MetricCounter* queries =
+      MetricsRegistry::Global().GetCounter("sql.queries");
+  for (int loop = 0; loop < 3; ++loop) {
+    const uint64_t before = queries->value();
+    for (const char* cmd :
+         {"sql SELECT g, avg(v) AS a FROM w GROUP BY g",
+          "select_range a 20 1e9", "inputs_where v > 50", "metric too_high 12",
+          "debug", "clean 0", "result", "undo"}) {
+      ASSERT_TRUE(IsOk(service.Execute(cmd))) << cmd;
+    }
+    EXPECT_EQ(queries->value() - before, 1u) << "loop " << loop;
+  }
+
+  ASSERT_TRUE(IsOk(service.Execute("append w 2 bad 99.5")));
+  // Commands after the append, and the executions each one costs: the
+  // stale result re-executes once, the re-executed one is current, and
+  // the first undo re-runs the original query, whose result is stale
+  // too.
+  const std::pair<const char*, uint64_t> steps[] = {
+      {"clean_where tag = 'bad'", 1}, {"clean_where v > 200", 0},
+      {"undo", 1}, {"undo", 0}, {"reset", 0}};
+  for (const auto& [cmd, executions] : steps) {
+    const uint64_t before = queries->value();
+    ASSERT_TRUE(IsOk(service.Execute(cmd))) << cmd;
+    EXPECT_EQ(queries->value() - before, executions) << cmd;
+  }
 }
 
 TEST(ServiceTest, ErrorsAreJsonNotCrashes) {

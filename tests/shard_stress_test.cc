@@ -1,9 +1,10 @@
-// Shard concurrency stress: appends racing shard-parallel explains.
-// The ShardSet's reader/writer lease is the whole locking story — an
-// explain holds one read lease end to end, an append takes the writer
-// side — so every explain must observe a single consistent world and
-// every response must be well-formed, under the tsan preset too (the
-// stress ctest label is what the tsan stage runs).
+// Shard concurrency stress: appends racing shard-parallel explains and
+// a cleaning session. The ShardSet's reader/writer lease is the whole
+// locking story — an explain or a clean holds one read lease end to
+// end, an append takes the writer side — so every reader must observe
+// a single consistent world and every response must be well-formed,
+// under the tsan preset too (the stress ctest label is what the tsan
+// stage runs).
 
 #include <gtest/gtest.h>
 
@@ -15,7 +16,9 @@
 
 #include "dbwipes/common/random.h"
 #include "dbwipes/core/dbwipes.h"
+#include "dbwipes/core/export.h"
 #include "dbwipes/core/service.h"
+#include "dbwipes/expr/parser.h"
 #include "dbwipes/storage/shard.h"
 
 namespace dbwipes {
@@ -149,6 +152,76 @@ TEST(ShardStressTest, ServiceAppendStatsAndDebugConcurrently) {
   // All 80 appends landed in the tail shard.
   const std::string stats = service.Execute("stats");
   EXPECT_NE(stats.find("\"appends\": 80"), std::string::npos) << stats;
+}
+
+/// The `result` payload of a Service `result` reply.
+std::string ResultPayload(const std::string& reply) {
+  const std::string key = "\"result\": ";
+  const size_t at = reply.find(key);
+  if (at == std::string::npos) return reply;
+  return reply.substr(at + key.size(), reply.size() - at - key.size() - 1);
+}
+
+// Cleaning beside appends: one session loops clean_where/undo/reset on
+// a sharded table while two threads append. Each clean checks that its
+// result is current and deletes from the lineage under one read lease,
+// so every reply is ok; once the appenders stop, the shown result
+// equals a fresh re-execution.
+TEST(ShardStressTest, CleaningSessionBesideAppenders) {
+  auto db = std::make_shared<Database>();
+  db->RegisterTable(MakeTable(240));
+  Service service(db);
+  const std::string sql =
+      "SELECT g, avg(v) AS a, count(*) AS n FROM w GROUP BY g";
+  for (const std::string& cmd : {std::string("shards w 4"), "sql " + sql}) {
+    ASSERT_NE(service.Execute(cmd).find("\"ok\": true"), std::string::npos)
+        << cmd;
+  }
+
+  std::atomic<bool> cleaning{false};
+  std::atomic<int> appenders_done{0};
+  std::atomic<size_t> loops{0};
+  std::vector<std::thread> appenders;
+  for (int t = 0; t < 2; ++t) {
+    appenders.emplace_back([&, t] {
+      while (!cleaning.load()) std::this_thread::yield();
+      for (int i = 0; i < 60; ++i) {
+        const std::string out = service.Execute(
+            "append w " + std::to_string((i + t) % 4) +
+            (i % 5 == 0 ? " bad 101.5" : " fine 9.5"));
+        ASSERT_NE(out.find("\"ok\": true"), std::string::npos) << out;
+        std::this_thread::yield();
+      }
+      appenders_done.fetch_add(1);
+    });
+  }
+  std::thread cleaner([&] {
+    do {
+      for (const char* cmd : {"clean_where tag = 'bad'", "clean_where v > 12",
+                              "undo", "clean_where g = 1", "reset"}) {
+        const std::string out = service.Execute(cmd);
+        ASSERT_NE(out.find("\"ok\": true"), std::string::npos)
+            << cmd << ": " << out;
+      }
+      loops.fetch_add(1);
+      cleaning.store(true);
+    } while (appenders_done.load() < 2);
+  });
+  for (std::thread& t : appenders) t.join();
+  cleaner.join();
+  EXPECT_GT(loops.load(), 0u);
+
+  // The last `reset` may predate the last append; one more rebuilds.
+  const AggregateQuery query = *ParseQuery(sql);
+  const Predicate bad = *ParsePredicate("tag = 'bad'");
+  ASSERT_NE(service.Execute("reset").find("\"ok\": true"), std::string::npos);
+  EXPECT_EQ(ResultPayload(service.Execute("result")),
+            QueryResultToJson(*db->Execute(query), false));
+  ASSERT_NE(service.Execute("clean_where tag = 'bad'").find("\"ok\": true"),
+            std::string::npos);
+  EXPECT_EQ(
+      ResultPayload(service.Execute("result")),
+      QueryResultToJson(*db->Execute(query.WithCleaningPredicate(bad)), false));
 }
 
 }  // namespace

@@ -17,8 +17,11 @@
 #include <vector>
 
 #include "dbwipes/common/random.h"
+#include "dbwipes/core/export.h"
 #include "dbwipes/core/service.h"
+#include "dbwipes/core/session.h"
 #include "dbwipes/core/snapshot.h"
+#include "dbwipes/expr/parser.h"
 
 namespace dbwipes {
 namespace {
@@ -157,6 +160,155 @@ TEST(WalServiceTest, CleanByRankReplaysWithoutADebug) {
     EXPECT_EQ(StripRid(service.Execute("result")), StripRid(state_before));
   }
 }
+
+// A failed cleaning command changes nothing. It is not logged, so the
+// live session must already be what recovery rebuilds.
+TEST(WalServiceTest, FailedCleanLeavesTheSessionAsRecoveryRebuildsIt) {
+  const std::string dir = TempWalDir("svc_failed_clean");
+  std::string state_before, result_before;
+  {
+    Service service(MakeDb(), WalOptionsAt(dir));
+    ASSERT_TRUE(IsOk(service.Execute(
+        "sql SELECT g, avg(v) AS a FROM w GROUP BY g")));
+    ASSERT_TRUE(IsOk(service.Execute("clean_where tag = 'bad'")));
+    EXPECT_FALSE(IsOk(service.Execute("clean_where nosuchcol = 1")));
+    // Still one predicate, so the next clean and undo succeed.
+    ASSERT_TRUE(IsOk(service.Execute("clean_where v > 200")));
+    ASSERT_TRUE(IsOk(service.Execute("undo")));
+    EXPECT_FALSE(IsOk(service.Execute("clean_where nosuchcol = 1")));
+    state_before = StripRid(service.Execute("state"));
+    result_before = StripRid(service.Execute("result"));
+    EXPECT_EQ(JsonInt(state_before, "num_applied_predicates"), 1)
+        << state_before;
+  }
+  Service service(MakeDb(), WalOptionsAt(dir));
+  EXPECT_EQ(StripRid(service.Execute("state")), state_before);
+  EXPECT_EQ(StripRid(service.Execute("result")), result_before);
+}
+
+// Randomized oracle for cleaning on a sharded table: random `clean`,
+// `clean_where`, `undo`, `reset` and `append` steps through the
+// Service. After each step, `result` equals a fresh session that runs
+// `sql` and the same `clean_where`s, and the combined query executed
+// from scratch — as of the last successful cleaning step (an append,
+// like a failed command, leaves the shown result as it was). At the
+// end, WAL recovery and snapshot save/load answer `state` and `result`
+// byte for byte.
+class CleaningSessionOracle : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CleaningSessionOracle, MatchesAFreshSessionAndRecovers) {
+  const std::string dir =
+      TempWalDir("svc_clean_oracle_" + std::to_string(GetParam()));
+  const std::string snap = dir + "_snap.dbw";
+  const std::string sql =
+      "SELECT g, avg(v) AS a, sum(v) AS s, count(*) AS n FROM w GROUP BY g";
+  // `tag > 'c'` compiles to no clause kernel, so it always re-executes.
+  const std::vector<std::string> pool = {
+      "tag = 'bad'", "v > 50",   "g = 1",    "v < 8 AND g >= 2", "g IN (0, 3)",
+      "tag > 'c'",   "v >= 9.5", "tag = 'fine' AND v > 11"};
+  Rng rng(GetParam());
+  std::string state, expected;
+  {
+    std::shared_ptr<Database> db = MakeDb();
+    Service service(db, WalOptionsAt(dir));
+    ASSERT_TRUE(IsOk(service.Execute("shards w 4")));
+    ASSERT_TRUE(IsOk(service.Execute("sql " + sql)));
+
+    std::vector<std::string> applied;  // the model
+    auto fresh_result = [&]() {
+      Session fresh(db);
+      DBW_CHECK_OK(fresh.ExecuteSql(sql));
+      AggregateQuery combined = *ParseQuery(sql);
+      for (const std::string& text : applied) {
+        const Predicate pred = *ParsePredicate(text);
+        DBW_CHECK_OK(fresh.ApplyPredicateDirect(pred));
+        combined = combined.WithCleaningPredicate(pred);
+      }
+      const std::string json = QueryResultToJson(fresh.result(), false);
+      EXPECT_EQ(json, QueryResultToJson(*db->Execute(combined), false));
+      return "{\"ok\": true, \"result\": " + json + "}";
+    };
+    expected = fresh_result();
+
+    // Sends `cmd`; on success updates the model (`cleans` is the
+    // predicate a clean applies). Then checks `result`.
+    auto step = [&](const std::string& cmd, const std::string& cleans = "") {
+      const std::string reply = service.Execute(cmd);
+      if (IsOk(reply)) {
+        if (!cleans.empty()) applied.push_back(cleans);
+        if (cmd == "undo") applied.pop_back();
+        if (cmd == "reset") applied.clear();
+        if (!cmd.starts_with("append")) expected = fresh_result();
+      } else {
+        // Only these fail, and they leave the session unchanged.
+        EXPECT_TRUE(cmd == "undo" || cmd == "clean 0") << cmd << ": " << reply;
+      }
+      EXPECT_EQ(StripRid(service.Execute("result")), expected)
+          << cmd << " after " << applied.size() << " predicates";
+    };
+
+    for (int i = 0; i < 40; ++i) {
+      switch (rng.UniformInt(6u)) {
+        case 0:
+        case 1: {
+          const std::string& pred = pool[rng.UniformInt(pool.size())];
+          step("clean_where " + pred, pred);
+          break;
+        }
+        case 2: {
+          // `clean 0` cleans by the top-ranked predicate of a debug. Once
+          // the bad rows are gone the gesture may select nothing and the
+          // debug find nothing; `clean 0` then fails.
+          service.Execute("select_range a 20 1e9");
+          service.Execute("metric too_high 12");
+          const std::string debug = service.Execute("debug");
+          const std::string key = "\"predicates\":[{\"predicate\":\"";
+          const size_t at = debug.find(key);
+          const std::string top =
+              at == std::string::npos
+                  ? ""
+                  : debug.substr(at + key.size(),
+                                 debug.find('"', at + key.size()) - at -
+                                     key.size());
+          step("clean 0", top);
+          break;
+        }
+        case 3:
+          step("undo");
+          break;
+        case 4:
+          step(rng.Bernoulli(0.5) ? "reset" : "undo");
+          break;
+        default:
+          step("append w " + std::to_string(rng.UniformInt(4u)) +
+               (rng.Bernoulli(0.3) ? " bad 97.25" : " fine 10.75"));
+          break;
+      }
+    }
+    // A last clean makes the shown result current, so a snapshot (which
+    // re-runs the session's cleaning against the final table) agrees.
+    const std::string& last = pool[rng.UniformInt(pool.size())];
+    step("clean_where " + last, last);
+    state = StripRid(service.Execute("state"));
+    EXPECT_EQ(JsonInt(state, "num_applied_predicates"),
+              static_cast<long long>(applied.size()));
+    ASSERT_TRUE(IsOk(service.Execute("snapshot save " + snap)));
+  }
+
+  Service recovered(MakeDb(), WalOptionsAt(dir));
+  EXPECT_EQ(JsonInt(recovered.Execute("wal status"), "replay_errors"), 0);
+  EXPECT_EQ(StripRid(recovered.Execute("state")), state);
+  EXPECT_EQ(StripRid(recovered.Execute("result")), expected);
+
+  Service restored(MakeDb());
+  ASSERT_TRUE(IsOk(restored.Execute("snapshot load " + snap)));
+  EXPECT_EQ(StripRid(restored.Execute("state")), state);
+  EXPECT_EQ(StripRid(restored.Execute("result")), expected);
+  std::remove(snap.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CleaningSessionOracle,
+                         ::testing::Values(3, 17, 29));
 
 TEST(WalServiceTest, CheckpointTruncatesAndSkipsReplay) {
   const std::string dir = TempWalDir("svc_ckpt");

@@ -374,9 +374,9 @@ Result<QueryResult> DBWipes::Clean(const QueryResult& result,
     }
   }
   // The result is stale, or the predicate is empty or does not compile
-  // to clause kernels (the row-at-a-time WHERE accepts e.g.
-  // `tag > 'c'`): re-execute the rewrite, outside the lease (Execute
-  // takes its own).
+  // to clause kernels (the WHERE lowering still answers e.g.
+  // `tag > 'c'`, through Clause::Matches): re-execute the rewrite,
+  // outside the lease (Execute takes its own).
   return db_->Execute(result.query.WithCleaningPredicate(predicate));
 }
 

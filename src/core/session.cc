@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "dbwipes/common/trace.h"
+#include "dbwipes/expr/bool_expr.h"
 #include "dbwipes/expr/parser.h"
 #include "dbwipes/provenance/lineage.h"
 
@@ -147,11 +148,11 @@ Status Session::SelectInputsWhere(const std::string& filter) {
   DBW_RETURN_NOT_OK(expr->Validate(base->schema()));
 
   LineageStore lineage(*result_, base->num_rows());
+  const std::vector<RowId> zoomed = lineage.BackwardUnion(selected_groups_);
+  DBW_ASSIGN_OR_RETURN(Bitmap match,
+                       FilterBitmap(*expr, *base, ScanUniverse::Of(zoomed)));
   std::vector<RowId> rows;
-  for (RowId r : lineage.BackwardUnion(selected_groups_)) {
-    DBW_ASSIGN_OR_RETURN(bool match, expr->Eval(*base, r));
-    if (match) rows.push_back(r);
-  }
+  match.ForEachSet([&](size_t i) { rows.push_back(zoomed[i]); });
   if (rows.empty()) {
     return Status::NotFound("no zoomed tuples match: " + filter);
   }

@@ -1,20 +1,13 @@
 #include "dbwipes/expr/bool_expr.h"
 
-namespace dbwipes {
+#include <unordered_map>
 
-Result<bool> ComparisonExpr::Eval(const Table& table, RowId row) const {
-  DBW_ASSIGN_OR_RETURN(size_t idx, table.schema().GetIndex(clause_.attribute));
-  return clause_.Matches(table.column(idx).GetValue(row));
-}
+#include "dbwipes/expr/match_kernels.h"
+
+namespace dbwipes {
 
 Status ComparisonExpr::Validate(const Schema& schema) const {
   return schema.GetIndex(clause_.attribute).status();
-}
-
-Result<bool> AndExpr::Eval(const Table& table, RowId row) const {
-  DBW_ASSIGN_OR_RETURN(bool l, left_->Eval(table, row));
-  if (!l) return false;
-  return right_->Eval(table, row);
 }
 
 Status AndExpr::Validate(const Schema& schema) const {
@@ -26,12 +19,6 @@ std::string AndExpr::ToString() const {
   return "(" + left_->ToString() + " AND " + right_->ToString() + ")";
 }
 
-Result<bool> OrExpr::Eval(const Table& table, RowId row) const {
-  DBW_ASSIGN_OR_RETURN(bool l, left_->Eval(table, row));
-  if (l) return true;
-  return right_->Eval(table, row);
-}
-
 Status OrExpr::Validate(const Schema& schema) const {
   DBW_RETURN_NOT_OK(left_->Validate(schema));
   return right_->Validate(schema);
@@ -39,11 +26,6 @@ Status OrExpr::Validate(const Schema& schema) const {
 
 std::string OrExpr::ToString() const {
   return "(" + left_->ToString() + " OR " + right_->ToString() + ")";
-}
-
-Result<bool> NotExpr::Eval(const Table& table, RowId row) const {
-  DBW_ASSIGN_OR_RETURN(bool v, child_->Eval(table, row));
-  return !v;
 }
 
 Status NotExpr::Validate(const Schema& schema) const {
@@ -78,13 +60,119 @@ BoolExprPtr PredicateToBoolExpr(const Predicate& pred) {
   return out;
 }
 
-Result<std::vector<bool>> EvalFilter(const BoolExpr& expr, const Table& table) {
-  std::vector<bool> out(table.num_rows(), false);
-  for (RowId r = 0; r < table.num_rows(); ++r) {
-    DBW_ASSIGN_OR_RETURN(bool v, expr.Eval(table, r));
-    out[r] = v;
+namespace {
+
+/// One FilterBitmap call: the tree walk plus the validity bitmaps its
+/// numeric leaves share, built once per column.
+class WhereLowering {
+ public:
+  WhereLowering(const Table& table, const ScanUniverse& universe)
+      : table_(table), universe_(universe), tier_(ResolveSimdTier()) {}
+
+  Result<Bitmap> Lower(const BoolExpr& expr) {
+    switch (expr.kind()) {
+      case BoolExpr::Kind::kTrue: {
+        Bitmap all(universe_.size);
+        all.SetAll();
+        return all;
+      }
+      case BoolExpr::Kind::kComparison:
+        return Leaf(static_cast<const ComparisonExpr&>(expr).clause());
+      case BoolExpr::Kind::kAnd: {
+        const auto& e = static_cast<const AndExpr&>(expr);
+        DBW_ASSIGN_OR_RETURN(Bitmap out, Lower(*e.left()));
+        DBW_ASSIGN_OR_RETURN(Bitmap right, Lower(*e.right()));
+        out.AndWith(right);
+        return out;
+      }
+      case BoolExpr::Kind::kOr: {
+        const auto& e = static_cast<const OrExpr&>(expr);
+        DBW_ASSIGN_OR_RETURN(Bitmap out, Lower(*e.left()));
+        DBW_ASSIGN_OR_RETURN(Bitmap right, Lower(*e.right()));
+        out.OrWith(right);
+        return out;
+      }
+      case BoolExpr::Kind::kNot: {
+        DBW_ASSIGN_OR_RETURN(
+            Bitmap out, Lower(*static_cast<const NotExpr&>(expr).child()));
+        out.Complement();
+        return out;
+      }
+    }
+    return Status::RuntimeError("unknown filter node");
   }
-  return out;
+
+ private:
+  Result<Bitmap> Leaf(const Clause& clause) {
+    Result<CompiledClause> compiled = CompileClause(clause, table_);
+    if (compiled.ok()) return Scan(*compiled);
+    // The kernels reject the literal's type; Clause::Matches still
+    // defines the answer.
+    DBW_ASSIGN_OR_RETURN(const Column* col, table_.GetColumn(clause.attribute));
+    if (col->type() == DataType::kString) {
+      // IN over the dictionary codes whose strings match.
+      CompiledClause by_code;
+      by_code.column = col;
+      by_code.op = CompareOp::kIn;
+      by_code.is_string = true;
+      by_code.code_table.assign(col->dictionary_size() + 1, 0);
+      for (size_t code = 0; code < col->dictionary_size(); ++code) {
+        by_code.code_table[code + 1] = clause.Matches(
+            Value(col->DictionaryValue(static_cast<int32_t>(code))));
+      }
+      return Scan(by_code);
+    }
+    if (clause.op == CompareOp::kIn) {
+      // A number equals no non-numeric member.
+      Clause numeric = clause;
+      numeric.in_set.clear();
+      for (const Value& v : clause.in_set) {
+        if (v.is_numeric()) numeric.in_set.push_back(v);
+      }
+      DBW_ASSIGN_OR_RETURN(CompiledClause cc, CompileClause(numeric, table_));
+      return Scan(cc);
+    }
+    // A non-numeric literal: Value orders by type first, so every
+    // non-null number gets the same answer.
+    Bitmap out(universe_.size);
+    if (clause.Matches(Value(0.0))) {
+      if (const Bitmap* valid = Validity(*col)) {
+        out = *valid;
+      } else {
+        out.SetAll();
+      }
+    }
+    return out;
+  }
+
+  Bitmap Scan(const CompiledClause& cc) {
+    FusedProgram prog;
+    AppendClauseOp(cc, cc.is_string ? nullptr : Validity(*cc.column), &prog);
+    Bitmap out(universe_.size);
+    EvalFusedWords(prog, tier_, universe_, 0, out.num_words(), &out);
+    return out;
+  }
+
+  /// The column's validity over the universe, or null when it has no
+  /// nulls.
+  const Bitmap* Validity(const Column& col) {
+    if (!col.has_nulls()) return nullptr;
+    auto [it, inserted] = validity_.try_emplace(&col);
+    if (inserted) it->second = ValidityBitmap(col, universe_);
+    return &it->second;
+  }
+
+  const Table& table_;
+  const ScanUniverse& universe_;
+  const SimdTier tier_;
+  std::unordered_map<const Column*, Bitmap> validity_;
+};
+
+}  // namespace
+
+Result<Bitmap> FilterBitmap(const BoolExpr& expr, const Table& table,
+                            const ScanUniverse& universe) {
+  return WhereLowering(table, universe).Lower(expr);
 }
 
 }  // namespace dbwipes

@@ -37,46 +37,43 @@ bool CpuHasAvx2() {
 }
 
 // ---------------------------------------------------------------------
-// Scalar tier: 64 rows per word, only bits below `limit` set.
+// Scalar tier: 64 positions per word, only bits below `limit` set.
+// `at(i)` is the row at universe position i.
 // ---------------------------------------------------------------------
 
-template <typename Fn>
-inline uint64_t PackWord(const RowId* rows, size_t base, size_t limit,
+template <typename RowAt, typename Fn>
+inline uint64_t PackWord(const RowAt& at, size_t base, size_t limit,
                          const Fn& fn) {
   uint64_t w = 0;
   for (size_t b = 0; b < limit; ++b) {
-    w |= static_cast<uint64_t>(fn(rows[base + b])) << b;
+    w |= static_cast<uint64_t>(fn(at(base + b))) << b;
   }
   return w;
 }
 
-template <typename Load>
-uint64_t ScalarNumericWord(const FusedOp& op, const RowId* rows, size_t base,
+template <typename RowAt, typename Load>
+uint64_t ScalarNumericWord(const FusedOp& op, const RowAt& at, size_t base,
                            size_t limit, const Load& load) {
   const double t = op.threshold;
   switch (op.op) {
     case CompareOp::kEq:
-      return PackWord(rows, base, limit,
-                      [&](RowId r) { return load(r) == t; });
+      return PackWord(at, base, limit, [&](RowId r) { return load(r) == t; });
     case CompareOp::kNe:
-      return PackWord(rows, base, limit,
-                      [&](RowId r) { return load(r) != t; });
+      return PackWord(at, base, limit, [&](RowId r) { return load(r) != t; });
     case CompareOp::kLt:
-      return PackWord(rows, base, limit,
-                      [&](RowId r) { return load(r) < t; });
+      return PackWord(at, base, limit, [&](RowId r) { return load(r) < t; });
     case CompareOp::kLe:
       // Negated strict comparisons, same as Clause::Matches: NaN
       // satisfies kLe/kGe (neither side of < holds).
-      return PackWord(rows, base, limit,
+      return PackWord(at, base, limit,
                       [&](RowId r) { return !(t < load(r)); });
     case CompareOp::kGt:
-      return PackWord(rows, base, limit,
-                      [&](RowId r) { return t < load(r); });
+      return PackWord(at, base, limit, [&](RowId r) { return t < load(r); });
     case CompareOp::kGe:
-      return PackWord(rows, base, limit,
+      return PackWord(at, base, limit,
                       [&](RowId r) { return !(load(r) < t); });
     case CompareOp::kIn:
-      return PackWord(rows, base, limit, [&](RowId r) {
+      return PackWord(at, base, limit, [&](RowId r) {
         const double v = load(r);
         return !std::isnan(v) &&
                std::binary_search(op.in_data, op.in_data + op.in_size, v);
@@ -88,42 +85,56 @@ uint64_t ScalarNumericWord(const FusedOp& op, const RowId* rows, size_t base,
   return 0;
 }
 
-uint64_t ScalarOpWord(const FusedOp& op, const RowId* rows, size_t base,
+template <typename RowAt>
+uint64_t ScalarOpWord(const FusedOp& op, const RowAt& at, size_t base,
                       size_t limit) {
   switch (op.body) {
     case FusedOp::Body::kDoubleCmp: {
       const double* data = op.dbl;
-      return ScalarNumericWord(op, rows, base, limit,
+      return ScalarNumericWord(op, at, base, limit,
                                [data](RowId r) { return data[r]; });
     }
     case FusedOp::Body::kInt64Cmp: {
       const int64_t* data = op.i64;
       return ScalarNumericWord(
-          op, rows, base, limit,
+          op, at, base, limit,
           [data](RowId r) { return static_cast<double>(data[r]); });
     }
     case FusedOp::Body::kCodeEq: {
       const int32_t* codes = op.codes;
       const int32_t key = op.code;
-      return PackWord(rows, base, limit,
+      return PackWord(at, base, limit,
                       [codes, key](RowId r) { return codes[r] == key; });
     }
     case FusedOp::Body::kCodeNe: {
       const int32_t* codes = op.codes;
       const int32_t key = op.code;
-      return PackWord(rows, base, limit, [codes, key](RowId r) {
+      return PackWord(at, base, limit, [codes, key](RowId r) {
         return static_cast<bool>((codes[r] >= 0) & (codes[r] != key));
       });
     }
     case FusedOp::Body::kCodeTable: {
       const int32_t* codes = op.codes;
       const uint32_t* table = op.table;
-      return PackWord(rows, base, limit, [codes, table](RowId r) {
+      return PackWord(at, base, limit, [codes, table](RowId r) {
         return table[codes[r] + 1] != 0;
       });
     }
   }
   return 0;
+}
+
+/// The scalar word at `base` over `universe`.
+uint64_t ScalarWord(const FusedOp& op, const ScanUniverse& universe,
+                    size_t base, size_t limit) {
+  if (universe.contiguous()) {
+    const RowId first = universe.first;
+    return ScalarOpWord(
+        op, [first](size_t i) { return static_cast<RowId>(first + i); }, base,
+        limit);
+  }
+  const RowId* rows = universe.rows;
+  return ScalarOpWord(op, [rows](size_t i) { return rows[i]; }, base, limit);
 }
 
 // ---------------------------------------------------------------------
@@ -274,26 +285,24 @@ DBW_AVX2 uint64_t Avx2CodeWord(const FusedOp& op, const RowId* rows,
   return w;
 }
 
-DBW_AVX2 uint64_t Avx2OpWord(const FusedOp& op, const RowId* rows,
-                             bool contiguous, size_t base) {
+DBW_AVX2 uint64_t Avx2OpWord(const FusedOp& op, const ScanUniverse& universe,
+                             size_t base) {
+  const bool contiguous = universe.contiguous();
+  const size_t start = universe.first + base;  // contiguous only
+  const RowId* rows = contiguous ? nullptr : universe.rows + base;
   switch (op.body) {
     case FusedOp::Body::kDoubleCmp:
       return contiguous
-                 ? Avx2DoubleCmpLoad(op.dbl + rows[0] + base, op.threshold,
-                                     op.op)
-                 : Avx2DoubleCmpGather(op.dbl, rows + base, op.threshold,
-                                       op.op);
+                 ? Avx2DoubleCmpLoad(op.dbl + start, op.threshold, op.op)
+                 : Avx2DoubleCmpGather(op.dbl, rows, op.threshold, op.op);
     case FusedOp::Body::kInt64Cmp:
       return contiguous
-                 ? Avx2Int64CmpLoad(op.i64 + rows[0] + base, op.threshold,
-                                    op.op)
-                 : Avx2Int64CmpGather(op.i64, rows + base, op.threshold,
-                                      op.op);
+                 ? Avx2Int64CmpLoad(op.i64 + start, op.threshold, op.op)
+                 : Avx2Int64CmpGather(op.i64, rows, op.threshold, op.op);
     case FusedOp::Body::kCodeEq:
     case FusedOp::Body::kCodeNe:
     case FusedOp::Body::kCodeTable:
-      return Avx2CodeWord(op, rows + base,
-                          contiguous ? op.codes + rows[0] + base : nullptr);
+      return Avx2CodeWord(op, rows, contiguous ? op.codes + start : nullptr);
   }
   return 0;
 }
@@ -361,9 +370,30 @@ void AppendClauseOp(const CompiledClause& cc, const Bitmap* valid,
   }
 }
 
+ScanUniverse ScanUniverse::Of(const std::vector<RowId>& rows) {
+  for (size_t i = 1; i < rows.size(); ++i) {
+    if (rows[i] != rows[0] + i) return {rows.data(), 0, rows.size()};
+  }
+  return Range(rows.empty() ? 0 : rows[0], rows.size());
+}
+
+Bitmap ValidityBitmap(const Column& col, const ScanUniverse& universe) {
+  Bitmap bits(universe.size);
+  for (size_t wi = 0; wi < bits.num_words(); ++wi) {
+    const size_t base = wi * 64;
+    const size_t limit = std::min<size_t>(64, universe.size - base);
+    uint64_t w = 0;
+    for (size_t b = 0; b < limit; ++b) {
+      w |= static_cast<uint64_t>(!col.IsNull(universe.row(base + b))) << b;
+    }
+    bits.set_word(wi, w);
+  }
+  return bits;
+}
+
 void EvalFusedWords(const FusedProgram& prog, SimdTier tier,
-                    const RowId* rows, size_t num_rows, bool contiguous,
-                    size_t word_begin, size_t word_end, Bitmap* out) {
+                    const ScanUniverse& universe, size_t word_begin,
+                    size_t word_end, Bitmap* out) {
 #if !DBWIPES_HAVE_AVX2_TIER
   tier = SimdTier::kScalar;
 #endif
@@ -374,15 +404,15 @@ void EvalFusedWords(const FusedProgram& prog, SimdTier tier,
       op.op == CompareOp::kIn && op.body != FusedOp::Body::kCodeTable;
   for (size_t wi = word_begin; wi < word_end; ++wi) {
     const size_t base = wi * 64;
-    const size_t limit = std::min<size_t>(64, num_rows - base);
+    const size_t limit = std::min<size_t>(64, universe.size - base);
     uint64_t w;
 #if DBWIPES_HAVE_AVX2_TIER
     if (tier == SimdTier::kAvx2 && limit == 64 && !scalar_only) {
-      w = Avx2OpWord(op, rows, contiguous, base);
+      w = Avx2OpWord(op, universe, base);
     } else
 #endif
     {
-      w = ScalarOpWord(op, rows, base, limit);
+      w = ScalarWord(op, universe, base, limit);
     }
     if (op.valid != nullptr) w &= op.valid->word(wi);
     out->set_word(wi, w);

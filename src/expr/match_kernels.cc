@@ -166,17 +166,8 @@ MatchEngine::MatchEngine(const Table& table, std::vector<RowId> rows)
     : table_(&table),
       rows_(std::move(rows)),
       built_num_rows_(table.num_rows()),
-      tier_(ResolveSimdTier()) {
-  // A contiguous universe (the common full-table / dense-suspect case)
-  // lets the SIMD tier use plain loads instead of gathers.
-  rows_contiguous_ = true;
-  for (size_t i = 1; i < rows_.size(); ++i) {
-    if (rows_[i] != rows_[0] + i) {
-      rows_contiguous_ = false;
-      break;
-    }
-  }
-}
+      universe_(ScanUniverse::Of(rows_)),
+      tier_(ResolveSimdTier()) {}
 
 Status MatchEngine::CheckFresh() const {
   if (table_->num_rows() != built_num_rows_) {
@@ -327,27 +318,14 @@ const Bitmap* MatchEngine::EnsureValidity(const CompiledClause& cc) {
   // String kernels read the null sentinel code; a column without nulls
   // needs no mask.
   if (cc.is_string || !cc.column->has_nulls()) return nullptr;
-  const Column& col = *cc.column;
-  auto [it, inserted] = validity_.try_emplace(&col, rows_.size());
-  Bitmap& bits = it->second;
-  if (!inserted) return &bits;
-  // Universe-positional: bit i answers !IsNull(rows_[i]).
-  for (size_t wi = 0; wi < bits.num_words(); ++wi) {
-    const size_t base = wi * 64;
-    const size_t limit = std::min<size_t>(64, rows_.size() - base);
-    uint64_t w = 0;
-    for (size_t b = 0; b < limit; ++b) {
-      w |= static_cast<uint64_t>(!col.IsNull(rows_[base + b])) << b;
-    }
-    bits.set_word(wi, w);
-  }
-  return &bits;
+  auto [it, inserted] = validity_.try_emplace(cc.column);
+  if (inserted) it->second = ValidityBitmap(*cc.column, universe_);
+  return &it->second;
 }
 
 void MatchEngine::EvalWords(const FusedProgram& prog, size_t word_begin,
                             size_t word_end, Bitmap* out) const {
-  EvalFusedWords(prog, tier_, rows_.data(), rows_.size(), rows_contiguous_,
-                 word_begin, word_end, out);
+  EvalFusedWords(prog, tier_, universe_, word_begin, word_end, out);
 }
 
 Result<Bitmap> MatchEngine::MatchPrepared(const Predicate& predicate) const {

@@ -41,6 +41,19 @@ class Bitmap {
     for (size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
   }
 
+  /// this |= other; the bitmaps must be the same size.
+  void OrWith(const Bitmap& other) {
+    for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
+  }
+
+  /// Flips every bit in [0, num_bits()); padding bits stay zero.
+  void Complement() {
+    if (words_.empty()) return;
+    for (uint64_t& w : words_) w = ~w;
+    const size_t tail = num_bits_ & 63;
+    if (tail != 0) words_.back() &= (uint64_t{1} << tail) - 1;
+  }
+
   /// Sets every bit in [0, num_bits()).
   void SetAll() {
     if (words_.empty()) return;

@@ -5,7 +5,9 @@
 #include <string>
 #include <vector>
 
+#include "dbwipes/common/bitmap.h"
 #include "dbwipes/common/result.h"
+#include "dbwipes/expr/fused_kernels.h"
 #include "dbwipes/expr/predicate.h"
 #include "dbwipes/storage/table.h"
 
@@ -15,18 +17,17 @@ namespace dbwipes {
 /// AND / OR / NOT. This is what a WHERE clause parses into and what
 /// cleaning rewrites manipulate (`old_where AND NOT predicate`).
 ///
-/// Evaluation is two-valued: a comparison touching a NULL cell is
-/// false, and NOT is plain negation. (Documented divergence from SQL
-/// three-valued logic; it makes "remove tuples matching P" keep rows
-/// whose attribute is NULL, which is the conservative choice for
-/// cleaning.)
+/// Evaluation (FilterBitmap) is two-valued: a comparison is
+/// Clause::Matches, so one touching a NULL cell is false, and NOT is
+/// plain negation. (Documented divergence from SQL three-valued logic;
+/// it makes "remove tuples matching P" keep rows whose attribute is
+/// NULL, which is the conservative choice for cleaning.)
 class BoolExpr {
  public:
   enum class Kind { kTrue, kComparison, kAnd, kOr, kNot };
 
   virtual ~BoolExpr() = default;
   virtual Kind kind() const = 0;
-  virtual Result<bool> Eval(const Table& table, RowId row) const = 0;
   virtual Status Validate(const Schema& schema) const = 0;
   virtual std::string ToString() const = 0;
 };
@@ -37,7 +38,6 @@ using BoolExprPtr = std::shared_ptr<const BoolExpr>;
 class TrueExpr final : public BoolExpr {
  public:
   Kind kind() const override { return Kind::kTrue; }
-  Result<bool> Eval(const Table&, RowId) const override { return true; }
   Status Validate(const Schema&) const override { return Status::OK(); }
   std::string ToString() const override { return "TRUE"; }
 };
@@ -48,7 +48,6 @@ class ComparisonExpr final : public BoolExpr {
   explicit ComparisonExpr(Clause clause) : clause_(std::move(clause)) {}
 
   Kind kind() const override { return Kind::kComparison; }
-  Result<bool> Eval(const Table& table, RowId row) const override;
   Status Validate(const Schema& schema) const override;
   std::string ToString() const override { return clause_.ToString(); }
 
@@ -64,7 +63,6 @@ class AndExpr final : public BoolExpr {
       : left_(std::move(left)), right_(std::move(right)) {}
 
   Kind kind() const override { return Kind::kAnd; }
-  Result<bool> Eval(const Table& table, RowId row) const override;
   Status Validate(const Schema& schema) const override;
   std::string ToString() const override;
 
@@ -82,9 +80,11 @@ class OrExpr final : public BoolExpr {
       : left_(std::move(left)), right_(std::move(right)) {}
 
   Kind kind() const override { return Kind::kOr; }
-  Result<bool> Eval(const Table& table, RowId row) const override;
   Status Validate(const Schema& schema) const override;
   std::string ToString() const override;
+
+  const BoolExprPtr& left() const { return left_; }
+  const BoolExprPtr& right() const { return right_; }
 
  private:
   BoolExprPtr left_;
@@ -96,9 +96,10 @@ class NotExpr final : public BoolExpr {
   explicit NotExpr(BoolExprPtr child) : child_(std::move(child)) {}
 
   Kind kind() const override { return Kind::kNot; }
-  Result<bool> Eval(const Table& table, RowId row) const override;
   Status Validate(const Schema& schema) const override;
   std::string ToString() const override;
+
+  const BoolExprPtr& child() const { return child_; }
 
  private:
   BoolExprPtr child_;
@@ -114,8 +115,19 @@ BoolExprPtr MakeNot(BoolExprPtr a);
 /// Converts a conjunctive Predicate into the equivalent BoolExpr.
 BoolExprPtr PredicateToBoolExpr(const Predicate& pred);
 
-/// Evaluates the filter across all rows; out[i] = expr matches row i.
-Result<std::vector<bool>> EvalFilter(const BoolExpr& expr, const Table& table);
+/// Lowers `expr` to the bitmap of the `universe` positions whose rows
+/// it matches (bit i = row universe.row(i) passes), the vectorized
+/// WHERE. Each comparison leaf is one clause scan at ResolveSimdTier()
+/// (CompileClause + AppendClauseOp + EvalFusedWords); AND, OR and NOT
+/// are word operations, NOT masked to the universe. A leaf the kernels
+/// reject for its literal types keeps Clause::Matches' answer: on a
+/// string column Matches runs once per dictionary string into a
+/// per-code truth table; on a numeric column the non-numeric members
+/// of an IN set are dropped, and any other literal gives every non-null
+/// row the same answer under Value's type order. Fails only where
+/// `expr` does not Validate against the table's schema.
+Result<Bitmap> FilterBitmap(const BoolExpr& expr, const Table& table,
+                            const ScanUniverse& universe);
 
 }  // namespace dbwipes
 

@@ -15,9 +15,10 @@ struct CompiledClause;
 
 /// \brief SIMD tier clause scans dispatch to at runtime.
 ///
-/// Selected per MatchEngine from a one-time cpuid probe, overridable
-/// via the DBWIPES_SIMD environment variable ("off" / "scalar" / "0"
-/// forces the portable tier). Every tier produces bit-identical words:
+/// Selected per MatchEngine and per query WHERE (FilterBitmap) from a
+/// one-time cpuid probe, overridable via the DBWIPES_SIMD environment
+/// variable ("off" / "scalar" / "0" forces the portable tier). Every
+/// tier produces bit-identical words:
 /// the AVX2 comparisons use the exact predicate encodings of the
 /// scalar path (kLe/kGe as negated strict comparisons ⇒ unordered-true
 /// _CMP_NGT_UQ / _CMP_NLT_UQ, kNe as _CMP_NEQ_UQ), and int64 widens to
@@ -37,12 +38,36 @@ SimdTier ResolveSimdTier();
 
 const char* SimdTierName(SimdTier tier);
 
+/// \brief The positions a clause scan visits.
+///
+/// Position i is row `rows[i]`. When `rows` is null the universe is
+/// the contiguous range [first, first + size): the SIMD tier reads it
+/// with plain loads instead of gathers, and no row-id array has to
+/// exist (a whole-table scan covers every row without one).
+struct ScanUniverse {
+  const RowId* rows = nullptr;
+  RowId first = 0;
+  size_t size = 0;
+
+  /// The contiguous range [first, first + size).
+  static ScanUniverse Range(RowId first, size_t size) {
+    return {nullptr, first, size};
+  }
+  /// The listed rows, borrowed; a Range when they are contiguous.
+  static ScanUniverse Of(const std::vector<RowId>& rows);
+
+  bool contiguous() const { return rows == nullptr; }
+  RowId row(size_t i) const {
+    return rows != nullptr ? rows[i] : first + static_cast<RowId>(i);
+  }
+};
+
 /// \brief One compiled clause as a scan op.
 ///
-/// All pointers are borrowed: columns outlive the engine, the IN set
+/// All pointers are borrowed: columns outlive the scan, the IN set
 /// and truth table live in the owning FusedProgram (a vector's buffer
 /// survives moving it), and `valid` points at a bitmap owned by the
-/// MatchEngine.
+/// caller (the MatchEngine, or the WHERE lowering).
 struct FusedOp {
   enum class Body : uint8_t {
     kDoubleCmp,   // double column vs threshold (or sorted IN set)
@@ -83,16 +108,18 @@ struct FusedProgram {
 void AppendClauseOp(const CompiledClause& cc, const Bitmap* valid,
                     FusedProgram* prog);
 
+/// The `valid` bitmap AppendClauseOp takes: bit i = row
+/// universe.row(i) of `col` is non-null.
+Bitmap ValidityBitmap(const Column& col, const ScanUniverse& universe);
+
 /// Evaluates `prog` over positions [64*word_begin, 64*word_end) of
-/// `rows` (clamped to num_rows), writing one finished bitmap word per
-/// 64 positions into `out`. `contiguous` asserts rows[i] == rows[0]+i,
-/// letting the SIMD tier use plain loads instead of gathers. Chunks
-/// owning disjoint word ranges may run concurrently on one bitmap.
-/// Deterministic: the emitted words are identical at any tier,
-/// chunking, or thread count.
+/// `universe` (clamped to its size), writing one finished bitmap word
+/// per 64 positions into `out`. Chunks owning disjoint word ranges may
+/// run concurrently on one bitmap. Deterministic: the emitted words are
+/// identical at any tier, chunking, or thread count.
 void EvalFusedWords(const FusedProgram& prog, SimdTier tier,
-                    const RowId* rows, size_t num_rows, bool contiguous,
-                    size_t word_begin, size_t word_end, Bitmap* out);
+                    const ScanUniverse& universe, size_t word_begin,
+                    size_t word_end, Bitmap* out);
 
 }  // namespace dbwipes
 

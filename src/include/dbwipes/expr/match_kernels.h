@@ -31,7 +31,7 @@ class ResourceBudget;
 /// per-row branching on boxed values.
 ///
 /// Match semantics are identical to Clause::Matches (the boxed
-/// row-at-a-time path): kLe/kGe are the negated strict comparisons, so
+/// per-value definition): kLe/kGe are the negated strict comparisons, so
 /// NaN cells satisfy kLe/kGe/kNe and nothing else; a NaN probe is IN
 /// nothing; a string literal absent from the dictionary (FindCode ==
 /// -1) makes kEq match nothing and kNe match every non-null row.
@@ -163,7 +163,11 @@ class MatchEngine {
   const Table* table_;
   std::vector<RowId> rows_;
   size_t built_num_rows_;  // table size the cache snapshot is valid for
-  bool rows_contiguous_ = false;  // rows_[i] == rows_[0] + i
+  /// rows_ as a scan universe: a Range when they are contiguous (the
+  /// common full-table / dense-suspect case, which lets the SIMD tier
+  /// use plain loads instead of gathers), else borrowing rows_' buffer,
+  /// which a move keeps.
+  ScanUniverse universe_;
   SimdTier tier_ = SimdTier::kScalar;
   std::unordered_map<std::string, size_t> index_;  // canonical key -> entry
   std::vector<ClauseEntry> entries_;

@@ -1,7 +1,8 @@
-// Differential/property tests: the three predicate-evaluation paths
+// Differential/property tests: the predicate-evaluation paths
 // (row-at-a-time Predicate::Matches, compiled BoundPredicate, and the
-// BoolExpr tree) must agree on random tables, the executor's WHERE
-// handling must match a manual filter-then-aggregate oracle, and the
+// BoolExpr tree through the reference evaluator and through the
+// FilterBitmap lowering) must agree on random tables, the executor's
+// WHERE handling must match a manual filter-then-aggregate oracle, and the
 // delta-based scoring engine (RemovalScorer, bitmap matching, parallel
 // ranking) must reproduce the serial from-scratch reference.
 
@@ -23,6 +24,7 @@
 #include "dbwipes/query/executor.h"
 #include "dbwipes/query/incremental.h"
 #include "dbwipes/storage/shard.h"
+#include "reference_executor.h"
 
 namespace dbwipes {
 namespace {
@@ -89,14 +91,17 @@ TEST_P(PredicatePathEquivalence, AllThreePathsAgree) {
     BoolExprPtr expr = PredicateToBoolExpr(pred);
     const std::vector<bool> mask = bound.MatchAll();
     const std::vector<RowId> matching = bound.MatchingRows();
+    const Bitmap lowered =
+        *FilterBitmap(*expr, t, ScanUniverse::Range(0, t.num_rows()));
 
     size_t match_count = 0;
     for (RowId r = 0; r < t.num_rows(); ++r) {
       const bool slow = *pred.Matches(t, r);
       const bool fast = bound.Matches(r);
-      const bool tree = *expr->Eval(t, r);
+      const bool tree = *reference::Eval(*expr, t, r);
       ASSERT_EQ(slow, fast) << pred.ToString() << " row " << r;
       ASSERT_EQ(slow, tree) << pred.ToString() << " row " << r;
+      ASSERT_EQ(slow, lowered.Test(r)) << pred.ToString() << " row " << r;
       ASSERT_EQ(slow, static_cast<bool>(mask[r]));
       if (slow) {
         ASSERT_EQ(matching[match_count], r);
@@ -272,6 +277,9 @@ TEST_P(IncrementalCleanLaw, MatchesFullReexecution) {
       *ParseQuery("SELECT s, i, count(*) AS n, sum(d) AS sd, avg(x) AS ax, "
                   "var(d) AS vd, min(d) AS lo, max(d) AS hi FROM t "
                   "WHERE i > -4 GROUP BY s, i"),
+      // NaN keys: one group, after the numbers.
+      *ParseQuery("SELECT x, count(*) AS n, sum(d) AS sd, max(d) AS hi "
+                  "FROM t GROUP BY x"),
   };
   for (const Table* t : {&plain, shards->fused().get()}) {
     for (const AggregateQuery& query : queries) {

@@ -3,6 +3,7 @@
 #include "dbwipes/expr/bool_expr.h"
 #include "dbwipes/expr/predicate.h"
 #include "dbwipes/expr/scalar_expr.h"
+#include "reference_executor.h"
 
 namespace dbwipes {
 namespace {
@@ -175,16 +176,26 @@ TEST(PredicateTest, ToStringFormats) {
 
 // ---------- bool expressions ----------
 
+/// The reference evaluator's answer for `row`, checked against the
+/// row's bit in the WHERE lowering's bitmap.
+bool Eval(const BoolExprPtr& e, const Table& t, RowId row) {
+  const bool ref = *reference::Eval(*e, t, row);
+  const Bitmap bits =
+      *FilterBitmap(*e, t, ScanUniverse::Range(0, t.num_rows()));
+  EXPECT_EQ(bits.Test(row), ref) << e->ToString() << " row " << row;
+  return ref;
+}
+
 TEST(BoolExprTest, AndOrNotEvaluation) {
   Table t = MakeTable();
   auto red = MakeComparison(Clause::Make("s", CompareOp::kEq, Value("red")));
   auto big = MakeComparison(Clause::Make("x", CompareOp::kGe, Value(3.0)));
-  EXPECT_FALSE(*MakeAnd(red, big)->Eval(t, 0));
-  EXPECT_TRUE(*MakeAnd(red, big)->Eval(t, 2));
-  EXPECT_TRUE(*MakeOr(red, big)->Eval(t, 0));
-  EXPECT_FALSE(*MakeOr(red, big)->Eval(t, 1));
-  EXPECT_TRUE(*MakeNot(red)->Eval(t, 1));
-  EXPECT_TRUE(*MakeTrue()->Eval(t, 3));
+  EXPECT_FALSE(Eval(MakeAnd(red, big), t, 0));
+  EXPECT_TRUE(Eval(MakeAnd(red, big), t, 2));
+  EXPECT_TRUE(Eval(MakeOr(red, big), t, 0));
+  EXPECT_FALSE(Eval(MakeOr(red, big), t, 1));
+  EXPECT_TRUE(Eval(MakeNot(red), t, 1));
+  EXPECT_TRUE(Eval(MakeTrue(), t, 3));
 }
 
 TEST(BoolExprTest, NullComparisonIsFalseAndNotFlipsIt) {
@@ -192,8 +203,8 @@ TEST(BoolExprTest, NullComparisonIsFalseAndNotFlipsIt) {
   // Row 3 has x = NULL: x >= 0 is false, NOT (x >= 0) is true (two-
   // valued semantics, documented in bool_expr.h).
   auto cmp = MakeComparison(Clause::Make("x", CompareOp::kGe, Value(0.0)));
-  EXPECT_FALSE(*cmp->Eval(t, 3));
-  EXPECT_TRUE(*MakeNot(cmp)->Eval(t, 3));
+  EXPECT_FALSE(Eval(cmp, t, 3));
+  EXPECT_TRUE(Eval(MakeNot(cmp), t, 3));
 }
 
 TEST(BoolExprTest, PredicateConversionMatches) {
@@ -202,7 +213,7 @@ TEST(BoolExprTest, PredicateConversionMatches) {
                Clause::Make("x", CompareOp::kLe, Value(1.0))});
   BoolExprPtr e = PredicateToBoolExpr(p);
   for (RowId r = 0; r < t.num_rows(); ++r) {
-    EXPECT_EQ(*e->Eval(t, r), *p.Matches(t, r));
+    EXPECT_EQ(Eval(e, t, r), *p.Matches(t, r));
   }
   EXPECT_EQ(PredicateToBoolExpr(Predicate::True())->kind(),
             BoolExpr::Kind::kTrue);
@@ -211,8 +222,18 @@ TEST(BoolExprTest, PredicateConversionMatches) {
 TEST(BoolExprTest, EvalFilter) {
   Table t = MakeTable();
   auto e = MakeComparison(Clause::Make("s", CompareOp::kEq, Value("red")));
-  std::vector<bool> mask = *EvalFilter(*e, t);
+  const Bitmap all =
+      *FilterBitmap(*e, t, ScanUniverse::Range(0, t.num_rows()));
+  std::vector<bool> mask;
+  for (size_t i = 0; i < all.num_bits(); ++i) mask.push_back(all.Test(i));
   EXPECT_EQ(mask, (std::vector<bool>{true, false, true, false}));
+  // The lowering over a listed universe: bit i answers rows[i].
+  const std::vector<RowId> rows = {3, 2, 0};
+  const Bitmap bits = *FilterBitmap(*e, t, ScanUniverse::Of(rows));
+  EXPECT_FALSE(bits.Test(0));
+  EXPECT_TRUE(bits.Test(1));
+  EXPECT_TRUE(bits.Test(2));
+  EXPECT_EQ(bits.CountOnes(), 2u);
 }
 
 TEST(BoolExprTest, ValidateCatchesUnknownColumns) {

@@ -315,6 +315,7 @@ TEST(ObservabilityTest, TraceCoversEveryPipelineStage) {
            "merge/rerank", "enumerate/clean", "enumerate/subgroups",
            "enumerate/datasets", "enumerate/predicates", "scorer/create",
            "ranker/rank", "match/materialize", "sql/parse", "sql/execute",
+           "sql/filter", "sql/group",
        }) {
     EXPECT_NE(json.find("\"name\":\"" + std::string(span) + "\""),
               std::string::npos)

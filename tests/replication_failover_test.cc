@@ -17,8 +17,10 @@
 // BEFORE the workload for streaming-path kills, and only AFTER a
 // checkpoint truncates the log for snapshot-bootstrap kills, so the
 // matrix includes deaths during the snapshot transfer itself. The
-// suite self-provides main(): the forked child must run the workload
-// directly, not gtest.
+// suite self-provides main(): the forked child execs this binary with
+// kPrimaryChildFlag, so it starts single-threaded (a child forked from
+// the multi-threaded parent must not start threads) and main() runs
+// the workload directly, not gtest.
 //
 // DBWIPES_FAILOVER_RUNS scales the total run count (default sized so
 // a full pass exceeds 100 randomized kill points).
@@ -109,6 +111,10 @@ bool RunSetup(Service& service) {
          IsOk(service.Execute("metric too_high 12")) &&
          IsOk(service.Execute("shards w 4"));
 }
+
+/// argv[1] of the re-executed primary child; its arguments follow as
+/// <dir> <ack_fd> <site> <skip> <short_write_limit>.
+constexpr char kPrimaryChildFlag[] = "--failover-primary-child";
 
 /// The forked primary's workload. Never returns — exits 0 (workload
 /// complete and the follower drained), kFaultCrashExit (the armed
@@ -223,6 +229,18 @@ FailoverOutcome RunFailoverOnce(const KillMode& mode, Rng& rng,
       mode.skip_range > 0 ? rng.UniformInt(mode.skip_range) : 0;
   const size_t short_write =
       mode.short_write_range > 0 ? rng.UniformInt(mode.short_write_range) : 0;
+  // The child's command line, built before fork: between fork and exec
+  // the child only calls async-signal-safe functions.
+  std::vector<std::string> args = {"/proc/self/exe",
+                                   kPrimaryChildFlag,
+                                   dir,
+                                   std::to_string(pipe_fds[1]),
+                                   mode.site,
+                                   std::to_string(skip),
+                                   std::to_string(short_write)};
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
   const pid_t pid = ::fork();
   if (pid < 0) {
     ADD_FAILURE() << "fork: " << std::strerror(errno);
@@ -232,7 +250,8 @@ FailoverOutcome RunFailoverOnce(const KillMode& mode, Rng& rng,
   }
   if (pid == 0) {
     ::close(pipe_fds[0]);
-    RunPrimaryChild(dir, pipe_fds[1], mode.site, skip, short_write);
+    ::execv(argv[0], argv.data());
+    ::_exit(3);
   }
   ::close(pipe_fds[1]);
 
@@ -406,6 +425,11 @@ TEST(ReplicationFailoverTest, KillMatrixPromotedFollowerIsAnAckedPrefix) {
 }  // namespace dbwipes
 
 int main(int argc, char** argv) {
+  if (argc == 7 && std::strcmp(argv[1], dbwipes::kPrimaryChildFlag) == 0) {
+    dbwipes::RunPrimaryChild(argv[2], std::atoi(argv[3]), argv[4],
+                             std::strtoull(argv[5], nullptr, 10),
+                             std::strtoull(argv[6], nullptr, 10));
+  }
   ::testing::InitGoogleTest(&argc, argv);
   return RUN_ALL_TESTS();
 }

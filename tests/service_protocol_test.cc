@@ -190,8 +190,8 @@ void Record(Transcript& t) {
               "clean_where a = 1 OR b = 2", "clean_where tag = 'bad'",
               "reset", "state", "cancel", "debug", "cancel", "state",
               // Predicates the clause kernels cannot compile, which the
-              // row-at-a-time WHERE accepts; then a failed clean, which
-              // leaves the session unchanged.
+              // WHERE lowering answers through Clause::Matches; then a
+              // failed clean, which leaves the session unchanged.
               "clean_where tag > 'c'", "result", "undo",
               "clean_where tag = 5", "result", "undo",
               "clean_where v = 'x'", "result", "undo",

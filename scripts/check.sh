@@ -13,9 +13,10 @@
 #   scripts/check.sh stress     # concurrent service suites under tsan
 #   scripts/check.sh trace      # just bench_trace (BENCH_trace.json)
 #   scripts/check.sh shard      # bench_shard (BENCH_shard.json)
-#   scripts/check.sh simd       # clause-kernel, conjunction and
-#                               # executor-oracle tests at the forced
-#                               # scalar tier under asan
+#   scripts/check.sh simd       # clause-kernel, conjunction,
+#                               # executor-oracle and learner-oracle
+#                               # tests at the forced scalar tier
+#                               # under asan
 #   scripts/check.sh crash      # kill-point crash-recovery matrix under
 #                               # asan AND tsan (DBWIPES_CRASH_RUNS=200+)
 #   scripts/check.sh wal        # bench_wal (BENCH_wal.json)
@@ -90,15 +91,18 @@ simd() {
   # The equivalence suites again, with the SIMD dispatcher pinned to the
   # portable tier, under asan: scalar and vector bodies must be
   # bit-identical and memory-clean, for the clause bitmaps checked
-  # against the boxed oracles, for the conjunctions ANDed from them, and
-  # for the executor's WHERE bitmaps checked against the row-at-a-time
-  # reference executor.
+  # against the boxed oracles, for the conjunctions ANDed from them, for
+  # the executor's WHERE bitmaps checked against the row-at-a-time
+  # reference executor, and for the learners (k-means silhouettes,
+  # decision trees) checked against their reference implementations.
   cmake --preset asan >/dev/null
   cmake --build --preset asan -j "$jobs" --target fused_kernels_test \
-      match_kernels_test executor_test
+      match_kernels_test executor_test kmeans_oracle_test tree_oracle_test
   DBWIPES_SIMD=off ./build-asan/tests/fused_kernels_test
   DBWIPES_SIMD=off ./build-asan/tests/match_kernels_test
   DBWIPES_SIMD=off ./build-asan/tests/executor_test
+  DBWIPES_SIMD=off ./build-asan/tests/kmeans_oracle_test
+  DBWIPES_SIMD=off ./build-asan/tests/tree_oracle_test
 }
 
 crash() {

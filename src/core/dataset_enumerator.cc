@@ -54,15 +54,18 @@ Result<std::vector<RowId>> DatasetEnumerator::CleanDPrime(
   }
 
   if (options_.clean_method == CleanMethod::kKMeans) {
-    std::vector<std::vector<double>> matrix;
+    DenseMatrix matrix;
     std::vector<size_t> numeric_features;
     view.NumericMatrix(sorted, /*standardize=*/true, &matrix,
                        &numeric_features);
     if (numeric_features.empty()) return sorted;
 
     Rng rng(options_.seed);
-    DBW_ASSIGN_OR_RETURN(KMeansResult clusters,
-                         KMeansAuto(matrix, /*max_k=*/3, &rng));
+    Result<KMeansResult> clustered = [&] {
+      DBW_TRACE_SPAN("enumerate/kmeans");
+      return KMeansAuto(matrix, /*max_k=*/3, &rng);
+    }();
+    DBW_ASSIGN_OR_RETURN(KMeansResult clusters, std::move(clustered));
     const size_t k =
         1 + static_cast<size_t>(*std::max_element(
                 clusters.assignment.begin(), clusters.assignment.end()));
@@ -199,7 +202,7 @@ Result<std::vector<CandidateDataset>> DatasetEnumerator::Enumerate(
     }
     if (num_pos > 0 && num_pos < suspects.size()) {
       DBW_TRACE_SPAN("enumerate/subgroups");
-      auto subgroups = DiscoverSubgroups(view, suspects, labels,
+      auto subgroups = DiscoverSubgroups(view.Snapshot(suspects), labels,
                                          /*init_weights=*/{},
                                          options_.subgroup_options);
       if (subgroups.ok()) {
@@ -229,18 +232,18 @@ Result<std::vector<CandidateDataset>> DatasetEnumerator::Enumerate(
   DBW_ASSIGN_OR_RETURN(RemovalScorer scorer,
                        RemovalScorer::Create(table, result, selected_groups,
                                              agg_index, suspects, ctx));
-  std::vector<CandidateDataset> out;
-  std::unordered_set<std::string> seen_keys;
-  for (RawCandidate& rc : raw) {
-    DBW_RETURN_NOT_OK(ctx.CheckContinue());
-    if (rc.rows.empty()) continue;
-    std::string key;
-    key.reserve(rc.rows.size() * 4);
-    for (RowId r : rc.rows) {
-      key += std::to_string(r);
-      key += ',';
+  // A row list met before is skipped, whether or not it was kept.
+  std::vector<bool> repeated(raw.size(), false);
+  for (size_t i = 0; i < raw.size(); ++i) {
+    for (size_t j = 0; j < i && !repeated[i]; ++j) {
+      repeated[i] = raw[j].rows == raw[i].rows;
     }
-    if (!seen_keys.insert(key).second) continue;
+  }
+  std::vector<CandidateDataset> out;
+  for (size_t i = 0; i < raw.size(); ++i) {
+    DBW_RETURN_NOT_OK(ctx.CheckContinue());
+    RawCandidate& rc = raw[i];
+    if (rc.rows.empty() || repeated[i]) continue;
 
     // Score against the per-group mean error (smooth in partial
     // progress; see PerGroupError).

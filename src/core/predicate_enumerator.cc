@@ -210,6 +210,30 @@ Result<std::vector<EnumeratedPredicate>> PredicateEnumerator::Enumerate(
     return Status::InvalidArgument("no tree strategies configured");
   }
 
+  // Strategies that differ only in max_depth (and do not prune) share
+  // one fit at the group's largest depth; each reads its own depth by
+  // truncation, which equals a fit at that depth (DecisionTree::Truncate).
+  // fit_of[s] is the first strategy of s's group, fit_depth[g] the
+  // depth group g is fitted at.
+  const std::vector<DecisionTreeOptions>& strategies = options_.strategies;
+  std::vector<size_t> fit_of(strategies.size());
+  std::vector<size_t> fit_depth(strategies.size());
+  for (size_t s = 0; s < strategies.size(); ++s) {
+    fit_of[s] = s;
+    fit_depth[s] = strategies[s].max_depth;
+    if (strategies[s].ccp_alpha != 0.0) continue;
+    for (size_t g = 0; g < s; ++g) {
+      DecisionTreeOptions same_depth = strategies[g];
+      same_depth.max_depth = strategies[s].max_depth;
+      if (fit_of[g] == g && same_depth == strategies[s]) {
+        fit_of[s] = g;
+        fit_depth[g] = std::max(fit_depth[g], strategies[s].max_depth);
+        break;
+      }
+    }
+  }
+  const FeatureColumns columns = view.Snapshot(suspects);
+
   std::vector<EnumeratedPredicate> out;
   std::unordered_set<std::string> seen;
   // Budget gate: enumeration is serial, so stopping at the cap keeps
@@ -229,7 +253,11 @@ Result<std::vector<EnumeratedPredicate>> PredicateEnumerator::Enumerate(
     const CandidateDataset& cand = candidates[ci];
 
     if (options_.add_bounding_predicates) {
-      auto bounding = BoundingDescription(view, cand.rows, options_, shards);
+      std::optional<Predicate> bounding;
+      {
+        DBW_TRACE_SPAN("predicates/bounding");
+        bounding = BoundingDescription(view, cand.rows, options_, shards);
+      }
       if (bounding && seen.insert(bounding->CanonicalString()).second) {
         if (!emit_allowed()) break;
         EnumeratedPredicate ep;
@@ -253,17 +281,31 @@ Result<std::vector<EnumeratedPredicate>> PredicateEnumerator::Enumerate(
     }
     if (num_pos == 0 || num_pos == suspects.size()) continue;
 
-    for (const DecisionTreeOptions& strategy : options_.strategies) {
+    // fits[g]: group g's fit for this candidate, made when the group's
+    // first strategy is reached.
+    std::vector<std::optional<Result<DecisionTree>>> fits(strategies.size());
+    for (size_t s = 0; s < strategies.size(); ++s) {
+      const DecisionTreeOptions& strategy = strategies[s];
       if (budget_hit) break;
       DBW_RETURN_NOT_OK(ctx.CheckContinue());
-      auto tree = DecisionTree::Fit(view, suspects, labels, /*weights=*/{},
-                                    strategy);
-      if (!tree.ok()) continue;
+      const size_t g = fit_of[s];
+      if (!fits[g]) {
+        DBW_TRACE_SPAN("predicates/tree");
+        DecisionTreeOptions fit_options = strategies[g];
+        fit_options.max_depth = fit_depth[g];
+        fits[g] = DecisionTree::Fit(columns, labels, /*weights=*/{},
+                                    fit_options);
+      }
+      if (!fits[g]->ok()) continue;
+      const DecisionTree& fitted = **fits[g];
+      const DecisionTree tree = strategy.max_depth < fit_depth[g]
+                                    ? fitted.Truncate(strategy.max_depth)
+                                    : fitted;
       const std::string strategy_name =
           std::string(SplitCriterionToString(strategy.criterion)) + "/d" +
           std::to_string(strategy.max_depth) +
           (strategy.ccp_alpha > 0.0 ? "/ccp" : "");
-      for (Predicate& p : tree->PositiveLeafPredicates(
+      for (Predicate& p : tree.PositiveLeafPredicates(
                view, options_.min_precision, options_.min_positive_weight)) {
         const std::string key = p.CanonicalString();
         if (!seen.insert(key).second) continue;

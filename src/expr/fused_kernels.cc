@@ -8,11 +8,8 @@
 #include "dbwipes/common/logging.h"
 #include "dbwipes/expr/match_kernels.h"
 
-#if defined(__x86_64__) || defined(__amd64__)
-#define DBWIPES_HAVE_AVX2_TIER 1
+#if DBWIPES_HAVE_AVX2_TIER
 #include <immintrin.h>
-#else
-#define DBWIPES_HAVE_AVX2_TIER 0
 #endif
 
 namespace dbwipes {

@@ -9,6 +9,14 @@
 #include "dbwipes/expr/predicate.h"
 #include "dbwipes/storage/table.h"
 
+/// 1 where the AVX2 tier's bodies are compiled in (x86-64, each with
+/// target("avx2")); they run only when ResolveSimdTier() picks kAvx2.
+#if defined(__x86_64__) || defined(__amd64__)
+#define DBWIPES_HAVE_AVX2_TIER 1
+#else
+#define DBWIPES_HAVE_AVX2_TIER 0
+#endif
+
 namespace dbwipes {
 
 struct CompiledClause;

@@ -29,13 +29,16 @@ struct DecisionTreeOptions {
   /// One-vs-rest candidates per categorical feature are limited to the
   /// most frequent categories.
   size_t max_categories_per_feature = 64;
+
+  bool operator==(const DecisionTreeOptions&) const = default;
 };
 
 /// \brief Binary-classification decision tree over a FeatureView.
 ///
 /// Split conventions (which predicate extraction relies on):
 ///  - numeric feature: left branch = (x <= threshold); rows with NULL
-///    in the split feature go right.
+///    or NaN in the split feature go right, in training as in
+///    prediction.
 ///  - categorical feature: one-vs-rest, left branch = (x == category);
 ///    NULL goes right.
 class DecisionTree {
@@ -58,14 +61,26 @@ class DecisionTree {
     double prob1() const { return total() > 0.0 ? n1 / total() : 0.0; }
   };
 
-  /// Fits a tree on `rows` with binary labels and optional per-example
-  /// weights (pass empty for uniform). Both vectors must align with
-  /// `rows`.
+  /// Fits a tree on the snapshot's rows with binary labels and
+  /// optional per-example weights (pass empty for uniform). Both
+  /// vectors must align with the snapshot's positions.
+  static Result<DecisionTree> Fit(const FeatureColumns& columns,
+                                  const std::vector<int>& labels,
+                                  const std::vector<double>& weights,
+                                  const DecisionTreeOptions& options = {});
+
+  /// Fit over view.Snapshot(rows).
   static Result<DecisionTree> Fit(const FeatureView& view,
                                   const std::vector<RowId>& rows,
                                   const std::vector<int>& labels,
                                   const std::vector<double>& weights,
                                   const DecisionTreeOptions& options = {});
+
+  /// This tree cut at `max_depth`: nodes at that depth become leaves.
+  /// Growth is greedy and max_depth only stops the recursion, so for
+  /// ccp_alpha == 0 the result equals (node for node) a fit of the same
+  /// problem and options with max_depth set to `max_depth`.
+  DecisionTree Truncate(size_t max_depth) const;
 
   double PredictProba(const FeatureView& view, RowId row) const;
   int Predict(const FeatureView& view, RowId row) const {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "dbwipes/common/result.h"
+#include "dbwipes/learn/dense_matrix.h"
 #include "dbwipes/storage/table.h"
 
 namespace dbwipes {
@@ -17,6 +18,8 @@ struct FeatureSpec {
   bool categorical = false;
   std::string name;
 };
+
+class FeatureColumns;
 
 /// \brief A view of (a subset of) a table as a learning problem.
 ///
@@ -44,6 +47,11 @@ class FeatureView {
 
   bool IsNull(RowId row, size_t f) const;
 
+  /// Dense per-feature arrays over `rows`, read once here so that the
+  /// learners index arrays instead of calling Get/IsNull per row, node
+  /// and feature. The snapshot borrows this view.
+  FeatureColumns Snapshot(const std::vector<RowId>& rows) const;
+
   /// Distinct category codes appearing among `rows` for categorical
   /// feature f (sorted).
   std::vector<int32_t> CategoriesIn(const std::vector<RowId>& rows,
@@ -52,12 +60,13 @@ class FeatureView {
   /// The string behind a categorical code of feature f.
   const std::string& CategoryName(size_t f, int32_t code) const;
 
-  /// Dense numeric matrix (rows x numeric-features) for the numeric
-  /// features only, standardized to zero mean / unit variance when
-  /// `standardize`; NULLs are imputed with the (pre-standardization)
-  /// column mean. Also returns the indices (into features()) used.
+  /// Row-major numeric matrix (rows x numeric-features) for the
+  /// numeric features only, standardized to zero mean / unit variance
+  /// when `standardize`; NULLs are imputed with the
+  /// (pre-standardization) column mean. Also returns the indices (into
+  /// features()) used.
   void NumericMatrix(const std::vector<RowId>& rows, bool standardize,
-                     std::vector<std::vector<double>>* matrix,
+                     DenseMatrix* matrix,
                      std::vector<size_t>* feature_indices) const;
 
  private:
@@ -66,6 +75,55 @@ class FeatureView {
 
   const Table* table_;
   std::vector<FeatureSpec> features_;
+};
+
+/// \brief A FeatureView's features over one row list, as dense arrays.
+///
+/// Position i stands for rows[i] of the list given to
+/// FeatureView::Snapshot. A categorical feature holds the rank of each
+/// row's dictionary code among the distinct codes of the rows, -1 for
+/// NULL, so per-category arrays are bounded by the rows, not by the
+/// column's dictionary (which only grows); ranks order like codes. A
+/// numeric feature holds its values exactly as FeatureView::Get returns
+/// them, NaN for NULL. Every learner treats a NULL and a NaN value
+/// alike (neither side of a numeric split or cut takes it), so no
+/// separate NULL flag is kept. Borrows the view, which must outlive the
+/// snapshot.
+class FeatureColumns {
+ public:
+  const FeatureView& view() const { return *view_; }
+  size_t num_rows() const { return num_rows_; }
+  size_t num_features() const { return view_->num_features(); }
+  bool categorical(size_t f) const {
+    return view_->features()[f].categorical;
+  }
+
+  /// Category ranks of categorical feature f (-1 = NULL), num_rows() of
+  /// them: rank r stands for dictionary code categories(f)[r].
+  const std::vector<int32_t>& ranks(size_t f) const { return ranks_[f]; }
+  /// The distinct dictionary codes of categorical feature f among the
+  /// rows, ascending; at most num_rows() of them.
+  const std::vector<int32_t>& categories(size_t f) const {
+    return categories_[f];
+  }
+  /// Dictionary code of categorical feature f at position i (-1 = NULL).
+  int32_t code(size_t f, size_t i) const {
+    const int32_t rank = ranks_[f][i];
+    return rank < 0 ? -1 : categories_[f][static_cast<size_t>(rank)];
+  }
+  /// Values of numeric feature f (NaN = NULL), num_rows() of them.
+  const std::vector<double>& values(size_t f) const { return values_[f]; }
+
+ private:
+  friend class FeatureView;
+  explicit FeatureColumns(const FeatureView* view) : view_(view) {}
+
+  const FeatureView* view_;
+  size_t num_rows_ = 0;
+  // Indexed by feature; the vectors of the other kind stay empty.
+  std::vector<std::vector<int32_t>> ranks_;
+  std::vector<std::vector<int32_t>> categories_;
+  std::vector<std::vector<double>> values_;
 };
 
 }  // namespace dbwipes

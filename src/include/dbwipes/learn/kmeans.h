@@ -5,6 +5,7 @@
 
 #include "dbwipes/common/random.h"
 #include "dbwipes/common/result.h"
+#include "dbwipes/learn/dense_matrix.h"
 
 namespace dbwipes {
 
@@ -17,9 +18,10 @@ struct KMeansOptions {
 };
 
 struct KMeansResult {
-  /// assignment[i] = cluster of points[i], in [0, k).
+  /// assignment[i] = cluster of point i, in [0, k).
   std::vector<int> assignment;
-  std::vector<std::vector<double>> centroids;
+  /// k x d; row c is cluster c's centroid.
+  DenseMatrix centroids;
   /// Sum of squared distances to assigned centroids.
   double inertia = 0.0;
   size_t iterations = 0;
@@ -28,20 +30,31 @@ struct KMeansResult {
   std::vector<size_t> ClusterSizes(size_t k) const;
 };
 
-/// Lloyd's algorithm with k-means++ seeding. Points must be non-empty
-/// and rectangular; k must satisfy 1 <= k <= |points|.
+/// Lloyd's algorithm with k-means++ seeding over the rows of `points`.
+/// There must be at least one point, `points.values` must hold exactly
+/// rows x cols numbers, and k must satisfy 1 <= k <= points.rows.
 ///
 /// Used by the Dataset Enumerator to find a self-consistent subset of
 /// the user's example tuples D' (paper §2.2.2).
-Result<KMeansResult> KMeans(const std::vector<std::vector<double>>& points,
-                            size_t k, Rng* rng,
+Result<KMeansResult> KMeans(const DenseMatrix& points, size_t k, Rng* rng,
                             const KMeansOptions& options = {});
 
-/// Picks k in [1, max_k] by the largest relative inertia drop ("elbow")
-/// and returns that clustering.
-Result<KMeansResult> KMeansAuto(const std::vector<std::vector<double>>& points,
-                                size_t max_k, Rng* rng,
-                                const KMeansOptions& options = {});
+/// Mean silhouette coefficient of a clustering of `points` into k
+/// clusters (one `assignment` per row, each in [0, k); checked), over a
+/// sample of at most 500 points drawn from `rng` when there are more.
+/// Near 1 = well-separated clusters; uniform structureless data scores
+/// ~0.5-0.6 even at its best split. The distance sums run at
+/// ResolveSimdTier(); every tier gives the same bits.
+double MeanSilhouette(const DenseMatrix& points,
+                      const std::vector<int>& assignment, size_t k, Rng* rng);
+
+/// Picks k in [1, max_k] by comparing silhouettes against structureless
+/// data: for each k >= 2 it clusters `points` and 3 reference sets
+/// drawn uniformly from the points' bounding box, and takes the k whose
+/// mean silhouette beats the references' mean by the largest gap, if
+/// that gap is at least 0.08; otherwise k = 1. Returns that clustering.
+Result<KMeansResult> KMeansAuto(const DenseMatrix& points, size_t max_k,
+                                Rng* rng, const KMeansOptions& options = {});
 
 }  // namespace dbwipes
 

@@ -50,6 +50,14 @@ struct Subgroup {
 /// DBWipes uses this as the Dataset Enumerator's extension step: the
 /// positive class marks high-influence / user-selected tuples, and
 /// each subgroup (its covered row set) becomes one candidate D*.
+/// Labels and weights align with the snapshot's positions, and
+/// Subgroup::covered holds those positions.
+Result<std::vector<Subgroup>> DiscoverSubgroups(
+    const FeatureColumns& columns, const std::vector<int>& labels,
+    const std::vector<double>& init_weights,
+    const SubgroupOptions& options = {});
+
+/// DiscoverSubgroups over view.Snapshot(rows).
 Result<std::vector<Subgroup>> DiscoverSubgroups(
     const FeatureView& view, const std::vector<RowId>& rows,
     const std::vector<int>& labels, const std::vector<double>& init_weights,

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
+#include <utility>
 
 namespace dbwipes {
 
@@ -72,19 +72,37 @@ std::pair<double, double> ScorePartition(SplitCriterion criterion, double l0,
   return {gain / split_info, gain};
 }
 
+/// True when position i of `columns` takes the left branch of `split`.
+/// A NULL code (-1) never equals a category, and NaN (NULL included) is
+/// never <= a threshold, so both go right.
+bool GoesLeft(const FeatureColumns& columns, const DecisionTree::Node& split,
+              size_t i) {
+  if (split.categorical) {
+    return columns.code(split.feature, i) == split.category;
+  }
+  return columns.values(split.feature)[i] <= split.threshold;
+}
+
 class TreeBuilder {
  public:
-  TreeBuilder(const FeatureView& view, const std::vector<RowId>& rows,
-              const std::vector<int>& labels,
+  TreeBuilder(const FeatureColumns& columns, const std::vector<int>& labels,
               const std::vector<double>& weights,
               const DecisionTreeOptions& options,
               std::vector<DecisionTree::Node>* nodes)
-      : view_(view),
-        rows_(rows),
+      : columns_(columns),
         labels_(labels),
         weights_(weights),
         options_(options),
-        nodes_(nodes) {}
+        nodes_(nodes) {
+    size_t num_categories = 0;
+    for (size_t f = 0; f < columns.num_features(); ++f) {
+      if (columns.categorical(f)) {
+        num_categories =
+            std::max(num_categories, columns.categories(f).size());
+      }
+    }
+    mass_.resize(num_categories);
+  }
 
   int Build(std::vector<size_t> indices, int depth) {
     DecisionTree::Node node;
@@ -101,28 +119,30 @@ class TreeBuilder {
       return id;
     }
 
-    const SplitEval best = FindBestSplit(indices);
+    const SplitEval best = FindBestSplit(indices, node.n0, node.n1);
     if (!best.valid ||
         best.impurity_decrease < options_.min_impurity_decrease) {
       return id;
     }
 
+    DecisionTree::Node split = node;
+    split.is_leaf = false;
+    split.feature = best.feature;
+    split.categorical = best.categorical;
+    split.threshold = best.threshold;
+    split.category = best.category;
     std::vector<size_t> left, right;
     left.reserve(indices.size());
     right.reserve(indices.size());
     for (size_t i : indices) {
-      (GoesLeft(best, rows_[i]) ? left : right).push_back(i);
+      (GoesLeft(columns_, split, i) ? left : right).push_back(i);
     }
     if (left.empty() || right.empty()) return id;
 
     indices.clear();
     indices.shrink_to_fit();
 
-    (*nodes_)[id].is_leaf = false;
-    (*nodes_)[id].feature = best.feature;
-    (*nodes_)[id].categorical = best.categorical;
-    (*nodes_)[id].threshold = best.threshold;
-    (*nodes_)[id].category = best.category;
+    (*nodes_)[id] = split;
     const int left_id = Build(std::move(left), depth + 1);
     (*nodes_)[id].left = left_id;
     const int right_id = Build(std::move(right), depth + 1);
@@ -131,22 +151,27 @@ class TreeBuilder {
   }
 
  private:
-  bool GoesLeft(const SplitEval& split, RowId row) const {
-    if (view_.IsNull(row, split.feature)) return false;
-    const double v = view_.Get(row, split.feature);
-    if (split.categorical) {
-      return static_cast<int32_t>(v) == split.category;
-    }
-    return v <= split.threshold;
-  }
+  struct Item {
+    double value;
+    double w0;
+    double w1;
+  };
+  struct CatMass {
+    double w0 = 0.0;
+    double w1 = 0.0;
+    bool touched = false;
+  };
 
-  SplitEval FindBestSplit(const std::vector<size_t>& indices) const {
+  // tot0/tot1 are the node's class masses: the same sums, in the same
+  // index order, that each feature's pass would otherwise recompute.
+  SplitEval FindBestSplit(const std::vector<size_t>& indices, double tot0,
+                          double tot1) {
     SplitEval best;
-    for (size_t f = 0; f < view_.num_features(); ++f) {
-      if (view_.features()[f].categorical) {
-        EvalCategorical(indices, f, &best);
+    for (size_t f = 0; f < columns_.num_features(); ++f) {
+      if (columns_.categorical(f)) {
+        EvalCategorical(indices, f, tot0, tot1, &best);
       } else {
-        EvalNumeric(indices, f, &best);
+        EvalNumeric(indices, f, tot0, tot1, &best);
       }
     }
     return best;
@@ -177,88 +202,88 @@ class TreeBuilder {
     }
   }
 
-  void EvalNumeric(const std::vector<size_t>& indices, size_t f,
-                   SplitEval* best) const {
-    // Sort non-null values; nulls accumulate on the right side.
-    struct Item {
-      double value;
-      double w0;
-      double w1;
-    };
-    std::vector<Item> items;
-    items.reserve(indices.size());
-    double null0 = 0.0, null1 = 0.0;
-    double tot0 = 0.0, tot1 = 0.0;
+  void EvalNumeric(const std::vector<size_t>& indices, size_t f, double tot0,
+                   double tot1, SplitEval* best) {
+    // Sort the values; NULL and NaN accumulate on the right side (NaN
+    // has no place in a `<` order, and `NaN <= t` routes it right).
+    const std::vector<double>& values = columns_.values(f);
+    items_.clear();
     for (size_t i : indices) {
+      const double v = values[i];
+      if (std::isnan(v)) continue;
       const double w = weights_[i];
       const int y = labels_[i];
-      (y == 1 ? tot1 : tot0) += w;
-      if (view_.IsNull(rows_[i], f)) {
-        (y == 1 ? null1 : null0) += w;
-        continue;
-      }
-      items.push_back({view_.Get(rows_[i], f), y == 0 ? w : 0.0,
-                       y == 1 ? w : 0.0});
+      items_.push_back({v, y == 0 ? w : 0.0, y == 1 ? w : 0.0});
     }
-    if (items.size() < 2) return;
-    std::sort(items.begin(), items.end(),
+    if (items_.size() < 2) return;
+    std::sort(items_.begin(), items_.end(),
               [](const Item& a, const Item& b) { return a.value < b.value; });
 
     double l0 = 0.0, l1 = 0.0;
-    for (size_t i = 0; i + 1 < items.size(); ++i) {
-      l0 += items[i].w0;
-      l1 += items[i].w1;
-      if (items[i].value == items[i + 1].value) continue;
+    for (size_t i = 0; i + 1 < items_.size(); ++i) {
+      l0 += items_[i].w0;
+      l1 += items_[i].w1;
+      if (items_[i].value == items_[i + 1].value) continue;
       const double threshold =
-          items[i].value + (items[i + 1].value - items[i].value) / 2.0;
+          items_[i].value + (items_[i + 1].value - items_[i].value) / 2.0;
       Consider(best, options_.criterion, l0, l1, tot0 - l0, tot1 - l1, f,
                /*categorical=*/false, threshold, -1);
     }
   }
 
   void EvalCategorical(const std::vector<size_t>& indices, size_t f,
-                       SplitEval* best) const {
-    struct CatMass {
-      double w0 = 0.0;
-      double w1 = 0.0;
-    };
-    std::unordered_map<int32_t, CatMass> mass;
-    double tot0 = 0.0, tot1 = 0.0;
+                       double tot0, double tot1, SplitEval* best) {
+    // Per-category masses in a dense array indexed by rank; the touched
+    // ranks are listed so that only they are read and reset.
+    const std::vector<int32_t>& ranks = columns_.ranks(f);
     for (size_t i : indices) {
-      const double w = weights_[i];
-      const int y = labels_[i];
-      (y == 1 ? tot1 : tot0) += w;
-      if (view_.IsNull(rows_[i], f)) continue;
-      CatMass& m = mass[static_cast<int32_t>(view_.Get(rows_[i], f))];
-      (y == 1 ? m.w1 : m.w0) += w;
+      const int32_t rank = ranks[i];
+      if (rank < 0) continue;
+      CatMass& m = mass_[static_cast<size_t>(rank)];
+      if (!m.touched) {
+        m.touched = true;
+        touched_.push_back(rank);
+      }
+      (labels_[i] == 1 ? m.w1 : m.w0) += weights_[i];
     }
-    if (mass.size() < 2) return;
-
-    // Cap candidates at the heaviest categories. Sort fully (heaviest
-    // first, code as tie-break) so candidate order — and therefore the
-    // fitted tree — is deterministic regardless of hash-map iteration.
-    std::vector<std::pair<int32_t, CatMass>> cats(mass.begin(), mass.end());
-    std::sort(cats.begin(), cats.end(), [](const auto& a, const auto& b) {
-      const double wa = a.second.w0 + a.second.w1;
-      const double wb = b.second.w0 + b.second.w1;
-      if (wa != wb) return wa > wb;
-      return a.first < b.first;
-    });
-    if (cats.size() > options_.max_categories_per_feature) {
-      cats.resize(options_.max_categories_per_feature);
+    if (touched_.size() >= 2) {
+      // Cap candidates at the heaviest categories. Sort fully (heaviest
+      // first, code as tie-break) so candidate order — and therefore
+      // the fitted tree — does not depend on the order codes were met.
+      const std::vector<int32_t>& categories = columns_.categories(f);
+      cats_.clear();
+      for (int32_t rank : touched_) {
+        cats_.emplace_back(categories[static_cast<size_t>(rank)],
+                           mass_[static_cast<size_t>(rank)]);
+      }
+      std::sort(cats_.begin(), cats_.end(), [](const auto& a, const auto& b) {
+        const double wa = a.second.w0 + a.second.w1;
+        const double wb = b.second.w0 + b.second.w1;
+        if (wa != wb) return wa > wb;
+        return a.first < b.first;
+      });
+      if (cats_.size() > options_.max_categories_per_feature) {
+        cats_.resize(options_.max_categories_per_feature);
+      }
+      for (const auto& [code, m] : cats_) {
+        Consider(best, options_.criterion, m.w0, m.w1, tot0 - m.w0,
+                 tot1 - m.w1, f, /*categorical=*/true, 0.0, code);
+      }
     }
-    for (const auto& [code, m] : cats) {
-      Consider(best, options_.criterion, m.w0, m.w1, tot0 - m.w0,
-               tot1 - m.w1, f, /*categorical=*/true, 0.0, code);
-    }
+    for (int32_t rank : touched_) mass_[static_cast<size_t>(rank)] = {};
+    touched_.clear();
   }
 
-  const FeatureView& view_;
-  const std::vector<RowId>& rows_;
+  const FeatureColumns& columns_;
   const std::vector<int>& labels_;
   const std::vector<double>& weights_;
   const DecisionTreeOptions& options_;
   std::vector<DecisionTree::Node>* nodes_;
+  // Scratch reused by every node and feature.
+  std::vector<Item> items_;
+  std::vector<CatMass> mass_;  // indexed by rank; all zero between uses
+  std::vector<int32_t> touched_;
+  std::vector<std::pair<int32_t, CatMass>> cats_;
 };
 
 }  // namespace
@@ -278,11 +303,19 @@ Result<DecisionTree> DecisionTree::Fit(const FeatureView& view,
                                        const std::vector<int>& labels,
                                        const std::vector<double>& weights,
                                        const DecisionTreeOptions& options) {
-  if (rows.size() != labels.size()) {
+  return Fit(view.Snapshot(rows), labels, weights, options);
+}
+
+Result<DecisionTree> DecisionTree::Fit(const FeatureColumns& columns,
+                                       const std::vector<int>& labels,
+                                       const std::vector<double>& weights,
+                                       const DecisionTreeOptions& options) {
+  const size_t n = columns.num_rows();
+  if (n != labels.size()) {
     return Status::InvalidArgument("rows/labels size mismatch");
   }
-  if (rows.empty()) return Status::InvalidArgument("empty training set");
-  if (!weights.empty() && weights.size() != rows.size()) {
+  if (n == 0) return Status::InvalidArgument("empty training set");
+  if (!weights.empty() && weights.size() != n) {
     return Status::InvalidArgument("rows/weights size mismatch");
   }
   for (int y : labels) {
@@ -290,16 +323,16 @@ Result<DecisionTree> DecisionTree::Fit(const FeatureView& view,
       return Status::InvalidArgument("labels must be 0 or 1");
     }
   }
-  if (view.num_features() == 0) {
+  if (columns.num_features() == 0) {
     return Status::InvalidArgument("feature view has no features");
   }
 
   std::vector<double> w = weights;
-  if (w.empty()) w.assign(rows.size(), 1.0);
+  if (w.empty()) w.assign(n, 1.0);
 
   DecisionTree tree;
-  TreeBuilder builder(view, rows, labels, w, options, &tree.nodes_);
-  std::vector<size_t> indices(rows.size());
+  TreeBuilder builder(columns, labels, w, options, &tree.nodes_);
+  std::vector<size_t> indices(n);
   for (size_t i = 0; i < indices.size(); ++i) indices[i] = i;
   builder.Build(std::move(indices), 0);
 
@@ -341,19 +374,44 @@ Result<DecisionTree> DecisionTree::Fit(const FeatureView& view,
   return tree;
 }
 
+DecisionTree DecisionTree::Truncate(size_t max_depth) const {
+  // Copy in preorder, the order Build creates nodes in, so the copy's
+  // node ids equal those of a direct fit at `max_depth`.
+  DecisionTree out;
+  std::vector<int> stack = {0};
+  std::vector<std::pair<int, bool>> parents = {{-1, false}};
+  while (!stack.empty()) {
+    const Node& src = nodes_[stack.back()];
+    const auto [parent, is_left] = parents.back();
+    stack.pop_back();
+    parents.pop_back();
+    const int id = static_cast<int>(out.nodes_.size());
+    if (parent >= 0) {
+      (is_left ? out.nodes_[parent].left : out.nodes_[parent].right) = id;
+    }
+    if (src.is_leaf || static_cast<size_t>(src.depth) >= max_depth) {
+      Node leaf;
+      leaf.n0 = src.n0;
+      leaf.n1 = src.n1;
+      leaf.depth = src.depth;
+      out.nodes_.push_back(leaf);
+      continue;
+    }
+    out.nodes_.push_back(src);
+    stack.push_back(src.right);
+    parents.push_back({id, false});
+    stack.push_back(src.left);
+    parents.push_back({id, true});
+  }
+  return out;
+}
+
 double DecisionTree::PredictProba(const FeatureView& view, RowId row) const {
+  const FeatureColumns columns = view.Snapshot({row});
   int id = 0;
   while (!nodes_[id].is_leaf) {
     const Node& n = nodes_[id];
-    bool left;
-    if (view.IsNull(row, n.feature)) {
-      left = false;
-    } else {
-      const double v = view.Get(row, n.feature);
-      left = n.categorical ? static_cast<int32_t>(v) == n.category
-                           : v <= n.threshold;
-    }
-    id = left ? n.left : n.right;
+    id = GoesLeft(columns, n, 0) ? n.left : n.right;
   }
   return nodes_[id].prob1();
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "dbwipes/common/stats.h"
@@ -46,6 +47,75 @@ bool FeatureView::IsNull(RowId row, size_t f) const {
   return table_->column(features_[f].column).IsNull(row);
 }
 
+namespace {
+
+/// Renumbers `codes` (dictionary codes, -1 = NULL) in place to their
+/// ranks among the distinct codes present, which are appended to
+/// `categories` in ascending order. Work and memory are bounded by the
+/// rows: a table indexed by code when the dictionary holds at most 4
+/// codes per row, a sort of the codes otherwise.
+void RankCodes(size_t dictionary_size, std::vector<int32_t>* codes,
+               std::vector<int32_t>* categories) {
+  if (dictionary_size <= 4 * codes->size()) {
+    std::vector<int32_t> rank_of(dictionary_size, -1);
+    for (int32_t c : *codes) {
+      if (c >= 0) rank_of[static_cast<size_t>(c)] = 0;  // present
+    }
+    for (size_t c = 0; c < dictionary_size; ++c) {
+      if (rank_of[c] < 0) continue;
+      rank_of[c] = static_cast<int32_t>(categories->size());
+      categories->push_back(static_cast<int32_t>(c));
+    }
+    for (int32_t& c : *codes) {
+      if (c >= 0) c = rank_of[static_cast<size_t>(c)];
+    }
+    return;
+  }
+  for (int32_t c : *codes) {
+    if (c >= 0) categories->push_back(c);
+  }
+  std::sort(categories->begin(), categories->end());
+  categories->erase(std::unique(categories->begin(), categories->end()),
+                    categories->end());
+  for (int32_t& c : *codes) {
+    if (c < 0) continue;
+    c = static_cast<int32_t>(
+        std::lower_bound(categories->begin(), categories->end(), c) -
+        categories->begin());
+  }
+}
+
+}  // namespace
+
+FeatureColumns FeatureView::Snapshot(const std::vector<RowId>& rows) const {
+  FeatureColumns out(this);
+  const size_t n = rows.size();
+  out.num_rows_ = n;
+  out.ranks_.resize(features_.size());
+  out.categories_.resize(features_.size());
+  out.values_.resize(features_.size());
+  for (size_t f = 0; f < features_.size(); ++f) {
+    const Column& col = table_->column(features_[f].column);
+    if (features_[f].categorical) {
+      std::vector<int32_t>& ranks = out.ranks_[f];
+      ranks.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        ranks[i] = col.IsNull(rows[i]) ? -1 : col.StringCode(rows[i]);
+      }
+      RankCodes(col.dictionary_size(), &ranks, &out.categories_[f]);
+    } else {
+      std::vector<double>& values = out.values_[f];
+      values.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        values[i] = col.IsNull(rows[i])
+                        ? std::numeric_limits<double>::quiet_NaN()
+                        : col.AsDouble(rows[i]);
+      }
+    }
+  }
+  return out;
+}
+
 std::vector<int32_t> FeatureView::CategoriesIn(const std::vector<RowId>& rows,
                                                size_t f) const {
   DBW_CHECK(features_[f].categorical);
@@ -63,15 +133,16 @@ const std::string& FeatureView::CategoryName(size_t f, int32_t code) const {
 }
 
 void FeatureView::NumericMatrix(const std::vector<RowId>& rows,
-                                bool standardize,
-                                std::vector<std::vector<double>>* matrix,
+                                bool standardize, DenseMatrix* matrix,
                                 std::vector<size_t>* feature_indices) const {
   feature_indices->clear();
   for (size_t f = 0; f < features_.size(); ++f) {
     if (!features_[f].categorical) feature_indices->push_back(f);
   }
   const size_t d = feature_indices->size();
-  matrix->assign(rows.size(), std::vector<double>(d, 0.0));
+  matrix->rows = rows.size();
+  matrix->cols = d;
+  matrix->values.assign(rows.size() * d, 0.0);
 
   for (size_t j = 0; j < d; ++j) {
     const size_t f = (*feature_indices)[j];
@@ -88,7 +159,7 @@ void FeatureView::NumericMatrix(const std::vector<RowId>& rows,
       if (standardize) {
         v = sd > 0.0 ? (v - mean) / sd : 0.0;
       }
-      (*matrix)[i][j] = v;
+      matrix->row(i)[j] = v;
     }
   }
 }

@@ -1,6 +1,7 @@
 #include "dbwipes/learn/subgroup.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -27,9 +28,9 @@ struct Rule {
 };
 
 /// A scored extension of beam[parent] by one condition. Only the
-/// candidates that survive into the next beam get a coverage bitmap.
+/// candidates that survive into the next beam get condition ids and a
+/// coverage bitmap.
 struct Candidate {
-  std::vector<size_t> condition_ids;  // sorted
   size_t parent = 0;
   size_t condition = 0;
   double wracc = 0.0;
@@ -40,21 +41,20 @@ struct Candidate {
 /// `>`). That order is the candidate order of the beam search, so it
 /// decides ties between rules of equal WRAcc. Each feature's bitmaps
 /// are filled in one pass over its values.
-std::vector<Condition> BuildConditions(const FeatureView& view,
-                                       const std::vector<RowId>& rows,
+std::vector<Condition> BuildConditions(const FeatureColumns& columns,
                                        const SubgroupOptions& options) {
   std::vector<Condition> conditions;
-  const size_t n = rows.size();
+  const FeatureView& view = columns.view();
+  const size_t n = columns.num_rows();
   for (size_t f = 0; f < view.num_features(); ++f) {
     const FeatureSpec& spec = view.features()[f];
     if (spec.categorical) {
-      // Most frequent categories. codes[i] = -1 marks a NULL.
-      std::vector<int32_t> codes(n, -1);
+      // Most frequent categories, counted by dictionary code in row
+      // order. code(f, i) = -1 marks a NULL.
       std::unordered_map<int32_t, size_t> freq;
       for (size_t i = 0; i < n; ++i) {
-        if (view.IsNull(rows[i], f)) continue;
-        codes[i] = static_cast<int32_t>(view.Get(rows[i], f));
-        ++freq[codes[i]];
+        const int32_t code = columns.code(f, i);
+        if (code >= 0) ++freq[code];
       }
       std::vector<std::pair<int32_t, size_t>> cats(freq.begin(), freq.end());
       std::sort(cats.begin(), cats.end(), [](const auto& a, const auto& b) {
@@ -72,17 +72,17 @@ std::vector<Condition> BuildConditions(const FeatureView& view,
              Bitmap(n)});
       }
       for (size_t i = 0; i < n; ++i) {
-        if (codes[i] < 0) continue;
-        auto it = condition_of.find(codes[i]);
+        const int32_t code = columns.code(f, i);
+        if (code < 0) continue;
+        auto it = condition_of.find(code);
         if (it != condition_of.end()) conditions[it->second].covered.Set(i);
       }
     } else {
       // Quantile thresholds over the distinct values.
-      std::vector<double> column(n);
+      const std::vector<double>& column = columns.values(f);  // NaN = NULL
       std::vector<double> values;
       values.reserve(n);
       for (size_t i = 0; i < n; ++i) {
-        column[i] = view.Get(rows[i], f);  // NaN for NULL
         if (!std::isnan(column[i])) values.push_back(column[i]);
       }
       if (values.size() < 2) continue;
@@ -125,23 +125,63 @@ std::vector<Condition> BuildConditions(const FeatureView& view,
   return conditions;
 }
 
-/// Weighted relative accuracy of a coverage bitmap. Both sums run over
-/// the covered rows in ascending order. `pos_weights` holds the weight
-/// on positives and +0.0 elsewhere; a sum that starts at +0.0 never
-/// becomes -0.0, so adding +0.0 leaves it unchanged and the positive
-/// sum equals one that skips the negatives.
-double WRAcc(const Bitmap& covered, const std::vector<double>& weights,
-             const std::vector<double>& pos_weights, double total_w,
-             double total_pos_w) {
+/// Unweighted coverage and weighted relative accuracy of a candidate.
+struct Score {
+  size_t coverage = 0;
+  double wracc = 0.0;
+};
+
+/// Scores (parent AND condition) in one pass over the words, without
+/// materializing the AND. Both weight sums run over the covered rows in
+/// ascending order. `pos_weights` holds the weight on positives and
+/// +0.0 elsewhere; a sum that starts at +0.0 never becomes -0.0, so
+/// adding +0.0 leaves it unchanged and the positive sum equals one that
+/// skips the negatives.
+Score ScoreAnd(const Bitmap& parent, const Bitmap& condition,
+               const std::vector<double>& weights,
+               const std::vector<double>& pos_weights, double total_w,
+               double total_pos_w) {
+  Score out;
   double cov_w = 0.0, cov_pos_w = 0.0;
-  covered.ForEachSet([&](size_t i) {
-    cov_w += weights[i];
-    cov_pos_w += pos_weights[i];
-  });
-  if (cov_w <= 0.0 || total_w <= 0.0) {
-    return -std::numeric_limits<double>::infinity();
+  for (size_t wi = 0; wi < parent.num_words(); ++wi) {
+    uint64_t w = parent.word(wi) & condition.word(wi);
+    out.coverage += static_cast<size_t>(std::popcount(w));
+    while (w != 0) {
+      const size_t i = wi * 64 + static_cast<size_t>(std::countr_zero(w));
+      cov_w += weights[i];
+      cov_pos_w += pos_weights[i];
+      w &= w - 1;
+    }
   }
-  return (cov_w / total_w) * (cov_pos_w / cov_w - total_pos_w / total_w);
+  out.wracc =
+      cov_w <= 0.0 || total_w <= 0.0
+          ? -std::numeric_limits<double>::infinity()
+          : (cov_w / total_w) * (cov_pos_w / cov_w - total_pos_w / total_w);
+  return out;
+}
+
+/// Marks in `skip` the conditions that extend beam[b] to a set an
+/// earlier beam rule already generated, and appends every marked id to
+/// `marked`. Rule ∪ {c} is first generated by the lowest beam rule it
+/// contains. All rules of a level have the same size, so an earlier
+/// rule b' contains it exactly when rule_b' minus rule_b = {c}.
+void MarkRepeats(const std::vector<Rule>& beam, size_t b,
+                 std::vector<uint8_t>* skip, std::vector<size_t>* marked) {
+  const std::vector<size_t>& ids = beam[b].condition_ids;
+  for (size_t e = 0; e < b; ++e) {
+    const std::vector<size_t>& earlier = beam[e].condition_ids;
+    size_t only = 0, extra = 0;
+    for (size_t id : earlier) {
+      if (!std::binary_search(ids.begin(), ids.end(), id)) {
+        only = id;
+        if (++extra > 1) break;
+      }
+    }
+    if (extra == 1 && !(*skip)[only]) {
+      (*skip)[only] = 1;
+      marked->push_back(only);
+    }
+  }
 }
 
 }  // namespace
@@ -150,11 +190,18 @@ Result<std::vector<Subgroup>> DiscoverSubgroups(
     const FeatureView& view, const std::vector<RowId>& rows,
     const std::vector<int>& labels, const std::vector<double>& init_weights,
     const SubgroupOptions& options) {
-  if (rows.size() != labels.size()) {
+  return DiscoverSubgroups(view.Snapshot(rows), labels, init_weights, options);
+}
+
+Result<std::vector<Subgroup>> DiscoverSubgroups(
+    const FeatureColumns& columns, const std::vector<int>& labels,
+    const std::vector<double>& init_weights, const SubgroupOptions& options) {
+  const size_t n = columns.num_rows();
+  if (n != labels.size()) {
     return Status::InvalidArgument("rows/labels size mismatch");
   }
-  if (rows.empty()) return Status::InvalidArgument("empty training set");
-  if (!init_weights.empty() && init_weights.size() != rows.size()) {
+  if (n == 0) return Status::InvalidArgument("empty training set");
+  if (!init_weights.empty() && init_weights.size() != n) {
     return Status::InvalidArgument("rows/init_weights size mismatch");
   }
   if (options.beam_width == 0) {
@@ -171,8 +218,7 @@ Result<std::vector<Subgroup>> DiscoverSubgroups(
     return Status::InvalidArgument("no positive examples for subgroups");
   }
 
-  const size_t n = rows.size();
-  std::vector<Condition> conditions = BuildConditions(view, rows, options);
+  std::vector<Condition> conditions = BuildConditions(columns, options);
   if (conditions.empty()) {
     return Status::InvalidArgument(
         "no candidate conditions could be generated from the features");
@@ -186,7 +232,10 @@ Result<std::vector<Subgroup>> DiscoverSubgroups(
   }
   Bitmap all_rows(n);
   all_rows.SetAll();
-  Bitmap scratch(n);
+  // skip[c] = 1 while the current beam rule must not be extended by c.
+  std::vector<uint8_t> skip(conditions.size(), 0);
+  std::vector<size_t> marked;
+  std::vector<Candidate> candidates;
 
   std::vector<Subgroup> subgroups;
   for (size_t round = 0; round < options.num_rules; ++round) {
@@ -202,27 +251,21 @@ Result<std::vector<Subgroup>> DiscoverSubgroups(
     beam[0].covered = all_rows;
     Rule best;
     for (size_t level = 0; level < options.max_clauses; ++level) {
-      std::vector<Candidate> candidates;
-      std::set<std::vector<size_t>> seen;
+      candidates.clear();
       for (size_t b = 0; b < beam.size(); ++b) {
         const Rule& rule = beam[b];
+        marked = rule.condition_ids;
+        for (size_t ci : marked) skip[ci] = 1;
+        MarkRepeats(beam, b, &skip, &marked);
         for (size_t ci = 0; ci < conditions.size(); ++ci) {
-          if (std::binary_search(rule.condition_ids.begin(),
-                                 rule.condition_ids.end(), ci)) {
-            continue;
-          }
-          std::vector<size_t> ids = rule.condition_ids;
-          ids.insert(std::upper_bound(ids.begin(), ids.end(), ci), ci);
-          if (!seen.insert(ids).second) continue;
-
-          const Bitmap& cond = conditions[ci].covered;
-          if (rule.covered.CountAnd(cond) < options.min_coverage) continue;
-          scratch = rule.covered;
-          scratch.AndWith(cond);
-          candidates.push_back(
-              {std::move(ids), b, ci,
-               WRAcc(scratch, weights, pos_weights, total_w, total_pos_w)});
+          if (skip[ci]) continue;
+          const Score score =
+              ScoreAnd(rule.covered, conditions[ci].covered, weights,
+                       pos_weights, total_w, total_pos_w);
+          if (score.coverage < options.min_coverage) continue;
+          candidates.push_back({b, ci, score.wracc});
         }
+        for (size_t ci : marked) skip[ci] = 0;
       }
       if (candidates.empty()) break;
       // std::sort is not stable: where it leaves rules of equal WRAcc
@@ -237,8 +280,11 @@ Result<std::vector<Subgroup>> DiscoverSubgroups(
       }
       std::vector<Rule> next(candidates.size());
       for (size_t k = 0; k < candidates.size(); ++k) {
-        Candidate& c = candidates[k];
-        next[k].condition_ids = std::move(c.condition_ids);
+        const Candidate& c = candidates[k];
+        std::vector<size_t>& ids = next[k].condition_ids;
+        ids = beam[c.parent].condition_ids;
+        ids.insert(std::upper_bound(ids.begin(), ids.end(), c.condition),
+                   c.condition);
         next[k].covered = beam[c.parent].covered;
         next[k].covered.AndWith(conditions[c.condition].covered);
         next[k].wracc = c.wracc;

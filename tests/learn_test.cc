@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "dbwipes/common/random.h"
 #include "dbwipes/learn/decision_tree.h"
@@ -67,20 +68,89 @@ TEST(FeatureViewTest, CategoriesIn) {
 TEST(FeatureViewTest, NumericMatrixStandardizesAndImputes) {
   auto t = MixedTable();
   FeatureView v = *FeatureView::Create(*t, {"num", "cat", "extra"});
-  std::vector<std::vector<double>> m;
+  DenseMatrix m;
   std::vector<size_t> idx;
   v.NumericMatrix({0, 1, 2, 3}, /*standardize=*/true, &m, &idx);
   ASSERT_EQ(idx.size(), 2u);  // num, extra (cat excluded)
-  ASSERT_EQ(m.size(), 4u);
+  ASSERT_EQ(m.rows, 4u);
+  ASSERT_EQ(m.cols, 2u);
+  ASSERT_EQ(m.values.size(), 8u);
   // Row 3 was NULL -> imputed with the mean -> standardized to 0.
-  EXPECT_NEAR(m[3][0], 0.0, 1e-12);
+  EXPECT_NEAR(m.row(3)[0], 0.0, 1e-12);
   // Column mean of standardized values is ~0.
   double mean = 0.0;
-  for (const auto& row : m) mean += row[0];
+  for (size_t i = 0; i < m.rows; ++i) mean += m.row(i)[0];
   EXPECT_NEAR(mean / 4.0, 0.0, 1e-9);
 }
 
+TEST(FeatureViewTest, SnapshotHoldsWhatGetReturns) {
+  auto t = MixedTable();
+  FeatureView v = *FeatureView::Create(*t, {"num", "cat", "extra"});
+  const std::vector<RowId> rows = {3, 1, 0, 2};
+  const FeatureColumns cols = v.Snapshot(rows);
+  ASSERT_EQ(cols.num_rows(), rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (size_t f : {size_t{0}, size_t{2}}) {
+      const double want = v.Get(rows[i], f);
+      const double got = cols.values(f)[i];
+      EXPECT_TRUE(std::isnan(want) ? std::isnan(got) : got == want);
+    }
+    EXPECT_EQ(cols.code(1, i), static_cast<int32_t>(v.Get(rows[i], 1)));
+  }
+  // a, b, c: ranked in code order.
+  const std::vector<int32_t>& cats = cols.categories(1);
+  ASSERT_EQ(cats.size(), 3u);
+  EXPECT_TRUE(std::is_sorted(cats.begin(), cats.end()));
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(cats[static_cast<size_t>(cols.ranks(1)[i])], cols.code(1, i));
+  }
+}
+
+TEST(FeatureViewTest, SnapshotRanksOnlyTheCodesOfItsRows) {
+  // A wide dictionary over a few rows: the snapshot holds as many
+  // categories as the rows have distinct codes, not one per dictionary
+  // entry. The short list is ranked by a sort, the list of every row
+  // through a table indexed by code; both must agree with Get.
+  auto t = std::make_shared<Table>(Schema{{"c", DataType::kString}}, "w");
+  for (int i = 0; i < 5000; ++i) {
+    DBW_CHECK_OK(t->AppendRow({Value("v" + std::to_string(i))}));
+  }
+  DBW_CHECK_OK(t->AppendRow({Value::Null()}));
+  FeatureView v = *FeatureView::Create(*t, {"c"});
+  std::vector<RowId> all(5001);
+  for (RowId r = 0; r < all.size(); ++r) all[r] = r;
+  for (const std::vector<RowId>& rows :
+       {std::vector<RowId>{4999, 17, 5000, 4999, 2500}, all}) {
+    const FeatureColumns cols = v.Snapshot(rows);
+    const std::vector<int32_t>& cats = cols.categories(0);
+    EXPECT_TRUE(std::is_sorted(cats.begin(), cats.end()));
+    EXPECT_EQ(std::adjacent_find(cats.begin(), cats.end()), cats.end());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const int32_t want = v.IsNull(rows[i], 0)
+                               ? -1
+                               : static_cast<int32_t>(v.Get(rows[i], 0));
+      EXPECT_EQ(cols.code(0, i), want);
+    }
+  }
+  const FeatureColumns few = v.Snapshot({4999, 17, 5000, 4999, 2500});
+  EXPECT_EQ(few.categories(0).size(), 3u);
+  EXPECT_EQ(few.ranks(0), (std::vector<int32_t>{2, 0, -1, 2, 1}));
+  EXPECT_EQ(v.Snapshot(all).categories(0).size(), 5000u);
+}
+
 // ---------- k-means ----------
+
+/// Rows stacked into one row-major matrix; `cols` is the first row's
+/// length, so ragged input yields a matrix that is not rows x cols.
+DenseMatrix Stack(const std::vector<std::vector<double>>& rows) {
+  DenseMatrix m;
+  m.rows = rows.size();
+  m.cols = rows.empty() ? 0 : rows[0].size();
+  for (const auto& r : rows) {
+    m.values.insert(m.values.end(), r.begin(), r.end());
+  }
+  return m;
+}
 
 TEST(KMeansTest, SeparatesTwoBlobs) {
   Rng rng(42);
@@ -91,7 +161,7 @@ TEST(KMeansTest, SeparatesTwoBlobs) {
   for (int i = 0; i < 50; ++i) {
     pts.push_back({rng.Normal(10, 0.5), rng.Normal(10, 0.5)});
   }
-  KMeansResult r = *KMeans(pts, 2, &rng);
+  KMeansResult r = *KMeans(Stack(pts), 2, &rng);
   // All of blob 1 in one cluster, all of blob 2 in the other.
   for (int i = 1; i < 50; ++i) EXPECT_EQ(r.assignment[i], r.assignment[0]);
   for (int i = 51; i < 100; ++i) EXPECT_EQ(r.assignment[i], r.assignment[50]);
@@ -102,22 +172,34 @@ TEST(KMeansTest, SeparatesTwoBlobs) {
 
 TEST(KMeansTest, KOneYieldsCentroidAtMean) {
   Rng rng(1);
-  std::vector<std::vector<double>> pts = {{0.0}, {2.0}, {4.0}};
-  KMeansResult r = *KMeans(pts, 1, &rng);
-  EXPECT_NEAR(r.centroids[0][0], 2.0, 1e-9);
+  KMeansResult r = *KMeans(Stack({{0.0}, {2.0}, {4.0}}), 1, &rng);
+  EXPECT_NEAR(r.centroids.row(0)[0], 2.0, 1e-9);
 }
 
 TEST(KMeansTest, InvalidArguments) {
   Rng rng(1);
-  EXPECT_FALSE(KMeans({}, 1, &rng).ok());
-  EXPECT_FALSE(KMeans({{1.0}}, 2, &rng).ok());
-  EXPECT_FALSE(KMeans({{1.0}, {1.0, 2.0}}, 1, &rng).ok());
+  EXPECT_FALSE(KMeans(DenseMatrix{}, 1, &rng).ok());
+  EXPECT_FALSE(KMeans(Stack({{1.0}}), 2, &rng).ok());
+  EXPECT_FALSE(KMeans(Stack({{1.0}, {1.0, 2.0}}), 1, &rng).ok());
+}
+
+TEST(KMeansTest, AutoRejectsMatrixThatIsNotRowsByCols) {
+  Rng rng(1);
+  // Four numbers in the first row and one in each other row: 6 values
+  // for a 3 x 4 matrix. Read as rows x cols this would overrun them.
+  const DenseMatrix ragged = Stack({{1, 2, 3, 4}, {1}, {2}});
+  ASSERT_EQ(ragged.values.size(), 6u);
+  EXPECT_TRUE(KMeansAuto(ragged, 3, &rng).status().IsInvalidArgument());
+  EXPECT_TRUE(KMeans(ragged, 1, &rng).status().IsInvalidArgument());
+  const DenseMatrix no_cols{2, 0, {1.0}};
+  EXPECT_TRUE(KMeansAuto(no_cols, 2, &rng).status().IsInvalidArgument());
+  EXPECT_FALSE(KMeansAuto(DenseMatrix{}, 2, &rng).ok());
 }
 
 TEST(KMeansTest, DuplicatePointsDoNotCrash) {
   Rng rng(2);
-  std::vector<std::vector<double>> pts(10, {3.0, 3.0});
-  KMeansResult r = *KMeans(pts, 3, &rng);
+  const std::vector<std::vector<double>> pts(10, {3.0, 3.0});
+  KMeansResult r = *KMeans(Stack(pts), 3, &rng);
   EXPECT_EQ(r.assignment.size(), 10u);
   EXPECT_NEAR(r.inertia, 0.0, 1e-9);
 }
@@ -127,7 +209,7 @@ TEST(KMeansTest, AutoFindsTwoBlobs) {
   std::vector<std::vector<double>> pts;
   for (int i = 0; i < 40; ++i) pts.push_back({rng.Normal(0, 0.3)});
   for (int i = 0; i < 40; ++i) pts.push_back({rng.Normal(8, 0.3)});
-  KMeansResult r = *KMeansAuto(pts, 4, &rng);
+  KMeansResult r = *KMeansAuto(Stack(pts), 4, &rng);
   const int k = 1 + *std::max_element(r.assignment.begin(), r.assignment.end());
   EXPECT_EQ(k, 2);
 }
@@ -136,7 +218,7 @@ TEST(KMeansTest, AutoPrefersOneClusterForHomogeneousData) {
   Rng rng(8);
   std::vector<std::vector<double>> pts;
   for (int i = 0; i < 80; ++i) pts.push_back({rng.UniformDouble(0, 1)});
-  KMeansResult r = *KMeansAuto(pts, 4, &rng);
+  KMeansResult r = *KMeansAuto(Stack(pts), 4, &rng);
   const int k = 1 + *std::max_element(r.assignment.begin(), r.assignment.end());
   EXPECT_EQ(k, 1);
 }
@@ -345,6 +427,43 @@ TEST(DecisionTreeTest, NullsRouteRight) {
   DecisionTree tree = *DecisionTree::Fit(v, rows, labels, {}, {});
   // NULL goes right = the "condition false" branch = negative side here.
   EXPECT_EQ(tree.Predict(v, 20), 0);
+}
+
+TEST(DecisionTreeTest, NaNRoutesRightInTraining) {
+  // Positives at x >= 10, negatives at x <= 5, every third row NaN.
+  // NaN has no place in a `<` order, so it goes right, like NULL, in
+  // training as in prediction: the split lies between 5 and 10, the
+  // same for either row order.
+  auto t = std::make_shared<Table>(Schema{{"x", DataType::kDouble}}, "d");
+  std::vector<RowId> rows;
+  std::vector<int> labels;
+  for (int i = 0; i < 60; ++i) {
+    const bool pos = i % 2 == 0;
+    const double x = i % 3 == 0 ? std::numeric_limits<double>::quiet_NaN()
+                     : pos      ? 10.0 + i / 6
+                                : 5.0 - i / 6;
+    DBW_CHECK_OK(t->AppendRow({Value(x)}));
+    rows.push_back(static_cast<RowId>(i));
+    labels.push_back(pos ? 1 : 0);
+  }
+  FeatureView v = *FeatureView::Create(*t, {"x"});
+  DecisionTreeOptions opts;
+  opts.max_depth = 1;
+  const DecisionTree forward = *DecisionTree::Fit(v, rows, labels, {}, opts);
+  std::vector<RowId> rev_rows(rows.rbegin(), rows.rend());
+  std::vector<int> rev_labels(labels.rbegin(), labels.rend());
+  const DecisionTree backward =
+      *DecisionTree::Fit(v, rev_rows, rev_labels, {}, opts);
+  for (const DecisionTree* tree : {&forward, &backward}) {
+    const DecisionTree::Node& root = tree->nodes()[0];
+    ASSERT_FALSE(root.is_leaf);
+    EXPECT_FALSE(root.categorical);
+    EXPECT_EQ(root.threshold, 7.5);
+    // The NaN rows' mass sits in the right child with the positives.
+    const DecisionTree::Node& right = tree->nodes()[root.right];
+    EXPECT_EQ(right.n0 + right.n1, 20.0 + 20.0);
+    EXPECT_EQ(tree->PredictProba(v, 0), right.prob1());  // row 0 is NaN
+  }
 }
 
 TEST(DecisionTreeTest, PredicatesClassifyConsistentlyWithTree) {

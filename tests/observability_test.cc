@@ -312,8 +312,10 @@ TEST(ObservabilityTest, TraceCoversEveryPipelineStage) {
            "service/debug", "session/debug", "pipeline/explain",
            "pipeline/preprocess", "pipeline/enumerate",
            "pipeline/predicates", "pipeline/rank", "pipeline/merge",
-           "merge/rerank", "enumerate/clean", "enumerate/subgroups",
-           "enumerate/datasets", "enumerate/predicates", "scorer/create",
+           "merge/rerank", "enumerate/clean", "enumerate/kmeans",
+           "enumerate/subgroups", "enumerate/datasets",
+           "enumerate/predicates", "predicates/tree", "predicates/bounding",
+           "scorer/create",
            "ranker/rank", "match/materialize", "sql/parse", "sql/execute",
            "sql/filter", "sql/group",
        }) {

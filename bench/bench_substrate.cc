@@ -68,9 +68,11 @@ BENCHMARK(BM_FilteredSum)->Arg(10000)->Arg(100000);
 void BM_PredicateMatch(benchmark::State& state) {
   const LabeledDataset& data = Data(100000);
   const Predicate pred = data.anomalies[0].description;
-  const BoundPredicate bound = *pred.Bind(*data.table);
   for (auto _ : state) {
-    auto rows = bound.MatchingRows();
+    std::vector<RowId> rows;
+    for (RowId r = 0; r < data.table->num_rows(); ++r) {
+      if (*pred.Matches(*data.table, r)) rows.push_back(r);
+    }
     benchmark::DoNotOptimize(rows);
   }
   state.SetItemsProcessed(state.iterations() * 100000);

@@ -14,9 +14,9 @@
 #   scripts/check.sh trace      # just bench_trace (BENCH_trace.json)
 #   scripts/check.sh shard      # bench_shard (BENCH_shard.json)
 #   scripts/check.sh simd       # clause-kernel, conjunction,
-#                               # executor-oracle and learner-oracle
-#                               # tests at the forced scalar tier
-#                               # under asan
+#                               # executor-oracle, cleaning-law and
+#                               # learner-oracle tests at the forced
+#                               # scalar tier under asan
 #   scripts/check.sh crash      # kill-point crash-recovery matrix under
 #                               # asan AND tsan (DBWIPES_CRASH_RUNS=200+)
 #   scripts/check.sh wal        # bench_wal (BENCH_wal.json)
@@ -91,16 +91,22 @@ simd() {
   # The equivalence suites again, with the SIMD dispatcher pinned to the
   # portable tier, under asan: scalar and vector bodies must be
   # bit-identical and memory-clean, for the clause bitmaps checked
-  # against the boxed oracles, for the conjunctions ANDed from them, for
-  # the executor's WHERE bitmaps checked against the row-at-a-time
-  # reference executor, and for the learners (k-means silhouettes,
-  # decision trees) checked against their reference implementations.
+  # against the boxed oracles (literals of the other type included, so
+  # the NaN-comparison constant runs too), for the conjunctions ANDed
+  # from them, for the executor's WHERE bitmaps checked against the
+  # row-at-a-time reference executor, for the cleaning laws (rewrite
+  # and IncrementalClean against deletion and re-execution), and for
+  # the learners (k-means silhouettes, decision trees) checked against
+  # their reference implementations.
   cmake --preset asan >/dev/null
   cmake --build --preset asan -j "$jobs" --target fused_kernels_test \
-      match_kernels_test executor_test kmeans_oracle_test tree_oracle_test
+      match_kernels_test executor_test equivalence_test kmeans_oracle_test \
+      tree_oracle_test
   DBWIPES_SIMD=off ./build-asan/tests/fused_kernels_test
   DBWIPES_SIMD=off ./build-asan/tests/match_kernels_test
   DBWIPES_SIMD=off ./build-asan/tests/executor_test
+  DBWIPES_SIMD=off ./build-asan/tests/equivalence_test \
+      --gtest_filter='*PredicatePathEquivalence*:*IncrementalCleanLaw*:*CleaningRewriteLaw*'
   DBWIPES_SIMD=off ./build-asan/tests/kmeans_oracle_test
   DBWIPES_SIMD=off ./build-asan/tests/tree_oracle_test
 }

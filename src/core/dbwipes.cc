@@ -368,15 +368,13 @@ Result<QueryResult> DBWipes::Clean(const QueryResult& result,
   {
     Result<LeasedTable> leased = LeaseTable(*db_, result.query.table_name);
     if (leased.ok() && Describes(result, *leased->table) &&
-        !predicate.empty() && predicate.Bind(*leased->table).ok()) {
+        !predicate.empty()) {
       DBW_TRACE_SPAN("sql/clean");
       return IncrementalClean(*leased->table, result, predicate);
     }
   }
-  // The result is stale, or the predicate is empty or does not compile
-  // to clause kernels (the WHERE lowering still answers e.g.
-  // `tag > 'c'`, through Clause::Matches): re-execute the rewrite,
-  // outside the lease (Execute takes its own).
+  // The result is stale, or the predicate is empty: re-execute the
+  // rewrite, outside the lease (Execute takes its own).
   return db_->Execute(result.query.WithCleaningPredicate(predicate));
 }
 

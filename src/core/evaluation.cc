@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "dbwipes/expr/bool_expr.h"
+
 namespace dbwipes {
 
 ExplanationQuality ScoreTupleSet(const std::vector<RowId>& predicted_sorted,
@@ -35,8 +37,14 @@ ExplanationQuality ScoreTupleSet(const std::vector<RowId>& predicted_sorted,
 Result<ExplanationQuality> ScorePredicate(
     const Table& table, const Predicate& predicate,
     const std::vector<RowId>& truth_sorted) {
-  DBW_ASSIGN_OR_RETURN(BoundPredicate bound, predicate.Bind(table));
-  return ScoreTupleSet(bound.MatchingRows(), truth_sorted);
+  DBW_ASSIGN_OR_RETURN(const Bitmap matched,
+                       FilterBitmap(*PredicateToBoolExpr(predicate), table,
+                                    ScanUniverse::Range(0, table.num_rows())));
+  std::vector<RowId> predicted;
+  for (RowId r = 0; r < table.num_rows(); ++r) {
+    if (matched.Test(r)) predicted.push_back(r);
+  }
+  return ScoreTupleSet(predicted, truth_sorted);
 }
 
 }  // namespace dbwipes

@@ -15,10 +15,11 @@ namespace dbwipes {
 namespace {
 
 /// Selectivity sampler for bounding descriptions: one MatchEngine per
-/// shard slice (or a single fused engine when unsharded). Counts are
-/// per-row clause evaluations summed across slices, so the fraction a
-/// predicate gets is a pure function of the sampled rows' content —
-/// identical at every shard count.
+/// shard slice (or a single fused engine when unsharded), built once
+/// per Enumerate so every candidate's description shares the sample's
+/// clause bitmaps. Counts are per-row clause evaluations summed across
+/// slices, so the fraction a predicate gets is a pure function of the
+/// sampled rows' content — identical at every shard count.
 class SampleCounter {
  public:
   SampleCounter(const Table& table, const ShardPlan* shards) {
@@ -44,8 +45,8 @@ class SampleCounter {
   }
 
   /// Sampled rows matching `pred`, summed over slices; nullopt when
-  /// any slice's match fails (all slices fail alike — match errors are
-  /// schema-shaped, not content-shaped).
+  /// any slice's match fails (all slices fail alike: only an unknown
+  /// column fails).
   std::optional<size_t> Count(const Predicate& pred) {
     size_t total = 0;
     for (MatchEngine& engine : engines_) {
@@ -69,11 +70,8 @@ class SampleCounter {
 /// whole table, most selective clauses first.
 std::optional<Predicate> BoundingDescription(
     const FeatureView& view, const std::vector<RowId>& candidate_rows,
-    const PredicateEnumeratorOptions& options, const ShardPlan* shards) {
+    const PredicateEnumeratorOptions& options, SampleCounter& counter) {
   if (candidate_rows.empty()) return std::nullopt;
-  const Table& table = view.table();
-
-  SampleCounter counter(table, shards);
   const double sample_size = counter.size();
 
   struct Scored {
@@ -233,6 +231,11 @@ Result<std::vector<EnumeratedPredicate>> PredicateEnumerator::Enumerate(
     }
   }
   const FeatureColumns columns = view.Snapshot(suspects);
+  std::optional<SampleCounter> sample;
+  if (options_.add_bounding_predicates) {
+    DBW_TRACE_SPAN("predicates/bounding");
+    sample.emplace(view.table(), shards);
+  }
 
   std::vector<EnumeratedPredicate> out;
   std::unordered_set<std::string> seen;
@@ -256,7 +259,7 @@ Result<std::vector<EnumeratedPredicate>> PredicateEnumerator::Enumerate(
       std::optional<Predicate> bounding;
       {
         DBW_TRACE_SPAN("predicates/bounding");
-        bounding = BoundingDescription(view, cand.rows, options_, shards);
+        bounding = BoundingDescription(view, cand.rows, options_, *sample);
       }
       if (bounding && seen.insert(bounding->CanonicalString()).second) {
         if (!emit_allowed()) break;

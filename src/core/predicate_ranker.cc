@@ -11,6 +11,7 @@
 #include "dbwipes/common/trace.h"
 #include "dbwipes/core/merger.h"
 #include "dbwipes/core/removal_scorer.h"
+#include "dbwipes/expr/bool_expr.h"
 #include "dbwipes/expr/match_kernels.h"
 #include "dbwipes/expr/shard_cache.h"
 
@@ -296,8 +297,8 @@ Result<RankOutcome> PredicateRanker::RankDelta(
   stats.materialize_ms = MillisBetween(t_mat, std::chrono::steady_clock::now());
   // A failed slice rolled its fresh entries back; the other engines stay
   // warm for the next run either way. When the bitmap budget cannot hold
-  // the clause caches, matching degrades to Bind per predicate and
-  // slice, which allocates one bitmap at a time.
+  // the clause caches, matching degrades to one FilterBitmap per
+  // predicate and slice, which allocates one bitmap at a time.
   const bool use_kernels = materialized.ok();
   if (!use_kernels && !materialized.IsResourceExhausted()) {
     finish();
@@ -345,15 +346,18 @@ Result<RankOutcome> PredicateRanker::RankDelta(
           rp.strategy = ep.strategy;
           std::vector<Bitmap>& parts = matched_parts[i];
           parts.resize(num_slices);
+          const BoolExprPtr expr =
+              use_kernels ? nullptr : PredicateToBoolExpr(ep.predicate);
           size_t tp = 0;
           for (size_t s = 0; s < num_slices; ++s) {
             if (use_kernels) {
               DBW_ASSIGN_OR_RETURN(parts[s],
                                    engines[s]->MatchPrepared(ep.predicate));
             } else {
-              DBW_ASSIGN_OR_RETURN(BoundPredicate bound,
-                                   ep.predicate.Bind(*slices[s].table));
-              parts[s] = bound.MatchBitmap(slices[s].local_rows);
+              DBW_ASSIGN_OR_RETURN(
+                  parts[s],
+                  FilterBitmap(*expr, *slices[s].table,
+                               ScanUniverse::Of(slices[s].local_rows)));
             }
             rp.matched_in_suspects += parts[s].CountOnes();
             if (have_reference) tp += parts[s].CountAnd(ref_parts[s]);
@@ -452,13 +456,21 @@ Result<RankOutcome> PredicateRanker::RankReference(
         }
       }
     }
-    DBW_ASSIGN_OR_RETURN(BoundPredicate bound, ep.predicate.Bind(table));
-
     // Tuples of F the predicate matches = the tuples cleaning removes
-    // from the selected groups.
+    // from the selected groups, by boxed Clause::Matches per cell.
+    const std::vector<Clause>& clauses = ep.predicate.clauses();
+    std::vector<const Column*> columns;
+    for (const Clause& c : clauses) {
+      DBW_ASSIGN_OR_RETURN(const Column* col, table.GetColumn(c.attribute));
+      columns.push_back(col);
+    }
     std::vector<RowId> matched;
     for (RowId r : suspects) {
-      if (bound.Matches(r)) matched.push_back(r);
+      bool all = true;
+      for (size_t k = 0; all && k < clauses.size(); ++k) {
+        all = clauses[k].Matches(columns[k]->GetValue(r));
+      }
+      if (all) matched.push_back(r);
     }
 
     RankedPredicate rp;

@@ -1,7 +1,5 @@
 #include "dbwipes/expr/bool_expr.h"
 
-#include <unordered_map>
-
 #include "dbwipes/expr/match_kernels.h"
 
 namespace dbwipes {
@@ -67,7 +65,10 @@ namespace {
 class WhereLowering {
  public:
   WhereLowering(const Table& table, const ScanUniverse& universe)
-      : table_(table), universe_(universe), tier_(ResolveSimdTier()) {}
+      : table_(table),
+        universe_(universe),
+        tier_(ResolveSimdTier()),
+        validity_(universe) {}
 
   Result<Bitmap> Lower(const BoolExpr& expr) {
     switch (expr.kind()) {
@@ -104,68 +105,17 @@ class WhereLowering {
 
  private:
   Result<Bitmap> Leaf(const Clause& clause) {
-    Result<CompiledClause> compiled = CompileClause(clause, table_);
-    if (compiled.ok()) return Scan(*compiled);
-    // The kernels reject the literal's type; Clause::Matches still
-    // defines the answer.
-    DBW_ASSIGN_OR_RETURN(const Column* col, table_.GetColumn(clause.attribute));
-    if (col->type() == DataType::kString) {
-      // IN over the dictionary codes whose strings match.
-      CompiledClause by_code;
-      by_code.column = col;
-      by_code.op = CompareOp::kIn;
-      by_code.is_string = true;
-      by_code.code_table.assign(col->dictionary_size() + 1, 0);
-      for (size_t code = 0; code < col->dictionary_size(); ++code) {
-        by_code.code_table[code + 1] = clause.Matches(
-            Value(col->DictionaryValue(static_cast<int32_t>(code))));
-      }
-      return Scan(by_code);
-    }
-    if (clause.op == CompareOp::kIn) {
-      // A number equals no non-numeric member.
-      Clause numeric = clause;
-      numeric.in_set.clear();
-      for (const Value& v : clause.in_set) {
-        if (v.is_numeric()) numeric.in_set.push_back(v);
-      }
-      DBW_ASSIGN_OR_RETURN(CompiledClause cc, CompileClause(numeric, table_));
-      return Scan(cc);
-    }
-    // A non-numeric literal: Value orders by type first, so every
-    // non-null number gets the same answer.
+    DBW_ASSIGN_OR_RETURN(ClauseScan scan, CompileClause(clause, table_));
     Bitmap out(universe_.size);
-    if (clause.Matches(Value(0.0))) {
-      if (const Bitmap* valid = Validity(*col)) {
-        out = *valid;
-      } else {
-        out.SetAll();
-      }
-    }
+    EvalFusedWords(scan, validity_.For(scan), tier_, universe_, 0,
+                   out.num_words(), &out);
     return out;
-  }
-
-  Bitmap Scan(const CompiledClause& cc) {
-    FusedProgram prog;
-    AppendClauseOp(cc, cc.is_string ? nullptr : Validity(*cc.column), &prog);
-    Bitmap out(universe_.size);
-    EvalFusedWords(prog, tier_, universe_, 0, out.num_words(), &out);
-    return out;
-  }
-
-  /// The column's validity over the universe, or null when it has no
-  /// nulls.
-  const Bitmap* Validity(const Column& col) {
-    if (!col.has_nulls()) return nullptr;
-    auto [it, inserted] = validity_.try_emplace(&col);
-    if (inserted) it->second = ValidityBitmap(col, universe_);
-    return &it->second;
   }
 
   const Table& table_;
   const ScanUniverse& universe_;
   const SimdTier tier_;
-  std::unordered_map<const Column*, Bitmap> validity_;
+  ValidityCache validity_;
 };
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <cstring>
 
 #include "dbwipes/common/logging.h"
-#include "dbwipes/expr/match_kernels.h"
 
 #if DBWIPES_HAVE_AVX2_TIER
 #include <immintrin.h>
@@ -49,7 +48,7 @@ inline uint64_t PackWord(const RowAt& at, size_t base, size_t limit,
 }
 
 template <typename RowAt, typename Load>
-uint64_t ScalarNumericWord(const FusedOp& op, const RowAt& at, size_t base,
+uint64_t ScalarNumericWord(const ClauseScan& op, const RowAt& at, size_t base,
                            size_t limit, const Load& load) {
   const double t = op.threshold;
   switch (op.op) {
@@ -73,7 +72,7 @@ uint64_t ScalarNumericWord(const FusedOp& op, const RowAt& at, size_t base,
       return PackWord(at, base, limit, [&](RowId r) {
         const double v = load(r);
         return !std::isnan(v) &&
-               std::binary_search(op.in_data, op.in_data + op.in_size, v);
+               std::binary_search(op.in_set.begin(), op.in_set.end(), v);
       });
     case CompareOp::kContains:
       break;
@@ -83,36 +82,36 @@ uint64_t ScalarNumericWord(const FusedOp& op, const RowAt& at, size_t base,
 }
 
 template <typename RowAt>
-uint64_t ScalarOpWord(const FusedOp& op, const RowAt& at, size_t base,
+uint64_t ScalarOpWord(const ClauseScan& op, const RowAt& at, size_t base,
                       size_t limit) {
   switch (op.body) {
-    case FusedOp::Body::kDoubleCmp: {
+    case ClauseScan::Body::kDoubleCmp: {
       const double* data = op.dbl;
       return ScalarNumericWord(op, at, base, limit,
                                [data](RowId r) { return data[r]; });
     }
-    case FusedOp::Body::kInt64Cmp: {
+    case ClauseScan::Body::kInt64Cmp: {
       const int64_t* data = op.i64;
       return ScalarNumericWord(
           op, at, base, limit,
           [data](RowId r) { return static_cast<double>(data[r]); });
     }
-    case FusedOp::Body::kCodeEq: {
+    case ClauseScan::Body::kCodeEq: {
       const int32_t* codes = op.codes;
       const int32_t key = op.code;
       return PackWord(at, base, limit,
                       [codes, key](RowId r) { return codes[r] == key; });
     }
-    case FusedOp::Body::kCodeNe: {
+    case ClauseScan::Body::kCodeNe: {
       const int32_t* codes = op.codes;
       const int32_t key = op.code;
       return PackWord(at, base, limit, [codes, key](RowId r) {
         return static_cast<bool>((codes[r] >= 0) & (codes[r] != key));
       });
     }
-    case FusedOp::Body::kCodeTable: {
+    case ClauseScan::Body::kCodeTable: {
       const int32_t* codes = op.codes;
-      const uint32_t* table = op.table;
+      const uint32_t* table = op.table.data();
       return PackWord(at, base, limit, [codes, table](RowId r) {
         return table[codes[r] + 1] != 0;
       });
@@ -122,7 +121,7 @@ uint64_t ScalarOpWord(const FusedOp& op, const RowAt& at, size_t base,
 }
 
 /// The scalar word at `base` over `universe`.
-uint64_t ScalarWord(const FusedOp& op, const ScanUniverse& universe,
+uint64_t ScalarWord(const ClauseScan& op, const ScanUniverse& universe,
                     size_t base, size_t limit) {
   if (universe.contiguous()) {
     const RowId first = universe.first;
@@ -231,7 +230,7 @@ DBW_AVX2 uint64_t Avx2Int64CmpGather(const int64_t* data, const RowId* rows,
          << (8 * k);                                                     \
   }
 
-DBW_AVX2 uint64_t Avx2CodeWord(const FusedOp& op, const RowId* rows,
+DBW_AVX2 uint64_t Avx2CodeWord(const ClauseScan& op, const RowId* rows,
                                const int32_t* contig) {
   uint64_t w = 0;
   // `contig` is the pre-offset base pointer when the universe is
@@ -251,13 +250,13 @@ DBW_AVX2 uint64_t Avx2CodeWord(const FusedOp& op, const RowId* rows,
         MASK)                                                            \
   }
   switch (op.body) {
-    case FusedOp::Body::kCodeEq: {
+    case ClauseScan::Body::kCodeEq: {
       const __m256i key = _mm256_set1_epi32(op.code);
       DBW_CODE_DISPATCH(_mm256_movemask_ps(
           _mm256_castsi256_ps(_mm256_cmpeq_epi32(cv, key))))
       break;
     }
-    case FusedOp::Body::kCodeNe: {
+    case ClauseScan::Body::kCodeNe: {
       const __m256i key = _mm256_set1_epi32(op.code);
       const __m256i minus1 = _mm256_set1_epi32(-1);
       DBW_CODE_DISPATCH(_mm256_movemask_ps(_mm256_castsi256_ps(
@@ -265,13 +264,13 @@ DBW_AVX2 uint64_t Avx2CodeWord(const FusedOp& op, const RowId* rows,
                               _mm256_cmpgt_epi32(cv, minus1)))))
       break;
     }
-    case FusedOp::Body::kCodeTable: {
+    case ClauseScan::Body::kCodeTable: {
       const __m256i one = _mm256_set1_epi32(1);
       const __m256i zero = _mm256_setzero_si256();
+      const int* table = reinterpret_cast<const int*>(op.table.data());
       DBW_CODE_DISPATCH(
           ~_mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(
-              _mm256_i32gather_epi32(reinterpret_cast<const int*>(op.table),
-                                     _mm256_add_epi32(cv, one), 4),
+              _mm256_i32gather_epi32(table, _mm256_add_epi32(cv, one), 4),
               zero))))
       break;
     }
@@ -282,23 +281,23 @@ DBW_AVX2 uint64_t Avx2CodeWord(const FusedOp& op, const RowId* rows,
   return w;
 }
 
-DBW_AVX2 uint64_t Avx2OpWord(const FusedOp& op, const ScanUniverse& universe,
+DBW_AVX2 uint64_t Avx2OpWord(const ClauseScan& op, const ScanUniverse& universe,
                              size_t base) {
   const bool contiguous = universe.contiguous();
   const size_t start = universe.first + base;  // contiguous only
   const RowId* rows = contiguous ? nullptr : universe.rows + base;
   switch (op.body) {
-    case FusedOp::Body::kDoubleCmp:
+    case ClauseScan::Body::kDoubleCmp:
       return contiguous
                  ? Avx2DoubleCmpLoad(op.dbl + start, op.threshold, op.op)
                  : Avx2DoubleCmpGather(op.dbl, rows, op.threshold, op.op);
-    case FusedOp::Body::kInt64Cmp:
+    case ClauseScan::Body::kInt64Cmp:
       return contiguous
                  ? Avx2Int64CmpLoad(op.i64 + start, op.threshold, op.op)
                  : Avx2Int64CmpGather(op.i64, rows, op.threshold, op.op);
-    case FusedOp::Body::kCodeEq:
-    case FusedOp::Body::kCodeNe:
-    case FusedOp::Body::kCodeTable:
+    case ClauseScan::Body::kCodeEq:
+    case ClauseScan::Body::kCodeNe:
+    case ClauseScan::Body::kCodeTable:
       return Avx2CodeWord(op, rows, contiguous ? op.codes + start : nullptr);
   }
   return 0;
@@ -324,49 +323,6 @@ const char* SimdTierName(SimdTier tier) {
   return "unknown";
 }
 
-void AppendClauseOp(const CompiledClause& cc, const Bitmap* valid,
-                    FusedProgram* prog) {
-  FusedOp& op = prog->op;
-  op.op = cc.op;
-  op.valid = valid;
-  if (cc.is_string) {
-    op.codes = cc.column->code_data().data();
-    switch (cc.op) {
-      case CompareOp::kEq:
-        op.body = FusedOp::Body::kCodeEq;
-        op.code = cc.code;
-        break;
-      case CompareOp::kNe:
-        op.body = FusedOp::Body::kCodeNe;
-        op.code = cc.code;
-        break;
-      case CompareOp::kIn:
-      case CompareOp::kContains: {
-        op.body = FusedOp::Body::kCodeTable;
-        prog->table.assign(cc.code_table.begin(), cc.code_table.end());
-        op.table = prog->table.data();
-        break;
-      }
-      default:
-        DBW_CHECK(false) << "ordered clause op on string column";
-    }
-  } else {
-    // The body picks the storage loader; op.op picks the comparison
-    // (kIn: a binary search of the sorted set).
-    if (cc.column->type() == DataType::kInt64) {
-      op.body = FusedOp::Body::kInt64Cmp;
-      op.i64 = cc.column->int64_data().data();
-    } else {
-      op.body = FusedOp::Body::kDoubleCmp;
-      op.dbl = cc.column->double_data().data();
-    }
-    op.threshold = cc.threshold;
-    prog->in_set = cc.in_numbers;
-    op.in_data = prog->in_set.data();
-    op.in_size = prog->in_set.size();
-  }
-}
-
 ScanUniverse ScanUniverse::Of(const std::vector<RowId>& rows) {
   for (size_t i = 1; i < rows.size(); ++i) {
     if (rows[i] != rows[0] + i) return {rows.data(), 0, rows.size()};
@@ -374,31 +330,35 @@ ScanUniverse ScanUniverse::Of(const std::vector<RowId>& rows) {
   return Range(rows.empty() ? 0 : rows[0], rows.size());
 }
 
-Bitmap ValidityBitmap(const Column& col, const ScanUniverse& universe) {
-  Bitmap bits(universe.size);
+const Bitmap* ValidityCache::For(const ClauseScan& scan) {
+  if (!scan.masks_nulls()) return nullptr;
+  auto [it, inserted] = bits_.try_emplace(scan.column);
+  if (!inserted) return &it->second;
+  Bitmap& bits = it->second;
+  bits = Bitmap(universe_.size);
   for (size_t wi = 0; wi < bits.num_words(); ++wi) {
     const size_t base = wi * 64;
-    const size_t limit = std::min<size_t>(64, universe.size - base);
+    const size_t limit = std::min<size_t>(64, universe_.size - base);
     uint64_t w = 0;
     for (size_t b = 0; b < limit; ++b) {
-      w |= static_cast<uint64_t>(!col.IsNull(universe.row(base + b))) << b;
+      w |= static_cast<uint64_t>(!scan.column->IsNull(universe_.row(base + b)))
+           << b;
     }
     bits.set_word(wi, w);
   }
-  return bits;
+  return &bits;
 }
 
-void EvalFusedWords(const FusedProgram& prog, SimdTier tier,
-                    const ScanUniverse& universe, size_t word_begin,
-                    size_t word_end, Bitmap* out) {
+void EvalFusedWords(const ClauseScan& op, const Bitmap* valid,
+                    SimdTier tier, const ScanUniverse& universe,
+                    size_t word_begin, size_t word_end, Bitmap* out) {
 #if !DBWIPES_HAVE_AVX2_TIER
   tier = SimdTier::kScalar;
 #endif
-  const FusedOp& op = prog.op;
   // Numeric IN has no vector body: it is scalar at every tier. Decided
-  // from the op, not from in_data, which is null for an empty set.
+  // from the op, not from the IN set, which may be empty.
   const bool scalar_only =
-      op.op == CompareOp::kIn && op.body != FusedOp::Body::kCodeTable;
+      op.op == CompareOp::kIn && op.body != ClauseScan::Body::kCodeTable;
   for (size_t wi = word_begin; wi < word_end; ++wi) {
     const size_t base = wi * 64;
     const size_t limit = std::min<size_t>(64, universe.size - base);
@@ -411,7 +371,7 @@ void EvalFusedWords(const FusedProgram& prog, SimdTier tier,
     {
       w = ScalarWord(op, universe, base, limit);
     }
-    if (op.valid != nullptr) w &= op.valid->word(wi);
+    if (valid != nullptr) w &= valid->word(wi);
     out->set_word(wi, w);
   }
 }

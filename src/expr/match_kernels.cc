@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "dbwipes/common/exec_context.h"
 #include "dbwipes/common/logging.h"
@@ -76,88 +77,66 @@ std::string KeyOf(const Clause& c) {
 
 }  // namespace
 
-Result<CompiledClause> CompileClause(const Clause& clause,
-                                     const Table& table) {
-  DBW_ASSIGN_OR_RETURN(size_t idx, table.schema().GetIndex(clause.attribute));
-  const Column& col = table.column(idx);
-  CompiledClause out;
-  out.column = &col;
+Result<ClauseScan> CompileClause(const Clause& clause, const Table& table) {
+  DBW_ASSIGN_OR_RETURN(const Column* col, table.GetColumn(clause.attribute));
+  ClauseScan out;
+  out.column = col;
   out.op = clause.op;
-  out.is_string = col.type() == DataType::kString;
+  if (col->type() == DataType::kString) {
+    out.codes = col->code_data().data();
+    const bool by_code = clause.literal.is_string() &&
+                         (clause.op == CompareOp::kEq ||
+                          clause.op == CompareOp::kNe);
+    if (by_code) {
+      out.body = clause.op == CompareOp::kEq ? ClauseScan::Body::kCodeEq
+                                             : ClauseScan::Body::kCodeNe;
+      // FindCode's -1 (absent literal) becomes -2: -1 is the null
+      // sentinel in code_data(), and a null row must not equal it.
+      out.code = col->FindCode(clause.literal.str());
+      if (out.code < 0) out.code = -2;
+      return out;
+    }
+    out.body = ClauseScan::Body::kCodeTable;
+    out.table.assign(col->dictionary_size() + 1, 0);
+    if (clause.op == CompareOp::kIn) {
+      for (const Value& v : clause.in_set) {
+        // A string equals no other type; an absent string is code -1.
+        const int32_t code = v.is_string() ? col->FindCode(v.str()) : -1;
+        if (code >= 0) out.table[code + 1] = 1;
+      }
+    } else {
+      for (size_t code = 0; code < col->dictionary_size(); ++code) {
+        out.table[code + 1] = clause.Matches(
+            Value(col->DictionaryValue(static_cast<int32_t>(code))));
+      }
+    }
+    return out;
+  }
 
-  // Literal translation mirrors Predicate::Bind clause for clause —
-  // including the error messages — so engine users see unchanged
-  // failure behavior on ill-typed predicates.
-  switch (clause.op) {
-    case CompareOp::kEq:
-    case CompareOp::kNe:
-      if (out.is_string) {
-        if (!clause.literal.is_string()) {
-          return Status::TypeError("comparing string column '" +
-                                   clause.attribute + "' to " +
-                                   clause.literal.ToString());
-        }
-        // Normalize FindCode's -1 (absent literal) to -2: -1 is the
-        // null sentinel in code_data(), and a null row must not
-        // compare equal to an absent literal.
-        out.code = col.FindCode(clause.literal.str());
-        if (out.code < 0) out.code = -2;
-      } else {
-        DBW_ASSIGN_OR_RETURN(out.threshold, clause.literal.AsDouble());
-      }
-      break;
-    case CompareOp::kLt:
-    case CompareOp::kLe:
-    case CompareOp::kGt:
-    case CompareOp::kGe: {
-      if (out.is_string) {
-        return Status::TypeError("ordered comparison on string column '" +
-                                 clause.attribute + "'");
-      }
-      DBW_ASSIGN_OR_RETURN(out.threshold, clause.literal.AsDouble());
-      break;
+  // The body picks the storage loader; op picks the comparison.
+  if (col->type() == DataType::kInt64) {
+    out.body = ClauseScan::Body::kInt64Cmp;
+    out.i64 = col->int64_data().data();
+  } else {
+    out.body = ClauseScan::Body::kDoubleCmp;
+    out.dbl = col->double_data().data();
+  }
+  if (clause.op == CompareOp::kIn) {
+    for (const Value& v : clause.in_set) {
+      if (!v.is_numeric()) continue;  // a number equals no other type
+      // NaN is IN nothing under Value equality; it would also break
+      // binary_search's ordering.
+      const double d = *v.AsDouble();
+      if (!std::isnan(d)) out.in_set.push_back(d);
     }
-    case CompareOp::kIn:
-      if (out.is_string) {
-        out.code_table.assign(col.dictionary_size() + 1, 0);
-        for (const Value& v : clause.in_set) {
-          if (!v.is_string()) {
-            return Status::TypeError("IN set for string column '" +
-                                     clause.attribute + "' contains " +
-                                     v.ToString());
-          }
-          const int32_t code = col.FindCode(v.str());
-          if (code >= 0) out.code_table[code + 1] = 1;
-        }
-      } else {
-        for (const Value& v : clause.in_set) {
-          DBW_ASSIGN_OR_RETURN(double d, v.AsDouble());
-          // NaN is IN nothing under Value equality; it would also
-          // break binary_search's ordering.
-          if (!std::isnan(d)) out.in_numbers.push_back(d);
-        }
-        std::sort(out.in_numbers.begin(), out.in_numbers.end());
-      }
-      break;
-    case CompareOp::kContains: {
-      if (!out.is_string) {
-        return Status::TypeError("CONTAINS on non-string column '" +
-                                 clause.attribute + "'");
-      }
-      if (!clause.literal.is_string()) {
-        return Status::TypeError("CONTAINS needs a string literal");
-      }
-      // One substring search per distinct string, not per row.
-      const std::string& sub = clause.literal.str();
-      out.code_table.assign(col.dictionary_size() + 1, 0);
-      for (size_t code = 0; code < col.dictionary_size(); ++code) {
-        if (col.DictionaryValue(static_cast<int32_t>(code)).find(sub) !=
-            std::string::npos) {
-          out.code_table[code + 1] = 1;
-        }
-      }
-      break;
-    }
+    std::sort(out.in_set.begin(), out.in_set.end());
+  } else if (clause.op != CompareOp::kContains && clause.literal.is_numeric()) {
+    out.threshold = *clause.literal.AsDouble();
+  } else {
+    // Every number, NaN included, gets this one answer; != NaN holds
+    // for every double and == NaN for none.
+    out.op = clause.Matches(Value(0.0)) ? CompareOp::kNe : CompareOp::kEq;
+    out.threshold = std::numeric_limits<double>::quiet_NaN();
   }
   return out;
 }
@@ -167,7 +146,8 @@ MatchEngine::MatchEngine(const Table& table, std::vector<RowId> rows)
       rows_(std::move(rows)),
       built_num_rows_(table.num_rows()),
       universe_(ScanUniverse::Of(rows_)),
-      tier_(ResolveSimdTier()) {}
+      tier_(ResolveSimdTier()),
+      validity_(universe_) {}
 
 Status MatchEngine::CheckFresh() const {
   if (table_->num_rows() != built_num_rows_) {
@@ -194,19 +174,17 @@ Result<size_t> MatchEngine::LookupClause(const Clause& clause,
   ++cache_misses_;
   Metrics().cache_misses->Increment();
   ClauseEntry entry;
-  Result<CompiledClause> compiled = CompileClause(clause, *table_);
+  Result<ClauseScan> compiled = CompileClause(clause, *table_);
   if (compiled.ok()) {
     if (budget != nullptr) {
       DBW_RETURN_NOT_OK(budget->ChargeBitmapBytes((rows_.size() + 63) / 64 *
                                                   sizeof(uint64_t)));
     }
     entry.bits = Bitmap(rows_.size());
-    scans->push_back({entries_.size(), {}});
-    AppendClauseOp(*compiled, EnsureValidity(*compiled),
-                   &scans->back().program);
+    const Bitmap* valid = validity_.For(*compiled);
+    scans->push_back({entries_.size(), *std::move(compiled), valid});
   } else {
-    // Cached with its error, which is Bind's error for the clause.
-    entry.status = compiled.status();
+    entry.status = compiled.status();  // an unknown column
   }
   const size_t slot = entries_.size();
   index_.emplace(std::move(key), slot);
@@ -219,8 +197,7 @@ const MatchEngine::ClauseEntry& MatchEngine::EnsureClause(
   std::vector<PendingScan> scans;
   const size_t slot = *LookupClause(clause, /*budget=*/nullptr, &scans);
   for (const PendingScan& scan : scans) {
-    Bitmap& bits = entries_[scan.slot].bits;
-    EvalWords(scan.program, 0, bits.num_words(), &bits);
+    EvalWords(scan, 0, entries_[scan.slot].bits.num_words());
   }
   bitmaps_materialized_ += scans.size();
   Metrics().bitmaps_materialized->Increment(scans.size());
@@ -271,7 +248,7 @@ Status MatchEngine::Materialize(
     // Small batch: chunking + pool dispatch overhead beats any
     // parallel win; scan serially with a stop check per clause.
     for (size_t j = 0; j < scans.size() && !ctx.StopRequested(); ++j) {
-      EvalWords(scans[j].program, 0, num_words, &entries_[scans[j].slot].bits);
+      EvalWords(scans[j], 0, num_words);
     }
   } else if (!scans.empty()) {
     // One flat work list of (clause, word-chunk) items; every item owns
@@ -283,14 +260,13 @@ Status MatchEngine::Materialize(
       ParallelForEach(
           0, scans.size() * chunks_per_clause,
           [&](size_t item) {
-            const PendingScan& scan = scans[item / chunks_per_clause];
             const size_t word_begin =
                 (item % chunks_per_clause) * kWordsPerChunk;
             const size_t word_end =
                 std::min(num_words, word_begin + kWordsPerChunk);
             if (word_begin < word_end) {
-              EvalWords(scan.program, word_begin, word_end,
-                        &entries_[scan.slot].bits);
+              EvalWords(scans[item / chunks_per_clause], word_begin,
+                        word_end);
             }
           },
           options);
@@ -314,18 +290,10 @@ Status MatchEngine::Materialize(
   return cont;
 }
 
-const Bitmap* MatchEngine::EnsureValidity(const CompiledClause& cc) {
-  // String kernels read the null sentinel code; a column without nulls
-  // needs no mask.
-  if (cc.is_string || !cc.column->has_nulls()) return nullptr;
-  auto [it, inserted] = validity_.try_emplace(cc.column);
-  if (inserted) it->second = ValidityBitmap(*cc.column, universe_);
-  return &it->second;
-}
-
-void MatchEngine::EvalWords(const FusedProgram& prog, size_t word_begin,
-                            size_t word_end, Bitmap* out) const {
-  EvalFusedWords(prog, tier_, universe_, word_begin, word_end, out);
+void MatchEngine::EvalWords(const PendingScan& scan, size_t word_begin,
+                            size_t word_end) {
+  EvalFusedWords(scan.scan, scan.valid, tier_, universe_, word_begin,
+                 word_end, &entries_[scan.slot].bits);
 }
 
 Result<Bitmap> MatchEngine::MatchPrepared(const Predicate& predicate) const {

@@ -1,7 +1,6 @@
 #include "dbwipes/expr/predicate.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 
 #include "dbwipes/common/string_util.h"
@@ -63,8 +62,8 @@ bool Clause::Matches(const Value& v) const {
     case CompareOp::kLe:
       // Single comparison; under Value's total order `v <= l` is
       // exactly `!(l < v)`. (For NaN operands neither < holds, so a
-      // NaN satisfies kLe/kGe but not kLt/kGt — the match kernels and
-      // BoundPredicate implement the same convention.)
+      // NaN satisfies kLe/kGe but not kLt/kGt — the clause scans
+      // implement the same convention.)
       return !(literal < v);
     case CompareOp::kGt:
       return literal < v;
@@ -181,82 +180,6 @@ Result<bool> Predicate::Matches(const Table& table, RowId row) const {
   return true;
 }
 
-Result<BoundPredicate> Predicate::Bind(const Table& table) const {
-  std::vector<BoundPredicate::BoundClause> bound;
-  bound.reserve(clauses_.size());
-  for (const Clause& c : clauses_) {
-    DBW_ASSIGN_OR_RETURN(size_t idx, table.schema().GetIndex(c.attribute));
-    const Column& col = table.column(idx);
-    BoundPredicate::BoundClause bc;
-    bc.column = &col;
-    bc.op = c.op;
-    bc.is_string_column = col.type() == DataType::kString;
-
-    switch (c.op) {
-      case CompareOp::kEq:
-      case CompareOp::kNe:
-        if (bc.is_string_column) {
-          if (!c.literal.is_string()) {
-            return Status::TypeError("comparing string column '" +
-                                     c.attribute + "' to " +
-                                     c.literal.ToString());
-          }
-          bc.code = col.FindCode(c.literal.str());
-        } else {
-          DBW_ASSIGN_OR_RETURN(bc.threshold, c.literal.AsDouble());
-        }
-        break;
-      case CompareOp::kLt:
-      case CompareOp::kLe:
-      case CompareOp::kGt:
-      case CompareOp::kGe: {
-        if (bc.is_string_column) {
-          return Status::TypeError("ordered comparison on string column '" +
-                                   c.attribute + "'");
-        }
-        DBW_ASSIGN_OR_RETURN(bc.threshold, c.literal.AsDouble());
-        break;
-      }
-      case CompareOp::kIn:
-        for (const Value& v : c.in_set) {
-          if (bc.is_string_column) {
-            if (!v.is_string()) {
-              return Status::TypeError("IN set for string column '" +
-                                       c.attribute + "' contains " +
-                                       v.ToString());
-            }
-            const int32_t code = col.FindCode(v.str());
-            if (code >= 0) {
-              bc.in_codes.push_back(code);
-            } else {
-              bc.in_has_missing_string = true;
-            }
-          } else {
-            DBW_ASSIGN_OR_RETURN(double d, v.AsDouble());
-            // NaN is IN nothing (Value equality), and sorting it
-            // breaks binary_search's ordering contract; drop it here.
-            if (!std::isnan(d)) bc.in_numbers.push_back(d);
-          }
-        }
-        std::sort(bc.in_codes.begin(), bc.in_codes.end());
-        std::sort(bc.in_numbers.begin(), bc.in_numbers.end());
-        break;
-      case CompareOp::kContains:
-        if (!bc.is_string_column) {
-          return Status::TypeError("CONTAINS on non-string column '" +
-                                   c.attribute + "'");
-        }
-        if (!c.literal.is_string()) {
-          return Status::TypeError("CONTAINS needs a string literal");
-        }
-        bc.substring = c.literal.str();
-        break;
-    }
-    bound.push_back(std::move(bc));
-  }
-  return BoundPredicate(std::move(bound), &table);
-}
-
 std::string Predicate::ToString() const {
   if (clauses_.empty()) return "TRUE";
   std::vector<std::string> parts;
@@ -272,77 +195,6 @@ std::string Predicate::CanonicalString() const {
   for (const Clause& c : clauses_) parts.push_back(c.CanonicalString());
   std::sort(parts.begin(), parts.end());
   return Join(parts, " AND ");
-}
-
-bool BoundPredicate::ClauseMatches(const BoundClause& c, RowId row) {
-  const Column& col = *c.column;
-  if (col.IsNull(row)) return false;
-  switch (c.op) {
-    case CompareOp::kEq:
-      if (c.is_string_column) return col.StringCode(row) == c.code;
-      return col.AsDouble(row) == c.threshold;
-    case CompareOp::kNe:
-      if (c.is_string_column) return col.StringCode(row) != c.code;
-      return col.AsDouble(row) != c.threshold;
-    case CompareOp::kLt:
-      return col.AsDouble(row) < c.threshold;
-    case CompareOp::kLe:
-      // Negated form, not `<=`: keeps NaN handling identical to
-      // Clause::Matches (neither side of < holds for NaN).
-      return !(c.threshold < col.AsDouble(row));
-    case CompareOp::kGt:
-      return col.AsDouble(row) > c.threshold;
-    case CompareOp::kGe:
-      return !(col.AsDouble(row) < c.threshold);
-    case CompareOp::kIn:
-      if (c.is_string_column) {
-        return std::binary_search(c.in_codes.begin(), c.in_codes.end(),
-                                  col.StringCode(row));
-      }
-      {
-        // A NaN probe compares unordered against everything, which
-        // binary_search would report as "found"; Clause::Matches uses
-        // Value equality, under which NaN is IN nothing.
-        const double v = col.AsDouble(row);
-        if (std::isnan(v)) return false;
-        return std::binary_search(c.in_numbers.begin(), c.in_numbers.end(),
-                                  v);
-      }
-    case CompareOp::kContains:
-      return col.GetString(row).find(c.substring) != std::string::npos;
-  }
-  return false;
-}
-
-bool BoundPredicate::Matches(RowId row) const {
-  for (const BoundClause& c : clauses_) {
-    if (!ClauseMatches(c, row)) return false;
-  }
-  return true;
-}
-
-std::vector<bool> BoundPredicate::MatchAll() const {
-  const size_t n = table_->num_rows();
-  std::vector<bool> out(n, false);
-  for (RowId r = 0; r < n; ++r) out[r] = Matches(r);
-  return out;
-}
-
-std::vector<RowId> BoundPredicate::MatchingRows() const {
-  std::vector<RowId> out;
-  const size_t n = table_->num_rows();
-  for (RowId r = 0; r < n; ++r) {
-    if (Matches(r)) out.push_back(r);
-  }
-  return out;
-}
-
-Bitmap BoundPredicate::MatchBitmap(const std::vector<RowId>& rows) const {
-  Bitmap out(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (Matches(rows[i])) out.Set(i);
-  }
-  return out;
 }
 
 }  // namespace dbwipes

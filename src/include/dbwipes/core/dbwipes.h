@@ -110,10 +110,10 @@ class DBWipes {
 
   /// The cleaning interaction: `result.query` with `AND NOT predicate`
   /// appended to its filter. When `result` is current and `predicate`
-  /// binds to its table, the matches are deleted from the captured
-  /// lineage (IncrementalClean, traced as `sql/clean`); otherwise the
-  /// rewritten query is re-executed (`sql/execute`). Both give the same
-  /// bytes. The check and the deletion share one shard read lease.
+  /// is not empty, the matches are deleted from the captured lineage
+  /// (IncrementalClean, traced as `sql/clean`); otherwise the rewritten
+  /// query is re-executed (`sql/execute`). Both give the same bytes.
+  /// The check and the deletion share one shard read lease.
   Result<QueryResult> Clean(const QueryResult& result,
                             const Predicate& predicate) const;
 

@@ -51,9 +51,9 @@ struct RankerOptions {
     /// Snapshot + Aggregator::Remove deltas (RemovalScorer), bitmap
     /// matching, and chunked multi-threaded scoring.
     kDeltaParallel,
-    /// From-scratch per-predicate recomputation, single-threaded — the
-    /// original implementation, kept as the differential-testing
-    /// reference.
+    /// From-scratch per-predicate recomputation with boxed
+    /// Clause::Matches per cell, single-threaded — the original
+    /// implementation, kept as the differential-testing reference.
     kReferenceSerial,
   };
   Engine engine = Engine::kDeltaParallel;
@@ -110,7 +110,7 @@ struct RankStats {
   /// Wall ms per block, slot-per-block; blocks that never completed
   /// keep 0, so a partial run shows where the deadline cut.
   std::vector<double> block_ms;
-  /// False when the bitmap budget degraded matching to Bind per
+  /// False when the bitmap budget degraded matching to FilterBitmap per
   /// predicate.
   bool used_kernels = false;
   size_t clause_lookups = 0;

@@ -118,14 +118,11 @@ BoolExprPtr PredicateToBoolExpr(const Predicate& pred);
 /// Lowers `expr` to the bitmap of the `universe` positions whose rows
 /// it matches (bit i = row universe.row(i) passes), the vectorized
 /// WHERE. Each comparison leaf is one clause scan at ResolveSimdTier()
-/// (CompileClause + AppendClauseOp + EvalFusedWords); AND, OR and NOT
-/// are word operations, NOT masked to the universe. A leaf the kernels
-/// reject for its literal types keeps Clause::Matches' answer: on a
-/// string column Matches runs once per dictionary string into a
-/// per-code truth table; on a numeric column the non-numeric members
-/// of an IN set are dropped, and any other literal gives every non-null
-/// row the same answer under Value's type order. Fails only where
-/// `expr` does not Validate against the table's schema.
+/// (CompileClause + EvalFusedWords), which answers every literal type
+/// as Clause::Matches does; AND, OR and NOT are word operations, NOT
+/// masked to the universe. Fails only where `expr` does not Validate
+/// against the table's schema. Also the one-shot match of a Predicate
+/// (via PredicateToBoolExpr), which has nothing to cache.
 Result<Bitmap> FilterBitmap(const BoolExpr& expr, const Table& table,
                             const ScanUniverse& universe);
 

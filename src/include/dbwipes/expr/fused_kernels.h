@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "dbwipes/common/bitmap.h"
@@ -18,8 +19,6 @@
 #endif
 
 namespace dbwipes {
-
-struct CompiledClause;
 
 /// \brief SIMD tier clause scans dispatch to at runtime.
 ///
@@ -70,13 +69,15 @@ struct ScanUniverse {
   }
 };
 
-/// \brief One compiled clause as a scan op.
+/// \brief One clause compiled to a scan: what CompileClause
+/// (match_kernels.h) returns and EvalFusedWords runs.
 ///
-/// All pointers are borrowed: columns outlive the scan, the IN set
-/// and truth table live in the owning FusedProgram (a vector's buffer
-/// survives moving it), and `valid` points at a bitmap owned by the
-/// caller (the MatchEngine, or the WHERE lowering).
-struct FusedOp {
+/// The body picks the storage loader and `op` the comparison. Numeric
+/// bodies compare against `threshold` (kIn: a binary search of the
+/// sorted `in_set`); dictionary bodies compare codes, and kCodeTable
+/// gathers through `table`. The scan owns its IN set and truth table;
+/// the column pointers are borrowed from a column that outlives it.
+struct ClauseScan {
   enum class Body : uint8_t {
     kDoubleCmp,   // double column vs threshold (or sorted IN set)
     kInt64Cmp,    // int64 column widened to double, same comparisons
@@ -86,48 +87,53 @@ struct FusedOp {
   };
   Body body = Body::kDoubleCmp;
   CompareOp op = CompareOp::kEq;
+  const Column* column = nullptr;
   const double* dbl = nullptr;
   const int64_t* i64 = nullptr;
   const int32_t* codes = nullptr;
   double threshold = 0.0;
   int32_t code = -2;
-  const double* in_data = nullptr;  // sorted, NaN-free
-  size_t in_size = 0;
-  /// kCodeTable truth table widened to 32 bits so the AVX2 tier can
-  /// gather it directly; index 0 answers the null sentinel code -1.
-  const uint32_t* table = nullptr;
-  /// Universe-positional validity words for numeric columns with
-  /// nulls (bit i = rows[i] is non-null); null when the column has no
-  /// nulls. ANDed into the clause word — nulls never match.
-  const Bitmap* valid = nullptr;
-};
-
-/// \brief A clause scan: one op plus the payload its pointers borrow.
-struct FusedProgram {
-  FusedOp op;
+  /// kIn over numerics: sorted, NaN-free.
   std::vector<double> in_set;
+  /// kCodeTable truth per dictionary code, widened to 32 bits so the
+  /// AVX2 tier can gather it directly; index 0 answers the null
+  /// sentinel code -1 (always false).
   std::vector<uint32_t> table;
+
+  /// Whether the scan reads a numeric column with nulls, whose
+  /// validity EvalFusedWords must AND in. Dictionary bodies read the
+  /// null sentinel code instead.
+  bool masks_nulls() const {
+    return (body == Body::kDoubleCmp || body == Body::kInt64Cmp) &&
+           column->has_nulls();
+  }
 };
 
-/// Lowers one compiled clause into `prog` (copying its IN set / truth
-/// table into the program). `valid` must be the column's universe
-/// validity bitmap when the clause is numeric over a column with
-/// nulls, null otherwise.
-void AppendClauseOp(const CompiledClause& cc, const Bitmap* valid,
-                    FusedProgram* prog);
+/// \brief The validity bitmaps of one scan universe, built once per
+/// column: bit i = row universe.row(i) of the column is non-null.
+class ValidityCache {
+ public:
+  explicit ValidityCache(const ScanUniverse& universe) : universe_(universe) {}
 
-/// The `valid` bitmap AppendClauseOp takes: bit i = row
-/// universe.row(i) of `col` is non-null.
-Bitmap ValidityBitmap(const Column& col, const ScanUniverse& universe);
+  /// The `valid` argument EvalFusedWords takes for `scan`: its
+  /// column's validity when masks_nulls(), else null. Map nodes never
+  /// move, so the pointer stays valid while other columns are added.
+  const Bitmap* For(const ClauseScan& scan);
 
-/// Evaluates `prog` over positions [64*word_begin, 64*word_end) of
+ private:
+  ScanUniverse universe_;
+  std::unordered_map<const Column*, Bitmap> bits_;
+};
+
+/// Evaluates `scan` over positions [64*word_begin, 64*word_end) of
 /// `universe` (clamped to its size), writing one finished bitmap word
-/// per 64 positions into `out`. Chunks owning disjoint word ranges may
-/// run concurrently on one bitmap. Deterministic: the emitted words are
+/// per 64 positions into `out`, ANDed with `valid` when it is non-null
+/// (nulls never match). Chunks owning disjoint word ranges may run
+/// concurrently on one bitmap. Deterministic: the emitted words are
 /// identical at any tier, chunking, or thread count.
-void EvalFusedWords(const FusedProgram& prog, SimdTier tier,
-                    const ScanUniverse& universe, size_t word_begin,
-                    size_t word_end, Bitmap* out);
+void EvalFusedWords(const ClauseScan& scan, const Bitmap* valid,
+                    SimdTier tier, const ScanUniverse& universe,
+                    size_t word_begin, size_t word_end, Bitmap* out);
 
 }  // namespace dbwipes
 

@@ -17,44 +17,25 @@ namespace dbwipes {
 
 class ResourceBudget;
 
-/// \brief A clause translated once into a typed form that AppendClauseOp
-/// lowers into a scan op (fused_kernels.h).
+/// Compiles `clause` against `table` into its scan: the one place a
+/// clause's literal is translated. Every clause on an existing column
+/// compiles to exactly Clause::Matches' answer per cell (null cells
+/// never match); only an unknown column fails (NotFound).
 ///
-/// Numeric clauses become a double comparison against the column's
-/// flat int64/double storage (int64 widens to double exactly like
-/// Column::AsDouble). String clauses are translated to dictionary-code
-/// comparisons: kEq/kNe compare a single code, kIn/kContains gather
-/// through a per-code truth table built once from the dictionary (so a
-/// CONTAINS scan costs one substring search per *distinct string*, not
-/// per row). Null rows never match; string kernels exploit the code -1
-/// null sentinel, numeric kernels fold the validity vector in without
-/// per-row branching on boxed values.
-///
-/// Match semantics are identical to Clause::Matches (the boxed
-/// per-value definition): kLe/kGe are the negated strict comparisons, so
-/// NaN cells satisfy kLe/kGe/kNe and nothing else; a NaN probe is IN
-/// nothing; a string literal absent from the dictionary (FindCode ==
-/// -1) makes kEq match nothing and kNe match every non-null row.
-struct CompiledClause {
-  const Column* column = nullptr;
-  CompareOp op = CompareOp::kEq;
-  bool is_string = false;
-  /// Numeric binary comparisons.
-  double threshold = 0.0;
-  /// String kEq/kNe dictionary code; -2 = literal absent.
-  int32_t code = -2;
-  /// kIn over numerics: sorted, NaN-free.
-  std::vector<double> in_numbers;
-  /// String kIn/kContains: truth per dictionary code, shifted by one so
-  /// index 0 answers the null sentinel code -1 (always false).
-  std::vector<uint8_t> code_table;
-};
-
-/// Translates `clause` against `table`. Returns exactly the errors
-/// Predicate::Bind would (ordered comparison on a string column,
-/// string/numeric literal mismatches, ...), so engine users see
-/// unchanged failure behavior.
-Result<CompiledClause> CompileClause(const Clause& clause, const Table& table);
+/// - Numeric column, numeric literal: a double comparison over the
+///   flat int64/double storage (int64 widens like Column::AsDouble).
+///   kLe/kGe are the negated strict comparisons, so NaN cells satisfy
+///   kLe/kGe/kNe and nothing else; a NaN probe is IN nothing.
+/// - String column: kEq/kNe with a string literal compare one
+///   dictionary code (-2 when the literal is absent, so it never
+///   equals the null code -1). Every other clause gathers through a
+///   per-code truth table: kIn from its members' codes, the rest from
+///   Clause::Matches once per dictionary string.
+/// - A literal of the other type: an IN drops such members. On a
+///   numeric column any other non-numeric or NULL literal gets one
+///   answer for every number under Value's type order, scanned as a
+///   comparison against NaN (kNe: all true, kEq: all false).
+Result<ClauseScan> CompileClause(const Clause& clause, const Table& table);
 
 /// \brief Vectorized conjunction matching with a shared clause-bitmap
 /// cache.
@@ -64,11 +45,10 @@ Result<CompiledClause> CompileClause(const Clause& clause, const Table& table);
 /// emit many conjunctions sharing single-attribute clauses — threshold
 /// families on one column, repeated categorical equalities — so the
 /// engine canonicalizes each clause to a key, materializes its bitmap
-/// ONCE as a one-op FusedProgram scanned at the engine's SIMD tier,
-/// and matches a conjunction by ANDing cached words. A clause
-/// CompileClause rejects is cached with its error, which is the error
-/// Bind gives for that clause; every match that needs the clause
-/// returns it.
+/// ONCE as a clause scan at the engine's SIMD tier, and matches a
+/// conjunction by ANDing cached words. A clause on an unknown column
+/// is cached with CompileClause's NotFound; every match that needs
+/// the clause returns it.
 ///
 /// The engine is a snapshot: it caches bitmaps against the table size
 /// at construction, and every Match checks that the table has not
@@ -90,23 +70,23 @@ class MatchEngine {
 
   /// Compiles and materializes every distinct clause of `predicates`
   /// that is not cached yet, scanning in word-aligned chunks on the
-  /// shared pool. A clause that does not compile is cached with its
-  /// error instead of failing the batch; MatchPrepared returns it.
+  /// shared pool. A clause on an unknown column is cached with its
+  /// NotFound instead of failing the batch; MatchPrepared returns it.
   Status Materialize(const std::vector<const Predicate*>& predicates,
                      const ParallelOptions& options = {});
 
   /// Bitmap of one predicate over the universe (bit i = matches
   /// rows[i]; empty predicate = all ones): the AND of its cached clause
   /// bitmaps. Requires every clause to have been seen by Materialize();
-  /// const, safe for concurrent use. A clause that does not compile
-  /// fails the match with Bind's error for it.
+  /// const, safe for concurrent use. A clause on an unknown column
+  /// fails the match with its NotFound.
   Result<Bitmap> MatchPrepared(const Predicate& predicate) const;
 
   /// Serial convenience: Materialize({&predicate}) + MatchPrepared.
   Result<Bitmap> Match(const Predicate& predicate);
 
-  /// Bitmap of a single materialized-on-demand clause (serial), or
-  /// Bind's error for a clause that does not compile.
+  /// Bitmap of a single materialized-on-demand clause (serial), or the
+  /// NotFound of a clause on an unknown column.
   Result<const Bitmap*> ClauseBitmap(const Clause& clause);
 
   // Cache introspection (for tests/benches/profiles). Hits + misses
@@ -126,7 +106,7 @@ class MatchEngine {
 
  private:
   struct ClauseEntry {
-    /// OK, or the error CompileClause (and so Bind) gives the clause.
+    /// OK, or CompileClause's NotFound for the clause.
     Status status;
     /// Valid once materialized, when `status` is OK.
     Bitmap bits;
@@ -135,11 +115,12 @@ class MatchEngine {
   /// A new entry whose bitmap still has to be scanned.
   struct PendingScan {
     size_t slot;  // entries_ index
-    FusedProgram program;
+    ClauseScan scan;
+    const Bitmap* valid;  // validity_.For(scan)
   };
 
   /// Looks `clause` up, counting one hit or one miss, and returns its
-  /// entry slot. A miss caches the clause's compile error, or a zeroed
+  /// entry slot. A miss caches the clause's NotFound, or a zeroed
   /// bitmap (charged to `budget` when non-null) whose scan is queued on
   /// `scans`.
   Result<size_t> LookupClause(const Clause& clause, ResourceBudget* budget,
@@ -149,16 +130,9 @@ class MatchEngine {
   const ClauseEntry& EnsureClause(const Clause& clause);
   Status CheckFresh() const;
 
-  /// The `valid` argument AppendClauseOp needs for `cc`: the
-  /// universe-positional validity bitmap of its column when the clause
-  /// is numeric over a column with nulls, else null. Built once per
-  /// column; map nodes never move, so the pointer stays valid while a
-  /// batch adds other columns.
-  const Bitmap* EnsureValidity(const CompiledClause& cc);
-
-  /// EvalFusedWords over this engine's universe and SIMD tier.
-  void EvalWords(const FusedProgram& prog, size_t word_begin,
-                 size_t word_end, Bitmap* out) const;
+  /// Runs `scan`'s words [word_begin, word_end) into its entry's bitmap.
+  void EvalWords(const PendingScan& scan, size_t word_begin,
+                 size_t word_end);
 
   const Table* table_;
   std::vector<RowId> rows_;
@@ -171,8 +145,7 @@ class MatchEngine {
   SimdTier tier_ = SimdTier::kScalar;
   std::unordered_map<std::string, size_t> index_;  // canonical key -> entry
   std::vector<ClauseEntry> entries_;
-  /// Column -> universe validity bitmap.
-  std::unordered_map<const Column*, Bitmap> validity_;
+  ValidityCache validity_;
   size_t cache_hits_ = 0;
   size_t cache_misses_ = 0;
   size_t bitmaps_materialized_ = 0;

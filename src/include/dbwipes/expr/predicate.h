@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "dbwipes/common/bitmap.h"
 #include "dbwipes/common/result.h"
 #include "dbwipes/storage/table.h"
 
@@ -51,7 +50,11 @@ struct Clause {
     return c;
   }
 
-  /// True when `v` satisfies the clause. NULL never matches.
+  /// True when `v` satisfies the clause: the definition every match
+  /// path in DBWipes follows (CompileClause compiles each clause to
+  /// exactly this answer per cell). NULL never matches. Comparisons use
+  /// Value's order, so a literal of another type is answered too, e.g.
+  /// every number is below every string.
   bool Matches(const Value& v) const;
 
   /// SQL-ish rendering, e.g. `temp >= 100`, `memo CONTAINS 'SPOUSE'`.
@@ -64,8 +67,6 @@ struct Clause {
     return CanonicalString() == other.CanonicalString();
   }
 };
-
-class BoundPredicate;
 
 /// \brief Conjunction of clauses — the unit DBWipes returns to the
 /// user ("sensorid = 15 AND time >= 11:00").
@@ -91,12 +92,10 @@ class Predicate {
   /// is left to evaluation (an unsatisfiable predicate matches nothing).
   Predicate Simplify() const;
 
-  /// Row-at-a-time evaluation by attribute lookup; for hot loops use
-  /// Bind() once and evaluate the BoundPredicate.
+  /// Row-at-a-time boxed evaluation by attribute lookup, the oracle of
+  /// the clause scans; for many rows use FilterBitmap (bool_expr.h) or
+  /// a MatchEngine (match_kernels.h).
   Result<bool> Matches(const Table& table, RowId row) const;
-
-  /// Resolves attribute names to column indices against a table.
-  Result<BoundPredicate> Bind(const Table& table) const;
 
   /// `a = 1 AND b >= 2`; "TRUE" when empty.
   std::string ToString() const;
@@ -109,60 +108,6 @@ class Predicate {
 
  private:
   std::vector<Clause> clauses_;
-};
-
-/// \brief A Predicate resolved against one table for fast evaluation.
-///
-/// String equality/IN compare dictionary codes; numeric comparisons go
-/// through a branch-predictable switch. Valid only as long as the
-/// table it was bound to.
-class BoundPredicate {
- public:
-  /// True when the row satisfies all clauses.
-  bool Matches(RowId row) const;
-
-  /// Evaluates over all rows; out[i] = Matches(i).
-  std::vector<bool> MatchAll() const;
-
-  /// Row ids of all matching rows.
-  std::vector<RowId> MatchingRows() const;
-
-  /// Evaluates over an arbitrary row subset (e.g. the suspect set F):
-  /// bit i of the result is Matches(rows[i]). The positional bitmap is
-  /// the ranking fast path's currency — intersection popcounts give
-  /// precision/recall, equality gives exact tuple-set dedup.
-  Bitmap MatchBitmap(const std::vector<RowId>& rows) const;
-
-  size_t num_clauses() const { return clauses_.size(); }
-
- private:
-  friend class Predicate;
-
-  struct BoundClause {
-    const Column* column;
-    CompareOp op;
-    // Numeric comparisons.
-    double threshold = 0.0;
-    // String equality via dictionary code; -2 = literal absent from
-    // dictionary (kEq never matches, kNe matches all non-null).
-    int32_t code = -2;
-    // kIn: sorted numeric values and/or string codes.
-    std::vector<double> in_numbers;
-    std::vector<int32_t> in_codes;
-    bool in_has_missing_string = false;
-    // kContains.
-    std::string substring;
-    bool is_string_column = false;
-  };
-
-  explicit BoundPredicate(std::vector<BoundClause> clauses,
-                          const Table* table)
-      : clauses_(std::move(clauses)), table_(table) {}
-
-  static bool ClauseMatches(const BoundClause& c, RowId row);
-
-  std::vector<BoundClause> clauses_;
-  const Table* table_;
 };
 
 }  // namespace dbwipes

@@ -62,6 +62,15 @@ Result<QueryResult> ExecuteQuery(const AggregateQuery& query,
                                  const Table& table,
                                  const ExecOptions& options = {});
 
+/// Folds `rows` of `table`, in this order, into `out[i]` for each
+/// `query.aggregates[i]`: the fold ExecuteQuery gives one group (typed
+/// column arrays for plain numeric arguments, ScalarExpr::Eval for the
+/// rest, NULL arguments skipped) and its result cells (NaN -> NULL,
+/// count -> int64). IncrementalClean re-aggregates a cleaned group
+/// through it.
+Status AggregateRows(const AggregateQuery& query, const Table& table,
+                     const std::vector<RowId>& rows, Value* out);
+
 }  // namespace dbwipes
 
 #endif  // DBWIPES_QUERY_EXECUTOR_H_

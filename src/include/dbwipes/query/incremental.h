@@ -18,9 +18,9 @@ namespace dbwipes {
 /// This is the engine behind the "click a predicate" loop: the demo
 /// re-ran the query against PostgreSQL on every click; with captured
 /// lineage the update is proportional to the affected groups.
-/// DBWipes::Clean calls it when `result` is current and `predicate`
-/// binds to `table`. Requires `result` to have been executed with
-/// lineage capture against `table`.
+/// DBWipes::Clean calls it whenever `result` is current. Requires
+/// `result` to have been executed with lineage capture against
+/// `table`.
 ///
 /// The returned result's `query` carries the rewrite
 /// (`WithCleaningPredicate`) and its version stamp is `result`'s, so

@@ -24,7 +24,7 @@ namespace dbwipes {
 /// every code byte for byte). The fused view keeps every global-RowId
 /// consumer (executor lineage, preprocessing) working unchanged;
 /// shard-local consumers (per-shard MatchEngines, the ranker's
-/// per-slice Bind fallback) translate global ids to local ones by
+/// per-slice FilterBitmap fallback) translate global ids to local ones by
 /// subtracting the shard's begin offset.
 ///
 /// Appends route to the tail shard and the fused view together, under

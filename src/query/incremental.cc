@@ -1,25 +1,8 @@
 #include "dbwipes/query/incremental.h"
 
-#include <cmath>
-
-#include "dbwipes/expr/match_kernels.h"
-#include "dbwipes/query/aggregate.h"
+#include "dbwipes/expr/bool_expr.h"
 
 namespace dbwipes {
-
-namespace {
-
-/// Boxes an aggregate's double value into the result-row Value
-/// convention (NaN -> NULL, count -> int64).
-Value BoxAggValue(const AggSpec& spec, double value) {
-  if (std::isnan(value)) return Value::Null();
-  if (spec.kind == AggKind::kCount) {
-    return Value(static_cast<int64_t>(value));
-  }
-  return Value(value);
-}
-
-}  // namespace
 
 Result<QueryResult> IncrementalClean(const Table& table,
                                      const QueryResult& result,
@@ -42,11 +25,9 @@ Result<QueryResult> IncrementalClean(const Table& table,
         "result was executed without lineage capture");
   }
 
-  // Kernel-match the cleaning predicate once over the concatenation of
-  // every group's lineage: each clause is scanned by a typed batch
-  // kernel (chunked over the shared pool for large results), and a
-  // group's matches are then bit tests against its slice. A clause
-  // that does not compile fails the match with Bind's error for it.
+  // Match the cleaning predicate once over the concatenation of every
+  // group's lineage, with the WHERE's clause scans; a group's matches
+  // are then bit tests against its slice.
   std::vector<RowId> universe;
   std::vector<size_t> group_offset(result.num_groups(), 0);
   for (size_t g = 0; g < result.num_groups(); ++g) {
@@ -54,10 +35,9 @@ Result<QueryResult> IncrementalClean(const Table& table,
     universe.insert(universe.end(), result.lineage[g].begin(),
                     result.lineage[g].end());
   }
-  MatchEngine engine(table, std::move(universe));
-  DBW_RETURN_NOT_OK(engine.Materialize({&predicate}, ParallelOptions{}));
   DBW_ASSIGN_OR_RETURN(const Bitmap matched_bits,
-                       engine.MatchPrepared(predicate));
+                       FilterBitmap(*PredicateToBoolExpr(predicate), table,
+                                    ScanUniverse::Of(universe)));
 
   const AggregateQuery& query = result.query;
   const size_t num_keys = query.group_by.size();
@@ -91,23 +71,11 @@ Result<QueryResult> IncrementalClean(const Table& table,
     for (size_t k = 0; k < num_keys; ++k) {
       row[k] = result.rows->GetValue(static_cast<RowId>(g), k);
     }
-    // Re-aggregate the survivors in lineage (= scan) order, so every
-    // value is bit-identical to re-execution's.
-    for (size_t ai = 0; ai < num_aggs; ++ai) {
-      const AggSpec& spec = query.aggregates[ai];
-      AggregatorPtr agg = MakeAggregator(spec.kind);
-      for (RowId r : survivors) {
-        if (!spec.argument) {
-          agg->Add(0.0);  // count(*)
-          continue;
-        }
-        DBW_ASSIGN_OR_RETURN(Value v, spec.argument->Eval(table, r));
-        if (v.is_null()) continue;
-        DBW_ASSIGN_OR_RETURN(double d, v.AsDouble());
-        agg->Add(d);
-      }
-      row[num_keys + ai] = BoxAggValue(spec, agg->Value());
-    }
+    // Re-aggregate the survivors in lineage (= scan) order with the
+    // executor's fold, so every value is bit-identical to
+    // re-execution's.
+    DBW_RETURN_NOT_OK(
+        AggregateRows(query, table, survivors, row.data() + num_keys));
     DBW_RETURN_NOT_OK(out.rows->AppendRow(row));
     out.lineage.push_back(std::move(survivors));
   }

@@ -332,8 +332,9 @@ TEST(AnytimeBudgetTest, ScoredRemovalCapCutsDeterministicPrefix) {
 }
 
 TEST(AnytimeBudgetTest, BitmapCapFallsBackToBoxedMatching) {
-  // Starving the bitmap cache must degrade Materialize to per-row
-  // matching, not fail or truncate: same complete ranking either way.
+  // Starving the bitmap cache must degrade Materialize to one
+  // FilterBitmap per predicate and slice, not fail or truncate: same
+  // complete ranking either way.
   const RankProblem& p = BigProblem();
   auto unbudgeted = RunAnytime(p, ExecContext::None());
   ASSERT_TRUE(unbudgeted.ok());

@@ -161,7 +161,10 @@ TEST(FecGeneratorTest, BenignRefundsExistAndAreNotGroundTruth) {
   LabeledDataset d = *GenerateFecDataset(opts);
   Predicate refunds(
       {Clause::Make("memo", CompareOp::kEq, Value("REFUND ISSUED"))});
-  auto rows = refunds.Bind(*d.table)->MatchingRows();
+  std::vector<RowId> rows;
+  for (RowId r = 0; r < d.table->num_rows(); ++r) {
+    if (*refunds.Matches(*d.table, r)) rows.push_back(r);
+  }
   EXPECT_GT(rows.size(), 10u);
   for (RowId r : rows) {
     EXPECT_FALSE(std::binary_search(d.anomalies[0].rows.begin(),

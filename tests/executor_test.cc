@@ -71,8 +71,8 @@ CompareOp RandomOp(Rng* rng) {
   return ops[rng->UniformInt(6u)];
 }
 
-/// Every clause form the WHERE accepts, including the four the clause
-/// kernels reject (`s > 'c'`, `s = 5`, `d = 'x'`, `i IN ('a', 1)`) and
+/// Every clause form the WHERE accepts, including literals of the
+/// other type (`s > 'c'`, `s = 5`, `d = 'x'`, `i IN ('a', 1)`) and
 /// their relatives.
 Clause RandomLeaf(Rng* rng) {
   switch (rng->UniformInt(14u)) {

@@ -104,44 +104,6 @@ TEST(PredicateTest, MatchesConjunction) {
   EXPECT_TRUE(Predicate::True().Matches(t, 0).ValueOrDie());
 }
 
-TEST(PredicateTest, BindFastPathAgreesWithSlowPath) {
-  Table t = MakeTable();
-  Predicate p({Clause::Make("y", CompareOp::kGt, Value(15.0)),
-               Clause::Make("s", CompareOp::kNe, Value("green"))});
-  BoundPredicate bound = *p.Bind(t);
-  for (RowId r = 0; r < t.num_rows(); ++r) {
-    EXPECT_EQ(bound.Matches(r), *p.Matches(t, r)) << "row " << r;
-  }
-}
-
-TEST(PredicateTest, BindStringEqualityForAbsentLiteral) {
-  Table t = MakeTable();
-  Predicate eq({Clause::Make("s", CompareOp::kEq, Value("missing"))});
-  EXPECT_TRUE(eq.Bind(t)->MatchingRows().empty());
-  Predicate ne({Clause::Make("s", CompareOp::kNe, Value("missing"))});
-  EXPECT_EQ(ne.Bind(t)->MatchingRows().size(), 4u);
-}
-
-TEST(PredicateTest, BindRejectsTypeMismatches) {
-  Table t = MakeTable();
-  Predicate ordered({Clause::Make("s", CompareOp::kLt, Value("a"))});
-  EXPECT_TRUE(ordered.Bind(t).status().IsTypeError());
-  Predicate contains_num({Clause::Make("x", CompareOp::kContains, Value("a"))});
-  EXPECT_TRUE(contains_num.Bind(t).status().IsTypeError());
-  Predicate unknown({Clause::Make("zz", CompareOp::kEq, Value(1.0))});
-  EXPECT_TRUE(unknown.Bind(t).status().IsNotFound());
-}
-
-TEST(PredicateTest, BoundInClause) {
-  Table t = MakeTable();
-  Predicate p({Clause::In("s", {Value("red"), Value("green")})});
-  auto rows = p.Bind(t)->MatchingRows();
-  EXPECT_EQ(rows, (std::vector<RowId>{0, 2, 3}));
-
-  Predicate nums({Clause::In("x", {Value(int64_t{1}), Value(int64_t{3})})});
-  EXPECT_EQ(nums.Bind(t)->MatchingRows(), (std::vector<RowId>{0, 2}));
-}
-
 TEST(PredicateTest, SimplifyMergesRangeClauses) {
   Predicate p({Clause::Make("x", CompareOp::kGe, Value(1.0)),
                Clause::Make("x", CompareOp::kGe, Value(3.0)),

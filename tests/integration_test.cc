@@ -206,10 +206,10 @@ TEST(IntegrationTest, MultiAttributeGroupByWalkthrough) {
                         exp.preprocess.suspect_inputs.end(),
                         std::back_inserter(truth_in_f));
   ASSERT_FALSE(truth_in_f.empty());
-  BoundPredicate bound = *exp.predicates[0].predicate.Bind(*data.table);
+  const Predicate& top = exp.predicates[0].predicate;
   std::vector<RowId> matched;
   for (RowId r : exp.preprocess.suspect_inputs) {
-    if (bound.Matches(r)) matched.push_back(r);
+    if (*top.Matches(*data.table, r)) matched.push_back(r);
   }
   ExplanationQuality q = ScoreTupleSet(matched, truth_in_f);
   EXPECT_GT(q.f1, 0.6) << exp.predicates[0].predicate.ToString();

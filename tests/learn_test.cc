@@ -487,9 +487,8 @@ TEST(DecisionTreeTest, PredicatesClassifyConsistentlyWithTree) {
   auto preds = tree.PositiveLeafPredicates(v, 0.5);
   ASSERT_FALSE(preds.empty());
   for (const Predicate& p : preds) {
-    BoundPredicate bound = *p.Bind(*t);
     for (RowId r : rows) {
-      if (bound.Matches(r)) {
+      if (*p.Matches(*t, r)) {
         EXPECT_GE(tree.PredictProba(v, r), 0.5)
             << "predicate " << p.ToString() << " row " << r;
       }

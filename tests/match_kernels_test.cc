@@ -1,10 +1,9 @@
 // Property tests for the vectorized match kernels: on randomized
 // tables (nulls, NaN doubles, int64 columns probed with double
-// literals, string literals absent from the dictionary) the kernel
-// path (CompileClause/MatchEngine) must agree bit-for-bit with the
-// boxed paths (Clause::Matches and BoundPredicate::MatchBitmap), at
-// every thread count, and must fail with exactly the errors Bind
-// produces for clauses the kernels cannot translate.
+// literals, string literals absent from the dictionary, literals of
+// the other type) the kernel path (CompileClause/MatchEngine) must
+// agree bit-for-bit with boxed Predicate::Matches, at every thread
+// count; only a clause on an unknown column fails, with NotFound.
 
 #include <gtest/gtest.h>
 
@@ -46,16 +45,39 @@ Table RandomTable(Rng* rng, size_t rows) {
   return t;
 }
 
+constexpr CompareOp kBinaryOps[] = {CompareOp::kEq, CompareOp::kNe,
+                                    CompareOp::kLt, CompareOp::kLe,
+                                    CompareOp::kGt, CompareOp::kGe};
+
+/// A clause whose literal is not of its column's type, or NULL:
+/// Clause::Matches answers each by Value's type order.
+Clause IllTypedClause(Rng* rng) {
+  const CompareOp op = kBinaryOps[rng->UniformInt(6u)];
+  switch (rng->UniformInt(6u)) {
+    case 0:  // ordered comparison on a string column
+      return Clause::Make("s", op, Value("c"));
+    case 1:
+      return Clause::Make("s", op, Value(int64_t{5}));
+    case 2:
+      return Clause::Make("d", op, Value("x"));
+    case 3:
+      return Clause::In(rng->Bernoulli(0.5) ? "i" : "s",
+                        {Value("red"), Value(int64_t{1}), Value::Null()});
+    case 4:
+      return Clause::Make(rng->Bernoulli(0.5) ? "i" : "d",
+                          CompareOp::kContains, Value("1"));
+    default:
+      return Clause::Make(rng->Bernoulli(0.5) ? "i" : "s", op, Value::Null());
+  }
+}
+
 /// Every CompareOp appears: the six binary comparisons on both numeric
 /// columns (the int64 column is probed with both int64 and double
 /// literals to exercise the widening path), string eq/ne with literals
 /// both present in and absent from the dictionary, IN over numbers and
-/// strings (with an absent member), and CONTAINS.
+/// strings (with an absent member), CONTAINS, and IllTypedClause.
 Clause RandomClause(Rng* rng) {
-  static const CompareOp kBinaryOps[] = {CompareOp::kEq, CompareOp::kNe,
-                                         CompareOp::kLt, CompareOp::kLe,
-                                         CompareOp::kGt, CompareOp::kGe};
-  switch (rng->UniformInt(7u)) {
+  switch (rng->UniformInt(8u)) {
     case 0:
       return Clause::Make("i", kBinaryOps[rng->UniformInt(6u)],
                           Value(rng->UniformInt(-5, 5)));
@@ -75,10 +97,22 @@ Clause RandomClause(Rng* rng) {
     case 5:
       return Clause::In("i", {Value(int64_t{0}), Value(2.0),
                               Value(int64_t{-3})});
-    default:
+    case 6:
       return Clause::Make("s", CompareOp::kContains,
                           Value(rng->Bernoulli(0.5) ? "red" : "ee"));
+    default:
+      return IllTypedClause(rng);
   }
+}
+
+/// Boxed Predicate::Matches over `rows`: bit i answers rows[i].
+Bitmap BoxedBits(const Predicate& pred, const Table& t,
+                 const std::vector<RowId>& rows) {
+  Bitmap out(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (*pred.Matches(t, rows[i])) out.Set(i);
+  }
+  return out;
 }
 
 /// Random strict subset of the table's rows (sorted, may repeat across
@@ -112,11 +146,6 @@ TEST_P(KernelBoxedEquivalence, AgreesWithBoxedPaths) {
     ASSERT_TRUE(kernel.ok()) << pred.ToString() << ": "
                              << kernel.status().ToString();
 
-    BoundPredicate bound = *pred.Bind(t);
-    const Bitmap boxed = bound.MatchBitmap(rows);
-    ASSERT_TRUE(*kernel == boxed) << pred.ToString();
-
-    // Spot-check against the slowest oracle too.
     for (size_t i = 0; i < rows.size(); ++i) {
       ASSERT_EQ(kernel->Test(i), *pred.Matches(t, rows[i]))
           << pred.ToString() << " row " << rows[i];
@@ -156,7 +185,8 @@ TEST_P(KernelBoxedEquivalence, DeterministicAtAnyThreadCount) {
 // Numeric IN sets holding no comparable value — empty, or only NaN
 // (NaN is IN nothing) — leave an op with no IN data. Over full 64-row
 // blocks they must still take the scalar IN body at every tier and
-// match nothing, alone and in a conjunction, exactly like Bind.
+// match nothing, alone and in a conjunction, exactly like the boxed
+// oracle.
 TEST_P(KernelBoxedEquivalence, EmptyAndNaNInSetsAgreeWithBoxedPaths) {
   Rng rng(GetParam() ^ 0x1Eu);
   Table t = RandomTable(&rng, 500);
@@ -176,8 +206,7 @@ TEST_P(KernelBoxedEquivalence, EmptyAndNaNInSetsAgreeWithBoxedPaths) {
         ASSERT_TRUE(kernel.ok()) << pred.ToString() << ": "
                                  << kernel.status().ToString();
         EXPECT_EQ(kernel->CountOnes(), 0u) << pred.ToString();
-        ASSERT_TRUE(*kernel == pred.Bind(t)->MatchBitmap(rows))
-            << pred.ToString();
+        ASSERT_TRUE(*kernel == BoxedBits(pred, t, rows)) << pred.ToString();
       }
     }
   }
@@ -243,36 +272,114 @@ TEST(MatchEngine, SharedClausesAreCachedOnce) {
   EXPECT_EQ(plain.cache_hits(), 1u);
 }
 
-TEST(MatchEngine, UnsupportedClauseFailsExactlyLikeBind) {
+// Literals of the other type, or NULL, compile like any other clause:
+// the engine's bits are boxed Predicate::Matches', alone, in a
+// conjunction and through ClauseBitmap.
+TEST(MatchEngine, IllTypedClauseGivesBoxedMatches) {
+  Rng rng(7);
+  Table t = RandomTable(&rng, 300);
+  std::vector<RowId> rows;
+  for (RowId r = 0; r < t.num_rows(); ++r) rows.push_back(r);
+  const std::vector<Clause> clauses = {
+      Clause::Make("s", CompareOp::kGt, Value("c")),
+      Clause::Make("s", CompareOp::kEq, Value(int64_t{5})),
+      Clause::Make("s", CompareOp::kNe, Value(int64_t{5})),
+      Clause::Make("d", CompareOp::kEq, Value("x")),
+      Clause::Make("d", CompareOp::kLt, Value("x")),
+      Clause::In("i", {Value("a"), Value(int64_t{1})}),
+      Clause::Make("i", CompareOp::kContains, Value("1")),
+      Clause::Make("i", CompareOp::kGe, Value::Null()),
+      Clause::Make("s", CompareOp::kNe, Value::Null())};
+  for (const Clause& c : clauses) {
+    for (const Predicate& pred :
+         {Predicate({c}),
+          Predicate({Clause::Make("d", CompareOp::kLt, Value(1.0)), c})}) {
+      MatchEngine engine(t, rows);
+      auto bm = engine.Match(pred);
+      ASSERT_TRUE(bm.ok()) << pred.ToString() << ": " << bm.status().ToString();
+      EXPECT_TRUE(*bm == BoxedBits(pred, t, rows)) << pred.ToString();
+    }
+    MatchEngine engine(t, rows);
+    auto bits = engine.ClauseBitmap(c);
+    ASSERT_TRUE(bits.ok()) << c.ToString();
+    EXPECT_TRUE(**bits == BoxedBits(Predicate({c}), t, rows)) << c.ToString();
+  }
+}
+
+// A clause on an unknown column is the one that fails: it is cached
+// with its NotFound, which every entry point returns, also inside a
+// conjunction, while the rest of its batch materializes.
+TEST(MatchEngine, UnknownColumnIsCachedWithNotFound) {
   Rng rng(7);
   Table t = RandomTable(&rng, 50);
-  // Ordered comparison on a string column: Bind rejects it, so the
-  // engine must surface the same error instead of a bitmap.
-  Predicate bad({Clause::Make("s", CompareOp::kLt, Value("red"))});
-  auto bound = bad.Bind(t);
-  ASSERT_FALSE(bound.ok());
+  const Clause unknown = Clause::Make("nosuch", CompareOp::kEq, Value(1.0));
+  const std::string not_found =
+      t.schema().GetIndex("nosuch").status().ToString();
 
   MatchEngine engine(t, {0, 1, 2});
-  auto bm = engine.Match(bad);
+  auto bm = engine.Match(Predicate({unknown}));
   ASSERT_FALSE(bm.ok());
-  EXPECT_EQ(bm.status().ToString(), bound.status().ToString());
-
-  // The error is cached with the clause: every entry point returns it,
-  // also inside a conjunction with a clause that compiles, and a batch
-  // containing the clause still materializes the rest.
-  auto clause = engine.ClauseBitmap(bad.clauses()[0]);
+  EXPECT_TRUE(bm.status().IsNotFound());
+  EXPECT_EQ(bm.status().ToString(), not_found);
+  auto clause = engine.ClauseBitmap(unknown);
   ASSERT_FALSE(clause.ok());
-  EXPECT_EQ(clause.status().ToString(), bound.status().ToString());
+  EXPECT_EQ(clause.status().ToString(), not_found);
+
   Predicate mixed({Clause::Make("i", CompareOp::kGe, Value(int64_t{0})),
-                   bad.clauses()[0]});
+                   unknown});
   Predicate good({Clause::Make("d", CompareOp::kLt, Value(1.0))});
   MatchEngine batch(t, {0, 1, 2});
   ASSERT_TRUE(batch.Materialize({&mixed, &good}).ok());
+  EXPECT_EQ(batch.num_cached_clauses(), 3u);
+  EXPECT_EQ(batch.bitmaps_materialized(), 2u);
   auto mixed_bm = batch.MatchPrepared(mixed);
   ASSERT_FALSE(mixed_bm.ok());
-  EXPECT_EQ(mixed_bm.status().ToString(),
-            mixed.Bind(t).status().ToString());
+  EXPECT_EQ(mixed_bm.status().ToString(), not_found);
   EXPECT_TRUE(batch.MatchPrepared(good).ok());
+}
+
+/// Rows: (1, 10, red), (2, 20, blue), (3, NULL, red), (NULL, 40, green).
+Table SmallTable() {
+  Table t(Schema{{"x", DataType::kInt64},
+                 {"y", DataType::kDouble},
+                 {"s", DataType::kString}},
+          "t");
+  DBW_CHECK_OK(t.AppendRow({Value(int64_t{1}), Value(10.0), Value("red")}));
+  DBW_CHECK_OK(t.AppendRow({Value(int64_t{2}), Value(20.0), Value("blue")}));
+  DBW_CHECK_OK(t.AppendRow({Value(int64_t{3}), Value::Null(), Value("red")}));
+  DBW_CHECK_OK(t.AppendRow({Value::Null(), Value(40.0), Value("green")}));
+  return t;
+}
+
+/// Positions of the set bits.
+std::vector<RowId> SetBits(const Bitmap& bits) {
+  std::vector<RowId> out;
+  for (size_t i = 0; i < bits.num_bits(); ++i) {
+    if (bits.Test(i)) out.push_back(static_cast<RowId>(i));
+  }
+  return out;
+}
+
+TEST(MatchEngine, StringEqualityForAbsentLiteral) {
+  Table t = SmallTable();
+  MatchEngine engine(t, {0, 1, 2, 3});
+  auto eq = engine.Match(
+      Predicate({Clause::Make("s", CompareOp::kEq, Value("missing"))}));
+  EXPECT_TRUE(SetBits(*eq).empty());
+  auto ne = engine.Match(
+      Predicate({Clause::Make("s", CompareOp::kNe, Value("missing"))}));
+  EXPECT_EQ(SetBits(*ne).size(), 4u);
+}
+
+TEST(MatchEngine, InClause) {
+  Table t = SmallTable();
+  MatchEngine engine(t, {0, 1, 2, 3});
+  auto strings = engine.Match(
+      Predicate({Clause::In("s", {Value("red"), Value("green")})}));
+  EXPECT_EQ(SetBits(*strings), (std::vector<RowId>{0, 2, 3}));
+  auto nums = engine.Match(
+      Predicate({Clause::In("x", {Value(int64_t{1}), Value(int64_t{3})})}));
+  EXPECT_EQ(SetBits(*nums), (std::vector<RowId>{0, 2}));
 }
 
 TEST(MatchEngine, RejectsMatchAfterTableAppend) {

@@ -448,11 +448,11 @@ TEST(DBWipesTest, CleanRemovesTheAnomaly) {
   EXPECT_NE(cleaned.query.ToSql().find("NOT"), std::string::npos);
 }
 
-// DBWipes::Clean deletes from the lineage of a current result, and
+// DBWipes::Clean deletes from the lineage of a current result, for
+// every predicate (literals of the other type included), and
 // re-executes a stale one (rows appended, or a new table object under
-// the name) or one whose predicate the clause kernels cannot compile.
-// Either way the bytes equal re-execution's, and the output is
-// current; `sql.queries` counts only the re-executions.
+// the name). Either way the bytes equal re-execution's, and the output
+// is current; `sql.queries` counts only the re-executions.
 TEST(DBWipesTest, CleanDeletesFromCurrentLineageOrReexecutes) {
   World w = MakeWorld();
   auto db = std::make_shared<Database>();
@@ -483,8 +483,13 @@ TEST(DBWipesTest, CleanDeletesFromCurrentLineageOrReexecutes) {
   EXPECT_TRUE(engine.IsCurrent(result));
   check(check(result, bad, 0),
         Predicate({Clause::Make("v", CompareOp::kGt, Value(11.0))}), 0);
-  check(result, Predicate({Clause::Make("tag", CompareOp::kGt, Value("c"))}),
-        1);
+  for (const Clause& c :
+       {Clause::Make("tag", CompareOp::kGt, Value("c")),
+        Clause::Make("tag", CompareOp::kEq, Value(int64_t{5})),
+        Clause::Make("v", CompareOp::kEq, Value("x")),
+        Clause::In("v", {Value("a"), Value(int64_t{1})})}) {
+    check(result, Predicate({c}), 0);
+  }
 
   std::shared_ptr<ShardSet> set = db->GetShardSet("w");
   ASSERT_TRUE(set->Append({Value(int64_t{2}), Value("bad"), Value(0.5),

@@ -1,8 +1,8 @@
 // Golden transcript of the Service's line protocol: every command and
 // subcommand with its usage and unknown-subcommand errors, `@session`
-// routing, cleaning with predicates the clause kernels cannot compile,
-// a failed clean, a follower's refusals, a WAL append failure, the slow
-// log and Submit's rejections. Each request line is followed by its
+// routing, cleaning with literals of the other type, a failed clean, a
+// follower's refusals, a WAL append failure, the slow log and Submit's
+// rejections. Each request line is followed by its
 // response, byte for byte except for the values that differ from run
 // to run: request ids, values whose key ends in `_ms`, temp paths, the
 // process-global `stats` metrics body and the debug profile (thread
@@ -189,9 +189,9 @@ void Record(Transcript& t) {
               "state", "undo", "undo", "clean_where",
               "clean_where a = 1 OR b = 2", "clean_where tag = 'bad'",
               "reset", "state", "cancel", "debug", "cancel", "state",
-              // Predicates the clause kernels cannot compile, which the
-              // WHERE lowering answers through Clause::Matches; then a
-              // failed clean, which leaves the session unchanged.
+              // Literals of the other type, which every clause scan
+              // answers by Clause::Matches' rule; then a failed clean
+              // (an unknown column), which leaves the session unchanged.
               "clean_where tag > 'c'", "result", "undo",
               "clean_where tag = 5", "result", "undo",
               "clean_where v = 'x'", "result", "undo",

@@ -356,9 +356,8 @@ TEST(SubgroupTest, CoveredIndicesAreConsistent) {
   auto subgroups = *DiscoverSubgroups(v, p.rows, p.labels, {});
   for (const Subgroup& sg : subgroups) {
     EXPECT_EQ(sg.covered.size(), sg.coverage);
-    BoundPredicate bound = *sg.predicate.Bind(*p.table);
     for (size_t idx : sg.covered) {
-      EXPECT_TRUE(bound.Matches(p.rows[idx]))
+      EXPECT_TRUE(*sg.predicate.Matches(*p.table, p.rows[idx]))
           << sg.predicate.ToString() << " idx " << idx;
     }
   }

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -31,6 +32,10 @@ namespace dbwipes {
 namespace {
 
 using bench::Fmt;
+using bench::PoolJson;
+using bench::PoolUse;
+using bench::PoolUsePerRun;
+using bench::PrintPoolUse;
 using bench::TablePrinter;
 
 struct MatchProblem {
@@ -154,6 +159,28 @@ std::vector<Bitmap> MatchKernels(const MatchProblem& p, size_t threads,
   return out;
 }
 
+/// Median wall time of the clause scans alone (MatchEngine::Materialize,
+/// the one pool region of MatchKernels) on a fresh engine.
+double MaterializeMs(const MatchProblem& p, size_t threads, int reps) {
+  std::vector<const Predicate*> preds;
+  for (const EnumeratedPredicate& ep : p.predicates) {
+    preds.push_back(&ep.predicate);
+  }
+  ParallelOptions popts;
+  popts.num_threads = threads;
+  std::vector<double> ms;
+  for (int r = 0; r < reps; ++r) {
+    MatchEngine engine(*p.data.table, p.suspects);
+    const auto t0 = std::chrono::steady_clock::now();
+    DBW_CHECK_OK(engine.Materialize(preds, popts));
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
+  }
+  std::sort(ms.begin(), ms.end());
+  return ms[ms.size() / 2];
+}
+
 std::vector<RankedPredicate> RunRanker(const MatchProblem& p,
                                        RankerOptions::Engine engine) {
   RankerOptions opts;
@@ -233,8 +260,13 @@ void PrintReportAndJson() {
   MatchEngine probe(*p.data.table, {});
   const std::vector<Bitmap> kernel1 = MatchKernels(p, 1, &probe);
   const std::vector<Bitmap> kernelN = MatchKernels(p, 0);
-  const auto [kernel1_ms, kernelN_ms] = InterleavedMedianMs(
-      [&] { MatchKernels(p, 1); }, [&] { MatchKernels(p, 0); }, reps);
+  // The one-thread runs take ParallelFor's serial path, so the pool's
+  // counters grow only in the parallel runs.
+  double kernel1_ms = 0.0, kernelN_ms = 0.0;
+  const PoolUse pool = PoolUsePerRun(reps, [&] {
+    std::tie(kernel1_ms, kernelN_ms) = InterleavedMedianMs(
+        [&] { MatchKernels(p, 1); }, [&] { MatchKernels(p, 0); }, reps);
+  });
 
   bool bitmaps_equal =
       boxed.size() == kernel1.size() && boxed.size() == kernelN.size();
@@ -264,8 +296,14 @@ void PrintReportAndJson() {
               probe.cache_misses());
   std::printf("bitmaps identical to boxed path: %s\n",
               bitmaps_equal ? "yes" : "NO — BUG");
-  std::printf("identical rank orderings (delta vs serial reference): %s\n\n",
+  std::printf("identical rank orderings (delta vs serial reference): %s\n",
               orders_match ? "yes" : "NO — BUG");
+  PrintPoolUse(pool, kernelN_ms);
+  const double materialize1_ms = MaterializeMs(p, 1, reps);
+  const double materializeN_ms = MaterializeMs(p, 0, reps);
+  std::printf("clause scans alone (Materialize): %.2f ms on one thread, "
+              "%.2f ms parallel\n\n",
+              materialize1_ms, materializeN_ms);
 
   FILE* f = std::fopen("BENCH_match.json", "w");
   if (f != nullptr) {
@@ -285,14 +323,17 @@ void PrintReportAndJson() {
         "  \"speedup_serial\": %.2f,\n"
         "  \"speedup_total\": %.2f,\n"
         "  \"bitmaps_identical\": %s,\n"
-        "  \"orderings_identical\": %s\n"
+        "  \"orderings_identical\": %s,\n"
+        "  \"pool\": %s,\n"
+        "  \"materialize_ms\": {\"serial\": %.3f, \"parallel\": %.3f}\n"
         "}\n",
         p.data.table->num_rows(), p.predicates.size(), p.suspects.size(),
         DefaultParallelism(), before_ms, preds / before_ms * 1000.0,
         kernel1_ms, preds / kernel1_ms * 1000.0, kernelN_ms,
         preds / kernelN_ms * 1000.0, probe.num_cached_clauses(),
         probe.cache_hits(), before_ms / kernel1_ms, before_ms / kernelN_ms,
-        bitmaps_equal ? "true" : "false", orders_match ? "true" : "false");
+        bitmaps_equal ? "true" : "false", orders_match ? "true" : "false",
+        PoolJson(pool, kernelN_ms).c_str(), materialize1_ms, materializeN_ms);
     std::fclose(f);
     std::printf("wrote BENCH_match.json\n\n");
   }

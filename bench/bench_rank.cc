@@ -27,6 +27,10 @@ namespace dbwipes {
 namespace {
 
 using bench::Fmt;
+using bench::PoolJson;
+using bench::PoolUse;
+using bench::PoolUsePerRun;
+using bench::PrintPoolUse;
 using bench::TablePrinter;
 
 /// Everything Rank() consumes, prepared once.
@@ -171,8 +175,12 @@ void PrintReportAndJson() {
   const double delta1_ms = MedianMs(
       [&] { RunEngine(p, RankerOptions::Engine::kDeltaParallel, 1); }, reps);
   const auto deltaN = RunEngine(p, RankerOptions::Engine::kDeltaParallel, 0);
-  const double deltaN_ms = MedianMs(
-      [&] { RunEngine(p, RankerOptions::Engine::kDeltaParallel, 0); }, reps);
+  double deltaN_ms = 0.0;
+  const PoolUse pool = PoolUsePerRun(reps, [&] {
+    deltaN_ms = MedianMs(
+        [&] { RunEngine(p, RankerOptions::Engine::kDeltaParallel, 0); },
+        reps);
+  });
 
   const bool orders_match =
       SameOrder(reference, delta1) && SameOrder(reference, deltaN);
@@ -188,8 +196,10 @@ void PrintReportAndJson() {
                 Fmt(preds / deltaN_ms * 1000.0, 0),
                 Fmt(before_ms / deltaN_ms, 1)});
   table.Print();
-  std::printf("\nidentical orderings across engines: %s\n\n",
+  std::printf("\nidentical orderings across engines: %s\n",
               orders_match ? "yes" : "NO — BUG");
+  PrintPoolUse(pool, deltaN_ms);
+  std::printf("\n");
 
   FILE* f = std::fopen("BENCH_rank.json", "w");
   if (f != nullptr) {
@@ -206,13 +216,15 @@ void PrintReportAndJson() {
         "\"median_ms\": %.3f, \"predicates_per_sec\": %.1f},\n"
         "  \"speedup_delta_serial\": %.2f,\n"
         "  \"speedup_total\": %.2f,\n"
-        "  \"orderings_identical\": %s\n"
+        "  \"orderings_identical\": %s,\n"
+        "  \"pool\": %s\n"
         "}\n",
         p.data.table->num_rows(), p.predicates.size(), p.suspects.size(),
         DefaultParallelism(), before_ms, preds / before_ms * 1000.0,
         delta1_ms, preds / delta1_ms * 1000.0, deltaN_ms,
         preds / deltaN_ms * 1000.0, before_ms / delta1_ms,
-        before_ms / deltaN_ms, orders_match ? "true" : "false");
+        before_ms / deltaN_ms, orders_match ? "true" : "false",
+        PoolJson(pool, deltaN_ms).c_str());
     std::fclose(f);
     std::printf("wrote BENCH_rank.json\n\n");
   }

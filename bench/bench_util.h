@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "dbwipes/common/parallel.h"
 #include "dbwipes/core/dbwipes.h"
 #include "dbwipes/core/evaluation.h"
 #include "dbwipes/core/session.h"
@@ -42,6 +43,53 @@ struct ScenarioOutcome {
   size_t num_suspect_inputs = 0;
   std::string top1_text;
 };
+
+/// What ThreadPool::Global() did per run over some timed runs: the
+/// growth of its counters (ThreadPool::StatsSnapshot) divided by the
+/// number of runs.
+struct PoolUse {
+  double regions = 0.0;
+  double chunks = 0.0;
+  /// Wall time inside chunk bodies, summed over the threads.
+  double busy_ms = 0.0;
+
+  double mean_chunk_ms() const { return chunks > 0 ? busy_ms / chunks : 0.0; }
+};
+
+/// Calls `fn`, which makes `runs` timed runs, and returns the pool's
+/// work per run.
+template <typename Fn>
+PoolUse PoolUsePerRun(int runs, const Fn& fn) {
+  const ThreadPool::StatsSnapshot before = ThreadPool::Global().stats();
+  fn();
+  const ThreadPool::StatsSnapshot after = ThreadPool::Global().stats();
+  const double n = static_cast<double>(runs);
+  return {static_cast<double>(after.regions - before.regions) / n,
+          static_cast<double>(after.chunks - before.chunks) / n,
+          (after.busy_ms - before.busy_ms) / n};
+}
+
+/// One report line for a parallel run of median wall time `wall_ms`.
+inline void PrintPoolUse(const PoolUse& use, double wall_ms) {
+  std::printf(
+      "thread pool per parallel run (%zu workers + caller): %.1f regions, "
+      "%.1f chunks, %.2f ms busy in chunks (mean chunk %.3f ms) in %.2f ms "
+      "wall\n",
+      ThreadPool::Global().num_threads(), use.regions, use.chunks, use.busy_ms,
+      use.mean_chunk_ms(), wall_ms);
+}
+
+/// The same as a JSON object, for the BENCH files.
+inline std::string PoolJson(const PoolUse& use, double wall_ms) {
+  char buf[320];
+  std::snprintf(buf, sizeof(buf),
+                "{\"workers\": %zu, \"regions_per_run\": %.1f, "
+                "\"chunks_per_run\": %.1f, \"busy_ms_per_run\": %.3f, "
+                "\"mean_chunk_ms\": %.4f, \"wall_ms\": %.3f}",
+                ThreadPool::Global().num_threads(), use.regions, use.chunks,
+                use.busy_ms, use.mean_chunk_ms(), wall_ms);
+  return buf;
+}
 
 /// Runs a full frontend/backend loop on a labeled dataset and scores
 /// the result against the generator's ground truth.

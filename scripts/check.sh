@@ -15,7 +15,8 @@
 #   scripts/check.sh shard      # bench_shard (BENCH_shard.json)
 #   scripts/check.sh simd       # clause-kernel, conjunction,
 #                               # executor-oracle, cleaning-law and
-#                               # learner-oracle tests at the forced
+#                               # learner-oracle (k-means, trees,
+#                               # subgroups) tests at the forced
 #                               # scalar tier under asan
 #   scripts/check.sh crash      # kill-point crash-recovery matrix under
 #                               # asan AND tsan (DBWIPES_CRASH_RUNS=200+)
@@ -96,12 +97,15 @@ simd() {
   # from them, for the executor's WHERE bitmaps checked against the
   # row-at-a-time reference executor, for the cleaning laws (rewrite
   # and IncrementalClean against deletion and re-execution), and for
-  # the learners (k-means silhouettes, decision trees) checked against
-  # their reference implementations.
+  # the learners checked against their reference implementations:
+  # k-means (the Lloyd assignment and the silhouettes' sqrt bodies),
+  # decision trees, and subgroup discovery, whose WRAcc sums take the
+  # row loop at this tier (the bit-plane scorer is AVX2-only, so tier-1
+  # checks it at the host tier).
   cmake --preset asan >/dev/null
   cmake --build --preset asan -j "$jobs" --target fused_kernels_test \
       match_kernels_test executor_test equivalence_test kmeans_oracle_test \
-      tree_oracle_test
+      tree_oracle_test subgroup_test
   DBWIPES_SIMD=off ./build-asan/tests/fused_kernels_test
   DBWIPES_SIMD=off ./build-asan/tests/match_kernels_test
   DBWIPES_SIMD=off ./build-asan/tests/executor_test
@@ -109,6 +113,7 @@ simd() {
       --gtest_filter='*PredicatePathEquivalence*:*IncrementalCleanLaw*:*CleaningRewriteLaw*'
   DBWIPES_SIMD=off ./build-asan/tests/kmeans_oracle_test
   DBWIPES_SIMD=off ./build-asan/tests/tree_oracle_test
+  DBWIPES_SIMD=off ./build-asan/tests/subgroup_test
 }
 
 crash() {

@@ -25,7 +25,9 @@ bool EnvDisablesSimd() {
 bool CpuHasAvx2() {
 #if DBWIPES_HAVE_AVX2_TIER
   // One cpuid probe per process; the env override above stays dynamic.
-  static const bool has = __builtin_cpu_supports("avx2");
+  // The tier's bodies may also use popcnt (the subgroup scorer does).
+  static const bool has =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("popcnt");
   return has;
 #else
   return false;

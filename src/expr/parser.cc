@@ -436,6 +436,9 @@ class Parser {
     }
     if (Peek().type == TokenType::kNumber) return Advance().number;
     if (Peek().type == TokenType::kString) return Value(Advance().str);
+    // Value::ToString renders a NULL literal as NULL; accepting it here
+    // makes every rendered clause parse back.
+    if (AcceptKeyword("NULL")) return Value::Null();
     return Status::ParseError("expected literal at offset " +
                               std::to_string(Peek().pos));
   }

@@ -23,7 +23,8 @@ namespace dbwipes {
 /// \brief SIMD tier clause scans dispatch to at runtime.
 ///
 /// Selected per MatchEngine and per query WHERE (FilterBitmap) from a
-/// one-time cpuid probe, overridable via the DBWIPES_SIMD environment
+/// one-time cpuid probe (kAvx2 needs AVX2 and POPCNT; the learners'
+/// AVX2 bodies use both), overridable via the DBWIPES_SIMD environment
 /// variable ("off" / "scalar" / "0" forces the portable tier). Every
 /// tier produces bit-identical words:
 /// the AVX2 comparisons use the exact predicate encodings of the

@@ -33,6 +33,10 @@ struct KMeansResult {
 /// Lloyd's algorithm with k-means++ seeding over the rows of `points`.
 /// There must be at least one point, `points.values` must hold exactly
 /// rows x cols numbers, and k must satisfy 1 <= k <= points.rows.
+/// The assignment step runs at ResolveSimdTier() (a lane-wise argmin
+/// over 4 points at the AVX2 tier): each point takes the first cluster
+/// of least squared distance, and a NaN distance never wins. Every
+/// tier gives the same bits.
 ///
 /// Used by the Dataset Enumerator to find a self-consistent subset of
 /// the user's example tuples D' (paper §2.2.2).
@@ -44,7 +48,11 @@ Result<KMeansResult> KMeans(const DenseMatrix& points, size_t k, Rng* rng,
 /// sample of at most 500 points drawn from `rng` when there are more.
 /// Near 1 = well-separated clusters; uniform structureless data scores
 /// ~0.5-0.6 even at its best split. The distance sums run at
-/// ResolveSimdTier(); every tier gives the same bits.
+/// ResolveSimdTier(). For d = 1, when every sampled coordinate is 0 or
+/// has a magnitude in [2^-459, 2^510], each distance is the difference's
+/// absolute value, which equals the square root of its square there;
+/// any other input takes square roots. Every tier and path gives the
+/// same bits.
 double MeanSilhouette(const DenseMatrix& points,
                       const std::vector<int>& assignment, size_t k, Rng* rng);
 

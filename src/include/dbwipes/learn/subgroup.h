@@ -52,6 +52,13 @@ struct Subgroup {
 /// each subgroup (its covered row set) becomes one candidate D*.
 /// Labels and weights align with the snapshot's positions, and
 /// Subgroup::covered holds those positions.
+///
+/// A candidate's two WRAcc weight sums add its covered rows' weights
+/// in ascending row order. At the AVX2 tier, a covering round whose
+/// weights are all non-negative multiples of some 2^-E, with a total
+/// below 2^53 * 2^-E, computes them from popcounts of the weights' bit
+/// planes instead: every partial sum is then exact, so the bits are
+/// the same. Unit weights with a gamma of 0.5 always qualify.
 Result<std::vector<Subgroup>> DiscoverSubgroups(
     const FeatureColumns& columns, const std::vector<int>& labels,
     const std::vector<double>& init_weights,

@@ -79,8 +79,94 @@ void SeedCentroids(const DenseMatrix& points, size_t k, Rng* rng,
   }
 }
 
+// ---------------------------------------------------------------------
+// Assignment step: assignment[i] = the first cluster c of least
+// SquaredDistance(point i, centroid c). The compare is an ordered `<`,
+// so a tie keeps the earlier cluster and a NaN distance never wins
+// (cluster 0 when every distance is NaN). Both tiers compute each
+// distance with the same operations in the same order, so they agree
+// bit for bit.
+// ---------------------------------------------------------------------
+
+/// Points [begin, end), one at a time, without a data-dependent branch.
+void AssignScalar(const DenseMatrix& points, const DenseMatrix& centroids,
+                  size_t begin, size_t end, int* assignment) {
+  const size_t d = points.cols;
+  for (size_t i = begin; i < end; ++i) {
+    const double* p = points.row(i);
+    double best = std::numeric_limits<double>::infinity();
+    int best_c = 0;
+    for (size_t c = 0; c < centroids.rows; ++c) {
+      const double dist = SquaredDistance(p, centroids.row(c), d);
+      const bool closer = dist < best;
+      best = closer ? dist : best;
+      best_c = closer ? static_cast<int>(c) : best_c;
+    }
+    assignment[i] = best_c;
+  }
+}
+
+#if DBWIPES_HAVE_AVX2_TIER
+/// Four points per register: each lane keeps its own least distance
+/// and cluster, updated under an ordered-quiet `<` mask. The points are
+/// transposed into `block` (block[t * 4 + l] = coordinate t of point
+/// i + l) once per group, one full-width store per coordinate so the
+/// loads for every cluster forward from it; the last n % 4 points take
+/// the scalar loop.
+__attribute__((target("avx2"))) void AssignAvx2(const DenseMatrix& points,
+                                                const DenseMatrix& centroids,
+                                                int* assignment,
+                                                std::vector<double>* block) {
+  const size_t n = points.rows;
+  const size_t d = points.cols;
+  const size_t full = n - n % 4;
+  block->resize(d * 4);
+  double* lanes = block->data();
+  for (size_t i = 0; i < full; i += 4) {
+    const double* p = points.row(i);
+    for (size_t t = 0; t < d; ++t) {
+      _mm256_storeu_pd(lanes + t * 4, _mm256_set_pd(p[3 * d + t],
+                                                    p[2 * d + t], p[d + t],
+                                                    p[t]));
+    }
+    __m256d best = _mm256_set1_pd(std::numeric_limits<double>::infinity());
+    __m256d best_c = _mm256_setzero_pd();  // cluster ids, as doubles
+    for (size_t c = 0; c < centroids.rows; ++c) {
+      const double* centroid = centroids.row(c);
+      __m256d s = _mm256_setzero_pd();
+      for (size_t t = 0; t < d; ++t) {
+        const __m256d diff = _mm256_sub_pd(_mm256_loadu_pd(lanes + t * 4),
+                                           _mm256_set1_pd(centroid[t]));
+        s = _mm256_add_pd(s, _mm256_mul_pd(diff, diff));
+      }
+      const __m256d closer = _mm256_cmp_pd(s, best, _CMP_LT_OQ);
+      best = _mm256_blendv_pd(best, s, closer);
+      best_c = _mm256_blendv_pd(
+          best_c, _mm256_set1_pd(static_cast<double>(c)), closer);
+    }
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(assignment + i),
+                     _mm256_cvtpd_epi32(best_c));
+  }
+  AssignScalar(points, centroids, full, n, assignment);
+}
+#endif
+
+void Assign(SimdTier tier, const DenseMatrix& points,
+            const DenseMatrix& centroids, int* assignment,
+            std::vector<double>* block) {
+#if DBWIPES_HAVE_AVX2_TIER
+  if (tier == SimdTier::kAvx2) {
+    AssignAvx2(points, centroids, assignment, block);
+    return;
+  }
+#endif
+  (void)tier;
+  (void)block;
+  AssignScalar(points, centroids, 0, points.rows, assignment);
+}
+
 KMeansResult RunOnce(const DenseMatrix& points, size_t k, Rng* rng,
-                     const KMeansOptions& options) {
+                     const KMeansOptions& options, SimdTier tier) {
   const size_t n = points.rows;
   const size_t d = points.cols;
   KMeansResult res;
@@ -91,26 +177,14 @@ KMeansResult RunOnce(const DenseMatrix& points, size_t k, Rng* rng,
   res.assignment.assign(n, 0);
   DenseMatrix& centroids = res.centroids;
 
-  // Update scratch, allocated once: the iterations allocate nothing.
+  // Scratch, allocated once: the iterations allocate nothing.
   std::vector<double> next(k * d);
   std::vector<size_t> counts(k);
+  std::vector<double> block;
   for (size_t iter = 0; iter < options.max_iterations; ++iter) {
     res.iterations = iter + 1;
-    // Assign.
-    for (size_t i = 0; i < n; ++i) {
-      const double* p = points.row(i);
-      double best = std::numeric_limits<double>::infinity();
-      int best_c = 0;
-      for (size_t c = 0; c < k; ++c) {
-        const double dist = SquaredDistance(p, centroids.row(c), d);
-        if (dist < best) {
-          best = dist;
-          best_c = static_cast<int>(c);
-        }
-      }
-      res.assignment[i] = best_c;
-    }
-    // Update.
+    Assign(tier, points, centroids, res.assignment.data(), &block);
+    // Update: per-cluster sums in point order.
     std::fill(next.begin(), next.end(), 0.0);
     std::fill(counts.begin(), counts.end(), 0);
     for (size_t i = 0; i < n; ++i) {
@@ -161,21 +235,37 @@ KMeansResult RunOnce(const DenseMatrix& points, size_t k, Rng* rng,
 // ---------------------------------------------------------------------
 // Silhouette distance sums. A block of kLanes sampled points is held
 // transposed (block[t * kLanes + l] = coordinate t of lane l); for one
-// cluster's members, in sample order, each lane adds the square root of
-// its squared distance to the member into its own accumulator, skipping
-// the member that is the lane's own point. Every lane therefore adds the
-// same terms in the same order as a per-point loop over the sample.
-// sqrt is correctly rounded, so both tiers give the same bits.
+// cluster's members, in sample order, each lane adds the Euclidean
+// distance to the member into its own accumulator, skipping the member
+// that is the lane's own point. Every lane therefore adds the same
+// terms in the same order as a per-point loop over the sample, and the
+// block width does not change any bits.
+//
+// The distance is sqrt(s) for s = the sum of squared differences, and
+// sqrt is correctly rounded, so both tiers of the sqrt bodies agree.
+// For d = 1, s = RN(x^2) for the difference x, and in binary64
+// sqrt(RN(x^2)) = |x| whenever x = 0 or x^2 is normal and finite. The
+// 1-D guard (SquareRootIsAbs) ensures that for every pair, so the abs
+// bodies add |x| instead: the same bits without a square root.
 // ---------------------------------------------------------------------
 
-constexpr size_t kLanes = 4;
+constexpr size_t kLanes = 16;
+
+/// |v| is 0 or in [2^-459, 2^510]. Such values are multiples of
+/// 2^-511, so the difference x of two of them is 0 or, rounded,
+/// 2^-511 <= |x| <= 2^511, and x^2 lies in [2^-1022, 2^1022]: normal
+/// and finite. NaN fails both comparisons.
+bool SquareRootIsAbs(double v) {
+  const double a = std::fabs(v);
+  return a == 0.0 || (a >= 0x1p-459 && a <= 0x1p510);
+}
 
 /// sums[l] = sum over members m with ids[m] != lanes[l] of
 /// sqrt(|block lane l - member m|^2), members in order.
 void SqrtDistanceSumsScalar(const double* block, const uint64_t* lanes,
                             const double* members, const uint64_t* ids,
                             size_t count, size_t d, double* sums) {
-  double acc[kLanes] = {0.0, 0.0, 0.0, 0.0};
+  double acc[kLanes] = {};
   for (size_t m = 0; m < count; ++m) {
     const double* member = members + m * d;
     for (size_t l = 0; l < kLanes; ++l) {
@@ -191,43 +281,105 @@ void SqrtDistanceSumsScalar(const double* block, const uint64_t* lanes,
   for (size_t l = 0; l < kLanes; ++l) sums[l] = acc[l];
 }
 
+/// The same sums for d = 1 under SquareRootIsAbs: |block lane l -
+/// member m| in place of the square root.
+void AbsDistanceSumsScalar(const double* block, const uint64_t* lanes,
+                           const double* members, const uint64_t* ids,
+                           size_t count, size_t /*d*/, double* sums) {
+  double acc[kLanes] = {};
+  for (size_t m = 0; m < count; ++m) {
+    for (size_t l = 0; l < kLanes; ++l) {
+      if (ids[m] == lanes[l]) continue;  // the lane's own point
+      acc[l] += std::fabs(block[l] - members[m]);
+    }
+  }
+  for (size_t l = 0; l < kLanes; ++l) sums[l] = acc[l];
+}
+
 #if DBWIPES_HAVE_AVX2_TIER
-/// The same sums, one AVX2 register of lanes. The own point's term is
+constexpr size_t kRegs = kLanes / 4;
+
+/// The sqrt sums, four AVX2 registers of lanes. The own point's term is
 /// masked to +0.0 rather than added as sqrt(0) (x - x is NaN for an
 /// infinite coordinate). An accumulator starts at +0.0 and only gains
 /// square roots, which are never -0.0, so adding +0.0 leaves it as is.
 __attribute__((target("avx2"))) void SqrtDistanceSumsAvx2(
     const double* block, const uint64_t* lanes, const double* members,
     const uint64_t* ids, size_t count, size_t d, double* sums) {
-  const __m256i own =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lanes));
-  __m256d acc = _mm256_setzero_pd();
+  __m256i own[kRegs];
+  __m256d acc[kRegs];
+  for (size_t r = 0; r < kRegs; ++r) {
+    own[r] =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lanes + 4 * r));
+    acc[r] = _mm256_setzero_pd();
+  }
   for (size_t m = 0; m < count; ++m) {
     const double* member = members + m * d;
-    __m256d s = _mm256_setzero_pd();
-    for (size_t t = 0; t < d; ++t) {
-      const __m256d diff = _mm256_sub_pd(_mm256_loadu_pd(block + t * kLanes),
-                                         _mm256_set1_pd(member[t]));
-      s = _mm256_add_pd(s, _mm256_mul_pd(diff, diff));
+    const __m256i id = _mm256_set1_epi64x(static_cast<long long>(ids[m]));
+    for (size_t r = 0; r < kRegs; ++r) {
+      __m256d s = _mm256_setzero_pd();
+      for (size_t t = 0; t < d; ++t) {
+        const __m256d diff =
+            _mm256_sub_pd(_mm256_loadu_pd(block + t * kLanes + 4 * r),
+                          _mm256_set1_pd(member[t]));
+        s = _mm256_add_pd(s, _mm256_mul_pd(diff, diff));
+      }
+      const __m256d self =
+          _mm256_castsi256_pd(_mm256_cmpeq_epi64(own[r], id));
+      acc[r] =
+          _mm256_add_pd(acc[r], _mm256_andnot_pd(self, _mm256_sqrt_pd(s)));
     }
-    const __m256d self = _mm256_castsi256_pd(_mm256_cmpeq_epi64(
-        own, _mm256_set1_epi64x(static_cast<long long>(ids[m]))));
-    acc = _mm256_add_pd(acc, _mm256_andnot_pd(self, _mm256_sqrt_pd(s)));
   }
-  _mm256_storeu_pd(sums, acc);
+  for (size_t r = 0; r < kRegs; ++r) _mm256_storeu_pd(sums + 4 * r, acc[r]);
+}
+
+/// The abs sums, four registers whose add chains overlap. One andnot
+/// clears the sign bit and masks the own point's term to +0.0; the
+/// cleared sign turns the -0.0 that -0.0 - +0.0 gives into +0.0 too.
+__attribute__((target("avx2"))) void AbsDistanceSumsAvx2(
+    const double* block, const uint64_t* lanes, const double* members,
+    const uint64_t* ids, size_t count, size_t /*d*/, double* sums) {
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  __m256i own[kRegs];
+  __m256d x[kRegs];
+  __m256d acc[kRegs];
+  for (size_t r = 0; r < kRegs; ++r) {
+    own[r] =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lanes + 4 * r));
+    x[r] = _mm256_loadu_pd(block + 4 * r);
+    acc[r] = _mm256_setzero_pd();
+  }
+  for (size_t m = 0; m < count; ++m) {
+    const __m256d member = _mm256_set1_pd(members[m]);
+    const __m256i id = _mm256_set1_epi64x(static_cast<long long>(ids[m]));
+    for (size_t r = 0; r < kRegs; ++r) {
+      const __m256d drop = _mm256_or_pd(
+          sign, _mm256_castsi256_pd(_mm256_cmpeq_epi64(own[r], id)));
+      acc[r] = _mm256_add_pd(
+          acc[r], _mm256_andnot_pd(drop, _mm256_sub_pd(x[r], member)));
+    }
+  }
+  for (size_t r = 0; r < kRegs; ++r) _mm256_storeu_pd(sums + 4 * r, acc[r]);
 }
 #endif
 
-using SqrtDistanceSumsFn = void (*)(const double*, const uint64_t*,
-                                    const double*, const uint64_t*, size_t,
-                                    size_t, double*);
+using DistanceSumsFn = void (*)(const double*, const uint64_t*, const double*,
+                                const uint64_t*, size_t, size_t, double*);
 
-SqrtDistanceSumsFn SqrtDistanceSumsFor(SimdTier tier) {
+/// The body for the sampled points' packed coordinates `members` (m x
+/// d) at `tier`: the abs body when d = 1 and every coordinate passes
+/// SquareRootIsAbs, else the sqrt body.
+DistanceSumsFn DistanceSumsFor(SimdTier tier,
+                               const std::vector<double>& members, size_t d) {
+  const bool abs = d == 1 && std::all_of(members.begin(), members.end(),
+                                         SquareRootIsAbs);
 #if DBWIPES_HAVE_AVX2_TIER
-  if (tier == SimdTier::kAvx2) return SqrtDistanceSumsAvx2;
+  if (tier == SimdTier::kAvx2) {
+    return abs ? AbsDistanceSumsAvx2 : SqrtDistanceSumsAvx2;
+  }
 #endif
   (void)tier;
-  return SqrtDistanceSumsScalar;
+  return abs ? AbsDistanceSumsScalar : SqrtDistanceSumsScalar;
 }
 
 }  // namespace
@@ -236,7 +388,6 @@ double MeanSilhouette(const DenseMatrix& points,
                       const std::vector<int>& assignment, size_t k, Rng* rng) {
   DBW_CHECK(IsRectangular(points) && assignment.size() == points.rows);
   for (int a : assignment) DBW_CHECK(a >= 0 && static_cast<size_t>(a) < k);
-  const SqrtDistanceSumsFn sqrt_sums = SqrtDistanceSumsFor(ResolveSimdTier());
   const size_t n = points.rows;
   const size_t d = points.cols;
   std::vector<size_t> sample;
@@ -264,6 +415,8 @@ double MeanSilhouette(const DenseMatrix& points,
     }
   }
 
+  const DistanceSumsFn distance_sums =
+      DistanceSumsFor(ResolveSimdTier(), members, d);
   std::vector<double> block(d * kLanes);
   std::vector<double> sums(k * kLanes);  // sums[c * kLanes + l]
   double total = 0.0;
@@ -278,9 +431,9 @@ double MeanSilhouette(const DenseMatrix& points,
       for (size_t t = 0; t < d; ++t) block[t * kLanes + l] = p[t];
     }
     for (size_t c = 0; c < k; ++c) {
-      sqrt_sums(block.data(), lanes, members.data() + begin[c] * d,
-                ids.data() + begin[c], begin[c + 1] - begin[c], d,
-                sums.data() + c * kLanes);
+      distance_sums(block.data(), lanes, members.data() + begin[c] * d,
+                    ids.data() + begin[c], begin[c + 1] - begin[c], d,
+                    sums.data() + c * kLanes);
     }
     for (size_t l = 0; l < width; ++l) {
       const size_t own = static_cast<size_t>(assignment[lanes[l]]);
@@ -321,11 +474,12 @@ Result<KMeansResult> KMeans(const DenseMatrix& points, size_t k, Rng* rng,
   if (k == 0 || k > points.rows) {
     return Status::InvalidArgument("k must be in [1, num_points]");
   }
+  const SimdTier tier = ResolveSimdTier();
   KMeansResult best;
   bool have_best = false;
   const size_t restarts = std::max<size_t>(1, options.num_restarts);
   for (size_t rep = 0; rep < restarts; ++rep) {
-    KMeansResult res = RunOnce(points, k, rng, options);
+    KMeansResult res = RunOnce(points, k, rng, options, tier);
     if (!have_best || res.inertia < best.inertia) {
       best = std::move(res);
       have_best = true;

@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "dbwipes/common/bitmap.h"
+#include "dbwipes/expr/fused_kernels.h"
 
 namespace dbwipes {
 
@@ -131,6 +132,13 @@ struct Score {
   double wracc = 0.0;
 };
 
+double WRAcc(double cov_w, double cov_pos_w, double total_w,
+             double total_pos_w) {
+  return cov_w <= 0.0 || total_w <= 0.0
+             ? -std::numeric_limits<double>::infinity()
+             : (cov_w / total_w) * (cov_pos_w / cov_w - total_pos_w / total_w);
+}
+
 /// Scores (parent AND condition) in one pass over the words, without
 /// materializing the AND. Both weight sums run over the covered rows in
 /// ascending order. `pos_weights` holds the weight on positives and
@@ -153,10 +161,139 @@ Score ScoreAnd(const Bitmap& parent, const Bitmap& condition,
       w &= w - 1;
     }
   }
-  out.wracc =
-      cov_w <= 0.0 || total_w <= 0.0
-          ? -std::numeric_limits<double>::infinity()
-          : (cov_w / total_w) * (cov_pos_w / cov_w - total_pos_w / total_w);
+  out.wracc = WRAcc(cov_w, cov_pos_w, total_w, total_pos_w);
+  return out;
+}
+
+/// The weights as bit planes, for scoring by popcounts. Each weight is
+/// u_i * `unit` for an integer u_i and unit = 2^-E. Positives and
+/// negatives get separate planes: plane p holds, for one bit b of the
+/// u_i, the rows of one label whose u_i has bit b set, and scales[p] =
+/// 2^b. Planes [0, num_positive) hold positives; empty planes are left
+/// out. Per data word wi the planes' words are words[wi * P + p], for
+/// P = scales.size().
+struct WeightPlanes {
+  double unit = 1.0;
+  size_t num_positive = 0;
+  std::vector<uint64_t> scales;
+  std::vector<uint64_t> words;
+  std::vector<uint64_t> units;  // the u_i while building
+};
+
+/// w = m * 2^q for a finite w > 0.
+void Decompose(double w, uint64_t* m, int* q) {
+  constexpr uint64_t kFraction = (uint64_t{1} << 52) - 1;
+  const uint64_t bits = std::bit_cast<uint64_t>(w);
+  const int biased = static_cast<int>(bits >> 52);
+  *m = biased == 0 ? bits & kFraction
+                   : (bits & kFraction) | (uint64_t{1} << 52);
+  *q = std::max(biased, 1) - 1075;
+}
+
+/// Builds `planes` and returns true when every weight is a non-negative
+/// multiple of 2^-E (E the least such exponent) and the u_i total less
+/// than 2^53. Then every sum of weights over a subset of the rows, in
+/// any order, has all its partial sums among the multiples of 2^-E
+/// below 2^(53-E), which are all doubles: each addition is exact, and
+/// the sum equals 2^-E times the integer sum of the u_i. The row loop's
+/// sums in ScoreAnd are such sums, so ScorePlanes gives their bits.
+bool BuildWeightPlanes(const std::vector<double>& weights,
+                       const std::vector<int>& labels, WeightPlanes* planes) {
+  constexpr uint64_t kUnitLimit = uint64_t{1} << 53;
+  // E: the largest -(q + ctz(m)) over the weights, so that 2^-E divides
+  // each one. A finite double is a multiple of 2^-1074, so E <= 1074
+  // and 2^-E is a double.
+  int exponent = std::numeric_limits<int>::min();
+  for (double w : weights) {
+    if (!(w >= 0.0) || w == std::numeric_limits<double>::infinity()) {
+      return false;  // negative, NaN or infinite
+    }
+    if (w == 0.0) continue;
+    uint64_t m = 0;
+    int q = 0;
+    Decompose(w, &m, &q);
+    exponent = std::max(exponent, -(q + std::countr_zero(m)));
+  }
+  if (exponent == std::numeric_limits<int>::min()) exponent = 0;
+  std::vector<uint64_t>& units = planes->units;
+  units.resize(weights.size());
+  uint64_t total = 0, positive_bits = 0, negative_bits = 0;
+  for (size_t i = 0; i < weights.size(); ++i) {
+    uint64_t u = 0;
+    if (weights[i] != 0.0) {
+      uint64_t m = 0;
+      int q = 0;
+      Decompose(weights[i], &m, &q);
+      const int shift = q + exponent;  // >= -ctz(m) by the choice of E
+      if (shift > 53 - static_cast<int>(std::bit_width(m))) {
+        return false;  // u_i >= 2^53
+      }
+      u = shift >= 0 ? m << shift : m >> -shift;
+    }
+    total += u;
+    if (total >= kUnitLimit) return false;
+    (labels[i] == 1 ? positive_bits : negative_bits) |= u;
+    units[i] = u;
+  }
+  // plane_of[label][b]: the plane of bit b for that label.
+  size_t plane_of[2][53];
+  planes->scales.clear();
+  for (int label : {1, 0}) {
+    for (uint64_t bits = label == 1 ? positive_bits : negative_bits;
+         bits != 0; bits &= bits - 1) {
+      const int b = std::countr_zero(bits);
+      plane_of[label][b] = planes->scales.size();
+      planes->scales.push_back(uint64_t{1} << b);
+    }
+    if (label == 1) planes->num_positive = planes->scales.size();
+  }
+  const size_t num_planes = planes->scales.size();
+  planes->unit = std::ldexp(1.0, -exponent);
+  planes->words.assign((weights.size() + 63) / 64 * num_planes, 0);
+  for (size_t i = 0; i < weights.size(); ++i) {
+    uint64_t* word = planes->words.data() + i / 64 * num_planes;
+    const size_t* plane = plane_of[labels[i] == 1 ? 1 : 0];
+    for (uint64_t u = units[i]; u != 0; u &= u - 1) {
+      word[plane[std::countr_zero(u)]] |= uint64_t{1} << (i % 64);
+    }
+  }
+  return true;
+}
+
+/// ScoreAnd's result from the weights' bit planes (BuildWeightPlanes
+/// returned true): cov_pos_w = 2^-E * the sum over positive planes p of
+/// scales[p] * popcount(parent AND condition AND plane p), and cov_w
+/// the same over all planes. The integer sums stay below 2^53, so their
+/// conversions and the scaling by 2^-E are exact. It pays only with a
+/// hardware popcount, so it runs at the AVX2 tier, under its target.
+#if DBWIPES_HAVE_AVX2_TIER
+__attribute__((target("avx2,popcnt")))
+#endif
+Score ScorePlanes(const Bitmap& parent, const Bitmap& condition,
+                  const WeightPlanes& planes, double total_w,
+                  double total_pos_w) {
+  const size_t num_planes = planes.scales.size();
+  const uint64_t* scales = planes.scales.data();
+  const uint64_t* word = planes.words.data();
+  uint64_t coverage = 0, pos_units = 0, neg_units = 0;
+  for (size_t wi = 0; wi < parent.num_words(); ++wi, word += num_planes) {
+    const uint64_t w = parent.word(wi) & condition.word(wi);
+    coverage += static_cast<uint64_t>(__builtin_popcountll(w));
+    size_t p = 0;
+    for (; p < planes.num_positive; ++p) {
+      pos_units += static_cast<uint64_t>(__builtin_popcountll(w & word[p])) *
+                   scales[p];
+    }
+    for (; p < num_planes; ++p) {
+      neg_units += static_cast<uint64_t>(__builtin_popcountll(w & word[p])) *
+                   scales[p];
+    }
+  }
+  Score out;
+  out.coverage = static_cast<size_t>(coverage);
+  out.wracc = WRAcc(static_cast<double>(pos_units + neg_units) * planes.unit,
+                    static_cast<double>(pos_units) * planes.unit, total_w,
+                    total_pos_w);
   return out;
 }
 
@@ -230,6 +367,9 @@ Result<std::vector<Subgroup>> DiscoverSubgroups(
   for (size_t i = 0; i < n; ++i) {
     if (labels[i] == 1) pos_weights[i] = weights[i];
   }
+  // The bit-plane scorer wants a hardware popcount: AVX2 tier only.
+  const bool planes_tier = ResolveSimdTier() == SimdTier::kAvx2;
+  WeightPlanes planes;
   Bitmap all_rows(n);
   all_rows.SetAll();
   // skip[c] = 1 while the current beam rule must not be extended by c.
@@ -245,6 +385,9 @@ Result<std::vector<Subgroup>> DiscoverSubgroups(
       if (labels[i] == 1) total_pos_w += weights[i];
     }
     if (total_pos_w <= 1e-12) break;
+    // The weights change only between rounds.
+    const bool use_planes =
+        planes_tier && BuildWeightPlanes(weights, labels, &planes);
 
     // Beam search over conjunctions.
     std::vector<Rule> beam(1);
@@ -259,9 +402,12 @@ Result<std::vector<Subgroup>> DiscoverSubgroups(
         MarkRepeats(beam, b, &skip, &marked);
         for (size_t ci = 0; ci < conditions.size(); ++ci) {
           if (skip[ci]) continue;
+          const Bitmap& covered = conditions[ci].covered;
           const Score score =
-              ScoreAnd(rule.covered, conditions[ci].covered, weights,
-                       pos_weights, total_w, total_pos_w);
+              use_planes ? ScorePlanes(rule.covered, covered, planes, total_w,
+                                       total_pos_w)
+                         : ScoreAnd(rule.covered, covered, weights,
+                                    pos_weights, total_w, total_pos_w);
           if (score.coverage < options.min_coverage) continue;
           candidates.push_back({b, ci, score.wracc});
         }

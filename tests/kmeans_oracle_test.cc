@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
 
@@ -321,26 +322,30 @@ bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+/// Equal bits, or both NaN. A NaN's sign and payload carry no meaning
+/// here: when two NaNs of different signs meet in an add (a NaN
+/// coordinate, and inf - inf's default NaN), which one the sum keeps
+/// depends on the operand order the compiler picks for the commutative
+/// add, which differs between builds (it does under asan).
+bool SameValue(double a, double b) {
+  return SameBits(a, b) || (std::isnan(a) && std::isnan(b));
+}
+
 /// Empty when equal; otherwise the first difference.
 std::string Compare(const reference::Result& want, const KMeansResult& got) {
   if (want.assignment != got.assignment) return "assignment";
   if (want.iterations != got.iterations) return "iterations";
-  if (!SameBits(want.inertia, got.inertia)) return "inertia bits";
+  if (!SameValue(want.inertia, got.inertia)) return "inertia bits";
   if (got.centroids.rows != want.centroids.size()) return "centroid count";
   for (size_t c = 0; c < want.centroids.size(); ++c) {
     if (got.centroids.cols != want.centroids[c].size()) return "centroid dim";
     for (size_t j = 0; j < want.centroids[c].size(); ++j) {
-      if (!SameBits(want.centroids[c][j], got.centroids.row(c)[j])) {
+      if (!SameValue(want.centroids[c][j], got.centroids.row(c)[j])) {
         return "centroid bits";
       }
     }
   }
   return "";
-}
-
-/// Equal bits, or both NaN: a NaN's payload carries no meaning here.
-bool SameValue(double a, double b) {
-  return SameBits(a, b) || (std::isnan(a) && std::isnan(b));
 }
 
 /// Pins DBWIPES_SIMD for one scope; restores the previous value.
@@ -371,74 +376,159 @@ class ScopedSimd {
   std::string prev_;
 };
 
+/// Runs KMeans, KMeansAuto and MeanSilhouette (on the clustering found
+/// and on a random assignment, which may leave clusters empty) on `p`
+/// at the host's best tier and at the scalar tier, and expects the
+/// reference's bits from each.
+void ExpectMatchesReference(const Problem& p, int trial, Rng* gen) {
+  const DenseMatrix flat = Flatten(p.points);
+  Rng ref_rng(p.seed);
+  const reference::Result want_k =
+      reference::KMeans(p.points, p.k, &ref_rng, p.options);
+  const reference::Result want_auto =
+      reference::KMeansAuto(p.points, p.k, &ref_rng, p.options);
+  const uint64_t want_next = ref_rng.Next();
+
+  std::vector<int> scattered(p.points.size());
+  for (int& a : scattered) a = static_cast<int>(gen->UniformInt(p.k));
+  const uint64_t sample_seed = gen->Next();
+  const std::vector<const std::vector<int>*> assignments = {
+      &want_k.assignment, &scattered};
+  std::vector<double> want_silhouettes;
+  for (const std::vector<int>* assignment : assignments) {
+    Rng rng(sample_seed);
+    want_silhouettes.push_back(
+        reference::MeanSilhouette(p.points, *assignment, p.k, &rng));
+  }
+
+  // Unless DBWIPES_SIMD already forces the scalar tier, the run
+  // without it uses the host's best tier.
+  for (bool scalar : {false, true}) {
+    ScopedSimd tier(scalar);
+    const std::string where =
+        "trial " + std::to_string(trial) + " (" + p.shape +
+        ", n=" + std::to_string(p.points.size()) +
+        ", d=" + std::to_string(p.points[0].size()) +
+        ", k=" + std::to_string(p.k) + ", tier " +
+        SimdTierName(ResolveSimdTier()) + ")";
+    Rng rng(p.seed);
+    auto got_k = KMeans(flat, p.k, &rng, p.options);
+    ASSERT_TRUE(got_k.ok()) << where << ": " << got_k.status().ToString();
+    EXPECT_EQ(Compare(want_k, *got_k), "") << where << " KMeans";
+    auto got_auto = KMeansAuto(flat, p.k, &rng, p.options);
+    ASSERT_TRUE(got_auto.ok()) << where;
+    EXPECT_EQ(Compare(want_auto, *got_auto), "") << where << " KMeansAuto";
+    EXPECT_EQ(rng.Next(), want_next) << where << " rng draw order";
+
+    size_t which = 0;
+    for (const std::vector<int>* assignment : assignments) {
+      Rng sample_rng(sample_seed);
+      const double got = MeanSilhouette(flat, *assignment, p.k, &sample_rng);
+      EXPECT_TRUE(SameValue(got, want_silhouettes[which]))
+          << where << " silhouette " << which << ": " << got << " vs "
+          << want_silhouettes[which];
+      ++which;
+    }
+  }
+}
+
 TEST(KMeansOracle, FlatMatrixMatchesReferenceBitForBit) {
   Rng gen(20261018);
   constexpr int kProblems = 320;
   int over_sample = 0, extreme = 0, duplicates = 0, equal = 0;
   for (int trial = 0; trial < kProblems; ++trial) {
     const Problem p = RandomProblem(&gen);
-    const DenseMatrix flat = Flatten(p.points);
     over_sample += p.points.size() > 500;
     extreme += p.shape == "extreme";
     duplicates += p.shape == "duplicates";
     equal += p.shape == "equal";
-
-    Rng ref_rng(p.seed);
-    const reference::Result want_k =
-        reference::KMeans(p.points, p.k, &ref_rng, p.options);
-    const reference::Result want_auto =
-        reference::KMeansAuto(p.points, p.k, &ref_rng, p.options);
-    const uint64_t want_next = ref_rng.Next();
-
-    // Silhouettes, compared directly: of the clustering found and of a
-    // random assignment (which may leave clusters empty).
-    std::vector<int> scattered(p.points.size());
-    for (int& a : scattered) a = static_cast<int>(gen.UniformInt(p.k));
-    const uint64_t sample_seed = gen.Next();
-    const std::vector<const std::vector<int>*> assignments = {
-        &want_k.assignment, &scattered};
-    std::vector<double> want_silhouettes;
-    for (const std::vector<int>* assignment : assignments) {
-      Rng rng(sample_seed);
-      want_silhouettes.push_back(
-          reference::MeanSilhouette(p.points, *assignment, p.k, &rng));
-    }
-
-    // Unless DBWIPES_SIMD already forces the scalar tier, the run
-    // without it uses the host's best tier.
-    for (bool scalar : {false, true}) {
-      ScopedSimd tier(scalar);
-      const std::string where =
-          "trial " + std::to_string(trial) + " (" + p.shape +
-          ", n=" + std::to_string(p.points.size()) +
-          ", d=" + std::to_string(p.points[0].size()) +
-          ", k=" + std::to_string(p.k) + ", tier " +
-          SimdTierName(ResolveSimdTier()) + ")";
-      Rng rng(p.seed);
-      auto got_k = KMeans(flat, p.k, &rng, p.options);
-      ASSERT_TRUE(got_k.ok()) << where << ": " << got_k.status().ToString();
-      EXPECT_EQ(Compare(want_k, *got_k), "") << where << " KMeans";
-      auto got_auto = KMeansAuto(flat, p.k, &rng, p.options);
-      ASSERT_TRUE(got_auto.ok()) << where;
-      EXPECT_EQ(Compare(want_auto, *got_auto), "") << where << " KMeansAuto";
-      EXPECT_EQ(rng.Next(), want_next) << where << " rng draw order";
-
-      size_t which = 0;
-      for (const std::vector<int>* assignment : assignments) {
-        Rng sample_rng(sample_seed);
-        const double got = MeanSilhouette(flat, *assignment, p.k, &sample_rng);
-        EXPECT_TRUE(SameValue(got, want_silhouettes[which]))
-            << where << " silhouette " << which << ": " << got << " vs "
-            << want_silhouettes[which];
-        ++which;
-      }
-    }
+    ExpectMatchesReference(p, trial, &gen);
   }
   // The generator covers what the law is about.
   EXPECT_GE(over_sample, 20);
   EXPECT_GE(extreme, 30);
   EXPECT_GE(duplicates, 30);
   EXPECT_GE(equal, 30);
+}
+
+// ---------- 1-D problems at the silhouette guard's edges ----------
+//
+// For d = 1 MeanSilhouette adds |x| in place of sqrt(x * x) when every
+// coordinate is 0 or has a magnitude in [2^-459, 2^510]; outside that
+// range a square may underflow or overflow, and the sqrt body runs.
+
+/// `v` moved `steps` doubles toward +inf.
+double Up(double v, uint64_t steps) {
+  for (; steps > 0; --steps) {
+    v = std::nextafter(v, std::numeric_limits<double>::infinity());
+  }
+  return v;
+}
+
+/// "edges": the guard's bounds and the doubles beside them, ±0.0,
+/// subnormals, ±inf and NaN, mixed with ordinary values. "tiny" and
+/// "huge": every coordinate in runs of neighbouring doubles (one ulp
+/// apart) at magnitudes about 2^-500 to 2^-460, or 2^505 to 2^512, so
+/// squared differences underflow or overflow.
+Problem GuardEdgeProblem(Rng* rng) {
+  Problem p;
+  const size_t n = 2 + rng->UniformInt(120);
+  p.k = 1 + rng->UniformInt(std::min<size_t>(4, n));
+  p.seed = rng->Next();
+  p.options.num_restarts = 1 + rng->UniformInt(3);
+  if (rng->Bernoulli(0.3)) p.options.max_iterations = 1 + rng->UniformInt(6);
+  p.points.assign(n, std::vector<double>(1, 0.0));
+  const double inf = std::numeric_limits<double>::infinity();
+  switch (rng->UniformInt(3)) {
+    case 0: {
+      p.shape = "edges";
+      const double lo = 0x1p-459, hi = 0x1p510;
+      const double values[] = {
+          0.0, -0.0, lo, std::nextafter(lo, 0.0), Up(lo, 1), hi,
+          std::nextafter(hi, 0.0), Up(hi, 1),
+          std::numeric_limits<double>::denorm_min(), 0x1p-1030,
+          Up(0x1p-1060, 3), std::numeric_limits<double>::min(), inf,
+          std::numeric_limits<double>::quiet_NaN(), 1.0, 0.75};
+      for (auto& pt : p.points) {
+        const double v = values[rng->UniformInt(std::size(values))];
+        pt[0] = rng->Bernoulli(0.5) ? -v : v;
+      }
+      break;
+    }
+    default: {
+      const bool tiny = rng->Bernoulli(0.5);
+      p.shape = tiny ? "tiny" : "huge";
+      const size_t runs = 1 + rng->UniformInt(4);
+      std::vector<double> starts(runs);
+      for (double& start : starts) {
+        const int exp = tiny ? -500 + static_cast<int>(rng->UniformInt(40))
+                             : 505 + static_cast<int>(rng->UniformInt(7));
+        start = std::ldexp(1.0 + rng->UniformDouble(), exp);
+        if (rng->Bernoulli(0.5)) start = -start;
+      }
+      for (auto& pt : p.points) {
+        pt[0] = Up(starts[rng->UniformInt(runs)], rng->UniformInt(6));
+      }
+      break;
+    }
+  }
+  return p;
+}
+
+TEST(KMeansOracle, OneDimensionalGuardEdgesMatchReference) {
+  Rng gen(20261019);
+  constexpr int kProblems = 240;
+  int edges = 0, tiny = 0, huge = 0;
+  for (int trial = 0; trial < kProblems; ++trial) {
+    const Problem p = GuardEdgeProblem(&gen);
+    edges += p.shape == "edges";
+    tiny += p.shape == "tiny";
+    huge += p.shape == "huge";
+    ExpectMatchesReference(p, trial, &gen);
+  }
+  EXPECT_GE(edges, 50);
+  EXPECT_GE(tiny, 50);
+  EXPECT_GE(huge, 50);
 }
 
 }  // namespace

@@ -73,6 +73,26 @@ TEST(ParserTest, InList) {
   EXPECT_EQ(e->ToString(), "state IN ('CA', 'NY')");
 }
 
+TEST(ParserTest, NullLiteralsRoundTrip) {
+  // A comparison with NULL, a NULL member of an IN list and a NULL
+  // BETWEEN bound render as NULL and parse back to the same clauses.
+  for (const char* text : {"d >= NULL", "s IN (NULL, 'a')", "s = null"}) {
+    Predicate p = *ParsePredicate(text);
+    Predicate again = *ParsePredicate(p.ToString());
+    EXPECT_EQ(again.ToString(), p.ToString()) << text;
+    EXPECT_TRUE(again == p) << text;
+  }
+  Predicate ge = *ParsePredicate("d >= NULL");
+  EXPECT_EQ(ge.ToString(), "d >= NULL");
+  EXPECT_TRUE(ge.clauses()[0].literal.is_null());
+  Predicate in = *ParsePredicate("s IN (NULL, 'a')");
+  EXPECT_EQ(in.ToString(), "s IN (NULL, 'a')");
+  ASSERT_EQ(in.clauses()[0].in_set.size(), 2u);
+  EXPECT_TRUE(in.clauses()[0].in_set[0].is_null());
+  BoolExprPtr between = *ParseFilter("x BETWEEN NULL AND 3");
+  EXPECT_EQ(between->ToString(), "(x >= NULL AND x <= 3)");
+}
+
 TEST(ParserTest, ContainsAndLikeWildcards) {
   BoolExprPtr e = *ParseFilter("memo CONTAINS 'SPOUSE'");
   EXPECT_EQ(e->ToString(), "memo CONTAINS 'SPOUSE'");

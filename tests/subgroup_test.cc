@@ -479,33 +479,92 @@ RandomProblem MakeRandomProblem(uint64_t seed) {
   return p;
 }
 
+/// Runs DiscoverSubgroups and the reference on `p` and expects the same
+/// rules, WRAcc bits and covered rows; returns how many rules matched.
+size_t ExpectMatchesReference(const RandomProblem& p,
+                              const std::string& where) {
+  FeatureView v =
+      *FeatureView::Create(*p.table, {"kind", "city", "x", "level"});
+  auto got = DiscoverSubgroups(v, p.rows, p.labels, p.weights, p.options);
+  EXPECT_TRUE(got.ok()) << where << ": " << got.status().ToString();
+  if (!got.ok()) return 0;
+  const std::vector<Subgroup> want = reference::DiscoverSubgroups(
+      v, p.rows, p.labels, p.weights, p.options);
+  EXPECT_EQ(got->size(), want.size()) << where;
+  if (got->size() != want.size()) return 0;
+  for (size_t i = 0; i < want.size(); ++i) {
+    const Subgroup& g = (*got)[i];
+    const Subgroup& w = want[i];
+    EXPECT_EQ(g.predicate.ToString(), w.predicate.ToString())
+        << where << " rule " << i;
+    EXPECT_EQ(std::memcmp(&g.wracc, &w.wracc, sizeof(double)), 0)
+        << where << " rule " << i << ": " << g.wracc << " vs " << w.wracc;
+    EXPECT_EQ(g.coverage, w.coverage) << where << " rule " << i;
+    EXPECT_EQ(g.positives, w.positives) << where << " rule " << i;
+    EXPECT_EQ(g.covered, w.covered) << where << " rule " << i;
+  }
+  return want.size();
+}
+
+// Unit and no weights with gamma 0.5 or 0.25 take the bit-plane scorer
+// at the AVX2 tier; random weights and the other gammas keep the row
+// loop. At the scalar tier every problem takes the row loop.
 TEST(SubgroupEquivalenceTest, BitmapSearchMatchesByteVectorReference) {
   size_t compared_rules = 0;
   for (uint64_t seed = 1; seed <= 120; ++seed) {
-    RandomProblem p = MakeRandomProblem(seed);
-    FeatureView v =
-        *FeatureView::Create(*p.table, {"kind", "city", "x", "level"});
-    auto got = DiscoverSubgroups(v, p.rows, p.labels, p.weights, p.options);
-    ASSERT_TRUE(got.ok()) << "seed " << seed << ": "
-                          << got.status().ToString();
-    const std::vector<Subgroup> want = reference::DiscoverSubgroups(
-        v, p.rows, p.labels, p.weights, p.options);
-    ASSERT_EQ(got->size(), want.size()) << "seed " << seed;
-    for (size_t i = 0; i < want.size(); ++i) {
-      const Subgroup& g = (*got)[i];
-      const Subgroup& w = want[i];
-      EXPECT_EQ(g.predicate.ToString(), w.predicate.ToString())
-          << "seed " << seed << " rule " << i;
-      EXPECT_EQ(std::memcmp(&g.wracc, &w.wracc, sizeof(double)), 0)
-          << "seed " << seed << " rule " << i << ": " << g.wracc << " vs "
-          << w.wracc;
-      EXPECT_EQ(g.coverage, w.coverage) << "seed " << seed << " rule " << i;
-      EXPECT_EQ(g.positives, w.positives) << "seed " << seed << " rule " << i;
-      EXPECT_EQ(g.covered, w.covered) << "seed " << seed << " rule " << i;
-    }
-    compared_rules += want.size();
+    compared_rules += ExpectMatchesReference(MakeRandomProblem(seed),
+                                             "seed " + std::to_string(seed));
   }
   // The sweep must actually produce rules to compare.
+  EXPECT_GT(compared_rules, 120u);
+}
+
+/// Weights k_i * 2^-30 with at least one k_i odd, so 2^-30 is the unit
+/// of the bit-plane rule, and sum of k_i = `units` exactly.
+std::vector<double> DyadicWeights(size_t n, uint64_t units, Rng* rng) {
+  std::vector<double> share(n);
+  double total = 0.0;
+  for (double& s : share) total += s = rng->UniformDouble(0.5, 1.5);
+  std::vector<uint64_t> k(n);
+  uint64_t sum = 0;
+  for (size_t i = 0; i < n; ++i) {
+    k[i] = static_cast<uint64_t>(share[i] / total *
+                                 static_cast<double>(units) * 0.999);
+    if (i == 0) k[i] |= 1;
+    sum += k[i];
+  }
+  k[n - 1] += units - sum;  // the remainder, so the k_i sum to `units`
+  std::vector<double> weights(n);
+  for (size_t i = 0; i < n; ++i) {
+    weights[i] = std::ldexp(static_cast<double>(k[i]), -30);
+  }
+  return weights;
+}
+
+// The bit-plane scorer's rule at its edge: dyadic weights whose total in
+// units of 2^-30 is just below 2^53 (bit planes in the first round) or
+// just above it (the row loop). Decaying covered positives by gamma 0.5
+// or 0.75 moves later rounds' totals past 2^53, where partial sums of
+// the row loop round, so the rule must send them to the row loop too.
+TEST(SubgroupEquivalenceTest, DyadicWeightsAroundTwoToThe53) {
+  Rng rng(53);
+  size_t compared_rules = 0;
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    for (double gamma : {0.75, 0.5}) {
+      for (bool above : {false, true}) {
+        RandomProblem p = MakeRandomProblem(1000 + seed);
+        const uint64_t offset = 1 + rng.UniformInt(uint64_t{1} << 46);
+        const uint64_t limit = uint64_t{1} << 53;
+        const uint64_t units = above ? limit + offset : limit - offset;
+        p.weights = DyadicWeights(p.rows.size(), units, &rng);
+        p.options.gamma = gamma;
+        p.options.num_rules = std::max<size_t>(p.options.num_rules, 3);
+        compared_rules += ExpectMatchesReference(
+            p, "seed " + std::to_string(seed) + ", gamma " +
+                   std::to_string(gamma) + (above ? ", above" : ", below"));
+      }
+    }
+  }
   EXPECT_GT(compared_rules, 120u);
 }
 

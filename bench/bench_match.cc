@@ -159,28 +159,6 @@ std::vector<Bitmap> MatchKernels(const MatchProblem& p, size_t threads,
   return out;
 }
 
-/// Median wall time of the clause scans alone (MatchEngine::Materialize,
-/// the one pool region of MatchKernels) on a fresh engine.
-double MaterializeMs(const MatchProblem& p, size_t threads, int reps) {
-  std::vector<const Predicate*> preds;
-  for (const EnumeratedPredicate& ep : p.predicates) {
-    preds.push_back(&ep.predicate);
-  }
-  ParallelOptions popts;
-  popts.num_threads = threads;
-  std::vector<double> ms;
-  for (int r = 0; r < reps; ++r) {
-    MatchEngine engine(*p.data.table, p.suspects);
-    const auto t0 = std::chrono::steady_clock::now();
-    DBW_CHECK_OK(engine.Materialize(preds, popts));
-    ms.push_back(std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count());
-  }
-  std::sort(ms.begin(), ms.end());
-  return ms[ms.size() / 2];
-}
-
 std::vector<RankedPredicate> RunRanker(const MatchProblem& p,
                                        RankerOptions::Engine engine) {
   RankerOptions opts;
@@ -299,11 +277,7 @@ void PrintReportAndJson() {
   std::printf("identical rank orderings (delta vs serial reference): %s\n",
               orders_match ? "yes" : "NO — BUG");
   PrintPoolUse(pool, kernelN_ms);
-  const double materialize1_ms = MaterializeMs(p, 1, reps);
-  const double materializeN_ms = MaterializeMs(p, 0, reps);
-  std::printf("clause scans alone (Materialize): %.2f ms on one thread, "
-              "%.2f ms parallel\n\n",
-              materialize1_ms, materializeN_ms);
+  std::printf("\n");
 
   FILE* f = std::fopen("BENCH_match.json", "w");
   if (f != nullptr) {
@@ -324,8 +298,7 @@ void PrintReportAndJson() {
         "  \"speedup_total\": %.2f,\n"
         "  \"bitmaps_identical\": %s,\n"
         "  \"orderings_identical\": %s,\n"
-        "  \"pool\": %s,\n"
-        "  \"materialize_ms\": {\"serial\": %.3f, \"parallel\": %.3f}\n"
+        "  \"pool\": %s\n"
         "}\n",
         p.data.table->num_rows(), p.predicates.size(), p.suspects.size(),
         DefaultParallelism(), before_ms, preds / before_ms * 1000.0,
@@ -333,7 +306,7 @@ void PrintReportAndJson() {
         preds / kernelN_ms * 1000.0, probe.num_cached_clauses(),
         probe.cache_hits(), before_ms / kernel1_ms, before_ms / kernelN_ms,
         bitmaps_equal ? "true" : "false", orders_match ? "true" : "false",
-        PoolJson(pool, kernelN_ms).c_str(), materialize1_ms, materializeN_ms);
+        PoolJson(pool, kernelN_ms).c_str());
     std::fclose(f);
     std::printf("wrote BENCH_match.json\n\n");
   }

@@ -21,7 +21,9 @@ namespace dbwipes {
 /// Clause::Matches, so one touching a NULL cell is false, and NOT is
 /// plain negation. (Documented divergence from SQL three-valued logic;
 /// it makes "remove tuples matching P" keep rows whose attribute is
-/// NULL, which is the conservative choice for cleaning.)
+/// NULL, which is the conservative choice for cleaning. A NULL
+/// literal is the least Value, not UNKNOWN: `x != NULL` matches every
+/// row whose x is not NULL; see DESIGN.md §5d.)
 class BoolExpr {
  public:
   enum class Kind { kTrue, kComparison, kAnd, kOr, kNot };

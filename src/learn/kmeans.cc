@@ -233,8 +233,8 @@ KMeansResult RunOnce(const DenseMatrix& points, size_t k, Rng* rng,
 }
 
 // ---------------------------------------------------------------------
-// Silhouette distance sums. A block of kLanes sampled points is held
-// transposed (block[t * kLanes + l] = coordinate t of lane l); for one
+// Silhouette distance sums. A block of `lanes` sampled points is held
+// transposed (block[t * lanes + l] = coordinate t of lane l); for one
 // cluster's members, in sample order, each lane adds the Euclidean
 // distance to the member into its own accumulator, skipping the member
 // that is the lane's own point. Every lane therefore adds the same
@@ -249,7 +249,10 @@ KMeansResult RunOnce(const DenseMatrix& points, size_t k, Rng* rng,
 // bodies add |x| instead: the same bits without a square root.
 // ---------------------------------------------------------------------
 
-constexpr size_t kLanes = 16;
+/// Block widths: the sqrt bodies take one AVX2 register of lanes, the
+/// abs bodies four, so that four add chains overlap.
+constexpr size_t kSqrtLanes = 4;
+constexpr size_t kAbsLanes = 16;
 
 /// |v| is 0 or in [2^-459, 2^510]. Such values are multiples of
 /// 2^-511, so the difference x of two of them is 0 or, rounded,
@@ -265,20 +268,20 @@ bool SquareRootIsAbs(double v) {
 void SqrtDistanceSumsScalar(const double* block, const uint64_t* lanes,
                             const double* members, const uint64_t* ids,
                             size_t count, size_t d, double* sums) {
-  double acc[kLanes] = {};
+  double acc[kSqrtLanes] = {0.0, 0.0, 0.0, 0.0};
   for (size_t m = 0; m < count; ++m) {
     const double* member = members + m * d;
-    for (size_t l = 0; l < kLanes; ++l) {
+    for (size_t l = 0; l < kSqrtLanes; ++l) {
       if (ids[m] == lanes[l]) continue;  // the lane's own point
       double s = 0.0;
       for (size_t t = 0; t < d; ++t) {
-        const double diff = block[t * kLanes + l] - member[t];
+        const double diff = block[t * kSqrtLanes + l] - member[t];
         s += diff * diff;
       }
       acc[l] += std::sqrt(s);
     }
   }
-  for (size_t l = 0; l < kLanes; ++l) sums[l] = acc[l];
+  for (size_t l = 0; l < kSqrtLanes; ++l) sums[l] = acc[l];
 }
 
 /// The same sums for d = 1 under SquareRootIsAbs: |block lane l -
@@ -286,51 +289,41 @@ void SqrtDistanceSumsScalar(const double* block, const uint64_t* lanes,
 void AbsDistanceSumsScalar(const double* block, const uint64_t* lanes,
                            const double* members, const uint64_t* ids,
                            size_t count, size_t /*d*/, double* sums) {
-  double acc[kLanes] = {};
+  double acc[kAbsLanes] = {};
   for (size_t m = 0; m < count; ++m) {
-    for (size_t l = 0; l < kLanes; ++l) {
+    for (size_t l = 0; l < kAbsLanes; ++l) {
       if (ids[m] == lanes[l]) continue;  // the lane's own point
       acc[l] += std::fabs(block[l] - members[m]);
     }
   }
-  for (size_t l = 0; l < kLanes; ++l) sums[l] = acc[l];
+  for (size_t l = 0; l < kAbsLanes; ++l) sums[l] = acc[l];
 }
 
 #if DBWIPES_HAVE_AVX2_TIER
-constexpr size_t kRegs = kLanes / 4;
-
-/// The sqrt sums, four AVX2 registers of lanes. The own point's term is
+/// The sqrt sums, one AVX2 register of lanes. The own point's term is
 /// masked to +0.0 rather than added as sqrt(0) (x - x is NaN for an
 /// infinite coordinate). An accumulator starts at +0.0 and only gains
 /// square roots, which are never -0.0, so adding +0.0 leaves it as is.
 __attribute__((target("avx2"))) void SqrtDistanceSumsAvx2(
     const double* block, const uint64_t* lanes, const double* members,
     const uint64_t* ids, size_t count, size_t d, double* sums) {
-  __m256i own[kRegs];
-  __m256d acc[kRegs];
-  for (size_t r = 0; r < kRegs; ++r) {
-    own[r] =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lanes + 4 * r));
-    acc[r] = _mm256_setzero_pd();
-  }
+  const __m256i own =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(lanes));
+  __m256d acc = _mm256_setzero_pd();
   for (size_t m = 0; m < count; ++m) {
     const double* member = members + m * d;
-    const __m256i id = _mm256_set1_epi64x(static_cast<long long>(ids[m]));
-    for (size_t r = 0; r < kRegs; ++r) {
-      __m256d s = _mm256_setzero_pd();
-      for (size_t t = 0; t < d; ++t) {
-        const __m256d diff =
-            _mm256_sub_pd(_mm256_loadu_pd(block + t * kLanes + 4 * r),
-                          _mm256_set1_pd(member[t]));
-        s = _mm256_add_pd(s, _mm256_mul_pd(diff, diff));
-      }
-      const __m256d self =
-          _mm256_castsi256_pd(_mm256_cmpeq_epi64(own[r], id));
-      acc[r] =
-          _mm256_add_pd(acc[r], _mm256_andnot_pd(self, _mm256_sqrt_pd(s)));
+    __m256d s = _mm256_setzero_pd();
+    for (size_t t = 0; t < d; ++t) {
+      const __m256d diff =
+          _mm256_sub_pd(_mm256_loadu_pd(block + t * kSqrtLanes),
+                        _mm256_set1_pd(member[t]));
+      s = _mm256_add_pd(s, _mm256_mul_pd(diff, diff));
     }
+    const __m256d self = _mm256_castsi256_pd(_mm256_cmpeq_epi64(
+        own, _mm256_set1_epi64x(static_cast<long long>(ids[m]))));
+    acc = _mm256_add_pd(acc, _mm256_andnot_pd(self, _mm256_sqrt_pd(s)));
   }
-  for (size_t r = 0; r < kRegs; ++r) _mm256_storeu_pd(sums + 4 * r, acc[r]);
+  _mm256_storeu_pd(sums, acc);
 }
 
 /// The abs sums, four registers whose add chains overlap. One andnot
@@ -339,6 +332,7 @@ __attribute__((target("avx2"))) void SqrtDistanceSumsAvx2(
 __attribute__((target("avx2"))) void AbsDistanceSumsAvx2(
     const double* block, const uint64_t* lanes, const double* members,
     const uint64_t* ids, size_t count, size_t /*d*/, double* sums) {
+  constexpr size_t kRegs = kAbsLanes / 4;
   const __m256d sign = _mm256_set1_pd(-0.0);
   __m256i own[kRegs];
   __m256d x[kRegs];
@@ -366,20 +360,28 @@ __attribute__((target("avx2"))) void AbsDistanceSumsAvx2(
 using DistanceSumsFn = void (*)(const double*, const uint64_t*, const double*,
                                 const uint64_t*, size_t, size_t, double*);
 
+/// A body and the block width it takes.
+struct DistanceSums {
+  DistanceSumsFn fn;
+  size_t lanes;
+};
+
 /// The body for the sampled points' packed coordinates `members` (m x
 /// d) at `tier`: the abs body when d = 1 and every coordinate passes
 /// SquareRootIsAbs, else the sqrt body.
-DistanceSumsFn DistanceSumsFor(SimdTier tier,
-                               const std::vector<double>& members, size_t d) {
+DistanceSums DistanceSumsFor(SimdTier tier, const std::vector<double>& members,
+                             size_t d) {
   const bool abs = d == 1 && std::all_of(members.begin(), members.end(),
                                          SquareRootIsAbs);
 #if DBWIPES_HAVE_AVX2_TIER
   if (tier == SimdTier::kAvx2) {
-    return abs ? AbsDistanceSumsAvx2 : SqrtDistanceSumsAvx2;
+    return abs ? DistanceSums{AbsDistanceSumsAvx2, kAbsLanes}
+               : DistanceSums{SqrtDistanceSumsAvx2, kSqrtLanes};
   }
 #endif
   (void)tier;
-  return abs ? AbsDistanceSumsScalar : SqrtDistanceSumsScalar;
+  return abs ? DistanceSums{AbsDistanceSumsScalar, kAbsLanes}
+             : DistanceSums{SqrtDistanceSumsScalar, kSqrtLanes};
 }
 
 }  // namespace
@@ -415,38 +417,38 @@ double MeanSilhouette(const DenseMatrix& points,
     }
   }
 
-  const DistanceSumsFn distance_sums =
+  const DistanceSums distance_sums =
       DistanceSumsFor(ResolveSimdTier(), members, d);
-  std::vector<double> block(d * kLanes);
-  std::vector<double> sums(k * kLanes);  // sums[c * kLanes + l]
+  const size_t w = distance_sums.lanes;
+  std::vector<double> block(d * w);
+  std::vector<double> sums(k * w);  // sums[c * w + l]
   double total = 0.0;
   size_t counted = 0;
-  for (size_t q = 0; q < m; q += kLanes) {
-    const size_t width = std::min(kLanes, m - q);
-    uint64_t lanes[kLanes];
-    for (size_t l = 0; l < kLanes; ++l) {
+  for (size_t q = 0; q < m; q += w) {
+    const size_t width = std::min(w, m - q);
+    uint64_t lanes[kAbsLanes] = {};
+    for (size_t l = 0; l < w; ++l) {
       // Padding lanes repeat the block's first point; they are ignored.
       lanes[l] = sample[q + (l < width ? l : 0)];
       const double* p = points.row(lanes[l]);
-      for (size_t t = 0; t < d; ++t) block[t * kLanes + l] = p[t];
+      for (size_t t = 0; t < d; ++t) block[t * w + l] = p[t];
     }
     for (size_t c = 0; c < k; ++c) {
-      distance_sums(block.data(), lanes, members.data() + begin[c] * d,
-                    ids.data() + begin[c], begin[c + 1] - begin[c], d,
-                    sums.data() + c * kLanes);
+      distance_sums.fn(block.data(), lanes, members.data() + begin[c] * d,
+                       ids.data() + begin[c], begin[c + 1] - begin[c], d,
+                       sums.data() + c * w);
     }
     for (size_t l = 0; l < width; ++l) {
       const size_t own = static_cast<size_t>(assignment[lanes[l]]);
       // Members of the point's own cluster other than itself.
       const size_t own_count = begin[own + 1] - begin[own] - 1;
       if (own_count == 0) continue;  // singleton in the sample
-      const double a =
-          sums[own * kLanes + l] / static_cast<double>(own_count);
+      const double a = sums[own * w + l] / static_cast<double>(own_count);
       double b = std::numeric_limits<double>::infinity();
       for (size_t c = 0; c < k; ++c) {
         const size_t count = begin[c + 1] - begin[c];
         if (c == own || count == 0) continue;
-        b = std::min(b, sums[c * kLanes + l] / static_cast<double>(count));
+        b = std::min(b, sums[c * w + l] / static_cast<double>(count));
       }
       if (!std::isfinite(b)) continue;
       const double denom = std::max(a, b);

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "dbwipes/expr/bool_expr.h"
+#include "dbwipes/expr/parser.h"
 #include "dbwipes/expr/predicate.h"
 #include "dbwipes/expr/scalar_expr.h"
 #include "reference_executor.h"
@@ -167,6 +172,37 @@ TEST(BoolExprTest, NullComparisonIsFalseAndNotFlipsIt) {
   auto cmp = MakeComparison(Clause::Make("x", CompareOp::kGe, Value(0.0)));
   EXPECT_FALSE(Eval(cmp, t, 3));
   EXPECT_TRUE(Eval(MakeNot(cmp), t, 3));
+}
+
+TEST(BoolExprTest, NullLiteralIsTheLeastValueNotUnknown) {
+  // A NULL literal does not make a comparison UNKNOWN, as in SQL: the
+  // clause is Clause::Matches, where a NULL cell never matches and the
+  // NULL literal is the least Value. So `=`, `<`, `<=` and an IN
+  // list's NULL member match no row, and `!=`, `<>`, `>`, `>=` match
+  // every non-NULL row. x is NULL in row 3, y in row 2; s has none.
+  Table t = MakeTable();
+  const std::vector<std::pair<std::string, std::vector<bool>>> cases = {
+      {"x = NULL", {false, false, false, false}},
+      {"x != NULL", {true, true, true, false}},
+      {"x <> NULL", {true, true, true, false}},
+      {"x < NULL", {false, false, false, false}},
+      {"x <= NULL", {false, false, false, false}},
+      {"x > NULL", {true, true, true, false}},
+      {"x >= NULL", {true, true, true, false}},
+      {"NOT x = NULL", {true, true, true, true}},
+      {"NOT x != NULL", {false, false, false, true}},
+      {"y != NULL", {true, true, false, true}},
+      {"y IN (NULL, 20)", {false, true, false, false}},
+      {"s = NULL", {false, false, false, false}},
+      {"s != NULL", {true, true, true, true}},
+      {"s IN (NULL, 'red')", {true, false, true, false}},
+  };
+  for (const auto& [text, want] : cases) {
+    BoolExprPtr e = *ParseFilter(text);
+    std::vector<bool> got;
+    for (RowId r = 0; r < t.num_rows(); ++r) got.push_back(Eval(e, t, r));
+    EXPECT_EQ(got, want) << text;
+  }
 }
 
 TEST(BoolExprTest, PredicateConversionMatches) {

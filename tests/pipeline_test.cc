@@ -509,6 +509,48 @@ TEST(DBWipesTest, CleanDeletesFromCurrentLineageOrReexecutes) {
   check(*db->Execute(result.query, no_lineage), bad, 1);
 }
 
+TEST(DBWipesTest, CleanWithNullLiteralFollowsClauseMatches) {
+  // Cleaning deletes the rows Clause::Matches selects, and no SQL
+  // three-valued UNKNOWN enters it: `v = NULL` matches no row and
+  // `v != NULL` every row whose v is not NULL (see
+  // BoolExprTest.NullLiteralIsTheLeastValueNotUnknown).
+  World w = MakeWorld();
+  const RowId null_row = static_cast<RowId>(w.table->num_rows());
+  ASSERT_TRUE(w.table
+                  ->AppendRow({Value(int64_t{1}), Value("fine"), Value(0.5),
+                               Value::Null()})
+                  .ok());
+  auto db = std::make_shared<Database>();
+  db->RegisterTable(w.table);
+  DBWipes engine(db);
+  const QueryResult result =
+      *engine.Query("SELECT g, avg(v) AS a FROM w GROUP BY g");
+  ASSERT_EQ(result.num_groups(), 4u);
+
+  const Predicate none = *ParsePredicate("v = NULL");
+  const QueryResult kept = *engine.Clean(result, none);
+  EXPECT_EQ(kept.lineage, result.lineage);
+  ASSERT_EQ(kept.num_groups(), 4u);
+  for (size_t g = 0; g < 4; ++g) {
+    EXPECT_EQ(kept.AggValue(g, 0), result.AggValue(g, 0)) << g;
+  }
+
+  const Predicate non_null = *ParsePredicate("v != NULL");
+  const QueryResult emptied = *engine.Clean(result, non_null);
+  ASSERT_EQ(emptied.num_groups(), 1u);
+  EXPECT_EQ(emptied.GroupKey(0), std::vector<Value>{Value(int64_t{1})});
+  EXPECT_EQ(emptied.lineage, (std::vector<std::vector<RowId>>{{null_row}}));
+  EXPECT_TRUE(std::isnan(emptied.AggValue(0, 0)));
+
+  // Re-executing the rewritten query deletes the same rows.
+  for (const Predicate* p : {&none, &non_null}) {
+    const QueryResult slow =
+        *db->Execute(result.query.WithCleaningPredicate(*p));
+    EXPECT_EQ(slow.lineage, (p == &none ? kept : emptied).lineage)
+        << p->ToString();
+  }
+}
+
 TEST(DBWipesTest, ExplainValidation) {
   World w = MakeWorld();
   auto db = std::make_shared<Database>();

@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "dbwipes/datagen/fec_generator.h"
 #include "dbwipes/datagen/synthetic.h"
 #include "dbwipes/expr/parser.h"
 #include "dbwipes/learn/decision_tree.h"
@@ -52,6 +53,36 @@ void BM_GroupByAvgNoLineage(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_GroupByAvgNoLineage)->Arg(10000)->Arg(100000);
+
+/// perfbench's FEC table: 200,000 donations plus 1,200 reattributions
+/// (201,600 rows), seed 1.
+const LabeledDataset& Fec() {
+  static const auto* data = [] {
+    FecOptions gen;
+    gen.num_donations = 200000;
+    gen.num_reattributions = 1200;
+    gen.seed = 1;
+    return new LabeledDataset(*GenerateFecDataset(gen));
+  }();
+  return *data;
+}
+
+/// The perfbench FEC query: a WHERE on a dictionary column, one int64
+/// key, `sum`. Arg 1 captures lineage, as `sql` does; arg 0 does not.
+void BM_FecDailyTotals(benchmark::State& state) {
+  const LabeledDataset& data = Fec();
+  const AggregateQuery query = *ParseQuery(
+      "SELECT day, sum(amount) AS total FROM donations "
+      "WHERE candidate = 'MCCAIN' GROUP BY day");
+  ExecOptions opts;
+  opts.capture_lineage = state.range(0) != 0;
+  for (auto _ : state) {
+    auto result = ExecuteQuery(query, *data.table, opts);
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(state.iterations() * data.table->num_rows());
+}
+BENCHMARK(BM_FecDailyTotals)->ArgName("lineage")->Arg(1)->Arg(0);
 
 void BM_FilteredSum(benchmark::State& state) {
   const LabeledDataset& data = Data(static_cast<size_t>(state.range(0)));

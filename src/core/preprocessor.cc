@@ -9,10 +9,9 @@ Result<PreprocessResult> Preprocessor::Run(
     const Table& table, const QueryResult& result,
     const std::vector<size_t>& selected_groups, const ErrorMetric& metric,
     size_t agg_index, bool per_group) {
+  DBW_RETURN_NOT_OK(result.lineage.CheckCaptured());
   PreprocessResult out;
-
-  LineageStore lineage(result, table.num_rows());
-  out.suspect_inputs = lineage.BackwardUnion(selected_groups);
+  out.suspect_inputs = result.lineage.BackwardUnion(selected_groups);
 
   InfluenceOptions opts;
   opts.agg_index = agg_index;

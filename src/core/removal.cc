@@ -10,6 +10,7 @@ Result<std::vector<double>> ValuesAfterRemoval(
     const Table& table, const QueryResult& result,
     const std::vector<size_t>& selected_groups, size_t agg_index,
     const std::vector<RowId>& removed_sorted) {
+  DBW_RETURN_NOT_OK(result.lineage.CheckCaptured());
   if (agg_index >= result.query.aggregates.size()) {
     return Status::OutOfRange("agg_index out of range");
   }

@@ -11,6 +11,7 @@ Result<RemovalScorer> RemovalScorer::Create(
     const std::vector<RowId>& suspects, const ExecContext& ctx) {
   DBW_FAULT(ctx, "scorer/create");
   DBW_TRACE_SPAN("scorer/create");
+  DBW_RETURN_NOT_OK(result.lineage.CheckCaptured());
   if (agg_index >= result.query.aggregates.size()) {
     return Status::OutOfRange("agg_index out of range");
   }

@@ -103,8 +103,8 @@ Result<Table> Session::Zoom() const {
   }
   DBW_ASSIGN_OR_RETURN(std::shared_ptr<const Table> base,
                        engine_.database().GetTable(result_->query.table_name));
-  LineageStore lineage(*result_, base->num_rows());
-  const std::vector<RowId> rows = lineage.BackwardUnion(selected_groups_);
+  const std::vector<RowId> rows =
+      result_->lineage.BackwardUnion(selected_groups_);
 
   // Result: _rowid column followed by the base schema.
   std::vector<Field> fields;
@@ -147,8 +147,8 @@ Status Session::SelectInputsWhere(const std::string& filter) {
                        engine_.database().GetTable(result_->query.table_name));
   DBW_RETURN_NOT_OK(expr->Validate(base->schema()));
 
-  LineageStore lineage(*result_, base->num_rows());
-  const std::vector<RowId> zoomed = lineage.BackwardUnion(selected_groups_);
+  const std::vector<RowId> zoomed =
+      result_->lineage.BackwardUnion(selected_groups_);
   DBW_ASSIGN_OR_RETURN(Bitmap match,
                        FilterBitmap(*expr, *base, ScanUniverse::Of(zoomed)));
   std::vector<RowId> rows;

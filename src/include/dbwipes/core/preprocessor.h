@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "dbwipes/core/error_metric.h"
-#include "dbwipes/provenance/lineage.h"
+#include "dbwipes/provenance/influence.h"
 
 namespace dbwipes {
 

@@ -1,44 +1,12 @@
 #ifndef DBWIPES_PROVENANCE_LINEAGE_H_
 #define DBWIPES_PROVENANCE_LINEAGE_H_
 
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "dbwipes/query/executor.h"
+#include "dbwipes/expr/ast.h"
 
 namespace dbwipes {
-
-/// \brief Fine-grained provenance index over one query result.
-///
-/// Wraps the per-group lineage captured by the executor with forward
-/// (input row -> group) and backward (groups -> input rows) tracing.
-/// Backward tracing of the user's suspicious selection S yields F, the
-/// candidate input set the DBWipes Preprocessor starts from.
-class LineageStore {
- public:
-  /// Builds the index. `result` must have been executed with
-  /// capture_lineage = true; `num_base_rows` is the FROM table's size.
-  LineageStore(const QueryResult& result, size_t num_base_rows);
-
-  /// All base rows feeding result group `group`, sorted ascending.
-  const std::vector<RowId>& Backward(size_t group) const;
-
-  /// Union of the lineage of several groups, sorted, deduplicated.
-  std::vector<RowId> BackwardUnion(const std::vector<size_t>& groups) const;
-
-  /// The group a base row fed, if it passed the filter.
-  std::optional<size_t> Forward(RowId row) const;
-
-  size_t num_groups() const { return lineage_->size(); }
-  /// Rows that passed the query's filter (i.e. appear in any group).
-  size_t num_traced_rows() const { return traced_rows_; }
-
- private:
-  const std::vector<std::vector<RowId>>* lineage_;
-  std::vector<int64_t> forward_;  // row -> group, -1 = filtered out
-  size_t traced_rows_ = 0;
-};
 
 /// \brief Coarse-grained provenance: the operator graph of a query.
 ///

@@ -2,6 +2,7 @@
 #define DBWIPES_QUERY_EXECUTOR_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -10,13 +11,58 @@
 
 namespace dbwipes {
 
+/// \brief Fine-grained lineage of a result, in one CSR (compressed
+/// sparse row) array.
+///
+/// Group g's base-table rows are `rows[offsets[g], offsets[g + 1])`:
+/// the rows that survived the WHERE filter and hashed into that
+/// group, ascending. A result executed without lineage capture has no
+/// offsets at all, so size() is 0 whatever its number of groups.
+struct Lineage {
+  /// One entry per group plus one, starting at 0; empty when lineage
+  /// was not captured.
+  std::vector<size_t> offsets;
+  /// Every passing row, grouped by result row.
+  std::vector<RowId> rows;
+
+  /// Yields each group's slice in group order.
+  struct Iterator {
+    const Lineage* lineage;
+    size_t group;
+    std::span<const RowId> operator*() const { return (*lineage)[group]; }
+    Iterator& operator++() {
+      ++group;
+      return *this;
+    }
+    bool operator==(const Iterator&) const = default;
+  };
+
+  /// Number of groups traced; 0 without lineage.
+  size_t size() const { return offsets.empty() ? 0 : offsets.size() - 1; }
+  bool captured() const { return !offsets.empty(); }
+  /// OK if captured; otherwise the InvalidArgument that every reader
+  /// of a group's lineage returns.
+  Status CheckCaptured() const;
+
+  /// Base rows feeding group `group`, ascending.
+  std::span<const RowId> operator[](size_t group) const {
+    return {rows.data() + offsets[group], offsets[group + 1] - offsets[group]};
+  }
+  Iterator begin() const { return {this, 0}; }
+  Iterator end() const { return {this, size()}; }
+
+  /// Backward trace of several groups (S -> F): the union of their
+  /// rows, sorted and deduplicated.
+  std::vector<RowId> BackwardUnion(const std::vector<size_t>& groups) const;
+
+  bool operator==(const Lineage&) const = default;
+};
+
 /// \brief Result of one aggregate query, with fine-grained lineage.
 ///
-/// Each result row corresponds to one group. `lineage[i]` holds the
-/// base-table RowIds that contributed to group i (i.e. survived the
-/// WHERE filter and hashed into that group) — the fine-grained
-/// provenance that backward tracing and the DBWipes Preprocessor
-/// consume.
+/// Each result row corresponds to one group; `lineage[i]` holds the
+/// base-table RowIds that fed group i — the provenance that backward
+/// tracing, the DBWipes Preprocessor and IncrementalClean consume.
 struct QueryResult {
   /// The executed query (after any cleaning rewrites).
   AggregateQuery query;
@@ -25,7 +71,7 @@ struct QueryResult {
   /// had no valid input, e.g. stddev of one value).
   std::shared_ptr<Table> rows;
   /// lineage[i] = sorted base-table RowIds feeding result row i.
-  std::vector<std::vector<RowId>> lineage;
+  Lineage lineage;
   /// Version stamp, set when Database::Execute captures lineage: the
   /// table object the query read and that table's row count. Tables
   /// only grow, so while the catalog still holds `source` under the
@@ -65,11 +111,11 @@ Result<QueryResult> ExecuteQuery(const AggregateQuery& query,
 /// Folds `rows` of `table`, in this order, into `out[i]` for each
 /// `query.aggregates[i]`: the fold ExecuteQuery gives one group (typed
 /// column arrays for plain numeric arguments, ScalarExpr::Eval for the
-/// rest, NULL arguments skipped) and its result cells (NaN -> NULL,
-/// count -> int64). IncrementalClean re-aggregates a cleaned group
-/// through it.
+/// rest, NULL arguments skipped), with the same first error, and its
+/// result cells (NaN -> NULL, count -> int64). IncrementalClean
+/// re-aggregates a cleaned group through it.
 Status AggregateRows(const AggregateQuery& query, const Table& table,
-                     const std::vector<RowId>& rows, Value* out);
+                     std::span<const RowId> rows, Value* out);
 
 }  // namespace dbwipes
 

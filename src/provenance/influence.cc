@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <span>
 
 #include "dbwipes/query/aggregate.h"
 
@@ -13,6 +14,7 @@ namespace {
 Status CheckArgs(const QueryResult& result,
                  const std::vector<size_t>& selected_groups,
                  const InfluenceOptions& options) {
+  DBW_RETURN_NOT_OK(result.lineage.CheckCaptured());
   if (options.agg_index >= result.query.aggregates.size()) {
     return Status::OutOfRange("agg_index " +
                               std::to_string(options.agg_index) +
@@ -36,7 +38,7 @@ Status CheckArgs(const QueryResult& result,
 /// nullopt = the tuple's argument evaluated to NULL (contributes
 /// nothing to the aggregate).
 Result<std::vector<std::optional<double>>> ArgValues(
-    const Table& table, const AggSpec& spec, const std::vector<RowId>& rows) {
+    const Table& table, const AggSpec& spec, std::span<const RowId> rows) {
   std::vector<std::optional<double>> out;
   out.reserve(rows.size());
   for (RowId r : rows) {
@@ -89,7 +91,7 @@ Result<std::vector<TupleInfluence>> LeaveOneOutInfluence(
   std::vector<double> single(1);
   for (size_t si = 0; si < selected_groups.size(); ++si) {
     const size_t g = selected_groups[si];
-    const std::vector<RowId>& rows = result.lineage[g];
+    const std::span<const RowId> rows = result.lineage[g];
     DBW_ASSIGN_OR_RETURN(std::vector<std::optional<double>> args,
                          ArgValues(table, spec, rows));
 
@@ -153,7 +155,7 @@ Result<std::vector<TupleInfluence>> LeaveOneOutInfluenceBruteForce(
   std::vector<double> single(1);
   for (size_t si = 0; si < selected_groups.size(); ++si) {
     const size_t g = selected_groups[si];
-    const std::vector<RowId>& rows = result.lineage[g];
+    const std::span<const RowId> rows = result.lineage[g];
     DBW_ASSIGN_OR_RETURN(std::vector<std::optional<double>> args,
                          ArgValues(table, spec, rows));
 

@@ -1,45 +1,8 @@
 #include "dbwipes/provenance/lineage.h"
 
-#include <algorithm>
-
 #include "dbwipes/common/string_util.h"
 
 namespace dbwipes {
-
-LineageStore::LineageStore(const QueryResult& result, size_t num_base_rows)
-    : lineage_(&result.lineage), forward_(num_base_rows, -1) {
-  for (size_t g = 0; g < lineage_->size(); ++g) {
-    for (RowId r : (*lineage_)[g]) {
-      DBW_CHECK(r < num_base_rows) << "lineage row out of range";
-      forward_[r] = static_cast<int64_t>(g);
-      ++traced_rows_;
-    }
-  }
-}
-
-const std::vector<RowId>& LineageStore::Backward(size_t group) const {
-  DBW_CHECK(group < lineage_->size());
-  return (*lineage_)[group];
-}
-
-std::vector<RowId> LineageStore::BackwardUnion(
-    const std::vector<size_t>& groups) const {
-  std::vector<RowId> out;
-  for (size_t g : groups) {
-    const auto& rows = Backward(g);
-    out.insert(out.end(), rows.begin(), rows.end());
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-std::optional<size_t> LineageStore::Forward(RowId row) const {
-  DBW_CHECK(row < forward_.size());
-  const int64_t g = forward_[row];
-  if (g < 0) return std::nullopt;
-  return static_cast<size_t>(g);
-}
 
 std::string OperatorGraph::ToString() const {
   std::string out;

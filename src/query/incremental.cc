@@ -11,33 +11,15 @@ Result<QueryResult> IncrementalClean(const Table& table,
   if (predicate.empty()) {
     return Status::InvalidArgument("cannot clean with an empty predicate");
   }
-  // Lineage capture is a precondition; an all-empty lineage with a
-  // non-empty result means it was disabled.
-  bool any_lineage = false;
-  for (const auto& rows : result.lineage) {
-    if (!rows.empty()) {
-      any_lineage = true;
-      break;
-    }
-  }
-  if (!any_lineage && result.num_groups() > 0) {
-    return Status::InvalidArgument(
-        "result was executed without lineage capture");
-  }
+  DBW_RETURN_NOT_OK(result.lineage.CheckCaptured());
 
-  // Match the cleaning predicate once over the concatenation of every
-  // group's lineage, with the WHERE's clause scans; a group's matches
-  // are then bit tests against its slice.
-  std::vector<RowId> universe;
-  std::vector<size_t> group_offset(result.num_groups(), 0);
-  for (size_t g = 0; g < result.num_groups(); ++g) {
-    group_offset[g] = universe.size();
-    universe.insert(universe.end(), result.lineage[g].begin(),
-                    result.lineage[g].end());
-  }
+  // Match the cleaning predicate once over every traced row, with the
+  // WHERE's clause scans: bit p answers lineage.rows[p], so a group's
+  // matches are bit tests against its slice.
+  const Lineage& lineage = result.lineage;
   DBW_ASSIGN_OR_RETURN(const Bitmap matched_bits,
                        FilterBitmap(*PredicateToBoolExpr(predicate), table,
-                                    ScanUniverse::Of(universe)));
+                                    ScanUniverse::Of(lineage.rows)));
 
   const AggregateQuery& query = result.query;
   const size_t num_keys = query.group_by.size();
@@ -48,36 +30,38 @@ Result<QueryResult> IncrementalClean(const Table& table,
   out.rows = std::make_shared<Table>(result.rows->schema(), "result");
   out.source = result.source;
   out.source_rows = result.source_rows;
+  std::vector<RowId>& survivors = out.lineage.rows;
+  survivors.reserve(lineage.rows.size());
+  out.lineage.offsets.push_back(0);
 
   std::vector<Value> row(num_keys + num_aggs);
   for (size_t g = 0; g < result.num_groups(); ++g) {
-    const std::vector<RowId>& lineage = result.lineage[g];
-    const size_t base = group_offset[g];
-    std::vector<RowId> survivors;
-    survivors.reserve(lineage.size());
-    for (size_t p = 0; p < lineage.size(); ++p) {
-      if (!matched_bits.Test(base + p)) survivors.push_back(lineage[p]);
+    const size_t begin = lineage.offsets[g];
+    const size_t end = lineage.offsets[g + 1];
+    const size_t first = survivors.size();
+    for (size_t p = begin; p < end; ++p) {
+      if (!matched_bits.Test(p)) survivors.push_back(lineage.rows[p]);
     }
-    if (survivors.empty()) continue;  // the whole group was cleaned away
+    const size_t kept = survivors.size() - first;
+    if (kept == 0) continue;  // the whole group was cleaned away
 
-    if (survivors.size() == lineage.size()) {
-      // Untouched group: copy the result row and lineage verbatim.
+    if (kept == end - begin) {
+      // Untouched group: copy the result row verbatim.
       DBW_RETURN_NOT_OK(out.rows->AppendRow(result.rows->GetRow(
           static_cast<RowId>(g))));
-      out.lineage.push_back(lineage);
-      continue;
+    } else {
+      for (size_t k = 0; k < num_keys; ++k) {
+        row[k] = result.rows->GetValue(static_cast<RowId>(g), k);
+      }
+      // Re-aggregate the survivors in lineage (= scan) order with the
+      // executor's fold, so every value is bit-identical to
+      // re-execution's.
+      DBW_RETURN_NOT_OK(AggregateRows(
+          query, table, std::span<const RowId>(survivors).subspan(first),
+          row.data() + num_keys));
+      DBW_RETURN_NOT_OK(out.rows->AppendRow(row));
     }
-
-    for (size_t k = 0; k < num_keys; ++k) {
-      row[k] = result.rows->GetValue(static_cast<RowId>(g), k);
-    }
-    // Re-aggregate the survivors in lineage (= scan) order with the
-    // executor's fold, so every value is bit-identical to
-    // re-execution's.
-    DBW_RETURN_NOT_OK(
-        AggregateRows(query, table, survivors, row.data() + num_keys));
-    DBW_RETURN_NOT_OK(out.rows->AppendRow(row));
-    out.lineage.push_back(std::move(survivors));
+    out.lineage.offsets.push_back(survivors.size());
   }
   return out;
 }

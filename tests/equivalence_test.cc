@@ -399,14 +399,7 @@ TEST_P(RemovalScorerEquivalence, MatchesFromScratchRecomputation) {
     // Select a subset of groups, as the pipeline does.
     std::vector<size_t> selected;
     for (size_t g = 0; g < result.num_groups(); g += 2) selected.push_back(g);
-    std::vector<RowId> suspects;
-    for (size_t g : selected) {
-      suspects.insert(suspects.end(), result.lineage[g].begin(),
-                      result.lineage[g].end());
-    }
-    std::sort(suspects.begin(), suspects.end());
-    suspects.erase(std::unique(suspects.begin(), suspects.end()),
-                   suspects.end());
+    const std::vector<RowId> suspects = result.lineage.BackwardUnion(selected);
     if (suspects.empty()) continue;
 
     auto scorer_or =
@@ -486,12 +479,7 @@ TEST(RankerDedupTest, EqualSetsCollapseDistinctSetsSurvive) {
   QueryResult result =
       *ExecuteQuery(*ParseQuery("SELECT g, avg(v) AS x FROM t GROUP BY g"), t);
   std::vector<size_t> selected = {0, 1};
-  std::vector<RowId> suspects;
-  for (size_t g : selected) {
-    suspects.insert(suspects.end(), result.lineage[g].begin(),
-                    result.lineage[g].end());
-  }
-  std::sort(suspects.begin(), suspects.end());
+  const std::vector<RowId> suspects = result.lineage.BackwardUnion(selected);
 
   auto make = [](Clause c) {
     EnumeratedPredicate ep;

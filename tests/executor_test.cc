@@ -1,5 +1,5 @@
-// The vectorized executor (bitmap WHERE, typed group keys, typed
-// aggregate inputs) against the row-at-a-time reference in
+// The vectorized executor (bitmap WHERE, typed group keys, one fold
+// per aggregate, CSR lineage) against the row-at-a-time reference in
 // reference_executor.h: on random tables and queries both must give
 // the same result JSON bytes, the same lineage and the same error
 // Status, on a plain table and on a 4-shard set's fused view, at the
@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <functional>
@@ -20,6 +21,7 @@
 #include "dbwipes/expr/bool_expr.h"
 #include "dbwipes/expr/parser.h"
 #include "dbwipes/query/executor.h"
+#include "dbwipes/query/incremental.h"
 #include "dbwipes/storage/shard.h"
 #include "reference_executor.h"
 
@@ -27,6 +29,11 @@ namespace dbwipes {
 namespace {
 
 const double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+std::vector<RowId> LineageOf(const QueryResult& r, size_t group) {
+  const std::span<const RowId> rows = r.lineage[group];
+  return {rows.begin(), rows.end()};
+}
 
 /// i: int64 with NULLs; k: small int64 range, no NULLs; d: double with
 /// NULLs, NaN-free; x: double with NULLs and NaNs; z: ±0.0 and a few
@@ -216,6 +223,45 @@ void AtBothTiers(const std::function<void(const std::string&)>& fn) {
   }
 }
 
+/// The CSR law of a result's lineage: the offsets start at 0, never
+/// decrease and end at the WHERE bitmap's popcount; each slice is
+/// ascending; the slices' union is exactly the passing rows. Without
+/// capture the result carries no lineage, and IncrementalClean
+/// refuses it.
+void ExpectLineageLaw(const QueryResult& r, const Table& table,
+                      const ExecOptions& options, const std::string& context) {
+  const Lineage& lineage = r.lineage;
+  if (!options.capture_lineage) {
+    EXPECT_FALSE(lineage.captured()) << context;
+    EXPECT_EQ(lineage.size(), 0u) << context;
+    EXPECT_TRUE(lineage.rows.empty()) << context;
+    const Predicate any({Clause::Make("k", CompareOp::kGe, Value(int64_t{0}))});
+    EXPECT_EQ(IncrementalClean(table, r, any).status().ToString(),
+              Status::InvalidArgument(
+                  "result was executed without lineage capture")
+                  .ToString())
+        << context;
+    return;
+  }
+  const Bitmap pass = *FilterBitmap(*r.query.where, table,
+                                    ScanUniverse::Range(0, table.num_rows()));
+  ASSERT_EQ(lineage.offsets.size(), r.num_groups() + 1) << context;
+  EXPECT_EQ(lineage.offsets.front(), 0u) << context;
+  EXPECT_TRUE(std::is_sorted(lineage.offsets.begin(), lineage.offsets.end()))
+      << context;
+  EXPECT_EQ(lineage.offsets.back(), pass.CountOnes()) << context;
+  ASSERT_EQ(lineage.rows.size(), lineage.offsets.back()) << context;
+  for (const std::span<const RowId> slice : lineage) {
+    EXPECT_TRUE(std::is_sorted(slice.begin(), slice.end())) << context;
+  }
+  std::vector<RowId> traced = lineage.rows;
+  std::sort(traced.begin(), traced.end());
+  std::vector<RowId> passing;
+  pass.ForEachSet(
+      [&](size_t row) { passing.push_back(static_cast<RowId>(row)); });
+  EXPECT_EQ(traced, passing) << context;
+}
+
 void ExpectSameAnswer(const AggregateQuery& query, const Table& table,
                       const ExecOptions& options, const std::string& context) {
   const Result<QueryResult> fast = ExecuteQuery(query, table, options);
@@ -232,6 +278,7 @@ void ExpectSameAnswer(const AggregateQuery& query, const Table& table,
             QueryResultToJson(*slow, /*pretty=*/false))
       << context;
   EXPECT_EQ(fast->lineage, slow->lineage) << context;
+  ExpectLineageLaw(*fast, table, options, context);
 }
 
 class ExecutorOracle : public ::testing::TestWithParam<uint64_t> {};
@@ -288,6 +335,52 @@ TEST_P(ExecutorOracle, FilterBitmapOverListedRowsMatchesTheReference) {
   }
 }
 
+// ---------- errors ----------
+
+// Each aggregate folds on its own and stops at its first failing row;
+// the query fails with the error a row-at-a-time loop meets first, the
+// smallest (row position, aggregate index). Here aggregate 1 fails on
+// an earlier passing row (row 2, group 2) than aggregate 0 (row 3,
+// group 1, which sorts first), and row 0, which would fail aggregate 0
+// earliest, does not pass the WHERE.
+TEST(ExecutorTest, FirstErrorIsTheEarliestRowThenTheLowestAggregate) {
+  Table t(Schema{{"g", DataType::kInt64},
+                 {"s", DataType::kString},
+                 {"t", DataType::kString}},
+          "t");
+  DBW_CHECK_OK(t.AppendRow({Value(int64_t{0}), Value("filtered"),
+                            Value::Null()}));
+  DBW_CHECK_OK(t.AppendRow({Value(int64_t{1}), Value::Null(), Value::Null()}));
+  DBW_CHECK_OK(t.AppendRow({Value(int64_t{2}), Value::Null(), Value("first")}));
+  DBW_CHECK_OK(t.AppendRow({Value(int64_t{1}), Value("second"),
+                            Value("third")}));
+  const std::shared_ptr<ShardSet> shards = *ShardSet::Create(t, 2);
+  const Table* const tables[] = {&t, shards->fused().get()};
+  auto expect_error = [&](const std::string& sql, const std::string& value) {
+    const AggregateQuery q = *ParseQuery(sql);
+    for (const Table* table : tables) {
+      AtBothTiers([&](const std::string& tier) {
+        const Result<QueryResult> fast = ExecuteQuery(q, *table);
+        const Result<QueryResult> slow = reference::ExecuteQuery(q, *table);
+        ASSERT_FALSE(fast.ok()) << sql << " (" << tier << ")";
+        ASSERT_FALSE(slow.ok()) << sql << " (" << tier << ")";
+        EXPECT_EQ(fast.status().ToString(), slow.status().ToString())
+            << sql << " (" << tier << ")";
+        EXPECT_EQ(fast.status().ToString(),
+                  "Type error: string '" + value + "' has no numeric value")
+            << sql << " (" << tier << ")";
+      });
+    }
+  };
+  expect_error("SELECT g, sum(s) AS a, avg(t) AS b FROM t WHERE g > 0 "
+               "GROUP BY g",
+               "first");
+  // Row 3 fails both aggregates first; the lower index wins.
+  expect_error("SELECT g, sum(s) AS a, avg(t) AS b FROM t WHERE g = 1 "
+               "GROUP BY g",
+               "second");
+}
+
 // ---------- group keys ----------
 
 Table KeyTable(const std::vector<Value>& xs) {
@@ -316,8 +409,8 @@ TEST(ExecutorTest, NaNKeysFormOneGroupAfterTheNumbers) {
   EXPECT_EQ(r.GroupKey(3)[0], Value(2.0));
   EXPECT_TRUE(std::isnan(r.GroupKey(4)[0].dbl()));
   EXPECT_EQ(r.rows->GetValue(4, 1), Value(int64_t{3}));
-  EXPECT_EQ(r.lineage[0], (std::vector<RowId>{2, 8}));
-  EXPECT_EQ(r.lineage[4], (std::vector<RowId>{0, 4, 6}));
+  EXPECT_EQ(LineageOf(r, 0), (std::vector<RowId>{2, 8}));
+  EXPECT_EQ(LineageOf(r, 4), (std::vector<RowId>{0, 4, 6}));
 
   // In a two-column key the rule applies per column: ('a', NULL),
   // ('a', NaN), ('b', -inf), ('b', -1), ('b', 2).
@@ -325,10 +418,10 @@ TEST(ExecutorTest, NaNKeysFormOneGroupAfterTheNumbers) {
       *ParseQuery("SELECT s, x, count(*) AS n FROM t GROUP BY s, x"), t);
   ASSERT_EQ(two.num_groups(), 5u);
   EXPECT_TRUE(two.GroupKey(0)[1].is_null());
-  EXPECT_EQ(two.lineage[0], (std::vector<RowId>{2, 8}));
+  EXPECT_EQ(LineageOf(two, 0), (std::vector<RowId>{2, 8}));
   EXPECT_EQ(two.GroupKey(1)[0], Value("a"));
   EXPECT_TRUE(std::isnan(two.GroupKey(1)[1].dbl()));
-  EXPECT_EQ(two.lineage[1], (std::vector<RowId>{0, 4, 6}));
+  EXPECT_EQ(LineageOf(two, 1), (std::vector<RowId>{0, 4, 6}));
   EXPECT_EQ(two.GroupKey(2)[0], Value("b"));
   EXPECT_EQ(two.GroupKey(2)[1],
             Value(-std::numeric_limits<double>::infinity()));
@@ -361,7 +454,7 @@ TEST(ExecutorTest, SignedZeroAndWideIntegerKeysFollowValueEquality) {
       KeyTable({Value(-0.0), Value(1.0), Value(0.0), Value(-0.0)}));
   ASSERT_EQ(zeros.num_groups(), 2u);
   EXPECT_TRUE(std::signbit(zeros.GroupKey(0)[0].dbl()));
-  EXPECT_EQ(zeros.lineage[0], (std::vector<RowId>{0, 2, 3}));
+  EXPECT_EQ(LineageOf(zeros, 0), (std::vector<RowId>{0, 2, 3}));
 
   Table wide(Schema{{"k", DataType::kInt64}}, "t");
   const int64_t big = int64_t{1} << 53;

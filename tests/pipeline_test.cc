@@ -16,8 +16,10 @@
 #include "dbwipes/core/predicate_enumerator.h"
 #include "dbwipes/core/predicate_ranker.h"
 #include "dbwipes/core/removal.h"
+#include "dbwipes/core/removal_scorer.h"
 #include "dbwipes/core/session.h"
 #include "dbwipes/expr/parser.h"
+#include "dbwipes/provenance/influence.h"
 #include "dbwipes/storage/shard.h"
 
 namespace dbwipes {
@@ -81,6 +83,36 @@ TEST(PreprocessorTest, ErrorsOnEmptySelection) {
   EXPECT_FALSE(Preprocessor::Run(*w.table, w.result, {}, *w.metric).ok());
 }
 
+// A result executed without lineage capture carries no offsets, so
+// every stage that reads a group's lineage must refuse it rather than
+// index into them.
+TEST(PreprocessorTest, LineageReadersRefuseAResultWithoutLineage) {
+  World w = MakeWorld();
+  ExecOptions opts;
+  opts.capture_lineage = false;
+  const QueryResult bare = *ExecuteQuery(
+      *ParseQuery("SELECT g, avg(v) AS a FROM w GROUP BY g"), *w.table, opts);
+  ASSERT_EQ(bare.num_groups(), 4u);
+  const std::string refused =
+      Status::InvalidArgument("result was executed without lineage capture")
+          .ToString();
+  const Table& t = *w.table;
+  const std::vector<size_t>& groups = w.suspicious_groups;
+  const ErrorFn fn = w.metric->AsErrorFn();
+  EXPECT_EQ(Preprocessor::Run(t, bare, groups, *w.metric).status().ToString(),
+            refused);
+  EXPECT_EQ(LeaveOneOutInfluence(t, bare, groups, fn).status().ToString(),
+            refused);
+  EXPECT_EQ(
+      LeaveOneOutInfluenceBruteForce(t, bare, groups, fn).status().ToString(),
+      refused);
+  EXPECT_EQ(ValuesAfterRemoval(t, bare, groups, 0, {}).status().ToString(),
+            refused);
+  EXPECT_EQ(
+      RemovalScorer::Create(t, bare, groups, 0, w.bad_rows).status().ToString(),
+      refused);
+}
+
 // ---------- removal evaluation ----------
 
 TEST(RemovalTest, RemovingBadRowsZeroesError) {
@@ -105,7 +137,8 @@ TEST(RemovalTest, ValuesAfterRemovalMatchManualRecompute) {
 
 TEST(RemovalTest, RemovingEverythingYieldsNaNThenZeroError) {
   World w = MakeWorld();
-  std::vector<RowId> all = w.result.lineage[2];
+  const std::span<const RowId> group2 = w.result.lineage[2];
+  const std::vector<RowId> all(group2.begin(), group2.end());
   auto values = *ValuesAfterRemoval(*w.table, w.result, {2}, 0, all);
   EXPECT_TRUE(std::isnan(values[0]));
   EXPECT_DOUBLE_EQ(*ErrorAfterRemoval(*w.table, w.result, {2}, *w.metric, 0,
@@ -116,10 +149,10 @@ TEST(RemovalTest, RemovingEverythingYieldsNaNThenZeroError) {
 TEST(RemovalTest, PerGroupErrorIsMonotoneInPartialRepair) {
   World w = MakeWorld();
   // Fixing only group 2: raw max-metric unchanged, per-group halves.
+  const std::span<const RowId> group2 = w.result.lineage[2];
   std::vector<RowId> group2_bad;
   for (RowId r : w.bad_rows) {
-    if (std::binary_search(w.result.lineage[2].begin(),
-                           w.result.lineage[2].end(), r)) {
+    if (std::binary_search(group2.begin(), group2.end(), r)) {
       group2_bad.push_back(r);
     }
   }
@@ -539,7 +572,8 @@ TEST(DBWipesTest, CleanWithNullLiteralFollowsClauseMatches) {
   const QueryResult emptied = *engine.Clean(result, non_null);
   ASSERT_EQ(emptied.num_groups(), 1u);
   EXPECT_EQ(emptied.GroupKey(0), std::vector<Value>{Value(int64_t{1})});
-  EXPECT_EQ(emptied.lineage, (std::vector<std::vector<RowId>>{{null_row}}));
+  EXPECT_EQ(emptied.lineage.offsets, (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(emptied.lineage.rows, std::vector<RowId>{null_row});
   EXPECT_TRUE(std::isnan(emptied.AggValue(0, 0)));
 
   // Re-executing the rewritten query deletes the same rows.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <span>
 
 #include "dbwipes/common/random.h"
 #include "dbwipes/expr/parser.h"
@@ -34,15 +36,26 @@ QueryResult RunAvg(const Table& t) {
 
 // ---------- lineage ----------
 
+/// Forward trace read off the CSR: the group whose slice holds `row`.
+std::optional<size_t> SliceHolding(const Lineage& lineage, RowId row) {
+  for (size_t g = 0; g < lineage.size(); ++g) {
+    const std::span<const RowId> slice = lineage[g];
+    if (std::binary_search(slice.begin(), slice.end(), row)) return g;
+  }
+  return std::nullopt;
+}
+
 TEST(LineageTest, BackwardAndForward) {
   auto t = MakeReadings();
   QueryResult r = RunAvg(*t);
-  LineageStore store(r, t->num_rows());
-  EXPECT_EQ(store.num_groups(), 3u);
-  EXPECT_EQ(store.Backward(1), (std::vector<RowId>{2, 3, 4}));
-  EXPECT_EQ(*store.Forward(3), 1u);
-  EXPECT_EQ(*store.Forward(0), 0u);
-  EXPECT_EQ(store.num_traced_rows(), 6u);
+  ASSERT_EQ(r.lineage.size(), 3u);
+  const std::span<const RowId> group1 = r.lineage[1];
+  EXPECT_EQ(std::vector<RowId>(group1.begin(), group1.end()),
+            (std::vector<RowId>{2, 3, 4}));
+  EXPECT_EQ(SliceHolding(r.lineage, 3), 1u);
+  EXPECT_EQ(SliceHolding(r.lineage, 0), 0u);
+  EXPECT_EQ(r.lineage.offsets.back(), 6u);
+  EXPECT_EQ(r.lineage.rows.size(), 6u);
 }
 
 TEST(LineageTest, FilteredRowsHaveNoForwardTrace) {
@@ -52,16 +65,15 @@ TEST(LineageTest, FilteredRowsHaveNoForwardTrace) {
           "SELECT sensor, avg(temp) AS t FROM r WHERE temp < 100 GROUP BY "
           "sensor"),
       *t);
-  LineageStore store(r, t->num_rows());
-  EXPECT_FALSE(store.Forward(3).has_value());  // the 120-degree row
-  EXPECT_TRUE(store.Forward(2).has_value());
+  EXPECT_EQ(SliceHolding(r.lineage, 3), std::nullopt);  // the 120-degree row
+  EXPECT_EQ(SliceHolding(r.lineage, 2), 1u);
+  EXPECT_EQ(r.lineage.rows.size(), 5u);
 }
 
 TEST(LineageTest, BackwardUnionDeduplicates) {
   auto t = MakeReadings();
   QueryResult r = RunAvg(*t);
-  LineageStore store(r, t->num_rows());
-  auto rows = store.BackwardUnion({0, 1, 1});
+  auto rows = r.lineage.BackwardUnion({0, 1, 1});
   EXPECT_EQ(rows, (std::vector<RowId>{0, 1, 2, 3, 4}));
 }
 

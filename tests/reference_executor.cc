@@ -151,7 +151,9 @@ Result<QueryResult> ExecuteQuery(const AggregateQuery& query,
   QueryResult result;
   result.query = query;
   result.rows = std::make_shared<Table>(Schema(std::move(fields)), "result");
-  result.lineage.reserve(groups.size());
+  // Lineage in ExecuteQuery's CSR form: each group's rows in key order,
+  // and no offsets at all without capture.
+  if (options.capture_lineage) result.lineage.offsets.push_back(0);
 
   std::vector<Value> out_row(group_cols.size() + query.aggregates.size());
   for (size_t oi : order) {
@@ -169,7 +171,11 @@ Result<QueryResult> ExecuteQuery(const AggregateQuery& query,
       }
     }
     DBW_RETURN_NOT_OK(result.rows->AppendRow(out_row));
-    result.lineage.push_back(std::move(g.lineage));
+    if (options.capture_lineage) {
+      result.lineage.rows.insert(result.lineage.rows.end(),
+                                 g.lineage.begin(), g.lineage.end());
+      result.lineage.offsets.push_back(result.lineage.rows.size());
+    }
   }
   return result;
 }

@@ -122,13 +122,30 @@ void BM_DecisionTreeFit(benchmark::State& state) {
     labels.push_back(
         std::binary_search(truth.begin(), truth.end(), r) ? 1 : 0);
   }
+  // Fits of one debug share F's snapshot, so it is built once here.
+  const FeatureColumns columns = view.Snapshot(rows);
   for (auto _ : state) {
-    auto tree = DecisionTree::Fit(view, rows, labels, {}, {});
+    auto tree = DecisionTree::Fit(columns, labels);
     benchmark::DoNotOptimize(tree);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_DecisionTreeFit)->Arg(10000)->Arg(50000);
+
+// The snapshot the fits share, its presort included.
+void BM_FeatureSnapshot(benchmark::State& state) {
+  const LabeledDataset& data = Data(static_cast<size_t>(state.range(0)));
+  const FeatureView view =
+      *FeatureView::CreateExcluding(*data.table, {"v"});
+  std::vector<RowId> rows(data.table->num_rows());
+  for (RowId r = 0; r < rows.size(); ++r) rows[r] = r;
+  for (auto _ : state) {
+    FeatureColumns columns = view.Snapshot(rows);
+    benchmark::DoNotOptimize(columns);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_FeatureSnapshot)->Arg(10000)->Arg(50000);
 
 void BM_SubgroupDiscovery(benchmark::State& state) {
   const LabeledDataset& data = Data(static_cast<size_t>(state.range(0)));

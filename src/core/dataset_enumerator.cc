@@ -134,6 +134,18 @@ Result<std::vector<CandidateDataset>> DatasetEnumerator::Enumerate(
     const FeatureView& view, const ErrorMetric& metric,
     size_t agg_index, const ExecContext& ctx,
     std::vector<RowId>* cleaned_dprime) const {
+  return Enumerate(table, result, selected_groups, preprocess, dprime,
+                   view.Snapshot(preprocess.suspect_inputs), metric, agg_index,
+                   ctx, cleaned_dprime);
+}
+
+Result<std::vector<CandidateDataset>> DatasetEnumerator::Enumerate(
+    const Table& table, const QueryResult& result,
+    const std::vector<size_t>& selected_groups,
+    const PreprocessResult& preprocess, const std::vector<RowId>& dprime,
+    const FeatureColumns& columns, const ErrorMetric& metric,
+    size_t agg_index, const ExecContext& ctx,
+    std::vector<RowId>* cleaned_dprime) const {
   DBW_FAULT(ctx, "enumerate/datasets");
   DBW_TRACE_SPAN("enumerate/datasets");
   const std::vector<RowId>& suspects = preprocess.suspect_inputs;
@@ -141,6 +153,10 @@ Result<std::vector<CandidateDataset>> DatasetEnumerator::Enumerate(
     return Status::InvalidArgument(
         "selection has no lineage tuples to explain");
   }
+  if (columns.num_rows() != suspects.size()) {
+    return Status::InvalidArgument("snapshot/suspects size mismatch");
+  }
+  const FeatureView& view = columns.view();
 
   // 1. Clean D'.
   DBW_ASSIGN_OR_RETURN(
@@ -202,7 +218,7 @@ Result<std::vector<CandidateDataset>> DatasetEnumerator::Enumerate(
     }
     if (num_pos > 0 && num_pos < suspects.size()) {
       DBW_TRACE_SPAN("enumerate/subgroups");
-      auto subgroups = DiscoverSubgroups(view.Snapshot(suspects), labels,
+      auto subgroups = DiscoverSubgroups(columns, labels,
                                          /*init_weights=*/{},
                                          options_.subgroup_options);
       if (subgroups.ok()) {

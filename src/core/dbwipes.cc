@@ -209,15 +209,18 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
     plan = &shard_plan;
   }
 
-  // Stage 2: Dataset Enumerator.
+  // Stage 2: Dataset Enumerator. Both enumerators read F through one
+  // snapshot, whose presort every subgroup search and tree fit shares.
   t0 = std::chrono::steady_clock::now();
+  const FeatureColumns suspect_columns =
+      view.Snapshot(out.preprocess.suspect_inputs);
   DatasetEnumerator enumerator(options_.enumerator);
   {
     DBW_TRACE_SPAN("pipeline/enumerate");
     auto candidates = enumerator.Enumerate(
         *table, result, request.selected_groups, out.preprocess,
-        request.suspicious_inputs, view, *request.metric, request.agg_index,
-        ctx, &out.cleaned_dprime);
+        request.suspicious_inputs, suspect_columns, *request.metric,
+        request.agg_index, ctx, &out.cleaned_dprime);
     if (!candidates.ok()) {
       if (candidates.status().IsInterrupt()) {
         degrade(candidates.status());
@@ -237,7 +240,8 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
   {
     DBW_TRACE_SPAN("pipeline/predicates");
     auto r = predicate_enumerator.Enumerate(
-        view, out.preprocess.suspect_inputs, out.candidates, ctx, plan);
+        suspect_columns, out.preprocess.suspect_inputs, out.candidates, ctx,
+        plan);
     if (!r.ok()) {
       if (r.status().IsInterrupt()) {
         degrade(r.status());

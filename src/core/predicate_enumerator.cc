@@ -199,8 +199,18 @@ Result<std::vector<EnumeratedPredicate>> PredicateEnumerator::Enumerate(
     const FeatureView& view, const std::vector<RowId>& suspects,
     const std::vector<CandidateDataset>& candidates,
     const ExecContext& ctx, const ShardPlan* shards) const {
+  return Enumerate(view.Snapshot(suspects), suspects, candidates, ctx, shards);
+}
+
+Result<std::vector<EnumeratedPredicate>> PredicateEnumerator::Enumerate(
+    const FeatureColumns& columns, const std::vector<RowId>& suspects,
+    const std::vector<CandidateDataset>& candidates,
+    const ExecContext& ctx, const ShardPlan* shards) const {
   DBW_FAULT(ctx, "enumerate/predicates");
   DBW_TRACE_SPAN("enumerate/predicates");
+  if (columns.num_rows() != suspects.size()) {
+    return Status::InvalidArgument("snapshot/suspects size mismatch");
+  }
   if (candidates.empty()) {
     return Status::InvalidArgument("no candidate datasets");
   }
@@ -230,7 +240,7 @@ Result<std::vector<EnumeratedPredicate>> PredicateEnumerator::Enumerate(
       }
     }
   }
-  const FeatureColumns columns = view.Snapshot(suspects);
+  const FeatureView& view = columns.view();
   std::optional<SampleCounter> sample;
   if (options_.add_bounding_predicates) {
     DBW_TRACE_SPAN("predicates/bounding");
@@ -296,8 +306,7 @@ Result<std::vector<EnumeratedPredicate>> PredicateEnumerator::Enumerate(
         DBW_TRACE_SPAN("predicates/tree");
         DecisionTreeOptions fit_options = strategies[g];
         fit_options.max_depth = fit_depth[g];
-        fits[g] = DecisionTree::Fit(columns, labels, /*weights=*/{},
-                                    fit_options);
+        fits[g] = DecisionTree::Fit(columns, labels, fit_options);
       }
       if (!fits[g]->ok()) continue;
       const DecisionTree& fitted = **fits[g];

@@ -54,8 +54,10 @@ class DatasetEnumerator {
   explicit DatasetEnumerator(DatasetEnumeratorOptions options = {})
       : options_(std::move(options)) {}
 
-  /// `view` defines the attributes subgroups may describe; `dprime`
-  /// holds the user's example suspicious inputs (base-table RowIds,
+  /// `columns` is the snapshot of F, FeatureView::Snapshot of
+  /// preprocess.suspect_inputs, and its view defines the attributes
+  /// subgroups may describe; `dprime` holds the user's example
+  /// suspicious inputs (base-table RowIds,
   /// may be empty — then influence alone drives the search);
   /// `preprocess` supplies F, the influence ranking, and the baseline
   /// error; `metric`/`agg_index` evaluate candidates. `ctx` is checked
@@ -64,6 +66,15 @@ class DatasetEnumerator {
   /// "enumerate/datasets"). When `cleaned_dprime` is non-null it
   /// receives the CleanDPrime output the candidates are built from, as
   /// soon as cleaning finishes (so also on a later interrupt).
+  Result<std::vector<CandidateDataset>> Enumerate(
+      const Table& table, const QueryResult& result,
+      const std::vector<size_t>& selected_groups,
+      const PreprocessResult& preprocess, const std::vector<RowId>& dprime,
+      const FeatureColumns& columns, const ErrorMetric& metric,
+      size_t agg_index = 0, const ExecContext& ctx = ExecContext::None(),
+      std::vector<RowId>* cleaned_dprime = nullptr) const;
+
+  /// Enumerate over view.Snapshot(preprocess.suspect_inputs).
   Result<std::vector<CandidateDataset>> Enumerate(
       const Table& table, const QueryResult& result,
       const std::vector<size_t>& selected_groups,

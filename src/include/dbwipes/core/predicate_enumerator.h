@@ -76,6 +76,16 @@ class PredicateEnumerator {
   /// over the shards' own tables instead of one fused scan; fractions
   /// are sums of per-shard counts, so emitted predicates are identical
   /// at every shard count.
+  ///
+  /// `columns` is the snapshot of F (FeatureView::Snapshot(suspects)):
+  /// every tree fit shares it and its presort.
+  Result<std::vector<EnumeratedPredicate>> Enumerate(
+      const FeatureColumns& columns, const std::vector<RowId>& suspects,
+      const std::vector<CandidateDataset>& candidates,
+      const ExecContext& ctx = ExecContext::None(),
+      const ShardPlan* shards = nullptr) const;
+
+  /// Enumerate over view.Snapshot(suspects).
   Result<std::vector<EnumeratedPredicate>> Enumerate(
       const FeatureView& view, const std::vector<RowId>& suspects,
       const std::vector<CandidateDataset>& candidates,

@@ -21,8 +21,8 @@ struct DecisionTreeOptions {
   /// Depth bound doubles as a predicate-complexity bound: a leaf at
   /// depth d yields a predicate with at most d clauses.
   size_t max_depth = 4;
-  double min_samples_leaf = 1.0;    // weighted
-  double min_samples_split = 2.0;   // weighted
+  double min_samples_leaf = 1.0;
+  double min_samples_split = 2.0;
   double min_impurity_decrease = 0.0;
   /// Cost-complexity post-pruning strength (0 = off).
   double ccp_alpha = 0.0;
@@ -41,6 +41,7 @@ struct DecisionTreeOptions {
 ///    prediction.
 ///  - categorical feature: one-vs-rest, left branch = (x == category);
 ///    NULL goes right.
+/// Every example weighs 1, so each class mass is an integer count.
 class DecisionTree {
  public:
   struct Node {
@@ -52,7 +53,7 @@ class DecisionTree {
     int32_t category = -1;
     int left = -1;
     int right = -1;
-    // Weighted class mass reaching the node.
+    // Examples of each class reaching the node.
     double n0 = 0.0;
     double n1 = 0.0;
     int depth = 0;
@@ -61,19 +62,17 @@ class DecisionTree {
     double prob1() const { return total() > 0.0 ? n1 / total() : 0.0; }
   };
 
-  /// Fits a tree on the snapshot's rows with binary labels and
-  /// optional per-example weights (pass empty for uniform). Both
-  /// vectors must align with the snapshot's positions.
+  /// Fits a tree on the snapshot's rows with binary labels, aligned
+  /// with the snapshot's positions. Fits of one snapshot share its
+  /// presort: no node sorts.
   static Result<DecisionTree> Fit(const FeatureColumns& columns,
                                   const std::vector<int>& labels,
-                                  const std::vector<double>& weights,
                                   const DecisionTreeOptions& options = {});
 
   /// Fit over view.Snapshot(rows).
   static Result<DecisionTree> Fit(const FeatureView& view,
                                   const std::vector<RowId>& rows,
                                   const std::vector<int>& labels,
-                                  const std::vector<double>& weights,
                                   const DecisionTreeOptions& options = {});
 
   /// This tree cut at `max_depth`: nodes at that depth become leaves.
@@ -92,8 +91,8 @@ class DecisionTree {
   size_t depth() const;
 
   /// Extracts one conjunctive Predicate per leaf whose positive-class
-  /// probability is >= min_precision and whose weighted positive mass
-  /// is >= min_positive_weight. Each predicate is the conjunction of
+  /// probability is >= min_precision and which holds at least
+  /// min_positive_weight positives. Each predicate is the conjunction of
   /// the split conditions along the root-to-leaf path, simplified.
   std::vector<Predicate> PositiveLeafPredicates(
       const FeatureView& view, double min_precision = 0.5,

@@ -1,6 +1,7 @@
 #ifndef DBWIPES_LEARN_FEATURE_H_
 #define DBWIPES_LEARN_FEATURE_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -85,10 +86,12 @@ class FeatureView {
 /// NULL, so per-category arrays are bounded by the rows, not by the
 /// column's dictionary (which only grows); ranks order like codes. A
 /// numeric feature holds its values exactly as FeatureView::Get returns
-/// them, NaN for NULL. Every learner treats a NULL and a NaN value
-/// alike (neither side of a numeric split or cut takes it), so no
-/// separate NULL flag is kept. Borrows the view, which must outlive the
-/// snapshot.
+/// them, NaN for NULL, and its presort: the positions of its non-NaN
+/// values in (value, position) order, sorted once here so that no
+/// learner sorts again (SPRINT's attribute list). Every learner treats
+/// a NULL and a NaN value alike (neither side of a numeric split or cut
+/// takes it, and neither is in the presort), so no separate NULL flag
+/// is kept. Borrows the view, which must outlive the snapshot.
 class FeatureColumns {
  public:
   const FeatureView& view() const { return *view_; }
@@ -113,6 +116,9 @@ class FeatureColumns {
   }
   /// Values of numeric feature f (NaN = NULL), num_rows() of them.
   const std::vector<double>& values(size_t f) const { return values_[f]; }
+  /// The positions i of numeric feature f whose values(f)[i] is not
+  /// NaN, ascending by (value, i); -0.0 and +0.0 tie.
+  const std::vector<uint32_t>& sorted(size_t f) const { return sorted_[f]; }
 
  private:
   friend class FeatureView;
@@ -124,6 +130,7 @@ class FeatureColumns {
   std::vector<std::vector<int32_t>> ranks_;
   std::vector<std::vector<int32_t>> categories_;
   std::vector<std::vector<double>> values_;
+  std::vector<std::vector<uint32_t>> sorted_;
 };
 
 }  // namespace dbwipes

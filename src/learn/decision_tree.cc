@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <utility>
 
@@ -44,21 +45,28 @@ struct SplitEval {
   double left_pos_frac = 0.0;
 };
 
-/// Scores a (left, right) partition under the configured criterion.
-/// Returns (score, impurity_decrease); higher score is better.
-std::pair<double, double> ScorePartition(SplitCriterion criterion, double l0,
-                                         double l1, double r0, double r1) {
+/// The impurity of a node with class counts (n0, n1) under `criterion`.
+double Impurity(SplitCriterion criterion, double n0, double n1) {
+  return criterion == SplitCriterion::kGini ? Gini(n0, n1) : Entropy(n0, n1);
+}
+
+/// Scores a (left, right) partition of a node whose impurity is
+/// `parent` under the configured criterion. Returns (score,
+/// impurity_decrease); higher score is better. The counts are integers,
+/// so l0 + r0 and l1 + r1 are the node's counts exactly, and `parent`
+/// is what Impurity(l0 + r0, l1 + r1) would give.
+std::pair<double, double> ScorePartition(SplitCriterion criterion,
+                                         double parent, double l0, double l1,
+                                         double r0, double r1) {
   const double n = l0 + l1 + r0 + r1;
   const double nl = l0 + l1;
   const double nr = r0 + r1;
   if (criterion == SplitCriterion::kGini) {
-    const double parent = Gini(l0 + r0, l1 + r1);
     const double child = (nl / n) * Gini(l0, l1) + (nr / n) * Gini(r0, r1);
     const double decrease = parent - child;
     return {decrease, decrease};
   }
   // Gain ratio: information gain normalized by split info.
-  const double parent = Entropy(l0 + r0, l1 + r1);
   const double child = (nl / n) * Entropy(l0, l1) + (nr / n) * Entropy(r0, r1);
   const double gain = parent - child;
   double split_info = 0.0;
@@ -83,33 +91,111 @@ bool GoesLeft(const FeatureColumns& columns, const DecisionTree::Node& split,
   return columns.values(split.feature)[i] <= split.threshold;
 }
 
+/// One entry of a numeric feature's attribute list.
+struct Entry {
+  double value;
+  uint32_t pos;
+  uint32_t label;
+};
+
+/// A node's part [begin, end) of one list.
+struct Span {
+  size_t begin = 0;
+  size_t end = 0;
+  size_t size() const { return end - begin; }
+};
+
+/// Moves the elements of `span` of `list` that `goes_left` picks to
+/// its front and the others behind them, each part in its order, and
+/// returns the front part's size. `scratch` holds at least span.size()
+/// elements.
+template <typename T, typename GoesLeftFn>
+size_t StablePartition(std::vector<T>* list, Span span, std::vector<T>* scratch,
+                       const GoesLeftFn& goes_left) {
+  T* left = list->data() + span.begin;
+  T* right = scratch->data();
+  for (size_t k = span.begin; k < span.end; ++k) {
+    // [begin, left) holds the left elements so far, and every slot in
+    // [left, k) has gone to the scratch, so both writes are safe.
+    const T item = (*list)[k];
+    const bool l = goes_left(item);
+    *left = item;
+    *right = item;
+    left += l;
+    right += !l;
+  }
+  std::copy(scratch->data(), right, left);
+  return static_cast<size_t>(left - (list->data() + span.begin));
+}
+
+/// SPRINT's builder (Shafer, Agrawal, Mehta, VLDB 1996), depth first.
+/// Every numeric feature has one attribute list, its snapshot presort
+/// with values and labels, and the lists lie back to back in one array
+/// (one allocation per fit); every node owns a span of each list and a
+/// span of the positions in ascending order. A split partitions each
+/// span stably into its children's spans, so a node's list is still in
+/// (value, position) order and no node sorts. A position whose value
+/// is NaN or NULL is in no list of that feature; GoesLeft routes it.
 class TreeBuilder {
  public:
   TreeBuilder(const FeatureColumns& columns, const std::vector<int>& labels,
-              const std::vector<double>& weights,
               const DecisionTreeOptions& options,
               std::vector<DecisionTree::Node>* nodes)
       : columns_(columns),
         labels_(labels),
-        weights_(weights),
         options_(options),
-        nodes_(nodes) {
+        nodes_(nodes),
+        rows_(columns.num_rows()),
+        root_lists_(columns.num_features()),
+        goes_left_(columns.num_rows()),
+        row_scratch_(columns.num_rows()) {
+    for (size_t i = 0; i < rows_.size(); ++i) {
+      rows_[i] = static_cast<uint32_t>(i);
+    }
     size_t num_categories = 0;
+    size_t longest = 0;
+    size_t total = 0;
     for (size_t f = 0; f < columns.num_features(); ++f) {
       if (columns.categorical(f)) {
         num_categories =
             std::max(num_categories, columns.categories(f).size());
+        continue;
+      }
+      root_lists_[f] = {total, total + columns.sorted(f).size()};
+      total = root_lists_[f].end;
+      longest = std::max(longest, columns.sorted(f).size());
+    }
+    lists_.reserve(total);
+    for (size_t f = 0; f < columns.num_features(); ++f) {
+      if (columns.categorical(f)) continue;
+      const std::vector<double>& values = columns.values(f);
+      for (uint32_t p : columns.sorted(f)) {
+        lists_.push_back({values[p], p, static_cast<uint32_t>(labels[p])});
       }
     }
     mass_.resize(num_categories);
+    entry_scratch_.resize(longest);
   }
 
-  int Build(std::vector<size_t> indices, int depth) {
+  /// Grows the tree from the root, which owns every position.
+  void Build() { Build({0, rows_.size()}, root_lists_, 0); }
+
+ private:
+  struct CatMass {
+    double n0 = 0.0;
+    double n1 = 0.0;
+    bool touched = false;
+  };
+
+  int Build(Span rows, const std::vector<Span>& lists, int depth) {
     DecisionTree::Node node;
     node.depth = depth;
-    for (size_t i : indices) {
-      (labels_[i] == 1 ? node.n1 : node.n0) += weights_[i];
+    size_t positives = 0;
+    for (size_t k = rows.begin; k < rows.end; ++k) {
+      positives += static_cast<size_t>(labels_[rows_[k]]);
     }
+    node.n1 = static_cast<double>(positives);
+    node.n0 = static_cast<double>(rows.size() - positives);
     const int id = static_cast<int>(nodes_->size());
     nodes_->push_back(node);
 
@@ -119,7 +205,7 @@ class TreeBuilder {
       return id;
     }
 
-    const SplitEval best = FindBestSplit(indices, node.n0, node.n1);
+    const SplitEval best = FindBestSplit(rows, lists, node.n0, node.n1);
     if (!best.valid ||
         best.impurity_decrease < options_.min_impurity_decrease) {
       return id;
@@ -131,61 +217,62 @@ class TreeBuilder {
     split.categorical = best.categorical;
     split.threshold = best.threshold;
     split.category = best.category;
-    std::vector<size_t> left, right;
-    left.reserve(indices.size());
-    right.reserve(indices.size());
-    for (size_t i : indices) {
-      (GoesLeft(columns_, split, i) ? left : right).push_back(i);
+    for (size_t k = rows.begin; k < rows.end; ++k) {
+      goes_left_[rows_[k]] = GoesLeft(columns_, split, rows_[k]);
     }
-    if (left.empty() || right.empty()) return id;
+    const size_t num_left = StablePartition(
+        &rows_, rows, &row_scratch_,
+        [this](uint32_t p) { return goes_left_[p] != 0; });
+    if (num_left == 0 || num_left == rows.size()) return id;
 
-    indices.clear();
-    indices.shrink_to_fit();
+    // Children at max_depth never split, so they read no list.
+    std::vector<Span> left_lists(lists.size()), right_lists(lists.size());
+    if (depth + 1 < static_cast<int>(options_.max_depth)) {
+      for (size_t f = 0; f < lists.size(); ++f) {
+        if (columns_.categorical(f)) continue;
+        const size_t left = StablePartition(
+            &lists_, lists[f], &entry_scratch_,
+            [this](const Entry& e) { return goes_left_[e.pos] != 0; });
+        left_lists[f] = {lists[f].begin, lists[f].begin + left};
+        right_lists[f] = {lists[f].begin + left, lists[f].end};
+      }
+    }
 
     (*nodes_)[id] = split;
-    const int left_id = Build(std::move(left), depth + 1);
+    const int left_id =
+        Build({rows.begin, rows.begin + num_left}, left_lists, depth + 1);
     (*nodes_)[id].left = left_id;
-    const int right_id = Build(std::move(right), depth + 1);
+    const int right_id =
+        Build({rows.begin + num_left, rows.end}, right_lists, depth + 1);
     (*nodes_)[id].right = right_id;
     return id;
   }
 
- private:
-  struct Item {
-    double value;
-    double w0;
-    double w1;
-  };
-  struct CatMass {
-    double w0 = 0.0;
-    double w1 = 0.0;
-    bool touched = false;
-  };
-
-  // tot0/tot1 are the node's class masses: the same sums, in the same
-  // index order, that each feature's pass would otherwise recompute.
-  SplitEval FindBestSplit(const std::vector<size_t>& indices, double tot0,
-                          double tot1) {
+  // tot0/tot1 are the node's class counts, NaN and NULL rows included.
+  SplitEval FindBestSplit(Span rows, const std::vector<Span>& lists,
+                          double tot0, double tot1) {
     SplitEval best;
+    const double parent = Impurity(options_.criterion, tot0, tot1);
     for (size_t f = 0; f < columns_.num_features(); ++f) {
       if (columns_.categorical(f)) {
-        EvalCategorical(indices, f, tot0, tot1, &best);
+        EvalCategorical(rows, f, parent, tot0, tot1, &best);
       } else {
-        EvalNumeric(indices, f, tot0, tot1, &best);
+        EvalNumeric(lists[f], f, parent, tot0, tot1, &best);
       }
     }
     return best;
   }
 
-  void Consider(SplitEval* best, SplitCriterion criterion, double l0,
-                double l1, double r0, double r1, size_t feature,
-                bool categorical, double threshold, int32_t category) const {
+  void Consider(SplitEval* best, double parent, double l0, double l1,
+                double r0, double r1, size_t feature, bool categorical,
+                double threshold, int32_t category) const {
     const double nl = l0 + l1;
     const double nr = r0 + r1;
     if (nl < options_.min_samples_leaf || nr < options_.min_samples_leaf) {
       return;
     }
-    const auto [score, decrease] = ScorePartition(criterion, l0, l1, r0, r1);
+    const auto [score, decrease] =
+        ScorePartition(options_.criterion, parent, l0, l1, r0, r1);
     const double left_pos_frac = nl > 0.0 ? l1 / nl : 0.0;
     const bool better =
         score > best->score ||
@@ -202,41 +289,36 @@ class TreeBuilder {
     }
   }
 
-  void EvalNumeric(const std::vector<size_t>& indices, size_t f, double tot0,
+  /// Scores every cut between distinct values of the node's list, in
+  /// ascending order. The class counts left of a cut are integers, so
+  /// they do not depend on how the presort ordered equal values. Nor
+  /// does the midpoint: equal values differ at most in the sign of
+  /// zero, and a + (b - a) / 2 has the same bits for either zero as a
+  /// or b. Rows with no value (NaN, NULL) stay on the right.
+  void EvalNumeric(Span span, size_t f, double parent, double tot0,
                    double tot1, SplitEval* best) {
-    // Sort the values; NULL and NaN accumulate on the right side (NaN
-    // has no place in a `<` order, and `NaN <= t` routes it right).
-    const std::vector<double>& values = columns_.values(f);
-    items_.clear();
-    for (size_t i : indices) {
-      const double v = values[i];
-      if (std::isnan(v)) continue;
-      const double w = weights_[i];
-      const int y = labels_[i];
-      items_.push_back({v, y == 0 ? w : 0.0, y == 1 ? w : 0.0});
-    }
-    if (items_.size() < 2) return;
-    std::sort(items_.begin(), items_.end(),
-              [](const Item& a, const Item& b) { return a.value < b.value; });
-
-    double l0 = 0.0, l1 = 0.0;
-    for (size_t i = 0; i + 1 < items_.size(); ++i) {
-      l0 += items_[i].w0;
-      l1 += items_[i].w1;
-      if (items_[i].value == items_[i + 1].value) continue;
+    if (span.size() < 2) return;
+    const Entry* list = lists_.data() + span.begin;
+    size_t l1 = 0;
+    for (size_t i = 0; i + 1 < span.size(); ++i) {
+      l1 += list[i].label;
+      if (list[i].value == list[i + 1].value) continue;
+      const double n1 = static_cast<double>(l1);
+      const double n0 = static_cast<double>(i + 1 - l1);
       const double threshold =
-          items_[i].value + (items_[i + 1].value - items_[i].value) / 2.0;
-      Consider(best, options_.criterion, l0, l1, tot0 - l0, tot1 - l1, f,
+          list[i].value + (list[i + 1].value - list[i].value) / 2.0;
+      Consider(best, parent, n0, n1, tot0 - n0, tot1 - n1, f,
                /*categorical=*/false, threshold, -1);
     }
   }
 
-  void EvalCategorical(const std::vector<size_t>& indices, size_t f,
-                       double tot0, double tot1, SplitEval* best) {
-    // Per-category masses in a dense array indexed by rank; the touched
+  void EvalCategorical(Span rows, size_t f, double parent, double tot0,
+                       double tot1, SplitEval* best) {
+    // Per-category counts in a dense array indexed by rank; the touched
     // ranks are listed so that only they are read and reset.
     const std::vector<int32_t>& ranks = columns_.ranks(f);
-    for (size_t i : indices) {
+    for (size_t k = rows.begin; k < rows.end; ++k) {
+      const uint32_t i = rows_[k];
       const int32_t rank = ranks[i];
       if (rank < 0) continue;
       CatMass& m = mass_[static_cast<size_t>(rank)];
@@ -244,12 +326,13 @@ class TreeBuilder {
         m.touched = true;
         touched_.push_back(rank);
       }
-      (labels_[i] == 1 ? m.w1 : m.w0) += weights_[i];
+      (labels_[i] == 1 ? m.n1 : m.n0) += 1.0;
     }
     if (touched_.size() >= 2) {
-      // Cap candidates at the heaviest categories. Sort fully (heaviest
-      // first, code as tie-break) so candidate order — and therefore
-      // the fitted tree — does not depend on the order codes were met.
+      // Cap candidates at the most frequent categories. Sort fully
+      // (largest first, code as tie-break) so candidate order — and
+      // therefore the fitted tree — does not depend on the order codes
+      // were met.
       const std::vector<int32_t>& categories = columns_.categories(f);
       cats_.clear();
       for (int32_t rank : touched_) {
@@ -257,17 +340,17 @@ class TreeBuilder {
                            mass_[static_cast<size_t>(rank)]);
       }
       std::sort(cats_.begin(), cats_.end(), [](const auto& a, const auto& b) {
-        const double wa = a.second.w0 + a.second.w1;
-        const double wb = b.second.w0 + b.second.w1;
-        if (wa != wb) return wa > wb;
+        const double na = a.second.n0 + a.second.n1;
+        const double nb = b.second.n0 + b.second.n1;
+        if (na != nb) return na > nb;
         return a.first < b.first;
       });
       if (cats_.size() > options_.max_categories_per_feature) {
         cats_.resize(options_.max_categories_per_feature);
       }
       for (const auto& [code, m] : cats_) {
-        Consider(best, options_.criterion, m.w0, m.w1, tot0 - m.w0,
-                 tot1 - m.w1, f, /*categorical=*/true, 0.0, code);
+        Consider(best, parent, m.n0, m.n1, tot0 - m.n0, tot1 - m.n1, f,
+                 /*categorical=*/true, 0.0, code);
       }
     }
     for (int32_t rank : touched_) mass_[static_cast<size_t>(rank)] = {};
@@ -276,11 +359,15 @@ class TreeBuilder {
 
   const FeatureColumns& columns_;
   const std::vector<int>& labels_;
-  const std::vector<double>& weights_;
   const DecisionTreeOptions& options_;
   std::vector<DecisionTree::Node>* nodes_;
+  std::vector<uint32_t> rows_;     // positions, ascending per node
+  std::vector<Entry> lists_;       // the attribute lists, back to back
+  std::vector<Span> root_lists_;   // by feature; empty if categorical
+  std::vector<uint8_t> goes_left_;          // by position, for the split
   // Scratch reused by every node and feature.
-  std::vector<Item> items_;
+  std::vector<uint32_t> row_scratch_;
+  std::vector<Entry> entry_scratch_;
   std::vector<CatMass> mass_;  // indexed by rank; all zero between uses
   std::vector<int32_t> touched_;
   std::vector<std::pair<int32_t, CatMass>> cats_;
@@ -301,23 +388,18 @@ const char* SplitCriterionToString(SplitCriterion c) {
 Result<DecisionTree> DecisionTree::Fit(const FeatureView& view,
                                        const std::vector<RowId>& rows,
                                        const std::vector<int>& labels,
-                                       const std::vector<double>& weights,
                                        const DecisionTreeOptions& options) {
-  return Fit(view.Snapshot(rows), labels, weights, options);
+  return Fit(view.Snapshot(rows), labels, options);
 }
 
 Result<DecisionTree> DecisionTree::Fit(const FeatureColumns& columns,
                                        const std::vector<int>& labels,
-                                       const std::vector<double>& weights,
                                        const DecisionTreeOptions& options) {
   const size_t n = columns.num_rows();
   if (n != labels.size()) {
     return Status::InvalidArgument("rows/labels size mismatch");
   }
   if (n == 0) return Status::InvalidArgument("empty training set");
-  if (!weights.empty() && weights.size() != n) {
-    return Status::InvalidArgument("rows/weights size mismatch");
-  }
   for (int y : labels) {
     if (y != 0 && y != 1) {
       return Status::InvalidArgument("labels must be 0 or 1");
@@ -327,19 +409,13 @@ Result<DecisionTree> DecisionTree::Fit(const FeatureColumns& columns,
     return Status::InvalidArgument("feature view has no features");
   }
 
-  std::vector<double> w = weights;
-  if (w.empty()) w.assign(n, 1.0);
-
   DecisionTree tree;
-  TreeBuilder builder(columns, labels, w, options, &tree.nodes_);
-  std::vector<size_t> indices(n);
-  for (size_t i = 0; i < indices.size(); ++i) indices[i] = i;
-  builder.Build(std::move(indices), 0);
+  TreeBuilder(columns, labels, options, &tree.nodes_).Build();
 
   if (options.ccp_alpha > 0.0) {
     // Bottom-up cost-complexity pruning: collapse a subtree when its
     // error reduction per extra leaf is <= alpha (errors normalized by
-    // total weight).
+    // the number of examples).
     const double total = tree.nodes_[0].total();
     // Process nodes in reverse creation order = children before parents.
     for (int id = static_cast<int>(tree.nodes_.size()) - 1; id >= 0; --id) {

@@ -1,9 +1,12 @@
 #include "dbwipes/learn/feature.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <set>
+#include <utility>
 
 #include "dbwipes/common/stats.h"
 
@@ -85,6 +88,54 @@ void RankCodes(size_t dictionary_size, std::vector<int32_t>* codes,
   }
 }
 
+/// An unsigned image of a non-NaN double that orders like `<`: the
+/// bits with the sign flipped, and every bit inverted for a negative
+/// value. -0.0 takes +0.0's image, so the two zeros tie.
+uint64_t OrderKey(double v) {
+  if (v == 0.0) v = 0.0;
+  const uint64_t bits = std::bit_cast<uint64_t>(v);
+  return bits >> 63 != 0 ? ~bits : bits | (uint64_t{1} << 63);
+}
+
+/// The positions of the non-NaN `values` in (value, position) order: a
+/// least-significant-digit radix sort of their OrderKeys, starting from
+/// ascending positions, with one stable counting pass per key byte. A
+/// byte that every key shares needs no pass.
+std::vector<uint32_t> Presort(const std::vector<double>& values) {
+  std::vector<uint64_t> keys;
+  std::vector<uint32_t> order;
+  keys.reserve(values.size());
+  order.reserve(values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (std::isnan(values[i])) continue;
+    keys.push_back(OrderKey(values[i]));
+    order.push_back(static_cast<uint32_t>(i));
+  }
+  const size_t m = keys.size();
+  if (m < 2) return order;
+  std::array<std::array<uint32_t, 256>, 8> counts{};
+  for (uint64_t key : keys) {
+    for (size_t b = 0; b < 8; ++b) ++counts[b][(key >> (8 * b)) & 0xFF];
+  }
+  std::vector<uint64_t> keys_out(m);
+  std::vector<uint32_t> order_out(m);
+  for (size_t b = 0; b < 8; ++b) {
+    std::array<uint32_t, 256>& next = counts[b];
+    const size_t shift = 8 * b;
+    if (next[(keys[0] >> shift) & 0xFF] == m) continue;
+    uint32_t start = 0;
+    for (uint32_t& slot : next) start += std::exchange(slot, start);
+    for (size_t i = 0; i < m; ++i) {
+      const uint32_t slot = next[(keys[i] >> shift) & 0xFF]++;
+      keys_out[slot] = keys[i];
+      order_out[slot] = order[i];
+    }
+    keys.swap(keys_out);
+    order.swap(order_out);
+  }
+  return order;
+}
+
 }  // namespace
 
 FeatureColumns FeatureView::Snapshot(const std::vector<RowId>& rows) const {
@@ -94,6 +145,7 @@ FeatureColumns FeatureView::Snapshot(const std::vector<RowId>& rows) const {
   out.ranks_.resize(features_.size());
   out.categories_.resize(features_.size());
   out.values_.resize(features_.size());
+  out.sorted_.resize(features_.size());
   for (size_t f = 0; f < features_.size(); ++f) {
     const Column& col = table_->column(features_[f].column);
     if (features_[f].categorical) {
@@ -111,6 +163,7 @@ FeatureColumns FeatureView::Snapshot(const std::vector<RowId>& rows) const {
                         ? std::numeric_limits<double>::quiet_NaN()
                         : col.AsDouble(rows[i]);
       }
+      out.sorted_[f] = Presort(values);
     }
   }
   return out;

@@ -50,12 +50,22 @@ std::vector<Condition> BuildConditions(const FeatureColumns& columns,
   for (size_t f = 0; f < view.num_features(); ++f) {
     const FeatureSpec& spec = view.features()[f];
     if (spec.categorical) {
-      // Most frequent categories, counted by dictionary code in row
-      // order. code(f, i) = -1 marks a NULL.
+      // Most frequent categories. Categories of equal count keep the
+      // order the frequency map lists them in, which depends only on
+      // the order their codes are first met in, row by row: count by
+      // rank, then insert the codes in that order.
+      const std::vector<int32_t>& ranks = columns.ranks(f);  // -1 = NULL
+      const std::vector<int32_t>& categories = columns.categories(f);
+      std::vector<size_t> count(categories.size(), 0);
+      std::vector<int32_t> first_met;
+      for (int32_t rank : ranks) {
+        if (rank < 0) continue;
+        if (count[static_cast<size_t>(rank)]++ == 0) first_met.push_back(rank);
+      }
       std::unordered_map<int32_t, size_t> freq;
-      for (size_t i = 0; i < n; ++i) {
-        const int32_t code = columns.code(f, i);
-        if (code >= 0) ++freq[code];
+      for (int32_t rank : first_met) {
+        freq.emplace(categories[static_cast<size_t>(rank)],
+                     count[static_cast<size_t>(rank)]);
       }
       std::vector<std::pair<int32_t, size_t>> cats(freq.begin(), freq.end());
       std::sort(cats.begin(), cats.end(), [](const auto& a, const auto& b) {
@@ -64,31 +74,34 @@ std::vector<Condition> BuildConditions(const FeatureColumns& columns,
       if (cats.size() > options.max_categories_per_feature) {
         cats.resize(options.max_categories_per_feature);
       }
-      std::unordered_map<int32_t, size_t> condition_of;
-      for (const auto& [code, count] : cats) {
-        condition_of.emplace(code, conditions.size());
+      // condition_of_rank[r]: the condition of rank r's category, if kept.
+      constexpr size_t kNone = std::numeric_limits<size_t>::max();
+      std::vector<size_t> condition_of_rank(categories.size(), kNone);
+      for (const auto& [code, unused] : cats) {
+        const size_t rank = static_cast<size_t>(
+            std::lower_bound(categories.begin(), categories.end(), code) -
+            categories.begin());
+        condition_of_rank[rank] = conditions.size();
         conditions.push_back(
             {Clause::Make(spec.name, CompareOp::kEq,
                           Value(view.CategoryName(f, code))),
              Bitmap(n)});
       }
       for (size_t i = 0; i < n; ++i) {
-        const int32_t code = columns.code(f, i);
-        if (code < 0) continue;
-        auto it = condition_of.find(code);
-        if (it != condition_of.end()) conditions[it->second].covered.Set(i);
+        if (ranks[i] < 0) continue;
+        const size_t c = condition_of_rank[static_cast<size_t>(ranks[i])];
+        if (c != kNone) conditions[c].covered.Set(i);
       }
     } else {
-      // Quantile thresholds over the distinct values.
+      // Quantile thresholds over the distinct values, read in ascending
+      // order from the presort (which holds no NaN or NULL).
       const std::vector<double>& column = columns.values(f);  // NaN = NULL
       std::vector<double> values;
-      values.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        if (!std::isnan(column[i])) values.push_back(column[i]);
+      for (uint32_t p : columns.sorted(f)) {
+        if (values.empty() || values.back() != column[p]) {
+          values.push_back(column[p]);
+        }
       }
-      if (values.size() < 2) continue;
-      std::sort(values.begin(), values.end());
-      values.erase(std::unique(values.begin(), values.end()), values.end());
       if (values.size() < 2) continue;
 
       std::set<double> thresholds;

@@ -4,7 +4,9 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <span>
+#include <string>
 #include <type_traits>
 
 #include "dbwipes/common/trace.h"
@@ -286,29 +288,37 @@ Value BoxAggregate(AggKind kind, double value) {
   return Value(value);
 }
 
-/// Value order on one key column, made a strict weak order and read
-/// three-way: NULL first, then the values (numerics as doubles, as
-/// Value's operator< compares them), then every NaN as one key.
-int CompareKeyCells(const Value& a, const Value& b) {
-  auto rank = [](const Value& v) {
-    if (v.is_null()) return 0;
-    return v.is_double() && std::isnan(v.dbl()) ? 2 : 1;
-  };
-  const int ra = rank(a);
-  const int rb = rank(b);
-  if (ra != rb) return ra < rb ? -1 : 1;
-  if (ra != 1) return 0;
-  if (a.is_string()) return a.str().compare(b.str());
-  auto number = [](const Value& v) {
-    return v.is_int64() ? static_cast<double>(v.int64()) : v.dbl();
-  };
-  const double x = number(a);
-  const double y = number(b);
-  return (x > y) - (x < y);
+/// One group-by column's cell in a group's key, as the group order
+/// compares it: a rank (NULL, a value, NaN), then the value itself.
+struct KeyCell {
+  int rank = 0;                        // 0 NULL, 1 a value, 2 NaN
+  double number = 0.0;                 // a numeric value
+  const std::string* text = nullptr;   // a string value
+};
+
+KeyCell ReadKeyCell(const Column& col, RowId row) {
+  if (col.IsNull(row)) return {};
+  if (col.type() == DataType::kString) {
+    return {1, 0.0, &col.DictionaryValue(col.StringCode(row))};
+  }
+  // int64 widens exactly as Column::AsDouble does.
+  const double number = col.AsDouble(row);
+  return {std::isnan(number) ? 2 : 1, number, nullptr};
 }
 
-/// Whether boxed key `a` sorts before `b` (`width` cells each).
-bool SortsBefore(const Value* a, const Value* b, size_t width) {
+/// Value order on one key column, made a strict weak order and read
+/// three-way: NULL first, then the values (numerics as doubles, as
+/// Value's operator< compares them, strings by their bytes), then every
+/// NaN as one key. All cells of one column have the column's type.
+int CompareKeyCells(const KeyCell& a, const KeyCell& b) {
+  if (a.rank != b.rank) return a.rank < b.rank ? -1 : 1;
+  if (a.rank != 1) return 0;
+  if (a.text != nullptr) return a.text->compare(*b.text);
+  return (a.number > b.number) - (a.number < b.number);
+}
+
+/// Whether key `a` sorts before `b` (`width` cells each).
+bool SortsBefore(const KeyCell* a, const KeyCell* b, size_t width) {
   for (size_t i = 0; i < width; ++i) {
     const int c = CompareKeyCells(a[i], b[i]);
     if (c != 0) return c < 0;
@@ -395,25 +405,30 @@ Result<QueryResult> ExecuteQuery(const AggregateQuery& query,
   DBW_TRACE_SPAN("sql/group");
   // Pass 1: the passing rows, ascending, then each one's group id, in
   // first-seen order. The key words are read a column at a time, a
-  // block of rows at a time, so that they stay in L1.
-  std::vector<RowId> rows(pass.CountOnes());
+  // block of rows at a time, so that they stay in L1. Both arrays are
+  // written in full, so neither is zeroed first.
+  const size_t num_rows = pass.CountOnes();
+  const std::unique_ptr<RowId[]> row_ids =
+      std::make_unique_for_overwrite<RowId[]>(num_rows);
   {
     size_t p = 0;
-    pass.ForEachSet([&](size_t r) { rows[p++] = static_cast<RowId>(r); });
+    pass.ForEachSet([&](size_t r) { row_ids[p++] = static_cast<RowId>(r); });
   }
+  const std::span<const RowId> rows(row_ids.get(), num_rows);
   const size_t width = group_cols.size();
-  std::vector<uint32_t> group_of(rows.size());
+  const std::unique_ptr<uint32_t[]> group_of =
+      std::make_unique_for_overwrite<uint32_t[]>(num_rows);
   GroupTable index(width);
   {
     constexpr size_t kBlock = 1024;
     std::vector<uint64_t> words(kBlock * width);
     for (size_t begin = 0; begin < rows.size(); begin += kBlock) {
-      const std::span<const RowId> block = std::span<const RowId>(rows).subspan(
-          begin, std::min(kBlock, rows.size() - begin));
+      const std::span<const RowId> block =
+          rows.subspan(begin, std::min(kBlock, rows.size() - begin));
       for (size_t k = 0; k < width; ++k) {
         KeyWords(table.column(group_cols[k]), block, width, words.data() + k);
       }
-      index.Assign(words.data(), block, group_of.data() + begin);
+      index.Assign(words.data(), block, group_of.get() + begin);
     }
   }
   const size_t num_groups = index.num_groups();
@@ -424,11 +439,11 @@ Result<QueryResult> ExecuteQuery(const AggregateQuery& query,
       query, table, rows, [&](size_t p) { return group_of[p]; }, num_groups,
       values.data()));
 
-  // Deterministic ordering: sort groups by key, boxed once per group.
-  std::vector<Value> keys;
+  // Deterministic ordering: sort groups by their keys' typed cells.
+  std::vector<KeyCell> keys;
   keys.reserve(num_groups * width);
   for (RowId r : index.first_rows()) {
-    for (size_t c : group_cols) keys.push_back(table.GetValue(r, c));
+    for (size_t c : group_cols) keys.push_back(ReadKeyCell(table.column(c), r));
   }
   std::vector<size_t> order(num_groups);
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -450,9 +465,12 @@ Result<QueryResult> ExecuteQuery(const AggregateQuery& query,
   result.query = query;
   result.rows = std::make_shared<Table>(Schema(std::move(fields)), "result");
 
+  // Each key is boxed once, into its result row.
   std::vector<Value> out_row(group_cols.size() + query.aggregates.size());
   for (size_t oi : order) {
-    for (size_t i = 0; i < width; ++i) out_row[i] = keys[oi * width + i];
+    for (size_t i = 0; i < width; ++i) {
+      out_row[i] = table.GetValue(index.first_rows()[oi], group_cols[i]);
+    }
     for (size_t a = 0; a < query.aggregates.size(); ++a) {
       out_row[width + a] = BoxAggregate(query.aggregates[a].kind,
                                         values[a * num_groups + oi]);

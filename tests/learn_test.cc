@@ -138,6 +138,60 @@ TEST(FeatureViewTest, SnapshotRanksOnlyTheCodesOfItsRows) {
   EXPECT_EQ(v.Snapshot(all).categories(0).size(), 5000u);
 }
 
+TEST(FeatureViewTest, PresortHoldsTheValuedPositionsByValueThenPosition) {
+  // Ties, both zeros, infinities, subnormals, int64 values beyond 2^53,
+  // NaN and NULL, under row lists with repeats: each numeric feature's
+  // presort is exactly its non-NaN, non-NULL positions, ascending by
+  // (value, position).
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  const double specials[] = {0.0,  -0.0,   kInf, -kInf, std::nan(""),
+                             kTiny, -kTiny, 1.5,  -1.5,  1e300};
+  Rng rng(77);
+  auto t = std::make_shared<Table>(Schema{{"x", DataType::kDouble},
+                                          {"c", DataType::kString},
+                                          {"n", DataType::kInt64}},
+                                   "p");
+  for (int i = 0; i < 3000; ++i) {
+    const double plain =
+        static_cast<double>(rng.UniformInt(int64_t{-40}, int64_t{40})) / 4;
+    const Value x = rng.Bernoulli(0.05) ? Value::Null()
+                    : rng.Bernoulli(0.3) ? Value(specials[rng.UniformInt(10u)])
+                                         : Value(plain);
+    const int64_t scale = rng.Bernoulli(0.1) ? (int64_t{1} << 54) + 1 : 1;
+    const Value n =
+        rng.Bernoulli(0.05)
+            ? Value::Null()
+            : Value(rng.UniformInt(int64_t{-5}, int64_t{5}) * scale);
+    const Value c("c" + std::to_string(rng.UniformInt(4u)));
+    DBW_CHECK_OK(t->AppendRow({x, c, n}));
+  }
+  FeatureView v = *FeatureView::Create(*t, {"x", "c", "n"});
+  std::vector<RowId> all(t->num_rows());
+  for (RowId r = 0; r < all.size(); ++r) all[r] = r;
+  std::vector<RowId> repeats;
+  for (int i = 0; i < 2000; ++i) {
+    repeats.push_back(static_cast<RowId>(rng.UniformInt(t->num_rows())));
+  }
+  for (const std::vector<RowId>& rows :
+       {all, repeats, std::vector<RowId>{7}, std::vector<RowId>{}}) {
+    const FeatureColumns cols = v.Snapshot(rows);
+    EXPECT_TRUE(cols.sorted(1).empty());  // categorical
+    for (size_t f : {size_t{0}, size_t{2}}) {
+      const std::vector<double>& values = cols.values(f);
+      std::vector<uint32_t> want;
+      for (uint32_t i = 0; i < values.size(); ++i) {
+        if (!std::isnan(values[i])) want.push_back(i);
+      }
+      std::stable_sort(want.begin(), want.end(), [&](uint32_t a, uint32_t b) {
+        return values[a] < values[b];
+      });
+      EXPECT_EQ(cols.sorted(f), want) << "feature " << f << ", "
+                                      << rows.size() << " rows";
+    }
+  }
+}
+
 // ---------- k-means ----------
 
 /// Rows stacked into one row-major matrix; `cols` is the first row's
@@ -292,7 +346,7 @@ TEST(DecisionTreeTest, LearnsAxisAlignedSplit) {
     labels.push_back(x > 7.0 ? 1 : 0);
   }
   FeatureView v = *FeatureView::Create(*t, {"x"});
-  DecisionTree tree = *DecisionTree::Fit(v, rows, labels, {}, {});
+  DecisionTree tree = *DecisionTree::Fit(v, rows, labels);
   for (size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(tree.Predict(v, rows[i]), labels[i]);
   }
@@ -318,7 +372,7 @@ TEST(DecisionTreeTest, LearnsCategoricalSplit) {
     labels.push_back(c == 0 ? 1 : 0);
   }
   FeatureView v = *FeatureView::Create(*t, {"c"});
-  DecisionTree tree = *DecisionTree::Fit(v, rows, labels, {}, {});
+  DecisionTree tree = *DecisionTree::Fit(v, rows, labels);
   auto preds = tree.PositiveLeafPredicates(v, 0.9);
   ASSERT_FALSE(preds.empty());
   EXPECT_EQ(preds[0].ToString(), "c = 'bad'");
@@ -338,7 +392,7 @@ TEST(DecisionTreeTest, GainRatioAlsoLearns) {
   FeatureView v = *FeatureView::Create(*t, {"x"});
   DecisionTreeOptions opts;
   opts.criterion = SplitCriterion::kGainRatio;
-  DecisionTree tree = *DecisionTree::Fit(v, rows, labels, {}, opts);
+  DecisionTree tree = *DecisionTree::Fit(v, rows, labels, opts);
   int correct = 0;
   for (size_t i = 0; i < rows.size(); ++i) {
     correct += tree.Predict(v, rows[i]) == labels[i];
@@ -362,32 +416,11 @@ TEST(DecisionTreeTest, MaxDepthBoundsPredicateComplexity) {
   FeatureView v = *FeatureView::Create(*t, {"a", "b"});
   DecisionTreeOptions opts;
   opts.max_depth = 2;
-  DecisionTree tree = *DecisionTree::Fit(v, rows, labels, {}, opts);
+  DecisionTree tree = *DecisionTree::Fit(v, rows, labels, opts);
   EXPECT_LE(tree.depth(), 2u);
   for (const Predicate& p : tree.PositiveLeafPredicates(v, 0.5)) {
     EXPECT_LE(p.num_clauses(), 2u);
   }
-}
-
-TEST(DecisionTreeTest, WeightsShiftTheSplit) {
-  // Without weights the majority class dominates; upweighting the
-  // positives forces the tree to carve them out.
-  auto t = std::make_shared<Table>(Schema{{"x", DataType::kDouble}}, "d");
-  std::vector<RowId> rows;
-  std::vector<int> labels;
-  std::vector<double> weights;
-  for (int i = 0; i < 100; ++i) {
-    DBW_CHECK_OK(t->AppendRow({Value(static_cast<double>(i))}));
-    rows.push_back(static_cast<RowId>(i));
-    labels.push_back(i >= 95 ? 1 : 0);
-    weights.push_back(i >= 95 ? 50.0 : 1.0);
-  }
-  FeatureView v = *FeatureView::Create(*t, {"x"});
-  DecisionTreeOptions opts;
-  opts.min_samples_leaf = 1.0;
-  DecisionTree tree = *DecisionTree::Fit(v, rows, labels, weights, opts);
-  EXPECT_EQ(tree.Predict(v, 99), 1);
-  EXPECT_EQ(tree.Predict(v, 10), 0);
 }
 
 TEST(DecisionTreeTest, CostComplexityPruningShrinksTree) {
@@ -406,10 +439,10 @@ TEST(DecisionTreeTest, CostComplexityPruningShrinksTree) {
   FeatureView v = *FeatureView::Create(*t, {"x"});
   DecisionTreeOptions loose;
   loose.max_depth = 8;
-  DecisionTree big = *DecisionTree::Fit(v, rows, labels, {}, loose);
+  DecisionTree big = *DecisionTree::Fit(v, rows, labels, loose);
   DecisionTreeOptions pruned = loose;
   pruned.ccp_alpha = 0.02;
-  DecisionTree small = *DecisionTree::Fit(v, rows, labels, {}, pruned);
+  DecisionTree small = *DecisionTree::Fit(v, rows, labels, pruned);
   EXPECT_LT(small.num_leaves(), big.num_leaves());
 }
 
@@ -424,7 +457,7 @@ TEST(DecisionTreeTest, NullsRouteRight) {
   }
   DBW_CHECK_OK(t->AppendRow({Value::Null()}));
   FeatureView v = *FeatureView::Create(*t, {"x"});
-  DecisionTree tree = *DecisionTree::Fit(v, rows, labels, {}, {});
+  DecisionTree tree = *DecisionTree::Fit(v, rows, labels);
   // NULL goes right = the "condition false" branch = negative side here.
   EXPECT_EQ(tree.Predict(v, 20), 0);
 }
@@ -449,11 +482,11 @@ TEST(DecisionTreeTest, NaNRoutesRightInTraining) {
   FeatureView v = *FeatureView::Create(*t, {"x"});
   DecisionTreeOptions opts;
   opts.max_depth = 1;
-  const DecisionTree forward = *DecisionTree::Fit(v, rows, labels, {}, opts);
+  const DecisionTree forward = *DecisionTree::Fit(v, rows, labels, opts);
   std::vector<RowId> rev_rows(rows.rbegin(), rows.rend());
   std::vector<int> rev_labels(labels.rbegin(), labels.rend());
   const DecisionTree backward =
-      *DecisionTree::Fit(v, rev_rows, rev_labels, {}, opts);
+      *DecisionTree::Fit(v, rev_rows, rev_labels, opts);
   for (const DecisionTree* tree : {&forward, &backward}) {
     const DecisionTree::Node& root = tree->nodes()[0];
     ASSERT_FALSE(root.is_leaf);
@@ -483,7 +516,7 @@ TEST(DecisionTreeTest, PredicatesClassifyConsistentlyWithTree) {
     labels.push_back((a > 0.5 && c == 1) ? 1 : 0);
   }
   FeatureView v = *FeatureView::Create(*t, {"a", "c"});
-  DecisionTree tree = *DecisionTree::Fit(v, rows, labels, {}, {});
+  DecisionTree tree = *DecisionTree::Fit(v, rows, labels);
   auto preds = tree.PositiveLeafPredicates(v, 0.5);
   ASSERT_FALSE(preds.empty());
   for (const Predicate& p : preds) {
@@ -499,10 +532,9 @@ TEST(DecisionTreeTest, PredicatesClassifyConsistentlyWithTree) {
 TEST(DecisionTreeTest, FitValidation) {
   auto t = MixedTable();
   FeatureView v = *FeatureView::Create(*t, {"num"});
-  EXPECT_FALSE(DecisionTree::Fit(v, {}, {}, {}, {}).ok());
-  EXPECT_FALSE(DecisionTree::Fit(v, {0, 1}, {0}, {}, {}).ok());
-  EXPECT_FALSE(DecisionTree::Fit(v, {0, 1}, {0, 3}, {}, {}).ok());
-  EXPECT_FALSE(DecisionTree::Fit(v, {0, 1}, {0, 1}, {1.0}, {}).ok());
+  EXPECT_FALSE(DecisionTree::Fit(v, {}, {}).ok());
+  EXPECT_FALSE(DecisionTree::Fit(v, {0, 1}, {0}).ok());
+  EXPECT_FALSE(DecisionTree::Fit(v, {0, 1}, {0, 3}).ok());
 }
 
 TEST(DecisionTreeTest, ToStringShowsStructure) {
@@ -515,7 +547,7 @@ TEST(DecisionTreeTest, ToStringShowsStructure) {
     labels.push_back(i < 10 ? 1 : 0);
   }
   FeatureView v = *FeatureView::Create(*t, {"x"});
-  DecisionTree tree = *DecisionTree::Fit(v, rows, labels, {}, {});
+  DecisionTree tree = *DecisionTree::Fit(v, rows, labels);
   const std::string s = tree.ToString(v);
   EXPECT_NE(s.find("split on x <="), std::string::npos);
   EXPECT_NE(s.find("leaf"), std::string::npos);

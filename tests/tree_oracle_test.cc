@@ -16,11 +16,11 @@ namespace {
 // ---------- reference tree builder ----------
 //
 // The builder that DecisionTree::Fit replaced: it reads every value
-// through FeatureView::Get/IsNull per row, node and feature, and counts
-// categories in an unordered_map per node. Kept only as the oracle. It
-// sorts non-null NaN with `<` (not a strict weak order), so the random
-// problems below hold no NaN; the new rule for NaN is pinned by
-// DecisionTreeTest.NaNRoutesRightInTraining in learn_test.
+// through FeatureView::Get/IsNull per row, node and feature, sorts each
+// numeric feature's values at every node, and counts categories in an
+// unordered_map per node. Kept only as the oracle. A NaN or NULL value
+// is in no sort and goes right, the rule DecisionTree follows (pinned
+// on its own by DecisionTreeTest.NaNRoutesRightInTraining).
 namespace reference {
 
 using Node = DecisionTree::Node;
@@ -92,13 +92,11 @@ class TreeBuilder {
  public:
   TreeBuilder(const FeatureView& view, const std::vector<RowId>& rows,
               const std::vector<int>& labels,
-              const std::vector<double>& weights,
               const DecisionTreeOptions& options,
               std::vector<DecisionTree::Node>* nodes)
       : view_(view),
         rows_(rows),
         labels_(labels),
-        weights_(weights),
         options_(options),
         nodes_(nodes) {}
 
@@ -106,7 +104,7 @@ class TreeBuilder {
     DecisionTree::Node node;
     node.depth = depth;
     for (size_t i : indices) {
-      (labels_[i] == 1 ? node.n1 : node.n0) += weights_[i];
+      (labels_[i] == 1 ? node.n1 : node.n0) += 1.0;
     }
     const int id = static_cast<int>(nodes_->size());
     nodes_->push_back(node);
@@ -195,26 +193,21 @@ class TreeBuilder {
 
   void EvalNumeric(const std::vector<size_t>& indices, size_t f,
                    SplitEval* best) const {
-    // Sort non-null values; nulls accumulate on the right side.
+    // Sort the values; NULL and NaN accumulate on the right side.
     struct Item {
       double value;
-      double w0;
-      double w1;
+      double n0;
+      double n1;
     };
     std::vector<Item> items;
     items.reserve(indices.size());
-    double null0 = 0.0, null1 = 0.0;
     double tot0 = 0.0, tot1 = 0.0;
     for (size_t i : indices) {
-      const double w = weights_[i];
       const int y = labels_[i];
-      (y == 1 ? tot1 : tot0) += w;
-      if (view_.IsNull(rows_[i], f)) {
-        (y == 1 ? null1 : null0) += w;
-        continue;
-      }
-      items.push_back({view_.Get(rows_[i], f), y == 0 ? w : 0.0,
-                       y == 1 ? w : 0.0});
+      (y == 1 ? tot1 : tot0) += 1.0;
+      const double v = view_.Get(rows_[i], f);  // NaN for NULL
+      if (std::isnan(v)) continue;
+      items.push_back({v, y == 0 ? 1.0 : 0.0, y == 1 ? 1.0 : 0.0});
     }
     if (items.size() < 2) return;
     std::sort(items.begin(), items.end(),
@@ -222,8 +215,8 @@ class TreeBuilder {
 
     double l0 = 0.0, l1 = 0.0;
     for (size_t i = 0; i + 1 < items.size(); ++i) {
-      l0 += items[i].w0;
-      l1 += items[i].w1;
+      l0 += items[i].n0;
+      l1 += items[i].n1;
       if (items[i].value == items[i + 1].value) continue;
       const double threshold =
           items[i].value + (items[i + 1].value - items[i].value) / 2.0;
@@ -235,18 +228,17 @@ class TreeBuilder {
   void EvalCategorical(const std::vector<size_t>& indices, size_t f,
                        SplitEval* best) const {
     struct CatMass {
-      double w0 = 0.0;
-      double w1 = 0.0;
+      double n0 = 0.0;
+      double n1 = 0.0;
     };
     std::unordered_map<int32_t, CatMass> mass;
     double tot0 = 0.0, tot1 = 0.0;
     for (size_t i : indices) {
-      const double w = weights_[i];
       const int y = labels_[i];
-      (y == 1 ? tot1 : tot0) += w;
+      (y == 1 ? tot1 : tot0) += 1.0;
       if (view_.IsNull(rows_[i], f)) continue;
       CatMass& m = mass[static_cast<int32_t>(view_.Get(rows_[i], f))];
-      (y == 1 ? m.w1 : m.w0) += w;
+      (y == 1 ? m.n1 : m.n0) += 1.0;
     }
     if (mass.size() < 2) return;
 
@@ -255,24 +247,23 @@ class TreeBuilder {
     // fitted tree — is deterministic regardless of hash-map iteration.
     std::vector<std::pair<int32_t, CatMass>> cats(mass.begin(), mass.end());
     std::sort(cats.begin(), cats.end(), [](const auto& a, const auto& b) {
-      const double wa = a.second.w0 + a.second.w1;
-      const double wb = b.second.w0 + b.second.w1;
-      if (wa != wb) return wa > wb;
+      const double na = a.second.n0 + a.second.n1;
+      const double nb = b.second.n0 + b.second.n1;
+      if (na != nb) return na > nb;
       return a.first < b.first;
     });
     if (cats.size() > options_.max_categories_per_feature) {
       cats.resize(options_.max_categories_per_feature);
     }
     for (const auto& [code, m] : cats) {
-      Consider(best, options_.criterion, m.w0, m.w1, tot0 - m.w0,
-               tot1 - m.w1, f, /*categorical=*/true, 0.0, code);
+      Consider(best, options_.criterion, m.n0, m.n1, tot0 - m.n0,
+               tot1 - m.n1, f, /*categorical=*/true, 0.0, code);
     }
   }
 
   const FeatureView& view_;
   const std::vector<RowId>& rows_;
   const std::vector<int>& labels_;
-  const std::vector<double>& weights_;
   const DecisionTreeOptions& options_;
   std::vector<DecisionTree::Node>* nodes_;
 };
@@ -280,13 +271,9 @@ class TreeBuilder {
 /// The old Fit after its input checks (the oracle feeds valid input).
 std::vector<Node> Fit(const FeatureView& view, const std::vector<RowId>& rows,
                       const std::vector<int>& labels,
-                      const std::vector<double>& weights,
                       const DecisionTreeOptions& options) {
-  std::vector<double> w = weights;
-  if (w.empty()) w.assign(rows.size(), 1.0);
-
   std::vector<Node> nodes;
-  TreeBuilder builder(view, rows, labels, w, options, &nodes);
+  TreeBuilder builder(view, rows, labels, options, &nodes);
   std::vector<size_t> indices(rows.size());
   for (size_t i = 0; i < indices.size(); ++i) indices[i] = i;
   builder.Build(std::move(indices), 0);
@@ -374,28 +361,11 @@ struct Problem {
   std::vector<std::string> columns;
   std::vector<RowId> rows;
   std::vector<int> labels;
-  std::vector<double> weights;
   DecisionTreeOptions options;
 };
 
-/// Unit, dyadic or arbitrary weights for p's rows, and random options.
-void RandomWeightsAndOptions(Rng* rng, Problem* p) {
-  switch (rng->UniformInt(3)) {
-    case 0:
-      break;  // unit weights
-    case 1:
-      for (size_t i = 0; i < p->rows.size(); ++i) {
-        p->weights.push_back(0.25 *
-                             static_cast<double>(1 + rng->UniformInt(8)));
-      }
-      break;
-    default:
-      for (size_t i = 0; i < p->rows.size(); ++i) {
-        p->weights.push_back(rng->UniformDouble(0.1, 3.0));
-      }
-      break;
-  }
-
+/// Random options for p.
+void RandomOptions(Rng* rng, Problem* p) {
   DecisionTreeOptions& o = p->options;
   o.criterion =
       rng->Bernoulli(0.5) ? SplitCriterion::kGini : SplitCriterion::kGainRatio;
@@ -411,11 +381,11 @@ void RandomWeightsAndOptions(Rng* rng, Problem* p) {
   o.max_categories_per_feature = cap[rng->UniformInt(4)];
 }
 
-/// A table with a double column (ties, NULLs, ±inf), an int64 column
-/// (NULLs, values beyond 2^53), and two string columns (NULLs, one with
-/// more categories than max_categories_per_feature often allows). Rows
-/// are a random subset in random order; labels follow a planted rule
-/// with noise; weights are unit, dyadic or arbitrary.
+/// A table with a double column (ties, NULLs, NaN, ±inf, both zeros),
+/// an int64 column (NULLs, values beyond 2^53), and two string columns
+/// (NULLs, one with more categories than max_categories_per_feature
+/// often allows). Rows are a random subset in random order; labels
+/// follow a planted rule with noise.
 Problem RandomProblem(Rng* rng) {
   Problem p;
   p.table = std::make_shared<Table>(Schema{{"x", DataType::kDouble},
@@ -437,6 +407,9 @@ Problem RandomProblem(Rng* rng) {
           static_cast<double>(rng->UniformInt(distinct_x)) * 0.37 - 3.0;
       x = Value(special == 0   ? std::numeric_limits<double>::infinity()
                 : special == 1 ? -std::numeric_limits<double>::infinity()
+                : special == 2 ? std::numeric_limits<double>::quiet_NaN()
+                : special == 3 ? -0.0
+                : special == 4 ? 0.0
                                : tied);
     }
     const int64_t small = rng->UniformInt(int64_t{-20}, int64_t{20});
@@ -469,7 +442,7 @@ Problem RandomProblem(Rng* rng) {
     if (rng->Bernoulli(noise)) y = !y;
     p.labels.push_back(y ? 1 : 0);
   }
-  RandomWeightsAndOptions(rng, &p);
+  RandomOptions(rng, &p);
   return p;
 }
 
@@ -506,7 +479,66 @@ Problem WideDictionaryProblem(Rng* rng) {
     if (rng->Bernoulli(noise)) y = !y;
     p.labels.push_back(y ? 1 : 0);
   }
-  RandomWeightsAndOptions(rng, &p);
+  RandomOptions(rng, &p);
+  return p;
+}
+
+/// Long runs of ties: 1,000 to 3,000 rows whose numeric columns each
+/// take at most 5 distinct values (the double column's may hold both
+/// zeros, NaN and NULL), and a string column of at most 5 categories, so
+/// that nodes deep in the tree still scan long runs of equal values.
+/// The presort orders a run by position, the reference's sort does
+/// not; the trees must not differ.
+Problem TiedProblem(Rng* rng) {
+  Problem p;
+  p.table = std::make_shared<Table>(Schema{{"x", DataType::kDouble},
+                                           {"y", DataType::kDouble},
+                                           {"n", DataType::kInt64},
+                                           {"c", DataType::kString}},
+                                    "tied");
+  // At most 5 of `values`, in random order.
+  auto pool = [&](std::vector<Value> values) {
+    rng->Shuffle(&values);
+    values.resize(1 + rng->UniformInt(5));
+    return values;
+  };
+  const std::vector<Value> xs =
+      pool({Value(-0.0), Value(0.0), Value(1.5), Value(-2.25), Value(7.0),
+            Value(std::numeric_limits<double>::quiet_NaN()), Value::Null()});
+  const std::vector<Value> ys = pool(
+      {Value(0.125), Value(0.25), Value(-0.5), Value(1e9), Value(3.0)});
+  const std::vector<Value> ns =
+      pool({Value(int64_t{-3}), Value(int64_t{0}), Value(int64_t{5}),
+            Value(int64_t{9}), Value((int64_t{1} << 54) + 1)});
+  const size_t num_cats = 1 + rng->UniformInt(5);
+  const size_t num_rows = 1000 + rng->UniformInt(2001);
+  for (size_t r = 0; r < num_rows; ++r) {
+    DBW_CHECK_OK(p.table->AppendRow(
+        {xs[rng->UniformInt(xs.size())], ys[rng->UniformInt(ys.size())],
+         ns[rng->UniformInt(ns.size())],
+         Value("c" + std::to_string(rng->UniformInt(num_cats)))}));
+  }
+  p.columns = {"x", "y", "n", "c"};
+  rng->Shuffle(&p.columns);
+  p.columns.resize(2 + rng->UniformInt(3));
+
+  for (RowId r = 0; r < num_rows; ++r) {
+    if (rng->Bernoulli(0.9)) p.rows.push_back(r);
+  }
+  rng->Shuffle(&p.rows);
+  const Column& xc = p.table->column(0);
+  const Column& nc = p.table->column(2);
+  const Column& cc = p.table->column(3);
+  const double noise = rng->UniformDouble(0.05, 0.3);
+  for (RowId r : p.rows) {
+    bool y = (!xc.IsNull(r) && xc.GetDouble(r) > 1.0 &&
+              cc.GetString(r) != "c0") ||
+             nc.GetInt64(r) > 4;
+    if (rng->Bernoulli(noise)) y = !y;
+    p.labels.push_back(y ? 1 : 0);
+  }
+  RandomOptions(rng, &p);
+  p.options.max_depth = 3 + rng->UniformInt(4);
   return p;
 }
 
@@ -548,26 +580,34 @@ std::string Render(const std::vector<Predicate>& preds) {
 TEST(TreeOracle, DenseBuilderMatchesReference) {
   Rng gen(42018);
   constexpr int kProblems = 1200;
-  int weighted = 0, pruned = 0, capped = 0, gain_ratio = 0;
+  int nan_x = 0, pruned = 0, capped = 0, gain_ratio = 0;
   for (int trial = 0; trial < kProblems; ++trial) {
     const Problem p = RandomProblem(&gen);
-    weighted += !p.weights.empty();
     pruned += p.options.ccp_alpha > 0.0;
     capped += p.options.max_categories_per_feature < 12;
     gain_ratio += p.options.criterion == SplitCriterion::kGainRatio;
     const FeatureView view = *FeatureView::Create(*p.table, p.columns);
+    const FeatureColumns columns = view.Snapshot(p.rows);
+    for (size_t f = 0; f < view.num_features(); ++f) {
+      if (view.features()[f].name != "x") continue;
+      const std::vector<double>& xs = columns.values(f);
+      for (size_t i = 0; i < xs.size(); ++i) {
+        if (std::isnan(xs[i]) && !view.IsNull(p.rows[i], f)) {
+          ++nan_x;
+          break;
+        }
+      }
+    }
     const std::vector<DecisionTree::Node> want =
-        reference::Fit(view, p.rows, p.labels, p.weights, p.options);
-    const DecisionTree got =
-        *DecisionTree::Fit(view.Snapshot(p.rows), p.labels, p.weights,
-                           p.options);
+        reference::Fit(view, p.rows, p.labels, p.options);
+    const DecisionTree got = *DecisionTree::Fit(columns, p.labels, p.options);
     const std::string where = "trial " + std::to_string(trial);
     EXPECT_EQ(CompareReachable(want, got.nodes()), "") << where;
     EXPECT_EQ(Render(got.PositiveLeafPredicates(view, 0.5)),
               Render(reference::PositiveLeafPredicates(want, view, 0.5)))
         << where;
   }
-  EXPECT_GE(weighted, kProblems / 2);
+  EXPECT_GE(nan_x, kProblems / 4);
   EXPECT_GE(pruned, kProblems / 4);
   EXPECT_GE(capped, kProblems / 2);
   EXPECT_GE(gain_ratio, kProblems / 3);
@@ -589,9 +629,8 @@ TEST(TreeOracle, WideDictionaryOverFewRows) {
           << where;
     }
     const std::vector<DecisionTree::Node> want =
-        reference::Fit(view, p.rows, p.labels, p.weights, p.options);
-    const DecisionTree got =
-        *DecisionTree::Fit(columns, p.labels, p.weights, p.options);
+        reference::Fit(view, p.rows, p.labels, p.options);
+    const DecisionTree got = *DecisionTree::Fit(columns, p.labels, p.options);
     EXPECT_EQ(CompareReachable(want, got.nodes()), "") << where;
     EXPECT_EQ(Render(got.PositiveLeafPredicates(view, 0.5)),
               Render(reference::PositiveLeafPredicates(want, view, 0.5)))
@@ -601,6 +640,29 @@ TEST(TreeOracle, WideDictionaryOverFewRows) {
     }
   }
   EXPECT_GE(category_splits, kProblems / 4);
+}
+
+TEST(TreeOracle, LongTieRunsMatchReference) {
+  Rng gen(1996);
+  constexpr int kProblems = 60;
+  int deep_splits = 0;
+  for (int trial = 0; trial < kProblems; ++trial) {
+    const Problem p = TiedProblem(&gen);
+    const FeatureView view = *FeatureView::Create(*p.table, p.columns);
+    const std::vector<DecisionTree::Node> want =
+        reference::Fit(view, p.rows, p.labels, p.options);
+    const DecisionTree got =
+        *DecisionTree::Fit(view.Snapshot(p.rows), p.labels, p.options);
+    const std::string where = "trial " + std::to_string(trial);
+    EXPECT_EQ(CompareReachable(want, got.nodes()), "") << where;
+    EXPECT_EQ(Render(got.PositiveLeafPredicates(view, 0.5)),
+              Render(reference::PositiveLeafPredicates(want, view, 0.5)))
+        << where;
+    for (const DecisionTree::Node& n : got.nodes()) {
+      deep_splits += !n.is_leaf && n.depth >= 2;
+    }
+  }
+  EXPECT_GE(deep_splits, kProblems);
 }
 
 // Growth is greedy and max_depth only stops the recursion, so a fit at
@@ -616,12 +678,12 @@ TEST(TreeOracle, TruncatedDeeperFitEqualsShallowFit) {
     const FeatureColumns columns = view.Snapshot(p.rows);
     const size_t d = p.options.max_depth;
     const DecisionTree shallow =
-        *DecisionTree::Fit(columns, p.labels, p.weights, p.options);
+        *DecisionTree::Fit(columns, p.labels, p.options);
     for (size_t extra : {1, 2}) {
       DecisionTreeOptions deeper = p.options;
       deeper.max_depth = d + extra;
       const DecisionTree cut =
-          DecisionTree::Fit(columns, p.labels, p.weights, deeper)->Truncate(d);
+          DecisionTree::Fit(columns, p.labels, deeper)->Truncate(d);
       const std::string where = "trial " + std::to_string(trial) + " depth " +
                                 std::to_string(d) + "+" + std::to_string(extra);
       ASSERT_EQ(cut.nodes().size(), shallow.nodes().size()) << where;

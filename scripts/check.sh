@@ -2,8 +2,8 @@
 # Pre-merge gate: tier-1 tests, the asan smoke subset, the anytime
 # fault matrix, the tsan smoke subset (tracer/metrics buffers must be
 # race-free), the stress-labelled concurrent service suites under
-# tsan, the tracing-overhead benchmark and the end-to-end benchmark's
-# smoke test. Run from the repo root:
+# tsan, the tracing-overhead benchmark, the one-thread pipeline suites
+# and the end-to-end benchmark's smoke test. Run from the repo root:
 #
 #   scripts/check.sh            # every stage
 #   scripts/check.sh tier1      # just the default-preset test suite
@@ -13,6 +13,9 @@
 #   scripts/check.sh stress     # concurrent service suites under tsan
 #   scripts/check.sh trace      # just bench_trace (BENCH_trace.json)
 #   scripts/check.sh shard      # bench_shard (BENCH_shard.json)
+#   scripts/check.sh threads    # the golden transcript, the pipeline,
+#                               # equivalence and anytime suites with
+#                               # DBWIPES_THREADS=1 (no pool workers)
 #   scripts/check.sh simd       # clause-kernel, conjunction,
 #                               # executor-oracle, cleaning-law and
 #                               # learner-oracle (k-means, trees,
@@ -85,6 +88,21 @@ shard_bench() {
   cmake --build --preset default -j "$jobs" --target bench_shard
   (cd build/bench && ./bench_shard --benchmark_min_time=0.05)
   echo "wrote build/bench/BENCH_shard.json"
+}
+
+threads() {
+  echo "=== threads: goldens and pipeline laws with one thread ==="
+  # The same answers with no pool worker: the Dataset Enumerator then
+  # cleans D' and searches for subgroups inline, in that order, where
+  # the default run searches beside the clean on a worker. The golden
+  # transcript pins one answer at both thread counts.
+  cmake --preset default >/dev/null
+  cmake --build --preset default -j "$jobs" --target service_protocol_test \
+      pipeline_test equivalence_test anytime_test
+  DBWIPES_THREADS=1 ./build/tests/service_protocol_test
+  DBWIPES_THREADS=1 ./build/tests/pipeline_test
+  DBWIPES_THREADS=1 ./build/tests/equivalence_test
+  DBWIPES_THREADS=1 ./build/tests/anytime_test
 }
 
 simd() {
@@ -198,13 +216,14 @@ case "${1:-all}" in
   stress) stress ;;
   trace)  trace_bench ;;
   shard)  shard_bench ;;
+  threads) threads ;;
   simd)   simd ;;
   crash)  crash ;;
   wal)    wal_bench ;;
   obs)    obs ;;
   repl)   repl ;;
   perf)   perf_smoke ;;
-  all)    tier1; asan_smoke; faults; tsan_smoke; stress; trace_bench; shard_bench; simd; crash; wal_bench; obs; repl; perf_smoke ;;
-  *) echo "usage: $0 [tier1|asan|faults|tsan|stress|trace|shard|simd|crash|wal|obs|repl|perf|all]" >&2; exit 2 ;;
+  all)    tier1; asan_smoke; faults; tsan_smoke; stress; trace_bench; shard_bench; threads; simd; crash; wal_bench; obs; repl; perf_smoke ;;
+  *) echo "usage: $0 [tier1|asan|faults|tsan|stress|trace|shard|threads|simd|crash|wal|obs|repl|perf|all]" >&2; exit 2 ;;
 esac
 echo "=== check.sh: all requested stages passed ==="

@@ -170,6 +170,57 @@ void ThreadPool::Run(size_t num_chunks,
   if (error) std::rethrow_exception(error);
 }
 
+bool ThreadPool::TryRunBeside(const std::function<void()>& side,
+                              const std::function<void()>& main) {
+  if (threads_.empty() || t_in_pool_worker) return false;
+  const std::function<void(size_t)> task = [&side](size_t) { side(); };
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (task_ != nullptr) return false;
+    task_ = &task;
+    ++task_epoch_;
+    num_chunks_ = 1;
+    next_chunk_ = 0;
+    chunks_done_ = 0;
+    task_error_ = nullptr;
+    task_error_chunk_ = 0;
+  }
+  // Every idle worker races for the chunk, so one that the host has
+  // not scheduled does not hold it up.
+  work_cv_.notify_all();
+  stat_regions_.fetch_add(1, std::memory_order_relaxed);
+
+  const bool was_worker = t_in_pool_worker;
+  t_in_pool_worker = true;
+  std::exception_ptr main_error;
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    main();
+  } catch (...) {
+    main_error = std::current_exception();
+  }
+  stat_busy_ns_.fetch_add(
+      static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count()),
+      std::memory_order_relaxed);
+  stat_chunks_.fetch_add(1, std::memory_order_relaxed);
+  DrainCurrentTask();  // runs `side` if no worker took it
+  t_in_pool_worker = was_worker;
+
+  std::unique_lock<std::mutex> lock(mu_);
+  done_cv_.wait(lock, [&] { return chunks_done_ == num_chunks_; });
+  task_ = nullptr;
+  std::exception_ptr side_error = task_error_;
+  task_error_ = nullptr;
+  lock.unlock();
+  done_cv_.notify_all();
+  if (main_error) std::rethrow_exception(main_error);
+  if (side_error) std::rethrow_exception(side_error);
+  return true;
+}
+
 ThreadPool::StatsSnapshot ThreadPool::stats() const {
   StatsSnapshot s;
   s.regions = stat_regions_.load(std::memory_order_relaxed);

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "dbwipes/common/metrics.h"
+#include "dbwipes/common/parallel.h"
 #include "dbwipes/common/stats.h"
+#include "dbwipes/common/telemetry.h"
 #include "dbwipes/common/trace.h"
 #include "dbwipes/core/removal_scorer.h"
 #include "dbwipes/learn/kmeans.h"
@@ -33,6 +36,11 @@ std::vector<RowId> UnionOf(const std::vector<RowId>& a,
 
 }  // namespace
 
+bool DatasetEnumerator::KeepsDPrimeWhole(size_t num_examples) const {
+  // Too few examples to judge consistency; trust the user.
+  return num_examples < 4 || options_.clean_method == CleanMethod::kNone;
+}
+
 Result<std::vector<RowId>> DatasetEnumerator::CleanDPrime(
     const Table& /*table*/, const std::vector<RowId>& dprime,
     const std::vector<RowId>& suspect_inputs,
@@ -42,10 +50,7 @@ Result<std::vector<RowId>> DatasetEnumerator::CleanDPrime(
   DBW_TRACE_SPAN("enumerate/clean");
   DBW_RETURN_NOT_OK(ctx.CheckContinue());
   std::vector<RowId> sorted = SortedUnique(dprime);
-  if (sorted.size() < 4 || options_.clean_method == CleanMethod::kNone) {
-    // Too few examples to judge consistency; trust the user.
-    return sorted;
-  }
+  if (KeepsDPrimeWhole(sorted.size())) return sorted;
 
   // Influence lookup for majority-cluster selection.
   std::unordered_map<RowId, double> influence_of;
@@ -158,20 +163,12 @@ Result<std::vector<CandidateDataset>> DatasetEnumerator::Enumerate(
   }
   const FeatureView& view = columns.view();
 
-  // 1. Clean D'.
-  DBW_ASSIGN_OR_RETURN(
-      std::vector<RowId> cleaned,
-      CleanDPrime(table, dprime, suspects, preprocess.influences, view, ctx));
-  if (cleaned_dprime != nullptr) *cleaned_dprime = cleaned;
-
-  // 2. Positive labels for the extension step: cleaned D' plus the
-  //    top-influence quantile of F.
-  std::unordered_set<RowId> positives(cleaned.begin(), cleaned.end());
+  // The top-influence quantile of F. Quantile over the *positive*
+  // influences: with a max-style metric only the worst group's tuples
+  // can have any influence at all, so a quantile over all of F would be
+  // stuck at zero.
   std::vector<RowId> top_influence;
   {
-    // Quantile over the *positive* influences: with a max-style metric
-    // only the worst group's tuples can have any influence at all, so
-    // a quantile over all of F would be stuck at zero.
     std::vector<double> positive_infl;
     positive_infl.reserve(preprocess.influences.size());
     for (const TupleInfluence& ti : preprocess.influences) {
@@ -183,12 +180,83 @@ Result<std::vector<CandidateDataset>> DatasetEnumerator::Enumerate(
       for (const TupleInfluence& ti : preprocess.influences) {
         if (ti.influence > 0.0 && ti.influence >= cutoff) {
           top_influence.push_back(ti.row);
-          positives.insert(ti.row);
         }
       }
     }
     top_influence = SortedUnique(std::move(top_influence));
   }
+  // Discovery's labels over F: 1 for the cleaned D' and the
+  // top-influence rows. Discovery runs only on labels of both values.
+  auto discovery_labels = [&](const std::vector<RowId>& cleaned,
+                              std::vector<int>* labels) {
+    labels->reserve(suspects.size());
+    size_t num_pos = 0;
+    for (RowId r : suspects) {
+      const int y =
+          std::binary_search(cleaned.begin(), cleaned.end(), r) ||
+                  std::binary_search(top_influence.begin(),
+                                     top_influence.end(), r)
+              ? 1
+              : 0;
+      num_pos += static_cast<size_t>(y);
+      labels->push_back(y);
+    }
+    return num_pos > 0 && num_pos < suspects.size();
+  };
+
+  // 1. Clean D'. When the clean runs a model, discovery's search runs
+  //    beside it on a pool worker, on the labels the clean gives if it
+  //    keeps all of D'. That guess stands when it does; otherwise the
+  //    search stops at its next beam level and step 2 discovers on the
+  //    cleaned labels. The search allocates nothing (DESIGN.md §5m).
+  //    With no free pool worker both steps run here, in that order.
+  const std::vector<RowId> sorted_dprime = SortedUnique(dprime);
+  std::optional<Result<std::vector<RowId>>> clean;
+  std::optional<SubgroupSearch> guess;
+  bool guess_ran = false, guess_hit = false, guess_finished = false;
+  std::vector<int> guess_labels;
+  if (options_.extend_with_subgroups &&
+      !KeepsDPrimeWhole(sorted_dprime.size()) &&
+      discovery_labels(sorted_dprime, &guess_labels)) {
+    Result<SubgroupSearch> plan =
+        SubgroupSearch::Plan(columns, std::move(guess_labels),
+                             /*init_weights=*/{}, options_.subgroup_options);
+    if (plan.ok()) guess.emplace(std::move(*plan));
+  }
+  if (guess) {
+    CancellationSource stop;
+    ExecContext search_ctx;
+    search_ctx.token = stop.token();
+    search_ctx.deadline = ctx.deadline;
+    const uint64_t rid = CurrentRequestId();
+    guess_ran = ThreadPool::Global().TryRunBeside(
+        [&] {
+          RequestScope scope(rid);
+          DBW_TRACE_SPAN("enumerate/subgroups");
+          guess_finished = guess->Search(search_ctx);
+        },
+        [&] {
+          clean = CleanDPrime(table, dprime, suspects, preprocess.influences,
+                              view, ctx);
+          guess_hit = clean->ok() && **clean == sorted_dprime;
+          if (!guess_hit || ctx.StopRequested()) {
+            stop.Cancel("the search on the guess is not needed");
+          }
+        });
+    if (guess_ran) {
+      static MetricCounter* const hits =
+          MetricsRegistry::Global().GetCounter("enumerate.guess_hits");
+      static MetricCounter* const misses =
+          MetricsRegistry::Global().GetCounter("enumerate.guess_misses");
+      (guess_hit ? hits : misses)->Increment();
+    }
+  }
+  if (!clean) {
+    clean = CleanDPrime(table, dprime, suspects, preprocess.influences, view,
+                        ctx);
+  }
+  DBW_ASSIGN_OR_RETURN(std::vector<RowId> cleaned, std::move(*clean));
+  if (cleaned_dprime != nullptr) *cleaned_dprime = cleaned;
 
   // Raw candidate row sets before scoring.
   struct RawCandidate {
@@ -203,35 +271,43 @@ Result<std::vector<CandidateDataset>> DatasetEnumerator::Enumerate(
     raw.push_back({top_influence, "top-influence"});
   }
 
-  // 3. Extend via subgroup discovery over F. Discovery is the
-  //    expensive step, so it is skipped entirely once a stop is
-  //    requested (the cheap candidates above still get scored).
+  // 2. Extend via subgroup discovery over F, on the cleaned D' plus the
+  //    top-influence rows. Discovery is the expensive step, so it is
+  //    skipped entirely once a stop is requested (the cheap candidates
+  //    above still get scored).
   DBW_RETURN_NOT_OK(ctx.CheckContinue());
-  if (options_.extend_with_subgroups && !positives.empty()) {
-    std::vector<int> labels;
-    labels.reserve(suspects.size());
-    size_t num_pos = 0;
-    for (RowId r : suspects) {
-      const int y = positives.count(r) ? 1 : 0;
-      num_pos += y;
-      labels.push_back(y);
-    }
-    if (num_pos > 0 && num_pos < suspects.size()) {
+  std::vector<Subgroup> subgroups;
+  if (guess && cleaned == sorted_dprime) {
+    // The guess was right, so its labels are the cleaned ones. A search
+    // beside the clean stops early only when ctx asked it to, and that
+    // request stands, so the check above has returned.
+    if (!guess_ran) {
       DBW_TRACE_SPAN("enumerate/subgroups");
-      auto subgroups = DiscoverSubgroups(columns, labels,
-                                         /*init_weights=*/{},
-                                         options_.subgroup_options);
-      if (subgroups.ok()) {
-        for (const Subgroup& sg : *subgroups) {
-          std::vector<RowId> rows;
-          rows.reserve(sg.covered.size());
-          for (size_t idx : sg.covered) rows.push_back(suspects[idx]);
-          rows = UnionOf(SortedUnique(std::move(rows)), cleaned);
-          raw.push_back({std::move(rows),
-                         "subgroup: " + sg.predicate.ToString()});
-        }
+      guess_finished = guess->Search(ctx);
+    }
+    if (!guess_finished) return ctx.CheckContinue();
+    subgroups = guess->Describe();
+  } else if (options_.extend_with_subgroups) {
+    std::vector<int> labels;
+    if (discovery_labels(cleaned, &labels)) {
+      DBW_TRACE_SPAN("enumerate/subgroups");
+      Result<std::vector<Subgroup>> found = DiscoverSubgroups(
+          columns, labels, /*init_weights=*/{}, options_.subgroup_options,
+          ctx);
+      if (found.ok()) {
+        subgroups = std::move(*found);
+      } else if (found.status().IsInterrupt()) {
+        return found.status();
       }
     }
+  }
+  guess.reset();  // free the search's buffers before scoring
+  for (const Subgroup& sg : subgroups) {
+    std::vector<RowId> rows;
+    rows.reserve(sg.covered.size());
+    for (size_t idx : sg.covered) rows.push_back(suspects[idx]);
+    rows = UnionOf(SortedUnique(std::move(rows)), cleaned);
+    raw.push_back({std::move(rows), "subgroup: " + sg.predicate.ToString()});
   }
 
   if (raw.empty()) {
@@ -240,7 +316,7 @@ Result<std::vector<CandidateDataset>> DatasetEnumerator::Enumerate(
         "influence");
   }
 
-  // 4. Score by error reduction; epsilon controls the extension
+  // 3. Score by error reduction; epsilon controls the extension
   //    (candidates that do not reduce the error are dropped). The
   //    scorer snapshots the selected groups' aggregator state once;
   //    each candidate then costs Remove() deltas instead of a full

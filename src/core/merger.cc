@@ -201,22 +201,7 @@ Result<std::vector<RankedPredicate>> MergeAndRerank(
   DBW_TRACE_SPAN("merge/rerank");
 
   const size_t n = std::min(options.max_inputs, ranked.size());
-  std::vector<EnumeratedPredicate> pool;
-  std::set<std::string> seen;
-  auto add = [&](const Predicate& p, const std::string& strategy) {
-    if (!seen.insert(p.CanonicalString()).second) return;
-    EnumeratedPredicate ep;
-    ep.predicate = p;
-    ep.strategy = strategy;
-    pool.push_back(std::move(ep));
-  };
-  for (const RankedPredicate& rp : ranked) {
-    add(rp.predicate, rp.strategy);
-  }
-  std::map<std::string, double> parent_score;
-  for (const RankedPredicate& rp : ranked) {
-    parent_score[rp.predicate.CanonicalString()] = rp.score;
-  }
+  std::vector<Predicate> merges;
   std::map<std::string, double> merge_floor;  // merged -> required score
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i + 1; j < n; ++j) {
@@ -229,9 +214,24 @@ Result<std::vector<RankedPredicate>> MergeAndRerank(
       if (it == merge_floor.end() || floor < it->second) {
         merge_floor[key] = floor;
       }
-      add(*merged, "merged");
+      merges.push_back(std::move(*merged));
     }
   }
+  // With nothing merged the pool would be `ranked` itself, which the
+  // same ranker has already scored and ordered.
+  if (merges.empty()) return ranked;
+
+  std::vector<EnumeratedPredicate> pool;
+  std::set<std::string> seen;
+  auto add = [&](const Predicate& p, const std::string& strategy) {
+    if (!seen.insert(p.CanonicalString()).second) return;
+    EnumeratedPredicate ep;
+    ep.predicate = p;
+    ep.strategy = strategy;
+    pool.push_back(std::move(ep));
+  };
+  for (const RankedPredicate& rp : ranked) add(rp.predicate, rp.strategy);
+  for (const Predicate& p : merges) add(p, "merged");
 
   PredicateRanker ranker(ranker_options);
   DBW_ASSIGN_OR_RETURN(

@@ -77,6 +77,18 @@ class ThreadPool {
   /// never terminates the process. The pool stays usable afterwards.
   void Run(size_t num_chunks, const std::function<void(size_t)>& fn);
 
+  /// A region of two chunks with fixed places: `side` runs on a worker
+  /// while the calling thread runs `main`, and the call returns when
+  /// both finished. If no worker has taken `side` by the time `main`
+  /// returns, the calling thread runs it too. A ParallelFor inside
+  /// `main` runs inline. Exceptions are rethrown on the calling thread,
+  /// `main`'s first. Returns false at once, running neither, when the
+  /// pool has no workers, is called from inside the pool or is running
+  /// another region: the caller then runs both itself, so it never
+  /// queues behind another region.
+  bool TryRunBeside(const std::function<void()>& side,
+                    const std::function<void()>& main);
+
  private:
   void WorkerLoop();
   /// Claims and executes chunks of the current task until exhausted.

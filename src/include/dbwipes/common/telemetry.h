@@ -21,7 +21,9 @@ namespace dbwipes {
 /// layer below — tracer, logger, profile, WAL — picks it up without
 /// threading a context parameter through a dozen signatures. Work
 /// handed to pool threads does not inherit it (the per-stage spans the
-/// correlation story needs are all recorded on the request thread).
+/// correlation story needs are recorded on the request thread), except
+/// the subgroup search the Dataset Enumerator runs beside the D' clean,
+/// which binds the request's id for its `enumerate/subgroups` span.
 /// Id 0 means "no request in scope" and is never assigned.
 
 /// Next process-wide request id (first call returns 1).

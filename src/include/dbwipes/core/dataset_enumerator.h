@@ -61,11 +61,14 @@ class DatasetEnumerator {
   /// may be empty — then influence alone drives the search);
   /// `preprocess` supplies F, the influence ranking, and the baseline
   /// error; `metric`/`agg_index` evaluate candidates. `ctx` is checked
-  /// between candidates, so an expired deadline or tripped token stops
-  /// the enumeration with an interrupt Status (fault site
+  /// between candidates and before every beam level of the subgroup
+  /// search, so an expired deadline or tripped token stops the
+  /// enumeration with an interrupt Status (fault site
   /// "enumerate/datasets"). When `cleaned_dprime` is non-null it
   /// receives the CleanDPrime output the candidates are built from, as
-  /// soon as cleaning finishes (so also on a later interrupt).
+  /// soon as cleaning finishes (so also on a later interrupt). With a
+  /// free ThreadPool worker, the subgroup search runs on it while D' is
+  /// cleaned (DESIGN.md §5m); the candidates are the same either way.
   Result<std::vector<CandidateDataset>> Enumerate(
       const Table& table, const QueryResult& result,
       const std::vector<size_t>& selected_groups,
@@ -94,6 +97,9 @@ class DatasetEnumerator {
       const ExecContext& ctx = ExecContext::None()) const;
 
  private:
+  /// True when CleanDPrime returns D' as it is, without a model.
+  bool KeepsDPrimeWhole(size_t num_examples) const;
+
   DatasetEnumeratorOptions options_;
 };
 

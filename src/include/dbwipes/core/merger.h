@@ -56,10 +56,12 @@ std::vector<RankedPredicate> CombinePartialRankings(
 
 /// Post-ranking pass: tries all pairs among the top ranked predicates,
 /// scores every successful merge with the same ranker, and returns the
-/// re-ranked union of originals and worthwhile merges. `shards` (may
-/// be null) is forwarded to the re-ranking Rank call, so a sharded
-/// explain's merge stage scores through the same warm per-shard
-/// engines as the main ranking.
+/// re-ranked union of originals and worthwhile merges. `ranked` must be
+/// a PredicateRanker's output under `ranker_options` and these inputs:
+/// when no pair merges it is returned as it is, without a re-rank.
+/// `shards` (may be null) is forwarded to the re-ranking Rank call, so
+/// a sharded explain's merge stage scores through the same warm
+/// per-shard engines as the main ranking.
 Result<std::vector<RankedPredicate>> MergeAndRerank(
     const Table& table, const QueryResult& result,
     const std::vector<size_t>& selected_groups, const ErrorMetric& metric,

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "dbwipes/common/metrics.h"
 #include "dbwipes/common/random.h"
 #include "dbwipes/core/merger.h"
 #include "dbwipes/core/preprocessor.h"
@@ -160,6 +163,82 @@ TEST(MergeAndRerankTest, BadMergesAreDropped) {
   for (const RankedPredicate& rp : merged) {
     EXPECT_NE(rp.predicate.ToString(), "c IN ('bad', 'huge')")
         << "over-broad merge survived";
+  }
+}
+
+/// When no pair of the top predicates merges, the re-rank's pool is the
+/// ranking itself: MergeAndRerank returns what Rank over that pool
+/// returns, field for field, without running the ranker.
+TEST(MergeAndRerankTest, NothingMergedSkipsTheRerank) {
+  Rng rng(13);
+  auto t = std::make_shared<Table>(
+      Schema{{"g", DataType::kInt64},
+             {"c", DataType::kString},
+             {"v", DataType::kDouble}},
+      "w");
+  std::vector<RowId> bad;
+  for (int g = 0; g < 3; ++g) {
+    for (int i = 0; i < 100; ++i) {
+      const bool is_bad = g > 0 && i < 15;
+      DBW_CHECK_OK(t->AppendRow({Value(static_cast<int64_t>(g)),
+                                 Value(is_bad ? "bad" : "fine"),
+                                 Value(is_bad ? rng.Normal(100, 2)
+                                              : rng.Normal(10, 2))}));
+      if (is_bad) bad.push_back(static_cast<RowId>(t->num_rows() - 1));
+    }
+  }
+  QueryResult result = *ExecuteQuery(
+      *ParseQuery("SELECT g, avg(v) AS m FROM w GROUP BY g"), *t);
+  auto metric = TooHigh(15.0);
+  std::vector<size_t> selected = {1, 2};
+  PreprocessResult pre = *Preprocessor::Run(*t, result, selected, *metric);
+
+  // Each constrains its own attribute set, so no pair merges.
+  std::vector<EnumeratedPredicate> candidates;
+  for (const char* text : {"c = 'bad'", "v > 101", "g = 2",
+                           "c = 'bad' AND g = 1"}) {
+    EnumeratedPredicate ep;
+    ep.predicate = P(text);
+    ep.strategy = std::string("from ") + text;
+    candidates.push_back(std::move(ep));
+  }
+  const RankerOptions options;
+  const PredicateRanker ranker(options);
+  const std::vector<RankedPredicate> ranked =
+      *ranker.Rank(*t, result, selected, *metric, 0, pre.suspect_inputs, bad,
+                   pre.per_group_baseline_error, candidates);
+  ASSERT_EQ(ranked.size(), candidates.size());
+  std::vector<EnumeratedPredicate> pool;
+  for (const RankedPredicate& rp : ranked) {
+    EnumeratedPredicate ep;
+    ep.predicate = rp.predicate;
+    ep.strategy = rp.strategy;
+    pool.push_back(std::move(ep));
+  }
+  const std::vector<RankedPredicate> want =
+      *ranker.Rank(*t, result, selected, *metric, 0, pre.suspect_inputs, bad,
+                   pre.per_group_baseline_error, pool);
+
+  MetricCounter* runs = MetricsRegistry::Global().GetCounter("ranker.runs");
+  const uint64_t runs_before = runs->value();
+  const std::vector<RankedPredicate> got =
+      *MergeAndRerank(*t, result, selected, *metric, 0, pre.suspect_inputs,
+                      bad, pre.per_group_baseline_error, ranked, options);
+  EXPECT_EQ(runs->value(), runs_before);
+  auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].predicate.ToString(), want[i].predicate.ToString());
+    EXPECT_TRUE(same_bits(got[i].score, want[i].score)) << i;
+    EXPECT_TRUE(same_bits(got[i].error_improvement, want[i].error_improvement));
+    EXPECT_TRUE(same_bits(got[i].precision, want[i].precision));
+    EXPECT_TRUE(same_bits(got[i].recall, want[i].recall));
+    EXPECT_TRUE(same_bits(got[i].f1, want[i].f1));
+    EXPECT_EQ(got[i].matched_in_suspects, want[i].matched_in_suspects);
+    EXPECT_TRUE(same_bits(got[i].error_after, want[i].error_after));
+    EXPECT_EQ(got[i].strategy, want[i].strategy);
   }
 }
 

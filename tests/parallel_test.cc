@@ -243,6 +243,90 @@ TEST(ParallelForStatusTest, ReportsContextInterrupt) {
   EXPECT_TRUE(st.IsCancelled()) << st.ToString();
 }
 
+/// Waits up to five seconds for `flag`; true once it is set.
+bool AwaitFlag(const std::atomic<bool>& flag) {
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!flag.load() && std::chrono::steady_clock::now() < until) {
+    std::this_thread::yield();
+  }
+  return flag.load();
+}
+
+TEST(TryRunBesideTest, SideRunsOnAWorkerWhileMainRunsOnTheCaller) {
+  ThreadPool pool(2);
+  std::atomic<bool> side_started{false};
+  std::thread::id side_thread, main_thread;
+  bool main_saw_side = false;
+  ASSERT_TRUE(pool.TryRunBeside(
+      [&] {
+        side_thread = std::this_thread::get_id();
+        side_started = true;
+      },
+      [&] {
+        main_thread = std::this_thread::get_id();
+        // `side` started while `main` runs, so a worker took it.
+        main_saw_side = AwaitFlag(side_started);
+      }));
+  EXPECT_TRUE(main_saw_side);
+  EXPECT_EQ(main_thread, std::this_thread::get_id());
+  EXPECT_NE(side_thread, std::this_thread::get_id());
+  // A ParallelFor inside `main` runs inline instead of waiting for the
+  // region it is in.
+  std::atomic<int> items{0};
+  ASSERT_TRUE(pool.TryRunBeside([] {}, [&] {
+    ParallelForEach(0, 1000, [&](size_t) { ++items; });
+  }));
+  EXPECT_EQ(items.load(), 1000);
+}
+
+TEST(TryRunBesideTest, RefusesWithoutAFreeWorker) {
+  std::atomic<int> ran{0};
+  ThreadPool no_workers(1);
+  EXPECT_FALSE(no_workers.TryRunBeside([&] { ++ran; }, [&] { ++ran; }));
+
+  ThreadPool pool(2);
+  // From inside a region of the same pool.
+  bool inside = true;
+  pool.Run(1, [&](size_t) {
+    inside = pool.TryRunBeside([&] { ++ran; }, [&] { ++ran; });
+  });
+  EXPECT_FALSE(inside);
+  // While another thread's region runs.
+  std::atomic<bool> in_region{false}, release{false};
+  std::thread other([&] {
+    pool.Run(1, [&](size_t) {
+      in_region = true;
+      AwaitFlag(release);
+    });
+  });
+  ASSERT_TRUE(AwaitFlag(in_region));
+  EXPECT_FALSE(pool.TryRunBeside([&] { ++ran; }, [&] { ++ran; }));
+  release = true;
+  other.join();
+  EXPECT_EQ(ran.load(), 0);
+  EXPECT_TRUE(pool.TryRunBeside([&] { ++ran; }, [&] { ++ran; }));
+  EXPECT_EQ(ran.load(), 2);
+}
+
+TEST(TryRunBesideTest, ExceptionsReachTheCallerAfterBothFinish) {
+  ThreadPool pool(2);
+  std::atomic<bool> side_done{false};
+  EXPECT_THROW(pool.TryRunBeside([&] { side_done = true; },
+                                 [] { throw std::runtime_error("main"); }),
+               std::runtime_error);
+  EXPECT_TRUE(side_done.load());
+  try {
+    pool.TryRunBeside([] { throw std::logic_error("side"); }, [] {});
+    ADD_FAILURE() << "no exception";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "side");
+  }
+  bool ran = false;
+  EXPECT_TRUE(pool.TryRunBeside([&] { ran = true; }, [] {}));
+  EXPECT_TRUE(ran);
+}
+
 TEST(BitmapTest, SetTestCount) {
   Bitmap bm(130);
   EXPECT_EQ(bm.num_bits(), 130u);

@@ -7,9 +7,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <thread>
 
 #include "dbwipes/common/metrics.h"
+#include "dbwipes/common/parallel.h"
 #include "dbwipes/common/random.h"
+#include "dbwipes/common/stats.h"
 #include "dbwipes/core/dataset_enumerator.h"
 #include "dbwipes/core/dbwipes.h"
 #include "dbwipes/core/export.h"
@@ -19,6 +23,7 @@
 #include "dbwipes/core/removal_scorer.h"
 #include "dbwipes/core/session.h"
 #include "dbwipes/expr/parser.h"
+#include "dbwipes/learn/subgroup.h"
 #include "dbwipes/provenance/influence.h"
 #include "dbwipes/storage/shard.h"
 
@@ -249,6 +254,198 @@ TEST(DatasetEnumeratorTest, CleanDPrimeDropsStrayExamples) {
         << "stray row " << stray << " survived cleaning";
   }
   EXPECT_GE(cleaned.size(), 13u);
+}
+
+/// A candidate row set before scoring, by where it came from.
+using RawCandidate = std::pair<std::string, std::vector<RowId>>;
+
+/// The candidates Enumerate builds, before scoring, when it cleans D'
+/// and then discovers subgroups on the cleaned labels: the cleaned D',
+/// the top-influence rows, and each subgroup's rows joined with the
+/// cleaned D'; a row list met before is dropped. Sorted.
+std::vector<RawCandidate> CleanThenDiscover(
+    const World& w, const PreprocessResult& pre,
+    const std::vector<RowId>& dprime, const FeatureView& view,
+    const DatasetEnumeratorOptions& options, std::vector<RowId>* cleaned) {
+  const DatasetEnumerator enumerator(options);
+  *cleaned = *enumerator.CleanDPrime(*w.table, dprime, pre.suspect_inputs,
+                                     pre.influences, view);
+  std::vector<double> positive;
+  for (const TupleInfluence& ti : pre.influences) {
+    if (ti.influence > 0.0) positive.push_back(ti.influence);
+  }
+  const double cutoff = Quantile(positive, options.influence_quantile);
+  std::vector<RowId> top;
+  for (const TupleInfluence& ti : pre.influences) {
+    if (ti.influence > 0.0 && ti.influence >= cutoff) top.push_back(ti.row);
+  }
+  std::sort(top.begin(), top.end());
+  auto positive_row = [&](RowId r) {
+    return std::binary_search(cleaned->begin(), cleaned->end(), r) ||
+           std::binary_search(top.begin(), top.end(), r);
+  };
+  std::vector<int> labels;
+  for (RowId r : pre.suspect_inputs) labels.push_back(positive_row(r));
+
+  std::vector<RawCandidate> raw = {{"cleaned-dprime", *cleaned},
+                                   {"top-influence", top}};
+  const std::vector<Subgroup> subgroups =
+      *DiscoverSubgroups(view.Snapshot(pre.suspect_inputs), labels, {},
+                         options.subgroup_options);
+  for (const Subgroup& sg : subgroups) {
+    std::vector<RowId> rows = *cleaned;
+    for (size_t i : sg.covered) rows.push_back(pre.suspect_inputs[i]);
+    std::sort(rows.begin(), rows.end());
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+    raw.push_back({"subgroup: " + sg.predicate.ToString(), std::move(rows)});
+  }
+  std::vector<RawCandidate> out;
+  for (RawCandidate& c : raw) {
+    const bool repeated =
+        std::any_of(out.begin(), out.end(), [&](const RawCandidate& o) {
+          return o.second == c.second;
+        });
+    if (!repeated) out.push_back(std::move(c));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Every candidate Enumerate builds, unscored and sorted.
+std::vector<RawCandidate> EnumerateAll(const World& w,
+                                       const PreprocessResult& pre,
+                                       const std::vector<RowId>& dprime,
+                                       const FeatureView& view,
+                                       const DatasetEnumeratorOptions& options,
+                                       std::vector<RowId>* cleaned) {
+  const std::vector<CandidateDataset> candidates =
+      *DatasetEnumerator(options).Enumerate(
+          *w.table, w.result, w.suspicious_groups, pre, dprime, view,
+          *w.metric, 0, ExecContext::None(), cleaned);
+  std::vector<RawCandidate> out;
+  for (const CandidateDataset& c : candidates) {
+    out.push_back({c.source, c.rows});
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Options under which Enumerate keeps every candidate it builds.
+DatasetEnumeratorOptions KeepEveryCandidate() {
+  DatasetEnumeratorOptions options;
+  options.require_error_reduction = false;
+  options.max_candidates = 1000;
+  return options;
+}
+
+/// Searches run beside the D' clean, by outcome.
+struct GuessCounts {
+  uint64_t hits = MetricsRegistry::Global()
+                      .GetCounter("enumerate.guess_hits")
+                      ->value();
+  uint64_t misses = MetricsRegistry::Global()
+                        .GetCounter("enumerate.guess_misses")
+                        ->value();
+};
+
+/// When the clean keeps all of D', the search that ran beside it on
+/// that guess stands: Enumerate equals the clean followed by discovery.
+TEST(DatasetEnumeratorTest, GuessHitEqualsCleanThenDiscover) {
+  World w = MakeWorld();
+  PreprocessResult pre = *Preprocessor::Run(*w.table, w.result,
+                                            w.suspicious_groups, *w.metric);
+  FeatureView view = *FeatureView::Create(*w.table, {"tag", "knob", "v"});
+  const std::vector<RowId> dprime(w.bad_rows.begin(),
+                                  w.bad_rows.begin() + 15);
+  const DatasetEnumeratorOptions options = KeepEveryCandidate();
+  std::vector<RowId> want_cleaned, got_cleaned;
+  const std::vector<RawCandidate> want =
+      CleanThenDiscover(w, pre, dprime, view, options, &want_cleaned);
+  ASSERT_EQ(want_cleaned, dprime) << "the clean must keep all of D'";
+  const GuessCounts before;
+  const std::vector<RawCandidate> got =
+      EnumerateAll(w, pre, dprime, view, options, &got_cleaned);
+  const GuessCounts after;
+  EXPECT_EQ(got_cleaned, want_cleaned);
+  EXPECT_EQ(got, want);
+  EXPECT_GT(std::count_if(got.begin(), got.end(),
+                          [](const RawCandidate& c) {
+                            return c.first.rfind("subgroup: ", 0) == 0;
+                          }),
+            0);
+  // With a pool worker the search ran beside the clean, and stood.
+  const bool beside = ThreadPool::Global().num_threads() > 0;
+  EXPECT_EQ(after.hits - before.hits, beside ? 1u : 0u);
+  EXPECT_EQ(after.misses, before.misses);
+}
+
+/// When the clean drops rows, the guess misses: the search beside it
+/// stops and discovery reruns on the cleaned labels.
+TEST(DatasetEnumeratorTest, GuessMissRediscoversOnCleanedLabels) {
+  World w = MakeWorld();
+  PreprocessResult pre = *Preprocessor::Run(*w.table, w.result,
+                                            w.suspicious_groups, *w.metric);
+  // CleanDPrimeDropsStrayExamples's world: 15 bad rows, 2 strays.
+  FeatureView view = *FeatureView::Create(*w.table, {"knob", "v"});
+  std::vector<RowId> dprime(w.bad_rows.begin(), w.bad_rows.begin() + 15);
+  for (RowId r : pre.suspect_inputs) {
+    if (!std::binary_search(w.bad_rows.begin(), w.bad_rows.end(), r)) {
+      dprime.push_back(r);
+      if (dprime.size() == 17) break;
+    }
+  }
+  std::sort(dprime.begin(), dprime.end());
+  const DatasetEnumeratorOptions options = KeepEveryCandidate();
+  std::vector<RowId> want_cleaned, got_cleaned;
+  const std::vector<RawCandidate> want =
+      CleanThenDiscover(w, pre, dprime, view, options, &want_cleaned);
+  ASSERT_LT(want_cleaned.size(), dprime.size())
+      << "the clean must drop the strays";
+  const GuessCounts before;
+  const std::vector<RawCandidate> got =
+      EnumerateAll(w, pre, dprime, view, options, &got_cleaned);
+  const GuessCounts after;
+  EXPECT_EQ(got_cleaned, want_cleaned);
+  EXPECT_EQ(got, want);
+  const bool beside = ThreadPool::Global().num_threads() > 0;
+  EXPECT_EQ(after.misses - before.misses, beside ? 1u : 0u);
+  EXPECT_EQ(after.hits, before.hits);
+}
+
+/// Discovery checks its context before every beam level: a stopped
+/// context ends it before the first, with the interrupt.
+TEST(DatasetEnumeratorTest, StoppedDiscoveryEndsBeforeItsNextLevel) {
+  World w = MakeWorld();
+  PreprocessResult pre = *Preprocessor::Run(*w.table, w.result,
+                                            w.suspicious_groups, *w.metric);
+  FeatureView view = *FeatureView::Create(*w.table, {"tag", "knob", "v"});
+  const FeatureColumns columns = view.Snapshot(pre.suspect_inputs);
+  std::vector<int> labels;
+  for (RowId r : pre.suspect_inputs) {
+    labels.push_back(
+        std::binary_search(w.bad_rows.begin(), w.bad_rows.end(), r));
+  }
+  CancellationSource source;
+  source.Cancel("stop");
+  ExecContext cancelled;
+  cancelled.token = source.token();
+  ExecContext expired;
+  expired.deadline = Deadline::After(0.0);
+  for (const ExecContext* ctx : {&cancelled, &expired}) {
+    const auto found = DiscoverSubgroups(columns, labels, {}, {}, *ctx);
+    ASSERT_FALSE(found.ok());
+    EXPECT_TRUE(found.status().IsInterrupt()) << found.status().ToString();
+    SubgroupSearch search =
+        SubgroupSearch::Plan(columns, labels, {}).ValueOrDie();
+    EXPECT_FALSE(search.Search(*ctx));
+    EXPECT_EQ(search.levels_run(), 0u);
+  }
+  EXPECT_TRUE(cancelled.CheckContinue().IsCancelled());
+  SubgroupSearch search =
+      SubgroupSearch::Plan(columns, labels, {}).ValueOrDie();
+  EXPECT_TRUE(search.Search(ExecContext::None()));
+  EXPECT_GT(search.levels_run(), 0u);
+  EXPECT_FALSE(search.Describe().empty());
 }
 
 TEST(DatasetEnumeratorTest, CleanMethodNoneKeepsEverything) {
@@ -636,6 +833,56 @@ TEST(DBWipesTest, DebugCleansDPrimeOnce) {
                       std::to_string(cleaned.size()) + ","),
             std::string::npos)
       << json.substr(0, 300);
+}
+
+/// What two runs of one debug must share: the cleaned D', every
+/// candidate, and every ranked predicate's text and score bits.
+std::string DebugDigest(const Explanation& exp) {
+  std::string out = "cleaned:" + std::to_string(exp.cleaned_dprime.size());
+  for (RowId r : exp.cleaned_dprime) out += " " + std::to_string(r);
+  for (const CandidateDataset& c : exp.candidates) {
+    out += "\ncandidate " + c.source + ":";
+    for (RowId r : c.rows) out += " " + std::to_string(r);
+  }
+  for (const RankedPredicate& p : exp.predicates) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &p.score, sizeof bits);
+    out += "\npredicate " + p.predicate.ToString() + " " +
+           std::to_string(bits) + " " + p.strategy;
+  }
+  return out;
+}
+
+/// Two sessions that debug at once get the answers of serial runs, one
+/// whose D' clean keeps every example and one whose clean drops some.
+TEST(DBWipesTest, ConcurrentDebugsMatchSerialRuns) {
+  World w = MakeWorld();
+  auto db = std::make_shared<Database>();
+  db->RegisterTable(w.table);
+  const std::vector<std::string> inputs = {"v > 50",
+                                           "v > 50 OR knob > 1.5"};
+  auto debug = [&](const std::string& where) {
+    Session session(db);
+    DBW_CHECK_OK(
+        session.ExecuteSql("SELECT g, avg(v) AS a FROM w GROUP BY g"));
+    DBW_CHECK_OK(session.SelectResults(w.suspicious_groups));
+    DBW_CHECK_OK(session.SelectInputsWhere(where));
+    DBW_CHECK_OK(session.SetMetric(w.metric));
+    Result<Explanation> exp = session.Debug();
+    return exp.ok() ? DebugDigest(*exp) : exp.status().ToString();
+  };
+  std::vector<std::string> serial;
+  for (const std::string& where : inputs) serial.push_back(debug(where));
+  EXPECT_NE(serial[0], serial[1]);
+  for (int round = 0; round < 4; ++round) {
+    std::vector<std::string> concurrent(inputs.size());
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      threads.emplace_back([&, i] { concurrent[i] = debug(inputs[i]); });
+    }
+    for (std::thread& t : threads) t.join();
+    EXPECT_EQ(concurrent, serial) << "round " << round;
+  }
 }
 
 TEST(DBWipesTest, DefaultExplainColumnsExcludeMeasure) {

@@ -56,17 +56,52 @@ void ThreadPool::WorkerLoop() {
   t_in_pool_worker = true;
   size_t seen_epoch = 0;
   for (;;) {
+    const std::function<void()>* side = nullptr;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [&] {
-        return shutdown_ || (task_ != nullptr && task_epoch_ != seen_epoch &&
-                             next_chunk_ < num_chunks_);
+        return shutdown_ || side_ != nullptr ||
+               (task_ != nullptr && task_epoch_ != seen_epoch &&
+                next_chunk_ < num_chunks_);
       });
       if (shutdown_) return;
-      seen_epoch = task_epoch_;
+      if (side_ != nullptr) {
+        side = side_;
+        side_ = nullptr;
+      } else {
+        seen_epoch = task_epoch_;
+      }
     }
-    DrainCurrentTask();
+    if (side == nullptr) {
+      DrainCurrentTask();
+      continue;
+    }
+    std::exception_ptr error = RunCounted(*side);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      side_error_ = error;
+      side_done_ = true;
+    }
+    side_cv_.notify_all();
   }
+}
+
+std::exception_ptr ThreadPool::RunCounted(const std::function<void()>& fn) {
+  std::exception_ptr error;
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    fn();
+  } catch (...) {
+    error = std::current_exception();
+  }
+  stat_busy_ns_.fetch_add(
+      static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count()),
+      std::memory_order_relaxed);
+  stat_chunks_.fetch_add(1, std::memory_order_relaxed);
+  return error;
 }
 
 void ThreadPool::DrainCurrentTask() {
@@ -173,49 +208,38 @@ void ThreadPool::Run(size_t num_chunks,
 bool ThreadPool::TryRunBeside(const std::function<void()>& side,
                               const std::function<void()>& main) {
   if (threads_.empty() || t_in_pool_worker) return false;
-  const std::function<void(size_t)> task = [&side](size_t) { side(); };
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (task_ != nullptr) return false;
-    task_ = &task;
-    ++task_epoch_;
-    num_chunks_ = 1;
-    next_chunk_ = 0;
-    chunks_done_ = 0;
-    task_error_ = nullptr;
-    task_error_chunk_ = 0;
+    if (task_ != nullptr || side_busy_) return false;
+    side_ = &side;
+    side_busy_ = true;
+    side_done_ = false;
+    side_error_ = nullptr;
   }
-  // Every idle worker races for the chunk, so one that the host has
-  // not scheduled does not hold it up.
+  // Every idle worker races for `side`, so one that the host has not
+  // scheduled does not hold it up.
   work_cv_.notify_all();
   stat_regions_.fetch_add(1, std::memory_order_relaxed);
 
   const bool was_worker = t_in_pool_worker;
   t_in_pool_worker = true;
-  std::exception_ptr main_error;
-  const auto t0 = std::chrono::steady_clock::now();
-  try {
-    main();
-  } catch (...) {
-    main_error = std::current_exception();
-  }
-  stat_busy_ns_.fetch_add(
-      static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()),
-      std::memory_order_relaxed);
-  stat_chunks_.fetch_add(1, std::memory_order_relaxed);
-  DrainCurrentTask();  // runs `side` if no worker took it
-  t_in_pool_worker = was_worker;
-
+  const std::exception_ptr main_error = RunCounted(main);
   std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] { return chunks_done_ == num_chunks_; });
-  task_ = nullptr;
-  std::exception_ptr side_error = task_error_;
-  task_error_ = nullptr;
+  std::exception_ptr side_error;
+  if (side_ != nullptr) {
+    // No worker took `side`: run it here.
+    side_ = nullptr;
+    lock.unlock();
+    side_error = RunCounted(side);
+    lock.lock();
+  } else {
+    side_cv_.wait(lock, [&] { return side_done_; });
+    side_error = side_error_;
+    side_error_ = nullptr;
+  }
+  side_busy_ = false;
   lock.unlock();
-  done_cv_.notify_all();
+  t_in_pool_worker = was_worker;
   if (main_error) std::rethrow_exception(main_error);
   if (side_error) std::rethrow_exception(side_error);
   return true;

@@ -204,36 +204,41 @@ Result<std::vector<CandidateDataset>> DatasetEnumerator::Enumerate(
     return num_pos > 0 && num_pos < suspects.size();
   };
 
-  // 1. Clean D'. When the clean runs a model, discovery's search runs
-  //    beside it on a pool worker, on the labels the clean gives if it
-  //    keeps all of D'. That guess stands when it does; otherwise the
-  //    search stops at its next beam level and step 2 discovers on the
-  //    cleaned labels. The search allocates nothing (DESIGN.md §5m).
-  //    With no free pool worker both steps run here, in that order.
+  // Discovery on the labels of `cleaned`; empty when those have one
+  // value only.
+  auto discover = [&](const std::vector<RowId>& cleaned,
+                      const ExecContext& search_ctx)
+      -> std::optional<Result<std::vector<Subgroup>>> {
+    std::vector<int> labels;
+    if (!discovery_labels(cleaned, &labels)) return std::nullopt;
+    DBW_TRACE_SPAN("enumerate/subgroups");
+    return DiscoverSubgroups(columns, labels, /*init_weights=*/{},
+                             options_.subgroup_options, search_ctx);
+  };
+
+  // 1. Clean D'. When the clean runs a model, discovery runs beside it
+  //    on a pool worker, on the labels the clean gives if it keeps all
+  //    of D'. That guess stands when it does; otherwise a token stops
+  //    the search at its next beam level while this thread discovers
+  //    on the cleaned labels. With no free pool worker both steps run
+  //    here, clean first (DESIGN.md §5m).
   const std::vector<RowId> sorted_dprime = SortedUnique(dprime);
   std::optional<Result<std::vector<RowId>>> clean;
-  std::optional<SubgroupSearch> guess;
-  bool guess_ran = false, guess_hit = false, guess_finished = false;
-  std::vector<int> guess_labels;
+  std::optional<Result<std::vector<Subgroup>>> found;
+  bool discovered = false;
   if (options_.extend_with_subgroups &&
-      !KeepsDPrimeWhole(sorted_dprime.size()) &&
-      discovery_labels(sorted_dprime, &guess_labels)) {
-    Result<SubgroupSearch> plan =
-        SubgroupSearch::Plan(columns, std::move(guess_labels),
-                             /*init_weights=*/{}, options_.subgroup_options);
-    if (plan.ok()) guess.emplace(std::move(*plan));
-  }
-  if (guess) {
+      !KeepsDPrimeWhole(sorted_dprime.size())) {
     CancellationSource stop;
     ExecContext search_ctx;
     search_ctx.token = stop.token();
     search_ctx.deadline = ctx.deadline;
     const uint64_t rid = CurrentRequestId();
-    guess_ran = ThreadPool::Global().TryRunBeside(
+    std::optional<Result<std::vector<Subgroup>>> guess;
+    bool guess_hit = false;
+    discovered = ThreadPool::Global().TryRunBeside(
         [&] {
           RequestScope scope(rid);
-          DBW_TRACE_SPAN("enumerate/subgroups");
-          guess_finished = guess->Search(search_ctx);
+          guess = discover(sorted_dprime, search_ctx);
         },
         [&] {
           clean = CleanDPrime(table, dprime, suspects, preprocess.influences,
@@ -242,13 +247,18 @@ Result<std::vector<CandidateDataset>> DatasetEnumerator::Enumerate(
           if (!guess_hit || ctx.StopRequested()) {
             stop.Cancel("the search on the guess is not needed");
           }
+          // A miss: rediscover while the search stops.
+          if (!guess_hit && clean->ok() && !ctx.StopRequested()) {
+            found = discover(**clean, ctx);
+          }
         });
-    if (guess_ran) {
+    if (discovered) {
       static MetricCounter* const hits =
           MetricsRegistry::Global().GetCounter("enumerate.guess_hits");
       static MetricCounter* const misses =
           MetricsRegistry::Global().GetCounter("enumerate.guess_misses");
       (guess_hit ? hits : misses)->Increment();
+      if (guess_hit) found = std::move(guess);
     }
   }
   if (!clean) {
@@ -276,32 +286,12 @@ Result<std::vector<CandidateDataset>> DatasetEnumerator::Enumerate(
   //    skipped entirely once a stop is requested (the cheap candidates
   //    above still get scored).
   DBW_RETURN_NOT_OK(ctx.CheckContinue());
-  std::vector<Subgroup> subgroups;
-  if (guess && cleaned == sorted_dprime) {
-    // The guess was right, so its labels are the cleaned ones. A search
-    // beside the clean stops early only when ctx asked it to, and that
-    // request stands, so the check above has returned.
-    if (!guess_ran) {
-      DBW_TRACE_SPAN("enumerate/subgroups");
-      guess_finished = guess->Search(ctx);
-    }
-    if (!guess_finished) return ctx.CheckContinue();
-    subgroups = guess->Describe();
-  } else if (options_.extend_with_subgroups) {
-    std::vector<int> labels;
-    if (discovery_labels(cleaned, &labels)) {
-      DBW_TRACE_SPAN("enumerate/subgroups");
-      Result<std::vector<Subgroup>> found = DiscoverSubgroups(
-          columns, labels, /*init_weights=*/{}, options_.subgroup_options,
-          ctx);
-      if (found.ok()) {
-        subgroups = std::move(*found);
-      } else if (found.status().IsInterrupt()) {
-        return found.status();
-      }
-    }
+  if (options_.extend_with_subgroups && !discovered) {
+    found = discover(cleaned, ctx);
   }
-  guess.reset();  // free the search's buffers before scoring
+  if (found && found->status().IsInterrupt()) return found->status();
+  const std::vector<Subgroup> subgroups =
+      found && found->ok() ? std::move(**found) : std::vector<Subgroup>{};
   for (const Subgroup& sg : subgroups) {
     std::vector<RowId> rows;
     rows.reserve(sg.covered.size());

@@ -249,7 +249,6 @@ Result<std::vector<EnumeratedPredicate>> PredicateEnumerator::Enumerate(
 
   std::vector<EnumeratedPredicate> out;
   std::unordered_set<std::string> seen;
-  TreeScratch scratch;  // every fit builds its lists in the same memory
   // Budget gate: enumeration is serial, so stopping at the cap keeps
   // the emitted list a deterministic prefix of the unbounded run.
   bool budget_hit = false;
@@ -307,7 +306,7 @@ Result<std::vector<EnumeratedPredicate>> PredicateEnumerator::Enumerate(
         DBW_TRACE_SPAN("predicates/tree");
         DecisionTreeOptions fit_options = strategies[g];
         fit_options.max_depth = fit_depth[g];
-        fits[g] = DecisionTree::Fit(columns, labels, fit_options, &scratch);
+        fits[g] = DecisionTree::Fit(columns, labels, fit_options);
       }
       if (!fits[g]->ok()) continue;
       const DecisionTree& fitted = **fits[g];

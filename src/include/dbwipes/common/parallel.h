@@ -30,9 +30,10 @@ size_t DefaultParallelism();
 /// The pool exists so that hot ranking paths can fan out hundreds of
 /// independent predicate evaluations without paying thread start-up
 /// cost per call. One parallel region runs at a time (calls are
-/// serialized internally); a ParallelFor issued from inside a worker
-/// runs inline on that worker, so nested use degrades to serial
-/// instead of deadlocking.
+/// serialized internally), and beside it at most one TryRunBeside
+/// function; a ParallelFor issued from inside a worker runs inline on
+/// that worker, so nested use degrades to serial instead of
+/// deadlocking.
 class ThreadPool {
  public:
   /// The shared pool, sized to DefaultParallelism() workers on first
@@ -77,15 +78,16 @@ class ThreadPool {
   /// never terminates the process. The pool stays usable afterwards.
   void Run(size_t num_chunks, const std::function<void(size_t)>& fn);
 
-  /// A region of two chunks with fixed places: `side` runs on a worker
-  /// while the calling thread runs `main`, and the call returns when
-  /// both finished. If no worker has taken `side` by the time `main`
-  /// returns, the calling thread runs it too. A ParallelFor inside
-  /// `main` runs inline. Exceptions are rethrown on the calling thread,
-  /// `main`'s first. Returns false at once, running neither, when the
-  /// pool has no workers, is called from inside the pool or is running
-  /// another region: the caller then runs both itself, so it never
-  /// queues behind another region.
+  /// Runs `side` on a worker while the calling thread runs `main`, and
+  /// returns when both finished. If no worker has taken `side` by the
+  /// time `main` returns, the calling thread runs it too. A ParallelFor
+  /// inside `main` runs inline. Exceptions are rethrown on the calling
+  /// thread, `main`'s first. Returns false at once, running neither,
+  /// when the pool has no workers, is called from inside the pool, is
+  /// running a Run region or already runs a `side`: the caller then
+  /// runs both itself, so it never queues behind another region. `side`
+  /// has its own slot: a Run that starts meanwhile does not wait for
+  /// it, and drains its chunks on the other workers.
   bool TryRunBeside(const std::function<void()>& side,
                     const std::function<void()>& main);
 
@@ -93,6 +95,9 @@ class ThreadPool {
   void WorkerLoop();
   /// Claims and executes chunks of the current task until exhausted.
   void DrainCurrentTask();
+  /// Runs fn, adds its wall time to the utilization counters, and
+  /// returns what it threw.
+  std::exception_ptr RunCounted(const std::function<void()>& fn);
 
   std::mutex mu_;
   std::condition_variable work_cv_;  // workers wait for a task
@@ -105,6 +110,13 @@ class ThreadPool {
   /// First (lowest-chunk-index) exception thrown by the current task.
   std::exception_ptr task_error_;
   size_t task_error_chunk_ = 0;
+  /// TryRunBeside's slot: the `side` no worker has taken yet, whether a
+  /// call holds the slot, and the taken side's outcome.
+  const std::function<void()>* side_ = nullptr;
+  bool side_busy_ = false;
+  bool side_done_ = false;
+  std::exception_ptr side_error_;
+  std::condition_variable side_cv_;  // a worker finished `side`
   bool shutdown_ = false;
   std::vector<std::thread> threads_;
   // Utilization counters (relaxed; see StatsSnapshot).

@@ -1,7 +1,6 @@
 #ifndef DBWIPES_LEARN_DECISION_TREE_H_
 #define DBWIPES_LEARN_DECISION_TREE_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,23 +31,6 @@ struct DecisionTreeOptions {
   size_t max_categories_per_feature = 64;
 
   bool operator==(const DecisionTreeOptions&) const = default;
-};
-
-/// \brief The memory a fit builds its attribute lists in. Fits that
-/// run one after another can share one scratch: each then reuses the
-/// memory of the fit before it instead of allocating its own (a fit of
-/// 56k rows and 7 numeric features fills ~6 MB of lists). The trees
-/// are the same either way. Not for fits that run at the same time.
-class TreeScratch {
- public:
-  TreeScratch();
-  ~TreeScratch();
-
-  struct Buffers;  // defined by the builder
-
- private:
-  friend class DecisionTree;
-  std::unique_ptr<Buffers> buffers_;
 };
 
 /// \brief Binary-classification decision tree over a FeatureView.
@@ -82,12 +64,10 @@ class DecisionTree {
 
   /// Fits a tree on the snapshot's rows with binary labels, aligned
   /// with the snapshot's positions. Fits of one snapshot share its
-  /// presort: no node sorts. `scratch` (may be null) lends the fit its
-  /// buffers.
+  /// presort: no node sorts.
   static Result<DecisionTree> Fit(const FeatureColumns& columns,
                                   const std::vector<int>& labels,
-                                  const DecisionTreeOptions& options = {},
-                                  TreeScratch* scratch = nullptr);
+                                  const DecisionTreeOptions& options = {});
 
   /// Fit over view.Snapshot(rows).
   static Result<DecisionTree> Fit(const FeatureView& view,

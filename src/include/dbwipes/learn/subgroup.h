@@ -1,7 +1,6 @@
 #ifndef DBWIPES_LEARN_SUBGROUP_H_
 #define DBWIPES_LEARN_SUBGROUP_H_
 
-#include <memory>
 #include <vector>
 
 #include "dbwipes/common/exec_context.h"
@@ -62,8 +61,9 @@ struct Subgroup {
 /// planes instead: every partial sum is then exact, so the bits are
 /// the same. Unit weights with a gamma of 0.5 always qualify.
 ///
-/// `ctx` is checked before every beam level; once it asks to stop, the
-/// call returns its interrupt Status instead of subgroups.
+/// `ctx` is checked before the conditions are built and before every
+/// beam level; once it asks to stop, the call returns its interrupt
+/// Status instead of subgroups.
 Result<std::vector<Subgroup>> DiscoverSubgroups(
     const FeatureColumns& columns, const std::vector<int>& labels,
     const std::vector<double>& init_weights,
@@ -76,42 +76,6 @@ Result<std::vector<Subgroup>> DiscoverSubgroups(
     const std::vector<int>& labels, const std::vector<double>& init_weights,
     const SubgroupOptions& options = {},
     const ExecContext& ctx = ExecContext::None());
-
-/// \brief DiscoverSubgroups in three steps, so that the search can run
-/// on a thread that must not allocate (DESIGN.md §5m):
-///  1. Plan checks the problem and builds everything the search reads
-///     or writes: the conditions and their coverage bitmaps, the
-///     weights, the bit planes, and the beam and candidate buffers at
-///     their largest sizes.
-///  2. Search runs the weighted-covering rounds and allocates nothing.
-///  3. Describe turns each round's rule into a Subgroup.
-/// DiscoverSubgroups is Plan, Search and Describe on one thread.
-class SubgroupSearch {
- public:
-  static Result<SubgroupSearch> Plan(const FeatureColumns& columns,
-                                     std::vector<int> labels,
-                                     const std::vector<double>& init_weights,
-                                     const SubgroupOptions& options = {});
-
-  SubgroupSearch(SubgroupSearch&&) noexcept;
-  ~SubgroupSearch();
-
-  /// Runs the search once. Checks `ctx` before every beam level and
-  /// returns false, with the search unfinished, when it asks to stop.
-  bool Search(const ExecContext& ctx);
-
-  /// Beam levels the search has run, over all rounds.
-  size_t levels_run() const;
-
-  /// The subgroups a finished search found, highest WRAcc first.
-  std::vector<Subgroup> Describe() const;
-
- private:
-  struct State;
-  explicit SubgroupSearch(std::unique_ptr<State> state);
-
-  std::unique_ptr<State> state_;
-};
 
 }  // namespace dbwipes
 

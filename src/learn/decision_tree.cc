@@ -128,68 +128,30 @@ size_t StablePartition(std::vector<T>* list, Span span, std::vector<T>* scratch,
   return static_cast<size_t>(left - (list->data() + span.begin));
 }
 
-struct CatMass {
-  double n0 = 0.0;
-  double n1 = 0.0;
-  bool touched = false;
-};
-
-}  // namespace
-
-/// The builder's buffers; a TreeScratch keeps them between fits.
-struct TreeScratch::Buffers {
-  std::vector<uint32_t> rows;      // positions, ascending per node
-  std::vector<Entry> lists;        // the attribute lists, back to back
-  std::vector<Span> root_lists;    // by feature; empty if categorical
-  std::vector<uint8_t> goes_left;  // by position, for the split
-  // Scratch reused by every node and feature.
-  std::vector<uint32_t> row_scratch;
-  std::vector<Entry> entry_scratch;
-  std::vector<CatMass> mass;  // indexed by rank; all zero between uses
-  std::vector<int32_t> touched;
-  std::vector<std::pair<int32_t, CatMass>> cats;
-};
-
-TreeScratch::TreeScratch() : buffers_(std::make_unique<Buffers>()) {}
-TreeScratch::~TreeScratch() = default;
-
-namespace {
-
 /// SPRINT's builder (Shafer, Agrawal, Mehta, VLDB 1996), depth first.
 /// Every numeric feature has one attribute list, its snapshot presort
 /// with values and labels, and the lists lie back to back in one array
-/// (a TreeScratch keeps it across fits); every node owns a span of each
-/// list and a span of the positions in ascending order. A split
-/// partitions each span stably into its children's spans, so a node's
-/// list is still in (value, position) order and no node sorts. A
-/// position whose value is NaN or NULL is in no list of that feature;
-/// GoesLeft routes it.
+/// (one allocation per fit); every node owns a span of each list and a
+/// span of the positions in ascending order. A split partitions each
+/// span stably into its children's spans, so a node's list is still in
+/// (value, position) order and no node sorts. A position whose value
+/// is NaN or NULL is in no list of that feature; GoesLeft routes it.
 class TreeBuilder {
  public:
   TreeBuilder(const FeatureColumns& columns, const std::vector<int>& labels,
               const DecisionTreeOptions& options,
-              std::vector<DecisionTree::Node>* nodes,
-              TreeScratch::Buffers* buffers)
+              std::vector<DecisionTree::Node>* nodes)
       : columns_(columns),
         labels_(labels),
         options_(options),
         nodes_(nodes),
-        rows_(buffers->rows),
-        lists_(buffers->lists),
-        root_lists_(buffers->root_lists),
-        goes_left_(buffers->goes_left),
-        row_scratch_(buffers->row_scratch),
-        entry_scratch_(buffers->entry_scratch),
-        mass_(buffers->mass),
-        touched_(buffers->touched),
-        cats_(buffers->cats) {
-    rows_.resize(columns.num_rows());
+        rows_(columns.num_rows()),
+        root_lists_(columns.num_features()),
+        goes_left_(columns.num_rows()),
+        row_scratch_(columns.num_rows()) {
     for (size_t i = 0; i < rows_.size(); ++i) {
       rows_[i] = static_cast<uint32_t>(i);
     }
-    root_lists_.assign(columns.num_features(), {});
-    goes_left_.resize(columns.num_rows());
-    row_scratch_.resize(columns.num_rows());
     size_t num_categories = 0;
     size_t longest = 0;
     size_t total = 0;
@@ -203,7 +165,6 @@ class TreeBuilder {
       total = root_lists_[f].end;
       longest = std::max(longest, columns.sorted(f).size());
     }
-    lists_.clear();
     lists_.reserve(total);
     for (size_t f = 0; f < columns.num_features(); ++f) {
       if (columns.categorical(f)) continue;
@@ -212,7 +173,7 @@ class TreeBuilder {
         lists_.push_back({values[p], p, static_cast<uint32_t>(labels[p])});
       }
     }
-    mass_.assign(num_categories, {});
+    mass_.resize(num_categories);
     entry_scratch_.resize(longest);
   }
 
@@ -220,6 +181,12 @@ class TreeBuilder {
   void Build() { Build({0, rows_.size()}, root_lists_, 0); }
 
  private:
+  struct CatMass {
+    double n0 = 0.0;
+    double n1 = 0.0;
+    bool touched = false;
+  };
+
   int Build(Span rows, const std::vector<Span>& lists, int depth) {
     DecisionTree::Node node;
     node.depth = depth;
@@ -394,16 +361,16 @@ class TreeBuilder {
   const std::vector<int>& labels_;
   const DecisionTreeOptions& options_;
   std::vector<DecisionTree::Node>* nodes_;
-  // The buffers (TreeScratch::Buffers documents each).
-  std::vector<uint32_t>& rows_;
-  std::vector<Entry>& lists_;
-  std::vector<Span>& root_lists_;
-  std::vector<uint8_t>& goes_left_;
-  std::vector<uint32_t>& row_scratch_;
-  std::vector<Entry>& entry_scratch_;
-  std::vector<CatMass>& mass_;
-  std::vector<int32_t>& touched_;
-  std::vector<std::pair<int32_t, CatMass>>& cats_;
+  std::vector<uint32_t> rows_;     // positions, ascending per node
+  std::vector<Entry> lists_;       // the attribute lists, back to back
+  std::vector<Span> root_lists_;   // by feature; empty if categorical
+  std::vector<uint8_t> goes_left_;          // by position, for the split
+  // Scratch reused by every node and feature.
+  std::vector<uint32_t> row_scratch_;
+  std::vector<Entry> entry_scratch_;
+  std::vector<CatMass> mass_;  // indexed by rank; all zero between uses
+  std::vector<int32_t> touched_;
+  std::vector<std::pair<int32_t, CatMass>> cats_;
 };
 
 }  // namespace
@@ -427,8 +394,7 @@ Result<DecisionTree> DecisionTree::Fit(const FeatureView& view,
 
 Result<DecisionTree> DecisionTree::Fit(const FeatureColumns& columns,
                                        const std::vector<int>& labels,
-                                       const DecisionTreeOptions& options,
-                                       TreeScratch* scratch) {
+                                       const DecisionTreeOptions& options) {
   const size_t n = columns.num_rows();
   if (n != labels.size()) {
     return Status::InvalidArgument("rows/labels size mismatch");
@@ -444,10 +410,7 @@ Result<DecisionTree> DecisionTree::Fit(const FeatureColumns& columns,
   }
 
   DecisionTree tree;
-  TreeScratch::Buffers own;
-  TreeBuilder(columns, labels, options, &tree.nodes_,
-              scratch != nullptr ? scratch->buffers_.get() : &own)
-      .Build();
+  TreeBuilder(columns, labels, options, &tree.nodes_).Build();
 
   if (options.ccp_alpha > 0.0) {
     // Bottom-up cost-complexity pruning: collapse a subtree when its

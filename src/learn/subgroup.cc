@@ -21,6 +21,13 @@ struct Condition {
   Bitmap covered;
 };
 
+/// A conjunction in the beam.
+struct Rule {
+  std::vector<size_t> condition_ids;  // sorted
+  Bitmap covered;
+  double wracc = -std::numeric_limits<double>::infinity();
+};
+
 /// A scored extension of beam[parent] by one condition. Only the
 /// candidates that survive into the next beam get condition ids and a
 /// coverage bitmap.
@@ -146,19 +153,19 @@ double WRAcc(double cov_w, double cov_pos_w, double total_w,
 }
 
 /// Scores (parent AND condition) in one pass over the words, without
-/// materializing the AND; `parent` holds condition.num_words() words.
-/// Both weight sums run over the covered rows in ascending order.
-/// `pos_weights` holds the weight on positives and +0.0 elsewhere; a
-/// sum that starts at +0.0 never becomes -0.0, so adding +0.0 leaves it
-/// unchanged and the positive sum equals one that skips the negatives.
-Score ScoreAnd(const uint64_t* parent, const Bitmap& condition,
+/// materializing the AND. Both weight sums run over the covered rows in
+/// ascending order. `pos_weights` holds the weight on positives and
+/// +0.0 elsewhere; a sum that starts at +0.0 never becomes -0.0, so
+/// adding +0.0 leaves it unchanged and the positive sum equals one that
+/// skips the negatives.
+Score ScoreAnd(const Bitmap& parent, const Bitmap& condition,
                const std::vector<double>& weights,
                const std::vector<double>& pos_weights, double total_w,
                double total_pos_w) {
   Score out;
   double cov_w = 0.0, cov_pos_w = 0.0;
-  for (size_t wi = 0; wi < condition.num_words(); ++wi) {
-    uint64_t w = parent[wi] & condition.word(wi);
+  for (size_t wi = 0; wi < parent.num_words(); ++wi) {
+    uint64_t w = parent.word(wi) & condition.word(wi);
     out.coverage += static_cast<size_t>(std::popcount(w));
     while (w != 0) {
       const size_t i = wi * 64 + static_cast<size_t>(std::countr_zero(w));
@@ -185,20 +192,6 @@ struct WeightPlanes {
   std::vector<uint64_t> words;
   std::vector<uint64_t> units;  // the u_i while building
 };
-
-/// The most planes a round can need. In general that is one per bit of
-/// a u_i < 2^53, per label. Unit starting weights decayed by a power of
-/// two give every u_i a single bit, one per decay count, so round r
-/// needs at most r + 1 positive planes and one negative plane.
-size_t MaxPlanes(const std::vector<double>& init_weights,
-                 const SubgroupOptions& options) {
-  constexpr size_t kAnyWeights = 2 * 53;
-  int exponent = 0;
-  const bool power_of_two = std::frexp(options.gamma, &exponent) == 0.5;
-  return init_weights.empty() && power_of_two
-             ? std::min(kAnyWeights, options.num_rules + 1)
-             : kAnyWeights;
-}
 
 /// w = m * 2^q for a finite w > 0.
 void Decompose(double w, uint64_t* m, int* q) {
@@ -235,8 +228,8 @@ bool BuildWeightPlanes(const std::vector<double>& weights,
     exponent = std::max(exponent, -(q + std::countr_zero(m)));
   }
   if (exponent == std::numeric_limits<int>::min()) exponent = 0;
-  // The buffers were sized by the plan, so nothing here allocates.
   std::vector<uint64_t>& units = planes->units;
+  units.resize(weights.size());
   uint64_t total = 0, positive_bits = 0, negative_bits = 0;
   for (size_t i = 0; i < weights.size(); ++i) {
     uint64_t u = 0;
@@ -289,15 +282,15 @@ bool BuildWeightPlanes(const std::vector<double>& weights,
 #if DBWIPES_HAVE_AVX2_TIER
 __attribute__((target("avx2,popcnt")))
 #endif
-Score ScorePlanes(const uint64_t* parent, const Bitmap& condition,
+Score ScorePlanes(const Bitmap& parent, const Bitmap& condition,
                   const WeightPlanes& planes, double total_w,
                   double total_pos_w) {
   const size_t num_planes = planes.scales.size();
   const uint64_t* scales = planes.scales.data();
   const uint64_t* word = planes.words.data();
   uint64_t coverage = 0, pos_units = 0, neg_units = 0;
-  for (size_t wi = 0; wi < condition.num_words(); ++wi, word += num_planes) {
-    const uint64_t w = parent[wi] & condition.word(wi);
+  for (size_t wi = 0; wi < parent.num_words(); ++wi, word += num_planes) {
+    const uint64_t w = parent.word(wi) & condition.word(wi);
     coverage += static_cast<uint64_t>(__builtin_popcountll(w));
     size_t p = 0;
     for (; p < planes.num_positive; ++p) {
@@ -317,30 +310,20 @@ Score ScorePlanes(const uint64_t* parent, const Bitmap& condition,
   return out;
 }
 
-/// One beam level's rules in flat arrays: rule k's `size` condition
-/// ids, ascending, at ids[k * stride], and its coverage at
-/// words[k * num_words].
-struct Beam {
-  size_t rules = 0;
-  std::vector<size_t> ids;
-  std::vector<uint64_t> words;
-};
-
-/// Marks in `skip` the conditions that extend rule b of `beam` (whose
-/// rules have `size` ids each, `stride` apart) to a set an earlier beam
-/// rule already generated, and appends every marked id to `marked`.
-/// Rule ∪ {c} is first generated by the lowest beam rule it contains.
-/// All rules of a level have the same size, so an earlier rule b'
-/// contains it exactly when rule_b' minus rule_b = {c}.
-void MarkRepeats(const Beam& beam, size_t size, size_t stride, size_t b,
+/// Marks in `skip` the conditions that extend beam[b] to a set an
+/// earlier beam rule already generated, and appends every marked id to
+/// `marked`. Rule ∪ {c} is first generated by the lowest beam rule it
+/// contains. All rules of a level have the same size, so an earlier
+/// rule b' contains it exactly when rule_b' minus rule_b = {c}.
+void MarkRepeats(const std::vector<Rule>& beam, size_t b,
                  std::vector<uint8_t>* skip, std::vector<size_t>* marked) {
-  const size_t* ids = beam.ids.data() + b * stride;
+  const std::vector<size_t>& ids = beam[b].condition_ids;
   for (size_t e = 0; e < b; ++e) {
-    const size_t* earlier = beam.ids.data() + e * stride;
+    const std::vector<size_t>& earlier = beam[e].condition_ids;
     size_t only = 0, extra = 0;
-    for (size_t j = 0; j < size; ++j) {
-      if (!std::binary_search(ids, ids + size, earlier[j])) {
-        only = earlier[j];
+    for (size_t id : earlier) {
+      if (!std::binary_search(ids.begin(), ids.end(), id)) {
+        only = id;
         if (++extra > 1) break;
       }
     }
@@ -351,54 +334,20 @@ void MarkRepeats(const Beam& beam, size_t size, size_t stride, size_t b,
   }
 }
 
-/// a * b, or the largest size_t where that overflows.
-size_t SaturatingProduct(size_t a, size_t b) {
-  constexpr size_t kMax = std::numeric_limits<size_t>::max();
-  return b != 0 && a > kMax / b ? kMax : a * b;
-}
-
 }  // namespace
 
-/// Everything the search reads and writes, sized by the plan.
-struct SubgroupSearch::State {
-  SubgroupOptions options;
-  size_t num_words = 0;
-  std::vector<int> labels;
-  std::vector<Condition> conditions;
-  std::vector<double> weights;
-  std::vector<double> pos_weights;
-  // The bit-plane scorer wants a hardware popcount: AVX2 tier only.
-  bool planes_tier = false;
-  WeightPlanes planes;
-  std::vector<uint64_t> all_rows;
-  // The most ids a rule can hold: min(max_clauses, conditions).
-  size_t stride = 0;
-  Beam beam, next;
-  std::vector<Candidate> candidates;
-  // skip[c] = 1 while the current beam rule must not be extended by c.
-  std::vector<uint8_t> skip;
-  std::vector<size_t> marked;
-  // The best rule of the current round.
-  size_t best_size = 0;
-  double best_wracc = -std::numeric_limits<double>::infinity();
-  std::vector<size_t> best_ids;
-  std::vector<uint64_t> best_words;
-  // Each finished round's rule: its ids at round_ids[r * stride].
-  size_t rounds = 0;
-  std::vector<size_t> round_size;
-  std::vector<size_t> round_ids;
-  std::vector<double> round_wracc;
-  size_t levels_run = 0;
-};
+Result<std::vector<Subgroup>> DiscoverSubgroups(
+    const FeatureView& view, const std::vector<RowId>& rows,
+    const std::vector<int>& labels, const std::vector<double>& init_weights,
+    const SubgroupOptions& options, const ExecContext& ctx) {
+  return DiscoverSubgroups(view.Snapshot(rows), labels, init_weights, options,
+                           ctx);
+}
 
-SubgroupSearch::SubgroupSearch(std::unique_ptr<State> state)
-    : state_(std::move(state)) {}
-SubgroupSearch::SubgroupSearch(SubgroupSearch&&) noexcept = default;
-SubgroupSearch::~SubgroupSearch() = default;
-
-Result<SubgroupSearch> SubgroupSearch::Plan(
-    const FeatureColumns& columns, std::vector<int> labels,
-    const std::vector<double>& init_weights, const SubgroupOptions& options) {
+Result<std::vector<Subgroup>> DiscoverSubgroups(
+    const FeatureColumns& columns, const std::vector<int>& labels,
+    const std::vector<double>& init_weights, const SubgroupOptions& options,
+    const ExecContext& ctx) {
   const size_t n = columns.num_rows();
   if (n != labels.size()) {
     return Status::InvalidArgument("rows/labels size mismatch");
@@ -421,191 +370,112 @@ Result<SubgroupSearch> SubgroupSearch::Plan(
     return Status::InvalidArgument("no positive examples for subgroups");
   }
 
-  auto state = std::make_unique<State>();
-  State& s = *state;
-  s.conditions = BuildConditions(columns, options);
-  if (s.conditions.empty()) {
+  DBW_RETURN_NOT_OK(ctx.CheckContinue());
+  std::vector<Condition> conditions = BuildConditions(columns, options);
+  if (conditions.empty()) {
     return Status::InvalidArgument(
         "no candidate conditions could be generated from the features");
   }
-  s.options = options;
-  s.num_words = (n + 63) / 64;
-  s.weights = init_weights;
-  if (s.weights.empty()) s.weights.assign(n, 1.0);
-  s.pos_weights.assign(n, 0.0);
+
+  std::vector<double> weights = init_weights;
+  if (weights.empty()) weights.assign(n, 1.0);
+  std::vector<double> pos_weights(n, 0.0);
   for (size_t i = 0; i < n; ++i) {
-    if (labels[i] == 1) s.pos_weights[i] = s.weights[i];
+    if (labels[i] == 1) pos_weights[i] = weights[i];
   }
-  s.labels = std::move(labels);
-  s.planes_tier = ResolveSimdTier() == SimdTier::kAvx2;
-  if (s.planes_tier) {
-    const size_t max_planes = MaxPlanes(init_weights, options);
-    s.planes.units.resize(n);
-    s.planes.scales.reserve(max_planes);
-    s.planes.words.reserve(s.num_words * max_planes);
-  }
+  // The bit-plane scorer wants a hardware popcount: AVX2 tier only.
+  const bool planes_tier = ResolveSimdTier() == SimdTier::kAvx2;
+  WeightPlanes planes;
   Bitmap all_rows(n);
   all_rows.SetAll();
-  for (size_t wi = 0; wi < s.num_words; ++wi) {
-    s.all_rows.push_back(all_rows.word(wi));
-  }
+  // skip[c] = 1 while the current beam rule must not be extended by c.
+  std::vector<uint8_t> skip(conditions.size(), 0);
+  std::vector<size_t> marked;
+  std::vector<Candidate> candidates;
 
-  // Level L extends at most `rules` beam rules by every condition, and
-  // keeps at most beam_width of them.
-  const size_t num_conditions = s.conditions.size();
-  s.stride = std::min(options.max_clauses, num_conditions);
-  size_t rules = 1, max_rules = 1, max_candidates = 0;
-  for (size_t level = 0; level < s.stride; ++level) {
-    const size_t candidates = SaturatingProduct(rules, num_conditions);
-    max_candidates = std::max(max_candidates, candidates);
-    rules = std::min(options.beam_width, candidates);
-    max_rules = std::max(max_rules, rules);
-  }
-  for (Beam* beam : {&s.beam, &s.next}) {
-    beam->ids.resize(max_rules * s.stride);
-    beam->words.resize(max_rules * s.num_words);
-  }
-  s.candidates.reserve(max_candidates);
-  s.skip.assign(num_conditions, 0);
-  // A rule's own ids, then at most one repeat per earlier beam rule.
-  s.marked.reserve(s.stride + max_rules);
-  s.best_ids.resize(s.stride);
-  s.best_words.resize(s.num_words);
-  s.round_size.resize(options.num_rules);
-  s.round_ids.resize(options.num_rules * s.stride);
-  s.round_wracc.resize(options.num_rules);
-  return SubgroupSearch(std::move(state));
-}
-
-bool SubgroupSearch::Search(const ExecContext& ctx) {
-  State& s = *state_;
-  const SubgroupOptions& options = s.options;
-  const std::vector<Condition>& conditions = s.conditions;
-  const size_t n = s.labels.size();
-  const size_t num_words = s.num_words;
-  const size_t stride = s.stride;
+  std::vector<Subgroup> subgroups;
   for (size_t round = 0; round < options.num_rules; ++round) {
     double total_w = 0.0, total_pos_w = 0.0;
     for (size_t i = 0; i < n; ++i) {
-      total_w += s.weights[i];
-      if (s.labels[i] == 1) total_pos_w += s.weights[i];
+      total_w += weights[i];
+      if (labels[i] == 1) total_pos_w += weights[i];
     }
     if (total_pos_w <= 1e-12) break;
     // The weights change only between rounds.
     const bool use_planes =
-        s.planes_tier && BuildWeightPlanes(s.weights, s.labels, &s.planes);
+        planes_tier && BuildWeightPlanes(weights, labels, &planes);
 
-    // Beam search over conjunctions, from the empty rule. Level L's
-    // rules have L ids.
-    s.beam.rules = 1;
-    std::copy(s.all_rows.begin(), s.all_rows.end(), s.beam.words.begin());
-    s.best_size = 0;
-    s.best_wracc = -std::numeric_limits<double>::infinity();
+    // Beam search over conjunctions.
+    std::vector<Rule> beam(1);
+    beam[0].covered = all_rows;
+    Rule best;
     for (size_t level = 0; level < options.max_clauses; ++level) {
-      if (ctx.StopRequested()) return false;
-      ++s.levels_run;
-      s.candidates.clear();
-      for (size_t b = 0; b < s.beam.rules; ++b) {
-        const size_t* ids = s.beam.ids.data() + b * stride;
-        const uint64_t* covered = s.beam.words.data() + b * num_words;
-        s.marked.assign(ids, ids + level);
-        for (size_t ci : s.marked) s.skip[ci] = 1;
-        MarkRepeats(s.beam, level, stride, b, &s.skip, &s.marked);
+      DBW_RETURN_NOT_OK(ctx.CheckContinue());
+      candidates.clear();
+      for (size_t b = 0; b < beam.size(); ++b) {
+        const Rule& rule = beam[b];
+        marked = rule.condition_ids;
+        for (size_t ci : marked) skip[ci] = 1;
+        MarkRepeats(beam, b, &skip, &marked);
         for (size_t ci = 0; ci < conditions.size(); ++ci) {
-          if (s.skip[ci]) continue;
-          const Bitmap& condition = conditions[ci].covered;
+          if (skip[ci]) continue;
+          const Bitmap& covered = conditions[ci].covered;
           const Score score =
-              use_planes ? ScorePlanes(covered, condition, s.planes, total_w,
+              use_planes ? ScorePlanes(rule.covered, covered, planes, total_w,
                                        total_pos_w)
-                         : ScoreAnd(covered, condition, s.weights,
-                                    s.pos_weights, total_w, total_pos_w);
+                         : ScoreAnd(rule.covered, covered, weights,
+                                    pos_weights, total_w, total_pos_w);
           if (score.coverage < options.min_coverage) continue;
-          s.candidates.push_back({b, ci, score.wracc});
+          candidates.push_back({b, ci, score.wracc});
         }
-        for (size_t ci : s.marked) s.skip[ci] = 0;
+        for (size_t ci : marked) skip[ci] = 0;
       }
-      if (s.candidates.empty()) break;
+      if (candidates.empty()) break;
       // std::sort is not stable: where it leaves rules of equal WRAcc
       // (which decides the beam and the winner) depends on the order
       // the candidates were generated in, so that order is fixed.
-      std::sort(s.candidates.begin(), s.candidates.end(),
+      std::sort(candidates.begin(), candidates.end(),
                 [](const Candidate& a, const Candidate& b) {
                   return a.wracc > b.wracc;
                 });
-      if (s.candidates.size() > options.beam_width) {
-        s.candidates.resize(options.beam_width);
+      if (candidates.size() > options.beam_width) {
+        candidates.resize(options.beam_width);
       }
-      for (size_t k = 0; k < s.candidates.size(); ++k) {
-        const Candidate& c = s.candidates[k];
-        const size_t* parent_ids = s.beam.ids.data() + c.parent * stride;
-        size_t* ids = s.next.ids.data() + k * stride;
-        const size_t before = static_cast<size_t>(
-            std::upper_bound(parent_ids, parent_ids + level, c.condition) -
-            parent_ids);
-        std::copy(parent_ids, parent_ids + before, ids);
-        ids[before] = c.condition;
-        std::copy(parent_ids + before, parent_ids + level, ids + before + 1);
-        const uint64_t* parent = s.beam.words.data() + c.parent * num_words;
-        const Bitmap& condition = conditions[c.condition].covered;
-        uint64_t* words = s.next.words.data() + k * num_words;
-        for (size_t wi = 0; wi < num_words; ++wi) {
-          words[wi] = parent[wi] & condition.word(wi);
-        }
+      std::vector<Rule> next(candidates.size());
+      for (size_t k = 0; k < candidates.size(); ++k) {
+        const Candidate& c = candidates[k];
+        std::vector<size_t>& ids = next[k].condition_ids;
+        ids = beam[c.parent].condition_ids;
+        ids.insert(std::upper_bound(ids.begin(), ids.end(), c.condition),
+                   c.condition);
+        next[k].covered = beam[c.parent].covered;
+        next[k].covered.AndWith(conditions[c.condition].covered);
+        next[k].wracc = c.wracc;
       }
-      s.next.rules = s.candidates.size();
-      if (s.candidates.front().wracc > s.best_wracc) {
-        s.best_size = level + 1;
-        s.best_wracc = s.candidates.front().wracc;
-        std::copy_n(s.next.ids.begin(), s.best_size, s.best_ids.begin());
-        std::copy_n(s.next.words.begin(), num_words, s.best_words.begin());
-      }
-      std::swap(s.beam, s.next);
+      if (next.front().wracc > best.wracc) best = next.front();
+      beam = std::move(next);
     }
 
-    if (s.best_size == 0 || s.best_wracc <= 0.0) break;
-    s.round_size[round] = s.best_size;
-    std::copy_n(s.best_ids.begin(), s.best_size,
-                s.round_ids.begin() + round * stride);
-    s.round_wracc[round] = s.best_wracc;
-    s.rounds = round + 1;
+    if (best.condition_ids.empty() || best.wracc <= 0.0) break;
+
+    Subgroup sg;
+    std::vector<Clause> clauses;
+    for (size_t ci : best.condition_ids) {
+      clauses.push_back(conditions[ci].clause);
+    }
+    sg.predicate = Predicate(std::move(clauses)).Simplify();
+    sg.wracc = best.wracc;
     // Weighted covering: decay covered positives so later rounds look
     // elsewhere. (Applied even when the rule is a duplicate, to force
     // progress.)
-    for (size_t wi = 0; wi < num_words; ++wi) {
-      for (uint64_t w = s.best_words[wi]; w != 0; w &= w - 1) {
-        const size_t i = wi * 64 + static_cast<size_t>(std::countr_zero(w));
-        if (s.labels[i] == 1) {
-          s.weights[i] *= options.gamma;
-          s.pos_weights[i] = s.weights[i];
-        }
-      }
-    }
-  }
-  return true;
-}
-
-size_t SubgroupSearch::levels_run() const { return state_->levels_run; }
-
-std::vector<Subgroup> SubgroupSearch::Describe() const {
-  const State& s = *state_;
-  std::vector<Subgroup> subgroups;
-  for (size_t round = 0; round < s.rounds; ++round) {
-    const size_t* ids = s.round_ids.data() + round * s.stride;
-    Subgroup sg;
-    std::vector<Clause> clauses;
-    // The rule covers the AND of its conditions' coverage, the bitmap
-    // the search ANDed along the beam.
-    Bitmap covered = s.conditions[ids[0]].covered;
-    for (size_t j = 0; j < s.round_size[round]; ++j) {
-      clauses.push_back(s.conditions[ids[j]].clause);
-      covered.AndWith(s.conditions[ids[j]].covered);
-    }
-    sg.predicate = Predicate(std::move(clauses)).Simplify();
-    sg.wracc = s.round_wracc[round];
-    covered.ForEachSet([&](size_t i) {
+    best.covered.ForEachSet([&](size_t i) {
       ++sg.coverage;
       sg.covered.push_back(i);
-      if (s.labels[i] == 1) ++sg.positives;
+      if (labels[i] == 1) {
+        ++sg.positives;
+        weights[i] *= options.gamma;
+        pos_weights[i] = weights[i];
+      }
     });
     // Skip semantic duplicates discovered in later rounds.
     bool duplicate = false;
@@ -623,25 +493,6 @@ std::vector<Subgroup> SubgroupSearch::Describe() const {
               return a.wracc > b.wracc;
             });
   return subgroups;
-}
-
-Result<std::vector<Subgroup>> DiscoverSubgroups(
-    const FeatureView& view, const std::vector<RowId>& rows,
-    const std::vector<int>& labels, const std::vector<double>& init_weights,
-    const SubgroupOptions& options, const ExecContext& ctx) {
-  return DiscoverSubgroups(view.Snapshot(rows), labels, init_weights, options,
-                           ctx);
-}
-
-Result<std::vector<Subgroup>> DiscoverSubgroups(
-    const FeatureColumns& columns, const std::vector<int>& labels,
-    const std::vector<double>& init_weights, const SubgroupOptions& options,
-    const ExecContext& ctx) {
-  DBW_ASSIGN_OR_RETURN(SubgroupSearch search,
-                       SubgroupSearch::Plan(columns, labels, init_weights,
-                                            options));
-  if (!search.Search(ctx)) return ctx.CheckContinue();
-  return search.Describe();
 }
 
 }  // namespace dbwipes

@@ -2,24 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
-#include <new>
 
 #include "dbwipes/common/random.h"
 #include "dbwipes/learn/decision_tree.h"
 #include "dbwipes/learn/feature.h"
 #include "dbwipes/learn/kmeans.h"
 #include "dbwipes/learn/naive_bayes.h"
-#include "dbwipes/learn/subgroup.h"
 
 namespace dbwipes {
 namespace {
-
-/// Allocations made through operator new on this thread (the counting
-/// operator new is defined at the end of this file).
-thread_local size_t t_allocations = 0;
 
 std::shared_ptr<Table> MixedTable() {
   auto t = std::make_shared<Table>(Schema{{"num", DataType::kDouble},
@@ -561,160 +553,5 @@ TEST(DecisionTreeTest, ToStringShowsStructure) {
   EXPECT_NE(s.find("leaf"), std::string::npos);
 }
 
-/// A table for the learners' reuse laws: positives where cat = 'x' and
-/// num > 0.3, with label noise, NULLs and ties.
-std::shared_ptr<Table> LabeledTable(Rng* rng, std::vector<int>* labels) {
-  auto t = std::make_shared<Table>(Schema{{"num", DataType::kDouble},
-                                          {"cat", DataType::kString},
-                                          {"other", DataType::kInt64}},
-                                   "l");
-  const char* cats[] = {"x", "y", "z", "w"};
-  for (int i = 0; i < 700; ++i) {
-    const double num = std::round(rng->UniformDouble(0.0, 1.0) * 40) / 40;
-    const char* cat = cats[rng->UniformInt(uint64_t{4})];
-    const bool positive = (cat[0] == 'x' && num > 0.3) ||
-                          rng->UniformDouble(0.0, 1.0) < 0.05;
-    labels->push_back(positive ? 1 : 0);
-    DBW_CHECK_OK(t->AppendRow(
-        {i % 50 == 0 ? Value::Null() : Value(num), Value(cat),
-         Value(static_cast<int64_t>(rng->UniformInt(uint64_t{9})))}));
-  }
-  return t;
-}
-
-std::vector<RowId> AllRows(const Table& t) {
-  std::vector<RowId> rows(t.num_rows());
-  for (size_t i = 0; i < rows.size(); ++i) rows[i] = static_cast<RowId>(i);
-  return rows;
-}
-
-// ---------- SubgroupSearch ----------
-
-/// The search step allocates nothing, under a live context too, and
-/// Describe then gives DiscoverSubgroups's answer. gamma 0.5 keeps the
-/// weights dyadic (bit-plane sums at the AVX2 tier), 0.7 does not.
-TEST(SubgroupSearchTest, SearchAllocatesNothing) {
-  Rng rng(5);
-  std::vector<int> labels;
-  auto t = LabeledTable(&rng, &labels);
-  FeatureView v = *FeatureView::Create(*t, {"num", "cat", "other"});
-  const FeatureColumns columns = v.Snapshot(AllRows(*t));
-  CancellationSource source;
-  ExecContext live;
-  live.token = source.token();
-  live.deadline = Deadline::After(600000.0);
-  for (double gamma : {0.5, 0.7}) {
-    SubgroupOptions options;
-    options.gamma = gamma;
-    SubgroupSearch search =
-        SubgroupSearch::Plan(columns, labels, {}, options).ValueOrDie();
-    const size_t before = t_allocations;
-    ASSERT_TRUE(search.Search(live));
-    EXPECT_EQ(t_allocations - before, 0u) << "gamma " << gamma;
-    EXPECT_GT(search.levels_run(), options.max_clauses);
-
-    const std::vector<Subgroup> got = search.Describe();
-    const std::vector<Subgroup> want =
-        *DiscoverSubgroups(columns, labels, {}, options);
-    ASSERT_EQ(got.size(), want.size());
-    ASSERT_GE(got.size(), 2u);
-    for (size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].predicate.ToString(), want[i].predicate.ToString());
-      EXPECT_EQ(std::memcmp(&got[i].wracc, &want[i].wracc, sizeof(double)),
-                0);
-      EXPECT_EQ(got[i].coverage, want[i].coverage);
-      EXPECT_EQ(got[i].positives, want[i].positives);
-      EXPECT_EQ(got[i].covered, want[i].covered);
-    }
-  }
-}
-
-// ---------- TreeScratch ----------
-
-/// Fits that share one scratch give the trees of fits with their own,
-/// node for node, and once the scratch has grown they allocate less.
-TEST(DecisionTreeTest, SharedScratchGivesTheSameTrees) {
-  Rng rng(6);
-  std::vector<int> labels;
-  auto t = LabeledTable(&rng, &labels);
-  FeatureView v = *FeatureView::Create(*t, {"num", "cat", "other"});
-  const FeatureColumns columns = v.Snapshot(AllRows(*t));
-  TreeScratch scratch;
-  for (int k = 0; k < 6; ++k) {
-    DecisionTreeOptions options;
-    options.criterion =
-        k % 2 == 0 ? SplitCriterion::kGini : SplitCriterion::kGainRatio;
-    options.max_depth = 2 + static_cast<size_t>(k % 3);
-    if (k == 5) options.ccp_alpha = 0.01;
-    std::vector<int> y = labels;
-    for (int& label : y) {
-      if (rng.UniformDouble(0.0, 1.0) < 0.1 * k) label = 1 - label;
-    }
-    size_t before = t_allocations;
-    const DecisionTree own = *DecisionTree::Fit(columns, y, options);
-    const size_t own_allocations = t_allocations - before;
-    before = t_allocations;
-    const DecisionTree shared =
-        *DecisionTree::Fit(columns, y, options, &scratch);
-    const size_t shared_allocations = t_allocations - before;
-    if (k > 0) {
-      EXPECT_LT(shared_allocations, own_allocations) << k;
-    }
-    ASSERT_EQ(shared.nodes().size(), own.nodes().size()) << k;
-    for (size_t i = 0; i < own.nodes().size(); ++i) {
-      const DecisionTree::Node& a = shared.nodes()[i];
-      const DecisionTree::Node& b = own.nodes()[i];
-      EXPECT_EQ(a.is_leaf, b.is_leaf);
-      EXPECT_EQ(a.feature, b.feature);
-      EXPECT_EQ(a.categorical, b.categorical);
-      EXPECT_EQ(std::memcmp(&a.threshold, &b.threshold, sizeof(double)), 0);
-      EXPECT_EQ(a.category, b.category);
-      EXPECT_EQ(a.left, b.left);
-      EXPECT_EQ(a.right, b.right);
-      EXPECT_EQ(a.n0, b.n0);
-      EXPECT_EQ(a.n1, b.n1);
-      EXPECT_EQ(a.depth, b.depth);
-    }
-    EXPECT_EQ(shared.ToString(v), own.ToString(v));
-  }
-}
-
 }  // namespace
 }  // namespace dbwipes
-
-// Counts every allocation through the replaceable operator new. Every
-// non-aligned form is replaced, so that each allocation and its
-// release meet in malloc and free, also under sanitizers that supply
-// their own operator new. GCC cannot tell that the deletes pair with
-// these news once it inlines them.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-namespace {
-void* CountedAlloc(std::size_t size) noexcept {
-  ++dbwipes::t_allocations;
-  return std::malloc(size == 0 ? 1 : size);
-}
-}  // namespace
-void* operator new(std::size_t size) {
-  if (void* p = CountedAlloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  if (void* p = CountedAlloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  return CountedAlloc(size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return CountedAlloc(size);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-#pragma GCC diagnostic pop

@@ -309,6 +309,38 @@ TEST(TryRunBesideTest, RefusesWithoutAFreeWorker) {
   EXPECT_EQ(ran.load(), 2);
 }
 
+/// `side` holds its own slot: a Run started by another thread while it
+/// runs finishes without waiting for it, and a second TryRunBeside is
+/// refused instead of queueing.
+TEST(TryRunBesideTest, RunDoesNotWaitForSide) {
+  ThreadPool pool(3);
+  std::atomic<bool> side_started{false}, release{false}, run_done{false};
+  std::atomic<int> chunks{0};
+  bool second = true, side_started_in_time = false;
+  bool run_done_in_time = false;
+  std::thread other;
+  ASSERT_TRUE(pool.TryRunBeside(
+      [&] {
+        side_started = true;
+        AwaitFlag(release);
+      },
+      [&] {
+        side_started_in_time = AwaitFlag(side_started);
+        other = std::thread([&] {
+          second = pool.TryRunBeside([] {}, [] {});
+          pool.Run(8, [&](size_t) { ++chunks; });
+          run_done = true;
+        });
+        run_done_in_time = AwaitFlag(run_done);
+        release = true;
+      }));
+  other.join();
+  EXPECT_TRUE(side_started_in_time);
+  EXPECT_FALSE(second);
+  EXPECT_TRUE(run_done_in_time);
+  EXPECT_EQ(chunks.load(), 8);
+}
+
 TEST(TryRunBesideTest, ExceptionsReachTheCallerAfterBothFinish) {
   ThreadPool pool(2);
   std::atomic<bool> side_done{false};

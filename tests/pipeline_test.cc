@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <thread>
@@ -412,40 +413,84 @@ TEST(DatasetEnumeratorTest, GuessMissRediscoversOnCleanedLabels) {
   EXPECT_EQ(after.hits, before.hits);
 }
 
-/// Discovery checks its context before every beam level: a stopped
-/// context ends it before the first, with the interrupt.
-TEST(DatasetEnumeratorTest, StoppedDiscoveryEndsBeforeItsNextLevel) {
-  World w = MakeWorld();
-  PreprocessResult pre = *Preprocessor::Run(*w.table, w.result,
-                                            w.suspicious_groups, *w.metric);
-  FeatureView view = *FeatureView::Create(*w.table, {"tag", "knob", "v"});
-  const FeatureColumns columns = view.Snapshot(pre.suspect_inputs);
-  std::vector<int> labels;
-  for (RowId r : pre.suspect_inputs) {
-    labels.push_back(
-        std::binary_search(w.bad_rows.begin(), w.bad_rows.end(), r));
+/// The subgroups of two searches, field for field.
+void ExpectSameSubgroups(const std::vector<Subgroup>& got,
+                         const std::vector<Subgroup>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].predicate.ToString(), want[i].predicate.ToString());
+    EXPECT_EQ(std::memcmp(&got[i].wracc, &want[i].wracc, sizeof(double)), 0);
+    EXPECT_EQ(got[i].coverage, want[i].coverage);
+    EXPECT_EQ(got[i].positives, want[i].positives);
+    EXPECT_EQ(got[i].covered, want[i].covered);
   }
+}
+
+/// Discovery checks its context before every beam level: a stopped
+/// context ends it with the interrupt, a live one changes nothing, and
+/// a deadline that expires during the search gives the interrupt, never
+/// a partial answer.
+TEST(DatasetEnumeratorTest, StoppedDiscoveryReturnsTheInterrupt) {
+  Rng rng(17);
+  auto t = std::make_shared<Table>(Schema{{"a", DataType::kDouble},
+                                          {"b", DataType::kDouble},
+                                          {"c", DataType::kDouble},
+                                          {"tag", DataType::kString}},
+                                   "s");
+  const char* tags[] = {"p", "q", "r", "s", "u"};
+  std::vector<RowId> rows;
+  std::vector<int> labels;
+  for (int i = 0; i < 30000; ++i) {
+    const double a = rng.UniformDouble(0.0, 1.0);
+    const char* tag = tags[rng.UniformInt(uint64_t{5})];
+    DBW_CHECK_OK(t->AppendRow({Value(a), Value(rng.Normal(0, 1)),
+                               Value(rng.UniformDouble(0.0, 9.0)),
+                               Value(tag)}));
+    rows.push_back(static_cast<RowId>(i));
+    labels.push_back((a > 0.7 && tag[0] == 'p') ||
+                     rng.UniformDouble(0.0, 1.0) < 0.03);
+  }
+  FeatureView view = *FeatureView::Create(*t, {"a", "b", "c", "tag"});
+  const FeatureColumns columns = view.Snapshot(rows);
+
   CancellationSource source;
   source.Cancel("stop");
   ExecContext cancelled;
   cancelled.token = source.token();
   ExecContext expired;
   expired.deadline = Deadline::After(0.0);
-  for (const ExecContext* ctx : {&cancelled, &expired}) {
-    const auto found = DiscoverSubgroups(columns, labels, {}, {}, *ctx);
-    ASSERT_FALSE(found.ok());
-    EXPECT_TRUE(found.status().IsInterrupt()) << found.status().ToString();
-    SubgroupSearch search =
-        SubgroupSearch::Plan(columns, labels, {}).ValueOrDie();
-    EXPECT_FALSE(search.Search(*ctx));
-    EXPECT_EQ(search.levels_run(), 0u);
+  EXPECT_TRUE(DiscoverSubgroups(columns, labels, {}, {}, cancelled)
+                  .status()
+                  .IsCancelled());
+  EXPECT_TRUE(DiscoverSubgroups(columns, labels, {}, {}, expired)
+                  .status()
+                  .IsDeadlineExceeded());
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::vector<Subgroup> want =
+      *DiscoverSubgroups(columns, labels, {}, {});
+  const double full_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  ASSERT_GE(want.size(), 2u);
+  CancellationSource live_source;
+  ExecContext live;
+  live.token = live_source.token();
+  live.deadline = Deadline::After(600000.0);
+  ExpectSameSubgroups(*DiscoverSubgroups(columns, labels, {}, {}, live),
+                      want);
+  for (int tenth = 1; tenth < 10; ++tenth) {
+    ExecContext stopping;
+    stopping.deadline = Deadline::After(full_ms * tenth / 10.0);
+    const Result<std::vector<Subgroup>> got =
+        DiscoverSubgroups(columns, labels, {}, {}, stopping);
+    if (got.ok()) {
+      ExpectSameSubgroups(*got, want);
+    } else {
+      EXPECT_TRUE(got.status().IsDeadlineExceeded())
+          << got.status().ToString();
+    }
   }
-  EXPECT_TRUE(cancelled.CheckContinue().IsCancelled());
-  SubgroupSearch search =
-      SubgroupSearch::Plan(columns, labels, {}).ValueOrDie();
-  EXPECT_TRUE(search.Search(ExecContext::None()));
-  EXPECT_GT(search.levels_run(), 0u);
-  EXPECT_FALSE(search.Describe().empty());
 }
 
 TEST(DatasetEnumeratorTest, CleanMethodNoneKeepsEverything) {

@@ -60,8 +60,8 @@ void PrintReport() {
     rows_table.AddRow(
         {std::to_string(rows), std::to_string(out.num_suspect_inputs),
          Fmt(e.preprocess_ms, 1), Fmt(e.enumerate_ms, 1),
-         Fmt(e.predicates_ms, 1), Fmt(e.rank_ms, 1), Fmt(e.total_ms(), 1),
-         Fmt(out.top1.f1)});
+         Fmt(e.predicates_ms, 1), Fmt(e.rank_ms, 1),
+         Fmt(e.profile.total_ms, 1), Fmt(out.top1.f1)});
   }
   rows_table.Print();
 

@@ -190,7 +190,7 @@ int main() {
         continue;
       }
       std::printf("%s", dashboard.RenderRankedPredicates().c_str());
-      std::printf("(%.0f ms total)\n", exp->total_ms());
+      std::printf("(%.0f ms total)\n", exp->profile.total_ms);
     } else if (cmd == "clean") {
       size_t idx;
       if (in >> idx) {

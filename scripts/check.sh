@@ -14,8 +14,9 @@
 #   scripts/check.sh trace      # just bench_trace (BENCH_trace.json)
 #   scripts/check.sh shard      # bench_shard (BENCH_shard.json)
 #   scripts/check.sh threads    # the golden transcript, the pipeline,
-#                               # equivalence and anytime suites with
-#                               # DBWIPES_THREADS=1 (no pool workers)
+#                               # equivalence, shard-equivalence and
+#                               # anytime suites with DBWIPES_THREADS=1
+#                               # (no pool workers)
 #   scripts/check.sh simd       # clause-kernel, conjunction,
 #                               # executor-oracle, cleaning-law and
 #                               # learner-oracle (k-means, trees,
@@ -95,13 +96,15 @@ threads() {
   # The same answers with no pool worker: the Dataset Enumerator then
   # cleans D' and searches for subgroups inline, in that order, where
   # the default run searches beside the clean on a worker. The golden
-  # transcript pins one answer at both thread counts.
+  # transcript pins one answer at both thread counts, and the sharded
+  # explains and block cuts must stay bit-identical without workers.
   cmake --preset default >/dev/null
   cmake --build --preset default -j "$jobs" --target service_protocol_test \
-      pipeline_test equivalence_test anytime_test
+      pipeline_test equivalence_test shard_equivalence_test anytime_test
   DBWIPES_THREADS=1 ./build/tests/service_protocol_test
   DBWIPES_THREADS=1 ./build/tests/pipeline_test
   DBWIPES_THREADS=1 ./build/tests/equivalence_test
+  DBWIPES_THREADS=1 ./build/tests/shard_equivalence_test
   DBWIPES_THREADS=1 ./build/tests/anytime_test
 }
 

@@ -21,23 +21,6 @@ void CancellationSource::Cancel(std::string reason) {
   state_->cancelled.store(true, std::memory_order_release);
 }
 
-Status ResourceBudget::Charge(std::atomic<size_t>* used, size_t n,
-                              size_t limit, std::atomic<bool>* exhausted,
-                              const char* what) {
-  if (limit == 0) {
-    used->fetch_add(n, std::memory_order_relaxed);
-    return Status::OK();
-  }
-  const size_t before = used->fetch_add(n, std::memory_order_relaxed);
-  if (before + n > limit) {
-    exhausted->store(true, std::memory_order_release);
-    return Status::ResourceExhausted(
-        std::string(what) + " exhausted (" + std::to_string(before + n) +
-        " > " + std::to_string(limit) + ")");
-  }
-  return Status::OK();
-}
-
 void FaultInjector::Arm(const std::string& site, Fault fault) {
   std::lock_guard<std::mutex> lock(mu_);
   armed_[site] = std::move(fault);

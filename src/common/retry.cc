@@ -34,7 +34,7 @@ ErrorClass ClassifyStatus(const Status& status) {
   switch (status.code()) {
     // The environment may recover: I/O hiccups, internal runtime
     // failures (the injected-fault family), missed deadlines, and
-    // exhausted resources (budgets, load shedding).
+    // exhausted resources (the session cap).
     case StatusCode::kIoError:
     case StatusCode::kRuntimeError:
     case StatusCode::kDeadlineExceeded:

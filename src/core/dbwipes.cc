@@ -26,7 +26,6 @@ struct ExplainMetrics {
   MetricCounter* partial;
   MetricCounter* cancellations;
   MetricCounter* deadline_expiries;
-  MetricCounter* budget_exhaustions;
   MetricHistogram* total_ms;
   MetricCounter* sharded_runs;
   MetricHistogram* shard_skew;
@@ -38,7 +37,6 @@ const ExplainMetrics& Metrics() {
       MetricsRegistry::Global().GetCounter("explain.partial"),
       MetricsRegistry::Global().GetCounter("exec.cancellations"),
       MetricsRegistry::Global().GetCounter("exec.deadline_expiries"),
-      MetricsRegistry::Global().GetCounter("exec.budget_exhaustions"),
       MetricsRegistry::Global().GetHistogram("explain.total_ms"),
       MetricsRegistry::Global().GetCounter("explain.sharded_runs"),
       MetricsRegistry::Global().GetHistogram("explain.shard_skew"),
@@ -163,22 +161,10 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
     p.deadline_expired = ctx.deadline.expired();
     p.has_deadline = !ctx.deadline.infinite();
     if (p.has_deadline) p.deadline_remaining_ms = ctx.deadline.remaining_ms();
-    if (ctx.budget != nullptr) {
-      p.has_budget = true;
-      p.budget_used_predicates = ctx.budget->used_predicates();
-      p.budget_used_bitmap_bytes = ctx.budget->used_bitmap_bytes();
-      p.budget_used_scored_removals = ctx.budget->used_scored_removals();
-      p.budget_predicates_exhausted = ctx.budget->predicates_exhausted();
-      p.budget_bitmap_exhausted = ctx.budget->bitmap_exhausted();
-      p.budget_removals_exhausted = ctx.budget->removals_exhausted();
-    }
 
     if (out.partial) Metrics().partial->Increment();
     if (p.cancelled) Metrics().cancellations->Increment();
     if (p.deadline_expired) Metrics().deadline_expiries->Increment();
-    if (ctx.budget != nullptr && ctx.budget->any_exhausted()) {
-      Metrics().budget_exhaustions->Increment();
-    }
     Metrics().total_ms->Observe(p.total_ms);
   };
 
@@ -221,6 +207,7 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
         *table, result, request.selected_groups, out.preprocess,
         request.suspicious_inputs, suspect_columns, *request.metric,
         request.agg_index, ctx, &out.cleaned_dprime);
+    out.enumerate_ms = MillisSince(t0);
     if (!candidates.ok()) {
       if (candidates.status().IsInterrupt()) {
         degrade(candidates.status());
@@ -231,7 +218,6 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
     }
     out.candidates = *std::move(candidates);
   }
-  out.enumerate_ms = MillisSince(t0);
 
   // Stage 3: Predicate Enumerator.
   t0 = std::chrono::steady_clock::now();
@@ -242,6 +228,7 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
     auto r = predicate_enumerator.Enumerate(
         suspect_columns, out.preprocess.suspect_inputs, out.candidates, ctx,
         plan);
+    out.predicates_ms = MillisSince(t0);
     if (!r.ok()) {
       if (r.status().IsInterrupt()) {
         degrade(r.status());
@@ -252,7 +239,6 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
     }
     enumerated = *std::move(r);
   }
-  out.predicates_ms = MillisSince(t0);
   out.total_enumerated = enumerated.size();
 
   // Stage 4: Predicate Ranker. When the user supplied no examples,
@@ -295,13 +281,12 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
   // Ranking telemetry flows straight into the profile.
   {
     ExplainProfile& p = out.profile;
-    const RankStats& rs = outcome.stats;
+    RankStats& rs = outcome.stats;
     p.materialize_ms = rs.materialize_ms;
     p.score_ms = rs.score_ms;
     p.scoring_blocks_total = rs.blocks_total;
     p.scoring_blocks_done = rs.blocks_done;
     p.block_ms = rs.block_ms;
-    p.used_match_kernels = rs.used_kernels;
     p.clause_lookups = rs.clause_lookups;
     p.cache_hits = rs.cache_hits;
     p.cache_misses = rs.cache_misses;
@@ -309,21 +294,9 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
     p.simd_tier = rs.simd_tier;
     if (shard_set != nullptr) {
       p.num_shards = shard_set->num_shards();
-      p.shards.reserve(rs.shard_stats.size());
-      for (const ShardRankStats& ss : rs.shard_stats) {
-        ExplainProfile::ShardLane lane;
-        lane.shard_index = ss.shard_index;
-        lane.rows = ss.rows;
-        lane.suspects = ss.suspects;
-        lane.engine_reused = ss.engine_reused;
-        lane.materialize_ms = ss.materialize_ms;
-        lane.clause_lookups = ss.clause_lookups;
-        lane.cache_hits = ss.cache_hits;
-        lane.cache_misses = ss.cache_misses;
-        lane.bitmaps_materialized = ss.bitmaps_materialized;
-        lane.cached_clauses = ss.cached_clauses;
-        if (ss.engine_reused) ++p.shard_engines_reused;
-        p.shards.push_back(lane);
+      p.shards = std::move(rs.shard_stats);
+      for (const ExplainProfile::ShardLane& lane : p.shards) {
+        if (lane.engine_reused) ++p.shard_engines_reused;
       }
       // Skew from the plan: max shard suspect share over the even
       // share.
@@ -343,11 +316,6 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
   }
   if (outcome.partial) {
     degrade(Status(StatusCode::kDeadlineExceeded, outcome.reason));
-  }
-  // A truncated candidate list is degraded coverage even when ranking
-  // itself completed.
-  if (ctx.budget != nullptr && ctx.budget->predicates_exhausted()) {
-    degrade(Status::ResourceExhausted("candidate-predicate budget"));
   }
   // Merging re-scores pairwise combinations — pure bonus work; skip it
   // once the run is already degraded or the clock has run out.

@@ -158,8 +158,6 @@ void WriteProfile(JsonWriter* w, const ExplainProfile& p) {
 
   w->Key("match_engine");
   w->BeginObject();
-  w->Key("used_kernels");
-  w->Bool(p.used_match_kernels);
   w->Key("clause_lookups");
   w->Number(p.clause_lookups);
   w->Key("cache_hits");
@@ -243,23 +241,6 @@ void WriteProfile(JsonWriter* w, const ExplainProfile& p) {
     w->Key("deadline_remaining_ms");
     w->Number(p.deadline_remaining_ms);
   }
-  if (p.has_budget) {
-    w->Key("budget");
-    w->BeginObject();
-    w->Key("used_predicates");
-    w->Number(p.budget_used_predicates);
-    w->Key("used_bitmap_bytes");
-    w->Number(p.budget_used_bitmap_bytes);
-    w->Key("used_scored_removals");
-    w->Number(p.budget_used_scored_removals);
-    w->Key("predicates_exhausted");
-    w->Bool(p.budget_predicates_exhausted);
-    w->Key("bitmap_exhausted");
-    w->Bool(p.budget_bitmap_exhausted);
-    w->Key("removals_exhausted");
-    w->Bool(p.budget_removals_exhausted);
-    w->EndObject();
-  }
   w->EndObject();
 
   w->EndObject();
@@ -329,20 +310,6 @@ std::string ExplanationToJson(const Explanation& explanation, bool pretty) {
   w.Number(explanation.ranked_considered);
   w.Key("total_enumerated");
   w.Number(explanation.total_enumerated);
-
-  w.Key("timings_ms");
-  w.BeginObject();
-  w.Key("preprocess");
-  w.Number(explanation.preprocess_ms);
-  w.Key("enumerate");
-  w.Number(explanation.enumerate_ms);
-  w.Key("predicates");
-  w.Number(explanation.predicates_ms);
-  w.Key("rank");
-  w.Number(explanation.rank_ms);
-  w.Key("total");
-  w.Number(explanation.total_ms());
-  w.EndObject();
 
   w.Key("profile");
   WriteProfile(&w, explanation.profile);

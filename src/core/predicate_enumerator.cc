@@ -14,6 +14,20 @@ namespace dbwipes {
 
 namespace {
 
+/// Positive leaves below this precision are not turned into
+/// predicates.
+constexpr double kMinPrecision = 0.5;
+/// Positive leaves must carry at least this many positive examples.
+constexpr double kMinPositiveWeight = 2.0;
+/// Bounding clauses are dropped when they match more than this
+/// fraction of a table sample (not selective enough to matter).
+constexpr double kBoundingMaxTableFraction = 0.9;
+/// Bounding descriptions use at most this many clauses.
+constexpr size_t kBoundingMaxClauses = 4;
+/// Categorical attributes enter a bounding description only when the
+/// candidate uses at most this many distinct values.
+constexpr size_t kBoundingMaxCategories = 8;
+
 /// Selectivity sampler for bounding descriptions: one MatchEngine per
 /// shard slice (or a single fused engine when unsharded), built once
 /// per Enumerate so every candidate's description shares the sample's
@@ -70,7 +84,7 @@ class SampleCounter {
 /// whole table, most selective clauses first.
 std::optional<Predicate> BoundingDescription(
     const FeatureView& view, const std::vector<RowId>& candidate_rows,
-    const PredicateEnumeratorOptions& options, SampleCounter& counter) {
+    SampleCounter& counter) {
   if (candidate_rows.empty()) return std::nullopt;
   const double sample_size = counter.size();
 
@@ -94,7 +108,7 @@ std::optional<Predicate> BoundingDescription(
         }
       }
       if (has_null || codes.empty() ||
-          codes.size() > options.bounding_max_categories) {
+          codes.size() > kBoundingMaxCategories) {
         continue;
       }
       if (codes.size() == 1) {
@@ -141,7 +155,7 @@ std::optional<Predicate> BoundingDescription(
       auto count = counter.Count(Predicate({c}));
       if (!count) continue;
       const double fraction = static_cast<double>(*count) / sample_size;
-      if (fraction <= options.bounding_max_table_fraction) {
+      if (fraction <= kBoundingMaxTableFraction) {
         selective.push_back(std::move(c));
       }
     }
@@ -159,10 +173,7 @@ std::optional<Predicate> BoundingDescription(
   });
   std::vector<Clause> final_clauses;
   for (const Scored& s : kept) {
-    if (final_clauses.size() + s.clauses.size() >
-        options.bounding_max_clauses) {
-      break;
-    }
+    if (final_clauses.size() + s.clauses.size() > kBoundingMaxClauses) break;
     final_clauses.insert(final_clauses.end(), s.clauses.begin(),
                          s.clauses.end());
   }
@@ -249,19 +260,7 @@ Result<std::vector<EnumeratedPredicate>> PredicateEnumerator::Enumerate(
 
   std::vector<EnumeratedPredicate> out;
   std::unordered_set<std::string> seen;
-  // Budget gate: enumeration is serial, so stopping at the cap keeps
-  // the emitted list a deterministic prefix of the unbounded run.
-  bool budget_hit = false;
-  auto emit_allowed = [&]() -> bool {
-    if (ctx.budget == nullptr) return true;
-    if (!ctx.budget->ChargePredicates(1).ok()) {
-      budget_hit = true;
-      return false;
-    }
-    return true;
-  };
-
-  for (size_t ci = 0; ci < candidates.size() && !budget_hit; ++ci) {
+  for (size_t ci = 0; ci < candidates.size(); ++ci) {
     DBW_RETURN_NOT_OK(ctx.CheckContinue());
     const CandidateDataset& cand = candidates[ci];
 
@@ -269,10 +268,9 @@ Result<std::vector<EnumeratedPredicate>> PredicateEnumerator::Enumerate(
       std::optional<Predicate> bounding;
       {
         DBW_TRACE_SPAN("predicates/bounding");
-        bounding = BoundingDescription(view, cand.rows, options_, *sample);
+        bounding = BoundingDescription(view, cand.rows, *sample);
       }
       if (bounding && seen.insert(bounding->CanonicalString()).second) {
-        if (!emit_allowed()) break;
         EnumeratedPredicate ep;
         ep.predicate = std::move(*bounding);
         ep.candidate_index = ci;
@@ -299,7 +297,6 @@ Result<std::vector<EnumeratedPredicate>> PredicateEnumerator::Enumerate(
     std::vector<std::optional<Result<DecisionTree>>> fits(strategies.size());
     for (size_t s = 0; s < strategies.size(); ++s) {
       const DecisionTreeOptions& strategy = strategies[s];
-      if (budget_hit) break;
       DBW_RETURN_NOT_OK(ctx.CheckContinue());
       const size_t g = fit_of[s];
       if (!fits[g]) {
@@ -317,11 +314,10 @@ Result<std::vector<EnumeratedPredicate>> PredicateEnumerator::Enumerate(
           std::string(SplitCriterionToString(strategy.criterion)) + "/d" +
           std::to_string(strategy.max_depth) +
           (strategy.ccp_alpha > 0.0 ? "/ccp" : "");
-      for (Predicate& p : tree.PositiveLeafPredicates(
-               view, options_.min_precision, options_.min_positive_weight)) {
+      for (Predicate& p : tree.PositiveLeafPredicates(view, kMinPrecision,
+                                                      kMinPositiveWeight)) {
         const std::string key = p.CanonicalString();
         if (!seen.insert(key).second) continue;
-        if (!emit_allowed()) break;
         EnumeratedPredicate ep;
         ep.predicate = std::move(p);
         ep.candidate_index = ci;
@@ -331,10 +327,6 @@ Result<std::vector<EnumeratedPredicate>> PredicateEnumerator::Enumerate(
     }
   }
 
-  if (out.empty() && budget_hit) {
-    return Status::ResourceExhausted(
-        "candidate-predicate budget admits no predicates");
-  }
   if (out.empty()) {
     return Status::NotFound(
         "no tree produced a predicate separating any candidate dataset");

@@ -1,7 +1,6 @@
 #include "dbwipes/core/predicate_ranker.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <unordered_map>
@@ -11,7 +10,6 @@
 #include "dbwipes/common/trace.h"
 #include "dbwipes/core/merger.h"
 #include "dbwipes/core/removal_scorer.h"
-#include "dbwipes/expr/bool_expr.h"
 #include "dbwipes/expr/match_kernels.h"
 #include "dbwipes/expr/shard_cache.h"
 
@@ -86,25 +84,23 @@ uint64_t HashParts(const std::vector<Bitmap>& parts) {
 }
 
 /// Why an anytime run wound down, as a human-readable reason. Explicit
-/// cancellation wins over the deadline, which wins over the budget, so
-/// a user-initiated stop is never misreported as a timeout.
-std::string StopReason(const ExecContext& ctx, bool budget_stopped) {
+/// cancellation wins over the deadline, so a user-initiated stop is
+/// never misreported as a timeout.
+std::string StopReason(const ExecContext& ctx) {
   const Status why = ctx.CheckContinue();
   if (!why.ok()) return why.ToString();
-  if (budget_stopped) return "Resource exhausted: scored-removal budget";
   return "interrupted";
 }
 
 /// Fills the outcome for a run cut at `prefix` input predicates.
 RankOutcome MakeOutcome(std::vector<RankedPredicate> ranked, size_t prefix,
-                        size_t total, const ExecContext& ctx,
-                        bool budget_stopped) {
+                        size_t total, const ExecContext& ctx) {
   RankOutcome out;
   out.predicates = std::move(ranked);
   out.scored_prefix = prefix;
   out.total_candidates = total;
   out.partial = prefix < total;
-  if (out.partial) out.reason = StopReason(ctx, budget_stopped);
+  if (out.partial) out.reason = StopReason(ctx);
   return out;
 }
 
@@ -176,10 +172,7 @@ Result<RankOutcome> PredicateRanker::RankDelta(
   Result<RemovalScorer> scorer_r = RemovalScorer::Create(
       table, result, selected_groups, agg_index, suspects, ctx);
   if (!scorer_r.ok()) {
-    if (scorer_r.status().IsInterrupt()) {
-      return MakeOutcome({}, 0, n, ctx, /*budget_stopped=*/
-                         scorer_r.status().IsResourceExhausted());
-    }
+    if (scorer_r.status().IsInterrupt()) return MakeOutcome({}, 0, n, ctx);
     return scorer_r.status();
   }
   const RemovalScorer& scorer = scorer_r.ValueUnsafe();
@@ -212,7 +205,7 @@ Result<RankOutcome> PredicateRanker::RankDelta(
   std::vector<std::unique_ptr<MatchEngine>> engines(num_slices);
   std::vector<Bitmap> ref_parts(num_slices);
   std::vector<size_t> offsets(num_slices, 0);
-  std::vector<ShardRankStats> lanes(num_slices);
+  std::vector<ExplainProfile::ShardLane> lanes(num_slices);
   RankStats stats;
   for (size_t s = 0; s < num_slices; ++s) {
     const ShardSlice& slice = slices[s];
@@ -244,7 +237,7 @@ Result<RankOutcome> PredicateRanker::RankDelta(
   auto finish = [&]() {
     for (size_t s = 0; s < num_slices; ++s) {
       if (engines[s] == nullptr) continue;
-      ShardRankStats& ss = lanes[s];
+      ExplainProfile::ShardLane& ss = lanes[s];
       const MatchEngine& se = *engines[s];
       ss.clause_lookups = se.clause_lookups() - bases[s].lookups;
       ss.cache_hits = se.cache_hits() - bases[s].hits;
@@ -271,8 +264,7 @@ Result<RankOutcome> PredicateRanker::RankDelta(
   const auto t_mat = std::chrono::steady_clock::now();
   Status materialized = Status::OK();
   // Slices materialize serially (each internally chunked over the
-  // pool), so per-slice wall times are honest and the budget charge
-  // order is deterministic.
+  // pool), so per-slice wall times are honest.
   for (size_t s = 0; s < num_slices && materialized.ok(); ++s) {
     const ShardSlice& slice = slices[s];
     if (cache != nullptr) {
@@ -296,13 +288,10 @@ Result<RankOutcome> PredicateRanker::RankDelta(
   }
   stats.materialize_ms = MillisBetween(t_mat, std::chrono::steady_clock::now());
   // A failed slice rolled its fresh entries back; the other engines stay
-  // warm for the next run either way. When the bitmap budget cannot hold
-  // the clause caches, matching degrades to one FilterBitmap per
-  // predicate and slice, which allocates one bitmap at a time.
-  const bool use_kernels = materialized.ok();
-  if (!use_kernels && !materialized.IsResourceExhausted()) {
+  // warm for the next run either way.
+  if (!materialized.ok()) {
     finish();
-    if (materialized.IsInterrupt()) return MakeOutcome({}, 0, n, ctx, false);
+    if (materialized.IsInterrupt()) return MakeOutcome({}, 0, n, ctx);
     return materialized;
   }
   std::vector<std::vector<Bitmap>> matched_parts(n);
@@ -316,25 +305,16 @@ Result<RankOutcome> PredicateRanker::RankDelta(
   // Slot-per-block wall times: each block writes only its own slot, so
   // the vector needs no synchronization beyond the pool's own joins.
   std::vector<double> block_ms(num_blocks, 0.0);
-  std::atomic<bool> budget_stop{false};
   const auto t_score = std::chrono::steady_clock::now();
 
   Status scan = ParallelForStatus(
       num_blocks,
       [&](size_t b) -> Status {
-        if (budget_stop.load(std::memory_order_acquire)) return Status::OK();
         if (ctx.StopRequested()) return Status::OK();
         DBW_FAULT(ctx, "ranker/score");
         const auto t_block = std::chrono::steady_clock::now();
         const size_t lo = b * kScoreBlock;
         const size_t hi = std::min(n, lo + kScoreBlock);
-        if (ctx.budget != nullptr) {
-          Status charged = ctx.budget->ChargeScoredRemovals(hi - lo);
-          if (!charged.ok()) {
-            budget_stop.store(true, std::memory_order_release);
-            return Status::OK();  // wind down; block stays incomplete
-          }
-        }
         for (size_t i = lo; i < hi; ++i) {
           // Per-predicate stop check: one steady-clock read against a
           // full removal-set scoring — the block is abandoned (not
@@ -346,19 +326,10 @@ Result<RankOutcome> PredicateRanker::RankDelta(
           rp.strategy = ep.strategy;
           std::vector<Bitmap>& parts = matched_parts[i];
           parts.resize(num_slices);
-          const BoolExprPtr expr =
-              use_kernels ? nullptr : PredicateToBoolExpr(ep.predicate);
           size_t tp = 0;
           for (size_t s = 0; s < num_slices; ++s) {
-            if (use_kernels) {
-              DBW_ASSIGN_OR_RETURN(parts[s],
-                                   engines[s]->MatchPrepared(ep.predicate));
-            } else {
-              DBW_ASSIGN_OR_RETURN(
-                  parts[s],
-                  FilterBitmap(*expr, *slices[s].table,
-                               ScanUniverse::Of(slices[s].local_rows)));
-            }
+            DBW_ASSIGN_OR_RETURN(parts[s],
+                                 engines[s]->MatchPrepared(ep.predicate));
             rp.matched_in_suspects += parts[s].CountOnes();
             if (have_reference) tp += parts[s].CountAnd(ref_parts[s]);
           }
@@ -396,13 +367,11 @@ Result<RankOutcome> PredicateRanker::RankDelta(
   stats.blocks_total = num_blocks;
   stats.blocks_done = done_blocks;
   stats.block_ms = std::move(block_ms);
-  stats.used_kernels = use_kernels;
   finish();  // top-level counters become the lane sums
   Metrics().blocks_scored->Increment(done_blocks);
   Metrics().predicates_scored->Increment(prefix);
 
-  RankOutcome out = MakeOutcome(std::move(ranked), prefix, n, ctx,
-                                budget_stop.load(std::memory_order_acquire));
+  RankOutcome out = MakeOutcome(std::move(ranked), prefix, n, ctx);
   if (out.partial) Metrics().partial_runs->Increment();
   out.stats = std::move(stats);
   return out;
@@ -424,7 +393,6 @@ Result<RankOutcome> PredicateRanker::RankReference(
     w_acc = 0.0;
   }
 
-  bool budget_stop = false;
   std::vector<RankedPredicate> scored;
   std::vector<std::vector<RowId>> matched_sets;
   scored.reserve(n);
@@ -446,15 +414,6 @@ Result<RankOutcome> PredicateRanker::RankReference(
       }
       t_block = now;
       DBW_FAULT(ctx, "ranker/score");
-      if (ctx.budget != nullptr) {
-        const size_t block =
-            std::min(kScoreBlock, n - scored.size());
-        Status charged = ctx.budget->ChargeScoredRemovals(block);
-        if (!charged.ok()) {
-          budget_stop = true;
-          break;
-        }
-      }
     }
     // Tuples of F the predicate matches = the tuples cleaning removes
     // from the selected groups, by boxed Clause::Matches per cell.
@@ -533,7 +492,7 @@ Result<RankOutcome> PredicateRanker::RankReference(
       &scored, hash_of,
       [&](size_t a, size_t b) { return matched_sets[a] == matched_sets[b]; },
       options_.top_k);
-  RankOutcome out = MakeOutcome(std::move(ranked), prefix, n, ctx, budget_stop);
+  RankOutcome out = MakeOutcome(std::move(ranked), prefix, n, ctx);
   if (out.partial) Metrics().partial_runs->Increment();
   out.stats = std::move(stats);
   return out;

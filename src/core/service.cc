@@ -1941,12 +1941,11 @@ ServiceReply Service::RunDebug(ManagedSession& ms) {
         ExecContext ctx;
         ctx.token = source->token();
         if (ms.settings.deadline_ms > 0.0) {
-          // Fresh deadline per attempt: the budget is per-run, not
+          // Fresh deadline per attempt: the deadline is per-run, not
           // per-request, so a retried run gets its full allowance.
           ctx.deadline = Deadline::After(ms.settings.deadline_ms);
         }
         ctx.faults = faults_;
-        ctx.budget = budget_;
         return ms.session.Debug(ctx);
       },
       &attempts);

@@ -160,9 +160,8 @@ Status MatchEngine::CheckFresh() const {
   return Status::OK();
 }
 
-Result<size_t> MatchEngine::LookupClause(const Clause& clause,
-                                         ResourceBudget* budget,
-                                         std::vector<PendingScan>* scans) {
+size_t MatchEngine::LookupClause(const Clause& clause,
+                                 std::vector<PendingScan>* scans) {
   std::string key = KeyOf(clause);
   Metrics().clause_lookups->Increment();
   auto it = index_.find(key);
@@ -176,10 +175,6 @@ Result<size_t> MatchEngine::LookupClause(const Clause& clause,
   ClauseEntry entry;
   Result<ClauseScan> compiled = CompileClause(clause, *table_);
   if (compiled.ok()) {
-    if (budget != nullptr) {
-      DBW_RETURN_NOT_OK(budget->ChargeBitmapBytes((rows_.size() + 63) / 64 *
-                                                  sizeof(uint64_t)));
-    }
     entry.bits = Bitmap(rows_.size());
     const Bitmap* valid = validity_.For(*compiled);
     scans->push_back({entries_.size(), *std::move(compiled), valid});
@@ -195,7 +190,7 @@ Result<size_t> MatchEngine::LookupClause(const Clause& clause,
 const MatchEngine::ClauseEntry& MatchEngine::EnsureClause(
     const Clause& clause) {
   std::vector<PendingScan> scans;
-  const size_t slot = *LookupClause(clause, /*budget=*/nullptr, &scans);
+  const size_t slot = LookupClause(clause, &scans);
   for (const PendingScan& scan : scans) {
     EvalWords(scan, 0, entries_[scan.slot].bits.num_words());
   }
@@ -233,13 +228,7 @@ Status MatchEngine::Materialize(
   // compiles once and queues its scan.
   std::vector<PendingScan> scans;
   for (const Predicate* predicate : predicates) {
-    for (const Clause& c : predicate->clauses()) {
-      Result<size_t> slot = LookupClause(c, ctx.budget, &scans);
-      if (!slot.ok()) {
-        rollback();
-        return slot.status();
-      }
-    }
+    for (const Clause& c : predicate->clauses()) LookupClause(c, &scans);
   }
 
   const size_t num_words = (rows_.size() + 63) / 64;

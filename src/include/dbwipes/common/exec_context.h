@@ -113,72 +113,6 @@ class Deadline {
 };
 
 // ---------------------------------------------------------------------------
-// Resource budget
-// ---------------------------------------------------------------------------
-
-/// \brief Caps on the explanation pipeline's dominant allocations.
-/// A limit of 0 means unlimited. Charging is atomic, so concurrent
-/// scoring threads may share one budget; the first charge that would
-/// cross a limit fails with kResourceExhausted (and latches the
-/// corresponding exhausted flag for pipeline-level reporting).
-class ResourceBudget {
- public:
-  ResourceBudget() = default;
-  ResourceBudget(size_t max_candidate_predicates, size_t max_bitmap_bytes,
-                 size_t max_scored_removals)
-      : max_candidate_predicates(max_candidate_predicates),
-        max_bitmap_bytes(max_bitmap_bytes),
-        max_scored_removals(max_scored_removals) {}
-
-  // Non-copyable: shared by pointer from ExecContext.
-  ResourceBudget(const ResourceBudget&) = delete;
-  ResourceBudget& operator=(const ResourceBudget&) = delete;
-
-  /// Candidate predicates the enumerator may emit.
-  size_t max_candidate_predicates = 0;
-  /// Bytes of clause bitmaps the MatchEngine may cache.
-  size_t max_bitmap_bytes = 0;
-  /// Removal sets the ranker may score.
-  size_t max_scored_removals = 0;
-
-  Status ChargePredicates(size_t n) {
-    return Charge(&used_predicates_, n, max_candidate_predicates,
-                  &predicates_exhausted_, "candidate-predicate budget");
-  }
-  Status ChargeBitmapBytes(size_t n) {
-    return Charge(&used_bitmap_bytes_, n, max_bitmap_bytes,
-                  &bitmap_exhausted_, "bitmap-byte budget");
-  }
-  Status ChargeScoredRemovals(size_t n) {
-    return Charge(&used_scored_removals_, n, max_scored_removals,
-                  &removals_exhausted_, "scored-removal budget");
-  }
-
-  size_t used_predicates() const { return used_predicates_.load(); }
-  size_t used_bitmap_bytes() const { return used_bitmap_bytes_.load(); }
-  size_t used_scored_removals() const { return used_scored_removals_.load(); }
-
-  bool predicates_exhausted() const { return predicates_exhausted_.load(); }
-  bool bitmap_exhausted() const { return bitmap_exhausted_.load(); }
-  bool removals_exhausted() const { return removals_exhausted_.load(); }
-  bool any_exhausted() const {
-    return predicates_exhausted() || bitmap_exhausted() ||
-           removals_exhausted();
-  }
-
- private:
-  static Status Charge(std::atomic<size_t>* used, size_t n, size_t limit,
-                       std::atomic<bool>* exhausted, const char* what);
-
-  std::atomic<size_t> used_predicates_{0};
-  std::atomic<size_t> used_bitmap_bytes_{0};
-  std::atomic<size_t> used_scored_removals_{0};
-  std::atomic<bool> predicates_exhausted_{false};
-  std::atomic<bool> bitmap_exhausted_{false};
-  std::atomic<bool> removals_exhausted_{false};
-};
-
-// ---------------------------------------------------------------------------
 // Fault injection
 // ---------------------------------------------------------------------------
 
@@ -285,9 +219,9 @@ const std::vector<std::string>& AllReplicationFaultSites();
 // ---------------------------------------------------------------------------
 
 /// \brief Everything a pipeline stage needs to stop early: the
-/// cancellation token, the deadline, the resource budget, and the
-/// fault registry. Default-constructed = run to completion (all checks
-/// reduce to a couple of branches). Passed by const reference down the
+/// cancellation token and the deadline, plus the fault registry.
+/// Default-constructed = run to completion (all checks reduce to a
+/// couple of branches). Passed by const reference down the
 /// query -> enumerate -> match -> score -> rank pipeline; cheap to
 /// copy.
 class ExecContext {
@@ -296,8 +230,7 @@ class ExecContext {
 
   CancellationToken token;
   Deadline deadline;
-  ResourceBudget* budget = nullptr;  // not owned; may be null
-  FaultInjector* faults = nullptr;   // not owned; null in production
+  FaultInjector* faults = nullptr;  // not owned; null in production
 
   /// True once the work should wind down (cancelled or past deadline).
   bool StopRequested() const {

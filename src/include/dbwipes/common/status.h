@@ -20,8 +20,8 @@ enum class StatusCode {
   kNotImplemented,
   kRuntimeError,
   // Interrupt codes (see IsInterrupt): the operation stopped early on
-  // purpose — by a CancellationToken, an expired Deadline, or an
-  // exhausted ResourceBudget — rather than failing.
+  // purpose — by a CancellationToken, an expired Deadline, or a
+  // resource limit (the session cap) — rather than failing.
   kCancelled,
   kDeadlineExceeded,
   kResourceExhausted,
@@ -109,7 +109,7 @@ class [[nodiscard]] Status {
   }
 
   /// True for the interrupt family: cancellation, deadline expiry, or
-  /// budget exhaustion. The anytime pipeline turns these into partial
+  /// resource exhaustion. The anytime pipeline turns these into partial
   /// results instead of errors.
   bool IsInterrupt() const {
     return code_ == StatusCode::kCancelled ||

@@ -50,10 +50,10 @@ struct Explanation {
   /// Ranked predicates, best first (Figure 6's list).
   std::vector<RankedPredicate> predicates;
   /// Anytime outcome: true when the run was wound down early by a
-  /// deadline, cancellation, or resource budget. The predicates are
-  /// then the best ranking over a deterministic prefix of the
-  /// candidate list (possibly empty when the stop landed before the
-  /// ranking stage) — degraded, never wrong.
+  /// deadline or cancellation. The predicates are then the best
+  /// ranking over a deterministic prefix of the candidate list
+  /// (possibly empty when the stop landed before the ranking stage) —
+  /// degraded, never wrong.
   bool partial = false;
   /// Why the run stopped early ("" when complete).
   std::string partial_reason;
@@ -65,20 +65,18 @@ struct Explanation {
   PreprocessResult preprocess;
   std::vector<CandidateDataset> candidates;
   std::vector<RowId> cleaned_dprime;
-  /// Wall-clock milliseconds per backend stage.
+  /// Wall-clock milliseconds per backend stage, each taken as its stage
+  /// returns, interrupted or not.
   double preprocess_ms = 0.0;
   double enumerate_ms = 0.0;
   double predicates_ms = 0.0;
   double rank_ms = 0.0;
 
   /// Telemetry summary (always collected; see profile.h). The stage
-  /// clocks above are mirrored into it together with work counts,
-  /// MatchEngine cache behavior, pool utilization, and anytime events.
+  /// clocks above are mirrored into it together with the wall total,
+  /// work counts, MatchEngine cache behavior, pool utilization, and
+  /// anytime events.
   ExplainProfile profile;
-
-  double total_ms() const {
-    return preprocess_ms + enumerate_ms + predicates_ms + rank_ms;
-  }
 };
 
 /// \brief The DBWipes backend facade: run aggregate queries, explain
@@ -99,10 +97,10 @@ class DBWipes {
   /// Runs the four backend stages (Preprocessor, Dataset Enumerator,
   /// Predicate Enumerator, Predicate Ranker) on a query result.
   ///
-  /// `ctx` makes the run anytime: on cancellation, deadline expiry, or
-  /// budget exhaustion the pipeline stops cooperatively and returns a
-  /// *partial* Explanation (partial=true + reason) holding whatever
-  /// completed deterministically, instead of an error. Real failures
+  /// `ctx` makes the run anytime: on cancellation or deadline expiry
+  /// the pipeline stops cooperatively and returns a *partial*
+  /// Explanation (partial=true + reason) holding whatever completed
+  /// deterministically, instead of an error. Real failures
   /// (bad requests, injected faults) still surface as error Status.
   Result<Explanation> Explain(
       const QueryResult& result, const ExplanationRequest& request,

@@ -27,11 +27,6 @@ struct PredicateEnumeratorOptions {
   /// and 4 with light pruning — the paper's "m standard splitting and
   /// pruning strategies".
   std::vector<DecisionTreeOptions> strategies;
-  /// Positive leaves below this precision are not turned into
-  /// predicates.
-  double min_precision = 0.5;
-  /// Positive leaves must carry at least this many positive examples.
-  double min_positive_weight = 2.0;
 
   /// Also emit, per candidate, a "bounding description": the
   /// conjunction of each attribute's value span over the candidate
@@ -42,14 +37,6 @@ struct PredicateEnumeratorOptions {
   /// description is what produces the paper's
   /// "sensorid = 15 AND time in [...]"-shaped answers.
   bool add_bounding_predicates = true;
-  /// Bounding clauses are dropped when they match more than this
-  /// fraction of a table sample (not selective enough to matter).
-  double bounding_max_table_fraction = 0.9;
-  /// Bounding descriptions use at most this many clauses.
-  size_t bounding_max_clauses = 4;
-  /// Categorical attributes enter a bounding description only when the
-  /// candidate uses at most this many distinct values.
-  size_t bounding_max_categories = 8;
 
   static PredicateEnumeratorOptions Defaults();
 };
@@ -66,10 +53,7 @@ class PredicateEnumerator {
 
   /// `suspects` is F; `candidates` the Dataset Enumerator's output.
   /// Returned predicates are deduplicated semantically. `ctx` is
-  /// checked between tree fits (fault site "enumerate/predicates");
-  /// when ctx.budget caps candidate predicates, enumeration stops at
-  /// the cap and returns the (deterministic) prefix emitted so far,
-  /// latching the budget's exhausted flag for upstream reporting.
+  /// checked between tree fits (fault site "enumerate/predicates").
   ///
   /// `shards` (optional, caller holds the set's ReadLease): bounding-
   /// description selectivity sampling runs against per-shard engines

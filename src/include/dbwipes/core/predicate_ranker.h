@@ -6,6 +6,7 @@
 
 #include "dbwipes/common/exec_context.h"
 #include "dbwipes/core/predicate_enumerator.h"
+#include "dbwipes/core/profile.h"
 #include "dbwipes/core/removal.h"
 #include "dbwipes/storage/shard.h"
 
@@ -63,40 +64,6 @@ struct RankerOptions {
   size_t num_threads = 0;
 };
 
-/// \brief Result of an anytime ranking run.
-///
-/// A complete run has partial == false and scored_prefix ==
-/// total_candidates. When the ExecContext interrupts the run
-/// (cancellation, deadline, or budget), the ranker returns the best
-/// ranking over a *deterministic* cut: the longest prefix of the input
-/// predicate list whose fixed-size scoring blocks all completed.
-/// Because the cut is a prefix of enumeration order, the partial
-/// ranking equals a full run restricted to predicates[0,
-/// scored_prefix) at any thread count — degraded, never wrong.
-/// \brief One shard's lane of a sharded ranking run. Counter fields
-/// are per-run deltas (a reused engine's counters are cumulative
-/// across explains, so each run snapshots them at checkout), which is
-/// what makes the warm-cache law checkable: a shard untouched by
-/// appends re-ranks with cache_misses == 0 and cache_hits ==
-/// clause_lookups.
-struct ShardRankStats {
-  size_t shard_index = 0;
-  /// Shard table rows at ranking time.
-  size_t rows = 0;
-  /// Suspect-universe members this shard owns.
-  size_t suspects = 0;
-  /// Engine came out of the per-set cache with bitmaps warm.
-  bool engine_reused = false;
-  /// This shard's slice of the Materialize wall time.
-  double materialize_ms = 0.0;
-  size_t clause_lookups = 0;
-  size_t cache_hits = 0;
-  size_t cache_misses = 0;
-  size_t bitmaps_materialized = 0;
-  /// Clause bitmaps cached in the shard's engine after the run.
-  size_t cached_clauses = 0;
-};
-
 /// \brief Telemetry one ranking run produces for the ExplainProfile:
 /// phase wall times, per-block timings, and MatchEngine cache totals.
 struct RankStats {
@@ -110,9 +77,6 @@ struct RankStats {
   /// Wall ms per block, slot-per-block; blocks that never completed
   /// keep 0, so a partial run shows where the deadline cut.
   std::vector<double> block_ms;
-  /// False when the bitmap budget degraded matching to FilterBitmap per
-  /// predicate.
-  bool used_kernels = false;
   size_t clause_lookups = 0;
   size_t cache_hits = 0;
   size_t cache_misses = 0;
@@ -123,9 +87,19 @@ struct RankStats {
   /// Sharded runs only: one lane per shard, in shard order (empty for
   /// single-engine runs). The top-level counters above are the lane
   /// sums, so the hits + misses == lookups law holds unchanged.
-  std::vector<ShardRankStats> shard_stats;
+  std::vector<ExplainProfile::ShardLane> shard_stats;
 };
 
+/// \brief Result of an anytime ranking run.
+///
+/// A complete run has partial == false and scored_prefix ==
+/// total_candidates. When the ExecContext interrupts the run
+/// (cancellation or deadline), the ranker returns the best ranking
+/// over a *deterministic* cut: the longest prefix of the input
+/// predicate list whose fixed-size scoring blocks all completed.
+/// Because the cut is a prefix of enumeration order, the partial
+/// ranking equals a full run restricted to predicates[0,
+/// scored_prefix) at any thread count — degraded, never wrong.
 struct RankOutcome {
   std::vector<RankedPredicate> predicates;
   bool partial = false;
@@ -177,11 +151,11 @@ class PredicateRanker {
       const ShardPlan* shards = nullptr) const;
 
   /// Anytime entry point: like Rank, but wound down cooperatively by
-  /// `ctx` (token/deadline checked per predicate, budget charged per
-  /// scoring block). Interrupts yield a partial RankOutcome instead of
-  /// an error; real failures (bad predicates, injected faults) are
-  /// still returned as error Status. Fault sites: "ranker/rank" at
-  /// entry, "ranker/score" per scoring block.
+  /// `ctx` (token/deadline checked per predicate). Interrupts yield a
+  /// partial RankOutcome instead of an error; real failures (bad
+  /// predicates, injected faults) are still returned as error Status.
+  /// Fault sites: "ranker/rank" at entry, "ranker/score" per scoring
+  /// block.
   Result<RankOutcome> RankAnytime(
       const Table& table, const QueryResult& result,
       const std::vector<size_t>& selected_groups, const ErrorMetric& metric,

@@ -12,10 +12,10 @@ namespace dbwipes {
 /// Explanation.
 ///
 /// Where the Tracer answers "what happened when" across the process,
-/// the profile answers "where did THIS request's budget go": per-stage
+/// the profile answers "where did THIS request's time go": per-stage
 /// wall time, work counts per stage, MatchEngine cache behavior,
 /// ThreadPool utilization over the run, and the anytime events
-/// (cancellation / deadline / budget) that cut it short. Collection is
+/// (cancellation / deadline) that cut it short. Collection is
 /// always on — the fields are filled from measurements the pipeline
 /// already takes (stage clocks, engine counters, pool counter deltas),
 /// so there is no separate profiling mode to forget to enable.
@@ -58,7 +58,6 @@ struct ExplainProfile {
   std::vector<double> block_ms;
 
   // --- MatchEngine (vectorized matching) ---
-  bool used_match_kernels = false;
   size_t clause_lookups = 0;  // == cache_hits + cache_misses
   size_t cache_hits = 0;
   size_t cache_misses = 0;
@@ -72,13 +71,14 @@ struct ExplainProfile {
   /// One lane per shard of the target ShardSet, in shard order.
   /// Counter fields are per-run deltas (reused engines accumulate
   /// across explains), so the hits + misses == lookups law holds per
-  /// lane as well as for the totals above (which are the lane sums).
+  /// lane as well as for the totals above (which are the lane sums),
+  /// and a shard untouched by appends re-ranks with cache_misses == 0.
   struct ShardLane {
     size_t shard_index = 0;
     size_t rows = 0;      // shard table rows at ranking time
     size_t suspects = 0;  // suspect-universe members the shard owns
-    bool engine_reused = false;
-    double materialize_ms = 0.0;
+    bool engine_reused = false;   // came out of the per-set cache warm
+    double materialize_ms = 0.0;  // this shard's slice of Materialize
     size_t clause_lookups = 0;
     size_t cache_hits = 0;
     size_t cache_misses = 0;
@@ -113,13 +113,6 @@ struct ExplainProfile {
   /// ms left on the deadline when the run returned (negative once
   /// past); meaningless unless has_deadline.
   double deadline_remaining_ms = 0.0;
-  bool has_budget = false;
-  size_t budget_used_predicates = 0;
-  size_t budget_used_bitmap_bytes = 0;
-  size_t budget_used_scored_removals = 0;
-  bool budget_predicates_exhausted = false;
-  bool budget_bitmap_exhausted = false;
-  bool budget_removals_exhausted = false;
 };
 
 }  // namespace dbwipes

@@ -215,7 +215,7 @@ struct ServiceOptions {
 /// fails with the command's usage text. Failures that may
 /// clear on their own (overload, session-limit, I/O) additionally
 /// carry "retryable": true. A debug run wound down early by a
-/// deadline, cancel, or budget responds {"ok": true, "partial": true,
+/// deadline or cancel responds {"ok": true, "partial": true,
 /// "reason": "...", ...}.
 ///
 /// Durability: with the WAL on, every acknowledged state-mutating
@@ -272,10 +272,9 @@ class Service {
   Session& session();
   SessionManager& sessions() { return *manager_; }
 
-  /// Debug runs hit these (not owned; may be null). Test seams for the
-  /// fault matrix and budget-exhaustion paths.
+  /// Debug runs hit this (not owned; may be null). Test seam for the
+  /// fault matrix.
   void set_fault_injector(FaultInjector* faults) { faults_ = faults; }
-  void set_budget(ResourceBudget* budget) { budget_ = budget; }
 
   /// Sampled metric time series behind the `history` command (always
   /// allocated; only populated while telemetry.history_enabled).
@@ -449,7 +448,6 @@ class Service {
   std::shared_ptr<ManagedSession> default_session_;
 
   FaultInjector* faults_ = nullptr;
-  ResourceBudget* budget_ = nullptr;
 
   /// The checkpoint gate. State-mutating commands hold it SHARED for
   /// the duration of apply+log; checkpoint, `wal on|off`, and

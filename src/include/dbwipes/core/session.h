@@ -90,7 +90,7 @@ class Session {
 
   /// Runs the ranked-provenance backend. Requires a result, a
   /// non-empty S, and a metric. The `ctx` overload makes the run
-  /// anytime: under a deadline/cancellation/budget the explanation
+  /// anytime: under a deadline or cancellation the explanation
   /// comes back flagged partial instead of blocking or erroring.
   Result<Explanation> Debug();
   Result<Explanation> Debug(const ExecContext& ctx);

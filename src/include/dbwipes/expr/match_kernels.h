@@ -15,8 +15,6 @@
 
 namespace dbwipes {
 
-class ResourceBudget;
-
 /// Compiles `clause` against `table` into its scan: the one place a
 /// clause's literal is translated. Every clause on an existing column
 /// compiles to exactly Clause::Matches' answer per cell (null cells
@@ -121,10 +119,8 @@ class MatchEngine {
 
   /// Looks `clause` up, counting one hit or one miss, and returns its
   /// entry slot. A miss caches the clause's NotFound, or a zeroed
-  /// bitmap (charged to `budget` when non-null) whose scan is queued on
-  /// `scans`.
-  Result<size_t> LookupClause(const Clause& clause, ResourceBudget* budget,
-                              std::vector<PendingScan>* scans);
+  /// bitmap whose scan is queued on `scans`.
+  size_t LookupClause(const Clause& clause, std::vector<PendingScan>* scans);
   /// Cache entry for `clause`, creating (and, for clauses that compile,
   /// materializing serially) on miss. Valid until the next insertion.
   const ClauseEntry& EnsureClause(const Clause& clause);

@@ -111,7 +111,7 @@ std::string Dashboard::RenderProfile(size_t width) const {
   }
   out += "  total        " + FormatDouble(p.total_ms, 2) + " ms\n";
 
-  if (p.used_match_kernels) {
+  if (!p.simd_tier.empty()) {
     out += "  match cache: " + std::to_string(p.cache_hits) + " hits / " +
            std::to_string(p.cache_misses) + " misses (" +
            std::to_string(p.bitmaps_materialized) + " bitmaps)\n";

@@ -1,8 +1,8 @@
 // Anytime-engine tests: the fault matrix (every DBW_FAULT site in the
 // pipeline degrades cleanly), deadline and cancellation wind-down with
-// the deterministic prefix-cut guarantee, resource budgets, and the
-// Service's set_deadline/cancel commands. Runs under the asan and tsan
-// presets via the `faults` ctest label.
+// the deterministic prefix-cut guarantee, stage clocks of an
+// interrupted run, and the Service's set_deadline/cancel commands. Runs
+// under the asan and tsan presets via the `faults` ctest label.
 
 #include <gtest/gtest.h>
 
@@ -283,7 +283,7 @@ TEST(AnytimeDeadlineTest, TenMsDeadlineReturnsPartialWithinFiveX) {
 
 TEST(AnytimeDeadlineTest, InfiniteDeadlineCompletes) {
   const RankProblem& p = BigProblem();
-  ExecContext ctx;  // no deadline, no token, no budget
+  ExecContext ctx;  // no deadline, no token
   auto outcome = RunAnytime(p, ctx);
   ASSERT_TRUE(outcome.ok());
   EXPECT_FALSE(outcome->partial);
@@ -311,65 +311,47 @@ TEST(AnytimeCancelTest, MidRunCancelYieldsConsistentPrefix) {
   ExpectPrefixConsistent(p, *outcome, 0);
 }
 
-// ---------- budgets ----------
+// ---------- stage clocks ----------
 
-TEST(AnytimeBudgetTest, ScoredRemovalCapCutsDeterministicPrefix) {
-  const RankProblem& p = BigProblem();
-  for (size_t threads : {size_t{1}, size_t{0}}) {
-    ResourceBudget budget(0, 0, /*max_scored_removals=*/10 *
-                                    PredicateRanker::kScoreBlock);
+/// A stage that an interrupt winds down still reports its wall time:
+/// the stage clocks of a partial run include the stage that was cut
+/// and stay within the run's wall total.
+TEST(AnytimeStageClockTest, InterruptedStageKeepsItsClock) {
+  struct Stage {
+    const char* site;
+    double ExplainProfile::*ms;
+  };
+  for (const Stage& stage :
+       {Stage{"enumerate/datasets", &ExplainProfile::enumerate_ms},
+        Stage{"enumerate/predicates", &ExplainProfile::predicates_ms}}) {
+    auto db = MakeSmallDb();
+    Session session(db);
+    ASSERT_TRUE(
+        session.ExecuteSql("SELECT g, avg(v) AS a FROM w GROUP BY g").ok());
+    ASSERT_TRUE(session.SelectResultsInRange("a", 20, 1e9).ok());
+    ASSERT_TRUE(session.SetMetric(TooHigh(12.0)).ok());
+
+    // The stage stalls 30 ms at its entry, then its token trips.
+    auto source = std::make_shared<CancellationSource>();
+    FaultInjector faults;
+    FaultInjector::Fault stall;
+    stall.latency_ms = 30.0;
+    stall.trip = source;
+    faults.Arm(stage.site, stall);
     ExecContext ctx;
-    ctx.budget = &budget;
-    auto outcome = RunAnytime(p, ctx, threads);
-    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-    EXPECT_TRUE(outcome->partial);
-    EXPECT_NE(outcome->reason.find("Resource exhausted"), std::string::npos)
-        << outcome->reason;
-    EXPECT_TRUE(budget.removals_exhausted());
-    EXPECT_LT(outcome->scored_prefix, p.predicates.size());
-    ExpectPrefixConsistent(p, *outcome, threads);
+    ctx.token = source->token();
+    ctx.faults = &faults;
+    auto exp = session.Debug(ctx);
+    ASSERT_TRUE(exp.ok()) << stage.site << ": " << exp.status().ToString();
+    ASSERT_TRUE(exp->partial) << stage.site;
+
+    const ExplainProfile& p = exp->profile;
+    EXPECT_GE(p.*stage.ms, 30.0) << stage.site;
+    const double stages =
+        p.preprocess_ms + p.enumerate_ms + p.predicates_ms + p.rank_ms;
+    EXPECT_GE(stages, 30.0) << stage.site;
+    EXPECT_LE(stages, p.total_ms) << stage.site;
   }
-}
-
-TEST(AnytimeBudgetTest, BitmapCapFallsBackToBoxedMatching) {
-  // Starving the bitmap cache must degrade Materialize to one
-  // FilterBitmap per predicate and slice, not fail or truncate: same
-  // complete ranking either way.
-  const RankProblem& p = BigProblem();
-  auto unbudgeted = RunAnytime(p, ExecContext::None());
-  ASSERT_TRUE(unbudgeted.ok());
-
-  ResourceBudget budget(0, /*max_bitmap_bytes=*/64, 0);
-  ExecContext ctx;
-  ctx.budget = &budget;
-  auto outcome = RunAnytime(p, ctx);
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_FALSE(outcome->partial) << outcome->reason;
-  EXPECT_TRUE(budget.bitmap_exhausted());
-  ASSERT_EQ(outcome->predicates.size(), unbudgeted->predicates.size());
-  for (size_t i = 0; i < outcome->predicates.size(); ++i) {
-    EXPECT_EQ(outcome->predicates[i].predicate.CanonicalString(),
-              unbudgeted->predicates[i].predicate.CanonicalString());
-  }
-}
-
-TEST(AnytimeBudgetTest, PredicateCapFlagsPipelinePartial) {
-  auto db = MakeSmallDb();
-  Session session(db);
-  ASSERT_TRUE(
-      session.ExecuteSql("SELECT g, avg(v) AS a FROM w GROUP BY g").ok());
-  ASSERT_TRUE(session.SelectResultsInRange("a", 20, 1e9).ok());
-  ASSERT_TRUE(session.SetMetric(TooHigh(12.0)).ok());
-
-  ResourceBudget budget(/*max_candidate_predicates=*/1, 0, 0);
-  ExecContext ctx;
-  ctx.budget = &budget;
-  auto exp = session.Debug(ctx);
-  ASSERT_TRUE(exp.ok()) << exp.status().ToString();
-  EXPECT_TRUE(exp->partial);
-  EXPECT_TRUE(budget.predicates_exhausted());
-  EXPECT_LE(exp->total_enumerated, 1u);
-  EXPECT_FALSE(exp->predicates.empty());  // the admitted prefix is ranked
 }
 
 // ---------- service protocol ----------

@@ -1,10 +1,9 @@
 // Unit tests for the anytime-execution primitives (common/exec_context.h):
-// cancellation tokens, deadlines, resource budgets, and the fault-injection
-// registry behind DBW_FAULT sites.
+// cancellation tokens, deadlines, and the fault-injection registry behind
+// DBW_FAULT sites.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <set>
@@ -76,57 +75,6 @@ TEST(DeadlineTest, FarFutureNotExpired) {
   Deadline d = Deadline::After(60000.0);
   EXPECT_FALSE(d.expired());
   EXPECT_GT(d.remaining_ms(), 1000.0);
-}
-
-// ---------- ResourceBudget ----------
-
-TEST(ResourceBudgetTest, ZeroLimitsAreUnlimited) {
-  ResourceBudget budget;
-  EXPECT_TRUE(budget.ChargePredicates(1000000).ok());
-  EXPECT_TRUE(budget.ChargeBitmapBytes(1 << 30).ok());
-  EXPECT_TRUE(budget.ChargeScoredRemovals(1000000).ok());
-  EXPECT_FALSE(budget.any_exhausted());
-}
-
-TEST(ResourceBudgetTest, ChargeUpToLimitThenFail) {
-  ResourceBudget budget(/*max_candidate_predicates=*/10,
-                        /*max_bitmap_bytes=*/0, /*max_scored_removals=*/0);
-  EXPECT_TRUE(budget.ChargePredicates(4).ok());
-  EXPECT_TRUE(budget.ChargePredicates(6).ok());  // exactly at the limit
-  Status over = budget.ChargePredicates(1);
-  EXPECT_TRUE(over.IsResourceExhausted()) << over.ToString();
-  EXPECT_TRUE(budget.predicates_exhausted());
-  EXPECT_TRUE(budget.any_exhausted());
-  EXPECT_FALSE(budget.bitmap_exhausted());
-}
-
-TEST(ResourceBudgetTest, EachDimensionIndependent) {
-  ResourceBudget budget(5, 100, 7);
-  EXPECT_TRUE(budget.ChargeBitmapBytes(200).IsResourceExhausted());
-  EXPECT_TRUE(budget.bitmap_exhausted());
-  EXPECT_FALSE(budget.predicates_exhausted());
-  EXPECT_FALSE(budget.removals_exhausted());
-  EXPECT_TRUE(budget.ChargePredicates(5).ok());
-  EXPECT_TRUE(budget.ChargeScoredRemovals(7).ok());
-}
-
-TEST(ResourceBudgetTest, ConcurrentChargesNeverExceedLimit) {
-  ResourceBudget budget(0, 0, /*max_scored_removals=*/1000);
-  std::atomic<size_t> granted{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 400; ++i) {
-        if (budget.ChargeScoredRemovals(1).ok()) granted.fetch_add(1);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  // fetch_add-based charging admits exactly `limit` units even under
-  // contention (later failed charges still bump the used counter, which
-  // is fine — the grant count is what budgets promise).
-  EXPECT_EQ(granted.load(), 1000u);
-  EXPECT_TRUE(budget.removals_exhausted());
 }
 
 // ---------- FaultInjector ----------

@@ -165,7 +165,7 @@ TEST(JsonExportTest, ExplanationSerializes) {
   EXPECT_NE(json.find("\"predicates\":"), std::string::npos);
   EXPECT_NE(json.find("tag = 'bad'"), std::string::npos);
   EXPECT_NE(json.find("\"baseline_error\":"), std::string::npos);
-  EXPECT_NE(json.find("\"timings_ms\":"), std::string::npos);
+  EXPECT_NE(json.find("\"stage_ms\":"), std::string::npos);
   EXPECT_NE(json.find("\"candidates\":"), std::string::npos);
   // Balanced braces/brackets (cheap well-formedness check).
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),

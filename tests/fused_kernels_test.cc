@@ -5,8 +5,7 @@
 // and boxed Predicate::Matches, across shard slicings S ∈ {1, 2, 3, 7}
 // and at both SIMD tiers (DBWIPES_SIMD=off must be bit-identical to the
 // dispatched tier).
-// Budget and staleness cases cover the engine's rollback and snapshot
-// checks.
+// A staleness case covers the engine's snapshot check.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "dbwipes/common/exec_context.h"
 #include "dbwipes/common/random.h"
 #include "dbwipes/expr/fused_kernels.h"
 #include "dbwipes/expr/match_kernels.h"
@@ -313,38 +311,7 @@ TEST_P(FusedEquivalence, ForcedScalarTierIsBitIdenticalToDispatchedTier) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FusedEquivalence,
                          ::testing::Values(11u, 47u, 4242u));
 
-// ---------- budgets and staleness ----------
-
-TEST(FusedAnytime, BitmapBudgetExhaustionRollsBackFusedPrograms) {
-  Rng rng(23);
-  Table t = RandomTable(&rng, 400);
-  std::vector<RowId> rows = FullUniverse(t);
-  // Every distinct clause is a materialized bitmap, which is what the
-  // budget meters.
-  const Clause shared = Clause::Make("i", CompareOp::kLe, Value(int64_t{2}));
-  Predicate p1({shared, Clause::Make("d", CompareOp::kGt, Value(0.0))});
-  Predicate p2({shared, Clause::Make("s", CompareOp::kEq, Value("red"))});
-
-  ResourceBudget budget(0, 1, 0);  // one byte of bitmap budget
-  ExecContext ctx;
-  ctx.budget = &budget;
-  ParallelOptions popts;
-  popts.ctx = &ctx;
-
-  MatchEngine engine(t, rows);
-  Status st = engine.Materialize({&p1, &p2}, popts);
-  ASSERT_TRUE(st.IsResourceExhausted()) << st.ToString();
-  EXPECT_EQ(engine.num_cached_clauses(), 0u);
-
-  // Without the budget the identical batch succeeds on the same
-  // engine: the rollback left no poisoned state behind.
-  DBW_CHECK_OK(engine.Materialize({&p1, &p2}));
-  EXPECT_EQ(engine.num_cached_clauses(), 3u);
-  for (const Predicate* p : {&p1, &p2}) {
-    ASSERT_TRUE(*engine.MatchPrepared(*p) == BoxedBits(*p, t, rows))
-        << p->ToString();
-  }
-}
+// ---------- staleness ----------
 
 TEST(FusedAnytime, StalenessIsDetectedBeforeFusedEvaluation) {
   Table t(Schema{{"i", DataType::kInt64}, {"d", DataType::kDouble}}, "t");

@@ -707,7 +707,7 @@ TEST(DBWipesTest, ExplainEndToEndRecoversTruth) {
   EXPECT_EQ(exp.predicates[0].predicate.ToString(), "tag = 'bad'");
   EXPECT_NEAR(exp.predicates[0].error_improvement, 1.0, 1e-9);
   EXPECT_GT(exp.preprocess.baseline_error, 0.0);
-  EXPECT_GE(exp.total_ms(), 0.0);
+  EXPECT_GE(exp.profile.total_ms, 0.0);
 }
 
 TEST(DBWipesTest, CleanRemovesTheAnomaly) {

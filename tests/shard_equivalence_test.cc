@@ -1,7 +1,7 @@
 // Shard-equivalence property tests: explaining over a sharded table
 // must be BIT-identical to the unsharded run — same predicates, same
 // order, same scores to the last ulp — at every shard count, on random
-// datasets, under anytime cuts (budgets, deadlines), and across the
+// datasets, under anytime cuts (cancellation, deadlines), and across the
 // whole fault matrix. Sharding is an execution strategy, never a
 // semantics change. Runs under the asan and tsan presets via the
 // `faults` ctest label.
@@ -128,13 +128,14 @@ TEST_P(ShardEquivalence, ExplainIsBitIdenticalAtEveryShardCount) {
 }
 
 TEST_P(ShardEquivalence, BudgetCutIsBitIdenticalAtEveryShardCount) {
-  // A scored-removal budget cuts ranking after a deterministic block
-  // prefix, so even the PARTIAL result must be identical across shard
-  // counts. The ranker is where the budget is charged, so this goes
+  // A cut after a deterministic block prefix must leave even the
+  // PARTIAL result identical across shard counts. The cut comes from a
+  // token tripped at the third "ranker/score" hit: the three blocks of
+  // 80 candidates are too few for the pool, so they score serially and
+  // the third block always stops, at every shard count. This goes
   // through RankAnytime with a wide manual candidate family — the full
-  // Explain pipeline merges candidates down to a handful, too few for
-  // a removal cap to ever bite. (Removal budgets, not bitmap budgets:
-  // per-shard bitmap byte charges legitimately differ with the layout.)
+  // Explain pipeline merges candidates down to a handful, too few to
+  // fill more than one block.
   const uint64_t seed = GetParam();
   auto table = RandomWorld(seed, 300);
   QueryResult result =
@@ -151,12 +152,15 @@ TEST_P(ShardEquivalence, BudgetCutIsBitIdenticalAtEveryShardCount) {
   }
 
   auto run = [&](size_t num_shards) {
-    // The charge lands one kScoreBlock at a time, so a two-block cap
-    // over 80 candidates always stops before the third block.
-    ResourceBudget budget(
-        0, 0, /*max_scored_removals=*/2 * PredicateRanker::kScoreBlock);
+    auto source = std::make_shared<CancellationSource>();
+    FaultInjector faults;
+    FaultInjector::Fault trip;
+    trip.trip = source;
+    trip.skip = 2;
+    faults.Arm("ranker/score", trip);
     ExecContext ctx;
-    ctx.budget = &budget;
+    ctx.token = source->token();
+    ctx.faults = &faults;
     std::shared_ptr<ShardSet> set;
     ShardPlan plan;
     const ShardPlan* plan_ptr = nullptr;
@@ -171,7 +175,8 @@ TEST_P(ShardEquivalence, BudgetCutIsBitIdenticalAtEveryShardCount) {
                                       pre.per_group_baseline_error, candidates,
                                       ctx, plan_ptr);
     EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
-    EXPECT_TRUE(outcome->partial) << "budget did not bite";
+    EXPECT_TRUE(outcome->partial) << "the tripped token did not cut";
+    EXPECT_EQ(faults.hits("ranker/score"), 3u);
     return *outcome;
   };
 

@@ -699,7 +699,6 @@ TEST(GoldenSchemaTest, ExplainProfileJsonKeyPaths) {
   profile.num_shards = 1;
   profile.shards.emplace_back();
   profile.has_deadline = true;
-  profile.has_budget = true;
   const std::string json = ExplainProfileToJson(profile, /*pretty=*/false);
   std::string joined;
   for (const std::string& path : JsonKeyPaths(json)) joined += path + "\n";

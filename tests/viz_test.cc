@@ -184,6 +184,8 @@ TEST(DashboardTest, ProfilePanelRendersAfterDebug) {
     EXPECT_NE(panel.find(stage), std::string::npos) << stage;
   }
   EXPECT_NE(panel.find("pool:"), std::string::npos);
+  // Ranking built a match engine, so its cache line shows.
+  EXPECT_NE(panel.find("match cache:"), std::string::npos);
   // A complete run never renders the PARTIAL marker.
   EXPECT_EQ(panel.find("PARTIAL"), std::string::npos);
 }

@@ -2,14 +2,16 @@
 # Pre-merge gate: tier-1 tests, the asan smoke subset, the anytime
 # fault matrix, the tsan smoke subset (tracer/metrics buffers must be
 # race-free), the stress-labelled concurrent service suites under
-# tsan, the tracing-overhead benchmark, the one-thread pipeline suites
-# and the end-to-end benchmark's smoke test. Run from the repo root:
+# tsan, the whole suite under ubsan, the tracing-overhead benchmark,
+# the one-thread pipeline suites and the end-to-end benchmark's smoke
+# test. Run from the repo root:
 #
 #   scripts/check.sh            # every stage
 #   scripts/check.sh tier1      # just the default-preset test suite
 #   scripts/check.sh asan       # just the asan smoke subset
 #   scripts/check.sh faults     # just the faults-labelled tests (asan)
 #   scripts/check.sh tsan       # just the tsan smoke subset
+#   scripts/check.sh ubsan      # the whole suite under ubsan
 #   scripts/check.sh stress     # concurrent service suites under tsan
 #   scripts/check.sh trace      # just bench_trace (BENCH_trace.json)
 #   scripts/check.sh shard      # bench_shard (BENCH_shard.json)
@@ -73,6 +75,13 @@ stress() {
   cmake --preset tsan >/dev/null
   cmake --build --preset tsan -j "$jobs"
   ctest --preset tsan-stress -j "$jobs"
+}
+
+ubsan() {
+  echo "=== ubsan: full test suite (undefined behaviour halts) ==="
+  cmake --preset ubsan >/dev/null
+  cmake --build --preset ubsan -j "$jobs"
+  ctest --preset ubsan -j "$jobs"
 }
 
 trace_bench() {
@@ -217,6 +226,7 @@ case "${1:-all}" in
   faults) faults ;;
   tsan)   tsan_smoke ;;
   stress) stress ;;
+  ubsan)  ubsan ;;
   trace)  trace_bench ;;
   shard)  shard_bench ;;
   threads) threads ;;
@@ -226,7 +236,7 @@ case "${1:-all}" in
   obs)    obs ;;
   repl)   repl ;;
   perf)   perf_smoke ;;
-  all)    tier1; asan_smoke; faults; tsan_smoke; stress; trace_bench; shard_bench; threads; simd; crash; wal_bench; obs; repl; perf_smoke ;;
-  *) echo "usage: $0 [tier1|asan|faults|tsan|stress|trace|shard|threads|simd|crash|wal|obs|repl|perf|all]" >&2; exit 2 ;;
+  all)    tier1; asan_smoke; faults; tsan_smoke; stress; ubsan; trace_bench; shard_bench; threads; simd; crash; wal_bench; obs; repl; perf_smoke ;;
+  *) echo "usage: $0 [tier1|asan|faults|tsan|stress|ubsan|trace|shard|threads|simd|crash|wal|obs|repl|perf|all]" >&2; exit 2 ;;
 esac
 echo "=== check.sh: all requested stages passed ==="

@@ -1,15 +1,13 @@
 #include "dbwipes/common/http_listener.h"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 
 #include "dbwipes/common/metrics.h"
+#include "dbwipes/common/socket_io.h"
 #include "dbwipes/common/trace.h"
 
 namespace dbwipes {
@@ -33,18 +31,6 @@ const char* StatusText(int status) {
   }
 }
 
-void WriteAll(int fd, const std::string& data) {
-  size_t written = 0;
-  while (written < data.size()) {
-    const ssize_t r = ::write(fd, data.data() + written, data.size() - written);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return;  // client went away; nothing to salvage
-    }
-    written += static_cast<size_t>(r);
-  }
-}
-
 }  // namespace
 
 HttpListener::~HttpListener() { Stop(); }
@@ -54,43 +40,10 @@ Status HttpListener::Start(uint16_t port, Handler handler) {
   if (running()) return Status::InvalidArgument("http listener already started");
   if (!handler) return Status::InvalidArgument("http listener needs a handler");
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IoError(std::string("socket failed: ") +
-                           std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  // Observability endpoints stay host-local by default: bind loopback,
-  // not all interfaces, so /metrics is only reachable from this machine.
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const Status st = Status::IoError("bind to port " + std::to_string(port) +
-                                      " failed: " + std::strerror(errno));
-    ::close(fd);
-    return st;
-  }
-  if (::listen(fd, 16) != 0) {
-    const Status st =
-        Status::IoError(std::string("listen failed: ") + std::strerror(errno));
-    ::close(fd);
-    return st;
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    const Status st = Status::IoError(std::string("getsockname failed: ") +
-                                      std::strerror(errno));
-    ::close(fd);
-    return st;
-  }
-
+  // Observability endpoints stay host-local: /metrics is only
+  // reachable from this machine.
+  DBW_RETURN_NOT_OK(ListenLoopback(port, &listen_fd_, &port_));
   handler_ = std::move(handler);
-  listen_fd_ = fd;
-  port_ = ntohs(addr.sin_port);
   stopping_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   thread_ = std::thread(&HttpListener::Loop, this);
@@ -135,11 +88,8 @@ void HttpListener::ServeConnection(int fd) {
 
   // A slow/stuck client must not wedge the accept loop: bound each
   // read AND each send (a scraper that stops draining its socket would
-  // otherwise block WriteAll forever once the kernel buffer fills).
-  timeval tv{};
-  tv.tv_usec = 500 * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+  // otherwise block SendAll forever once the kernel buffer fills).
+  SetSocketTimeouts(fd, 500.0);
 
   // Per-read timeouts alone still allow a slow-loris drip (one byte
   // every 400ms, forever); an overall deadline on assembling the
@@ -181,7 +131,8 @@ void HttpListener::ServeConnection(int fd) {
                     "\r\nContent-Type: " + response.content_type +
                     "\r\nContent-Length: " + std::to_string(response.body.size()) +
                     "\r\nConnection: close\r\n\r\n" + response.body;
-  WriteAll(fd, out);
+  // A client that went away fails the send; nothing to salvage.
+  (void)SendAll(fd, out);
   requests->Increment();
   serve_ms->Observe(MonotonicMillis() - start_ms);
 }

@@ -20,12 +20,18 @@ double MillisSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Pipeline-level counters, incremented once per Explain.
+/// Pipeline-level metrics, each counted or observed once per Explain.
+/// The stage histograms are the per-stage latency lanes the SLO history
+/// samples beside the end-to-end service.request_ms.
 struct ExplainMetrics {
   MetricCounter* runs;
   MetricCounter* partial;
   MetricCounter* cancellations;
   MetricCounter* deadline_expiries;
+  MetricHistogram* preprocess_ms;
+  MetricHistogram* enumerate_ms;
+  MetricHistogram* predicates_ms;
+  MetricHistogram* rank_ms;
   MetricHistogram* total_ms;
   MetricCounter* sharded_runs;
   MetricHistogram* shard_skew;
@@ -37,6 +43,10 @@ const ExplainMetrics& Metrics() {
       MetricsRegistry::Global().GetCounter("explain.partial"),
       MetricsRegistry::Global().GetCounter("exec.cancellations"),
       MetricsRegistry::Global().GetCounter("exec.deadline_expiries"),
+      MetricsRegistry::Global().GetHistogram("explain.preprocess_ms"),
+      MetricsRegistry::Global().GetHistogram("explain.enumerate_ms"),
+      MetricsRegistry::Global().GetHistogram("explain.predicates_ms"),
+      MetricsRegistry::Global().GetHistogram("explain.rank_ms"),
       MetricsRegistry::Global().GetHistogram("explain.total_ms"),
       MetricsRegistry::Global().GetCounter("explain.sharded_runs"),
       MetricsRegistry::Global().GetHistogram("explain.shard_skew"),
@@ -117,13 +127,12 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
 
   // A stage interrupted by the context degrades the run instead of
   // failing it: everything completed so far ships, flagged partial.
-  auto degrade = [&out](const Status& why) {
+  auto degrade = [&out](const std::string& why) {
     out.partial = true;
     if (out.partial_reason.empty()) {
-      out.partial_reason = why.ToString();
-      Tracer::Global().RecordInstant(
-          "pipeline/degraded",
-          "\"reason\":\"" + why.ToString() + "\"");
+      out.partial_reason = why;
+      Tracer::Global().RecordInstant("pipeline/degraded",
+                                     "\"reason\":\"" + why + "\"");
     }
   };
 
@@ -165,6 +174,10 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
     if (out.partial) Metrics().partial->Increment();
     if (p.cancelled) Metrics().cancellations->Increment();
     if (p.deadline_expired) Metrics().deadline_expiries->Increment();
+    Metrics().preprocess_ms->Observe(p.preprocess_ms);
+    Metrics().enumerate_ms->Observe(p.enumerate_ms);
+    Metrics().predicates_ms->Observe(p.predicates_ms);
+    Metrics().rank_ms->Observe(p.rank_ms);
     Metrics().total_ms->Observe(p.total_ms);
   };
 
@@ -172,7 +185,7 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
   auto t0 = std::chrono::steady_clock::now();
   Status cont = ctx.CheckContinue();
   if (!cont.ok()) {
-    degrade(cont);
+    degrade(cont.ToString());
     finish();
     return out;
   }
@@ -210,7 +223,7 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
     out.enumerate_ms = MillisSince(t0);
     if (!candidates.ok()) {
       if (candidates.status().IsInterrupt()) {
-        degrade(candidates.status());
+        degrade(candidates.status().ToString());
         finish();
         return out;
       }
@@ -231,7 +244,7 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
     out.predicates_ms = MillisSince(t0);
     if (!r.ok()) {
       if (r.status().IsInterrupt()) {
-        degrade(r.status());
+        degrade(r.status().ToString());
         finish();
         return out;
       }
@@ -314,9 +327,9 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
       Metrics().sharded_runs->Increment();
     }
   }
-  if (outcome.partial) {
-    degrade(Status(StatusCode::kDeadlineExceeded, outcome.reason));
-  }
+  // The ranker's reason is the context's own stop status, so a cancel
+  // reads as a cancel, not as a timeout.
+  if (outcome.partial) degrade(outcome.reason);
   // Merging re-scores pairwise combinations — pure bonus work; skip it
   // once the run is already degraded or the clock has run out.
   if (options_.merge_predicates && !out.partial && !ctx.StopRequested()) {

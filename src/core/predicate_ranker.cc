@@ -92,11 +92,14 @@ std::string StopReason(const ExecContext& ctx) {
   return "interrupted";
 }
 
-/// Fills the outcome for a run cut at `prefix` input predicates.
+/// Fills the outcome for a run cut at `prefix` input predicates, with
+/// whatever the run measured before the cut.
 RankOutcome MakeOutcome(std::vector<RankedPredicate> ranked, size_t prefix,
-                        size_t total, const ExecContext& ctx) {
+                        size_t total, const ExecContext& ctx,
+                        RankStats stats = {}) {
   RankOutcome out;
   out.predicates = std::move(ranked);
+  out.stats = std::move(stats);
   out.scored_prefix = prefix;
   out.total_candidates = total;
   out.partial = prefix < total;
@@ -291,7 +294,9 @@ Result<RankOutcome> PredicateRanker::RankDelta(
   // warm for the next run either way.
   if (!materialized.ok()) {
     finish();
-    if (materialized.IsInterrupt()) return MakeOutcome({}, 0, n, ctx);
+    if (materialized.IsInterrupt()) {
+      return MakeOutcome({}, 0, n, ctx, std::move(stats));
+    }
     return materialized;
   }
   std::vector<std::vector<Bitmap>> matched_parts(n);
@@ -371,9 +376,9 @@ Result<RankOutcome> PredicateRanker::RankDelta(
   Metrics().blocks_scored->Increment(done_blocks);
   Metrics().predicates_scored->Increment(prefix);
 
-  RankOutcome out = MakeOutcome(std::move(ranked), prefix, n, ctx);
+  RankOutcome out =
+      MakeOutcome(std::move(ranked), prefix, n, ctx, std::move(stats));
   if (out.partial) Metrics().partial_runs->Increment();
-  out.stats = std::move(stats);
   return out;
 }
 
@@ -492,9 +497,9 @@ Result<RankOutcome> PredicateRanker::RankReference(
       &scored, hash_of,
       [&](size_t a, size_t b) { return matched_sets[a] == matched_sets[b]; },
       options_.top_k);
-  RankOutcome out = MakeOutcome(std::move(ranked), prefix, n, ctx);
+  RankOutcome out =
+      MakeOutcome(std::move(ranked), prefix, n, ctx, std::move(stats));
   if (out.partial) Metrics().partial_runs->Increment();
-  out.stats = std::move(stats);
   return out;
 }
 

@@ -1,10 +1,8 @@
 #include "dbwipes/core/service.h"
 
-#include <dirent.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <charconv>
 #include <chrono>
 #include <cmath>
@@ -25,6 +23,7 @@
 #include "dbwipes/expr/parser.h"
 #include "dbwipes/expr/shard_cache.h"
 #include "dbwipes/replication/replication.h"
+#include "dbwipes/storage/durable_io.h"
 #include "dbwipes/storage/shard.h"
 
 namespace dbwipes {
@@ -175,6 +174,16 @@ namespace {
 
 using Call = ServiceCall;
 
+/// TelemetryHistory ring capacity per series — bounds memory at
+/// series * points * 16 bytes regardless of uptime.
+constexpr size_t kHistoryPoints = 600;
+/// The watchdog flags a request still running this long past its
+/// deadline, and a WAL fsync in flight this long.
+constexpr double kDeadlineGraceMs = 500.0;
+constexpr double kFsyncStallMs = 500.0;
+/// retry_after_ms hint attached to not_primary rejections.
+constexpr double kNotPrimaryRetryAfterMs = 50.0;
+
 Reply Error(const std::string& message) {
   Reply reply;
   reply.ok = false;
@@ -289,7 +298,7 @@ Service::Service(std::shared_ptr<Database> db, ServiceOptions options)
       db_(std::move(db)),
       retry_max_attempts_(options_.retry.max_attempts),
       retry_backoff_ms_(options_.retry.initial_backoff_ms),
-      history_(options_.telemetry.history_points) {
+      history_(kHistoryPoints) {
   if (options_.sessions.max_sessions == 0) options_.sessions.max_sessions = 1;
   manager_ =
       std::make_unique<SessionManager>(db_, options_.explain, options_.sessions);
@@ -403,7 +412,7 @@ ServiceReply Service::ExecuteCommand(const std::string& line) {
       return RetryLater(
           "not primary: this node is a read-only replica; retry against "
           "the primary",
-          "not_primary", options_.replication.not_primary_retry_after_ms);
+          "not_primary", kNotPrimaryRetryAfterMs);
     }
     if (repl_fenced_.load(std::memory_order_acquire)) {
       Reply reply = Error(
@@ -1104,7 +1113,7 @@ Status Service::EnableWalLocked(const std::string& dir) {
   }
   size_t replayed = 0;
   size_t errors = 0;
-  DBW_RETURN_NOT_OK(wal->Replay(
+  DBW_RETURN_NOT_OK(wal->ReplayDurable(
       wal_snapshot_lsn_,
       [&](uint64_t /*lsn*/, uint64_t rid, uint8_t type,
           const std::string& body) -> Status {
@@ -1229,49 +1238,6 @@ ServiceReply Service::HandleWal(ServiceCall& call) {
 
 // --- Replication (DESIGN.md §5l) ---
 
-namespace {
-
-Status ReadFileBytes(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IoError("open " + path + ": " + std::strerror(errno));
-  }
-  out->clear();
-  char buf[1 << 16];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out->append(buf, n);
-  const bool bad = std::ferror(f) != 0;
-  std::fclose(f);
-  if (bad) return Status::IoError("read " + path + " failed");
-  return Status::OK();
-}
-
-/// Unlinks every wal-*.log segment file in `dir` (the local log is
-/// about to be replaced by a shipped snapshot's history).
-Status RemoveWalSegments(const std::string& dir) {
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) {
-    return Status::IoError("opendir " + dir + ": " + std::strerror(errno));
-  }
-  Status st = Status::OK();
-  while (dirent* entry = ::readdir(d)) {
-    const std::string name = entry->d_name;
-    if (name.size() < 8 || name.compare(0, 4, "wal-") != 0 ||
-        name.compare(name.size() - 4, 4, ".log") != 0) {
-      continue;
-    }
-    const std::string path = dir + "/" + name;
-    if (::unlink(path.c_str()) != 0) {
-      st = Status::IoError("unlink " + path + ": " + std::strerror(errno));
-      break;
-    }
-  }
-  ::closedir(d);
-  return st;
-}
-
-}  // namespace
-
 Status Service::StartReplicationListenLocked(int port) {
   if (repl_server_ != nullptr) {
     return Status::InvalidArgument(
@@ -1293,7 +1259,6 @@ Status Service::StartReplicationListenLocked(int port) {
   }
   ReplicationServerOptions o;
   o.port = static_cast<uint16_t>(port);
-  o.heartbeat_interval_ms = options_.replication.heartbeat_interval_ms;
   o.faults = options_.replication.faults != nullptr
                  ? options_.replication.faults
                  : faults_;
@@ -1609,7 +1574,7 @@ Status Service::InstallReplicaSnapshot(const std::string& bytes,
     // stream re-syncs on the next connect).
     wal_enabled_.store(false, std::memory_order_release);
     wal_.reset();
-    DBW_RETURN_NOT_OK(RemoveWalSegments(dir));
+    DBW_RETURN_NOT_OK(WriteAheadLog::RemoveSegments(dir));
     WalOptions wal_options = options_.wal;
     wal_options.dir = dir;
     wal_faults_ = wal_options.faults != nullptr ? wal_options.faults : faults_;
@@ -1646,7 +1611,7 @@ Result<std::pair<std::string, uint64_t>> Service::ReplicationSnapshotImage() {
   }
   for (int attempt = 0; attempt < 2; ++attempt) {
     std::string bytes;
-    DBW_RETURN_NOT_OK(ReadFileBytes(path, &bytes));
+    DBW_RETURN_NOT_OK(ReadWholeFile(path, &bytes));
     auto snap = ReadSnapshotFromBytes(bytes, path);
     if (snap.ok() && wal_->CanReplayAfter(snap->wal_lsn)) {
       return std::make_pair(std::move(bytes), snap->wal_lsn);
@@ -1872,7 +1837,7 @@ void Service::WatchdogScan() {
       }
       if (!request.deadline_alerted && request.deadline_ms > 0.0 &&
           now_ms >
-              request.deadline_ms + options_.telemetry.deadline_grace_ms) {
+              request.deadline_ms + kDeadlineGraceMs) {
         request.deadline_alerted = true;
         overruns->Increment();
         Tracer::Global().RecordInstant(
@@ -1888,7 +1853,7 @@ void Service::WatchdogScan() {
   // one alert per stuck episode (the start timestamp identifies it).
   const double fsync_since = FsyncInFlightSinceMs();
   if (fsync_since > 0.0 &&
-      now_ms - fsync_since >= options_.telemetry.fsync_stall_ms) {
+      now_ms - fsync_since >= kFsyncStallMs) {
     if (fsync_alerted_since_ != fsync_since) {
       fsync_alerted_since_ = fsync_since;
       fsync_stalls->Increment();
@@ -1903,18 +1868,6 @@ ServiceReply Service::RunDebug(ManagedSession& ms) {
   DBW_TRACE_SPAN("service/debug");
   static MetricCounter* const retries =
       MetricsRegistry::Global().GetCounter("service.retries");
-  // Per-stage latency lanes, sampled into the SLO history alongside the
-  // end-to-end service.request_ms.
-  static MetricHistogram* const preprocess_h =
-      MetricsRegistry::Global().GetHistogram("explain.preprocess_ms");
-  static MetricHistogram* const enumerate_h =
-      MetricsRegistry::Global().GetHistogram("explain.enumerate_ms");
-  static MetricHistogram* const predicates_h =
-      MetricsRegistry::Global().GetHistogram("explain.predicates_ms");
-  static MetricHistogram* const rank_h =
-      MetricsRegistry::Global().GetHistogram("explain.rank_ms");
-  static MetricHistogram* const total_h =
-      MetricsRegistry::Global().GetHistogram("explain.total_ms");
 
   auto source = std::make_shared<CancellationSource>();
   {
@@ -1959,12 +1912,6 @@ ServiceReply Service::RunDebug(ManagedSession& ms) {
   if (!exp.ok()) return exp.status();
   exp->profile.attempts = attempts;
   exp->profile.rid = CurrentRequestId();
-
-  preprocess_h->Observe(exp->profile.preprocess_ms);
-  enumerate_h->Observe(exp->profile.enumerate_ms);
-  predicates_h->Observe(exp->profile.predicates_ms);
-  rank_h->Observe(exp->profile.rank_ms);
-  total_h->Observe(exp->profile.total_ms);
 
   Reply reply;
   if (exp->partial) reply.Add("partial", "true").Reason(exp->partial_reason);

@@ -8,6 +8,11 @@ namespace dbwipes {
 
 namespace {
 
+/// Attached to the kResourceExhausted status as a "[retry_after_ms=N]"
+/// hint so RetryTransient waits at least this long before hammering a
+/// full session table again.
+constexpr double kRetryAfterHintMs = 25.0;
+
 double MsSince(std::chrono::steady_clock::time_point then,
                std::chrono::steady_clock::time_point now) {
   return std::chrono::duration<double, std::milli>(now - then).count();
@@ -71,7 +76,7 @@ Result<std::shared_ptr<ManagedSession>> SessionManager::GetOrCreate(
         Status::ResourceExhausted(
             "session limit reached (" + std::to_string(options_.max_sessions) +
             " live sessions); drop or evict one first"),
-        options_.retry_after_hint_ms);
+        kRetryAfterHintMs);
   }
   Entry entry;
   entry.session = std::make_shared<ManagedSession>(db_, explain_options_);

@@ -1,12 +1,8 @@
 #include "dbwipes/core/snapshot.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
+
+#include "dbwipes/storage/durable_io.h"
 
 namespace dbwipes {
 
@@ -16,15 +12,6 @@ namespace {
 constexpr char kMagic[8] = {'D', 'B', 'W', 'S', 'N', 'A', 'P', '\0'};
 constexpr size_t kHeaderSize = 8 + 4 + 8 + 8;
 
-uint64_t Fnv1a64(const char* data, size_t n) {
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 // ---------------------------------------------------------------------------
 // Payload encoding: little-endian fixed-width integers, doubles as
 // their 8 bytes, strings as u32 length + bytes. Every read is
@@ -33,6 +20,9 @@ uint64_t Fnv1a64(const char* data, size_t n) {
 
 class PayloadWriter {
  public:
+  /// `reserved` zero bytes lead the buffer (room for the file header).
+  explicit PayloadWriter(size_t reserved = 0) : out_(reserved, '\0') {}
+
   void U8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
   void U32(uint32_t v) { Raw(&v, sizeof(v)); }
   void U64(uint64_t v) { Raw(&v, sizeof(v)); }
@@ -69,7 +59,7 @@ class PayloadWriter {
 
 class PayloadReader {
  public:
-  explicit PayloadReader(const std::string& data) : data_(data) {}
+  explicit PayloadReader(std::string_view data) : data_(data) {}
 
   size_t remaining() const { return data_.size() - pos_; }
 
@@ -98,7 +88,7 @@ class PayloadReader {
       return Corrupt(what, std::string("string of ") + std::to_string(n) +
                                " bytes exceeds remaining payload");
     }
-    s->assign(data_, pos_, n);
+    s->assign(data_.substr(pos_, n));
     pos_ += n;
     return Status::OK();
   }
@@ -158,7 +148,7 @@ class PayloadReader {
     return Status::OK();
   }
 
-  const std::string& data_;
+  std::string_view data_;
   size_t pos_ = 0;
 };
 
@@ -400,34 +390,38 @@ Result<ServiceSnapshot::SessionState> ReadSession(PayloadReader* r) {
   return s;
 }
 
+void WritePayload(PayloadWriter* w, const ServiceSnapshot& snapshot) {
+  w->U32(static_cast<uint32_t>(snapshot.tables.size()));
+  for (const auto& named : snapshot.tables) {
+    WriteTable(w, named.first, *named.second);
+  }
+  w->U32(static_cast<uint32_t>(snapshot.sessions.size()));
+  for (const ServiceSnapshot::SessionState& s : snapshot.sessions) {
+    WriteSession(w, s);
+  }
+  // v2: shard layouts (boundaries only; shard contents are derivable).
+  w->U32(static_cast<uint32_t>(snapshot.shard_layouts.size()));
+  for (const ServiceSnapshot::ShardLayout& layout : snapshot.shard_layouts) {
+    w->Str(layout.table);
+    w->U32(static_cast<uint32_t>(layout.shard_rows.size()));
+    for (uint64_t rows : layout.shard_rows) w->U64(rows);
+  }
+  // v3: the WAL LSN this snapshot is consistent through, plus the
+  // process-level retry knobs (their logged records may be truncated).
+  w->U64(snapshot.wal_lsn);
+  w->U32(snapshot.retry_max_attempts);
+  w->F64(snapshot.retry_backoff_ms);
+}
+
 }  // namespace
 
 std::string SerializeSnapshotPayload(const ServiceSnapshot& snapshot) {
   PayloadWriter w;
-  w.U32(static_cast<uint32_t>(snapshot.tables.size()));
-  for (const auto& named : snapshot.tables) {
-    WriteTable(&w, named.first, *named.second);
-  }
-  w.U32(static_cast<uint32_t>(snapshot.sessions.size()));
-  for (const ServiceSnapshot::SessionState& s : snapshot.sessions) {
-    WriteSession(&w, s);
-  }
-  // v2: shard layouts (boundaries only; shard contents are derivable).
-  w.U32(static_cast<uint32_t>(snapshot.shard_layouts.size()));
-  for (const ServiceSnapshot::ShardLayout& layout : snapshot.shard_layouts) {
-    w.Str(layout.table);
-    w.U32(static_cast<uint32_t>(layout.shard_rows.size()));
-    for (uint64_t rows : layout.shard_rows) w.U64(rows);
-  }
-  // v3: the WAL LSN this snapshot is consistent through, plus the
-  // process-level retry knobs (their logged records may be truncated).
-  w.U64(snapshot.wal_lsn);
-  w.U32(snapshot.retry_max_attempts);
-  w.F64(snapshot.retry_backoff_ms);
+  WritePayload(&w, snapshot);
   return w.Take();
 }
 
-Result<ServiceSnapshot> ParseSnapshotPayload(const std::string& payload,
+Result<ServiceSnapshot> ParseSnapshotPayload(std::string_view payload,
                                              uint32_t version) {
   PayloadReader r(payload);
   ServiceSnapshot snap;
@@ -469,133 +463,28 @@ Result<ServiceSnapshot> ParseSnapshotPayload(const std::string& payload,
   return snap;
 }
 
-namespace {
-
-/// write(2) until done, honoring an injected short-write/error fault
-/// (at most `fault->short_write_limit` bytes land before the fault's
-/// crash/status applies).
-Status WriteAllFd(int fd, const char* data, size_t n, const std::string& path,
-                  const FaultInjector::Fault* fault) {
-  size_t allowed = n;
-  if (fault != nullptr && fault->short_write_limit > 0) {
-    allowed = allowed < fault->short_write_limit ? allowed
-                                                 : fault->short_write_limit;
-  }
-  size_t written = 0;
-  while (written < allowed) {
-    ssize_t r = ::write(fd, data + written, allowed - written);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError("write failed for '" + path + "': " +
-                             std::strerror(errno));
-    }
-    written += static_cast<size_t>(r);
-  }
-  if (fault != nullptr) {
-    if (fault->crash) ::_exit(kFaultCrashExit);
-    if (!fault->status.ok()) return fault->status;
-    if (allowed < n) {
-      return Status::IoError("short write injected at '" + path + "'");
-    }
-  }
-  return Status::OK();
-}
-
-Status HitSite(FaultInjector* faults, const char* site) {
-  if (faults == nullptr) return Status::OK();
-  FaultInjector::Fault fault;
-  if (!faults->HitIo(site, &fault)) return Status::OK();
-  if (fault.crash) ::_exit(kFaultCrashExit);
-  return fault.status;
-}
-
-}  // namespace
-
 Status WriteSnapshot(const std::string& path, const ServiceSnapshot& snapshot,
                      FaultInjector* faults) {
-  const std::string payload = SerializeSnapshotPayload(snapshot);
-  const uint64_t checksum = Fnv1a64(payload.data(), payload.size());
+  // The payload is serialized behind room for the header, which is
+  // filled in once the payload's size and checksum are known: the file
+  // image is built in one buffer.
+  PayloadWriter w(kHeaderSize);
+  WritePayload(&w, snapshot);
+  std::string file = w.Take();
   const uint32_t version = kSnapshotFormatVersion;
-  const uint64_t payload_size = payload.size();
-
-  std::string file;
-  file.reserve(kHeaderSize + payload.size());
-  file.append(kMagic, sizeof(kMagic));
-  file.append(reinterpret_cast<const char*>(&version), sizeof(version));
-  file.append(reinterpret_cast<const char*>(&payload_size),
-              sizeof(payload_size));
-  file.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-  file.append(payload);
-
-  // Write the bytes to a temp sibling, fsync it, atomically rename into
-  // place, then fsync the parent directory. The rename gives atomicity
-  // (readers and a post-crash restart see the old file or the new one,
-  // never a prefix); the two fsyncs give durability — without the file
-  // fsync the rename can land before the data, and without the
-  // directory fsync the rename itself can evaporate in a power cut.
-  const std::string tmp = path + ".tmp";
-  Status st = HitSite(faults, "snapshot/open");
-  int fd = -1;
-  if (st.ok()) {
-    fd = ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-    if (fd < 0) {
-      st = Status::IoError("cannot open '" + tmp + "' for writing: " +
-                           std::strerror(errno));
-    }
-  }
-  if (st.ok()) {
-    FaultInjector::Fault fault;
-    const FaultInjector::Fault* fault_ptr = nullptr;
-    if (faults != nullptr && faults->HitIo("snapshot/write", &fault)) {
-      fault_ptr = &fault;
-    }
-    st = WriteAllFd(fd, file.data(), file.size(), tmp, fault_ptr);
-  }
-  if (st.ok()) st = HitSite(faults, "snapshot/fsync");
-  if (st.ok() && ::fsync(fd) != 0) {
-    st = Status::IoError("fsync failed for '" + tmp + "': " +
-                         std::strerror(errno));
-  }
-  if (fd >= 0) ::close(fd);
-  if (st.ok()) st = HitSite(faults, "snapshot/rename");
-  if (st.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
-    st = Status::IoError("cannot rename '" + tmp + "' to '" + path + "'");
-  }
-  if (!st.ok()) {
-    std::remove(tmp.c_str());
-    return st;
-  }
-  DBW_RETURN_NOT_OK(HitSite(faults, "snapshot/dirsync"));
-  const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? std::string(".")
-                                                     : path.substr(0, slash);
-  int dfd = ::open(dir.c_str(), O_RDONLY);
-  if (dfd < 0) {
-    return Status::IoError("cannot open directory '" + dir +
-                           "' for fsync: " + std::strerror(errno));
-  }
-  const bool dir_synced = ::fsync(dfd) == 0;
-  ::close(dfd);
-  if (!dir_synced) {
-    return Status::IoError("directory fsync failed for '" + dir + "': " +
-                           std::strerror(errno));
-  }
-  return Status::OK();
+  const uint64_t payload_size = file.size() - kHeaderSize;
+  const uint64_t checksum = Fnv1a64(file.data() + kHeaderSize, payload_size);
+  std::memcpy(&file[0], kMagic, sizeof(kMagic));
+  std::memcpy(&file[8], &version, sizeof(version));
+  std::memcpy(&file[12], &payload_size, sizeof(payload_size));
+  std::memcpy(&file[20], &checksum, sizeof(checksum));
+  return ReplaceFileDurably(path, file, faults, "snapshot");
 }
 
 Result<ServiceSnapshot> ReadSnapshot(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IoError("cannot open snapshot '" + path + "'");
-  }
   std::string file;
-  char buf[1 << 16];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) file.append(buf, n);
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    return Status::IoError("error reading snapshot '" + path + "'");
+  if (!ReadWholeFile(path, &file).ok()) {
+    return Status::IoError("cannot open snapshot '" + path + "'");
   }
   return ReadSnapshotFromBytes(file, path);
 }
@@ -640,7 +529,8 @@ Result<ServiceSnapshot> ReadSnapshotFromBytes(const std::string& file,
     return Status::IoError("snapshot '" + path +
                            "' failed its checksum (corrupt payload)");
   }
-  return ParseSnapshotPayload(file.substr(kHeaderSize), version);
+  return ParseSnapshotPayload(std::string_view(file).substr(kHeaderSize),
+                              version);
 }
 
 }  // namespace dbwipes

@@ -69,20 +69,14 @@ struct ServiceOptions {
     /// `sample_interval_ms` cadence (the `history` command's source).
     bool history_enabled = false;
     double sample_interval_ms = 100.0;
-    /// Ring capacity per series — bounds memory at
-    /// series * points * 16 bytes regardless of uptime.
-    size_t history_points = 600;
 
     /// Watchdog thread: flags requests in flight longer than
-    /// `stall_threshold_ms`, deadline overruns past
-    /// `deadline_grace_ms`, and WAL fsyncs stuck past
-    /// `fsync_stall_ms`, via `watchdog.*` alert counters and instant
+    /// `stall_threshold_ms`, deadline overruns and stuck WAL fsyncs
+    /// (DESIGN.md §5k), via `watchdog.*` alert counters and instant
     /// trace events.
     bool watchdog_enabled = false;
     double watchdog_interval_ms = 100.0;
     double stall_threshold_ms = 5000.0;
-    double deadline_grace_ms = 500.0;
-    double fsync_stall_ms = 500.0;
 
     /// Slow-request log threshold: requests at or above this emit one
     /// structured JSON line (stderr, "SLOWREQ " prefix) and land in
@@ -105,15 +99,11 @@ struct ServiceOptions {
     /// Non-empty ("host:port") starts this node as a read-only
     /// follower of that primary.
     std::string follow;
-    /// Primary: heartbeat cadence per follower connection.
-    double heartbeat_interval_ms = 100.0;
     /// Follower: socket recv/send timeout; a primary silent for this
     /// long triggers a reconnect (with backoff).
     double heartbeat_timeout_ms = 1000.0;
     /// Follower reconnect backoff ladder.
     RetryPolicy reconnect;
-    /// retry_after_ms hint attached to not_primary rejections.
-    double not_primary_retry_after_ms = 50.0;
     /// Fault injector for the replication sites (repl/*); falls back
     /// to the service-wide injector when null.
     FaultInjector* faults = nullptr;

@@ -82,11 +82,6 @@ class SessionManager {
     /// Sessions idle longer than this are evictable; <= 0 means only
     /// explicit eviction/drop removes sessions.
     double idle_timeout_ms = 0.0;
-    /// Attached to the kResourceExhausted status as a
-    /// "[retry_after_ms=N]" hint so RetryTransient waits at least this
-    /// long before hammering a full session table again; <= 0 omits
-    /// the hint.
-    double retry_after_hint_ms = 25.0;
   };
 
   SessionManager(std::shared_ptr<Database> db, ExplainOptions explain_options);

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -62,14 +63,14 @@ struct ServiceSnapshot {
 /// sections) and refuses anything newer with a precise error.
 constexpr uint32_t kSnapshotFormatVersion = 3;
 
-/// Writes `snapshot` to `path` crash-consistently AND durably: the
-/// bytes go to a temporary sibling file which is fsynced, atomically
-/// renamed over `path`, and sealed with an fsync of the parent
-/// directory — so a crash (or power cut) mid-save leaves either the
-/// old snapshot or the new one, never a torn mix, and a completed save
-/// actually survives the cut. The payload is FNV-1a-64 checksummed and
-/// carries a magic + format version header. `faults` (test-only) hits
-/// the "snapshot/*" I/O sites.
+/// Writes `snapshot` to `path` crash-consistently AND durably through
+/// ReplaceFileDurably (storage/durable_io.h): a temporary sibling file
+/// is fsynced, atomically renamed over `path`, and sealed with an
+/// fsync of the parent directory — so a crash (or power cut) mid-save
+/// leaves either the old snapshot or the new one, never a torn mix, and
+/// a completed save actually survives the cut. The payload is
+/// FNV-1a-64 checksummed and carries a magic + format version header.
+/// `faults` (test-only) hits the "snapshot/*" I/O sites.
 Status WriteSnapshot(const std::string& path, const ServiceSnapshot& snapshot,
                      FaultInjector* faults = nullptr);
 
@@ -93,7 +94,7 @@ Result<ServiceSnapshot> ReadSnapshotFromBytes(const std::string& file,
 /// version when parsing an older file.
 std::string SerializeSnapshotPayload(const ServiceSnapshot& snapshot);
 Result<ServiceSnapshot> ParseSnapshotPayload(
-    const std::string& payload, uint32_t version = kSnapshotFormatVersion);
+    std::string_view payload, uint32_t version = kSnapshotFormatVersion);
 
 }  // namespace dbwipes
 

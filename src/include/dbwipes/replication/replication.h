@@ -42,8 +42,9 @@ enum class ReplMsgType : uint8_t {
                       // c=1 when a snapshot transfer follows
   kSnapshotMeta = 3,  // a=snapshot lsn, b=total bytes
   kSnapshotChunk = 4, // payload=raw snapshot file bytes (<=64 KiB)
-  kSnapshotDone = 5,  // a=fnv1a-64 of the whole snapshot file
-  kFrame = 6,         // a=lsn, b=rid, c=checksum, payload=command body
+  kSnapshotDone = 5,  // a=Fnv1a64 of the whole snapshot file
+  kFrame = 6,         // a=lsn, b=rid, c=FrameChecksum (the WAL's own),
+                      // payload=command body
   kHeartbeat = 7,     // a=epoch, b=primary durable lsn
   kAck = 8,           // a=follower applied lsn
   kRefuse = 9,        // a=speaker's epoch, payload=reason text
@@ -68,16 +69,6 @@ Status WriteReplMessage(int fd, const ReplMessage& m);
 Status ReadReplMessage(int fd, ReplMessage* out,
                        size_t max_payload = 256u << 20);
 
-/// The frame checksum carried in ReplMsgType::kFrame — identical maths
-/// to the WAL's record checksum (FNV-1a over lsn|rid|type|body), so a
-/// frame that survives the wire is exactly a frame that will verify on
-/// the follower's disk.
-uint64_t ReplFrameChecksum(uint64_t lsn, uint64_t rid, uint8_t type,
-                           const std::string& body);
-
-/// FNV-1a-64 over a byte string (snapshot transfer integrity).
-uint64_t ReplBytesChecksum(const std::string& bytes);
-
 // ---------------------------------------------------------------------------
 // Epoch persistence
 // ---------------------------------------------------------------------------
@@ -87,7 +78,8 @@ uint64_t ReplBytesChecksum(const std::string& bytes);
 /// inventing a low epoch could un-fence a stale primary.
 Result<uint64_t> LoadReplicationEpoch(const std::string& dir);
 
-/// Durably (write + fsync + rename) records `epoch` in `dir`. Called
+/// Durably records `epoch` in `dir` through ReplaceFileDurably (write,
+/// fsync, rename, directory fsync; any failure is returned). Called
 /// before a promotion takes effect, so a crashed-and-restarted new
 /// primary can never come back believing an older epoch.
 Status StoreReplicationEpoch(const std::string& dir, uint64_t epoch);
@@ -99,7 +91,6 @@ Status StoreReplicationEpoch(const std::string& dir, uint64_t epoch);
 struct ReplicationServerOptions {
   /// Port to listen on (loopback); 0 picks an ephemeral port.
   uint16_t port = 0;
-  double heartbeat_interval_ms = 100.0;
   /// Per-read bound while handshaking / reading ACKs.
   double recv_timeout_ms = 5000.0;
   /// "repl/*" fault sites fire through this when non-null (tests).

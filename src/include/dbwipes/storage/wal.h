@@ -84,8 +84,8 @@ struct WalStats {
 ///
 /// Thread safety: Append/stats are fully thread-safe, and
 /// ReplayDurable may race both (it delivers only the immutable durable
-/// prefix). Replay/Rotate/TruncateThrough must not race Append (the
-/// service calls them while holding its checkpoint gate exclusively).
+/// prefix). Rotate/TruncateThrough must not race Append (the service
+/// calls them while holding its checkpoint gate exclusively).
 class WriteAheadLog {
  public:
   static constexpr uint8_t kRecordCommand = 1;
@@ -93,6 +93,11 @@ class WriteAheadLog {
   /// Scans `options.dir` (creating it if needed), validates existing
   /// segments, truncates a torn tail, and opens the log for appending.
   static Result<std::unique_ptr<WriteAheadLog>> Open(WalOptions options);
+
+  /// Unlinks every segment file in `dir`, found the way Open finds
+  /// them (a follower replaces its log with a shipped snapshot's
+  /// history). No log may be open on `dir`.
+  static Status RemoveSegments(const std::string& dir);
 
   ~WriteAheadLog();
 
@@ -134,20 +139,16 @@ class WriteAheadLog {
   /// failure that dropped its batch.
   Status WaitDurable(const Ticket& ticket);
 
-  /// Invokes `fn` for every record with lsn > after_lsn, in LSN order,
-  /// with the request id recovered from the frame. Reads from disk, so
-  /// it sees exactly what a recovery would.
-  Status Replay(uint64_t after_lsn,
-                const std::function<Status(uint64_t lsn, uint64_t rid,
-                                           uint8_t type,
-                                           const std::string& body)>& fn) const;
-
-  /// Tailing read, safe to race Append/Rotate: invokes `fn` for every
-  /// record with after_lsn < lsn <= D where D is the durable LSN
-  /// captured atomically with the segment list at entry. Capping at D
-  /// is what makes the race safe — a failed commit only ever drops and
-  /// reuses LSNs *above* the durable mark, so everything delivered here
-  /// is acknowledged history that can never be rewritten. Torn or extra
+  /// The one log reader, for recovery and the replication sender
+  /// alike: invokes `fn` for every record with after_lsn < lsn <= D, in
+  /// LSN order, with the request id recovered from the frame, where D
+  /// is the durable LSN captured atomically with the segment list at
+  /// entry. It reads from disk, so it sees exactly what a recovery
+  /// would; with no appender running D is the last record. It may race
+  /// Append/Rotate: capping at D is what makes that safe — a failed
+  /// commit only ever drops and reuses LSNs *above* the durable mark,
+  /// so everything delivered here is acknowledged history that can
+  /// never be rewritten. Torn or extra
   /// frames past D (a concurrent group commit mid-write) are expected
   /// and ignored; durable records missing below D are corruption.
   /// Segments wholly <= after_lsn are skipped without touching disk, so
@@ -161,8 +162,8 @@ class WriteAheadLog {
                                  const std::string& body)>& fn,
       uint64_t* delivered_through = nullptr) const;
 
-  /// The base LSN of the oldest retained segment — the smallest LSN a
-  /// Replay can still deliver. Replication uses CanReplayAfter to
+  /// The base LSN of the oldest retained segment — the smallest LSN
+  /// ReplayDurable can still deliver. Replication uses CanReplayAfter to
   /// decide between tailing the log and shipping a snapshot.
   uint64_t first_lsn() const;
   bool CanReplayAfter(uint64_t lsn) const;

@@ -1,13 +1,10 @@
 #include "dbwipes/replication/replication.h"
 
-#include <fcntl.h>
-#include <sys/socket.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
+
+#include "dbwipes/common/socket_io.h"
+#include "dbwipes/storage/durable_io.h"
 
 namespace dbwipes {
 
@@ -15,50 +12,6 @@ namespace {
 
 // type + a + b + c, before the variable payload.
 constexpr size_t kReplHeaderSize = 1 + 8 + 8 + 8;
-
-uint64_t Fnv1a64(const char* data, size_t n,
-                 uint64_t h = 1469598103934665603ull) {
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-Status SocketError(const char* what) {
-  const int e = errno;
-  if (e == EAGAIN || e == EWOULDBLOCK) {
-    return Status::IoError(std::string(what) + " timed out");
-  }
-  return Status::IoError(std::string(what) + " failed: " + std::strerror(e));
-}
-
-Status WriteAllFd(int fd, const char* data, size_t n) {
-  size_t written = 0;
-  while (written < n) {
-    const ssize_t r = ::send(fd, data + written, n - written, MSG_NOSIGNAL);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return SocketError("send");
-    }
-    written += static_cast<size_t>(r);
-  }
-  return Status::OK();
-}
-
-Status ReadAllFd(int fd, char* data, size_t n) {
-  size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::recv(fd, data + got, n - got, 0);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return SocketError("recv");
-    }
-    if (r == 0) return Status::IoError("connection closed by peer");
-    got += static_cast<size_t>(r);
-  }
-  return Status::OK();
-}
 
 }  // namespace
 
@@ -77,13 +30,12 @@ std::string EncodeReplMessage(const ReplMessage& m) {
 }
 
 Status WriteReplMessage(int fd, const ReplMessage& m) {
-  const std::string encoded = EncodeReplMessage(m);
-  return WriteAllFd(fd, encoded.data(), encoded.size());
+  return SendAll(fd, EncodeReplMessage(m));
 }
 
 Status ReadReplMessage(int fd, ReplMessage* out, size_t max_payload) {
   char lenbuf[4];
-  DBW_RETURN_NOT_OK(ReadAllFd(fd, lenbuf, sizeof(lenbuf)));
+  DBW_RETURN_NOT_OK(RecvAll(fd, lenbuf, sizeof(lenbuf)));
   uint32_t len = 0;
   std::memcpy(&len, lenbuf, 4);
   if (len < kReplHeaderSize || len > kReplHeaderSize + max_payload) {
@@ -91,26 +43,13 @@ Status ReadReplMessage(int fd, ReplMessage* out, size_t max_payload) {
                            std::to_string(len) + " (corrupt stream)");
   }
   std::string body(len, '\0');
-  DBW_RETURN_NOT_OK(ReadAllFd(fd, &body[0], body.size()));
+  DBW_RETURN_NOT_OK(RecvAll(fd, &body[0], body.size()));
   out->type = static_cast<ReplMsgType>(static_cast<uint8_t>(body[0]));
   std::memcpy(&out->a, body.data() + 1, 8);
   std::memcpy(&out->b, body.data() + 9, 8);
   std::memcpy(&out->c, body.data() + 17, 8);
   out->payload.assign(body, kReplHeaderSize, body.size() - kReplHeaderSize);
   return Status::OK();
-}
-
-uint64_t ReplFrameChecksum(uint64_t lsn, uint64_t rid, uint8_t type,
-                           const std::string& body) {
-  char prefix[17];
-  std::memcpy(prefix, &lsn, 8);
-  std::memcpy(prefix + 8, &rid, 8);
-  prefix[16] = static_cast<char>(type);
-  return Fnv1a64(body.data(), body.size(), Fnv1a64(prefix, sizeof(prefix)));
-}
-
-uint64_t ReplBytesChecksum(const std::string& bytes) {
-  return Fnv1a64(bytes.data(), bytes.size());
 }
 
 Result<uint64_t> LoadReplicationEpoch(const std::string& dir) {
@@ -128,49 +67,11 @@ Result<uint64_t> LoadReplicationEpoch(const std::string& dir) {
 }
 
 Status StoreReplicationEpoch(const std::string& dir, uint64_t epoch) {
-  const std::string path = dir + "/repl-epoch";
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-  if (fd < 0) {
-    return Status::IoError("cannot open '" + tmp +
-                           "': " + std::strerror(errno));
-  }
-  char buf[40];
-  const int n = std::snprintf(buf, sizeof(buf), "epoch %llu\n",
+  char text[40];
+  const int n = std::snprintf(text, sizeof(text), "epoch %llu\n",
                               static_cast<unsigned long long>(epoch));
-  Status st = Status::OK();
-  size_t written = 0;
-  while (written < static_cast<size_t>(n)) {
-    const ssize_t r = ::write(fd, buf + written, n - written);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      st = Status::IoError("write to '" + tmp +
-                           "' failed: " + std::strerror(errno));
-      break;
-    }
-    written += static_cast<size_t>(r);
-  }
-  if (st.ok() && ::fsync(fd) != 0) {
-    st = Status::IoError("fsync of '" + tmp +
-                         "' failed: " + std::strerror(errno));
-  }
-  ::close(fd);
-  if (st.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
-    st = Status::IoError("rename '" + tmp + "' -> '" + path +
-                         "' failed: " + std::strerror(errno));
-  }
-  if (!st.ok()) {
-    ::unlink(tmp.c_str());
-    return st;
-  }
-  // Seal the rename: a promotion that was acknowledged must survive a
-  // power cut, or the node could resurrect in its pre-promotion epoch.
-  const int dfd = ::open(dir.c_str(), O_RDONLY);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
-  return Status::OK();
+  return ReplaceFileDurably(dir + "/repl-epoch",
+                            std::string_view(text, static_cast<size_t>(n)));
 }
 
 }  // namespace dbwipes

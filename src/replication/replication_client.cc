@@ -11,21 +11,10 @@
 #include <cstring>
 
 #include "dbwipes/common/metrics.h"
+#include "dbwipes/common/socket_io.h"
+#include "dbwipes/storage/durable_io.h"
 
 namespace dbwipes {
-
-namespace {
-
-void SetSocketTimeouts(int fd, double ms) {
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(ms / 1000.0);
-  tv.tv_usec = static_cast<suseconds_t>(
-      (ms - static_cast<double>(tv.tv_sec) * 1000.0) * 1000.0);
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
-}  // namespace
 
 ReplicationClient::~ReplicationClient() { Stop(); }
 
@@ -226,7 +215,7 @@ bool ReplicationClient::RunOnce() {
         }
       } else if (in.type == ReplMsgType::kSnapshotDone) {
         if (snap_buffer.size() != snap_total ||
-            ReplBytesChecksum(snap_buffer) != in.a) {
+            Fnv1a64(snap_buffer.data(), snap_buffer.size()) != in.a) {
           corrupt_counter->Increment();
           {
             std::lock_guard<std::mutex> lock(mu_);
@@ -259,7 +248,7 @@ bool ReplicationClient::RunOnce() {
             break;
           }
         }
-        const uint64_t want = ReplFrameChecksum(
+        const uint64_t want = FrameChecksum(
             in.a, in.b, WriteAheadLog::kRecordCommand, in.payload);
         if (want != in.c) {
           corrupt_counter->Increment();

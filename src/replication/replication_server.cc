@@ -1,19 +1,16 @@
 #include "dbwipes/replication/replication.h"
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <cerrno>
-#include <cstring>
-
 #include "dbwipes/common/metrics.h"
+#include "dbwipes/common/socket_io.h"
 #include "dbwipes/common/telemetry.h"
 #include "dbwipes/common/trace.h"
+#include "dbwipes/storage/durable_io.h"
 
 namespace dbwipes {
 
@@ -21,14 +18,8 @@ namespace {
 
 constexpr size_t kSnapshotChunkBytes = 64u << 10;
 
-void SetSocketTimeouts(int fd, double ms) {
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(ms / 1000.0);
-  tv.tv_usec = static_cast<suseconds_t>(
-      (ms - static_cast<double>(tv.tv_sec) * 1000.0) * 1000.0);
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
+/// Heartbeat cadence per follower connection.
+constexpr double kHeartbeatIntervalMs = 100.0;
 
 }  // namespace
 
@@ -44,43 +35,11 @@ Status ReplicationServer::Start(ReplicationServerOptions options,
         "replication server needs a wal, an epoch source, and a snapshot "
         "source");
   }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IoError(std::string("socket failed: ") +
-                           std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
   // Loopback-only, like the observability listener: replication is not
   // exposed off-host unless the operator fronts it themselves.
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(options.port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const Status st =
-        Status::IoError("bind to port " + std::to_string(options.port) +
-                        " failed: " + std::strerror(errno));
-    ::close(fd);
-    return st;
-  }
-  if (::listen(fd, 16) != 0) {
-    const Status st =
-        Status::IoError(std::string("listen failed: ") + std::strerror(errno));
-    ::close(fd);
-    return st;
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    const Status st = Status::IoError(std::string("getsockname failed: ") +
-                                      std::strerror(errno));
-    ::close(fd);
-    return st;
-  }
+  DBW_RETURN_NOT_OK(ListenLoopback(options.port, &listen_fd_, &port_));
   options_ = options;
   source_ = std::move(source);
-  listen_fd_ = fd;
-  port_ = ntohs(addr.sin_port);
   stopping_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   accept_thread_ = std::thread(&ReplicationServer::AcceptLoop, this);
@@ -173,7 +132,7 @@ Result<uint64_t> ReplicationServer::ShipFrames(int fd, uint64_t last_sent) {
         frame.type = ReplMsgType::kFrame;
         frame.a = lsn;
         frame.b = rid;
-        frame.c = ReplFrameChecksum(lsn, rid, type, body);
+        frame.c = FrameChecksum(lsn, rid, type, body);
         frame.payload = body;
         if (options_.faults != nullptr) {
           FaultInjector::Fault fault;
@@ -311,7 +270,7 @@ void ReplicationServer::ServeFollower(Conn* conn) {
       if (!sent_ok) break;
       ReplMessage done;
       done.type = ReplMsgType::kSnapshotDone;
-      done.a = ReplBytesChecksum(snap_bytes);
+      done.a = Fnv1a64(snap_bytes.data(), snap_bytes.size());
       if (!WriteReplMessage(fd, done).ok()) break;
       last_sent = snap_lsn;
       {
@@ -355,7 +314,7 @@ void ReplicationServer::ServeFollower(Conn* conn) {
       if (!shipped.ok()) break;
       last_sent = *shipped;
       const double now_ms = MonotonicMillis();
-      if (now_ms - last_heartbeat_ms >= options_.heartbeat_interval_ms) {
+      if (now_ms - last_heartbeat_ms >= kHeartbeatIntervalMs) {
         ReplMessage hb;
         hb.type = ReplMsgType::kHeartbeat;
         hb.a = source_.epoch();

@@ -14,6 +14,7 @@
 #include "dbwipes/common/metrics.h"
 #include "dbwipes/common/telemetry.h"
 #include "dbwipes/common/trace.h"
+#include "dbwipes/storage/durable_io.h"
 
 namespace dbwipes {
 
@@ -27,23 +28,6 @@ constexpr size_t kSegmentHeaderSize = 16;  // magic + u64 base_lsn
 // [u32 body_len][u64 checksum][u64 lsn][u64 rid][u8 type]
 constexpr size_t kRecordHeaderSize = 4 + 8 + 8 + 8 + 1;
 constexpr size_t kMaxRecordBody = 64u << 20;  // sanity cap against garbage lens
-
-uint64_t Fnv1a64(const char* data, size_t n, uint64_t h = 1469598103934665603ull) {
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-uint64_t RecordChecksum(uint64_t lsn, uint64_t rid, uint8_t type,
-                        const std::string& body) {
-  char prefix[17];
-  std::memcpy(prefix, &lsn, 8);
-  std::memcpy(prefix + 8, &rid, 8);
-  prefix[16] = static_cast<char>(type);
-  return Fnv1a64(body.data(), body.size(), Fnv1a64(prefix, sizeof(prefix)));
-}
 
 void PutU32(std::string* out, uint32_t v) {
   out->append(reinterpret_cast<const char*>(&v), 4);
@@ -69,69 +53,22 @@ std::string SegmentPath(const std::string& dir, uint64_t seq) {
   return dir + "/" + name;
 }
 
-Status Errno(const std::string& what, const std::string& path) {
-  return Status::IoError(what + " failed for " + path + ": " +
-                         std::strerror(errno));
-}
-
-/// write() until done, honoring an injected short-write/error fault: at
-/// most `fault->short_write_limit` bytes land before the fault's status
-/// (or crash) applies — the generator for torn tails.
-Status WriteFully(int fd, const char* data, size_t n, const std::string& path,
-                  const FaultInjector::Fault* fault) {
-  size_t allowed = n;
-  if (fault != nullptr && fault->short_write_limit > 0) {
-    allowed = std::min(n, fault->short_write_limit);
-  }
-  size_t written = 0;
-  while (written < allowed) {
-    ssize_t r = ::write(fd, data + written, allowed - written);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return Errno("write", path);
-    }
-    written += static_cast<size_t>(r);
-  }
-  if (fault != nullptr) {
-    // The partial bytes are on disk; now the fault takes effect.
-    if (fault->crash) ::_exit(kFaultCrashExit);
-    if (!fault->status.ok()) return fault->status;
-    if (allowed < n) {
-      return Status::IoError("short write injected at " + path);
+/// The wal-*.log segments in `dir` as (seq, path), ordered by sequence
+/// number.
+Status ListSegments(const std::string& dir,
+                    std::vector<std::pair<uint64_t, std::string>>* found) {
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) return ErrnoError("opendir", dir);
+  while (struct dirent* e = ::readdir(d)) {
+    unsigned long long seq = 0;
+    char tail = 0;
+    if (std::sscanf(e->d_name, "wal-%8llu.lo%c", &seq, &tail) == 2 &&
+        tail == 'g') {
+      found->emplace_back(seq, SegmentPath(dir, seq));
     }
   }
-  return Status::OK();
-}
-
-Status FsyncFd(int fd, const std::string& path) {
-  if (::fsync(fd) != 0) return Errno("fsync", path);
-  return Status::OK();
-}
-
-Status FsyncPath(const std::string& path) {
-  int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return Errno("open", path);
-  Status st = FsyncFd(fd, path);
-  ::close(fd);
-  return st;
-}
-
-Status ReadFile(const std::string& path, std::string* out) {
-  int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return Errno("open", path);
-  out->clear();
-  char buf[1 << 16];
-  for (;;) {
-    ssize_t r = ::read(fd, buf, sizeof(buf));
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return Errno("read", path);
-    }
-    if (r == 0) break;
-    out->append(buf, static_cast<size_t>(r));
-  }
-  ::close(fd);
+  ::closedir(d);
+  std::sort(found->begin(), found->end());
   return Status::OK();
 }
 
@@ -169,7 +106,7 @@ Status ScanSegment(const std::string& path, const std::string& data,
     const uint64_t rid = GetU64(data.data() + off + 20);
     const uint8_t type = static_cast<uint8_t>(data[off + 28]);
     std::string body(data, off + kRecordHeaderSize, body_len);
-    if (RecordChecksum(lsn, rid, type, body) != checksum) {
+    if (FrameChecksum(lsn, rid, type, body) != checksum) {
       out->torn = true;
       break;
     }
@@ -209,25 +146,11 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(WalOptions options) {
     DBW_RETURN_NOT_OK(options.faults->Hit("wal/open"));
   }
   if (::mkdir(options.dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    return Errno("mkdir", options.dir);
+    return ErrnoError("mkdir", options.dir);
   }
 
-  // Enumerate wal-*.log segments, ordered by sequence number.
   std::vector<std::pair<uint64_t, std::string>> found;
-  {
-    DIR* d = ::opendir(options.dir.c_str());
-    if (d == nullptr) return Errno("opendir", options.dir);
-    while (struct dirent* e = ::readdir(d)) {
-      unsigned long long seq = 0;
-      char tail = 0;
-      if (std::sscanf(e->d_name, "wal-%8llu.lo%c", &seq, &tail) == 2 &&
-          tail == 'g') {
-        found.emplace_back(seq, SegmentPath(options.dir, seq));
-      }
-    }
-    ::closedir(d);
-  }
-  std::sort(found.begin(), found.end());
+  DBW_RETURN_NOT_OK(ListSegments(options.dir, &found));
 
   auto wal = std::unique_ptr<WriteAheadLog>(new WriteAheadLog());
   wal->options_ = std::move(options);
@@ -237,7 +160,7 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(WalOptions options) {
     const bool last = (i + 1 == found.size());
     const std::string& path = found[i].second;
     std::string data;
-    DBW_RETURN_NOT_OK(ReadFile(path, &data));
+    DBW_RETURN_NOT_OK(ReadWholeFile(path, &data));
     if (data.size() < kSegmentHeaderSize ||
         std::memcmp(data.data(), kSegmentMagic, 8) != 0) {
       // A segment written by another wal format version has a complete,
@@ -254,8 +177,8 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(WalOptions options) {
       if (last) {
         // A crash during segment creation can leave a short/blank file;
         // drop it and let the active segment be recreated below.
-        if (::unlink(path.c_str()) != 0) return Errno("unlink", path);
-        DBW_RETURN_NOT_OK(FsyncPath(wal->options_.dir));
+        if (::unlink(path.c_str()) != 0) return ErrnoError("unlink", path);
+        DBW_RETURN_NOT_OK(FsyncDir(wal->options_.dir));
         break;
       }
       return Status::IoError("wal corrupt: bad segment header in " + path);
@@ -282,10 +205,10 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(WalOptions options) {
         return Status::IoError("wal corrupt: torn record mid-log in " + path);
       }
       int fd = ::open(path.c_str(), O_WRONLY);
-      if (fd < 0) return Errno("open", path);
+      if (fd < 0) return ErrnoError("open", path);
       if (::ftruncate(fd, static_cast<off_t>(scan.valid_bytes)) != 0) {
         ::close(fd);
-        return Errno("ftruncate", path);
+        return ErrnoError("ftruncate", path);
       }
       Status st = FsyncFd(fd, path);
       ::close(fd);
@@ -314,10 +237,21 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(WalOptions options) {
   } else {
     Segment& active = wal->segments_.back();
     wal->active_fd_ = ::open(active.path.c_str(), O_WRONLY | O_APPEND);
-    if (wal->active_fd_ < 0) return Errno("open", active.path);
+    if (wal->active_fd_ < 0) return ErrnoError("open", active.path);
     wal->active_synced_bytes_ = kSegmentHeaderSize + active.record_bytes;
   }
   return wal;
+}
+
+Status WriteAheadLog::RemoveSegments(const std::string& dir) {
+  std::vector<std::pair<uint64_t, std::string>> found;
+  DBW_RETURN_NOT_OK(ListSegments(dir, &found));
+  for (const auto& segment : found) {
+    if (::unlink(segment.second.c_str()) != 0) {
+      return ErrnoError("unlink", segment.second);
+    }
+  }
+  return Status::OK();
 }
 
 WriteAheadLog::~WriteAheadLog() {
@@ -327,12 +261,12 @@ WriteAheadLog::~WriteAheadLog() {
 Status WriteAheadLog::CreateSegment(uint64_t seq, uint64_t base_lsn) {
   const std::string path = SegmentPath(options_.dir, seq);
   int fd = ::open(path.c_str(), O_CREAT | O_EXCL | O_WRONLY | O_APPEND, 0644);
-  if (fd < 0) return Errno("open", path);
+  if (fd < 0) return ErrnoError("open", path);
   std::string header(kSegmentMagic, 8);
   PutU64(&header, base_lsn);
-  Status st = WriteFully(fd, header.data(), header.size(), path, nullptr);
+  Status st = WriteAll(fd, header, path);
   if (st.ok()) st = FsyncFd(fd, path);
-  if (st.ok()) st = FsyncPath(options_.dir);
+  if (st.ok()) st = FsyncDir(options_.dir);
   if (!st.ok()) {
     ::close(fd);
     ::unlink(path.c_str());
@@ -363,18 +297,12 @@ Status WriteAheadLog::RotateLocked(uint64_t base_lsn) {
 Status WriteAheadLog::WriteAndSync(int fd, const std::string& path,
                                    const std::string& batch) {
   FaultInjector::Fault fault;
-  const FaultInjector::Fault* fault_ptr = nullptr;
-  if (options_.faults != nullptr &&
-      options_.faults->HitIo("wal/write", &fault)) {
-    fault_ptr = &fault;
-  }
-  DBW_RETURN_NOT_OK(WriteFully(fd, batch.data(), batch.size(), path,
-                               fault_ptr));
+  const bool fired = options_.faults != nullptr &&
+                     options_.faults->HitIo("wal/write", &fault);
+  DBW_RETURN_NOT_OK(WriteAll(fd, batch, path, fired ? &fault : nullptr));
   if (options_.sync) {
-    if (options_.faults != nullptr &&
-        options_.faults->HitIo("wal/fsync", &fault)) {
-      if (fault.crash) ::_exit(kFaultCrashExit);
-      if (!fault.status.ok()) return fault.status;
+    if (options_.faults != nullptr) {
+      DBW_RETURN_NOT_OK(options_.faults->Hit("wal/fsync"));
     }
     static MetricHistogram* const fsync_ms =
         MetricsRegistry::Global().GetHistogram("wal.fsync_ms");
@@ -415,7 +343,7 @@ Result<WriteAheadLog::Ticket> WriteAheadLog::Stage(uint8_t type,
   ticket.bytes = kRecordHeaderSize + body.size();
   if (pending_records_ == 0) pending_first_lsn_ = ticket.lsn;
   PutU32(&pending_, static_cast<uint32_t>(body.size()));
-  PutU64(&pending_, RecordChecksum(ticket.lsn, rid, type, body));
+  PutU64(&pending_, FrameChecksum(ticket.lsn, rid, type, body));
   PutU64(&pending_, ticket.lsn);
   PutU64(&pending_, rid);
   pending_.push_back(static_cast<char>(type));
@@ -524,45 +452,8 @@ Status WriteAheadLog::WaitDurable(const Ticket& ticket) {
       .GetCounter("wal.bytes")
       ->Increment(ticket.bytes);
   if (options_.faults != nullptr) {
-    FaultInjector::Fault fault;
-    if (options_.faults->HitIo("wal/ack", &fault)) {
-      // The record IS durable; a crash here loses only the ack.
-      if (fault.crash) ::_exit(kFaultCrashExit);
-      if (!fault.status.ok()) return fault.status;
-    }
-  }
-  return Status::OK();
-}
-
-Status WriteAheadLog::Replay(
-    uint64_t after_lsn,
-    const std::function<Status(uint64_t, uint64_t, uint8_t,
-                               const std::string&)>& fn) const {
-  std::vector<Segment> segments;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    segments = segments_;
-  }
-  auto deliver = [&](uint64_t lsn, uint64_t rid, uint8_t type,
-                     const std::string& body) -> Status {
-    if (lsn <= after_lsn) return Status::OK();
-    return fn(lsn, rid, type, body);
-  };
-  const std::function<Status(uint64_t, uint64_t, uint8_t, const std::string&)>
-      deliver_fn = deliver;
-  for (const Segment& seg : segments) {
-    if (seg.max_lsn == 0) continue;
-    std::string data;
-    DBW_RETURN_NOT_OK(ReadFile(seg.path, &data));
-    ScanState scan;
-    DBW_RETURN_NOT_OK(ScanSegment(seg.path, data, seg.base_lsn, seg.base_lsn,
-                                  &scan, &deliver_fn));
-    if (scan.max_lsn < seg.max_lsn) {
-      return Status::IoError("wal replay: " + seg.path +
-                             " lost durable records (have through lsn " +
-                             std::to_string(scan.max_lsn) + ", expected " +
-                             std::to_string(seg.max_lsn) + ")");
-    }
+    // The record IS durable; a crash here loses only the ack.
+    DBW_RETURN_NOT_OK(options_.faults->Hit("wal/ack"));
   }
   return Status::OK();
 }
@@ -603,7 +494,7 @@ Status WriteAheadLog::ReplayDurable(
     const uint64_t want = std::min(cap, seg.max_lsn);
     if (want < seg.base_lsn) continue;  // sealed-empty segment
     std::string data;
-    DBW_RETURN_NOT_OK(ReadFile(seg.path, &data));
+    DBW_RETURN_NOT_OK(ReadWholeFile(seg.path, &data));
     ScanState scan;
     DBW_RETURN_NOT_OK(ScanSegment(seg.path, data, seg.base_lsn, seg.base_lsn,
                                   &scan, &deliver_fn));
@@ -650,11 +541,11 @@ Status WriteAheadLog::TruncateThrough(uint64_t lsn) {
   while (segments_.size() > 1) {
     const Segment& seg = segments_.front();
     if (seg.max_lsn == 0 || seg.max_lsn > lsn) break;
-    if (::unlink(seg.path.c_str()) != 0) return Errno("unlink", seg.path);
+    if (::unlink(seg.path.c_str()) != 0) return ErrnoError("unlink", seg.path);
     segments_.erase(segments_.begin());
     removed = true;
   }
-  if (removed) DBW_RETURN_NOT_OK(FsyncPath(options_.dir));
+  if (removed) DBW_RETURN_NOT_OK(FsyncDir(options_.dir));
   return Status::OK();
 }
 

@@ -220,7 +220,7 @@ TEST(FaultMatrixTest, EverySiteCancelsToPartial) {
     auto exp = session.Debug(ctx);
     ASSERT_TRUE(exp.ok()) << site << ": " << exp.status().ToString();
     EXPECT_TRUE(exp->partial) << site << " completed despite cancellation";
-    EXPECT_NE(exp->partial_reason.find("Cancelled"), std::string::npos)
+    EXPECT_TRUE(exp->partial_reason.starts_with("Cancelled: "))
         << site << ": " << exp->partial_reason;
     EXPECT_GE(faults.hits(site), 1u) << site << " never hit — dead site?";
   }
@@ -354,6 +354,37 @@ TEST(AnytimeStageClockTest, InterruptedStageKeepsItsClock) {
   }
 }
 
+/// A run cut while the ranker matches still reports what matching did,
+/// and reads as the cancel it was: the stall lands inside Materialize,
+/// so its clock covers it.
+TEST(AnytimeStageClockTest, CancelDuringMatchingKeepsRankStats) {
+  auto db = MakeSmallDb();
+  Session session(db);
+  ASSERT_TRUE(
+      session.ExecuteSql("SELECT g, avg(v) AS a FROM w GROUP BY g").ok());
+  ASSERT_TRUE(session.SelectResultsInRange("a", 20, 1e9).ok());
+  ASSERT_TRUE(session.SetMetric(TooHigh(12.0)).ok());
+
+  auto source = std::make_shared<CancellationSource>();
+  FaultInjector faults;
+  FaultInjector::Fault stall;
+  stall.latency_ms = 20.0;
+  stall.trip = source;
+  faults.Arm("match/materialize", stall);
+  ExecContext ctx;
+  ctx.token = source->token();
+  ctx.faults = &faults;
+  auto exp = session.Debug(ctx);
+  ASSERT_TRUE(exp.ok()) << exp.status().ToString();
+  ASSERT_TRUE(exp->partial);
+  EXPECT_TRUE(exp->partial_reason.starts_with("Cancelled: "))
+      << exp->partial_reason;
+  const ExplainProfile& p = exp->profile;
+  EXPECT_GE(p.materialize_ms, 20.0);
+  EXPECT_LE(p.materialize_ms, p.rank_ms);
+  EXPECT_FALSE(p.simd_tier.empty());
+}
+
 // ---------- service protocol ----------
 
 TEST(ServiceAnytimeTest, SetDeadlineProducesPartialResponse) {
@@ -398,7 +429,7 @@ TEST(ServiceAnytimeTest, PendingCancelHitsNextDebug) {
             std::string::npos);
   const std::string out = service.Execute("debug");
   EXPECT_NE(out.find("\"partial\": true"), std::string::npos) << out;
-  EXPECT_NE(out.find("Cancelled"), std::string::npos) << out;
+  EXPECT_NE(out.find("\"reason\": \"Cancelled: "), std::string::npos) << out;
 
   // The pending flag is one-shot: the following debug completes.
   const std::string again = service.Execute("debug");

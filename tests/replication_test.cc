@@ -23,6 +23,7 @@
 #include "dbwipes/common/retry.h"
 #include "dbwipes/core/service.h"
 #include "dbwipes/replication/replication.h"
+#include "dbwipes/storage/durable_io.h"
 
 namespace dbwipes {
 namespace {
@@ -154,8 +155,8 @@ TEST(ReplicationProtocolTest, MessageRoundTripOverSocketpair) {
   out.a = 42;
   out.b = 7;
   out.payload = "append w 9 extra 50";
-  out.c = ReplFrameChecksum(out.a, out.b, WriteAheadLog::kRecordCommand,
-                            out.payload);
+  out.c = FrameChecksum(out.a, out.b, WriteAheadLog::kRecordCommand,
+                        out.payload);
   ASSERT_TRUE(WriteReplMessage(fds[0], out).ok());
 
   ReplMessage in;
@@ -168,11 +169,10 @@ TEST(ReplicationProtocolTest, MessageRoundTripOverSocketpair) {
   // The checksum binds header AND body: any flip breaks it.
   std::string damaged = in.payload;
   damaged[0] ^= 1;
-  EXPECT_NE(ReplFrameChecksum(in.a, in.b, WriteAheadLog::kRecordCommand,
-                              damaged),
+  EXPECT_NE(FrameChecksum(in.a, in.b, WriteAheadLog::kRecordCommand, damaged),
             in.c);
-  EXPECT_NE(ReplFrameChecksum(in.a + 1, in.b,
-                              WriteAheadLog::kRecordCommand, in.payload),
+  EXPECT_NE(FrameChecksum(in.a + 1, in.b, WriteAheadLog::kRecordCommand,
+                          in.payload),
             in.c);
 
   // An empty-payload heartbeat round-trips too.

@@ -419,7 +419,7 @@ TEST(RidCorrelationTest, OneRidAcrossResponseSpansSlowLogAndWalFrame) {
   auto wal = WriteAheadLog::Open({.dir = dir});
   ASSERT_TRUE(wal.ok()) << wal.status().ToString();
   bool found = false;
-  Status st = (*wal)->Replay(
+  Status st = (*wal)->ReplayDurable(
       0, [&](uint64_t, uint64_t rid, uint8_t, const std::string& body) {
         if (body.find("sql SELECT") != std::string::npos) {
           EXPECT_EQ(rid, sql_rid) << body;
@@ -510,15 +510,16 @@ TEST(RidCorrelationTest, ProfileCarriesRidAndReplayRebindsFrameRids) {
   ASSERT_TRUE(wal.ok()) << wal.status().ToString();
   size_t frames = 0;
   ASSERT_TRUE((*wal)
-                  ->Replay(0,
-                           [&](uint64_t, uint64_t rid, uint8_t,
-                               const std::string& body) {
-                             ++frames;
-                             if (body.find("clean") != std::string::npos) {
-                               EXPECT_EQ(rid, clean_rid) << body;
-                             }
-                             return Status::OK();
-                           })
+                  ->ReplayDurable(0,
+                                  [&](uint64_t, uint64_t rid, uint8_t,
+                                      const std::string& body) {
+                                    ++frames;
+                                    if (body.find("clean") !=
+                                        std::string::npos) {
+                                      EXPECT_EQ(rid, clean_rid) << body;
+                                    }
+                                    return Status::OK();
+                                  })
                   .ok());
   (void)frames;  // may be 0 if a checkpoint truncated everything — the
                  // in-scope assertions above already covered that path
@@ -649,6 +650,33 @@ TEST(PrometheusTest, ExpositionTextIsValid) {
   EXPECT_NE(text.find("# TYPE dbwipes_explain_total_ms histogram"),
             std::string::npos);
   EXPECT_NE(text.find("_bucket{le=\"+Inf\"}"), std::string::npos);
+}
+
+/// Each explain.* stage histogram is observed once per Explain, so N
+/// debugs raise every count (and /metrics' _count) by exactly N.
+TEST(PrometheusTest, ExplainStageHistogramsCountEachDebugOnce) {
+  Service service(MakeDb());
+  ASSERT_TRUE(
+      IsOk(service.Execute("sql SELECT g, avg(v) AS a FROM w GROUP BY g")));
+  ASSERT_TRUE(IsOk(service.Execute("select_range a 20 1e9")));
+  ASSERT_TRUE(IsOk(service.Execute("metric too_high 12")));
+  const std::vector<std::string> stages = {
+      "explain.preprocess_ms", "explain.enumerate_ms", "explain.predicates_ms",
+      "explain.rank_ms", "explain.total_ms"};
+  std::vector<uint64_t> before;
+  for (const std::string& name : stages) {
+    before.push_back(MetricsRegistry::Global().GetHistogram(name)->count());
+  }
+  constexpr uint64_t kDebugs = 3;
+  for (uint64_t i = 0; i < kDebugs; ++i) {
+    ASSERT_TRUE(IsOk(service.Execute("debug")));
+  }
+  for (size_t i = 0; i < stages.size(); ++i) {
+    EXPECT_EQ(
+        MetricsRegistry::Global().GetHistogram(stages[i])->count() - before[i],
+        kDebugs)
+        << stages[i];
+  }
 }
 
 TEST(HttpListenerTest, ServesMetricsHealthzReadyz) {

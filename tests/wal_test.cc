@@ -45,7 +45,7 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
 std::vector<std::pair<uint64_t, std::string>> ReplayAll(
     const WriteAheadLog& wal, uint64_t after_lsn = 0) {
   std::vector<std::pair<uint64_t, std::string>> out;
-  Status st = wal.Replay(
+  Status st = wal.ReplayDurable(
       after_lsn,
       [&](uint64_t lsn, uint64_t /*rid*/, uint8_t type,
           const std::string& body) {

@@ -15,15 +15,17 @@
 #   scripts/check.sh stress     # concurrent service suites under tsan
 #   scripts/check.sh trace      # just bench_trace (BENCH_trace.json)
 #   scripts/check.sh shard      # bench_shard (BENCH_shard.json)
-#   scripts/check.sh threads    # the golden transcript, the pipeline,
-#                               # equivalence, shard-equivalence and
-#                               # anytime suites with DBWIPES_THREADS=1
-#                               # (no pool workers)
+#   scripts/check.sh threads    # the golden transcript and answers,
+#                               # the pipeline, equivalence,
+#                               # shard-equivalence and anytime suites
+#                               # with DBWIPES_THREADS=1 (no pool
+#                               # workers)
 #   scripts/check.sh simd       # clause-kernel, conjunction,
 #                               # executor-oracle, cleaning-law and
 #                               # learner-oracle (k-means, trees,
-#                               # subgroups) tests at the forced
-#                               # scalar tier under asan
+#                               # subgroups) tests and the golden
+#                               # answers at the forced scalar tier
+#                               # under asan
 #   scripts/check.sh crash      # kill-point crash-recovery matrix under
 #                               # asan AND tsan (DBWIPES_CRASH_RUNS=200+)
 #   scripts/check.sh wal        # bench_wal (BENCH_wal.json)
@@ -105,12 +107,15 @@ threads() {
   # The same answers with no pool worker: the Dataset Enumerator then
   # cleans D' and searches for subgroups inline, in that order, where
   # the default run searches beside the clean on a worker. The golden
-  # transcript pins one answer at both thread counts, and the sharded
-  # explains and block cuts must stay bit-identical without workers.
+  # transcript and the golden FEC and Intel answers pin the answers at
+  # both thread counts, and the sharded explains and block cuts must
+  # stay bit-identical without workers.
   cmake --preset default >/dev/null
   cmake --build --preset default -j "$jobs" --target service_protocol_test \
-      pipeline_test equivalence_test shard_equivalence_test anytime_test
+      answer_golden_test pipeline_test equivalence_test \
+      shard_equivalence_test anytime_test
   DBWIPES_THREADS=1 ./build/tests/service_protocol_test
+  DBWIPES_THREADS=1 ./build/tests/answer_golden_test
   DBWIPES_THREADS=1 ./build/tests/pipeline_test
   DBWIPES_THREADS=1 ./build/tests/equivalence_test
   DBWIPES_THREADS=1 ./build/tests/shard_equivalence_test
@@ -131,11 +136,12 @@ simd() {
   # k-means (the Lloyd assignment and the silhouettes' sqrt bodies),
   # decision trees, and subgroup discovery, whose WRAcc sums take the
   # row loop at this tier (the bit-plane scorer is AVX2-only, so tier-1
-  # checks it at the host tier).
+  # checks it at the host tier). The golden FEC and Intel answers must
+  # come out the same at this tier too.
   cmake --preset asan >/dev/null
   cmake --build --preset asan -j "$jobs" --target fused_kernels_test \
       match_kernels_test executor_test equivalence_test kmeans_oracle_test \
-      tree_oracle_test subgroup_test
+      tree_oracle_test subgroup_test answer_golden_test
   DBWIPES_SIMD=off ./build-asan/tests/fused_kernels_test
   DBWIPES_SIMD=off ./build-asan/tests/match_kernels_test
   DBWIPES_SIMD=off ./build-asan/tests/executor_test
@@ -144,6 +150,7 @@ simd() {
   DBWIPES_SIMD=off ./build-asan/tests/kmeans_oracle_test
   DBWIPES_SIMD=off ./build-asan/tests/tree_oracle_test
   DBWIPES_SIMD=off ./build-asan/tests/subgroup_test
+  DBWIPES_SIMD=off ./build-asan/tests/answer_golden_test
 }
 
 crash() {

@@ -49,10 +49,11 @@ Result<std::shared_ptr<ShardSet>> ShardSet::CreateWithRows(
   set->name_ = fused.name();
   set->schema_ = fused.schema();
   // Deep copy: the set's fused view must not alias a table some other
-  // holder could keep mutating (Append must be the only writer).
-  std::vector<RowId> all(fused.num_rows());
-  for (RowId r = 0; r < all.size(); ++r) all[r] = r;
-  set->fused_ = std::make_shared<Table>(fused.Select(all));
+  // holder could keep mutating (Append must be the only writer). Tables
+  // only append, so every dictionary lists its strings in the order
+  // their rows first use them, and the copy has the codes that a
+  // Select of every row would give.
+  set->fused_ = std::make_shared<Table>(fused);
 
   RowId begin = 0;
   set->shards_.reserve(shard_rows.size());

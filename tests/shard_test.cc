@@ -75,6 +75,32 @@ TEST(ShardSetTest, CreateSplitsEvenlyAndPreservesContent) {
   }
 }
 
+TEST(ShardSetTest, FusedViewKeepsTheSourceCodesAndDictionaries) {
+  // The fused view copies the source whole, so clause bitmaps and
+  // snapshots built on either see the same dictionary codes.
+  auto t = MakeInterleavedTable(40);
+  DBW_CHECK_OK(t->AppendRow({Value(int64_t{1}), Value(), Value(0.5),
+                             Value(1.0)}));
+  DBW_CHECK_OK(t->AppendRow({Value(int64_t{2}), Value("late"), Value(),
+                             Value(2.0)}));
+  auto set = *ShardSet::Create(*t, 3);
+  const Table& fused = *set->fused();
+  ASSERT_EQ(fused.num_rows(), t->num_rows());
+  const Column& src = t->column(1);
+  const Column& copy = fused.column(1);
+  EXPECT_EQ(copy.code_data(), src.code_data());
+  ASSERT_EQ(copy.dictionary_size(), src.dictionary_size());
+  for (int32_t c = 0; c < static_cast<int32_t>(src.dictionary_size()); ++c) {
+    EXPECT_EQ(copy.DictionaryValue(c), src.DictionaryValue(c));
+  }
+  for (RowId r = 0; r < t->num_rows(); ++r) {
+    for (size_t c = 0; c < t->num_columns(); ++c) {
+      EXPECT_EQ(fused.column(c).IsNull(r), t->column(c).IsNull(r));
+      EXPECT_EQ(fused.GetValue(r, c), t->GetValue(r, c));
+    }
+  }
+}
+
 TEST(ShardSetTest, CreateValidatesShardCount) {
   auto t = MakeInterleavedTable(10);
   EXPECT_FALSE(ShardSet::Create(*t, 0).ok());

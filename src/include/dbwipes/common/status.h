@@ -20,10 +20,12 @@ enum class StatusCode {
   kNotImplemented,
   kRuntimeError,
   // Interrupt codes (see IsInterrupt): the operation stopped early on
-  // purpose — by a CancellationToken, an expired Deadline, or a
-  // resource limit (the session cap) — rather than failing.
+  // purpose — by a CancellationToken or an expired Deadline — rather
+  // than failing.
   kCancelled,
   kDeadlineExceeded,
+  // A resource limit refused the operation (the session cap): an
+  // error, which ClassifyStatus marks transient.
   kResourceExhausted,
 };
 
@@ -108,13 +110,12 @@ class [[nodiscard]] Status {
     return code_ == StatusCode::kResourceExhausted;
   }
 
-  /// True for the interrupt family: cancellation, deadline expiry, or
-  /// resource exhaustion. The anytime pipeline turns these into partial
-  /// results instead of errors.
+  /// True for the interrupt family: cancellation or deadline expiry.
+  /// The anytime pipeline turns these into partial results instead of
+  /// errors.
   bool IsInterrupt() const {
     return code_ == StatusCode::kCancelled ||
-           code_ == StatusCode::kDeadlineExceeded ||
-           code_ == StatusCode::kResourceExhausted;
+           code_ == StatusCode::kDeadlineExceeded;
   }
 
   /// Explicitly discards a possibly-failed Status (satisfies

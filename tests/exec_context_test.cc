@@ -194,7 +194,7 @@ TEST(ExecContextTest, CancelOutranksDeadline) {
 TEST(ExecContextTest, InterruptCodesAreInterrupts) {
   EXPECT_TRUE(Status::Cancelled("x").IsInterrupt());
   EXPECT_TRUE(Status::DeadlineExceeded("x").IsInterrupt());
-  EXPECT_TRUE(Status::ResourceExhausted("x").IsInterrupt());
+  EXPECT_FALSE(Status::ResourceExhausted("x").IsInterrupt());
   EXPECT_FALSE(Status::RuntimeError("x").IsInterrupt());
   EXPECT_FALSE(Status::OK().IsInterrupt());
 }

@@ -160,7 +160,7 @@ void BM_SubgroupDiscovery(benchmark::State& state) {
         std::binary_search(truth.begin(), truth.end(), r) ? 1 : 0);
   }
   for (auto _ : state) {
-    auto subgroups = DiscoverSubgroups(view, rows, labels, {}, {});
+    auto subgroups = DiscoverSubgroups(view.Snapshot(rows), labels, {}, {});
     benchmark::DoNotOptimize(subgroups);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

@@ -1,12 +1,10 @@
 #include "dbwipes/core/baselines.h"
 
 #include <algorithm>
-#include <cmath>
-#include <set>
-#include <unordered_map>
 
 #include "dbwipes/core/removal_scorer.h"
 #include "dbwipes/expr/match_kernels.h"
+#include "dbwipes/learn/subgroup.h"
 
 namespace dbwipes {
 
@@ -29,71 +27,29 @@ TupleSetExplanation InfluenceTopK(const PreprocessResult& preprocess,
 
 namespace {
 
-/// Atomic condition with coverage over F (position-aligned bitmap,
-/// same thresholds/categories as before; coverage now comes from the
-/// shared clause-bitmap cache, so it is exactly what the emitted
-/// clause matches).
+/// An atomic condition with its coverage over F: a position-aligned
+/// bitmap from the shared clause-bitmap cache, so it is exactly what
+/// the emitted clause matches.
 struct Atom {
   Clause clause;
   Bitmap covered;
 };
 
-std::vector<Atom> BuildAtoms(const FeatureView& view,
-                             const std::vector<RowId>& rows,
+std::vector<Atom> BuildAtoms(const FeatureColumns& columns,
                              const ExhaustiveSearchOptions& options,
                              MatchEngine* engine) {
   std::vector<Atom> atoms;
-  auto add_atom = [&](Clause clause) {
-    Atom atom;
-    atom.clause = std::move(clause);
-    auto bits = engine->ClauseBitmap(atom.clause);
-    if (!bits.ok()) return;
-    atom.covered = **bits;  // copy: the cache may reallocate
-    atoms.push_back(std::move(atom));
-  };
-  for (size_t f = 0; f < view.num_features(); ++f) {
-    const FeatureSpec& spec = view.features()[f];
-    if (spec.categorical) {
-      std::unordered_map<int32_t, size_t> freq;
-      for (RowId r : rows) {
-        if (!view.IsNull(r, f)) ++freq[static_cast<int32_t>(view.Get(r, f))];
-      }
-      std::vector<std::pair<int32_t, size_t>> cats(freq.begin(), freq.end());
-      std::sort(cats.begin(), cats.end(),
-                [](const auto& a, const auto& b) { return a.second > b.second; });
-      if (cats.size() > options.max_categories_per_feature) {
-        cats.resize(options.max_categories_per_feature);
-      }
-      for (const auto& [code, count] : cats) {
-        add_atom(Clause::Make(spec.name, CompareOp::kEq,
-                              Value(view.CategoryName(f, code))));
-      }
-    } else {
-      std::vector<double> values;
-      for (RowId r : rows) {
-        const double v = view.Get(r, f);
-        if (!std::isnan(v)) values.push_back(v);
-      }
-      if (values.size() < 2) continue;
-      std::sort(values.begin(), values.end());
-      values.erase(std::unique(values.begin(), values.end()), values.end());
-      if (values.size() < 2) continue;
-      std::set<double> thresholds;
-      const size_t buckets =
-          std::min(options.max_numeric_thresholds, values.size() - 1);
-      for (size_t b = 1; b <= buckets; ++b) {
-        const double q =
-            static_cast<double>(b) / static_cast<double>(buckets + 1);
-        const size_t idx = std::min(
-            values.size() - 2,
-            static_cast<size_t>(q * static_cast<double>(values.size() - 1)));
-        thresholds.insert(values[idx] + (values[idx + 1] - values[idx]) / 2.0);
-      }
-      for (double t : thresholds) {
-        for (CompareOp op : {CompareOp::kLe, CompareOp::kGt}) {
-          add_atom(Clause::Make(spec.name, op, Value(t)));
-        }
-      }
+  for (size_t f = 0; f < columns.num_features(); ++f) {
+    AtomicConditions chosen =
+        ChooseAtomicConditions(columns, f, options.max_categories_per_feature,
+                               options.max_numeric_thresholds);
+    for (Clause& clause : chosen.clauses) {
+      Atom atom;
+      atom.clause = std::move(clause);
+      auto bits = engine->ClauseBitmap(atom.clause);
+      if (!bits.ok()) continue;
+      atom.covered = **bits;  // copy: the cache may reallocate
+      atoms.push_back(std::move(atom));
     }
   }
   return atoms;
@@ -115,7 +71,8 @@ Result<std::vector<RankedPredicate>> ExhaustivePredicateSearch(
   // once, and conjunction coverage below is word-ANDs of cached
   // bitmaps.
   MatchEngine engine(table, suspects);
-  const std::vector<Atom> atoms = BuildAtoms(view, suspects, options, &engine);
+  const std::vector<Atom> atoms =
+      BuildAtoms(view.Snapshot(suspects), options, &engine);
   if (atoms.empty()) {
     return Status::InvalidArgument("no atomic conditions available");
   }

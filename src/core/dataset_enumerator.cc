@@ -4,7 +4,6 @@
 #include <cmath>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "dbwipes/common/metrics.h"
 #include "dbwipes/common/parallel.h"
@@ -46,23 +45,28 @@ Result<std::vector<RowId>> DatasetEnumerator::CleanDPrime(
     const std::vector<RowId>& suspect_inputs,
     const std::vector<TupleInfluence>& influences,
     const FeatureView& view, const ExecContext& ctx) const {
+  return CleanDPrime(view.Snapshot(suspect_inputs), suspect_inputs,
+                     PositionsIn(suspect_inputs, SortedUnique(dprime)),
+                     influences, ctx);
+}
+
+Result<std::vector<RowId>> DatasetEnumerator::CleanDPrime(
+    const FeatureColumns& columns, const std::vector<RowId>& suspects,
+    const std::vector<uint32_t>& dprime,
+    const std::vector<TupleInfluence>& influences,
+    const ExecContext& ctx) const {
   DBW_FAULT(ctx, "enumerate/clean");
   DBW_TRACE_SPAN("enumerate/clean");
   DBW_RETURN_NOT_OK(ctx.CheckContinue());
-  std::vector<RowId> sorted = SortedUnique(dprime);
+  std::vector<RowId> sorted;
+  sorted.reserve(dprime.size());
+  for (uint32_t i : dprime) sorted.push_back(suspects[i]);
   if (KeepsDPrimeWhole(sorted.size())) return sorted;
-
-  // Influence lookup for majority-cluster selection.
-  std::unordered_map<RowId, double> influence_of;
-  for (const TupleInfluence& ti : influences) {
-    influence_of[ti.row] = ti.influence;
-  }
 
   if (options_.clean_method == CleanMethod::kKMeans) {
     DenseMatrix matrix;
     std::vector<size_t> numeric_features;
-    view.NumericMatrix(sorted, /*standardize=*/true, &matrix,
-                       &numeric_features);
+    columns.NumericMatrix(dprime, &matrix, &numeric_features);
     if (numeric_features.empty()) return sorted;
 
     Rng rng(options_.seed);
@@ -76,6 +80,11 @@ Result<std::vector<RowId>> DatasetEnumerator::CleanDPrime(
                 clusters.assignment.begin(), clusters.assignment.end()));
     if (k <= 1) return sorted;  // D' already looks homogeneous
 
+    // Influence lookup for majority-cluster selection.
+    std::unordered_map<RowId, double> influence_of;
+    for (const TupleInfluence& ti : influences) {
+      influence_of[ti.row] = ti.influence;
+    }
     // Drop only clusters that look like selection mistakes: much lower
     // mean influence than the best cluster AND small. A heterogeneous
     // but genuine D' (e.g. two failing motes) keeps all its modes.
@@ -112,22 +121,16 @@ Result<std::vector<RowId>> DatasetEnumerator::CleanDPrime(
 
   // Classifier-based cleaning: train D' (=1) against the rest of F
   // (=0) and drop D' members the model finds unlikely to be positive.
-  std::vector<RowId> rows;
-  std::vector<int> labels;
-  std::unordered_set<RowId> in_dprime(sorted.begin(), sorted.end());
-  for (RowId r : suspect_inputs) {
-    rows.push_back(r);
-    labels.push_back(in_dprime.count(r) ? 1 : 0);
-  }
-  const bool has_negative =
-      std::count(labels.begin(), labels.end(), 0) > 0;
-  if (!has_negative) return sorted;
-
-  auto model = NaiveBayes::Fit(view, rows, labels);
+  if (dprime.size() == suspects.size()) return sorted;  // no negative
+  std::vector<int> labels(suspects.size(), 0);
+  for (uint32_t i : dprime) labels[i] = 1;
+  auto model = NaiveBayes::Fit(columns, labels);
   if (!model.ok()) return sorted;
   std::vector<RowId> kept;
-  for (RowId r : sorted) {
-    if (model->PredictProba(view, r) >= 0.4) kept.push_back(r);
+  for (size_t j = 0; j < dprime.size(); ++j) {
+    if (model->PredictProba(columns, dprime[j]) >= 0.4) {
+      kept.push_back(sorted[j]);
+    }
   }
   return kept.empty() ? sorted : kept;
 }
@@ -161,46 +164,19 @@ Result<std::vector<CandidateDataset>> DatasetEnumerator::Enumerate(
   if (columns.num_rows() != suspects.size()) {
     return Status::InvalidArgument("snapshot/suspects size mismatch");
   }
-  const FeatureView& view = columns.view();
 
-  // The top-influence quantile of F. Quantile over the *positive*
-  // influences: with a max-style metric only the worst group's tuples
-  // can have any influence at all, so a quantile over all of F would be
-  // stuck at zero.
-  std::vector<RowId> top_influence;
-  {
-    std::vector<double> positive_infl;
-    positive_infl.reserve(preprocess.influences.size());
-    for (const TupleInfluence& ti : preprocess.influences) {
-      if (ti.influence > 0.0) positive_infl.push_back(ti.influence);
-    }
-    if (!positive_infl.empty()) {
-      const double cutoff =
-          Quantile(positive_infl, options_.influence_quantile);
-      for (const TupleInfluence& ti : preprocess.influences) {
-        if (ti.influence > 0.0 && ti.influence >= cutoff) {
-          top_influence.push_back(ti.row);
-        }
-      }
-    }
-    top_influence = SortedUnique(std::move(top_influence));
-  }
+  const std::vector<RowId> top_influence =
+      TopInfluenceRows(preprocess, options_.influence_quantile);
   // Discovery's labels over F: 1 for the cleaned D' and the
   // top-influence rows. Discovery runs only on labels of both values.
   auto discovery_labels = [&](const std::vector<RowId>& cleaned,
                               std::vector<int>* labels) {
-    labels->reserve(suspects.size());
-    size_t num_pos = 0;
-    for (RowId r : suspects) {
-      const int y =
-          std::binary_search(cleaned.begin(), cleaned.end(), r) ||
-                  std::binary_search(top_influence.begin(),
-                                     top_influence.end(), r)
-              ? 1
-              : 0;
-      num_pos += static_cast<size_t>(y);
-      labels->push_back(y);
+    labels->assign(suspects.size(), 0);
+    for (const std::vector<RowId>* rows : {&cleaned, &top_influence}) {
+      for (uint32_t i : PositionsIn(suspects, *rows)) (*labels)[i] = 1;
     }
+    const size_t num_pos = static_cast<size_t>(
+        std::count(labels->begin(), labels->end(), 1));
     return num_pos > 0 && num_pos < suspects.size();
   };
 
@@ -216,13 +192,18 @@ Result<std::vector<CandidateDataset>> DatasetEnumerator::Enumerate(
                              options_.subgroup_options, search_ctx);
   };
 
-  // 1. Clean D'. When the clean runs a model, discovery runs beside it
-  //    on a pool worker, on the labels the clean gives if it keeps all
-  //    of D'. That guess stands when it does; otherwise a token stops
-  //    the search at its next beam level while this thread discovers
-  //    on the cleaned labels. With no free pool worker both steps run
+  // 1. Clean D', read within F: its rows outside F are dropped. When
+  //    the clean runs a model, discovery runs beside it on a pool
+  //    worker, on the labels the clean gives if it keeps all of D'.
+  //    That guess stands when it does; otherwise a token stops the
+  //    search at its next beam level while this thread discovers on
+  //    the cleaned labels. With no free pool worker both steps run
   //    here, clean first (DESIGN.md §5m).
-  const std::vector<RowId> sorted_dprime = SortedUnique(dprime);
+  const std::vector<uint32_t> dprime_positions =
+      PositionsIn(suspects, SortedUnique(dprime));
+  std::vector<RowId> sorted_dprime;
+  sorted_dprime.reserve(dprime_positions.size());
+  for (uint32_t i : dprime_positions) sorted_dprime.push_back(suspects[i]);
   std::optional<Result<std::vector<RowId>>> clean;
   std::optional<Result<std::vector<Subgroup>>> found;
   bool discovered = false;
@@ -241,8 +222,8 @@ Result<std::vector<CandidateDataset>> DatasetEnumerator::Enumerate(
           guess = discover(sorted_dprime, search_ctx);
         },
         [&] {
-          clean = CleanDPrime(table, dprime, suspects, preprocess.influences,
-                              view, ctx);
+          clean = CleanDPrime(columns, suspects, dprime_positions,
+                              preprocess.influences, ctx);
           guess_hit = clean->ok() && **clean == sorted_dprime;
           if (!guess_hit || ctx.StopRequested()) {
             stop.Cancel("the search on the guess is not needed");
@@ -262,8 +243,8 @@ Result<std::vector<CandidateDataset>> DatasetEnumerator::Enumerate(
     }
   }
   if (!clean) {
-    clean = CleanDPrime(table, dprime, suspects, preprocess.influences, view,
-                        ctx);
+    clean = CleanDPrime(columns, suspects, dprime_positions,
+                        preprocess.influences, ctx);
   }
   DBW_ASSIGN_OR_RETURN(std::vector<RowId> cleaned, std::move(*clean));
   if (cleaned_dprime != nullptr) *cleaned_dprime = cleaned;

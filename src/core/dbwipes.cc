@@ -259,23 +259,11 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
   // so over-broad predicates (which also zero the error, by deleting
   // half the data) rank below tight ones.
   t0 = std::chrono::steady_clock::now();
-  std::vector<RowId> reference = out.cleaned_dprime;
-  if (reference.empty()) {
-    std::vector<double> positive;
-    for (const TupleInfluence& ti : out.preprocess.influences) {
-      if (ti.influence > 0.0) positive.push_back(ti.influence);
-    }
-    if (!positive.empty()) {
-      const double cutoff =
-          Quantile(positive, options_.enumerator.influence_quantile);
-      for (const TupleInfluence& ti : out.preprocess.influences) {
-        if (ti.influence > 0.0 && ti.influence >= cutoff) {
-          reference.push_back(ti.row);
-        }
-      }
-    }
-    std::sort(reference.begin(), reference.end());
-  }
+  const std::vector<RowId> reference =
+      !out.cleaned_dprime.empty()
+          ? out.cleaned_dprime
+          : TopInfluenceRows(out.preprocess,
+                             options_.enumerator.influence_quantile);
   PredicateRanker ranker(options_.ranker);
   RankOutcome outcome;
   {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
-#include <set>
 #include <unordered_set>
 
 #include "dbwipes/common/metrics.h"
@@ -78,14 +77,16 @@ class SampleCounter {
   size_t size_ = 0;
 };
 
-/// Builds the bounding description of a candidate row set: per
-/// attribute, the candidate's value span (numeric min/max or the set
-/// of categories), kept only when selective against a sample of the
-/// whole table, most selective clauses first.
+/// Builds the bounding description of a candidate row set, given by
+/// its positions in the snapshot of F (ascending): per attribute, the
+/// candidate's value span (numeric min/max or the set of categories),
+/// kept only when selective against a sample of the whole table, most
+/// selective clauses first.
 std::optional<Predicate> BoundingDescription(
-    const FeatureView& view, const std::vector<RowId>& candidate_rows,
+    const FeatureColumns& columns, const std::vector<uint32_t>& positions,
     SampleCounter& counter) {
-  if (candidate_rows.empty()) return std::nullopt;
+  if (positions.empty()) return std::nullopt;
+  const FeatureView& view = columns.view();
   const double sample_size = counter.size();
 
   struct Scored {
@@ -94,57 +95,61 @@ std::optional<Predicate> BoundingDescription(
   };
   std::vector<Scored> kept;
 
-  for (size_t f = 0; f < view.num_features(); ++f) {
-    const FeatureSpec& spec = view.features()[f];
+  for (size_t f = 0; f < columns.num_features(); ++f) {
+    const std::string& name = view.features()[f].name;
     std::vector<Clause> clauses;
-    if (spec.categorical) {
-      std::set<int32_t> codes;
+    if (columns.categorical(f)) {
+      // Distinct ranks ascend like their codes.
+      const std::vector<int32_t>& ranks = columns.ranks(f);  // -1 = NULL
+      std::vector<bool> present(columns.categories(f).size(), false);
+      size_t distinct = 0;
       bool has_null = false;
-      for (RowId r : candidate_rows) {
-        if (view.IsNull(r, f)) {
+      for (uint32_t i : positions) {
+        if (ranks[i] < 0) {
           has_null = true;
-        } else {
-          codes.insert(static_cast<int32_t>(view.Get(r, f)));
+          break;
+        }
+        if (!present[static_cast<size_t>(ranks[i])]) {
+          present[static_cast<size_t>(ranks[i])] = true;
+          ++distinct;
         }
       }
-      if (has_null || codes.empty() ||
-          codes.size() > kBoundingMaxCategories) {
-        continue;
+      if (has_null || distinct > kBoundingMaxCategories) continue;
+      std::vector<Value> values;
+      for (size_t r = 0; r < present.size(); ++r) {
+        if (present[r]) {
+          values.push_back(
+              Value(view.CategoryName(f, columns.categories(f)[r])));
+        }
       }
-      if (codes.size() == 1) {
-        clauses.push_back(Clause::Make(spec.name, CompareOp::kEq,
-                                       Value(view.CategoryName(f, *codes.begin()))));
+      if (values.size() == 1) {
+        clauses.push_back(
+            Clause::Make(name, CompareOp::kEq, std::move(values[0])));
       } else {
-        std::vector<Value> values;
-        for (int32_t code : codes) {
-          values.push_back(Value(view.CategoryName(f, code)));
-        }
-        clauses.push_back(Clause::In(spec.name, std::move(values)));
+        clauses.push_back(Clause::In(name, std::move(values)));
       }
     } else {
-      double lo = 0.0, hi = 0.0;
-      bool found = false;
+      // In ascending positions, so the span keeps the zero signs of a
+      // walk over the rows in order.
+      const std::vector<double>& column = columns.values(f);  // NaN = NULL
+      double lo = column[positions[0]];
+      double hi = lo;
       bool has_null = false;
-      for (RowId r : candidate_rows) {
-        const double v = view.Get(r, f);
+      for (uint32_t i : positions) {
+        const double v = column[i];
         if (std::isnan(v)) {
           has_null = true;
-          continue;
+          break;
         }
-        if (!found) {
-          lo = hi = v;
-          found = true;
-        } else {
-          lo = std::min(lo, v);
-          hi = std::max(hi, v);
-        }
+        lo = std::min(lo, v);
+        hi = std::max(hi, v);
       }
-      if (!found || has_null) continue;
+      if (has_null) continue;
       if (lo == hi) {
-        clauses.push_back(Clause::Make(spec.name, CompareOp::kEq, Value(lo)));
+        clauses.push_back(Clause::Make(name, CompareOp::kEq, Value(lo)));
       } else {
-        clauses.push_back(Clause::Make(spec.name, CompareOp::kGe, Value(lo)));
-        clauses.push_back(Clause::Make(spec.name, CompareOp::kLe, Value(hi)));
+        clauses.push_back(Clause::Make(name, CompareOp::kGe, Value(lo)));
+        clauses.push_back(Clause::Make(name, CompareOp::kLe, Value(hi)));
       }
     }
 
@@ -262,13 +267,15 @@ Result<std::vector<EnumeratedPredicate>> PredicateEnumerator::Enumerate(
   std::unordered_set<std::string> seen;
   for (size_t ci = 0; ci < candidates.size(); ++ci) {
     DBW_RETURN_NOT_OK(ctx.CheckContinue());
-    const CandidateDataset& cand = candidates[ci];
+    // The candidate's positions in F, where its trees' labels are 1.
+    const std::vector<uint32_t> positions =
+        PositionsIn(suspects, candidates[ci].rows);
 
     if (options_.add_bounding_predicates) {
       std::optional<Predicate> bounding;
       {
         DBW_TRACE_SPAN("predicates/bounding");
-        bounding = BoundingDescription(view, cand.rows, *sample);
+        bounding = BoundingDescription(columns, positions, *sample);
       }
       if (bounding && seen.insert(bounding->CanonicalString()).second) {
         EnumeratedPredicate ep;
@@ -280,17 +287,9 @@ Result<std::vector<EnumeratedPredicate>> PredicateEnumerator::Enumerate(
     }
 
     // Label F: member of D* -> 1, else 0.
-    std::vector<int> labels;
-    labels.reserve(suspects.size());
-    size_t num_pos = 0;
-    for (RowId r : suspects) {
-      const int y = std::binary_search(cand.rows.begin(), cand.rows.end(), r)
-                        ? 1
-                        : 0;
-      num_pos += y;
-      labels.push_back(y);
-    }
-    if (num_pos == 0 || num_pos == suspects.size()) continue;
+    if (positions.empty() || positions.size() == suspects.size()) continue;
+    std::vector<int> labels(suspects.size(), 0);
+    for (uint32_t i : positions) labels[i] = 1;
 
     // fits[g]: group g's fit for this candidate, made when the group's
     // first strategy is reached.

@@ -1,5 +1,8 @@
 #include "dbwipes/core/preprocessor.h"
 
+#include <algorithm>
+
+#include "dbwipes/common/stats.h"
 #include "dbwipes/core/removal.h"
 #include "dbwipes/provenance/influence.h"
 
@@ -30,6 +33,22 @@ Result<PreprocessResult> Preprocessor::Run(
   DBW_ASSIGN_OR_RETURN(
       out.influences,
       LeaveOneOutInfluence(table, result, selected_groups, fn, opts));
+  return out;
+}
+
+std::vector<RowId> TopInfluenceRows(const PreprocessResult& preprocess,
+                                    double quantile) {
+  std::vector<double> positive;
+  for (const TupleInfluence& ti : preprocess.influences) {
+    if (ti.influence > 0.0) positive.push_back(ti.influence);
+  }
+  std::vector<RowId> out;
+  if (positive.empty()) return out;
+  const double cutoff = Quantile(positive, quantile);
+  for (const TupleInfluence& ti : preprocess.influences) {
+    if (ti.influence > 0.0 && ti.influence >= cutoff) out.push_back(ti.row);
+  }
+  std::sort(out.begin(), out.end());
   return out;
 }
 

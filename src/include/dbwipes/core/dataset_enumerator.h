@@ -57,8 +57,9 @@ class DatasetEnumerator {
   /// `columns` is the snapshot of F, FeatureView::Snapshot of
   /// preprocess.suspect_inputs, and its view defines the attributes
   /// subgroups may describe; `dprime` holds the user's example
-  /// suspicious inputs (base-table RowIds,
-  /// may be empty — then influence alone drives the search);
+  /// suspicious inputs (base-table RowIds, read within F: rows outside
+  /// F are dropped; may be empty — then influence alone drives the
+  /// search);
   /// `preprocess` supplies F, the influence ranking, and the baseline
   /// error; `metric`/`agg_index` evaluate candidates. `ctx` is checked
   /// between candidates and before every beam level of the subgroup
@@ -87,8 +88,10 @@ class DatasetEnumerator {
       std::vector<RowId>* cleaned_dprime = nullptr) const;
 
   /// The D'-cleaning step alone (exposed for tests and ablations):
-  /// returns the subset of `dprime` judged self-consistent. Fault
-  /// site "enumerate/clean".
+  /// returns the subset of `dprime` judged self-consistent, over
+  /// view.Snapshot(suspect_inputs), which must ascend. D' is read
+  /// within F: its rows outside `suspect_inputs` are dropped first.
+  /// Fault site "enumerate/clean".
   Result<std::vector<RowId>> CleanDPrime(
       const Table& table, const std::vector<RowId>& dprime,
       const std::vector<RowId>& suspect_inputs,
@@ -99,6 +102,14 @@ class DatasetEnumerator {
  private:
   /// True when CleanDPrime returns D' as it is, without a model.
   bool KeepsDPrimeWhole(size_t num_examples) const;
+
+  /// CleanDPrime of the D' at positions `dprime` (ascending) of
+  /// `columns`, the snapshot of `suspects`.
+  Result<std::vector<RowId>> CleanDPrime(
+      const FeatureColumns& columns, const std::vector<RowId>& suspects,
+      const std::vector<uint32_t>& dprime,
+      const std::vector<TupleInfluence>& influences,
+      const ExecContext& ctx) const;
 
   DatasetEnumeratorOptions options_;
 };

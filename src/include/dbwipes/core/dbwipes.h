@@ -20,8 +20,9 @@ namespace dbwipes {
 struct ExplanationRequest {
   /// S: indices of suspicious result rows.
   std::vector<size_t> selected_groups;
-  /// D': example suspicious input tuples (base-table RowIds). May be
-  /// empty; the influence ranking then drives the search alone.
+  /// D': example suspicious input tuples (base-table RowIds), read
+  /// within F: rows outside F are dropped. May be empty; the influence
+  /// ranking then drives the search alone.
   std::vector<RowId> suspicious_inputs;
   /// eps.
   ErrorMetricPtr metric;

@@ -51,7 +51,8 @@ class PredicateEnumerator {
                                    PredicateEnumeratorOptions::Defaults())
       : options_(std::move(options)) {}
 
-  /// `suspects` is F; `candidates` the Dataset Enumerator's output.
+  /// `suspects` is F, ascending; `candidates` the Dataset Enumerator's
+  /// output, whose rows are read within F.
   /// Returned predicates are deduplicated semantically. `ctx` is
   /// checked between tree fits (fault site "enumerate/predicates").
   ///

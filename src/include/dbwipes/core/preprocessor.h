@@ -21,6 +21,15 @@ struct PreprocessResult {
   double per_group_baseline_error = 0.0;
 };
 
+/// The rows of F with a positive influence at or above the `quantile`
+/// of the positive influences, ascending: the top-influence candidate,
+/// and the ranker's accuracy reference when the user gave no examples.
+/// The quantile is taken over the positive influences only: with a
+/// max-style metric only the worst group's tuples have any influence,
+/// so a quantile over all of F would be stuck at zero.
+std::vector<RowId> TopInfluenceRows(const PreprocessResult& preprocess,
+                                    double quantile);
+
 /// \brief First backend stage: compute F = lineage(S) and rank each
 /// tuple by how much it influences the error metric.
 class Preprocessor {

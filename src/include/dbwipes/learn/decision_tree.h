@@ -33,7 +33,8 @@ struct DecisionTreeOptions {
   bool operator==(const DecisionTreeOptions&) const = default;
 };
 
-/// \brief Binary-classification decision tree over a FeatureView.
+/// \brief Binary-classification decision tree over a snapshot of a
+/// FeatureView.
 ///
 /// Split conventions (which predicate extraction relies on):
 ///  - numeric feature: left branch = (x <= threshold); rows with NULL
@@ -69,21 +70,16 @@ class DecisionTree {
                                   const std::vector<int>& labels,
                                   const DecisionTreeOptions& options = {});
 
-  /// Fit over view.Snapshot(rows).
-  static Result<DecisionTree> Fit(const FeatureView& view,
-                                  const std::vector<RowId>& rows,
-                                  const std::vector<int>& labels,
-                                  const DecisionTreeOptions& options = {});
-
   /// This tree cut at `max_depth`: nodes at that depth become leaves.
   /// Growth is greedy and max_depth only stops the recursion, so for
   /// ccp_alpha == 0 the result equals (node for node) a fit of the same
   /// problem and options with max_depth set to `max_depth`.
   DecisionTree Truncate(size_t max_depth) const;
 
-  double PredictProba(const FeatureView& view, RowId row) const;
-  int Predict(const FeatureView& view, RowId row) const {
-    return PredictProba(view, row) >= 0.5 ? 1 : 0;
+  /// P(label = 1) at the leaf that position i of `columns` reaches.
+  double PredictProba(const FeatureColumns& columns, size_t i) const;
+  int Predict(const FeatureColumns& columns, size_t i) const {
+    return PredictProba(columns, i) >= 0.5 ? 1 : 0;
   }
 
   const std::vector<Node>& nodes() const { return nodes_; }

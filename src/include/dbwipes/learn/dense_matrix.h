@@ -9,7 +9,7 @@ namespace dbwipes {
 /// \brief A row-major matrix of doubles: row i is
 /// values[i * cols, (i + 1) * cols).
 ///
-/// The learners' point format (k-means, FeatureView::NumericMatrix):
+/// The learners' point format (k-means, FeatureColumns::NumericMatrix):
 /// one allocation, and a point's coordinates are adjacent in memory.
 struct DenseMatrix {
   size_t rows = 0;

@@ -22,11 +22,12 @@ struct FeatureSpec {
 
 class FeatureColumns;
 
-/// \brief A view of (a subset of) a table as a learning problem.
+/// \brief A table's columns named as learning features.
 ///
-/// Learners read feature values through this view; rows are base-table
-/// RowIds so any predicate or tree learned here translates directly
-/// back to table predicates.
+/// The view names the features and takes snapshots of them over row
+/// lists; the learners read the snapshots. Rows are base-table RowIds,
+/// so any predicate or tree learned over a snapshot translates
+/// directly back to table predicates.
 class FeatureView {
  public:
   /// Uses every column in `columns` (by name); string columns become
@@ -42,33 +43,20 @@ class FeatureView {
   const std::vector<FeatureSpec>& features() const { return features_; }
   size_t num_features() const { return features_.size(); }
 
-  /// Numeric value of feature f at base row r. Categorical features
-  /// return their dictionary code as a double; NULL returns NaN.
+  /// Numeric value of feature f at base row r, one cell at a time.
+  /// Categorical features return their dictionary code as a double;
+  /// NULL returns NaN. The learners read snapshots instead.
   double Get(RowId row, size_t f) const;
 
   bool IsNull(RowId row, size_t f) const;
 
   /// Dense per-feature arrays over `rows`, read once here so that the
-  /// learners index arrays instead of calling Get/IsNull per row, node
-  /// and feature. The snapshot borrows this view.
+  /// learners index arrays instead of reading cells per row, node and
+  /// feature. The snapshot borrows this view.
   FeatureColumns Snapshot(const std::vector<RowId>& rows) const;
-
-  /// Distinct category codes appearing among `rows` for categorical
-  /// feature f (sorted).
-  std::vector<int32_t> CategoriesIn(const std::vector<RowId>& rows,
-                                    size_t f) const;
 
   /// The string behind a categorical code of feature f.
   const std::string& CategoryName(size_t f, int32_t code) const;
-
-  /// Row-major numeric matrix (rows x numeric-features) for the
-  /// numeric features only, standardized to zero mean / unit variance
-  /// when `standardize`; NULLs are imputed with the
-  /// (pre-standardization) column mean. Also returns the indices (into
-  /// features()) used.
-  void NumericMatrix(const std::vector<RowId>& rows, bool standardize,
-                     DenseMatrix* matrix,
-                     std::vector<size_t>* feature_indices) const;
 
  private:
   FeatureView(const Table* table, std::vector<FeatureSpec> features)
@@ -120,6 +108,15 @@ class FeatureColumns {
   /// NaN, ascending by (value, i); -0.0 and +0.0 tie.
   const std::vector<uint32_t>& sorted(size_t f) const { return sorted_[f]; }
 
+  /// Row-major matrix (positions x numeric features) of the numeric
+  /// features at `positions`, standardized to zero mean and unit
+  /// variance over those positions; a NaN (or NULL) value takes the
+  /// mean of its feature's other values there, so it becomes 0. Also
+  /// returns the indices (into the view's features()) used.
+  void NumericMatrix(const std::vector<uint32_t>& positions,
+                     DenseMatrix* matrix,
+                     std::vector<size_t>* feature_indices) const;
+
  private:
   friend class FeatureView;
   explicit FeatureColumns(const FeatureView* view) : view_(view) {}
@@ -132,6 +129,13 @@ class FeatureColumns {
   std::vector<std::vector<double>> values_;
   std::vector<std::vector<uint32_t>> sorted_;
 };
+
+/// The positions in `rows` of the members of `subset`, ascending. Both
+/// lists ascend; a member that `rows` lacks has no position. For the
+/// row list a snapshot was taken of, these are the members' positions
+/// in the snapshot.
+std::vector<uint32_t> PositionsIn(const std::vector<RowId>& rows,
+                                  const std::vector<RowId>& subset);
 
 }  // namespace dbwipes
 

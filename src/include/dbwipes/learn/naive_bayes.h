@@ -16,18 +16,18 @@ namespace dbwipes {
 /// of F, then drop D' members the model itself finds unlikely.
 class NaiveBayes {
  public:
-  /// Fits on `rows` with binary `labels` (0/1, same length). Both
-  /// classes must be present.
-  static Result<NaiveBayes> Fit(const FeatureView& view,
-                                const std::vector<RowId>& rows,
+  /// Fits on the snapshot's rows with binary `labels` (0/1), aligned
+  /// with its positions. Both classes must be present.
+  static Result<NaiveBayes> Fit(const FeatureColumns& columns,
                                 const std::vector<int>& labels);
 
-  /// P(label = 1 | row features).
-  double PredictProba(const FeatureView& view, RowId row) const;
+  /// P(label = 1 | the features at position i of `columns`). A NULL or
+  /// NaN value leaves its feature out.
+  double PredictProba(const FeatureColumns& columns, size_t i) const;
 
   /// 1 if PredictProba >= 0.5.
-  int Predict(const FeatureView& view, RowId row) const {
-    return PredictProba(view, row) >= 0.5 ? 1 : 0;
+  int Predict(const FeatureColumns& columns, size_t i) const {
+    return PredictProba(columns, i) >= 0.5 ? 1 : 0;
   }
 
  private:

@@ -70,12 +70,28 @@ Result<std::vector<Subgroup>> DiscoverSubgroups(
     const SubgroupOptions& options = {},
     const ExecContext& ctx = ExecContext::None());
 
-/// DiscoverSubgroups over view.Snapshot(rows).
-Result<std::vector<Subgroup>> DiscoverSubgroups(
-    const FeatureView& view, const std::vector<RowId>& rows,
-    const std::vector<int>& labels, const std::vector<double>& init_weights,
-    const SubgroupOptions& options = {},
-    const ExecContext& ctx = ExecContext::None());
+/// \brief The atomic conditions over one feature of a snapshot, in
+/// the order a search meets them.
+struct AtomicConditions {
+  /// `name = category` for each of `ranks`, or `name <= t` then
+  /// `name > t` for each of `cuts`.
+  std::vector<Clause> clauses;
+  /// Categorical: ranks into columns.categories(f), most frequent
+  /// first.
+  std::vector<int32_t> ranks;
+  /// Numeric: the cuts, ascending.
+  std::vector<double> cuts;
+};
+
+/// The atomic conditions that subgroup discovery and the exhaustive
+/// baseline search over feature f: for a categorical feature, its
+/// `max_categories` most frequent categories (ties in an order fixed by
+/// the order the categories are first met in); for a numeric feature,
+/// up to `max_thresholds` midpoints between adjacent distinct values at
+/// evenly spaced quantiles. NULL and NaN values take no part.
+AtomicConditions ChooseAtomicConditions(const FeatureColumns& columns,
+                                        size_t f, size_t max_categories,
+                                        size_t max_thresholds);
 
 }  // namespace dbwipes
 

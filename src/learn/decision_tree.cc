@@ -385,13 +385,6 @@ const char* SplitCriterionToString(SplitCriterion c) {
   return "?";
 }
 
-Result<DecisionTree> DecisionTree::Fit(const FeatureView& view,
-                                       const std::vector<RowId>& rows,
-                                       const std::vector<int>& labels,
-                                       const DecisionTreeOptions& options) {
-  return Fit(view.Snapshot(rows), labels, options);
-}
-
 Result<DecisionTree> DecisionTree::Fit(const FeatureColumns& columns,
                                        const std::vector<int>& labels,
                                        const DecisionTreeOptions& options) {
@@ -482,12 +475,12 @@ DecisionTree DecisionTree::Truncate(size_t max_depth) const {
   return out;
 }
 
-double DecisionTree::PredictProba(const FeatureView& view, RowId row) const {
-  const FeatureColumns columns = view.Snapshot({row});
+double DecisionTree::PredictProba(const FeatureColumns& columns,
+                                  size_t i) const {
   int id = 0;
   while (!nodes_[id].is_leaf) {
     const Node& n = nodes_[id];
-    id = GoesLeft(columns, n, 0) ? n.left : n.right;
+    id = GoesLeft(columns, n, i) ? n.left : n.right;
   }
   return nodes_[id].prob1();
 }

@@ -5,7 +5,6 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <set>
 #include <utility>
 
 #include "dbwipes/common/stats.h"
@@ -169,52 +168,50 @@ FeatureColumns FeatureView::Snapshot(const std::vector<RowId>& rows) const {
   return out;
 }
 
-std::vector<int32_t> FeatureView::CategoriesIn(const std::vector<RowId>& rows,
-                                               size_t f) const {
-  DBW_CHECK(features_[f].categorical);
-  const Column& col = table_->column(features_[f].column);
-  std::set<int32_t> codes;
-  for (RowId r : rows) {
-    if (!col.IsNull(r)) codes.insert(col.StringCode(r));
-  }
-  return std::vector<int32_t>(codes.begin(), codes.end());
-}
-
 const std::string& FeatureView::CategoryName(size_t f, int32_t code) const {
   DBW_CHECK(features_[f].categorical);
   return table_->column(features_[f].column).DictionaryValue(code);
 }
 
-void FeatureView::NumericMatrix(const std::vector<RowId>& rows,
-                                bool standardize, DenseMatrix* matrix,
-                                std::vector<size_t>* feature_indices) const {
+void FeatureColumns::NumericMatrix(
+    const std::vector<uint32_t>& positions, DenseMatrix* matrix,
+    std::vector<size_t>* feature_indices) const {
   feature_indices->clear();
-  for (size_t f = 0; f < features_.size(); ++f) {
-    if (!features_[f].categorical) feature_indices->push_back(f);
+  for (size_t f = 0; f < num_features(); ++f) {
+    if (!categorical(f)) feature_indices->push_back(f);
   }
   const size_t d = feature_indices->size();
-  matrix->rows = rows.size();
+  matrix->rows = positions.size();
   matrix->cols = d;
-  matrix->values.assign(rows.size() * d, 0.0);
+  matrix->values.assign(positions.size() * d, 0.0);
 
   for (size_t j = 0; j < d; ++j) {
-    const size_t f = (*feature_indices)[j];
+    const std::vector<double>& column = values_[(*feature_indices)[j]];
     OnlineStats stats;
-    for (RowId r : rows) {
-      const double v = Get(r, f);
-      if (!std::isnan(v)) stats.Add(v);
+    for (uint32_t p : positions) {
+      if (!std::isnan(column[p])) stats.Add(column[p]);
     }
     const double mean = stats.mean();
     const double sd = stats.stddev();
-    for (size_t i = 0; i < rows.size(); ++i) {
-      double v = Get(rows[i], f);
+    for (size_t i = 0; i < positions.size(); ++i) {
+      double v = column[positions[i]];
       if (std::isnan(v)) v = mean;  // mean imputation
-      if (standardize) {
-        v = sd > 0.0 ? (v - mean) / sd : 0.0;
-      }
-      matrix->row(i)[j] = v;
+      matrix->row(i)[j] = sd > 0.0 ? (v - mean) / sd : 0.0;
     }
   }
+}
+
+std::vector<uint32_t> PositionsIn(const std::vector<RowId>& rows,
+                                  const std::vector<RowId>& subset) {
+  std::vector<uint32_t> out;
+  out.reserve(subset.size());
+  auto it = rows.begin();
+  for (RowId r : subset) {
+    it = std::lower_bound(it, rows.end(), r);
+    if (it == rows.end()) break;
+    if (*it == r) out.push_back(static_cast<uint32_t>(it - rows.begin()));
+  }
+  return out;
 }
 
 }  // namespace dbwipes

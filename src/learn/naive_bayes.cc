@@ -11,13 +11,13 @@ constexpr double kMinVariance = 1e-9;
 constexpr double kTwoPi = 6.283185307179586;
 }  // namespace
 
-Result<NaiveBayes> NaiveBayes::Fit(const FeatureView& view,
-                                   const std::vector<RowId>& rows,
+Result<NaiveBayes> NaiveBayes::Fit(const FeatureColumns& columns,
                                    const std::vector<int>& labels) {
-  if (rows.size() != labels.size()) {
+  const size_t n = columns.num_rows();
+  if (n != labels.size()) {
     return Status::InvalidArgument("rows/labels size mismatch");
   }
-  if (rows.empty()) return Status::InvalidArgument("empty training set");
+  if (n == 0) return Status::InvalidArgument("empty training set");
   size_t class_counts[2] = {0, 0};
   for (int y : labels) {
     if (y != 0 && y != 1) {
@@ -30,18 +30,18 @@ Result<NaiveBayes> NaiveBayes::Fit(const FeatureView& view,
   }
 
   NaiveBayes model;
-  const double n = static_cast<double>(rows.size());
-  model.log_prior_[0] = std::log(static_cast<double>(class_counts[0]) / n);
-  model.log_prior_[1] = std::log(static_cast<double>(class_counts[1]) / n);
+  const double total = static_cast<double>(n);
+  model.log_prior_[0] = std::log(static_cast<double>(class_counts[0]) / total);
+  model.log_prior_[1] = std::log(static_cast<double>(class_counts[1]) / total);
 
-  model.features_.resize(view.num_features());
-  for (size_t f = 0; f < view.num_features(); ++f) {
+  model.features_.resize(columns.num_features());
+  for (size_t f = 0; f < columns.num_features(); ++f) {
     FeatureModel& fm = model.features_[f];
-    fm.categorical = view.features()[f].categorical;
+    fm.categorical = columns.categorical(f);
     if (fm.categorical) {
-      for (size_t i = 0; i < rows.size(); ++i) {
-        if (view.IsNull(rows[i], f)) continue;
-        const int32_t code = static_cast<int32_t>(view.Get(rows[i], f));
+      for (size_t i = 0; i < n; ++i) {
+        const int32_t code = columns.code(f, i);
+        if (code < 0) continue;  // NULL
         fm.counts[labels[i]][code] += 1.0;
         fm.totals[labels[i]] += 1.0;
       }
@@ -52,10 +52,10 @@ Result<NaiveBayes> NaiveBayes::Fit(const FeatureView& view,
       }
       fm.num_categories = std::max<double>(1.0, static_cast<double>(seen.size()));
     } else {
+      const std::vector<double>& values = columns.values(f);  // NaN = NULL
       OnlineStats stats[2];
-      for (size_t i = 0; i < rows.size(); ++i) {
-        const double v = view.Get(rows[i], f);
-        if (!std::isnan(v)) stats[labels[i]].Add(v);
+      for (size_t i = 0; i < n; ++i) {
+        if (!std::isnan(values[i])) stats[labels[i]].Add(values[i]);
       }
       for (int c = 0; c < 2; ++c) {
         fm.numeric[c].mean = stats[c].mean();
@@ -66,22 +66,28 @@ Result<NaiveBayes> NaiveBayes::Fit(const FeatureView& view,
   return model;
 }
 
-double NaiveBayes::PredictProba(const FeatureView& view, RowId row) const {
+double NaiveBayes::PredictProba(const FeatureColumns& columns,
+                                size_t i) const {
   double log_like[2] = {log_prior_[0], log_prior_[1]};
+  // Missing features are skipped: NULL, and NaN, which the snapshot
+  // stores for NULL too.
   for (size_t f = 0; f < features_.size(); ++f) {
-    if (view.IsNull(row, f)) continue;  // missing features are skipped
     const FeatureModel& fm = features_[f];
-    const double v = view.Get(row, f);
-    for (int c = 0; c < 2; ++c) {
-      if (fm.categorical) {
-        const int32_t code = static_cast<int32_t>(v);
+    if (fm.categorical) {
+      const int32_t code = columns.code(f, i);
+      if (code < 0) continue;
+      for (int c = 0; c < 2; ++c) {
         auto it = fm.counts[c].find(code);
         const double count = it == fm.counts[c].end() ? 0.0 : it->second;
         // Laplace smoothing.
         const double p =
             (count + 1.0) / (fm.totals[c] + fm.num_categories);
         log_like[c] += std::log(p);
-      } else {
+      }
+    } else {
+      const double v = columns.values(f)[i];
+      if (std::isnan(v)) continue;
+      for (int c = 0; c < 2; ++c) {
         const NumericStats& ns = fm.numeric[c];
         const double d = v - ns.mean;
         log_like[c] +=

@@ -37,55 +37,30 @@ struct Candidate {
   double wracc = 0.0;
 };
 
-/// Conditions in a fixed order (feature by feature; categories by
-/// descending frequency; numeric thresholds ascending, `<=` before
-/// `>`). That order is the candidate order of the beam search, so it
-/// decides ties between rules of equal WRAcc. Each feature's bitmaps
-/// are filled in one pass over its values.
+/// Conditions in a fixed order: feature by feature, each feature's
+/// ChooseAtomicConditions. That order is the candidate order of the
+/// beam search, so it decides ties between rules of equal WRAcc. Each
+/// feature's bitmaps are filled in one pass over its values.
 std::vector<Condition> BuildConditions(const FeatureColumns& columns,
                                        const SubgroupOptions& options) {
   std::vector<Condition> conditions;
-  const FeatureView& view = columns.view();
   const size_t n = columns.num_rows();
-  for (size_t f = 0; f < view.num_features(); ++f) {
-    const FeatureSpec& spec = view.features()[f];
-    if (spec.categorical) {
-      // Most frequent categories. Categories of equal count keep the
-      // order the frequency map lists them in, which depends only on
-      // the order their codes are first met in, row by row: count by
-      // rank, then insert the codes in that order.
+  for (size_t f = 0; f < columns.num_features(); ++f) {
+    AtomicConditions chosen = ChooseAtomicConditions(
+        columns, f, options.max_categories_per_feature,
+        options.max_numeric_thresholds);
+    const size_t first = conditions.size();
+    for (Clause& clause : chosen.clauses) {
+      conditions.push_back({std::move(clause), Bitmap(n)});
+    }
+    if (columns.categorical(f)) {
       const std::vector<int32_t>& ranks = columns.ranks(f);  // -1 = NULL
-      const std::vector<int32_t>& categories = columns.categories(f);
-      std::vector<size_t> count(categories.size(), 0);
-      std::vector<int32_t> first_met;
-      for (int32_t rank : ranks) {
-        if (rank < 0) continue;
-        if (count[static_cast<size_t>(rank)]++ == 0) first_met.push_back(rank);
-      }
-      std::unordered_map<int32_t, size_t> freq;
-      for (int32_t rank : first_met) {
-        freq.emplace(categories[static_cast<size_t>(rank)],
-                     count[static_cast<size_t>(rank)]);
-      }
-      std::vector<std::pair<int32_t, size_t>> cats(freq.begin(), freq.end());
-      std::sort(cats.begin(), cats.end(), [](const auto& a, const auto& b) {
-        return a.second > b.second;
-      });
-      if (cats.size() > options.max_categories_per_feature) {
-        cats.resize(options.max_categories_per_feature);
-      }
       // condition_of_rank[r]: the condition of rank r's category, if kept.
       constexpr size_t kNone = std::numeric_limits<size_t>::max();
-      std::vector<size_t> condition_of_rank(categories.size(), kNone);
-      for (const auto& [code, unused] : cats) {
-        const size_t rank = static_cast<size_t>(
-            std::lower_bound(categories.begin(), categories.end(), code) -
-            categories.begin());
-        condition_of_rank[rank] = conditions.size();
-        conditions.push_back(
-            {Clause::Make(spec.name, CompareOp::kEq,
-                          Value(view.CategoryName(f, code))),
-             Bitmap(n)});
+      std::vector<size_t> condition_of_rank(columns.categories(f).size(),
+                                            kNone);
+      for (size_t k = 0; k < chosen.ranks.size(); ++k) {
+        condition_of_rank[static_cast<size_t>(chosen.ranks[k])] = first + k;
       }
       for (size_t i = 0; i < n; ++i) {
         if (ranks[i] < 0) continue;
@@ -93,37 +68,9 @@ std::vector<Condition> BuildConditions(const FeatureColumns& columns,
         if (c != kNone) conditions[c].covered.Set(i);
       }
     } else {
-      // Quantile thresholds over the distinct values, read in ascending
-      // order from the presort (which holds no NaN or NULL).
-      const std::vector<double>& column = columns.values(f);  // NaN = NULL
-      std::vector<double> values;
-      for (uint32_t p : columns.sorted(f)) {
-        if (values.empty() || values.back() != column[p]) {
-          values.push_back(column[p]);
-        }
-      }
-      if (values.size() < 2) continue;
-
-      std::set<double> thresholds;
-      const size_t buckets =
-          std::min(options.max_numeric_thresholds, values.size() - 1);
-      for (size_t b = 1; b <= buckets; ++b) {
-        const double q = static_cast<double>(b) /
-                         static_cast<double>(buckets + 1);
-        const size_t idx = std::min(
-            values.size() - 2,
-            static_cast<size_t>(q * static_cast<double>(values.size() - 1)));
-        thresholds.insert(values[idx] + (values[idx + 1] - values[idx]) / 2.0);
-      }
-      const std::vector<double> cuts(thresholds.begin(), thresholds.end());
-      const size_t first = conditions.size();
-      for (double t : cuts) {
-        for (CompareOp op : {CompareOp::kLe, CompareOp::kGt}) {
-          conditions.push_back(
-              {Clause::Make(spec.name, op, Value(t)), Bitmap(n)});
-        }
-      }
       // NaN (and NULL) values match neither side of a cut.
+      const std::vector<double>& column = columns.values(f);  // NaN = NULL
+      const std::vector<double>& cuts = chosen.cuts;
       for (size_t i = 0; i < n; ++i) {
         const double v = column[i];
         for (size_t k = 0; k < cuts.size(); ++k) {
@@ -336,12 +283,70 @@ void MarkRepeats(const std::vector<Rule>& beam, size_t b,
 
 }  // namespace
 
-Result<std::vector<Subgroup>> DiscoverSubgroups(
-    const FeatureView& view, const std::vector<RowId>& rows,
-    const std::vector<int>& labels, const std::vector<double>& init_weights,
-    const SubgroupOptions& options, const ExecContext& ctx) {
-  return DiscoverSubgroups(view.Snapshot(rows), labels, init_weights, options,
-                           ctx);
+AtomicConditions ChooseAtomicConditions(const FeatureColumns& columns,
+                                        size_t f, size_t max_categories,
+                                        size_t max_thresholds) {
+  AtomicConditions out;
+  const FeatureView& view = columns.view();
+  const std::string& name = view.features()[f].name;
+  if (columns.categorical(f)) {
+    // Most frequent categories. Categories of equal count keep the
+    // order the frequency map lists them in, which depends only on the
+    // order their codes are first met in, row by row: count by rank,
+    // then insert the codes in that order.
+    const std::vector<int32_t>& categories = columns.categories(f);
+    std::vector<size_t> count(categories.size(), 0);
+    std::vector<int32_t> first_met;
+    for (int32_t rank : columns.ranks(f)) {
+      if (rank < 0) continue;  // NULL
+      if (count[static_cast<size_t>(rank)]++ == 0) first_met.push_back(rank);
+    }
+    std::unordered_map<int32_t, size_t> freq;
+    for (int32_t rank : first_met) {
+      freq.emplace(categories[static_cast<size_t>(rank)],
+                   count[static_cast<size_t>(rank)]);
+    }
+    std::vector<std::pair<int32_t, size_t>> cats(freq.begin(), freq.end());
+    std::sort(cats.begin(), cats.end(), [](const auto& a, const auto& b) {
+      return a.second > b.second;
+    });
+    if (cats.size() > max_categories) cats.resize(max_categories);
+    for (const auto& [code, unused] : cats) {
+      out.ranks.push_back(static_cast<int32_t>(
+          std::lower_bound(categories.begin(), categories.end(), code) -
+          categories.begin()));
+      out.clauses.push_back(Clause::Make(name, CompareOp::kEq,
+                                         Value(view.CategoryName(f, code))));
+    }
+    return out;
+  }
+  // Quantile midpoints of the distinct values, read in ascending order
+  // from the presort (which holds no NaN or NULL).
+  const std::vector<double>& column = columns.values(f);
+  std::vector<double> values;
+  for (uint32_t p : columns.sorted(f)) {
+    if (values.empty() || values.back() != column[p]) {
+      values.push_back(column[p]);
+    }
+  }
+  if (values.size() < 2) return out;
+  std::set<double> thresholds;
+  const size_t buckets = std::min(max_thresholds, values.size() - 1);
+  for (size_t b = 1; b <= buckets; ++b) {
+    const double q =
+        static_cast<double>(b) / static_cast<double>(buckets + 1);
+    const size_t idx = std::min(
+        values.size() - 2,
+        static_cast<size_t>(q * static_cast<double>(values.size() - 1)));
+    thresholds.insert(values[idx] + (values[idx + 1] - values[idx]) / 2.0);
+  }
+  out.cuts.assign(thresholds.begin(), thresholds.end());
+  for (double t : out.cuts) {
+    for (CompareOp op : {CompareOp::kLe, CompareOp::kGt}) {
+      out.clauses.push_back(Clause::Make(name, op, Value(t)));
+    }
+  }
+  return out;
 }
 
 Result<std::vector<Subgroup>> DiscoverSubgroups(

@@ -58,19 +58,14 @@ TEST(FeatureViewTest, UnknownColumnErrors) {
   EXPECT_TRUE(FeatureView::Create(*t, {"nope"}).status().IsNotFound());
 }
 
-TEST(FeatureViewTest, CategoriesIn) {
-  auto t = MixedTable();
-  FeatureView v = *FeatureView::Create(*t, {"cat"});
-  auto cats = v.CategoriesIn({0, 1, 2}, 0);
-  EXPECT_EQ(cats.size(), 2u);  // a, b (not c)
-}
-
 TEST(FeatureViewTest, NumericMatrixStandardizesAndImputes) {
   auto t = MixedTable();
   FeatureView v = *FeatureView::Create(*t, {"num", "cat", "extra"});
+  // Positions 1..4 of the snapshot are rows 0..3.
+  const FeatureColumns cols = v.Snapshot({2, 0, 1, 2, 3});
   DenseMatrix m;
   std::vector<size_t> idx;
-  v.NumericMatrix({0, 1, 2, 3}, /*standardize=*/true, &m, &idx);
+  cols.NumericMatrix({1, 2, 3, 4}, &m, &idx);
   ASSERT_EQ(idx.size(), 2u);  // num, extra (cat excluded)
   ASSERT_EQ(m.rows, 4u);
   ASSERT_EQ(m.cols, 2u);
@@ -81,6 +76,17 @@ TEST(FeatureViewTest, NumericMatrixStandardizesAndImputes) {
   double mean = 0.0;
   for (size_t i = 0; i < m.rows; ++i) mean += m.row(i)[0];
   EXPECT_NEAR(mean / 4.0, 0.0, 1e-9);
+  // Row 0's num: (1 - 2) over the deviation of 1, 2, 3.
+  EXPECT_NEAR(m.row(0)[0], -1.0 / std::sqrt(2.0 / 3.0), 1e-12);
+}
+
+TEST(FeatureViewTest, PositionsInFindsTheMembersOfTheList) {
+  const std::vector<RowId> rows = {2, 5, 9, 14};
+  EXPECT_EQ(PositionsIn(rows, {2, 9, 14}), (std::vector<uint32_t>{0, 2, 3}));
+  // Members outside the list have no position.
+  EXPECT_EQ(PositionsIn(rows, {0, 5, 6, 20}), (std::vector<uint32_t>{1}));
+  EXPECT_TRUE(PositionsIn(rows, {}).empty());
+  EXPECT_TRUE(PositionsIn({}, {1, 2}).empty());
 }
 
 TEST(FeatureViewTest, SnapshotHoldsWhatGetReturns) {
@@ -279,6 +285,12 @@ TEST(KMeansTest, AutoPrefersOneClusterForHomogeneousData) {
 
 // ---------- naive Bayes ----------
 
+std::vector<RowId> AllRows(const Table& t) {
+  std::vector<RowId> rows(t.num_rows());
+  for (RowId r = 0; r < rows.size(); ++r) rows[r] = r;
+  return rows;
+}
+
 std::shared_ptr<Table> LabeledBlobTable(std::vector<int>* labels, Rng* rng) {
   auto t = std::make_shared<Table>(
       Schema{{"x", DataType::kDouble}, {"color", DataType::kString}}, "b");
@@ -299,12 +311,11 @@ TEST(NaiveBayesTest, LearnsSeparableClasses) {
   std::vector<int> labels;
   auto t = LabeledBlobTable(&labels, &rng);
   FeatureView v = *FeatureView::Create(*t, {"x", "color"});
-  std::vector<RowId> rows;
-  for (RowId r = 0; r < t->num_rows(); ++r) rows.push_back(r);
-  NaiveBayes model = *NaiveBayes::Fit(v, rows, labels);
+  const FeatureColumns cols = v.Snapshot(AllRows(*t));
+  NaiveBayes model = *NaiveBayes::Fit(cols, labels);
   int correct = 0;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (model.Predict(v, rows[i]) == labels[i]) ++correct;
+  for (size_t i = 0; i < cols.num_rows(); ++i) {
+    if (model.Predict(cols, i) == labels[i]) ++correct;
   }
   EXPECT_GE(correct, 95);
 }
@@ -314,22 +325,43 @@ TEST(NaiveBayesTest, ProbabilitiesAreCalibratedDirectionally) {
   std::vector<int> labels;
   auto t = LabeledBlobTable(&labels, &rng);
   FeatureView v = *FeatureView::Create(*t, {"x"});
-  std::vector<RowId> rows;
-  for (RowId r = 0; r < t->num_rows(); ++r) rows.push_back(r);
-  NaiveBayes model = *NaiveBayes::Fit(v, rows, labels);
+  const FeatureColumns cols = v.Snapshot(AllRows(*t));
+  NaiveBayes model = *NaiveBayes::Fit(cols, labels);
   // A deep-positive row should get probability near 1.
   double best = 0.0;
-  for (RowId r : rows) best = std::max(best, model.PredictProba(v, r));
+  for (size_t i = 0; i < cols.num_rows(); ++i) {
+    best = std::max(best, model.PredictProba(cols, i));
+  }
   EXPECT_GT(best, 0.99);
+}
+
+TEST(NaiveBayesTest, NaNValueIsSkippedLikeNull) {
+  // The snapshot stores NULL as NaN, so a NaN value leaves its feature
+  // out of the prediction as NULL does, and the colour alone decides.
+  Rng rng(5);
+  std::vector<int> labels;
+  auto t = LabeledBlobTable(&labels, &rng);
+  DBW_CHECK_OK(t->AppendRow({Value::Null(), Value("hot")}));
+  DBW_CHECK_OK(t->AppendRow(
+      {Value(std::numeric_limits<double>::quiet_NaN()), Value("hot")}));
+  FeatureView v = *FeatureView::Create(*t, {"x", "color"});
+  const FeatureColumns cols = v.Snapshot(AllRows(*t));
+  labels.resize(cols.num_rows(), 0);
+  NaiveBayes model = *NaiveBayes::Fit(cols, labels);
+  const double null_proba = model.PredictProba(cols, 100);
+  EXPECT_FALSE(std::isnan(null_proba));
+  EXPECT_GT(null_proba, 0.5);  // "hot" is mostly positive
+  EXPECT_EQ(model.PredictProba(cols, 101), null_proba);
 }
 
 TEST(NaiveBayesTest, FitValidation) {
   auto t = MixedTable();
   FeatureView v = *FeatureView::Create(*t, {"num"});
-  EXPECT_FALSE(NaiveBayes::Fit(v, {0, 1}, {1, 1}).ok());   // one class
-  EXPECT_FALSE(NaiveBayes::Fit(v, {0, 1}, {0}).ok());      // size mismatch
-  EXPECT_FALSE(NaiveBayes::Fit(v, {0, 1}, {0, 2}).ok());   // bad label
-  EXPECT_FALSE(NaiveBayes::Fit(v, {}, {}).ok());           // empty
+  const FeatureColumns two = v.Snapshot({0, 1});
+  EXPECT_FALSE(NaiveBayes::Fit(two, {1, 1}).ok());               // one class
+  EXPECT_FALSE(NaiveBayes::Fit(two, {0}).ok());               // size mismatch
+  EXPECT_FALSE(NaiveBayes::Fit(two, {0, 2}).ok());               // bad label
+  EXPECT_FALSE(NaiveBayes::Fit(v.Snapshot({}), {}).ok());        // empty
 }
 
 // ---------- decision tree ----------
@@ -346,9 +378,10 @@ TEST(DecisionTreeTest, LearnsAxisAlignedSplit) {
     labels.push_back(x > 7.0 ? 1 : 0);
   }
   FeatureView v = *FeatureView::Create(*t, {"x"});
-  DecisionTree tree = *DecisionTree::Fit(v, rows, labels);
+  const FeatureColumns cols = v.Snapshot(rows);
+  DecisionTree tree = *DecisionTree::Fit(cols, labels);
   for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(tree.Predict(v, rows[i]), labels[i]);
+    EXPECT_EQ(tree.Predict(cols, i), labels[i]);
   }
   EXPECT_LE(tree.depth(), 2u);
   // The learned threshold predicate matches the planted split.
@@ -372,7 +405,7 @@ TEST(DecisionTreeTest, LearnsCategoricalSplit) {
     labels.push_back(c == 0 ? 1 : 0);
   }
   FeatureView v = *FeatureView::Create(*t, {"c"});
-  DecisionTree tree = *DecisionTree::Fit(v, rows, labels);
+  DecisionTree tree = *DecisionTree::Fit(v.Snapshot(rows), labels);
   auto preds = tree.PositiveLeafPredicates(v, 0.9);
   ASSERT_FALSE(preds.empty());
   EXPECT_EQ(preds[0].ToString(), "c = 'bad'");
@@ -392,10 +425,11 @@ TEST(DecisionTreeTest, GainRatioAlsoLearns) {
   FeatureView v = *FeatureView::Create(*t, {"x"});
   DecisionTreeOptions opts;
   opts.criterion = SplitCriterion::kGainRatio;
-  DecisionTree tree = *DecisionTree::Fit(v, rows, labels, opts);
+  const FeatureColumns cols = v.Snapshot(rows);
+  DecisionTree tree = *DecisionTree::Fit(cols, labels, opts);
   int correct = 0;
   for (size_t i = 0; i < rows.size(); ++i) {
-    correct += tree.Predict(v, rows[i]) == labels[i];
+    correct += tree.Predict(cols, i) == labels[i];
   }
   EXPECT_GE(correct, 195);
 }
@@ -416,7 +450,7 @@ TEST(DecisionTreeTest, MaxDepthBoundsPredicateComplexity) {
   FeatureView v = *FeatureView::Create(*t, {"a", "b"});
   DecisionTreeOptions opts;
   opts.max_depth = 2;
-  DecisionTree tree = *DecisionTree::Fit(v, rows, labels, opts);
+  DecisionTree tree = *DecisionTree::Fit(v.Snapshot(rows), labels, opts);
   EXPECT_LE(tree.depth(), 2u);
   for (const Predicate& p : tree.PositiveLeafPredicates(v, 0.5)) {
     EXPECT_LE(p.num_clauses(), 2u);
@@ -439,10 +473,11 @@ TEST(DecisionTreeTest, CostComplexityPruningShrinksTree) {
   FeatureView v = *FeatureView::Create(*t, {"x"});
   DecisionTreeOptions loose;
   loose.max_depth = 8;
-  DecisionTree big = *DecisionTree::Fit(v, rows, labels, loose);
+  const FeatureColumns cols = v.Snapshot(rows);
+  DecisionTree big = *DecisionTree::Fit(cols, labels, loose);
   DecisionTreeOptions pruned = loose;
   pruned.ccp_alpha = 0.02;
-  DecisionTree small = *DecisionTree::Fit(v, rows, labels, pruned);
+  DecisionTree small = *DecisionTree::Fit(cols, labels, pruned);
   EXPECT_LT(small.num_leaves(), big.num_leaves());
 }
 
@@ -457,9 +492,9 @@ TEST(DecisionTreeTest, NullsRouteRight) {
   }
   DBW_CHECK_OK(t->AppendRow({Value::Null()}));
   FeatureView v = *FeatureView::Create(*t, {"x"});
-  DecisionTree tree = *DecisionTree::Fit(v, rows, labels);
+  DecisionTree tree = *DecisionTree::Fit(v.Snapshot(rows), labels);
   // NULL goes right = the "condition false" branch = negative side here.
-  EXPECT_EQ(tree.Predict(v, 20), 0);
+  EXPECT_EQ(tree.Predict(v.Snapshot({20}), 0), 0);
 }
 
 TEST(DecisionTreeTest, NaNRoutesRightInTraining) {
@@ -482,11 +517,13 @@ TEST(DecisionTreeTest, NaNRoutesRightInTraining) {
   FeatureView v = *FeatureView::Create(*t, {"x"});
   DecisionTreeOptions opts;
   opts.max_depth = 1;
-  const DecisionTree forward = *DecisionTree::Fit(v, rows, labels, opts);
+  const DecisionTree forward =
+      *DecisionTree::Fit(v.Snapshot(rows), labels, opts);
   std::vector<RowId> rev_rows(rows.rbegin(), rows.rend());
   std::vector<int> rev_labels(labels.rbegin(), labels.rend());
   const DecisionTree backward =
-      *DecisionTree::Fit(v, rev_rows, rev_labels, opts);
+      *DecisionTree::Fit(v.Snapshot(rev_rows), rev_labels, opts);
+  const FeatureColumns nan_row = v.Snapshot({0});  // row 0 is NaN
   for (const DecisionTree* tree : {&forward, &backward}) {
     const DecisionTree::Node& root = tree->nodes()[0];
     ASSERT_FALSE(root.is_leaf);
@@ -495,7 +532,7 @@ TEST(DecisionTreeTest, NaNRoutesRightInTraining) {
     // The NaN rows' mass sits in the right child with the positives.
     const DecisionTree::Node& right = tree->nodes()[root.right];
     EXPECT_EQ(right.n0 + right.n1, 20.0 + 20.0);
-    EXPECT_EQ(tree->PredictProba(v, 0), right.prob1());  // row 0 is NaN
+    EXPECT_EQ(tree->PredictProba(nan_row, 0), right.prob1());
   }
 }
 
@@ -516,13 +553,14 @@ TEST(DecisionTreeTest, PredicatesClassifyConsistentlyWithTree) {
     labels.push_back((a > 0.5 && c == 1) ? 1 : 0);
   }
   FeatureView v = *FeatureView::Create(*t, {"a", "c"});
-  DecisionTree tree = *DecisionTree::Fit(v, rows, labels);
+  const FeatureColumns cols = v.Snapshot(rows);
+  DecisionTree tree = *DecisionTree::Fit(cols, labels);
   auto preds = tree.PositiveLeafPredicates(v, 0.5);
   ASSERT_FALSE(preds.empty());
   for (const Predicate& p : preds) {
-    for (RowId r : rows) {
+    for (RowId r : rows) {  // row r sits at position r
       if (*p.Matches(*t, r)) {
-        EXPECT_GE(tree.PredictProba(v, r), 0.5)
+        EXPECT_GE(tree.PredictProba(cols, r), 0.5)
             << "predicate " << p.ToString() << " row " << r;
       }
     }
@@ -532,9 +570,9 @@ TEST(DecisionTreeTest, PredicatesClassifyConsistentlyWithTree) {
 TEST(DecisionTreeTest, FitValidation) {
   auto t = MixedTable();
   FeatureView v = *FeatureView::Create(*t, {"num"});
-  EXPECT_FALSE(DecisionTree::Fit(v, {}, {}).ok());
-  EXPECT_FALSE(DecisionTree::Fit(v, {0, 1}, {0}).ok());
-  EXPECT_FALSE(DecisionTree::Fit(v, {0, 1}, {0, 3}).ok());
+  EXPECT_FALSE(DecisionTree::Fit(v.Snapshot({}), {}).ok());
+  EXPECT_FALSE(DecisionTree::Fit(v.Snapshot({0, 1}), {0}).ok());
+  EXPECT_FALSE(DecisionTree::Fit(v.Snapshot({0, 1}), {0, 3}).ok());
 }
 
 TEST(DecisionTreeTest, ToStringShowsStructure) {
@@ -547,7 +585,7 @@ TEST(DecisionTreeTest, ToStringShowsStructure) {
     labels.push_back(i < 10 ? 1 : 0);
   }
   FeatureView v = *FeatureView::Create(*t, {"x"});
-  DecisionTree tree = *DecisionTree::Fit(v, rows, labels);
+  DecisionTree tree = *DecisionTree::Fit(v.Snapshot(rows), labels);
   const std::string s = tree.ToString(v);
   EXPECT_NE(s.find("split on x <="), std::string::npos);
   EXPECT_NE(s.find("leaf"), std::string::npos);

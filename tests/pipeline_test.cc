@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <thread>
 
 #include "dbwipes/common/metrics.h"
@@ -255,6 +256,30 @@ TEST(DatasetEnumeratorTest, CleanDPrimeDropsStrayExamples) {
         << "stray row " << stray << " survived cleaning";
   }
   EXPECT_GE(cleaned.size(), 13u);
+}
+
+/// A D' example whose knob is NaN, not NULL: naive Bayes leaves the
+/// feature out, as it does for NULL, so the tag alone keeps the example.
+TEST(DatasetEnumeratorTest, ClassifierCleanSkipsANaNValueLikeNull) {
+  World w = MakeWorld();
+  auto table = std::make_shared<Table>(w.table->schema(), "w");
+  for (RowId r = 0; r < w.table->num_rows(); ++r) {
+    std::vector<Value> row = w.table->GetRow(r);
+    if (r == w.bad_rows[0]) {
+      row[2] = Value(std::numeric_limits<double>::quiet_NaN());
+    }
+    DBW_CHECK_OK(table->AppendRow(row));
+  }
+  const QueryResult result = *ExecuteQuery(
+      *ParseQuery("SELECT g, avg(v) AS a FROM w GROUP BY g"), *table);
+  PreprocessResult pre =
+      *Preprocessor::Run(*table, result, w.suspicious_groups, *w.metric);
+  FeatureView view = *FeatureView::Create(*table, {"tag", "knob"});
+  DatasetEnumeratorOptions options;
+  options.clean_method = CleanMethod::kClassifier;
+  const std::vector<RowId> cleaned = *DatasetEnumerator(options).CleanDPrime(
+      *table, w.bad_rows, pre.suspect_inputs, pre.influences, view);
+  EXPECT_EQ(cleaned, w.bad_rows);
 }
 
 /// A candidate row set before scoring, by where it came from.
@@ -927,6 +952,39 @@ TEST(DBWipesTest, ConcurrentDebugsMatchSerialRuns) {
     }
     for (std::thread& t : threads) t.join();
     EXPECT_EQ(concurrent, serial) << "round " << round;
+  }
+}
+
+/// D' is read within F: rows of D' outside F change neither the
+/// cleaned D', nor a candidate, nor the ranking, with either clean.
+TEST(DBWipesTest, DPrimeRowsOutsideFChangeNothing) {
+  World w = MakeWorld();
+  auto db = std::make_shared<Database>();
+  db->RegisterTable(w.table);
+  // 15 bad rows and two ordinary rows of F; F is groups 2 and 3.
+  std::vector<RowId> within(w.bad_rows.begin(), w.bad_rows.begin() + 15);
+  within.push_back(120);
+  within.push_back(170);
+  // Twelve rows of groups 0 and 1, outside F.
+  std::vector<RowId> with_outside = within;
+  for (RowId r = 0; r < 6; ++r) {
+    with_outside.push_back(r);
+    with_outside.push_back(50 + r);
+  }
+  for (CleanMethod method : {CleanMethod::kKMeans, CleanMethod::kClassifier}) {
+    ExplainOptions options;
+    options.enumerator.clean_method = method;
+    DBWipes engine(db, options);
+    ExplanationRequest request;
+    request.selected_groups = w.suspicious_groups;
+    request.metric = w.metric;
+    request.suspicious_inputs = within;
+    const Explanation want = *engine.Explain(w.result, request);
+    request.suspicious_inputs = with_outside;
+    const Explanation got = *engine.Explain(w.result, request);
+    EXPECT_FALSE(want.cleaned_dprime.empty());
+    EXPECT_EQ(DebugDigest(got), DebugDigest(want))
+        << "clean method " << static_cast<int>(method);
   }
 }
 

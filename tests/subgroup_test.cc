@@ -272,7 +272,7 @@ Planted MakePatients(uint64_t seed, double noise = 0.02) {
 TEST(SubgroupTest, FindsPlantedSubgroup) {
   Planted p = MakePatients(1);
   FeatureView v = *FeatureView::Create(*p.table, {"habit", "age", "weight"});
-  auto subgroups = *DiscoverSubgroups(v, p.rows, p.labels, {});
+  auto subgroups = *DiscoverSubgroups(v.Snapshot(p.rows), p.labels, {});
   ASSERT_FALSE(subgroups.empty());
   const Subgroup& best = subgroups[0];
   EXPECT_GT(best.wracc, 0.05);
@@ -303,7 +303,7 @@ TEST(SubgroupTest, WeightedCoveringYieldsDiverseRules) {
   SubgroupOptions opts;
   opts.num_rules = 4;
   opts.max_clauses = 1;
-  auto subgroups = *DiscoverSubgroups(v, rows, labels, {}, opts);
+  auto subgroups = *DiscoverSubgroups(v.Snapshot(rows), labels, {}, opts);
   ASSERT_GE(subgroups.size(), 2u);
   std::string all;
   for (const Subgroup& sg : subgroups) all += sg.predicate.ToString() + ";";
@@ -316,7 +316,7 @@ TEST(SubgroupTest, MaxClausesBoundsDescriptions) {
   FeatureView v = *FeatureView::Create(*p.table, {"habit", "age", "weight"});
   SubgroupOptions opts;
   opts.max_clauses = 1;
-  auto subgroups = *DiscoverSubgroups(v, p.rows, p.labels, {}, opts);
+  auto subgroups = *DiscoverSubgroups(v.Snapshot(p.rows), p.labels, {}, opts);
   for (const Subgroup& sg : subgroups) {
     EXPECT_LE(sg.predicate.num_clauses(), 1u);
   }
@@ -343,7 +343,7 @@ TEST(SubgroupTest, InitialWeightsBiasTheSearch) {
   SubgroupOptions opts;
   opts.num_rules = 1;
   opts.max_clauses = 1;
-  auto subgroups = *DiscoverSubgroups(v, rows, labels, weights, opts);
+  auto subgroups = *DiscoverSubgroups(v.Snapshot(rows), labels, weights, opts);
   ASSERT_FALSE(subgroups.empty());
   EXPECT_NE(subgroups[0].predicate.ToString().find("gamma"),
             std::string::npos)
@@ -353,7 +353,7 @@ TEST(SubgroupTest, InitialWeightsBiasTheSearch) {
 TEST(SubgroupTest, CoveredIndicesAreConsistent) {
   Planted p = MakePatients(5);
   FeatureView v = *FeatureView::Create(*p.table, {"habit", "age", "weight"});
-  auto subgroups = *DiscoverSubgroups(v, p.rows, p.labels, {});
+  auto subgroups = *DiscoverSubgroups(v.Snapshot(p.rows), p.labels, {});
   for (const Subgroup& sg : subgroups) {
     EXPECT_EQ(sg.covered.size(), sg.coverage);
     for (size_t idx : sg.covered) {
@@ -366,13 +366,14 @@ TEST(SubgroupTest, CoveredIndicesAreConsistent) {
 TEST(SubgroupTest, Validation) {
   Planted p = MakePatients(6);
   FeatureView v = *FeatureView::Create(*p.table, {"age"});
-  EXPECT_FALSE(DiscoverSubgroups(v, {}, {}, {}).ok());
-  EXPECT_FALSE(DiscoverSubgroups(v, {0, 1}, {0}, {}).ok());
-  EXPECT_FALSE(DiscoverSubgroups(v, {0, 1}, {0, 0}, {}).ok());  // no positive
-  EXPECT_FALSE(DiscoverSubgroups(v, {0, 1}, {0, 1}, {1.0}).ok());
+  EXPECT_FALSE(DiscoverSubgroups(v.Snapshot({}), {}, {}).ok());
+  EXPECT_FALSE(DiscoverSubgroups(v.Snapshot({0, 1}), {0}, {}).ok());
+  // No positive.
+  EXPECT_FALSE(DiscoverSubgroups(v.Snapshot({0, 1}), {0, 0}, {}).ok());
+  EXPECT_FALSE(DiscoverSubgroups(v.Snapshot({0, 1}), {0, 1}, {1.0}).ok());
   SubgroupOptions no_beam;
   no_beam.beam_width = 0;
-  auto r = DiscoverSubgroups(v, p.rows, p.labels, {}, no_beam);
+  auto r = DiscoverSubgroups(v.Snapshot(p.rows), p.labels, {}, no_beam);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
 }
@@ -390,7 +391,7 @@ TEST(SubgroupTest, AllPositiveLabelsFindNothingUseful) {
     labels.push_back(1);
   }
   FeatureView v = *FeatureView::Create(*t, {"x"});
-  auto subgroups = *DiscoverSubgroups(v, rows, labels, {});
+  auto subgroups = *DiscoverSubgroups(v.Snapshot(rows), labels, {});
   EXPECT_TRUE(subgroups.empty());
 }
 
@@ -399,7 +400,7 @@ class SubgroupSeedSweep : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(SubgroupSeedSweep, RecoversPlantedRuleAcrossSeeds) {
   Planted p = MakePatients(GetParam());
   FeatureView v = *FeatureView::Create(*p.table, {"habit", "age", "weight"});
-  auto subgroups = *DiscoverSubgroups(v, p.rows, p.labels, {});
+  auto subgroups = *DiscoverSubgroups(v.Snapshot(p.rows), p.labels, {});
   ASSERT_FALSE(subgroups.empty());
   EXPECT_NE(subgroups[0].predicate.ToString().find("smoker"),
             std::string::npos);
@@ -485,7 +486,8 @@ size_t ExpectMatchesReference(const RandomProblem& p,
                               const std::string& where) {
   FeatureView v =
       *FeatureView::Create(*p.table, {"kind", "city", "x", "level"});
-  auto got = DiscoverSubgroups(v, p.rows, p.labels, p.weights, p.options);
+  auto got =
+      DiscoverSubgroups(v.Snapshot(p.rows), p.labels, p.weights, p.options);
   EXPECT_TRUE(got.ok()) << where << ": " << got.status().ToString();
   if (!got.ok()) return 0;
   const std::vector<Subgroup> want = reference::DiscoverSubgroups(

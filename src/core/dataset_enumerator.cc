@@ -24,6 +24,15 @@ std::vector<RowId> SortedUnique(std::vector<RowId> rows) {
   return rows;
 }
 
+/// rows[i] for each of `positions`, in their order.
+std::vector<RowId> RowsAt(const std::vector<RowId>& rows,
+                          const std::vector<uint32_t>& positions) {
+  std::vector<RowId> out;
+  out.reserve(positions.size());
+  for (uint32_t i : positions) out.push_back(rows[i]);
+  return out;
+}
+
 std::vector<RowId> UnionOf(const std::vector<RowId>& a,
                            const std::vector<RowId>& b) {
   std::vector<RowId> out;
@@ -58,9 +67,7 @@ Result<std::vector<RowId>> DatasetEnumerator::CleanDPrime(
   DBW_FAULT(ctx, "enumerate/clean");
   DBW_TRACE_SPAN("enumerate/clean");
   DBW_RETURN_NOT_OK(ctx.CheckContinue());
-  std::vector<RowId> sorted;
-  sorted.reserve(dprime.size());
-  for (uint32_t i : dprime) sorted.push_back(suspects[i]);
+  const std::vector<RowId> sorted = RowsAt(suspects, dprime);
   if (KeepsDPrimeWhole(sorted.size())) return sorted;
 
   if (options_.clean_method == CleanMethod::kKMeans) {
@@ -201,9 +208,8 @@ Result<std::vector<CandidateDataset>> DatasetEnumerator::Enumerate(
   //    here, clean first (DESIGN.md §5m).
   const std::vector<uint32_t> dprime_positions =
       PositionsIn(suspects, SortedUnique(dprime));
-  std::vector<RowId> sorted_dprime;
-  sorted_dprime.reserve(dprime_positions.size());
-  for (uint32_t i : dprime_positions) sorted_dprime.push_back(suspects[i]);
+  const std::vector<RowId> sorted_dprime =
+      RowsAt(suspects, dprime_positions);
   std::optional<Result<std::vector<RowId>>> clean;
   std::optional<Result<std::vector<Subgroup>>> found;
   bool discovered = false;

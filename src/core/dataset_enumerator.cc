@@ -7,7 +7,6 @@
 
 #include "dbwipes/common/metrics.h"
 #include "dbwipes/common/parallel.h"
-#include "dbwipes/common/stats.h"
 #include "dbwipes/common/telemetry.h"
 #include "dbwipes/common/trace.h"
 #include "dbwipes/core/removal_scorer.h"

@@ -38,14 +38,14 @@ struct Subgroup {
   /// Unweighted counts over the training rows.
   size_t coverage = 0;
   size_t positives = 0;
-  /// Indices (into the input `rows`) the subgroup covers.
+  /// Positions (in the snapshot searched) the subgroup covers.
   std::vector<size_t> covered;
 };
 
 /// Finds up to options.num_rules subgroups of the positive class
-/// (label 1) among `rows`, using beam search over conjunctions of
-/// attribute conditions scored by WRAcc with CN2-SD weighted covering
-/// for diversity. Initial per-example weights may be supplied (e.g.
+/// (label 1) among the snapshot's rows, using beam search over
+/// conjunctions of attribute conditions scored by WRAcc with CN2-SD
+/// weighted covering for diversity. Initial per-example weights may be supplied (e.g.
 /// influence-derived); pass empty for uniform.
 ///
 /// DBWipes uses this as the Dataset Enumerator's extension step: the

@@ -56,12 +56,12 @@ void PrintReport() {
                          "FAILED: " + out.error});
       continue;
     }
-    const Explanation& e = out.explanation;
+    const ExplainProfile& p = out.explanation.profile;
     rows_table.AddRow(
         {std::to_string(rows), std::to_string(out.num_suspect_inputs),
-         Fmt(e.preprocess_ms, 1), Fmt(e.enumerate_ms, 1),
-         Fmt(e.predicates_ms, 1), Fmt(e.rank_ms, 1),
-         Fmt(e.profile.total_ms, 1), Fmt(out.top1.f1)});
+         Fmt(p.preprocess_ms, 1), Fmt(p.enumerate_ms, 1),
+         Fmt(p.predicates_ms, 1), Fmt(p.rank_ms, 1), Fmt(p.total_ms, 1),
+         Fmt(out.top1.f1)});
   }
   rows_table.Print();
 

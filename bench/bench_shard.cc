@@ -141,7 +141,7 @@ StreamResult RunStream(size_t num_shards) {
                     (r.total_ms / 1000.0);
   r.materialize_ms = last.stats.materialize_ms;
   r.score_ms = last.stats.score_ms;
-  for (const ExplainProfile::ShardLane& lane : last.stats.shard_stats) {
+  for (const RankStats::ShardLane& lane : last.stats.shards) {
     if (lane.engine_reused) ++r.reused_lanes;
     r.cached_clauses += lane.cached_clauses;
   }

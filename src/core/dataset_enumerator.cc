@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
-#include <unordered_map>
 
 #include "dbwipes/common/metrics.h"
 #include "dbwipes/common/parallel.h"
@@ -86,10 +85,14 @@ Result<std::vector<RowId>> DatasetEnumerator::CleanDPrime(
                 clusters.assignment.begin(), clusters.assignment.end()));
     if (k <= 1) return sorted;  // D' already looks homogeneous
 
-    // Influence lookup for majority-cluster selection.
-    std::unordered_map<RowId, double> influence_of;
+    // Each D' member's influence, by its position in D' (0 for a row
+    // without one), for majority-cluster selection.
+    std::vector<double> influence(sorted.size(), 0.0);
     for (const TupleInfluence& ti : influences) {
-      influence_of[ti.row] = ti.influence;
+      auto at = std::lower_bound(sorted.begin(), sorted.end(), ti.row);
+      if (at != sorted.end() && *at == ti.row) {
+        influence[at - sorted.begin()] = ti.influence;
+      }
     }
     // Drop only clusters that look like selection mistakes: much lower
     // mean influence than the best cluster AND small. A heterogeneous
@@ -99,8 +102,7 @@ Result<std::vector<RowId>> DatasetEnumerator::CleanDPrime(
     for (size_t i = 0; i < sorted.size(); ++i) {
       const int c = clusters.assignment[i];
       ++sizes[c];
-      auto it = influence_of.find(sorted[i]);
-      if (it != influence_of.end()) mean_influence[c] += it->second;
+      mean_influence[c] += influence[i];
     }
     double best_mean = 0.0;
     for (size_t c = 0; c < k; ++c) {

@@ -1,7 +1,9 @@
 #include "dbwipes/core/dbwipes.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <iterator>
 #include <shared_mutex>
 
 #include "dbwipes/common/metrics.h"
@@ -19,6 +21,18 @@ double MillisSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+using StageHistograms = std::array<MetricHistogram*, std::size(kStageClocks)>;
+
+/// One `explain.<name>_ms` histogram per stage clock.
+StageHistograms GetStageHistograms() {
+  StageHistograms out;
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] = MetricsRegistry::Global().GetHistogram(
+        std::string("explain.") + kStageClocks[i].name + "_ms");
+  }
+  return out;
+}
+
 /// Pipeline-level metrics, each counted or observed once per Explain.
 /// The stage histograms are the per-stage latency lanes the SLO history
 /// samples beside the end-to-end service.request_ms.
@@ -27,11 +41,7 @@ struct ExplainMetrics {
   MetricCounter* partial;
   MetricCounter* cancellations;
   MetricCounter* deadline_expiries;
-  MetricHistogram* preprocess_ms;
-  MetricHistogram* enumerate_ms;
-  MetricHistogram* predicates_ms;
-  MetricHistogram* rank_ms;
-  MetricHistogram* total_ms;
+  StageHistograms stage_ms;
   MetricCounter* sharded_runs;
   MetricHistogram* shard_skew;
 };
@@ -42,11 +52,7 @@ const ExplainMetrics& Metrics() {
       MetricsRegistry::Global().GetCounter("explain.partial"),
       MetricsRegistry::Global().GetCounter("exec.cancellations"),
       MetricsRegistry::Global().GetCounter("exec.deadline_expiries"),
-      MetricsRegistry::Global().GetHistogram("explain.preprocess_ms"),
-      MetricsRegistry::Global().GetHistogram("explain.enumerate_ms"),
-      MetricsRegistry::Global().GetHistogram("explain.predicates_ms"),
-      MetricsRegistry::Global().GetHistogram("explain.rank_ms"),
-      MetricsRegistry::Global().GetHistogram("explain.total_ms"),
+      GetStageHistograms(),
       MetricsRegistry::Global().GetCounter("explain.sharded_runs"),
       MetricsRegistry::Global().GetHistogram("explain.shard_skew"),
   };
@@ -173,11 +179,9 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
     if (out.partial) Metrics().partial->Increment();
     if (p.cancelled) Metrics().cancellations->Increment();
     if (p.deadline_expired) Metrics().deadline_expiries->Increment();
-    Metrics().preprocess_ms->Observe(p.preprocess_ms);
-    Metrics().enumerate_ms->Observe(p.enumerate_ms);
-    Metrics().predicates_ms->Observe(p.predicates_ms);
-    Metrics().rank_ms->Observe(p.rank_ms);
-    Metrics().total_ms->Observe(p.total_ms);
+    for (size_t i = 0; i < std::size(kStageClocks); ++i) {
+      Metrics().stage_ms[i]->Observe(p.*kStageClocks[i].ms);
+    }
   };
 
   // Stage 1: Preprocessor.
@@ -278,40 +282,13 @@ Result<Explanation> DBWipes::Explain(const QueryResult& result,
   out.predicates = std::move(outcome.predicates);
   out.ranked_considered = outcome.scored_prefix;
   out.total_enumerated = outcome.total_candidates;
-  // Ranking telemetry flows straight into the profile.
-  {
-    ExplainProfile& p = out.profile;
-    RankStats& rs = outcome.stats;
-    p.materialize_ms = rs.materialize_ms;
-    p.score_ms = rs.score_ms;
-    p.scoring_blocks_total = rs.blocks_total;
-    p.scoring_blocks_done = rs.blocks_done;
-    p.block_ms = rs.block_ms;
-    p.clause_lookups = rs.clause_lookups;
-    p.cache_hits = rs.cache_hits;
-    p.cache_misses = rs.cache_misses;
-    p.bitmaps_materialized = rs.bitmaps_materialized;
-    p.simd_tier = rs.simd_tier;
-    if (shard_set != nullptr) {
-      p.num_shards = shard_set->num_shards();
-      p.shards = std::move(rs.shard_stats);
-      for (const ExplainProfile::ShardLane& lane : p.shards) {
-        if (lane.engine_reused) ++p.shard_engines_reused;
-      }
-      // Skew from the plan: max shard suspect share over the even
-      // share.
-      const size_t total = out.preprocess.suspect_inputs.size();
-      if (total > 0 && !shard_plan.slices.empty()) {
-        size_t biggest = 0;
-        for (const ShardSlice& s : shard_plan.slices) {
-          biggest = std::max(biggest, s.local_rows.size());
-        }
-        const double mean = static_cast<double>(total) /
-                            static_cast<double>(shard_plan.slices.size());
-        p.shard_skew = static_cast<double>(biggest) / mean;
-        Metrics().shard_skew->Observe(p.shard_skew);
-      }
-      Metrics().sharded_runs->Increment();
+  // The ranker filled its part of the profile. Only this ranking is
+  // counted: the merge below ranks again.
+  static_cast<RankStats&>(out.profile) = std::move(outcome.stats);
+  if (plan != nullptr) {
+    Metrics().sharded_runs->Increment();
+    if (!out.preprocess.suspect_inputs.empty()) {
+      Metrics().shard_skew->Observe(out.profile.shard_skew);
     }
   }
   // The ranker's reason is the context's own stop status, so a cancel

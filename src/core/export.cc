@@ -111,20 +111,10 @@ void WriteProfile(JsonWriter* w, const ExplainProfile& p) {
 
   w->Key("stage_ms");
   w->BeginObject();
-  w->Key("preprocess");
-  w->Number(p.preprocess_ms);
-  w->Key("enumerate");
-  w->Number(p.enumerate_ms);
-  w->Key("predicates");
-  w->Number(p.predicates_ms);
-  w->Key("materialize");
-  w->Number(p.materialize_ms);
-  w->Key("score");
-  w->Number(p.score_ms);
-  w->Key("rank");
-  w->Number(p.rank_ms);
-  w->Key("total");
-  w->Number(p.total_ms);
+  for (const StageClock& clock : kStageClocks) {
+    w->Key(clock.name);
+    w->Number(p.*clock.ms);
+  }
   w->EndObject();
 
   w->Key("attempts");

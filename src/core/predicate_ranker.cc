@@ -138,17 +138,32 @@ Result<RankOutcome> PredicateRanker::RankAnytime(
   DBW_FAULT(ctx, "ranker/rank");
   DBW_TRACE_SPAN("ranker/rank");
   Metrics().runs->Increment();
-  if (options_.engine == RankerOptions::Engine::kReferenceSerial) {
-    // The reference engine always scores the fused view; it exists to
-    // differential-test the fast paths (sharded included) against one
-    // canonical serial fold.
-    return RankReference(table, result, selected_groups, metric, agg_index,
-                         suspects, reference_positive, per_group_baseline,
-                         predicates, ctx);
+  // The reference engine always scores the fused view; it exists to
+  // differential-test the fast paths (sharded included) against one
+  // canonical serial fold.
+  Result<RankOutcome> out =
+      options_.engine == RankerOptions::Engine::kReferenceSerial
+          ? RankReference(table, result, selected_groups, metric, agg_index,
+                          suspects, reference_positive, per_group_baseline,
+                          predicates, ctx)
+          : RankDelta(table, result, selected_groups, metric, agg_index,
+                      suspects, reference_positive, per_group_baseline,
+                      predicates, ctx, shards);
+  if (out.ok() && shards != nullptr && shards->set != nullptr) {
+    RankStats& stats = out->stats;
+    stats.num_shards = shards->set->num_shards();
+    // Skew from the plan: max shard suspect share over the even share.
+    if (!suspects.empty() && !shards->slices.empty()) {
+      size_t biggest = 0;
+      for (const ShardSlice& s : shards->slices) {
+        biggest = std::max(biggest, s.local_rows.size());
+      }
+      const double mean = static_cast<double>(suspects.size()) /
+                          static_cast<double>(shards->slices.size());
+      stats.shard_skew = static_cast<double>(biggest) / mean;
+    }
   }
-  return RankDelta(table, result, selected_groups, metric, agg_index,
-                   suspects, reference_positive, per_group_baseline,
-                   predicates, ctx, shards);
+  return out;
 }
 
 Result<RankOutcome> PredicateRanker::RankDelta(
@@ -208,7 +223,7 @@ Result<RankOutcome> PredicateRanker::RankDelta(
   std::vector<std::unique_ptr<MatchEngine>> engines(num_slices);
   std::vector<Bitmap> ref_parts(num_slices);
   std::vector<size_t> offsets(num_slices, 0);
-  std::vector<ExplainProfile::ShardLane> lanes(num_slices);
+  std::vector<RankStats::ShardLane> lanes(num_slices);
   RankStats stats;
   for (size_t s = 0; s < num_slices; ++s) {
     const ShardSlice& slice = slices[s];
@@ -240,7 +255,7 @@ Result<RankOutcome> PredicateRanker::RankDelta(
   auto finish = [&]() {
     for (size_t s = 0; s < num_slices; ++s) {
       if (engines[s] == nullptr) continue;
-      ExplainProfile::ShardLane& ss = lanes[s];
+      RankStats::ShardLane& ss = lanes[s];
       const MatchEngine& se = *engines[s];
       ss.clause_lookups = se.clause_lookups() - bases[s].lookups;
       ss.cache_hits = se.cache_hits() - bases[s].hits;
@@ -251,12 +266,13 @@ Result<RankOutcome> PredicateRanker::RankDelta(
       stats.cache_hits += ss.cache_hits;
       stats.cache_misses += ss.cache_misses;
       stats.bitmaps_materialized += ss.bitmaps_materialized;
+      stats.shard_engines_reused += ss.engine_reused;
       if (stats.simd_tier.empty()) stats.simd_tier = SimdTierName(se.simd_tier());
       if (cache != nullptr) {
         cache->Checkin(ss.shard_index, std::move(engines[s]));
       }
     }
-    if (cache != nullptr) stats.shard_stats = std::move(lanes);
+    if (cache != nullptr) stats.shards = std::move(lanes);
   };
 
   std::vector<const Predicate*> preds;
@@ -369,8 +385,8 @@ Result<RankOutcome> PredicateRanker::RankDelta(
       [&](size_t a, size_t b) { return matched_parts[a] == matched_parts[b]; },
       options_.top_k);
 
-  stats.blocks_total = num_blocks;
-  stats.blocks_done = done_blocks;
+  stats.scoring_blocks_total = num_blocks;
+  stats.scoring_blocks_done = done_blocks;
   stats.block_ms = std::move(block_ms);
   finish();  // top-level counters become the lane sums
   Metrics().blocks_scored->Increment(done_blocks);
@@ -403,8 +419,8 @@ Result<RankOutcome> PredicateRanker::RankReference(
   scored.reserve(n);
   matched_sets.reserve(n);
   RankStats stats;
-  stats.blocks_total = (n + kScoreBlock - 1) / kScoreBlock;
-  stats.block_ms.assign(stats.blocks_total, 0.0);
+  stats.scoring_blocks_total = (n + kScoreBlock - 1) / kScoreBlock;
+  stats.block_ms.assign(stats.scoring_blocks_total, 0.0);
   const auto t_score = std::chrono::steady_clock::now();
   auto t_block = t_score;
   // Serial loop; the anytime cut is simply how far it got, rounded
@@ -481,8 +497,8 @@ Result<RankOutcome> PredicateRanker::RankReference(
     scored.resize(prefix);
     matched_sets.resize(prefix);
   }
-  stats.blocks_done = (prefix + kScoreBlock - 1) / kScoreBlock;
-  Metrics().blocks_scored->Increment(stats.blocks_done);
+  stats.scoring_blocks_done = (prefix + kScoreBlock - 1) / kScoreBlock;
+  Metrics().blocks_scored->Increment(stats.scoring_blocks_done);
   Metrics().predicates_scored->Increment(prefix);
 
   auto hash_of = [&](size_t i) {

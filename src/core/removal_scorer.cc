@@ -1,5 +1,8 @@
 #include "dbwipes/core/removal_scorer.h"
 
+#include <algorithm>
+#include <functional>
+
 #include "dbwipes/common/trace.h"
 #include "dbwipes/core/removal.h"
 
@@ -17,14 +20,14 @@ Result<RemovalScorer> RemovalScorer::Create(
   }
   const AggSpec& spec = result.query.aggregates[agg_index];
 
-  RemovalScorer scorer;
-  scorer.entries_.assign(suspects.size(), Entry{});
-  scorer.suspect_index_.reserve(suspects.size());
-  for (size_t i = 0; i < suspects.size(); ++i) {
-    if (!scorer.suspect_index_.emplace(suspects[i], i).second) {
-      return Status::InvalidArgument("suspect set contains duplicates");
-    }
+  if (std::adjacent_find(suspects.begin(), suspects.end(),
+                         std::greater_equal<RowId>()) != suspects.end()) {
+    return Status::InvalidArgument("suspect set is not strictly ascending");
   }
+
+  RemovalScorer scorer;
+  scorer.suspects_ = suspects;
+  scorer.entries_.assign(suspects.size(), Entry{});
 
   scorer.base_.reserve(selected_groups.size());
   scorer.base_values_.reserve(selected_groups.size());
@@ -35,6 +38,9 @@ Result<RemovalScorer> RemovalScorer::Create(
       return Status::OutOfRange("selected group out of range");
     }
     AggregatorPtr agg = MakeAggregator(spec.kind);
+    // A group's rows ascend, like F, so each row's position in F is
+    // searched for from where the last one was found.
+    auto at = suspects.begin();
     // Same fold order as the from-scratch path (ValuesAfterRemoval),
     // so unaffected groups reproduce its values bit for bit.
     for (RowId r : result.lineage[g]) {
@@ -47,9 +53,9 @@ Result<RemovalScorer> RemovalScorer::Create(
         DBW_ASSIGN_OR_RETURN(removable_value, v.AsDouble());
       }
       agg->Add(removable_value);
-      auto it = scorer.suspect_index_.find(r);
-      if (it == scorer.suspect_index_.end()) continue;
-      Entry& e = scorer.entries_[it->second];
+      at = std::lower_bound(at, suspects.end(), r);
+      if (at == suspects.end() || *at != r) continue;
+      Entry& e = scorer.entries_[at - suspects.begin()];
       if (e.group != kNoGroup) {
         // A base row feeding two selected groups would make per-row
         // deltas ambiguous; group-by partitions rows, so this cannot
@@ -95,8 +101,8 @@ std::vector<double> RemovalScorer::ValuesAfterRemovalRows(
     const std::vector<RowId>& rows) const {
   return ValuesImpl([&](const auto& apply) {
     for (RowId r : rows) {
-      auto it = suspect_index_.find(r);
-      if (it != suspect_index_.end()) apply(it->second);
+      auto at = std::lower_bound(suspects_.begin(), suspects_.end(), r);
+      if (at != suspects_.end() && *at == r) apply(at - suspects_.begin());
     }
   });
 }

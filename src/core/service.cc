@@ -233,21 +233,7 @@ std::string CommandLabel(const std::string& line) {
   return label;
 }
 
-/// Mirrors the session's selection/cleaning state into the replay
-/// record, so a snapshot taken at any point restores to exactly here.
-void SyncReplay(ManagedSession& ms) {
-  ms.replay.applied_predicates = ms.session.applied_predicates();
-  ms.replay.selected_groups = ms.session.selected_groups();
-  ms.replay.selected_inputs = ms.session.selected_inputs();
-}
-
-Reply Synced(ManagedSession& ms, const std::string& key, size_t count) {
-  SyncReplay(ms);
-  return Reply().Add(key, count);
-}
-
-Reply CleanedSql(ManagedSession& ms) {
-  SyncReplay(ms);
+Reply CleanedSql(const ManagedSession& ms) {
   return Reply().AddString("sql", ms.session.CurrentSql());
 }
 
@@ -262,7 +248,7 @@ ServiceOptions WithExplain(ExplainOptions explain) {
 /// out of range) is skipped rather than failing the whole restore;
 /// structural failures (missing table, bad predicate) abort.
 Status ReplaySessionState(ManagedSession& ms, const SessionReplay& replay) {
-  ms.replay = replay;
+  ms.origin = replay;
   if (replay.original_sql.empty()) return Status::OK();
 
   Session& s = ms.session;
@@ -283,7 +269,7 @@ Status ReplaySessionState(ManagedSession& ms, const SessionReplay& replay) {
     // A stale agg_index (the snapshot outlived a query change) makes
     // the metric meaningless but the session itself is fine — restore
     // it metric-less instead of refusing the whole snapshot.
-    if (!st.ok()) ms.replay.has_metric = false;
+    if (!st.ok()) ms.origin.has_metric = false;
   }
   return Status::OK();
 }
@@ -468,9 +454,8 @@ const ServiceCommand* Service::FindCommand(const std::string& name) {
          const std::string sql = c.Rest();
          if (sql.empty()) return Error("usage: sql <query>");
          DBW_RETURN_NOT_OK(c.ms->session.ExecuteSql(sql));
-         c.ms->replay.original_sql = sql;
-         return Synced(*c.ms, "num_groups",
-                       c.ms->session.result().num_groups());
+         c.ms->origin.original_sql = sql;
+         return Reply().Add("num_groups", c.ms->session.result().num_groups());
        }},
       {"result", kSession, kRead, {}, [](Service&, Call& c) {
          if (!c.ms->session.has_result()) return Error("no query executed");
@@ -484,8 +469,8 @@ const ServiceCommand* Service::FindCommand(const std::string& name) {
            return Error("usage: select_range <agg> <lo> <hi>");
          }
          DBW_RETURN_NOT_OK(c.ms->session.SelectResultsInRange(agg, lo, hi));
-         return Synced(*c.ms, "num_selected",
-                       c.ms->session.selected_groups().size());
+         return Reply().Add("num_selected",
+                            c.ms->session.selected_groups().size());
        }},
       {"select_groups", kSession, kLogged, {}, [](Service&, Call& c) -> Reply {
          std::vector<size_t> groups;
@@ -495,15 +480,15 @@ const ServiceCommand* Service::FindCommand(const std::string& name) {
            return Error("usage: select_groups <i> [j ...]");
          }
          DBW_RETURN_NOT_OK(c.ms->session.SelectResults(groups));
-         return Synced(*c.ms, "num_selected",
-                       c.ms->session.selected_groups().size());
+         return Reply().Add("num_selected",
+                            c.ms->session.selected_groups().size());
        }},
       {"inputs_where", kSession, kLogged, {}, [](Service&, Call& c) -> Reply {
          const std::string filter = c.Rest();
          if (filter.empty()) return Error("usage: inputs_where <filter>");
          DBW_RETURN_NOT_OK(c.ms->session.SelectInputsWhere(filter));
-         return Synced(*c.ms, "num_inputs",
-                       c.ms->session.selected_inputs().size());
+         return Reply().Add("num_inputs",
+                            c.ms->session.selected_inputs().size());
        }},
       {"metrics", kSession, kRead, {}, [](Service&, Call& c) -> Reply {
          size_t agg_index = 0;
@@ -525,10 +510,10 @@ const ServiceCommand* Service::FindCommand(const std::string& name) {
          }
          DBW_ASSIGN_OR_RETURN(auto metric, MetricFromKind(kind, expected));
          DBW_RETURN_NOT_OK(c.ms->session.SetMetric(metric, agg_index));
-         c.ms->replay.has_metric = true;
-         c.ms->replay.metric_kind = kind;
-         c.ms->replay.metric_expected = expected;
-         c.ms->replay.agg_index = agg_index;
+         c.ms->origin.has_metric = true;
+         c.ms->origin.metric_kind = kind;
+         c.ms->origin.metric_expected = expected;
+         c.ms->origin.agg_index = agg_index;
          return Reply();
        }},
       {"debug", kSession, kRead, {},
@@ -576,7 +561,6 @@ const ServiceCommand* Service::FindCommand(const std::string& name) {
        }},
       {"reset", kSession, kLogged, {}, [](Service&, Call& c) -> Reply {
          DBW_RETURN_NOT_OK(c.ms->session.ResetCleaning());
-         SyncReplay(*c.ms);
          return Reply();
        }},
       {"state", kSession, kRead, {}, [](Service&, Call& c) {
@@ -965,7 +949,11 @@ Service::ShardLeases Service::CollectSnapshot(ServiceSnapshot* snapshot) {
     // taking a shard read lease, so acquiring in the opposite order here
     // would be a lock-order inversion.
     std::lock_guard<std::mutex> lock(ms->mu);
-    snapshot->sessions.push_back({name, ms->settings, ms->replay});
+    const Session& s = ms->session;
+    snapshot->sessions.push_back(
+        {name, ms->settings,
+         {ms->origin, s.applied_predicates(), s.selected_groups(),
+          s.selected_inputs()}});
   }
   // Only the boundaries are persisted — the restore rebuilds shard
   // contents (and dictionaries) from the fused rows.
@@ -1914,20 +1902,24 @@ ServiceReply Service::RunDebug(ManagedSession& ms) {
   exp->profile.rid = CurrentRequestId();
 
   Reply reply;
-  if (exp->partial) reply.Add("partial", "true").Reason(exp->partial_reason);
-  reply.Add("explanation", ExplanationToJson(*exp, /*pretty=*/false));
-  if (ms.settings.profile_enabled) {
-    reply.Add("profile", ExplainProfileToJson(exp->profile, /*pretty=*/false));
+  {
+    DBW_TRACE_SPAN("service/serialize");
+    if (exp->partial) reply.Add("partial", "true").Reason(exp->partial_reason);
+    reply.Add("explanation", ExplanationToJson(*exp, /*pretty=*/false));
+    if (ms.settings.profile_enabled) {
+      reply.Add("profile",
+                ExplainProfileToJson(exp->profile, /*pretty=*/false));
+    }
   }
   // A slow debug logs its stage breakdown and cache hits.
-  reply.stages =
-      ", \"stages\": {\"preprocess_ms\": " +
-      FormatDouble(exp->profile.preprocess_ms) +
-      ", \"enumerate_ms\": " + FormatDouble(exp->profile.enumerate_ms) +
-      ", \"predicates_ms\": " + FormatDouble(exp->profile.predicates_ms) +
-      ", \"rank_ms\": " + FormatDouble(exp->profile.rank_ms) +
-      ", \"total_ms\": " + FormatDouble(exp->profile.total_ms) +
-      "}, \"cache_hits\": " + std::to_string(exp->profile.cache_hits);
+  const ExplainProfile& p = exp->profile;
+  reply.stages = ", \"stages\": {";
+  for (const StageClock& clock : kStageClocks) {
+    if (&clock != kStageClocks) reply.stages += ", ";
+    reply.stages += "\"" + std::string(clock.name) +
+                    "_ms\": " + FormatDouble(p.*clock.ms);
+  }
+  reply.stages += "}, \"cache_hits\": " + std::to_string(p.cache_hits);
   return reply;
 }
 

@@ -64,32 +64,6 @@ struct RankerOptions {
   size_t num_threads = 0;
 };
 
-/// \brief Telemetry one ranking run produces for the ExplainProfile:
-/// phase wall times, per-block timings, and MatchEngine cache totals.
-struct RankStats {
-  /// MatchEngine::Materialize wall time, all slices.
-  double materialize_ms = 0.0;
-  /// Wall time of the scoring phase (all blocks).
-  double score_ms = 0.0;
-  size_t blocks_total = 0;
-  /// Contiguous done-prefix of blocks (the anytime cut).
-  size_t blocks_done = 0;
-  /// Wall ms per block, slot-per-block; blocks that never completed
-  /// keep 0, so a partial run shows where the deadline cut.
-  std::vector<double> block_ms;
-  size_t clause_lookups = 0;
-  size_t cache_hits = 0;
-  size_t cache_misses = 0;
-  size_t bitmaps_materialized = 0;
-  /// SIMD tier the engines dispatched to ("avx2" / "scalar"; "" when
-  /// no engine was built).
-  std::string simd_tier;
-  /// Sharded runs only: one lane per shard, in shard order (empty for
-  /// single-engine runs). The top-level counters above are the lane
-  /// sums, so the hits + misses == lookups law holds unchanged.
-  std::vector<ExplainProfile::ShardLane> shard_stats;
-};
-
 /// \brief Result of an anytime ranking run.
 ///
 /// A complete run has partial == false and scored_prefix ==
@@ -109,6 +83,7 @@ struct RankOutcome {
   /// Input predicates the ranking considered (prefix length).
   size_t scored_prefix = 0;
   size_t total_candidates = 0;
+  /// What the run measured, up to where it stopped (profile.h).
   RankStats stats;
 };
 
@@ -155,7 +130,8 @@ class PredicateRanker {
   /// partial RankOutcome instead of an error; real failures (bad
   /// predicates, injected faults) are still returned as error Status.
   /// Fault sites: "ranker/rank" at entry, "ranker/score" per scoring
-  /// block.
+  /// block. With `shards`, every outcome reports the set's shard count
+  /// and the plan's skew, whichever engine ran and wherever it stopped.
   Result<RankOutcome> RankAnytime(
       const Table& table, const QueryResult& result,
       const std::vector<size_t>& selected_groups, const ErrorMetric& metric,

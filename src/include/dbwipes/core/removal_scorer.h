@@ -1,7 +1,6 @@
 #ifndef DBWIPES_CORE_REMOVAL_SCORER_H_
 #define DBWIPES_CORE_REMOVAL_SCORER_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "dbwipes/common/bitmap.h"
@@ -42,11 +41,11 @@ class RemovalScorer {
  public:
   /// Snapshots aggregator state for `selected_groups` of `result` and
   /// caches the per-suspect contributions. `suspects` must be the
-  /// sorted union of the selected groups' lineage (F); tuples outside
-  /// it cannot affect the selected groups and are ignored by the
-  /// row-based scoring entry points. `ctx` lets the lineage walk stop
-  /// cooperatively (checked per selected group); fault site
-  /// "scorer/create".
+  /// union of the selected groups' lineage (F), strictly ascending (a
+  /// list that is not is refused); tuples outside it cannot affect the
+  /// selected groups and are ignored by the row-based scoring entry
+  /// points. `ctx` lets the lineage walk stop cooperatively (checked
+  /// per selected group); fault site "scorer/create".
   static Result<RemovalScorer> Create(
       const Table& table, const QueryResult& result,
       const std::vector<size_t>& selected_groups, size_t agg_index,
@@ -109,8 +108,8 @@ class RemovalScorer {
 
   std::vector<AggregatorPtr> base_;   // snapshot per selected group
   std::vector<double> base_values_;   // base_[g]->Value(), cached
+  std::vector<RowId> suspects_;       // F, ascending
   std::vector<Entry> entries_;        // per suspect index
-  std::unordered_map<RowId, uint32_t> suspect_index_;  // row -> index
 };
 
 }  // namespace dbwipes

@@ -257,8 +257,9 @@ class Service {
   /// overloaded/not-running rejection.
   std::future<std::string> Submit(std::string line);
 
-  /// The implicit "main" session (for tests and embedding). State
-  /// changes made directly on it bypass the snapshot replay record.
+  /// The implicit "main" session (for tests and embedding). A query or
+  /// metric set directly on it bypasses the session's origin, which
+  /// snapshots record them from.
   Session& session();
   SessionManager& sessions() { return *manager_; }
 

@@ -21,17 +21,11 @@ struct SessionSettings {
   bool profile_enabled = false;
 };
 
-/// \brief Replayable record of how a session reached its current
-/// state — exactly what a crash-consistent snapshot persists. The
-/// Service refreshes it after every successful state-changing command;
-/// restore replays it against a fresh Session (query, then cleaning
-/// predicates, then selections, then the metric).
-struct SessionReplay {
+/// \brief The part of a session's history that its Session cannot
+/// give back: the SQL text and the metric as the client sent them.
+struct SessionOrigin {
   /// The original SQL text; "" = no query executed yet.
   std::string original_sql;
-  std::vector<Predicate> applied_predicates;
-  std::vector<size_t> selected_groups;
-  std::vector<RowId> selected_inputs;
   bool has_metric = false;
   /// Wire name of the metric ("too_high", ...) plus its parameters.
   std::string metric_kind;
@@ -39,9 +33,21 @@ struct SessionReplay {
   size_t agg_index = 0;
 };
 
+/// \brief Replayable record of how a session reached its current
+/// state — exactly what a crash-consistent snapshot persists. The
+/// Service builds it when it takes a snapshot, from the session's
+/// origin and the Session's own selections and cleaning predicates;
+/// restore replays it against a fresh Session (query, then cleaning
+/// predicates, then selections, then the metric).
+struct SessionReplay : SessionOrigin {
+  std::vector<Predicate> applied_predicates;
+  std::vector<size_t> selected_groups;
+  std::vector<RowId> selected_inputs;
+};
+
 /// \brief One named session plus everything the concurrent service
 /// needs around it: the serialization mutex, client settings, the
-/// replay record for snapshots, and the cancellation seam.
+/// session's origin for snapshots, and the cancellation seam.
 ///
 /// Locking: `mu` serializes command execution on the session (hold it
 /// for the whole command). `cancel_mu` guards only the cancellation
@@ -56,7 +62,7 @@ struct ManagedSession {
   std::mutex mu;
   Session session;
   SessionSettings settings;
-  SessionReplay replay;
+  SessionOrigin origin;
 
   /// Cross-thread cancellation seam (see class comment).
   std::mutex cancel_mu;

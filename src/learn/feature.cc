@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "dbwipes/common/stats.h"
+#include "dbwipes/common/trace.h"
 
 namespace dbwipes {
 
@@ -138,6 +139,7 @@ std::vector<uint32_t> Presort(const std::vector<double>& values) {
 }  // namespace
 
 FeatureColumns FeatureView::Snapshot(const std::vector<RowId>& rows) const {
+  DBW_TRACE_SPAN("learn/snapshot");
   FeatureColumns out(this);
   const size_t n = rows.size();
   out.num_rows_ = n;

@@ -1,6 +1,8 @@
 #include "dbwipes/viz/dashboard.h"
 
 #include <algorithm>
+#include <iterator>
+#include <span>
 
 #include "dbwipes/common/string_util.h"
 
@@ -85,28 +87,24 @@ std::string Dashboard::RenderProfile(size_t width) const {
   const ExplainProfile& p = session_->explanation().profile;
   if (width == 0) width = 1;
 
-  struct Stage {
-    const char* name;
-    double ms;
-  };
-  const Stage stages[] = {
-      {"preprocess", p.preprocess_ms}, {"enumerate", p.enumerate_ms},
-      {"predicates", p.predicates_ms}, {"materialize", p.materialize_ms},
-      {"score", p.score_ms},           {"rank", p.rank_ms},
-  };
+  // One bar per stage clock; the wall total, listed last, gets a line
+  // of its own.
+  const std::span<const StageClock> stages =
+      std::span(kStageClocks).first(std::size(kStageClocks) - 1);
   double max_ms = 0.0;
-  for (const Stage& s : stages) max_ms = std::max(max_ms, s.ms);
+  for (const StageClock& s : stages) max_ms = std::max(max_ms, p.*s.ms);
 
-  for (const Stage& s : stages) {
+  for (const StageClock& s : stages) {
+    const double ms = p.*s.ms;
     const size_t bar =
         max_ms > 0.0
-            ? static_cast<size_t>(s.ms / max_ms * static_cast<double>(width))
+            ? static_cast<size_t>(ms / max_ms * static_cast<double>(width))
             : 0;
     std::string line = "  ";
     line += s.name;
     line.resize(14, ' ');
     line += std::string(bar, '#');
-    line += " " + FormatDouble(s.ms, 2) + " ms\n";
+    line += " " + FormatDouble(ms, 2) + " ms\n";
     out += line;
   }
   out += "  total        " + FormatDouble(p.total_ms, 2) + " ms\n";

@@ -381,6 +381,32 @@ TEST(RemovalSortednessTest, UnsortedRemovedSetRejected) {
   EXPECT_TRUE(ValuesAfterRemoval(t, result, groups, 0, sorted).ok());
 }
 
+// RemovalScorer finds each lineage row's position in F by a search, so
+// an F that does not strictly ascend is refused rather than misread.
+TEST(RemovalSortednessTest, ScorerRefusesUnsortedOrDuplicatedSuspects) {
+  Rng rng(9);
+  Table t = RandomTable(&rng, 100);
+  AggregateQuery q = *ParseQuery("SELECT i, sum(d) AS s FROM t GROUP BY i");
+  QueryResult result = *ExecuteQuery(q, t);
+  std::vector<size_t> groups(result.num_groups());
+  for (size_t g = 0; g < groups.size(); ++g) groups[g] = g;
+  const std::vector<RowId> suspects = result.lineage.BackwardUnion(groups);
+  ASSERT_GE(suspects.size(), 3u);
+  EXPECT_TRUE(RemovalScorer::Create(t, result, groups, 0, suspects).ok());
+
+  std::vector<RowId> unsorted = suspects;
+  std::swap(unsorted[0], unsorted[1]);
+  EXPECT_TRUE(RemovalScorer::Create(t, result, groups, 0, unsorted)
+                  .status()
+                  .IsInvalidArgument());
+
+  std::vector<RowId> duplicated = suspects;
+  duplicated.insert(duplicated.begin() + 1, suspects[1]);
+  EXPECT_TRUE(RemovalScorer::Create(t, result, groups, 0, duplicated)
+                  .status()
+                  .IsInvalidArgument());
+}
+
 // RemovalScorer must agree with the from-scratch recomputation for
 // every aggregate kind and arbitrary removal subsets — whichever of
 // its entry points (bitmap, row ids) is used.

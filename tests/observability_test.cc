@@ -9,6 +9,7 @@
 #include <cctype>
 #include <cstdio>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "dbwipes/common/trace.h"
 #include "dbwipes/core/export.h"
 #include "dbwipes/core/service.h"
+#include "dbwipes/viz/dashboard.h"
 
 namespace dbwipes {
 namespace {
@@ -227,6 +229,64 @@ TEST(ObservabilityTest, ProfileAttachedAndInternallyConsistent) {
   EXPECT_NE(json.find("\"thread_pool\""), std::string::npos);
 }
 
+/// The keys of a flat JSON object with no string values, in order.
+std::vector<std::string> KeysOf(const std::string& object) {
+  std::vector<std::string> keys;
+  size_t at = object.find('"');
+  while (at != std::string::npos) {
+    const size_t end = object.find('"', at + 1);
+    if (end == std::string::npos) break;
+    keys.push_back(object.substr(at + 1, end - at - 1));
+    at = object.find('"', end + 1);
+  }
+  return keys;
+}
+
+/// The flat object that follows the first `"key"` in `json`.
+std::string ObjectAfter(const std::string& json, const std::string& key) {
+  const size_t open = json.find('{', json.find('"' + key + '"'));
+  return json.substr(open, json.find('}', open) - open + 1);
+}
+
+/// The stage clocks are listed once: the profile's stage_ms, the slow
+/// log's stages and the dashboard's rows follow kStageClocks in order,
+/// and the dashboard's last row is the total.
+TEST(ObservabilityTest, StageListsFollowStageClocks) {
+  ServiceOptions options;
+  options.telemetry.slow_ms = 0.0;  // every request is logged
+  Service service(MakeDb(), options);
+  service.Execute("sql SELECT g, avg(v) AS a FROM w GROUP BY g");
+  service.Execute("select_range a 20 1e9");
+  service.Execute("metric too_high 12");
+  service.Execute("debug");
+  ASSERT_TRUE(service.session().has_explanation());
+
+  std::vector<std::string> names, slow_keys;
+  for (const StageClock& clock : kStageClocks) {
+    names.push_back(clock.name);
+    slow_keys.push_back(std::string(clock.name) + "_ms");
+  }
+  const ExplainProfile& p = service.session().explanation().profile;
+  EXPECT_EQ(KeysOf(ObjectAfter(ExplainProfileToJson(p, /*pretty=*/false),
+                               "stage_ms")),
+            names);
+  // Only the debug's entry carries stages.
+  EXPECT_EQ(KeysOf(ObjectAfter(service.Execute("slowlog"), "stages")),
+            slow_keys);
+
+  // The first word of each dashboard row under the header.
+  std::istringstream panel(Dashboard(&service.session()).RenderProfile());
+  std::string line;
+  std::getline(panel, line);
+  std::vector<std::string> rows;
+  while (rows.size() < names.size() && std::getline(panel, line)) {
+    std::istringstream words(line);
+    rows.emplace_back();
+    words >> rows.back();
+  }
+  EXPECT_EQ(rows, names);
+}
+
 TEST(ObservabilityTest, ProfileCommandTogglesDebugAttachment) {
   Service service(MakeDb());
   service.Execute("sql SELECT g, avg(v) AS a FROM w GROUP BY g");
@@ -308,7 +368,8 @@ TEST(ObservabilityTest, TraceCoversEveryPipelineStage) {
   ASSERT_NE(json.find("\"traceEvents\""), std::string::npos);
 
   for (const char* span : {
-           "service/debug", "session/debug", "pipeline/explain",
+           "service/debug", "service/serialize", "session/debug",
+           "pipeline/explain", "learn/snapshot",
            "pipeline/preprocess", "pipeline/enumerate",
            "pipeline/predicates", "pipeline/rank", "pipeline/merge",
            "merge/rerank", "enumerate/clean", "enumerate/kmeans",

@@ -3,7 +3,6 @@
 #include "dbwipes/common/metrics.h"
 #include "dbwipes/common/random.h"
 #include "dbwipes/core/service.h"
-#include "dbwipes/query/derived.h"
 
 namespace dbwipes {
 namespace {
@@ -157,89 +156,6 @@ TEST(ServiceTest, MetricKinds) {
     EXPECT_TRUE(IsOk(service.Execute(std::string("metric ") + kind + " 5")))
         << kind;
   }
-}
-
-// ---------- derived columns (tested here to avoid another binary) ----------
-
-TEST(DerivedColumnTest, BucketCreatesWindows) {
-  Table t(Schema{{"minute", DataType::kInt64}, {"v", DataType::kDouble}},
-          "r");
-  for (int m : {0, 29, 30, 59, 60, 95}) {
-    DBW_CHECK_OK(t.AppendRow({Value(static_cast<int64_t>(m)), Value(1.0)}));
-  }
-  auto derived = *WithDerivedColumn(t, "window", Bucket(Col("minute"), 30));
-  EXPECT_EQ(derived->schema().field(2).name, "window");
-  EXPECT_EQ(derived->schema().field(2).type, DataType::kInt64);
-  EXPECT_EQ(derived->GetValue(0, 2), Value(int64_t{0}));
-  EXPECT_EQ(derived->GetValue(1, 2), Value(int64_t{0}));
-  EXPECT_EQ(derived->GetValue(2, 2), Value(int64_t{1}));
-  EXPECT_EQ(derived->GetValue(4, 2), Value(int64_t{2}));
-  EXPECT_EQ(derived->GetValue(5, 2), Value(int64_t{3}));
-}
-
-TEST(DerivedColumnTest, NonIntegralBecomesDouble) {
-  Table t(Schema{{"x", DataType::kDouble}}, "r");
-  DBW_CHECK_OK(t.AppendRow({Value(1.0)}));
-  DBW_CHECK_OK(t.AppendRow({Value(2.0)}));
-  auto derived = *WithDerivedColumn(t, "half", Div(Col("x"), Lit(Value(2.0))));
-  EXPECT_EQ(derived->schema().field(1).type, DataType::kDouble);
-  EXPECT_EQ(derived->GetValue(0, 1), Value(0.5));
-}
-
-TEST(DerivedColumnTest, NullPropagates) {
-  Table t(Schema{{"x", DataType::kDouble}}, "r");
-  DBW_CHECK_OK(t.AppendRow({Value::Null()}));
-  DBW_CHECK_OK(t.AppendRow({Value(6.0)}));
-  auto derived = *WithDerivedColumn(t, "b", Bucket(Col("x"), 2.0));
-  EXPECT_TRUE(derived->GetValue(0, 1).is_null());
-  EXPECT_EQ(derived->GetValue(1, 1), Value(int64_t{3}));
-}
-
-TEST(DerivedColumnTest, Validation) {
-  Table t(Schema{{"x", DataType::kDouble}, {"s", DataType::kString}}, "r");
-  DBW_CHECK_OK(t.AppendRow({Value(1.0), Value("a")}));
-  EXPECT_TRUE(WithDerivedColumn(t, "x", Col("x")).status().code() ==
-              StatusCode::kAlreadyExists);
-  EXPECT_FALSE(WithDerivedColumn(t, "y", Col("nope")).ok());
-  EXPECT_TRUE(WithDerivedColumn(t, "y", Bucket(Col("s"), 2.0)).status()
-                  .IsTypeError());
-  EXPECT_FALSE(WithDerivedColumn(t, "y", nullptr).ok());
-}
-
-TEST(DerivedColumnTest, DerivedColumnUsableInQueryAndExplanation) {
-  // End-to-end: bucket raw minutes into windows on the fly and group
-  // by the derived column — the paper's 30-minute windows without
-  // materializing them at generation time.
-  Rng rng(9);
-  Table raw(Schema{{"minute", DataType::kInt64},
-                   {"sensor", DataType::kInt64},
-                   {"temp", DataType::kDouble}},
-            "readings");
-  for (int m = 0; m < 600; ++m) {
-    for (int s = 0; s < 3; ++s) {
-      const bool hot = s == 2 && m >= 300;
-      DBW_CHECK_OK(raw.AppendRow({Value(static_cast<int64_t>(m)),
-                                  Value(static_cast<int64_t>(s)),
-                                  Value(hot ? rng.Normal(100, 2)
-                                            : rng.Normal(20, 1))}));
-    }
-  }
-  auto table = *WithDerivedColumn(raw, "window", Bucket(Col("minute"), 30.0));
-  auto db = std::make_shared<Database>();
-  db->RegisterTable(table);
-  Session session(db);
-  ASSERT_TRUE(session
-                  .ExecuteSql("SELECT window, avg(temp) AS t FROM readings "
-                              "GROUP BY window")
-                  .ok());
-  EXPECT_EQ(session.result().num_groups(), 20u);
-  ASSERT_TRUE(session.SelectResultsInRange("t", 40.0, 1e9).ok());
-  ASSERT_TRUE(session.SetMetric(TooHigh(25.0)).ok());
-  Explanation exp = *session.Debug();
-  ASSERT_FALSE(exp.predicates.empty());
-  EXPECT_NE(exp.predicates[0].predicate.ToString().find("sensor"),
-            std::string::npos)
-      << exp.predicates[0].predicate.ToString();
 }
 
 }  // namespace

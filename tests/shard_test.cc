@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -269,6 +270,58 @@ void CheckLaneLaws(const ExplainProfile& p, size_t num_shards) {
   EXPECT_EQ(p.cache_hits, hits);
   EXPECT_EQ(p.cache_misses, misses);
   EXPECT_EQ(p.bitmaps_materialized, mats);
+}
+
+/// The plan's skew, in the profile's arithmetic: the biggest shard's
+/// suspects over the even share.
+double PlanSkew(ShardSet& set, const std::vector<RowId>& suspects) {
+  const auto lease = set.ReadLease();
+  const ShardPlan plan = ShardPlan::Build(set, suspects);
+  size_t biggest = 0;
+  for (const ShardSlice& s : plan.slices) {
+    biggest = std::max(biggest, s.local_rows.size());
+  }
+  const double mean = static_cast<double>(suspects.size()) /
+                      static_cast<double>(plan.slices.size());
+  return static_cast<double>(biggest) / mean;
+}
+
+/// The shard count and the plan's skew describe the table, so a ranking
+/// on a sharded table reports them however it ran: on the reference
+/// engine, which builds no lanes, and when cut before it matched.
+TEST(ShardProfileTest, EveryRankingReportsShardCountAndSkew) {
+  constexpr size_t kShards = 3;
+  ExplainWorld w = MakeShardedWorld(kShards);
+  const double skew = PlanSkew(
+      *w.set, w.result.lineage.BackwardUnion(w.request.selected_groups));
+  ASSERT_GE(skew, 1.0);
+
+  ExplainOptions reference;
+  reference.ranker.engine = RankerOptions::Engine::kReferenceSerial;
+  const Explanation serial =
+      *DBWipes(w.db, reference).Explain(w.result, w.request);
+  ASSERT_FALSE(serial.predicates.empty());
+  EXPECT_EQ(serial.profile.num_shards, kShards);
+  EXPECT_EQ(serial.profile.shard_skew, skew);
+  EXPECT_TRUE(serial.profile.shards.empty());
+
+  // The Dataset Enumerator's scorer passes; the ranker's trips the
+  // token before it reads a group.
+  auto source = std::make_shared<CancellationSource>();
+  FaultInjector faults;
+  FaultInjector::Fault cancel;
+  cancel.trip = source;
+  cancel.skip = 1;
+  faults.Arm("scorer/create", cancel);
+  ExecContext ctx;
+  ctx.token = source->token();
+  ctx.faults = &faults;
+  const Explanation cut = *w.engine->Explain(w.result, w.request, ctx);
+  ASSERT_EQ(faults.hits("scorer/create"), 2u);
+  ASSERT_TRUE(cut.partial);
+  EXPECT_EQ(cut.ranked_considered, 0u);
+  EXPECT_EQ(cut.profile.num_shards, kShards);
+  EXPECT_EQ(cut.profile.shard_skew, skew);
 }
 
 TEST(ShardWarmCacheTest, AppendInvalidatesOnlyTheTailShard) {
